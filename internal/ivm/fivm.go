@@ -189,6 +189,21 @@ type FIVM struct {
 	pr  *ring.Poly2Ring
 	cf  *viewTree[*ring.Cofactor]
 	cfr ring.CofactorRing
+	// cfMarg caches the marginal of cf.result over its groups, which is
+	// what every scalar read of a cofactor maintainer is served from: it
+	// is folded once after an apply (which clears cfMargOK), not per read.
+	cfMarg   ring.Covar
+	cfMargOK bool
+}
+
+// marginal returns the continuous statistics of a cofactor maintainer,
+// valid until the next apply.
+func (m *FIVM) marginal() *ring.Covar {
+	if !m.cfMargOK {
+		m.cf.result.MarginalInto(&m.cfMarg)
+		m.cfMargOK = true
+	}
+	return &m.cfMarg
 }
 
 // NewFIVM creates an F-IVM maintainer over an initially empty copy of the
@@ -235,6 +250,7 @@ func (m *FIVM) Insert(t Tuple) error {
 		return nil
 	}
 	if m.cf != nil {
+		m.cfMargOK = false
 		if delta, ok := m.cf.tupleDelta(n, row); ok {
 			m.cf.propagate(n, n.parentKey(row), delta)
 		}
@@ -267,6 +283,7 @@ func (m *FIVM) Delete(t Tuple) error {
 		return nil
 	}
 	if m.cf != nil {
+		m.cfMargOK = false
 		delta, contributed := m.cf.tupleDelta(n, row)
 		m.removeRow(n, row)
 		if contributed {
@@ -308,6 +325,7 @@ func (m *FIVM) ApplyBatch(ops []Op) BatchResult {
 			serial)
 	}
 	if m.cf != nil {
+		m.cfMargOK = false
 		effects := func(n *node, vals []relation.Value, neg bool) []viewEffect[*ring.Cofactor] {
 			delta, ok := m.cf.tupleDeltaVals(n, vals)
 			if !ok {
@@ -353,13 +371,7 @@ func (m *FIVM) Count() float64 {
 		return m.p2.result.Count()
 	}
 	if m.cf != nil {
-		// Fold groups in sorted-key order (Each) so the float sum is
-		// bitwise-deterministic, matching Sum/Moment's Marginal() fold.
-		c := 0.0
-		m.cf.result.Each(func(_ []int32, g *ring.Covar) {
-			c += g.Count
-		})
-		return c
+		return m.marginal().Count
 	}
 	return m.cv.result.Count
 }
@@ -370,7 +382,7 @@ func (m *FIVM) Sum(i int) float64 {
 		return m.p2.result.M[m.pr.SumIndex(i)]
 	}
 	if m.cf != nil {
-		return m.cf.result.Marginal().Sum[i]
+		return m.marginal().Sum[i]
 	}
 	return m.cv.result.Sum[i]
 }
@@ -381,7 +393,7 @@ func (m *FIVM) Moment(i, j int) float64 {
 		return m.p2.result.M[m.pr.MomentIndex(i, j)]
 	}
 	if m.cf != nil {
-		return m.cf.result.Marginal().Q[i*m.ring.N+j]
+		return m.marginal().Q[i*m.ring.N+j]
 	}
 	return m.cv.result.Q[i*m.ring.N+j]
 }
@@ -394,7 +406,7 @@ func (m *FIVM) Snapshot() *ring.Covar {
 		return m.p2.result.Covar()
 	}
 	if m.cf != nil {
-		return m.cf.result.Marginal()
+		return m.marginal().Clone()
 	}
 	return m.cv.result.Clone()
 }
@@ -416,7 +428,7 @@ func (m *FIVM) SnapshotInto(dst *ring.Covar) {
 		return
 	}
 	if m.cf != nil {
-		m.cf.result.MarginalInto(dst)
+		m.marginal().CopyInto(dst)
 		return
 	}
 	m.cv.result.CopyInto(dst)
@@ -431,23 +443,28 @@ func (m *FIVM) SnapshotLiftedInto(dst *ring.Poly2) bool {
 	return true
 }
 
-// SnapshotCofactor implements Maintainer: a deep copy of the maintained
-// categorical cofactor element, or nil for other payloads.
+// SnapshotCofactor implements Maintainer: the root element published by
+// ring.Cofactor.Snapshot, or nil for other payloads. It costs one
+// pointer-slice copy; the groups themselves are shared with the root
+// accumulator, which from then on copies a group before its first write
+// to it — so an epoch pays for the groups its ops touched, not for the
+// live ones.
 func (m *FIVM) SnapshotCofactor() *ring.Cofactor {
 	if m.cf == nil {
 		return nil
 	}
-	return m.cfr.Clone(m.cf.result)
+	return m.cf.result.Snapshot()
 }
 
 // Result exposes the maintained covariance triple (read-only; for a
-// lifted or cofactor maintainer it is extracted fresh per call).
+// lifted maintainer it is extracted fresh per call, for a cofactor
+// maintainer it is the cached marginal, valid until the next apply).
 func (m *FIVM) Result() *ring.Covar {
 	if m.p2 != nil {
 		return m.p2.result.Covar()
 	}
 	if m.cf != nil {
-		return m.cf.result.Marginal()
+		return m.marginal()
 	}
 	return m.cv.result
 }

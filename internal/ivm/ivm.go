@@ -179,10 +179,14 @@ type Maintainer interface {
 	// (same reuse contract), reporting false and leaving dst alone when
 	// the maintainer was built without WithLifted.
 	SnapshotLiftedInto(dst *ring.Poly2) bool
-	// SnapshotCofactor returns a deep copy of the maintained categorical
-	// cofactor element, or nil when the maintainer was not built with
-	// WithPayload(PayloadCofactor). Like Snapshot, the copy shares no
-	// state with the maintainer.
+	// SnapshotCofactor returns the maintained categorical cofactor
+	// element as of this call, or nil when the maintainer was not built
+	// with WithPayload(PayloadCofactor). The element is immutable: it is
+	// never written again, by the maintainer or by a reader, so it may be
+	// handed to other goroutines while applies continue. It may share
+	// groups structurally with the maintainer's state and with the
+	// snapshots before and after it (F-IVM shares every group no op
+	// touched in between); a caller that wants to change one copies it.
 	SnapshotCofactor() *ring.Cofactor
 	// ContFeatures returns the continuous feature names in maintained
 	// (Sum/Moment index) order.

@@ -194,7 +194,7 @@ func catTotals(results []*ring.CatScalar) []float64 {
 // group keys are treated as opaque — the ring owns their encoding.
 func (b scalarBatch) cofactorSnapshot(results []*ring.CatScalar, k int) *ring.Cofactor {
 	cr := ring.CovarRing{N: b.n}
-	out := &ring.Cofactor{N: b.n, K: k, Groups: make(map[string]*ring.Covar)}
+	out := ring.CofactorRing{N: b.n, K: k}.Zero()
 	seen := make(map[string]bool)
 	var keys []string
 	for _, r := range results {
@@ -217,7 +217,7 @@ func (b scalarBatch) cofactorSnapshot(results []*ring.CatScalar, k int) *ring.Co
 			}
 		}
 		if !cr.IsZero(g) {
-			out.Groups[key] = g
+			out.AddGroup(key, g) // ascending keys: an append
 		}
 	}
 	return out

@@ -1,7 +1,9 @@
 package ivm
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"borg/internal/query"
@@ -90,23 +92,20 @@ func sameStats(t *testing.T, label string, a, b Maintainer, payload Payload) {
 		}
 		// Groups with zero count may exist on one side only; every group
 		// with weight must match its twin.
-		keys := make(map[string]bool)
-		for k := range ca.Groups {
-			keys[k] = true
-		}
-		for k := range cb.Groups {
-			keys[k] = true
-		}
-		for k := range keys {
-			ga, gb := ca.Groups[k], cb.Groups[k]
+		keys := make(map[string][]int32)
+		note := func(codes []int32, _ *ring.Covar) { keys[fmt.Sprint(codes)] = slices.Clone(codes) }
+		ca.Each(note)
+		cb.Each(note)
+		for k, codes := range keys {
+			ga, gb := ca.Group(codes), cb.Group(codes)
 			switch {
 			case ga == nil:
 				if !eq9(gb.Count, 0) {
-					t.Fatalf("%s: group %x only in B (count %v)", label, k, gb.Count)
+					t.Fatalf("%s: group %s only in B (count %v)", label, k, gb.Count)
 				}
 			case gb == nil:
 				if !eq9(ga.Count, 0) {
-					t.Fatalf("%s: group %x only in A (count %v)", label, k, ga.Count)
+					t.Fatalf("%s: group %s only in A (count %v)", label, k, ga.Count)
 				}
 			default:
 				sameCovar(t, label+"/group", ga, gb)

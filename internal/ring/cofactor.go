@@ -1,31 +1,46 @@
 package ring
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Cofactor is the categorical relational ring element of Section 4 of
 // the paper (and F-IVM's general cofactor construction): the covariance
 // statistics COUNT / SUM(x_i) / SUM(x_i*x_j) computed *per group* of
-// categorical values. The element is a sparse map from a packed
-// categorical key (one slot per categorical feature; a slot may be
-// unbound in partial products) to the covariance triple of the
-// continuous features restricted to that group.
+// categorical values. The element is a sparse sorted run: packed
+// categorical keys (one slot per categorical feature; a slot may be
+// unbound in partial products) in ascending order, each with the
+// covariance triple of the continuous features restricted to its group.
+// The order is the representation, so Each, Marginal and the ring
+// operations are deterministic by construction.
 //
 // One-hot encodings fall out for free: the indicator column of category
 // value c has SUM = the COUNT of the groups where slot=c, pairwise
 // indicator products come from joint group keys, and interaction
 // moments SUM(x_i * 1[g=c]) are the group-restricted sums. The trainers
 // in internal/ml consume exactly those projections.
+//
+// A group is immutable once a second element can reach it: Snapshot and
+// CofactorRing.Add hand groups on instead of copying them, and an
+// element writes a group in place only while it is the sole holder
+// (see owns), copying it first otherwise.
 type Cofactor struct {
-	// N is the number of continuous features of each group's Covar.
-	N int
-	// K is the number of categorical slots of each group key.
-	K int
-	// Groups maps packed categorical keys (see packCatKey) to the
-	// group-restricted continuous statistics.
-	Groups map[string]*Covar
+	// N is the number of continuous features of each group's Covar, K
+	// the number of categorical slots of each group key.
+	N, K int
+	// keys holds the packed categorical keys (see packCatKey) in
+	// ascending order; vals[i] is the statistics of group keys[i].
+	keys []string
+	vals []*Covar
+	// shared is set once another element may hold some of vals; the
+	// element then owns only the groups marked in fresh (nil = none,
+	// else parallel to vals), those it allocated since. keysShared says
+	// the same of the keys array, which a birth or death copies first.
+	shared, keysShared bool
+	fresh              []bool
 }
 
 // unboundSlot marks a categorical slot not yet bound by any Lift on
@@ -34,13 +49,19 @@ type Cofactor struct {
 // relation of the tree.
 const unboundSlot = 0xFFFFFFFF
 
+func slotAt(key string, i int) uint32 {
+	return uint32(key[i])<<24 | uint32(key[i+1])<<16 | uint32(key[i+2])<<8 | uint32(key[i+3])
+}
+
 // packCatKey packs the K-slot key where slots idx[t] carry codes[t] and
 // every other slot is unbound. Codes are relation dictionary codes
-// (never negative), so uint32 round-trips them exactly.
+// (never negative), so uint32 round-trips them exactly. The key is
+// built on the stack: the one allocation is the string itself.
 func packCatKey(k int, idx []int, codes []int32) string {
-	b := make([]byte, 4*k)
-	for i := range b {
-		b[i] = 0xFF
+	var buf [64]byte
+	b := buf[:0]
+	for i := 0; i < k; i++ {
+		b = binary.BigEndian.AppendUint32(b, unboundSlot)
 	}
 	for t, i := range idx {
 		binary.BigEndian.PutUint32(b[4*i:], uint32(codes[t]))
@@ -51,115 +72,182 @@ func packCatKey(k int, idx []int, codes []int32) string {
 // mergeCatKeys combines two packed keys slot-wise: an unbound slot
 // adopts the other side's binding, equal bindings agree, and differing
 // bindings mean the two partial tuples disagree on a categorical value
-// — their product is zero (ok=false).
+// — their product is zero (ok=false). A merge that binds nothing beyond
+// one side returns that side's string, allocating nothing.
 func mergeCatKeys(a, b string) (key string, ok bool) {
-	if a == b {
-		return a, true
-	}
-	out := make([]byte, len(a))
+	var buf [64]byte
+	out := buf[:0]
+	isA, isB := true, true
 	for i := 0; i < len(a); i += 4 {
-		av := binary.BigEndian.Uint32([]byte(a[i : i+4]))
-		bv := binary.BigEndian.Uint32([]byte(b[i : i+4]))
+		av, bv := slotAt(a, i), slotAt(b, i)
 		switch {
+		case av == bv:
 		case av == unboundSlot:
-			binary.BigEndian.PutUint32(out[i:], bv)
-		case bv == unboundSlot || av == bv:
-			binary.BigEndian.PutUint32(out[i:], av)
+			av, isA = bv, false
+		case bv == unboundSlot:
+			isB = false
 		default:
 			return "", false
 		}
+		out = binary.BigEndian.AppendUint32(out, av)
+	}
+	switch {
+	case isA:
+		return a, true
+	case isB:
+		return b, true
 	}
 	return string(out), true
 }
 
-// unpackCatKey decodes a packed key into per-slot codes, -1 for unbound.
-func unpackCatKey(key string) []int32 {
-	out := make([]int32, len(key)/4)
-	for i := range out {
-		v := binary.BigEndian.Uint32([]byte(key[4*i : 4*i+4]))
-		if v == unboundSlot {
-			out[i] = -1
-		} else {
-			out[i] = int32(v)
-		}
-	}
-	return out
-}
-
 // NumGroups reports the number of live categorical groups.
-func (e *Cofactor) NumGroups() int { return len(e.Groups) }
+func (e *Cofactor) NumGroups() int { return len(e.keys) }
 
 // Group returns the statistics of the fully bound group with the given
 // per-slot codes, or nil when that combination has no live tuples.
 func (e *Cofactor) Group(codes []int32) *Covar {
-	idx := make([]int, len(codes))
-	for i := range idx {
-		idx[i] = i
+	i, ok := slices.BinarySearchFunc(e.keys, codes, func(key string, codes []int32) int {
+		for s, c := range codes {
+			if d := cmp.Compare(slotAt(key, 4*s), uint32(c)); d != 0 {
+				return d
+			}
+		}
+		return 0
+	})
+	if !ok || len(codes) != e.K {
+		return nil
 	}
-	return e.Groups[packCatKey(e.K, idx, codes)]
+	return e.vals[i]
 }
 
-// Each visits every group in deterministic (sorted-key) order with its
-// decoded per-slot codes (-1 = unbound, which only occurs in partial
-// products, never in root results). The codes slice is reused across
-// calls; copy it to retain.
+// Each visits every group in ascending key order with its decoded
+// per-slot codes (-1 = unbound, which only occurs in partial products,
+// never in root results). The codes slice is reused across calls; copy
+// it to retain.
 func (e *Cofactor) Each(fn func(codes []int32, g *Covar)) {
-	keys := make([]string, 0, len(e.Groups))
-	for k := range e.Groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(unpackCatKey(k), e.Groups[k])
+	codes := make([]int32, e.K)
+	for i, k := range e.keys {
+		for s := 0; s < len(k)/4; s++ {
+			codes[s] = int32(slotAt(k, 4*s)) // unboundSlot wraps to -1
+		}
+		fn(codes, e.vals[i])
 	}
 }
 
 // Marginal sums every group into one global covariance triple — the
 // continuous statistics ignoring the categorical grouping. It is the
 // bridge that keeps Count/Sum/Moment/Snapshot exact on cofactor
-// maintainers. Groups fold in sorted-key order so the floats are
-// deterministic across runs.
+// maintainers.
 func (e *Cofactor) Marginal() *Covar {
-	m := CovarRing{N: e.N}.Zero()
-	e.Each(func(_ []int32, g *Covar) { m.AddInPlace(g) })
+	m := new(Covar)
+	e.MarginalInto(m)
 	return m
 }
 
 // MarginalInto computes the marginal into dst, reusing dst's backing
-// when pre-sized — the SnapshotInto reuse contract.
+// when pre-sized — the SnapshotInto reuse contract. The run folds in
+// place, in key order: no sort, no lookup, no allocation. It folds one
+// component at a time: each sum still adds the groups in key order, and
+// the short loop bodies keep several groups' cache misses in flight —
+// the groups of a long-lived run are scattered over the heap.
 func (e *Cofactor) MarginalInto(dst *Covar) {
-	dst.N = e.N
-	dst.Count = 0
-	if cap(dst.Sum) < e.N {
-		dst.Sum = make([]float64, e.N)
-	} else {
-		dst.Sum = dst.Sum[:e.N]
-		clear(dst.Sum)
+	if len(dst.Sum) != e.N || len(dst.Q) != e.N*e.N {
+		dst.Sum, dst.Q = make([]float64, e.N), make([]float64, e.N*e.N)
 	}
-	nn := e.N * e.N
-	if cap(dst.Q) < nn {
-		dst.Q = make([]float64, nn)
-	} else {
-		dst.Q = dst.Q[:nn]
-		clear(dst.Q)
+	sum, q := dst.Sum, dst.Q
+	clear(sum)
+	clear(q)
+	count := 0.0
+	for _, g := range e.vals {
+		count += g.Count
 	}
-	e.Each(func(_ []int32, g *Covar) { dst.AddInPlace(g) })
+	dst.N, dst.Count = e.N, count
+	for _, g := range e.vals {
+		for i, v := range g.Sum[:len(sum)] {
+			sum[i] += v
+		}
+	}
+	for _, g := range e.vals {
+		for i, v := range g.Q[:len(q)] {
+			q[i] += v
+		}
+	}
 }
 
 // ApproxEqual reports whether the two elements have the same group keys
 // and componentwise equal statistics within tol.
 func (e *Cofactor) ApproxEqual(o *Cofactor, tol float64) bool {
-	if e.N != o.N || e.K != o.K || len(e.Groups) != len(o.Groups) {
-		return false
+	return e.N == o.N && e.K == o.K && slices.Equal(e.keys, o.keys) &&
+		slices.EqualFunc(e.vals, o.vals, func(g, og *Covar) bool { return g.ApproxEqual(og, tol) })
+}
+
+// Snapshot publishes the element's current value without copying a
+// float: the returned element shares every group — and the keys array —
+// with e, at the cost of one pointer-slice copy. It is immutable: from
+// here on e copies a group before its first write to it (and the keys
+// before a birth or death), so successive snapshots share every group
+// untouched between them and none is ever written.
+func (e *Cofactor) Snapshot() *Cofactor {
+	e.shared, e.keysShared = true, true
+	clear(e.fresh)
+	return &Cofactor{N: e.N, K: e.K, keys: e.keys, vals: slices.Clone(e.vals), shared: true, keysShared: true}
+}
+
+// owns reports whether e is the sole holder of vals[i] and may write it
+// in place.
+func (e *Cofactor) owns(i int) bool { return !e.shared || (e.fresh != nil && e.fresh[i]) }
+
+// AddGroup folds g into the group under a packed key (as CatScalar.G
+// exposes them), taking ownership of g. Ascending keys append.
+func (e *Cofactor) AddGroup(key string, g *Covar) { e.add(key, g, true) }
+
+// add folds g into the group under key, pruning it when the statistics
+// cancel to exact zero so retraction shrinks the run for real. A group e
+// does not own is copied before the write (copy-on-write); a missing
+// one is born as g itself when e may own g, as a copy otherwise.
+func (e *Cofactor) add(key string, g *Covar, own bool) {
+	i, ok := slices.BinarySearch(e.keys, key)
+	switch {
+	case !ok:
+		if !own {
+			g = g.Clone()
+		}
+		e.ownKeys()
+		e.keys, e.vals = slices.Insert(e.keys, i, key), slices.Insert(e.vals, i, g)
+		if e.fresh != nil {
+			e.fresh = slices.Insert(e.fresh, i, false)
+		}
+		e.markFresh(i)
+		return
+	case !e.owns(i):
+		e.vals[i] = e.vals[i].Clone()
+		e.markFresh(i)
 	}
-	//borg:nondeterministic-ok — conjunction over independent per-key checks; order-insensitive
-	for k, g := range e.Groups {
-		og, ok := o.Groups[k]
-		if !ok || !g.ApproxEqual(og, tol) {
-			return false
+	e.vals[i].AddInPlace(g)
+	if e.vals[i].IsZero() {
+		e.ownKeys()
+		e.keys, e.vals = slices.Delete(e.keys, i, i+1), slices.Delete(e.vals, i, i+1)
+		if e.fresh != nil {
+			e.fresh = slices.Delete(e.fresh, i, i+1)
 		}
 	}
-	return true
+}
+
+// markFresh records that e allocated vals[i] itself.
+func (e *Cofactor) markFresh(i int) {
+	if e.shared {
+		if e.fresh == nil {
+			e.fresh = make([]bool, len(e.vals))
+		}
+		e.fresh[i] = true
+	}
+}
+
+// ownKeys unshares the keys array ahead of a birth or death.
+func (e *Cofactor) ownKeys() {
+	if e.keysShared {
+		e.keys, e.keysShared = append(make([]string, 0, len(e.keys)+len(e.keys)/8+1), e.keys...), false
+	}
 }
 
 // CofactorRing instantiates ring.Algebra over *Cofactor: componentwise
@@ -176,17 +264,32 @@ type CofactorRing struct {
 func (r CofactorRing) covar() CovarRing { return CovarRing{N: r.N} }
 
 // Zero returns the additive identity: no live groups.
-func (r CofactorRing) Zero() *Cofactor {
-	return &Cofactor{N: r.N, K: r.K, Groups: make(map[string]*Covar)}
+func (r CofactorRing) Zero() *Cofactor { return &Cofactor{N: r.N, K: r.K} }
+
+// run returns an empty element with room for n groups. Single-group
+// elements — every tuple lift and most deltas — take one allocation for
+// the header and both one-element arrays.
+func (r CofactorRing) run(n int) *Cofactor {
+	if n > 1 {
+		return &Cofactor{N: r.N, K: r.K, keys: make([]string, 0, n), vals: make([]*Covar, 0, n)}
+	}
+	s := &struct {
+		e Cofactor
+		k [1]string
+		v [1]*Covar
+	}{}
+	s.e = Cofactor{N: r.N, K: r.K, keys: s.k[:0], vals: s.v[:0]}
+	return &s.e
+}
+
+// push appends a group under a key above every key present.
+func (e *Cofactor) push(key string, g *Covar) {
+	e.keys, e.vals = append(e.keys, key), append(e.vals, g)
 }
 
 // One returns the multiplicative identity: a single all-unbound group
 // whose value is the covariance-ring one.
-func (r CofactorRing) One() *Cofactor {
-	e := r.Zero()
-	e.Groups[packCatKey(r.K, nil, nil)] = r.covar().One()
-	return e
-}
+func (r CofactorRing) One() *Cofactor { return r.LiftCat(nil, nil, nil, nil) }
 
 // Lift implements Algebra without categorical bindings; maintenance
 // uses LiftCat.
@@ -198,112 +301,94 @@ func (r CofactorRing) Lift(idx []int, vals []float64) *Cofactor {
 // the owned categorical slots catIdx to the tuple's codes, whose value
 // is the covariance-ring lift of the owned continuous features.
 func (r CofactorRing) LiftCat(idx []int, vals []float64, catIdx []int, cats []int32) *Cofactor {
-	e := r.Zero()
-	e.Groups[packCatKey(r.K, catIdx, cats)] = r.covar().Lift(idx, vals)
+	e := r.run(1)
+	e.push(packCatKey(r.K, catIdx, cats), r.covar().Lift(idx, vals))
 	return e
 }
 
-// Add returns a+b componentwise (group union, covariance addition).
+// Add returns a+b componentwise (group union, covariance addition) by a
+// sorted merge. A group present on one side only is shared with that
+// operand when the operand no longer writes it in place — always the
+// case for snapshots — and copied otherwise; floats are allocated only
+// for keys present on both sides. The sum owns none of its groups.
 func (r CofactorRing) Add(a, b *Cofactor) *Cofactor {
-	out := r.Clone(a)
-	r.AddInPlace(out, b)
+	out := r.run(len(a.keys) + len(b.keys))
+	out.shared = true
+	held := func(e *Cofactor, i int) *Covar {
+		if e.owns(i) {
+			return e.vals[i].Clone()
+		}
+		return e.vals[i]
+	}
+	i, j := 0, 0
+	for i < len(a.keys) || j < len(b.keys) {
+		switch {
+		case j == len(b.keys) || (i < len(a.keys) && a.keys[i] < b.keys[j]):
+			out.push(a.keys[i], held(a, i))
+			i++
+		case i == len(a.keys) || b.keys[j] < a.keys[i]:
+			out.push(b.keys[j], held(b, j))
+			j++
+		default:
+			if s := r.covar().Add(a.vals[i], b.vals[j]); !s.IsZero() {
+				out.push(a.keys[i], s)
+			}
+			i, j = i+1, j+1
+		}
+	}
 	return out
 }
 
-// AddInPlace folds src into dst, pruning groups whose statistics cancel
-// to exact zero so retraction shrinks the map for real.
+// AddInPlace folds src into dst group by group (see Cofactor.add): exact
+// cancellation prunes, and a group some snapshot holds is copied before
+// its first write, so that snapshot stays bitwise unchanged.
 func (r CofactorRing) AddInPlace(dst, src *Cofactor) {
-	cr := r.covar()
-	//borg:nondeterministic-ok — each src key folds into its own dst slot exactly once; order-insensitive
-	for k, g := range src.Groups {
-		if d, ok := dst.Groups[k]; ok {
-			d.AddInPlace(g)
-			if cr.IsZero(d) {
-				delete(dst.Groups, k)
-			}
-		} else {
-			dst.Groups[k] = cr.Clone(g)
-		}
+	for j, k := range src.keys {
+		dst.add(k, src.vals[j], false)
 	}
 }
 
 // Mul returns the group-wise product: every pair of groups whose bound
 // slots agree contributes the covariance-ring product under the merged
 // key; disagreeing pairs contribute zero. Distinct pairs can merge onto
-// ONE output key, so the pair order decides a float-addition order:
-// both operands iterate in sorted-key order to keep products
-// bitwise-deterministic across runs and worker counts.
+// ONE output key; they accumulate in pair order (a-major, both runs
+// ascending), which fixes the float-addition order.
 func (r CofactorRing) Mul(a, b *Cofactor) *Cofactor {
-	out := r.Zero()
-	cr := r.covar()
-	bKeys := sortedGroupKeys(b.Groups)
-	for _, ka := range sortedGroupKeys(a.Groups) {
-		ga := a.Groups[ka]
-		for _, kb := range bKeys {
-			gb := b.Groups[kb]
-			k, ok := mergeCatKeys(ka, kb)
-			if !ok {
-				continue
-			}
-			p := cr.Mul(ga, gb)
-			if d, okd := out.Groups[k]; okd {
-				d.AddInPlace(p)
-				if cr.IsZero(d) {
-					delete(out.Groups, k)
+	out := r.run(max(len(a.keys), len(b.keys)))
+	for i, ka := range a.keys {
+		for j, kb := range b.keys {
+			if k, ok := mergeCatKeys(ka, kb); ok {
+				if p := r.covar().Mul(a.vals[i], b.vals[j]); !p.IsZero() {
+					out.add(k, p, true)
 				}
-			} else if !cr.IsZero(p) {
-				out.Groups[k] = p
 			}
 		}
 	}
 	return out
 }
 
-// sortedGroupKeys returns m's keys in ascending order — the fixed
-// iteration order that keeps ring folds bitwise-deterministic whenever
-// group contributions can collide on one key.
-func sortedGroupKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Neg returns the additive inverse: every group negated.
 func (r CofactorRing) Neg(a *Cofactor) *Cofactor {
-	out := r.Zero()
-	cr := r.covar()
-	//borg:nondeterministic-ok — per-key map fill, no accumulation; order-insensitive
-	for k, g := range a.Groups {
-		out.Groups[k] = cr.Neg(g)
+	out := r.run(len(a.keys))
+	for i, g := range a.vals {
+		out.push(a.keys[i], r.covar().Neg(g))
 	}
 	return out
 }
 
 // IsZero reports whether the element is the additive identity. Groups
-// are pruned eagerly on cancellation, so an empty map is the canonical
+// are pruned eagerly on cancellation, so an empty run is the canonical
 // zero; any surviving group with nonzero statistics makes the element
 // nonzero.
 func (r CofactorRing) IsZero(e *Cofactor) bool {
-	cr := r.covar()
-	//borg:nondeterministic-ok — existence check over independent groups; order-insensitive
-	for _, g := range e.Groups {
-		if !cr.IsZero(g) {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(e.vals, func(g *Covar) bool { return !g.IsZero() })
 }
 
-// Clone deep-copies the element.
+// Clone deep-copies the element; the copy owns every group.
 func (r CofactorRing) Clone(e *Cofactor) *Cofactor {
-	out := &Cofactor{N: e.N, K: e.K, Groups: make(map[string]*Covar, len(e.Groups))}
-	cr := r.covar()
-	//borg:nondeterministic-ok — per-key deep copy, no accumulation; order-insensitive
-	for k, g := range e.Groups {
-		out.Groups[k] = cr.Clone(g)
+	out := r.run(len(e.keys))
+	for i, g := range e.vals {
+		out.push(e.keys[i], g.Clone())
 	}
 	return out
 }
@@ -322,17 +407,16 @@ type CatScalar struct {
 // this aggregate over the categorical grouping, deterministic across
 // runs.
 func (e *CatScalar) Total() float64 {
-	keys := make([]string, 0, len(e.G))
-	for k := range e.G {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	t := 0.0
-	for _, k := range keys {
+	for _, k := range e.sortedKeys() {
 		t += e.G[k]
 	}
 	return t
 }
+
+// sortedKeys returns the group keys in ascending order — the fixed
+// iteration order that keeps scalar folds bitwise-deterministic.
+func (e *CatScalar) sortedKeys() []string { return slices.Sorted(maps.Keys(e.G)) }
 
 // CatScalarRing instantiates ring.Algebra over *CatScalar for one
 // aggregate. Lifting needs the aggregate's local monomial value, which
@@ -364,8 +448,8 @@ func (r CatScalarRing) Lift(idx []int, vals []float64) *CatScalar {
 // the sums are bitwise-deterministic.
 func (r CatScalarRing) Mul(a, b *CatScalar) *CatScalar {
 	out := r.Zero()
-	bKeys := sortedGroupKeys(b.G)
-	for _, ka := range sortedGroupKeys(a.G) {
+	bKeys := b.sortedKeys()
+	for _, ka := range a.sortedKeys() {
 		va := a.G[ka]
 		for _, kb := range bKeys {
 			if k, ok := mergeCatKeys(ka, kb); ok {
@@ -411,11 +495,4 @@ func (r CatScalarRing) IsZero(e *CatScalar) bool {
 }
 
 // Clone deep-copies the element.
-func (r CatScalarRing) Clone(e *CatScalar) *CatScalar {
-	out := &CatScalar{K: e.K, G: make(map[string]float64, len(e.G))}
-	//borg:nondeterministic-ok — per-key copy, no accumulation; order-insensitive
-	for k, v := range e.G {
-		out.G[k] = v
-	}
-	return out
-}
+func (r CatScalarRing) Clone(e *CatScalar) *CatScalar { return &CatScalar{K: e.K, G: maps.Clone(e.G)} }

@@ -1,0 +1,79 @@
+package ring
+
+import "testing"
+
+// The cofactor ring's per-layer microbenchmarks, in the shape the
+// maintenance path calls them (run with -benchmem; benchstat-readable):
+// a tuple lift, a single-group delta times a child view, and a delta
+// folded into a 5 000-group root — in place, and on the first write
+// after a publication, which copies the group.
+
+var elemSink *Cofactor
+
+// benchRing has the tenant workload's shape: four continuous features,
+// two categorical slots.
+var benchRing = CofactorRing{N: 4, K: 2}
+
+func benchDelta(slot0, slot1 int32) *Cofactor {
+	return benchRing.LiftCat([]int{0, 1}, []float64{2, 3}, []int{0, 1}, []int32{slot0, slot1})
+}
+
+func BenchmarkCofactorLiftCat(b *testing.B) {
+	idx, vals, catIdx, cats := []int{0, 1}, []float64{2, 3}, []int{0, 1}, []int32{7, 9}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		elemSink = benchRing.LiftCat(idx, vals, catIdx, cats)
+	}
+}
+
+func BenchmarkCofactorPackKey(b *testing.B) {
+	catIdx, cats := []int{0, 1}, []int32{7, 9}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = packCatKey(2, catIdx, cats)
+	}
+}
+
+func BenchmarkCofactorMergeKeys(b *testing.B) {
+	x, y := packCatKey(2, []int{0}, []int32{7}), packCatKey(2, []int{1}, []int32{9})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink, _ = mergeCatKeys(x, y)
+	}
+}
+
+func BenchmarkCofactorMul(b *testing.B) {
+	// A fact tuple binding slot 0 times a dimension view binding slot 1
+	// and carrying the other two features.
+	delta := benchRing.LiftCat([]int{0, 1}, []float64{2, 3}, []int{0}, []int32{7})
+	view := benchRing.LiftCat([]int{2, 3}, []float64{5, 8}, []int{1}, []int32{9})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		elemSink = benchRing.Mul(delta, view)
+	}
+}
+
+func BenchmarkCofactorAddInPlace(b *testing.B) {
+	const groups = 5000
+	root := benchRing.Zero()
+	deltas := make([]*Cofactor, groups)
+	for i := range deltas {
+		deltas[i] = benchDelta(int32(i/25), int32(i%25))
+		benchRing.AddInPlace(root, deltas[i])
+	}
+	b.Run("root", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchRing.AddInPlace(root, deltas[i*37%groups])
+		}
+	})
+	b.Run("root-after-publish", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%64 == 0 {
+				elemSink = root.Snapshot()
+			}
+			benchRing.AddInPlace(root, deltas[i*37%groups])
+		}
+	})
+}

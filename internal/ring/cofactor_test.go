@@ -203,3 +203,116 @@ func TestCatScalarSemantics(t *testing.T) {
 		t.Fatalf("interface Lift Total = %v, want the vals product 24", got)
 	}
 }
+
+// rootOf builds an accumulator holding one tuple in each of n fully
+// bound groups (slot 0 = i/8, slot 1 = i%8), as the F-IVM root does.
+func rootOf(r CofactorRing, n int) *Cofactor {
+	e := r.Zero()
+	for i := 0; i < n; i++ {
+		r.AddInPlace(e, r.LiftCat([]int{0}, []float64{float64(i)}, []int{0, 1}, []int32{int32(i / 8), int32(i % 8)}))
+	}
+	return e
+}
+
+// TestCofactorSnapshotSharesUntouchedGroups pins the structural sharing
+// of successive snapshots: a group no write touched between two epochs
+// is the same *Covar in both, a touched one was copied exactly once, the
+// keys array is shared until a group is born or dies, and no snapshot
+// ever changes.
+func TestCofactorSnapshotSharesUntouchedGroups(t *testing.T) {
+	r := CofactorRing{N: 1, K: 2}
+	root := rootOf(r, 64)
+	s1 := root.Snapshot()
+	bits1 := r.Clone(s1)
+	touch := r.LiftCat([]int{0}, []float64{5}, []int{0, 1}, []int32{2, 3}) // group 19
+	r.AddInPlace(root, touch)
+	r.AddInPlace(root, touch) // second write: in place, no second copy
+	s2 := root.Snapshot()
+	if &s1.keys[0] != &s2.keys[0] {
+		t.Fatal("keys array copied although no group was born or died")
+	}
+	for i := range s1.vals {
+		if same := s1.vals[i] == s2.vals[i]; same != (i != 19) {
+			t.Fatalf("group %d shared between epochs: %v", i, same)
+		}
+	}
+	if g := s2.Group([]int32{2, 3}); g.Count != 3 || g.Sum[0] != 19+5+5 {
+		t.Fatalf("touched group = %v", g)
+	}
+	r.AddInPlace(root, r.LiftCat([]int{0}, []float64{1}, []int{0, 1}, []int32{9, 9})) // birth
+	r.AddInPlace(root, r.Neg(touch))
+	r.AddInPlace(root, r.Neg(touch))
+	r.AddInPlace(root, r.Neg(r.LiftCat([]int{0}, []float64{19}, []int{0, 1}, []int32{2, 3}))) // death
+	s3 := root.Snapshot()
+	if s3.NumGroups() != 64 || s3.Group([]int32{2, 3}) != nil || s3.Group([]int32{9, 9}) == nil {
+		t.Fatalf("after a birth and a death: %d groups", s3.NumGroups())
+	}
+	if &s3.keys[0] == &s2.keys[0] {
+		t.Fatal("keys array still shared after a birth and a death")
+	}
+	if !s1.ApproxEqual(bits1, 0) || s2.NumGroups() != 64 || s2.Group([]int32{2, 3}).Count != 3 {
+		t.Fatal("a published snapshot changed")
+	}
+}
+
+// TestCofactorAddSharesImmutableGroups: the sum of two snapshots shares
+// every group present on one side only, allocates for the collisions,
+// and is independent of what its operands do next; groups an operand
+// still writes in place are copied instead.
+func TestCofactorAddSharesImmutableGroups(t *testing.T) {
+	r := CofactorRing{N: 1, K: 2}
+	a, b := rootOf(r, 16), r.Zero()
+	for i := 8; i < 24; i++ { // overlaps a on groups 8..15
+		r.AddInPlace(b, r.LiftCat([]int{0}, []float64{1}, []int{0, 1}, []int32{int32(i / 8), int32(i % 8)}))
+	}
+	sa, sb := a.Snapshot(), b.Snapshot()
+	sum := r.Add(sa, sb)
+	if sum.NumGroups() != 24 {
+		t.Fatalf("sum has %d groups, want 24", sum.NumGroups())
+	}
+	for i := 0; i < 24; i++ {
+		g := sum.vals[i]
+		switch {
+		case i < 8 && g != sa.vals[i], i >= 16 && g != sb.vals[i-8]:
+			t.Fatalf("group %d lives on one side only but was copied", i)
+		case i >= 8 && i < 16 && (g == sa.vals[i] || g == sb.vals[i-8] || g.Count != 2):
+			t.Fatalf("colliding group %d = %v", i, g)
+		}
+	}
+	want := r.Clone(sum)
+	r.AddInPlace(a, sum) // operands and the sum itself move on
+	r.AddInPlace(sum, b)
+	if !r.Add(sa, sb).ApproxEqual(want, 0) || sa.Group([]int32{0, 3}).Count != 1 {
+		t.Fatal("snapshots changed by writes to elements sharing their groups")
+	}
+	live := r.LiftCat([]int{0}, []float64{1}, []int{0}, []int32{7}) // owns its group
+	if s := r.Add(live, r.Zero()); s.vals[0] == live.vals[0] {
+		t.Fatal("Add shared a group its operand may still write in place")
+	}
+}
+
+// TestCatKeyOneAllocation pins the stack-built keys: packing or merging
+// allocates the key string and nothing else, and a merge that binds
+// nothing beyond one side allocates nothing.
+func TestCatKeyOneAllocation(t *testing.T) {
+	idx, codes := []int{0, 2}, []int32{3, 4}
+	a, b := packCatKey(3, []int{0}, []int32{3}), packCatKey(3, []int{1, 2}, []int32{5, 4})
+	full := packCatKey(3, []int{0, 1, 2}, []int32{3, 5, 4})
+	for name, c := range map[string]struct {
+		f    func()
+		want float64
+	}{
+		"pack":        {func() { keySink = packCatKey(3, idx, codes) }, 1},
+		"merge":       {func() { keySink, _ = mergeCatKeys(a, b) }, 1},
+		"merge-sided": {func() { keySink, _ = mergeCatKeys(full, a) }, 0},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != c.want {
+			t.Errorf("%s allocates %.0f, want %.0f", name, got, c.want)
+		}
+	}
+	if k, ok := mergeCatKeys(a, b); !ok || k != full {
+		t.Fatalf("merge = %x, %v", k, ok)
+	}
+}
+
+var keySink string

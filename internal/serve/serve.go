@@ -238,8 +238,10 @@ type Snapshot struct {
 	// it.
 	Lifted *ring.Poly2
 	// Cofactor is the categorical cofactor element at this epoch, nil
-	// unless the server maintains PayloadCofactor. Readers must not
-	// mutate it.
+	// unless the server maintains PayloadCofactor. It is immutable and
+	// structurally shared across epochs: consecutive epochs hold the
+	// same group for every key no op touched in between, and neither
+	// the writer nor a reader ever mutates a published group.
 	Cofactor *ring.Cofactor
 	// Root is the join-tree root of the plan this epoch was maintained
 	// under.
@@ -959,9 +961,10 @@ func (s *Server) buildSnapshot(epoch, inserts, deletes uint64) *Snapshot {
 		a.snap.Lifted = &a.lifted
 	}
 	if s.cfg.Payload == PayloadCofactor {
-		// The cofactor payload is a sparse group map whose size follows
-		// the live categorical domain, so it cannot pre-size into the
-		// epoch arena; SnapshotCofactor's deep copy is published as-is.
+		// The cofactor payload is a sparse run whose size follows the
+		// live categorical domain, so it lives outside the epoch arena:
+		// an immutable element sharing with the previous epoch's every
+		// group no op has touched since (see ivm.Maintainer).
 		a.snap.Cofactor = s.m.SnapshotCofactor()
 	}
 	return &a.snap

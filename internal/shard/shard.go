@@ -402,10 +402,11 @@ type MergedSnapshot struct {
 	// disjoint-union algebra at degree 4.
 	Lifted *ring.Poly2
 	// Cofactor is the ring sum of the per-shard categorical cofactor
-	// elements (group-map union, covariance addition within a group),
-	// nil unless the shards maintain PayloadCofactor. Disjoint-union
+	// elements (group union, covariance addition within a group), nil
+	// unless the shards maintain PayloadCofactor. Disjoint-union
 	// exactness carries over group by group: a categorical group's join
 	// tuples all live on one shard's partition or another, never split.
+	// Like the shard snapshots it shares groups with, it is immutable.
 	Cofactor *ring.Cofactor
 	// inner identifies the single shard snapshot this view wraps on the
 	// Shards=1 fast path (nil on a real merge); it keys the memo that
@@ -490,9 +491,6 @@ func (s *Server) Snapshot() *MergedSnapshot {
 	if s.lifted != nil {
 		m.Lifted = s.lifted.Zero()
 	}
-	if s.cofactor != nil {
-		m.Cofactor = s.cofactor.Zero()
-	}
 	for i, sn := range inners {
 		m.Epochs[i] = sn.Epoch
 		m.Epoch += sn.Epoch
@@ -502,8 +500,13 @@ func (s *Server) Snapshot() *MergedSnapshot {
 		if m.Lifted != nil && sn.Lifted != nil {
 			m.Lifted.AddInPlace(sn.Lifted)
 		}
-		if m.Cofactor != nil && sn.Cofactor != nil {
-			s.cofactor.AddInPlace(m.Cofactor, sn.Cofactor)
+		// A sorted merge of immutable runs: a group living on one shard
+		// (every group, when PartitionBy is a categorical slot) is shared
+		// with that shard's snapshot, not copied.
+		if i == 0 {
+			m.Cofactor = sn.Cofactor
+		} else if s.cofactor != nil {
+			m.Cofactor = s.cofactor.Add(m.Cofactor, sn.Cofactor)
 		}
 	}
 	// A racing publication can make the memo stale the instant it is

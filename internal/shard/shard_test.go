@@ -10,6 +10,7 @@ import (
 	"borg/internal/ivm"
 	"borg/internal/query"
 	"borg/internal/relation"
+	"borg/internal/ring"
 	"borg/internal/serve"
 	"borg/internal/xrand"
 )
@@ -601,4 +602,64 @@ func TestLiftedMergeMatchesSingleShard(t *testing.T) {
 	if got := ms.Lifted.Covar(); !got.ApproxEqual(ms.Stats, 0) {
 		t.Fatalf("merged lifted covar extraction differs from merged triple")
 	}
+}
+
+// TestCofactorMergeSharesShardGroups checks the cofactor half of the
+// merge algebra and its cost model: the merged element of a 3-shard
+// server equals what a single shard maintains over the same stream
+// (bitwise on integer data), and — store being both the partitioning
+// attribute and a categorical slot, so every group lives on one shard —
+// each of its groups IS that shard's published group, not a copy.
+func TestCofactorMergeSharesShardGroups(t *testing.T) {
+	j, stream, features := tenantSchema(23, 400, 6, 5)
+	features = append(features, "store", "item")
+	cfg := func(shards int) Config {
+		return Config{
+			Config:      serve.Config{BatchSize: 16, Payload: serve.PayloadCofactor},
+			Shards:      shards,
+			PartitionBy: "store",
+		}
+	}
+	sharded, err := New(j, "Sales", features, cfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	single, err := New(j, "Sales", features, cfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, tu := range stream {
+		if err := sharded.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sharded.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ms, m1 := sharded.Snapshot(), single.Snapshot()
+	if ms.Cofactor.NumGroups() < 20 || !ms.Cofactor.ApproxEqual(m1.Cofactor, 0) {
+		t.Fatalf("merged cofactor (%d groups) differs from single shard (%d groups)", ms.Cofactor.NumGroups(), m1.Cofactor.NumGroups())
+	}
+	if got := ms.Cofactor.Marginal(); !got.ApproxEqual(ms.Stats, 0) {
+		t.Fatal("merged cofactor marginal differs from merged triple")
+	}
+	ms.Cofactor.Each(func(codes []int32, g *ring.Covar) {
+		holders := 0
+		for _, sh := range sharded.shards {
+			if sh.Snapshot().Cofactor.Group(codes) == g {
+				holders++
+			}
+		}
+		if holders != 1 {
+			t.Errorf("merged group %v is shared with %d shard snapshots, want 1", codes, holders)
+		}
+	})
 }
