@@ -89,6 +89,14 @@ type BatchResult struct {
 // morsel keeps the pool balanced even at serving-layer batch sizes.
 const batchMorselSize = 8
 
+// batchPhase is the most ops one delta phase computes before its mutate
+// phase replays them; a longer same-relation group runs as several
+// phases. Which state a delta reads does not depend on the split — a
+// group's mutations touch nothing its deltas read — so results do not
+// either, and per-morsel scratch (viewTree) is bounded by a constant
+// instead of by the largest batch ever applied.
+const batchPhase = 8 * batchMorselSize
+
 // opGroup is a maximal same-relation run of batch indexes (stable
 // within the relation), or a serial singleton for ops the grouped
 // two-phase path cannot prove independent (cross-relation updates).
@@ -124,13 +132,16 @@ func groupOps(ops []Op) []opGroup {
 }
 
 // applyOps is the shared ApplyBatch driver, generic over the strategy's
-// per-op effect payload EF. For each parallel group it runs compute
-// (read-only against group-start state) across the runtime's workers,
-// then replays apply serially in op order. serialOp handles the
-// singleton fallback groups with the strategy's own tuple-at-a-time
-// methods.
+// per-op effect payload EF. Each parallel group runs in phases of at
+// most batchPhase ops: begin (when non-nil) announces that no effect of
+// an earlier phase is pending, compute (read-only against phase-start
+// state, told which morsel of the phase it runs in) fans out across the
+// runtime's workers, then apply replays serially in op order. serialOp
+// handles the singleton fallback groups with the strategy's own
+// tuple-at-a-time methods.
 func applyOps[EF any](b *base, ops []Op,
-	compute func(op *Op) EF,
+	begin func(),
+	compute func(morsel int, op *Op) EF,
 	apply func(op *Op, eff *EF) (ins, del uint64, failed bool, err error),
 	serialOp func(op *Op) (ins, del uint64, failed bool, err error),
 ) BatchResult {
@@ -146,6 +157,7 @@ func applyOps[EF any](b *base, ops []Op,
 		}
 	}
 	rt := exec.Runtime{Workers: b.rt.Workers, MorselSize: batchMorselSize, Pool: b.rt.Pool}
+	var effs [batchPhase]EF
 	for _, g := range groupOps(ops) {
 		if g.serial {
 			start := time.Now()
@@ -155,22 +167,27 @@ func applyOps[EF any](b *base, ops []Op,
 			res.MutateNanos += int64(time.Since(start))
 			continue
 		}
-		effs := make([]EF, len(g.idx))
-		start := time.Now()
-		exec.Scan(rt, len(g.idx),
-			func() struct{} { return struct{}{} },
-			func(s struct{}, lo, hi int) struct{} {
-				for i := lo; i < hi; i++ {
-					effs[i] = compute(&ops[g.idx[i]])
-				}
-				return s
-			})
-		mid := time.Now()
-		for i, oi := range g.idx {
-			record(apply(&ops[oi], &effs[i]))
+		for ; len(g.idx) > 0; g.idx = g.idx[min(batchPhase, len(g.idx)):] {
+			idx := g.idx[:min(batchPhase, len(g.idx))]
+			start := time.Now()
+			if begin != nil {
+				begin()
+			}
+			exec.Scan(rt, len(idx),
+				func() struct{} { return struct{}{} },
+				func(s struct{}, lo, hi int) struct{} {
+					for i := lo; i < hi; i++ {
+						effs[i] = compute(lo/batchMorselSize, &ops[idx[i]])
+					}
+					return s
+				})
+			mid := time.Now()
+			for i, oi := range idx {
+				record(apply(&ops[oi], &effs[i]))
+			}
+			res.DeltaNanos += int64(mid.Sub(start))
+			res.MutateNanos += int64(time.Since(mid))
 		}
-		res.DeltaNanos += int64(mid.Sub(start))
-		res.MutateNanos += int64(time.Since(mid))
 	}
 	return res
 }
@@ -211,7 +228,7 @@ type opEffects[EF any] struct {
 // value-based delta computation. Unknown relations and arity
 // mismatches yield empty effects; the serial phase surfaces the error
 // through append/locate exactly as the tuple-at-a-time path does.
-func computeOpEffects[EF any](b *base, op *Op, tupleEffects func(n *node, vals []relation.Value, neg bool) EF) opEffects[EF] {
+func computeOpEffects[EF any](b *base, morsel int, op *Op, tupleEffects func(morsel int, n *node, vals []relation.Value, neg bool) EF) opEffects[EF] {
 	var e opEffects[EF]
 	if op.Kind == OpDelete || op.Kind == OpUpdate {
 		t := op.Tuple
@@ -219,12 +236,12 @@ func computeOpEffects[EF any](b *base, op *Op, tupleEffects func(n *node, vals [
 			t = op.Old
 		}
 		if n := b.checkTuple(t); n != nil {
-			e.del = tupleEffects(n, t.Values, true)
+			e.del = tupleEffects(morsel, n, t.Values, true)
 		}
 	}
 	if op.Kind == OpInsert || op.Kind == OpUpdate {
 		if n := b.checkTuple(op.Tuple); n != nil {
-			e.ins = tupleEffects(n, op.Tuple.Values, false)
+			e.ins = tupleEffects(morsel, n, op.Tuple.Values, false)
 		}
 	}
 	return e
@@ -288,42 +305,22 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return keys
 }
 
-// keyOfVals packs the join key a stored row with these values would
-// have, consistently with relation.KeyFunc: categorical codes only, in
-// column order, with the empty column set mapping to the constant
-// cross-product key.
-func keyOfVals(rel *relation.Relation, cols []int, vals []relation.Value) uint64 {
-	switch len(cols) {
-	case 0:
-		return 0
-	case 1:
-		return relation.PackKey1(vals[cols[0]].C)
-	default:
-		return relation.PackKey2(vals[cols[0]].C, vals[cols[1]].C)
+// featValsOf appends the feature values owned by n in a value tuple to
+// dst.
+func (n *node) featValsOf(dst []float64, vals []relation.Value) []float64 {
+	for _, c := range n.featCols {
+		dst = append(dst, vals[c].F)
 	}
+	return dst
 }
 
-// featValsOf extracts the feature values owned by n from a value tuple,
-// mirroring node.vals for rows that are not (yet) stored.
-func (n *node) featValsOf(vals []relation.Value) []float64 {
-	out := make([]float64, len(n.featCols))
-	for i, c := range n.featCols {
-		out[i] = vals[c].F
+// catValsOf appends the categorical codes owned by n in a value tuple
+// to dst, mirroring node.catVals for rows that are not (yet) stored.
+func (n *node) catValsOf(dst []int32, vals []relation.Value) []int32 {
+	for _, c := range n.catCols {
+		dst = append(dst, vals[c].C)
 	}
-	return out
-}
-
-// catValsOf extracts the categorical codes owned by n from a value
-// tuple, mirroring node.catVals for rows that are not (yet) stored.
-func (n *node) catValsOf(vals []relation.Value) []int32 {
-	if len(n.catCols) == 0 {
-		return nil
-	}
-	out := make([]int32, len(n.catCols))
-	for i, c := range n.catCols {
-		out[i] = vals[c].C
-	}
-	return out
+	return dst
 }
 
 // localEvalVals is localEval against a value tuple instead of a stored

@@ -233,7 +233,7 @@ func (m *FirstOrder) upCat(n *node, key uint64, a int, partial *ring.CatScalar, 
 // child subtrees, up the ancestors and their sibling subtrees, never n
 // itself — so the evaluation reads only batch-start state for any mix
 // of same-relation ops.
-func (m *FirstOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []scalarEffect {
+func (m *FirstOrder) tupleEffects(_ int, n *node, vals []relation.Value, neg bool) []scalarEffect {
 	var out []scalarEffect
 	emit := func(a int, v float64) {
 		out = append(out, scalarEffect{a: int32(a), delta: v})
@@ -241,7 +241,7 @@ func (m *FirstOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []sc
 	for a := range m.batch.aggs {
 		partial := localEvalVals(n, vals, m.batch.aggs[a])
 		for ci, c := range n.children {
-			partial *= m.down(c, keyOfVals(n.rel, n.childKeyCols[ci], vals), m.batch.aggs[a])
+			partial *= m.down(c, relation.KeyOfVals(n.childKeyCols[ci], vals), m.batch.aggs[a])
 			if partial == 0 {
 				break
 			}
@@ -252,7 +252,7 @@ func (m *FirstOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []sc
 		if neg {
 			partial = -partial
 		}
-		m.up(n, keyOfVals(n.rel, n.parentKeyCols, vals), a, partial, emit)
+		m.up(n, relation.KeyOfVals(n.parentKeyCols, vals), a, partial, emit)
 	}
 	return out
 }
@@ -275,19 +275,19 @@ type catScalarEffect struct {
 // catTupleEffects is tupleEffects for the cofactor payload: full delta
 // queries carrying the per-group split, recording group-keyed root
 // arrivals.
-func (m *FirstOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) []catScalarEffect {
+func (m *FirstOrder) catTupleEffects(_ int, n *node, vals []relation.Value, neg bool) []catScalarEffect {
 	var out []catScalarEffect
 	emit := func(a int, v *ring.CatScalar) {
 		out = append(out, catScalarEffect{a: int32(a), delta: v})
 	}
 	for a := range m.batch.aggs {
 		agg := m.batch.aggs[a]
-		partial := m.csr.LiftVal(n.catIdx, n.catValsOf(vals), localEvalVals(n, vals, agg))
+		partial := m.csr.LiftVal(n.catIdx, n.catValsOf(nil, vals), localEvalVals(n, vals, agg))
 		for ci, c := range n.children {
 			if m.csr.IsZero(partial) {
 				break
 			}
-			partial = m.csr.Mul(partial, m.downCat(c, keyOfVals(n.rel, n.childKeyCols[ci], vals), agg))
+			partial = m.csr.Mul(partial, m.downCat(c, relation.KeyOfVals(n.childKeyCols[ci], vals), agg))
 		}
 		if m.csr.IsZero(partial) {
 			continue
@@ -295,7 +295,7 @@ func (m *FirstOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) [
 		if neg {
 			partial = m.csr.Neg(partial)
 		}
-		m.upCat(n, keyOfVals(n.rel, n.parentKeyCols, vals), a, partial, emit)
+		m.upCat(n, relation.KeyOfVals(n.parentKeyCols, vals), a, partial, emit)
 	}
 	return out
 }
@@ -312,18 +312,18 @@ func (m *FirstOrder) applyCatEffects(effs []catScalarEffect) {
 // against batch-start state, then the root sums replay in op order.
 func (m *FirstOrder) ApplyBatch(ops []Op) BatchResult {
 	if m.cfResult != nil {
-		return applyOps(m.base, ops,
-			func(op *Op) opEffects[[]catScalarEffect] {
-				return computeOpEffects(m.base, op, m.catTupleEffects)
+		return applyOps(m.base, ops, nil,
+			func(morsel int, op *Op) opEffects[[]catScalarEffect] {
+				return computeOpEffects(m.base, morsel, op, m.catTupleEffects)
 			},
 			func(op *Op, e *opEffects[[]catScalarEffect]) (uint64, uint64, bool, error) {
 				return applyOpEffects(m.base, op, e, m.applyCatEffects)
 			},
 			func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 	}
-	return applyOps(m.base, ops,
-		func(op *Op) opEffects[[]scalarEffect] {
-			return computeOpEffects(m.base, op, m.tupleEffects)
+	return applyOps(m.base, ops, nil,
+		func(morsel int, op *Op) opEffects[[]scalarEffect] {
+			return computeOpEffects(m.base, morsel, op, m.tupleEffects)
 		},
 		func(op *Op, e *opEffects[[]scalarEffect]) (uint64, uint64, bool, error) {
 			return applyOpEffects(m.base, op, e, m.applyEffects)

@@ -1,7 +1,9 @@
 package ivm
 
 import (
-	"borg/internal/exec"
+	"cmp"
+	"slices"
+
 	"borg/internal/query"
 	"borg/internal/relation"
 	"borg/internal/ring"
@@ -11,75 +13,164 @@ import (
 // per join key per node, plus the root result. It is parameterized by
 // the ring the payloads live in (ring.Algebra), which is what lets the
 // SAME single-pass delta propagation maintain covariance triples
-// (ring.CovarRing) or lifted degree-2 moment vectors (ring.Poly2Ring) —
-// the paper's claim that the factorized computation is ring-generic,
-// realized in the maintenance path.
+// (ring.CovarRing), lifted degree-2 moment vectors (ring.Poly2Ring) or
+// group-keyed cofactor elements — the paper's claim that the factorized
+// computation is ring-generic, realized in the maintenance path.
+//
+// Deltas are computed in the destination-passing forms of the algebra,
+// into scratch elements that are recycled: an effect's delta is valid
+// until the mutate phase that replays it ends, and a view that stores
+// one clones it (applyEffects).
 type viewTree[E any] struct {
 	alg ring.Algebra[E]
-	// lift/liftVals map a tuple (a stored row, or a value tuple not yet
-	// stored) to its ring element at node n. The default closures lift
-	// the node's continuous features through the algebra; payloads with
-	// categorical slots (cofactor) or per-aggregate monomials (the
-	// scalar strategies' group-keyed payloads) inject their own.
-	lift     func(n *node, row int) E
-	liftVals func(n *node, vals []relation.Value) E
-	views    map[*node]map[uint64]E
-	result   E
+	// lift maps a tuple of node n, given by its values, to its ring
+	// element, offered dst and the scratch to extract what it lifts into.
+	// The default closure lifts the node's continuous features through
+	// the algebra; payloads with categorical slots (cofactor) or
+	// per-aggregate monomials (the scalar strategies' group-keyed
+	// payloads) inject their own.
+	lift   func(dst E, s *scratch[E], n *node, vals []relation.Value) E
+	nodes  []*node
+	view   []map[uint64]E // by node id
+	result E
+	// scratch[i] serves morsel i of a delta phase; scratch[0] also the
+	// tuple-at-a-time path.
+	scratch [batchPhase / batchMorselSize]*scratch[E]
 }
 
-func newViewTree[E any](alg ring.Algebra[E], root *node) *viewTree[E] {
-	return newViewTreeLift(alg, root,
-		func(n *node, row int) E { return alg.Lift(n.featIdx, n.vals(row)) },
-		func(n *node, vals []relation.Value) E { return alg.Lift(n.featIdx, n.featValsOf(vals)) })
+// scratch is the working memory of one delta computation at a time.
+type scratch[E any] struct {
+	// tmp holds the two ends of a product chain: each factor multiplies
+	// tmp[cur] into the other and flips cur.
+	tmp [2]E
+	cur int
+	// slab[:used] are the elements kept since the last reset, slab[used:]
+	// free ones.
+	slab []E
+	used int
+	// effs holds the effect lists computed since the last reset, back to
+	// back; fan is a stack of the fan-outs in progress.
+	effs []viewEffect[E]
+	fan  []fanRow
+	// row, f and c hold the stored row being lifted, and its owned
+	// feature values and categorical codes, for the span of one lift.
+	row []relation.Value
+	f   []float64
+	c   []int32
 }
 
-// newViewTreeLift is newViewTree with custom tuple-lift closures.
-func newViewTreeLift[E any](alg ring.Algebra[E], root *node,
-	lift func(n *node, row int) E, liftVals func(n *node, vals []relation.Value) E) *viewTree[E] {
-	vt := &viewTree[E]{alg: alg, lift: lift, liftVals: liftVals,
-		views: make(map[*node]map[uint64]E), result: alg.Zero()}
-	var init func(n *node)
-	init = func(n *node) {
-		vt.views[n] = make(map[uint64]E)
-		for _, c := range n.children {
-			init(c)
-		}
+// fanRow is one parent row of a fan-out: its key towards ITS parent and
+// its position in the index bucket that listed it.
+type fanRow struct {
+	key      uint64
+	pos, row int32
+}
+
+func newViewTree[E any](alg ring.Algebra[E], nodes []*node) *viewTree[E] {
+	return newViewTreeLift(alg, nodes, func(dst E, s *scratch[E], n *node, vals []relation.Value) E {
+		s.f = n.featValsOf(s.f[:0], vals)
+		return alg.LiftInto(dst, n.featIdx, s.f)
+	})
+}
+
+// newViewTreeLift is newViewTree with a custom tuple-lift closure.
+func newViewTreeLift[E any](alg ring.Algebra[E], nodes []*node,
+	lift func(dst E, s *scratch[E], n *node, vals []relation.Value) E) *viewTree[E] {
+	vt := &viewTree[E]{alg: alg, lift: lift, nodes: nodes,
+		view: make([]map[uint64]E, len(nodes)), result: alg.Zero()}
+	for i := range vt.view {
+		vt.view[i] = make(map[uint64]E)
 	}
-	init(root)
+	for i := range vt.scratch {
+		vt.scratch[i] = &scratch[E]{tmp: [2]E{alg.Zero(), alg.Zero()}}
+	}
 	return vt
 }
 
-// tupleDelta computes row's current contribution at node n: lift(t) ⨂
-// the child views. ok is false when a join partner is missing — the
-// tuple contributes nothing (yet); it will contribute when the partner's
-// own delta climbs past this node.
-func (vt *viewTree[E]) tupleDelta(n *node, row int) (delta E, ok bool) {
-	delta = vt.lift(n, row)
-	for ci, c := range n.children {
-		cv, present := vt.views[c][n.childKey(ci, row)]
-		if !present {
-			var zero E
-			return zero, false
+// views iterates the tree's views by node (range vt.views).
+func (vt *viewTree[E]) views(yield func(*node, map[uint64]E) bool) {
+	for i, v := range vt.view {
+		if !yield(vt.nodes[i], v) {
+			return
 		}
-		delta = vt.alg.Mul(delta, cv)
 	}
-	return delta, true
 }
 
-// tupleDeltaVals is tupleDelta against a value tuple instead of a
-// stored row — the batch path computes deltas before (inserts) or
-// independently of (deletes) the physical row mutation.
-func (vt *viewTree[E]) tupleDeltaVals(n *node, vals []relation.Value) (delta E, ok bool) {
-	delta = vt.liftVals(n, vals)
-	for ci, c := range n.children {
-		cv, present := vt.views[c][keyOfVals(n.rel, n.childKeyCols[ci], vals)]
-		if !present {
-			var zero E
-			return zero, false
-		}
-		delta = vt.alg.Mul(delta, cv)
+// keep retains e until s is next reset and returns a free element to
+// compute into in its place.
+//
+//borg:noalloc
+func (vt *viewTree[E]) keep(s *scratch[E], e E) E {
+	if s.used == len(s.slab) {
+		vt.grow(s)
 	}
-	return delta, true
+	free := s.slab[s.used]
+	s.slab[s.used] = e
+	s.used++
+	return free
+}
+
+func (vt *viewTree[E]) grow(s *scratch[E]) { s.slab = append(s.slab, vt.alg.Zero()) }
+
+// reset frees everything kept and every effect list computed since the
+// last reset. It runs where no computed effect is pending: before a
+// delta phase, and after the tuple-at-a-time path has replayed its own.
+//
+//borg:noalloc
+func (s *scratch[E]) reset() {
+	s.used = 0
+	clear(s.effs)
+	s.effs = s.effs[:0]
+}
+
+// begin starts a delta phase.
+func (vt *viewTree[E]) begin() {
+	for _, s := range vt.scratch {
+		s.reset()
+	}
+}
+
+// mul multiplies s's running product by v.
+func (vt *viewTree[E]) mul(s *scratch[E], v E) {
+	s.tmp[1-s.cur] = vt.alg.MulInto(s.tmp[1-s.cur], s.tmp[s.cur], v)
+	s.cur = 1 - s.cur
+}
+
+// take keeps s's running product, negated for a retraction.
+func (vt *viewTree[E]) take(s *scratch[E], neg bool) E {
+	d := s.tmp[s.cur]
+	if neg {
+		d = vt.alg.NegInto(d, d)
+	}
+	s.tmp[s.cur] = vt.keep(s, d)
+	return d
+}
+
+// tupleDelta computes what a tuple of node n with these values
+// contributes — lift(t) ⨂ the child views — as s's running product;
+// with from non-nil, what it contributes when child from's view changes
+// by delta (delta stands in for that view). The batch path computes it
+// before (inserts) or independently of (deletes) the physical row
+// mutation. It reports false when a join partner is missing: the tuple
+// contributes nothing (yet); it will contribute when the partner's own
+// delta climbs past this node.
+func (vt *viewTree[E]) tupleDelta(s *scratch[E], n *node, vals []relation.Value, from *node, delta E) bool {
+	s.cur = 0
+	s.tmp[0] = vt.lift(s.tmp[0], s, n, vals)
+	if from != nil {
+		vt.mul(s, delta)
+	}
+	for ci, c := range n.children {
+		if c == from {
+			continue
+		}
+		cv, present := vt.view[c.id][relation.KeyOfVals(n.childKeyCols[ci], vals)]
+		if !present {
+			return false
+		}
+		vt.mul(s, cv)
+	}
+	return true
 }
 
 // viewEffect is one pending write of a propagation pass: merge delta
@@ -91,47 +182,67 @@ type viewEffect[E any] struct {
 }
 
 // computeEffects is the read-only half of delta propagation: it walks
-// the leaf-to-root path exactly as propagate does, but records the
-// writes it would perform instead of performing them. Everything it
-// reads — the parent's child-edge index and rows, sibling views — lies
-// OUTSIDE the write set of the effects it emits (n's own relation and
-// the views on the n→root path), which is what lets the batch path run
-// it concurrently for many tuples of one relation. Fanout deltas are
-// expanded in ascending key order, a fixed reduction order that makes
-// the effect list — and with it every maintained float — deterministic
-// instead of following Go's randomized map iteration.
-func (vt *viewTree[E]) computeEffects(n *node, key uint64, delta E, out []viewEffect[E]) []viewEffect[E] {
-	out = append(out, viewEffect[E]{n: n, key: key, delta: delta})
+// the leaf-to-root path and appends the writes the propagation performs
+// to s.effs instead of performing them (applyEffects does).
+// Everything it reads — the parent's child-edge index and rows, sibling
+// views — lies OUTSIDE the write set of the effects it emits (n's own
+// relation and the views on the n→root path), which is what lets the
+// batch path run it concurrently for many tuples of one relation. A
+// fan-out folds the parent rows of each upward key in index-bucket
+// order and climbs key by key in ascending order, a fixed reduction
+// order that makes the effect list — and with it every maintained float
+// — deterministic.
+func (vt *viewTree[E]) computeEffects(s *scratch[E], n *node, key uint64, delta E) {
+	s.effs = append(s.effs, viewEffect[E]{n: n, key: key, delta: delta})
 	p := n.parent
 	if p == nil {
-		out = append(out, viewEffect[E]{delta: delta})
-		return out
+		s.effs = append(s.effs, viewEffect[E]{delta: delta})
+		return
 	}
-	// δ_p(k') = Σ_{t ∈ R_p matching} lift(t) ⨂ Π_{c≠n} V_c ⨂ δ, the
-	// ring-valued instance of the exec grouped-fold fanout kernel.
-	rows := p.childIndexes[n.childPos].Rows(key)
-	deltas := exec.GroupedFold(rows,
-		func(r int) uint64 { return p.parentKey(r) },
-		func(r int) (E, bool) {
-			contrib := vt.alg.Mul(vt.lift(p, r), delta)
-			for ci, c := range p.children {
-				if c == n {
-					continue
-				}
-				cv, present := vt.views[c][p.childKey(ci, r)]
-				if !present {
-					var zero E
-					return zero, false
-				}
-				contrib = vt.alg.Mul(contrib, cv)
+	base := len(s.fan)
+	for i, r := range p.childIndexes[n.childPos].Rows(key) {
+		s.fan = append(s.fan, fanRow{key: p.parentKey(int(r)), pos: int32(i), row: r})
+	}
+	slices.SortFunc(s.fan[base:], func(a, b fanRow) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
+	})
+	// δ_p(k') = Σ_{t ∈ R_p matching} lift(t) ⨂ δ ⨂ Π_{c≠n} V_c, one run
+	// of equal k' at a time. The recursion pushes onto s.fan above this
+	// frame and pops before it returns.
+	for i := base; i < len(s.fan); {
+		var acc E
+		k, some := s.fan[i].key, false
+		for ; i < len(s.fan) && s.fan[i].key == k; i++ {
+			s.row = p.rel.AppendRowTo(s.row[:0], int(s.fan[i].row))
+			if !vt.tupleDelta(s, p, s.row, n, delta) {
+				continue
 			}
-			return contrib, true
-		},
-		func(dst, v E) E { vt.alg.AddInPlace(dst, v); return dst })
-	for _, k := range sortedKeys(deltas) {
-		out = vt.computeEffects(p, k, deltas[k], out)
+			if some {
+				vt.alg.AddInPlace(acc, s.tmp[s.cur])
+			} else {
+				acc, some = vt.take(s, false), true
+			}
+		}
+		if some {
+			vt.computeEffects(s, p, k, acc)
+		}
 	}
-	return out
+	s.fan = s.fan[:base]
+}
+
+// tupleEffects is the delta phase of one tuple half of an op in the
+// given morsel: the effects a tuple of n with these values triggers,
+// negated for a retraction; nil when it contributes nothing. vals may
+// be the scratch's own row buffer: it is last read before the climb.
+func (vt *viewTree[E]) tupleEffects(morsel int, n *node, vals []relation.Value, neg bool) []viewEffect[E] {
+	s := vt.scratch[morsel]
+	var none E
+	if !vt.tupleDelta(s, n, vals, nil, none) {
+		return nil
+	}
+	start := len(s.effs)
+	vt.computeEffects(s, n, relation.KeyOfVals(n.parentKeyCols, vals), vt.take(s, neg))
+	return s.effs[start:]
 }
 
 // applyEffects replays a recorded propagation: the write half.
@@ -141,7 +252,7 @@ func (vt *viewTree[E]) applyEffects(effs []viewEffect[E]) {
 			vt.alg.AddInPlace(vt.result, e.delta)
 			continue
 		}
-		v := vt.views[e.n]
+		v := vt.view[e.n.id]
 		if cur, present := v[e.key]; present {
 			vt.alg.AddInPlace(cur, e.delta)
 			// A retraction that drains a key's support leaves the exact
@@ -159,10 +270,35 @@ func (vt *viewTree[E]) applyEffects(effs []viewEffect[E]) {
 	}
 }
 
-// propagate merges δ into n's view at the given key and climbs towards
+// propagateRow is the tuple-at-a-time path: stored row's current
+// contribution at n (negated for a retraction, which the caller follows
+// with the physical removal) is merged into n's view and climbs towards
 // the root through the parent's index on n's join key.
-func (vt *viewTree[E]) propagate(n *node, key uint64, delta E) {
-	vt.applyEffects(vt.computeEffects(n, key, delta, nil))
+func (vt *viewTree[E]) propagateRow(n *node, row int, neg bool) {
+	s := vt.scratch[0]
+	s.row = n.rel.AppendRowTo(s.row[:0], row)
+	vt.applyEffects(vt.tupleEffects(0, n, s.row, neg))
+	s.reset()
+}
+
+// applyBatch is ApplyBatch over this tree: per-op ring deltas
+// (tupleEffects) computed morsel-parallel against phase-start state,
+// then replayed serially in op order.
+func (vt *viewTree[E]) applyBatch(b *base, ops []Op, serial func(op *Op) (uint64, uint64, bool, error)) BatchResult {
+	return applyOps(b, ops, vt.begin,
+		func(morsel int, op *Op) opEffects[[]viewEffect[E]] {
+			return computeOpEffects(b, morsel, op, vt.tupleEffects)
+		},
+		func(op *Op, e *opEffects[[]viewEffect[E]]) (uint64, uint64, bool, error) {
+			return applyOpEffects(b, op, e, vt.applyEffects)
+		},
+		serial)
+}
+
+// deltaTree is what FIVM asks of its view tree whatever the payload.
+type deltaTree interface {
+	propagateRow(n *node, row int, neg bool)
+	applyBatch(b *base, ops []Op, serial func(op *Op) (uint64, uint64, bool, error)) BatchResult
 }
 
 // FIVM is the factorized incremental view maintenance strategy (Nikolic &
@@ -183,12 +319,13 @@ func (vt *viewTree[E]) propagate(n *node, key uint64, delta E) {
 type FIVM struct {
 	*base
 	ring ring.CovarRing
-	// Exactly one of cv/p2/cf is non-nil, selecting the payload ring.
-	cv  *viewTree[*ring.Covar]
-	p2  *viewTree[*ring.Poly2]
-	pr  *ring.Poly2Ring
-	cf  *viewTree[*ring.Cofactor]
-	cfr ring.CofactorRing
+	// tree is the maintained hierarchy, whatever its payload; exactly one
+	// of cv/p2/cf is non-nil and names it by its ring, for the reads.
+	tree deltaTree
+	cv   *viewTree[*ring.Covar]
+	p2   *viewTree[*ring.Poly2]
+	pr   *ring.Poly2Ring
+	cf   *viewTree[*ring.Cofactor]
 	// cfMarg caches the marginal of cf.result over its groups, which is
 	// what every scalar read of a cofactor maintainer is served from: it
 	// is folded once after an apply (which clears cfMargOK), not per read.
@@ -218,18 +355,19 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 	switch o.payload {
 	case PayloadPoly2:
 		m.pr = ring.NewPoly2Ring(len(b.contFeats))
-		m.p2 = newViewTree[*ring.Poly2](m.pr, m.root)
+		m.p2 = newViewTree[*ring.Poly2](m.pr, m.nodes)
+		m.tree = m.p2
 	case PayloadCofactor:
-		m.cfr = ring.CofactorRing{N: len(b.contFeats), K: len(b.catFeats)}
-		m.cf = newViewTreeLift[*ring.Cofactor](m.cfr, m.root,
-			func(n *node, row int) *ring.Cofactor {
-				return m.cfr.LiftCat(n.featIdx, n.vals(row), n.catIdx, n.catVals(row))
-			},
-			func(n *node, vals []relation.Value) *ring.Cofactor {
-				return m.cfr.LiftCat(n.featIdx, n.featValsOf(vals), n.catIdx, n.catValsOf(vals))
+		cfr := ring.CofactorRing{N: len(b.contFeats), K: len(b.catFeats)}
+		m.cf = newViewTreeLift[*ring.Cofactor](cfr, m.nodes,
+			func(dst *ring.Cofactor, s *scratch[*ring.Cofactor], n *node, vals []relation.Value) *ring.Cofactor {
+				s.f, s.c = n.featValsOf(s.f[:0], vals), n.catValsOf(s.c[:0], vals)
+				return cfr.LiftCatInto(dst, n.featIdx, s.f, n.catIdx, s.c)
 			})
+		m.tree = m.cf
 	default:
-		m.cv = newViewTree[*ring.Covar](m.ring, m.root)
+		m.cv = newViewTree[*ring.Covar](m.ring, m.nodes)
+		m.tree = m.cv
 	}
 	return m, nil
 }
@@ -243,126 +381,32 @@ func (m *FIVM) Insert(t Tuple) error {
 	if err != nil {
 		return err
 	}
-	if m.p2 != nil {
-		if delta, ok := m.p2.tupleDelta(n, row); ok {
-			m.p2.propagate(n, n.parentKey(row), delta)
-		}
-		return nil
-	}
-	if m.cf != nil {
-		m.cfMargOK = false
-		if delta, ok := m.cf.tupleDelta(n, row); ok {
-			m.cf.propagate(n, n.parentKey(row), delta)
-		}
-		return nil
-	}
-	if delta, ok := m.cv.tupleDelta(n, row); ok {
-		m.cv.propagate(n, n.parentKey(row), delta)
-	}
+	m.cfMargOK = false
+	m.tree.propagateRow(n, row, false)
 	return nil
 }
 
 // Delete implements Maintainer: one ring-valued retraction. The
 // tuple's current contribution — lift(t) ⨂ the child views, exactly
-// the insert delta — is propagated Neg-lifted, so a single pass
-// restores every view payload and the root element simultaneously. A
-// missing child view means the tuple never contributed (it was waiting
-// for a join partner), so only the physical removal remains.
+// the insert delta — is propagated negated, so a single pass restores
+// every view payload and the root element simultaneously. A missing
+// child view means the tuple never contributed (it was waiting for a
+// join partner), so only the physical removal remains.
 func (m *FIVM) Delete(t Tuple) error {
 	n, row, err := m.locate(t)
 	if err != nil {
 		return err
 	}
-	key := n.parentKey(row)
-	if m.p2 != nil {
-		delta, contributed := m.p2.tupleDelta(n, row)
-		m.removeRow(n, row)
-		if contributed {
-			m.p2.propagate(n, key, m.pr.Neg(delta))
-		}
-		return nil
-	}
-	if m.cf != nil {
-		m.cfMargOK = false
-		delta, contributed := m.cf.tupleDelta(n, row)
-		m.removeRow(n, row)
-		if contributed {
-			m.cf.propagate(n, key, m.cfr.Neg(delta))
-		}
-		return nil
-	}
-	delta, contributed := m.cv.tupleDelta(n, row)
+	m.cfMargOK = false
+	m.tree.propagateRow(n, row, true)
 	m.removeRow(n, row)
-	if contributed {
-		m.cv.propagate(n, key, m.ring.Neg(delta))
-	}
 	return nil
 }
 
-// ApplyBatch implements Maintainer: per-op ring deltas (tupleDeltaVals
-// plus the recorded climb) computed morsel-parallel against batch-start
-// state, then replayed serially in op order.
+// ApplyBatch implements Maintainer (viewTree.applyBatch).
 func (m *FIVM) ApplyBatch(ops []Op) BatchResult {
-	serial := func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) }
-	if m.p2 != nil {
-		effects := func(n *node, vals []relation.Value, neg bool) []viewEffect[*ring.Poly2] {
-			delta, ok := m.p2.tupleDeltaVals(n, vals)
-			if !ok {
-				return nil
-			}
-			if neg {
-				delta = m.pr.Neg(delta)
-			}
-			return m.p2.computeEffects(n, keyOfVals(n.rel, n.parentKeyCols, vals), delta, nil)
-		}
-		return applyOps(m.base, ops,
-			func(op *Op) opEffects[[]viewEffect[*ring.Poly2]] {
-				return computeOpEffects(m.base, op, effects)
-			},
-			func(op *Op, e *opEffects[[]viewEffect[*ring.Poly2]]) (uint64, uint64, bool, error) {
-				return applyOpEffects(m.base, op, e, m.p2.applyEffects)
-			},
-			serial)
-	}
-	if m.cf != nil {
-		m.cfMargOK = false
-		effects := func(n *node, vals []relation.Value, neg bool) []viewEffect[*ring.Cofactor] {
-			delta, ok := m.cf.tupleDeltaVals(n, vals)
-			if !ok {
-				return nil
-			}
-			if neg {
-				delta = m.cfr.Neg(delta)
-			}
-			return m.cf.computeEffects(n, keyOfVals(n.rel, n.parentKeyCols, vals), delta, nil)
-		}
-		return applyOps(m.base, ops,
-			func(op *Op) opEffects[[]viewEffect[*ring.Cofactor]] {
-				return computeOpEffects(m.base, op, effects)
-			},
-			func(op *Op, e *opEffects[[]viewEffect[*ring.Cofactor]]) (uint64, uint64, bool, error) {
-				return applyOpEffects(m.base, op, e, m.cf.applyEffects)
-			},
-			serial)
-	}
-	effects := func(n *node, vals []relation.Value, neg bool) []viewEffect[*ring.Covar] {
-		delta, ok := m.cv.tupleDeltaVals(n, vals)
-		if !ok {
-			return nil
-		}
-		if neg {
-			delta = m.ring.Neg(delta)
-		}
-		return m.cv.computeEffects(n, keyOfVals(n.rel, n.parentKeyCols, vals), delta, nil)
-	}
-	return applyOps(m.base, ops,
-		func(op *Op) opEffects[[]viewEffect[*ring.Covar]] {
-			return computeOpEffects(m.base, op, effects)
-		},
-		func(op *Op, e *opEffects[[]viewEffect[*ring.Covar]]) (uint64, uint64, bool, error) {
-			return applyOpEffects(m.base, op, e, m.cv.applyEffects)
-		},
-		serial)
+	m.cfMargOK = false
+	return m.tree.applyBatch(m.base, ops, func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 }
 
 // Count implements Maintainer.

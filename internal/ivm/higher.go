@@ -48,30 +48,23 @@ func NewHigherOrder(j *query.Join, root string, features []string, opts ...Optio
 		csr := m.csr
 		for a := range m.batch.aggs {
 			agg := m.batch.aggs[a]
-			m.cfTrees[a] = newViewTreeLift[*ring.CatScalar](csr, m.root,
-				func(n *node, row int) *ring.CatScalar {
-					return csr.LiftVal(n.catIdx, n.catVals(row), localEval(n, row, agg))
-				},
-				func(n *node, vals []relation.Value) *ring.CatScalar {
-					return csr.LiftVal(n.catIdx, n.catValsOf(vals), localEvalVals(n, vals, agg))
+			m.cfTrees[a] = newViewTreeLift[*ring.CatScalar](csr, m.nodes,
+				func(_ *ring.CatScalar, s *scratch[*ring.CatScalar], n *node, vals []relation.Value) *ring.CatScalar {
+					s.c = n.catValsOf(s.c[:0], vals)
+					return csr.LiftVal(n.catIdx, s.c, localEvalVals(n, vals, agg))
 				})
 		}
 		return m, nil
 	}
 	m.views = make(map[*node][]map[uint64]float64)
 	m.result = make([]float64, len(m.batch.aggs))
-	var initViews func(n *node)
-	initViews = func(n *node) {
+	for _, n := range m.nodes {
 		vs := make([]map[uint64]float64, len(m.batch.aggs))
 		for a := range vs {
 			vs[a] = make(map[uint64]float64)
 		}
 		m.views[n] = vs
-		for _, c := range n.children {
-			initViews(c)
-		}
 	}
-	initViews(m.root)
 	return m, nil
 }
 
@@ -86,9 +79,7 @@ func (m *HigherOrder) Insert(t Tuple) error {
 	}
 	if m.cfTrees != nil {
 		for _, vt := range m.cfTrees {
-			if delta, ok := vt.tupleDelta(n, row); ok {
-				vt.propagate(n, n.parentKey(row), delta)
-			}
+			vt.propagateRow(n, row, false)
 		}
 		return nil
 	}
@@ -123,16 +114,14 @@ func (m *HigherOrder) Delete(t Tuple) error {
 	if err != nil {
 		return err
 	}
-	key := n.parentKey(row)
 	if m.cfTrees != nil {
 		for _, vt := range m.cfTrees {
-			if delta, ok := vt.tupleDelta(n, row); ok {
-				vt.propagate(n, key, m.csr.Neg(delta))
-			}
+			vt.propagateRow(n, row, true)
 		}
 		m.removeRow(n, row)
 		return nil
 	}
+	key := n.parentKey(row)
 	for a := range m.batch.aggs {
 		delta := localEval(n, row, m.batch.aggs[a])
 		zero := false
@@ -224,13 +213,13 @@ func (m *HigherOrder) propagate(n *node, a int, key uint64, delta float64) {
 // tupleEffects records the full per-aggregate propagation a tuple with
 // these values triggers at node n (negated for the delete half),
 // reading only batch-start state.
-func (m *HigherOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []scalarEffect {
+func (m *HigherOrder) tupleEffects(_ int, n *node, vals []relation.Value, neg bool) []scalarEffect {
 	var out []scalarEffect
 	for a := range m.batch.aggs {
 		delta := localEvalVals(n, vals, m.batch.aggs[a])
 		zero := false
 		for ci, c := range n.children {
-			cv, ok := m.views[c][a][keyOfVals(n.rel, n.childKeyCols[ci], vals)]
+			cv, ok := m.views[c][a][relation.KeyOfVals(n.childKeyCols[ci], vals)]
 			if !ok {
 				zero = true
 				break
@@ -243,7 +232,7 @@ func (m *HigherOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []s
 		if neg {
 			delta = -delta
 		}
-		out = m.computeEffects(n, a, keyOfVals(n.rel, n.parentKeyCols, vals), delta, out)
+		out = m.computeEffects(n, a, relation.KeyOfVals(n.parentKeyCols, vals), delta, out)
 	}
 	return out
 }
@@ -251,17 +240,10 @@ func (m *HigherOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []s
 // catTupleEffects is tupleEffects for the cofactor payload: the
 // per-aggregate group-keyed propagations a tuple with these values
 // triggers, one effect list per aggregate tree.
-func (m *HigherOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) [][]viewEffect[*ring.CatScalar] {
+func (m *HigherOrder) catTupleEffects(morsel int, n *node, vals []relation.Value, neg bool) [][]viewEffect[*ring.CatScalar] {
 	out := make([][]viewEffect[*ring.CatScalar], len(m.cfTrees))
 	for a, vt := range m.cfTrees {
-		delta, ok := vt.tupleDeltaVals(n, vals)
-		if !ok {
-			continue
-		}
-		if neg {
-			delta = m.csr.Neg(delta)
-		}
-		out[a] = vt.computeEffects(n, keyOfVals(n.rel, n.parentKeyCols, vals), delta, nil)
+		out[a] = vt.tupleEffects(morsel, n, vals, neg)
 	}
 	return out
 }
@@ -288,17 +270,22 @@ func (m *HigherOrder) catResults() []*ring.CatScalar {
 func (m *HigherOrder) ApplyBatch(ops []Op) BatchResult {
 	if m.cfTrees != nil {
 		return applyOps(m.base, ops,
-			func(op *Op) opEffects[[][]viewEffect[*ring.CatScalar]] {
-				return computeOpEffects(m.base, op, m.catTupleEffects)
+			func() {
+				for _, vt := range m.cfTrees {
+					vt.begin()
+				}
+			},
+			func(morsel int, op *Op) opEffects[[][]viewEffect[*ring.CatScalar]] {
+				return computeOpEffects(m.base, morsel, op, m.catTupleEffects)
 			},
 			func(op *Op, e *opEffects[[][]viewEffect[*ring.CatScalar]]) (uint64, uint64, bool, error) {
 				return applyOpEffects(m.base, op, e, m.applyCatEffects)
 			},
 			func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 	}
-	return applyOps(m.base, ops,
-		func(op *Op) opEffects[[]scalarEffect] {
-			return computeOpEffects(m.base, op, m.tupleEffects)
+	return applyOps(m.base, ops, nil,
+		func(morsel int, op *Op) opEffects[[]scalarEffect] {
+			return computeOpEffects(m.base, morsel, op, m.tupleEffects)
 		},
 		func(op *Op, e *opEffects[[]scalarEffect]) (uint64, uint64, bool, error) {
 			return applyOpEffects(m.base, op, e, m.applyEffects)

@@ -207,6 +207,7 @@ type Maintainer interface {
 // rows by the child's join key (used when a delta climbs from that
 // child), maintained incrementally.
 type node struct {
+	id       int // position in base.nodes
 	tn       *query.TreeNode
 	rel      *relation.Relation
 	parent   *node
@@ -237,7 +238,7 @@ type node struct {
 // base is the shared state of all maintainers: a live database (initially
 // empty copies of the schema relations) arranged into a join tree.
 type base struct {
-	root     *node
+	nodes    []*node // the join tree in preorder; nodes[0] is the root
 	byName   map[string]*node
 	features []string
 	// contFeats/catFeats split features by column type: continuous
@@ -316,7 +317,8 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 	owner := make(map[string]*node)
 	var build func(tn *query.TreeNode, parent *node) *node
 	build = func(tn *query.TreeNode, parent *node) *node {
-		n := &node{tn: tn, rel: tn.Rel, parent: parent, rowIdx: relation.NewIndex(nil)}
+		n := &node{id: len(b.nodes), tn: tn, rel: tn.Rel, parent: parent, rowIdx: relation.NewIndex(nil)}
+		b.nodes = append(b.nodes, n)
 		for _, a := range tn.JoinAttrs {
 			n.parentKeyCols = append(n.parentKeyCols, tn.Rel.AttrIndex(a))
 		}
@@ -339,7 +341,7 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 		}
 		return n
 	}
-	b.root = build(jt.Root, nil)
+	build(jt.Root, nil)
 
 	for _, f := range features {
 		n, ok := owner[f]
@@ -376,8 +378,7 @@ func (b *base) append(t Tuple) (*node, int, error) {
 	n.rel.AppendRow(t.Values...)
 	row := n.rel.NumRows() - 1
 	for ci := range n.children {
-		key := n.rel.KeyFunc(n.childKeyCols[ci])(row)
-		n.childIndexes[ci].Insert(key, int32(row))
+		n.childIndexes[ci].Insert(n.childKey(ci, row), int32(row))
 	}
 	n.rowIdx.Insert(rowHashAt(n.rel, row), int32(row))
 	return n, row, nil
@@ -405,11 +406,11 @@ func (b *base) locate(t Tuple) (*node, int, error) {
 
 // removeRow deletes the row from its relation and every index of its
 // node. The relation compacts by swap-delete (relation.SwapDeleteRow),
-// so the row formerly last is renumbered to the freed slot and all of
-// its index entries — child-edge indexes and the row locator — are
-// re-pointed here, keeping ids dense without tombstone liveness checks
-// on the scan paths. Both indexes bucket by selective keys (child join
-// keys, full-row hashes), so the fixup is O(bucket), not O(relation).
+// so the row formerly last is renumbered to the freed slot and each of
+// its index entries — child-edge indexes and the row locator — is
+// repointed in place, keeping ids dense without tombstone liveness
+// checks on the scan paths. Every step is O(1) whatever the bucket
+// sizes (relation.Index keeps each id's bucket position).
 func (b *base) removeRow(n *node, row int) {
 	last := n.rel.NumRows() - 1
 	for ci := range n.children {
@@ -418,13 +419,9 @@ func (b *base) removeRow(n *node, row int) {
 	n.rowIdx.Remove(rowHashAt(n.rel, row), int32(row))
 	if row != last {
 		for ci := range n.children {
-			k := n.childKey(ci, last)
-			n.childIndexes[ci].Remove(k, int32(last))
-			n.childIndexes[ci].Insert(k, int32(row))
+			n.childIndexes[ci].Repoint(n.childKey(ci, last), int32(last), int32(row))
 		}
-		h := rowHashAt(n.rel, last)
-		n.rowIdx.Remove(h, int32(last))
-		n.rowIdx.Insert(h, int32(row))
+		n.rowIdx.Repoint(rowHashAt(n.rel, last), int32(last), int32(row))
 	}
 	n.rel.SwapDeleteRow(row)
 }
@@ -501,23 +498,10 @@ func (b *base) Relation(name string) *relation.Relation {
 }
 
 // parentKey returns the packed key of row `row` towards n's parent.
-func (n *node) parentKey(row int) uint64 {
-	return n.rel.KeyFunc(n.parentKeyCols)(row)
-}
+func (n *node) parentKey(row int) uint64 { return n.rel.Key(n.parentKeyCols, row) }
 
 // childKey returns the packed key of row `row` towards child ci.
-func (n *node) childKey(ci, row int) uint64 {
-	return n.rel.KeyFunc(n.childKeyCols[ci])(row)
-}
-
-// vals extracts the feature values owned by n from row `row`.
-func (n *node) vals(row int) []float64 {
-	out := make([]float64, len(n.featCols))
-	for i, c := range n.featCols {
-		out[i] = n.rel.Float(c, row)
-	}
-	return out
-}
+func (n *node) childKey(ci, row int) uint64 { return n.rel.Key(n.childKeyCols[ci], row) }
 
 // catVals extracts the categorical codes owned by n from row `row`.
 func (n *node) catVals(row int) []int32 {

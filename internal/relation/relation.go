@@ -262,16 +262,18 @@ func (r *Relation) CloneEmpty() *Relation {
 }
 
 // Row materializes row i as a slice of Values in schema order.
-func (r *Relation) Row(i int) []Value {
-	out := make([]Value, len(r.cols))
+func (r *Relation) Row(i int) []Value { return r.AppendRowTo(make([]Value, 0, len(r.cols)), i) }
+
+// AppendRowTo appends row i's Values, in schema order, to dst.
+func (r *Relation) AppendRowTo(dst []Value, i int) []Value {
 	for c := range r.cols {
 		if r.cols[c].Type == Double {
-			out[c] = Value{F: r.cols[c].F[i]}
+			dst = append(dst, Value{F: r.cols[c].F[i]})
 		} else {
-			out[c] = Value{C: r.cols[c].C[i]}
+			dst = append(dst, Value{C: r.cols[c].C[i]})
 		}
 	}
-	return out
+	return dst
 }
 
 // AppendRowFrom copies row i of src (which must have an identical schema)

@@ -41,6 +41,9 @@ type Cofactor struct {
 	// the same of the keys array, which a birth or death copies first.
 	shared, keysShared bool
 	fresh              []bool
+	// spare holds the groups of the value a destination-passing form
+	// overwrote (see reuse), for the next one to compute into.
+	spare []*Covar
 }
 
 // unboundSlot marks a categorical slot not yet bound by any Lift on
@@ -291,19 +294,46 @@ func (e *Cofactor) push(key string, g *Covar) {
 // whose value is the covariance-ring one.
 func (r CofactorRing) One() *Cofactor { return r.LiftCat(nil, nil, nil, nil) }
 
-// Lift implements Algebra without categorical bindings; maintenance
-// uses LiftCat.
-func (r CofactorRing) Lift(idx []int, vals []float64) *Cofactor {
-	return r.LiftCat(idx, vals, nil, nil)
+// reuse empties e for a destination-passing form to compute into,
+// keeping the groups it is the sole holder of as spares: all of them,
+// unless a snapshot or sum was made of it, and then none.
+func (e *Cofactor) reuse() {
+	if e.shared {
+		*e = Cofactor{N: e.N, K: e.K}
+	}
+	e.spare = append(e.spare, e.vals...)
+	e.keys, e.vals = e.keys[:0], e.vals[:0]
+}
+
+// group returns a group for a destination-passing form to overwrite: a
+// spare of e's when it has one.
+func (e *Cofactor) group() (g *Covar) {
+	if n := len(e.spare); n > 0 {
+		g, e.spare = e.spare[n-1], e.spare[:n-1]
+		return g
+	}
+	return CovarRing{N: e.N}.Zero()
+}
+
+// LiftInto implements Algebra; it binds no categorical slot. Maintenance
+// uses LiftCatInto.
+func (r CofactorRing) LiftInto(dst *Cofactor, idx []int, vals []float64) *Cofactor {
+	return r.LiftCatInto(dst, idx, vals, nil, nil)
 }
 
 // LiftCat maps one tuple to its ring element: a single group binding
 // the owned categorical slots catIdx to the tuple's codes, whose value
 // is the covariance-ring lift of the owned continuous features.
 func (r CofactorRing) LiftCat(idx []int, vals []float64, catIdx []int, cats []int32) *Cofactor {
-	e := r.run(1)
-	e.push(packCatKey(r.K, catIdx, cats), r.covar().Lift(idx, vals))
-	return e
+	return r.LiftCatInto(r.run(1), idx, vals, catIdx, cats)
+}
+
+// LiftCatInto is LiftCat into dst: the key string is its one allocation.
+func (r CofactorRing) LiftCatInto(dst *Cofactor, idx []int, vals []float64, catIdx []int, cats []int32) *Cofactor {
+	dst.reuse()
+	g := r.covar().LiftInto(dst.group(), idx, vals)
+	dst.push(packCatKey(r.K, catIdx, cats), g)
+	return dst
 }
 
 // Add returns a+b componentwise (group union, covariance addition) by a
@@ -354,26 +384,37 @@ func (r CofactorRing) AddInPlace(dst, src *Cofactor) {
 // ONE output key; they accumulate in pair order (a-major, both runs
 // ascending), which fixes the float-addition order.
 func (r CofactorRing) Mul(a, b *Cofactor) *Cofactor {
-	out := r.run(max(len(a.keys), len(b.keys)))
+	return r.MulInto(r.run(max(len(a.keys), len(b.keys))), a, b)
+}
+
+// MulInto is Mul into dst, which must alias neither operand.
+func (r CofactorRing) MulInto(dst, a, b *Cofactor) *Cofactor {
+	dst.reuse()
 	for i, ka := range a.keys {
 		for j, kb := range b.keys {
 			if k, ok := mergeCatKeys(ka, kb); ok {
-				if p := r.covar().Mul(a.vals[i], b.vals[j]); !p.IsZero() {
-					out.add(k, p, true)
+				if p := r.covar().MulInto(dst.group(), a.vals[i], b.vals[j]); !p.IsZero() {
+					dst.add(k, p, true)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Neg returns the additive inverse: every group negated.
-func (r CofactorRing) Neg(a *Cofactor) *Cofactor {
-	out := r.run(len(a.keys))
-	for i, g := range a.vals {
-		out.push(a.keys[i], r.covar().Neg(g))
+func (r CofactorRing) Neg(a *Cofactor) *Cofactor { return r.NegInto(nil, a) }
+
+// NegInto negates a in place when dst is a itself and a is the sole
+// holder of its groups, and a copy of a otherwise.
+func (r CofactorRing) NegInto(dst, a *Cofactor) *Cofactor {
+	if dst != a || a.shared {
+		a = r.Clone(a)
 	}
-	return out
+	for _, g := range a.vals {
+		r.covar().NegInto(g, g)
+	}
+	return a
 }
 
 // IsZero reports whether the element is the additive identity. Groups
@@ -434,14 +475,20 @@ func (r CatScalarRing) Zero() *CatScalar {
 	return &CatScalar{K: r.K, G: make(map[string]float64)}
 }
 
-// Lift implements Algebra; maintenance injects LiftVal closures instead.
-func (r CatScalarRing) Lift(idx []int, vals []float64) *CatScalar {
+// LiftInto, MulInto and NegInto implement Algebra by the allocating
+// forms, ignoring dst. LiftInto binds no slot and uses the product of
+// vals; maintenance injects LiftVal closures instead.
+func (r CatScalarRing) LiftInto(_ *CatScalar, idx []int, vals []float64) *CatScalar {
 	v := 1.0
 	for _, x := range vals {
 		v *= x
 	}
 	return r.LiftVal(nil, nil, v)
 }
+
+func (r CatScalarRing) MulInto(_, a, b *CatScalar) *CatScalar { return r.Mul(a, b) }
+
+func (r CatScalarRing) NegInto(_, a *CatScalar) *CatScalar { return r.Neg(a) }
 
 // Mul returns the group-wise product under merged keys. As with
 // CofactorRing.Mul, colliding pairs accumulate in sorted-key order so

@@ -61,6 +61,50 @@ func TestCofactorNegCancelsAndPrunes(t *testing.T) {
 	}
 }
 
+// TestCofactorIntoRecyclesDst checks the destination-passing forms
+// against the allocating ones, bitwise, with ONE dst per form offered
+// over and over (random operands: several groups, colliding and
+// disagreeing keys, zero products), and that what was stored from an
+// earlier result — a clone, or a sum it was folded into — does not move
+// when dst is recycled.
+func TestCofactorIntoRecyclesDst(t *testing.T) {
+	r := CofactorRing{N: 2, K: 2}
+	src := xrand.New(13)
+	same := func(what string, got, want *Cofactor) {
+		t.Helper()
+		if !got.ApproxEqual(want, 0) {
+			t.Fatalf("%s differs from the allocating form", what)
+		}
+	}
+	mul, neg, lift := r.Zero(), r.Zero(), r.Zero()
+	acc, accWant := r.Zero(), r.Zero()
+	var kept, keptWant []*Cofactor
+	for i := 0; i < 200; i++ {
+		a, b := randCofactor(r, src), randCofactor(r, src)
+		mul = r.MulInto(mul, a, b)
+		same("MulInto", mul, r.Mul(a, b))
+		neg = r.NegInto(neg, mul)
+		same("NegInto", neg, r.Neg(mul))
+		same("NegInto in place", r.NegInto(neg, neg), mul)
+		vals, cats := []float64{float64(i % 5), float64(i % 3)}, []int32{int32(i % 4)}
+		lift = r.LiftCatInto(lift, []int{0, 1}, vals, []int{1}, cats)
+		same("LiftCatInto", lift, r.LiftCat([]int{0, 1}, vals, []int{1}, cats))
+		kept, keptWant = append(kept, r.Clone(mul)), append(keptWant, r.Mul(a, b))
+		r.AddInPlace(acc, mul)
+		r.AddInPlace(accWant, r.Mul(a, b))
+	}
+	for i := range kept {
+		same("a clone taken before dst was recycled", kept[i], keptWant[i])
+	}
+	same("a sum of recycled results", acc, accWant)
+
+	// A dst whose groups a snapshot shares gives none of them up.
+	snap, a := acc.Snapshot(), randCofactor(r, src)
+	same("NegInto of a shared element in place", r.NegInto(acc, acc), r.Neg(accWant))
+	same("MulInto a shared dst", r.MulInto(acc, a, a), r.Mul(a, a))
+	same("the snapshot", snap, accWant)
+}
+
 func TestCofactorMulDisagreeingSlotsIsZero(t *testing.T) {
 	r := CofactorRing{N: 1, K: 1}
 	a := r.LiftCat([]int{0}, []float64{2}, []int{0}, []int32{0})
@@ -69,7 +113,7 @@ func TestCofactorMulDisagreeingSlotsIsZero(t *testing.T) {
 		t.Fatalf("product of tuples disagreeing on a bound slot = %d groups, want zero", p.NumGroups())
 	}
 	// An unbound slot adopts the other side's binding.
-	c := r.Lift([]int{0}, []float64{5})
+	c := r.LiftInto(r.Zero(), []int{0}, []float64{5})
 	p := r.Mul(a, c)
 	g := p.Group([]int32{0})
 	if g == nil || g.Count != 1 {
@@ -199,7 +243,7 @@ func TestCatScalarSemantics(t *testing.T) {
 	if !r.IsZero(sum) || len(sum.G) != 0 {
 		t.Fatal("scalar cancellation did not prune to the canonical zero")
 	}
-	if got := r.Lift(nil, []float64{2, 3, 4}).Total(); got != 24 {
+	if got := r.LiftInto(nil, nil, []float64{2, 3, 4}).Total(); got != 24 {
 		t.Fatalf("interface Lift Total = %v, want the vals product 24", got)
 	}
 }

@@ -55,34 +55,23 @@ func (r CovarRing) Add(a, b *Covar) *Covar {
 }
 
 // Mul returns a * b as a fresh element, following the Section 5.2 rule.
-func (r CovarRing) Mul(a, b *Covar) *Covar {
-	out := r.Zero()
-	out.Count = a.Count * b.Count
-	for i := range out.Sum {
-		out.Sum[i] = b.Count*a.Sum[i] + a.Count*b.Sum[i]
-	}
-	n := r.N
-	for i := 0; i < n; i++ {
-		ai, bi := a.Sum[i], b.Sum[i]
-		arow, brow, orow := a.Q[i*n:(i+1)*n], b.Q[i*n:(i+1)*n], out.Q[i*n:(i+1)*n]
-		for j := 0; j < n; j++ {
-			orow[j] = b.Count*arow[j] + a.Count*brow[j] + ai*b.Sum[j] + bi*a.Sum[j]
-		}
-	}
-	return out
-}
+func (r CovarRing) Mul(a, b *Covar) *Covar { return r.MulInto(r.Zero(), a, b) }
 
 // Neg returns -a; with it, deletions are additions of negated elements.
-func (r CovarRing) Neg(a *Covar) *Covar {
-	out := r.Zero()
-	out.Count = -a.Count
-	for i := range out.Sum {
-		out.Sum[i] = -a.Sum[i]
+func (r CovarRing) Neg(a *Covar) *Covar { return r.NegInto(r.Zero(), a) }
+
+// NegInto computes -a into dst, which may be a itself, and returns dst.
+//
+//borg:noalloc
+func (r CovarRing) NegInto(dst, a *Covar) *Covar {
+	dst.Count = -a.Count
+	for i, v := range a.Sum {
+		dst.Sum[i] = -v
 	}
-	for i := range out.Q {
-		out.Q[i] = -a.Q[i]
+	for i, v := range a.Q {
+		dst.Q[i] = -v
 	}
-	return out
+	return dst
 }
 
 // AddInPlace accumulates src into dst (Algebra adapter).
@@ -117,8 +106,11 @@ func (a *Covar) SubInPlace(b *Covar) {
 	}
 }
 
-// MulInto computes a * b into dst (which must not alias a or b).
-func (r CovarRing) MulInto(dst, a, b *Covar) {
+// MulInto computes a * b into dst (which must not alias a or b) and
+// returns dst.
+//
+//borg:noalloc
+func (r CovarRing) MulInto(dst, a, b *Covar) *Covar {
 	dst.Count = a.Count * b.Count
 	for i := range dst.Sum {
 		dst.Sum[i] = b.Count*a.Sum[i] + a.Count*b.Sum[i]
@@ -131,28 +123,22 @@ func (r CovarRing) MulInto(dst, a, b *Covar) {
 			drow[j] = b.Count*arow[j] + a.Count*brow[j] + ai*b.Sum[j] + bi*a.Sum[j]
 		}
 	}
+	return dst
 }
 
 // Lift maps one tuple's feature values into the ring: count 1, the values
 // in the given feature slots, and their pairwise products in Q. idx and
 // vals run in parallel; idx entries index the global feature space [0,N).
 func (r CovarRing) Lift(idx []int, vals []float64) *Covar {
-	e := r.One()
-	for k, i := range idx {
-		e.Sum[i] = vals[k]
-	}
-	n := r.N
-	for k, i := range idx {
-		for l, j := range idx {
-			e.Q[i*n+j] = vals[k] * vals[l]
-		}
-	}
-	return e
+	return r.LiftInto(r.Zero(), idx, vals)
 }
 
-// LiftInto is Lift reusing dst; dst must come from the same ring and is
-// fully overwritten. It avoids allocation on per-tuple maintenance paths.
-func (r CovarRing) LiftInto(dst *Covar, idx []int, vals []float64) {
+// LiftInto is Lift reusing dst, which must come from the same ring, is
+// fully overwritten and is returned. It avoids allocation on per-tuple
+// maintenance paths.
+//
+//borg:noalloc
+func (r CovarRing) LiftInto(dst *Covar, idx []int, vals []float64) *Covar {
 	dst.Count = 1
 	for i := range dst.Sum {
 		dst.Sum[i] = 0
@@ -169,6 +155,7 @@ func (r CovarRing) LiftInto(dst *Covar, idx []int, vals []float64) {
 			dst.Q[i*n+j] = vals[k] * vals[l]
 		}
 	}
+	return dst
 }
 
 // IsZero reports whether a is exactly the additive identity. Count is

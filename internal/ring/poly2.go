@@ -173,10 +173,13 @@ func monoKey(vars []int, pows []uint8) uint64 {
 	return key
 }
 
+// mustIndex formats the packed key, not the slices, so that its
+// arguments stay on the caller's stack.
 func (r *Poly2Ring) mustIndex(vars []int, pows []uint8) int {
-	i, ok := r.index[monoKey(vars, pows)]
+	key := monoKey(vars, pows)
+	i, ok := r.index[key]
 	if !ok {
-		panic(fmt.Sprintf("ring: monomial %v^%v not enumerated", vars, pows))
+		panic(fmt.Sprintf("ring: monomial with key %#x not enumerated", key))
 	}
 	return i
 }
@@ -238,26 +241,36 @@ func (r *Poly2Ring) Add(a, b *Poly2) *Poly2 {
 }
 
 // Mul returns a * b under the truncated convolution.
-func (r *Poly2Ring) Mul(a, b *Poly2) *Poly2 {
-	out := r.Zero()
+func (r *Poly2Ring) Mul(a, b *Poly2) *Poly2 { return r.MulInto(r.Zero(), a, b) }
+
+// MulInto computes a * b into dst (which must not alias a or b) and
+// returns dst.
+//
+//borg:noalloc
+func (r *Poly2Ring) MulInto(dst, a, b *Poly2) *Poly2 {
+	clear(dst.M)
 	for _, s := range r.prog {
 		av := a.M[s.ai]
 		if av == 0 {
 			continue
 		}
-		out.M[s.dst] += av * b.M[s.bi]
+		dst.M[s.dst] += av * b.M[s.bi]
 	}
-	return out
+	return dst
 }
 
 // Neg returns -a; with it, deletions are additions of negated elements,
 // exactly as in the covariance ring.
-func (r *Poly2Ring) Neg(a *Poly2) *Poly2 {
-	out := r.Zero()
-	for i := range out.M {
-		out.M[i] = -a.M[i]
+func (r *Poly2Ring) Neg(a *Poly2) *Poly2 { return r.NegInto(r.Zero(), a) }
+
+// NegInto computes -a into dst, which may be a itself, and returns dst.
+//
+//borg:noalloc
+func (r *Poly2Ring) NegInto(dst, a *Poly2) *Poly2 {
+	for i, v := range a.M {
+		dst.M[i] = -v
 	}
-	return out
+	return dst
 }
 
 // Lift maps one tuple's feature values into the ring: count 1 plus every
@@ -266,53 +279,64 @@ func (r *Poly2Ring) Neg(a *Poly2) *Poly2 {
 // lifts of join partners multiply. idx and vals run in parallel; idx
 // entries index the global feature space [0, N).
 func (r *Poly2Ring) Lift(idx []int, vals []float64) *Poly2 {
-	e := r.Zero()
-	e.M[0] = 1
+	return r.LiftInto(r.Zero(), idx, vals)
+}
+
+// LiftInto is Lift reusing dst, which is fully overwritten and returned.
+func (r *Poly2Ring) LiftInto(dst *Poly2, idx []int, vals []float64) *Poly2 {
+	clear(dst.M)
+	dst.M[0] = 1
 	n := len(idx)
-	if n == 0 {
-		return e
-	}
 	// Walk owned variables in ascending global order, so every emitted
 	// factor list is already in canonical key order. Join-tree feature
 	// ownership appends in ascending order; re-sort defensively when a
 	// caller hands an unsorted set.
-	ord := idx
-	ovals := vals
 	if !sort.IntsAreSorted(idx) {
 		perm := make([]int, n)
 		for i := range perm {
 			perm[i] = i
 		}
 		sort.Slice(perm, func(a, b int) bool { return idx[perm[a]] < idx[perm[b]] })
-		ord = make([]int, n)
-		ovals = make([]float64, n)
+		ord, ovals := make([]int, n), make([]float64, n)
 		for i, p := range perm {
-			ord[i] = idx[p]
-			ovals[i] = vals[p]
+			ord[i], ovals[i] = idx[p], vals[p]
+		}
+		idx, vals = ord, ovals
+	}
+	var w liftWalk
+	w.r, w.m, w.idx, w.vals = r, dst.M, idx, vals
+	w.walk(0, Poly2Degree, 0, 1)
+	return dst
+}
+
+// liftWalk enumerates the monomials over a tuple's owned variables — a
+// struct with a method rather than a recursive closure, so a lift
+// allocates nothing.
+type liftWalk struct {
+	r    *Poly2Ring
+	m    []float64
+	idx  []int
+	vals []float64
+	vbuf [Poly2Degree]int
+	pbuf [Poly2Degree]uint8
+}
+
+func (w *liftWalk) walk(k, left, used int, prod float64) {
+	if used > 0 {
+		w.m[w.r.mustIndex(w.vbuf[:used], w.pbuf[:used])] = prod
+	}
+	if left == 0 {
+		return
+	}
+	for next := k; next < len(w.idx); next++ {
+		pv := prod
+		w.vbuf[used] = w.idx[next]
+		for p := 1; p <= left; p++ {
+			pv *= w.vals[next]
+			w.pbuf[used] = uint8(p)
+			w.walk(next+1, left-p, used+1, pv)
 		}
 	}
-	var vbuf [Poly2Degree]int
-	var pbuf [Poly2Degree]uint8
-	var walk func(k, left, used int, prod float64)
-	walk = func(k, left, used int, prod float64) {
-		if used > 0 {
-			e.M[r.mustIndex(vbuf[:used], pbuf[:used])] = prod
-		}
-		if left == 0 || k == n {
-			return
-		}
-		for next := k; next < n; next++ {
-			pv := prod
-			vbuf[used] = ord[next]
-			for p := 1; p <= left; p++ {
-				pv *= ovals[next]
-				pbuf[used] = uint8(p)
-				walk(next+1, left-p, used+1, pv)
-			}
-		}
-	}
-	walk(0, Poly2Degree, 0, 1)
-	return e
 }
 
 // AddInPlace accumulates src into dst (Algebra adapter).

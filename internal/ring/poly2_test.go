@@ -7,11 +7,32 @@ import (
 // interface conformance: both maintained payload rings satisfy the
 // generic algebra the view trees are written against.
 var (
-	_ Algebra[*Covar]  = CovarRing{}
-	_ Algebra[*Poly2]  = (*Poly2Ring)(nil)
-	_ Ring[*Poly2]     = (*Poly2Ring)(nil)
-	_ Inverter[*Poly2] = (*Poly2Ring)(nil)
+	_ Algebra[*Covar]     = CovarRing{}
+	_ Algebra[*Poly2]     = (*Poly2Ring)(nil)
+	_ Algebra[*Cofactor]  = CofactorRing{}
+	_ Algebra[*CatScalar] = CatScalarRing{}
+	_ Ring[*Poly2]        = (*Poly2Ring)(nil)
+	_ Inverter[*Poly2]    = (*Poly2Ring)(nil)
 )
+
+// TestPoly2IntoOverwritesDst: the destination-passing forms leave no
+// trace of what dst held, and negate in place.
+func TestPoly2IntoOverwritesDst(t *testing.T) {
+	r := NewPoly2Ring(3)
+	a, b := poly2Rand(r, 1), poly2Rand(r, 2)
+	dst := poly2Rand(r, 9)
+	if got := r.MulInto(dst, a, b); got != dst || !dst.ApproxEqual(r.Mul(a, b), 0) {
+		t.Fatal("MulInto over a dirty dst != Mul")
+	}
+	r.LiftInto(dst, []int{2, 0}, []float64{5, 2})
+	if !dst.ApproxEqual(r.Lift([]int{2, 0}, []float64{5, 2}), 0) {
+		t.Fatal("LiftInto over a dirty dst != Lift")
+	}
+	want := r.Neg(dst)
+	if r.NegInto(dst, dst); !dst.ApproxEqual(want, 0) {
+		t.Fatal("NegInto in place != Neg")
+	}
+}
 
 // poly2Rand fills an element with small deterministic integers so every
 // ring identity below is float64-exact.

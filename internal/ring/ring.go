@@ -37,15 +37,26 @@ type Inverter[T any] interface {
 // Algebra is the maintenance-facing view of a ring over heavy elements:
 // what a view hierarchy needs to lift tuples, combine subtree payloads,
 // retract contributions, and prune drained entries. CovarRing (over
-// *Covar) and Poly2Ring (over *Poly2) both implement it, which is what
-// lets one generic F-IVM propagation maintain either payload.
+// *Covar), Poly2Ring (over *Poly2), CofactorRing and CatScalarRing all
+// implement it, which is what lets one generic F-IVM propagation
+// maintain any payload.
+//
+// LiftInto, MulInto and NegInto are destination-passing: the caller
+// offers dst, an element of this ring it owns and no longer reads, and
+// uses the returned element. The dense rings (Covar, Poly2) overwrite
+// dst and return it, allocating nothing; CofactorRing refills dst from
+// the groups dst is the sole holder of (none of them once a snapshot or
+// a sum was made of it); CatScalarRing ignores dst and returns a fresh
+// element.
 type Algebra[E any] interface {
 	Zero() E
-	Mul(a, b E) E
-	Neg(a E) E
-	// Lift maps one tuple's owned feature values (global indexes idx,
+	// LiftInto maps one tuple's owned feature values (global indexes idx,
 	// parallel values vals) into the ring.
-	Lift(idx []int, vals []float64) E
+	LiftInto(dst E, idx []int, vals []float64) E
+	// MulInto returns a * b; dst must alias neither.
+	MulInto(dst, a, b E) E
+	// NegInto returns -a; dst may be a itself.
+	NegInto(dst, a E) E
 	// AddInPlace accumulates src into dst.
 	AddInPlace(dst, src E)
 	// IsZero reports whether e is exactly the additive identity.

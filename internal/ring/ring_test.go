@@ -177,6 +177,9 @@ func TestCovarInPlaceMatchesPure(t *testing.T) {
 		if !dst.ApproxEqual(r.Mul(a, b), 0) {
 			t.Fatal("MulInto != Mul")
 		}
+		if neg := r.Neg(dst); r.NegInto(dst, dst) != dst || !dst.ApproxEqual(neg, 0) {
+			t.Fatal("NegInto in place != Neg")
+		}
 	}
 }
 
@@ -240,6 +243,11 @@ func BenchmarkCovarMul(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r.MulInto(dst, x, y)
+			}
+		})
+		b.Run("neg_"+sizeName(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.NegInto(dst, dst)
 			}
 		})
 	}
