@@ -463,16 +463,35 @@ func (m *CatPoly) PredictVec(x []float64, codes []int32) float64 {
 // TrainCatPolyFromCofactor trains the varying-coefficients model from a
 // cofactor element by assembling the expanded-space normal equations
 // (every needed moment is a group-restricted count, sum or second
-// moment) and solving the standardized-ridge system in closed form.
+// moment) and solving the standardized-ridge system in closed form, the
+// widest categorical feature eliminated first, grouped per code.
 func TrainCatPolyFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (*CatPoly, error) {
+	m, a, b, pos, err := catPolySystem(features, catFeatures, response, cf, lambda)
+	if err != nil {
+		return nil, err
+	}
+	x, err := choleskySolve(a, b)
+	if err != nil {
+		return nil, err
+	}
+	m.Theta = make([]float64, len(pos))
+	for p := range m.Theta {
+		m.Theta[p] = x[pos[p]]
+	}
+	return m, nil
+}
+
+// catPolySystem lays the model out and assembles its ridge system a x = b
+// in choleskySolve's envelope form; layout parameter p is unknown pos[p].
+func catPolySystem(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (m *CatPoly, a [][]float64, b []float64, pos []int, err error) {
 	if cf.N != len(features) {
-		return nil, fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
+		return nil, nil, nil, nil, fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
 	}
 	if cf.K != len(catFeatures) {
-		return nil, fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
+		return nil, nil, nil, nil, fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
 	}
 	if err := CheckCofactor(cf, 1); err != nil {
-		return nil, err
+		return nil, nil, nil, nil, err
 	}
 	ry := -1
 	var cont []string
@@ -486,10 +505,10 @@ func TrainCatPolyFromCofactor(features, catFeatures []string, response string, c
 		idx = append(idx, i)
 	}
 	if ry < 0 {
-		return nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
+		return nil, nil, nil, nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
 	}
 
-	m := &CatPoly{Cont: cont, Cat: append([]string(nil), catFeatures...), Response: response, Lambda: lambda}
+	m = &CatPoly{Cont: cont, Cat: append([]string(nil), catFeatures...), Response: response, Lambda: lambda}
 	m.CatCodes, m.slotOf, m.numSlot = observedCodesFlat(cf)
 
 	n, S := len(cont), m.numSlot
@@ -498,88 +517,113 @@ func TrainCatPolyFromCofactor(features, catFeatures []string, response string, c
 	hp := func(s int) int { return 1 + n + s }
 	ip := func(i, s int) int { return 1 + n + S + i*S + s }
 
-	xtx := make([][]float64, dim)
-	for i := range xtx {
-		xtx[i] = make([]float64, dim)
+	// The system is assembled where it is solved, in elimination order
+	// and envelope form. The shift and the n slopes of one code of the
+	// categorical feature with the most observed codes sit together, code
+	// after code, ahead of every other parameter: two codes of one
+	// feature never occur in the same group, so the moments between their
+	// parameters are structurally zero — (n+1)×(n+1) diagonal blocks,
+	// whose rows start at their block. The rows after are stored whole.
+	pos = make([]int, dim)
+	for p := range pos {
+		pos[p] = -1
 	}
-	xty := make([]float64, dim)
+	a = make([][]float64, 0, dim)
+	place := func(p, first int) { // the next unknown is p, its row starts at column first
+		pos[p] = len(a)
+		a = append(a, make([]float64, len(a)+1-first))
+	}
+	wide, codes := widest(m.CatCodes)
+	for _, c := range codes {
+		s, first := m.slotOf[wide][c], len(a)
+		place(hp(s), first)
+		for i := 0; i < n; i++ {
+			place(ip(i, s), first)
+		}
+	}
+	for p := range pos {
+		if pos[p] < 0 {
+			place(p, 0)
+		}
+	}
+	// add accumulates v into the symmetric entry (p, q), given in layout
+	// positions; an entry outside the envelope is an index panic.
+	add := func(p, q int, v float64) {
+		p, q = pos[p], pos[q]
+		if p < q {
+			p, q = q, p
+		}
+		row := a[p]
+		row[len(row)-1-(p-q)] += v
+	}
+
+	b = make([]float64, dim)
 	count := 0.0
 	act := make([]int, cf.K)
 	cf.Each(func(codes []int32, g *ring.Covar) {
 		count += g.Count
 		for k, c := range codes {
-			act[k] = m.slotOf[k][c]
+			act[k] = -1 // unbound slot (partial products only): no one-hot
+			if s, ok := m.slotOf[k][c]; ok {
+				act[k] = s
+			}
 		}
 		mom := func(i, j int) float64 { return g.Q[idx[i]*cf.N+idx[j]] }
 		momY := func(i int) float64 { return g.Q[idx[i]*cf.N+ry] }
 
-		xtx[0][0] += g.Count
-		xty[0] += g.Sum[ry]
+		add(0, 0, g.Count)
+		b[pos[0]] += g.Sum[ry]
 		for i := 0; i < n; i++ {
-			xtx[0][cp(i)] += g.Sum[idx[i]]
-			xty[cp(i)] += momY(i)
+			add(0, cp(i), g.Sum[idx[i]])
+			b[pos[cp(i)]] += momY(i)
 			for j := i; j < n; j++ {
-				xtx[cp(i)][cp(j)] += mom(i, j)
+				add(cp(i), cp(j), mom(i, j))
 			}
 		}
 		for k := 0; k < cf.K; k++ {
 			s := act[k]
-			xtx[0][hp(s)] += g.Count
-			xty[hp(s)] += g.Sum[ry]
+			if s < 0 {
+				continue
+			}
+			add(0, hp(s), g.Count)
+			b[pos[hp(s)]] += g.Sum[ry]
 			for i := 0; i < n; i++ {
-				xtx[cp(i)][hp(s)] += g.Sum[idx[i]]
-				xtx[0][ip(i, s)] += g.Sum[idx[i]]
-				xty[ip(i, s)] += momY(i)
+				add(cp(i), hp(s), g.Sum[idx[i]])
+				add(0, ip(i, s), g.Sum[idx[i]])
+				b[pos[ip(i, s)]] += momY(i)
 				for j := 0; j < n; j++ {
-					xtx[cp(j)][ip(i, s)] += mom(i, j)
+					add(cp(j), ip(i, s), mom(i, j))
 				}
 			}
 			for l := k; l < cf.K; l++ {
 				u := act[l]
-				xtx[hp(s)][hp(u)] += g.Count
+				if u < 0 {
+					continue
+				}
+				add(hp(s), hp(u), g.Count)
 				for i := 0; i < n; i++ {
-					xtx[hp(s)][ip(i, u)] += g.Sum[idx[i]]
+					add(hp(s), ip(i, u), g.Sum[idx[i]])
 					if l > k {
-						xtx[hp(u)][ip(i, s)] += g.Sum[idx[i]]
+						add(hp(u), ip(i, s), g.Sum[idx[i]])
 					}
 					for j := 0; j < n; j++ {
-						p, q := ip(i, s), ip(j, u)
-						if p <= q {
-							xtx[p][q] += mom(i, j)
-						} else if l > k {
-							xtx[q][p] += mom(j, i)
+						if l > k || i <= j {
+							add(ip(i, s), ip(j, u), mom(i, j))
 						}
 					}
 				}
 			}
 		}
 	})
-	if count <= 0 {
-		return nil, fmt.Errorf("ml: %w (count = %v)", ErrEmptySnapshot, count)
-	}
 	inv := 1 / count
-	for p := 0; p < dim; p++ {
-		for q := p; q < dim; q++ {
-			v := xtx[p][q] * inv
-			xtx[p][q], xtx[q][p] = v, v
+	for i, row := range a {
+		for j := range row {
+			row[j] *= inv
 		}
+		row[len(row)-1] += lambda * ridgeScale(row[len(row)-1])
+		b[i] *= inv
 	}
-	for p := range xty {
-		xty[p] *= inv
-	}
-	for i := 0; i < dim; i++ {
-		scale := xtx[i][i]
-		if scale <= 0 {
-			scale = 1
-		}
-		xtx[i][i] += lambda * scale
-	}
-	theta, err := choleskySolve(xtx, xty)
-	if err != nil {
-		return nil, err
-	}
-	m.Theta = theta
-	return m, nil
+	return m, a, b, pos, nil
 }
 
 // observedCodesFlat collects sorted observed codes per slot plus a flat

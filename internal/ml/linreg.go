@@ -31,46 +31,40 @@ type LinReg struct {
 //
 // The descent runs in the STANDARDIZED feature space (the paper's
 // Section 2.1 notes the covariance matrix is over standardized features):
-// the moments are preconditioned by the per-feature second-moment scale,
-// which makes the step size robust to wildly different feature ranges,
-// and the learned parameters are mapped back to the raw space.
+// parameter i is scaled by d_i = 1/sqrt(E[x_i²]), which makes the step
+// robust to wildly different feature ranges, and the learned parameters
+// are mapped back to the raw space.
+//
+// Step rule: the first step is the safe 1/L (L bounded by the trace n of
+// the standardized matrix, plus λ); every later one is AC/DC's
+// Barzilai–Borwein step sᵀs/sᵀy — s the last parameter change, y the
+// last gradient change: a secant estimate of the curvature, which takes
+// one-hot designs tens of iterations where the fixed step takes tens of
+// thousands. When sᵀy is not positive (it is on a positive-definite
+// system) or the quotient not finite, the step falls back to 1/L.
 func TrainLinRegGD(s *Sigma, lambda float64, maxIters int, tol float64) *LinReg {
 	n := s.Size()
-	// Diagonal preconditioner d_i = 1/sqrt(E[x_i^2]).
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
-		v := s.XtX[i][i]
-		if v <= 0 {
-			d[i] = 1
-		} else {
-			d[i] = 1 / math.Sqrt(v)
-		}
+		d[i] = 1 / math.Sqrt(ridgeScale(s.XtX[i][i]))
 	}
-	a := make([][]float64, n) // preconditioned XtX
-	b := make([]float64, n)   // preconditioned XtY
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			a[i][j] = d[i] * s.XtX[i][j] * d[j]
-		}
-		b[i] = d[i] * s.XtY[i]
-	}
-
-	theta := make([]float64, n)
+	theta := make([]float64, n) // standardized parameters
+	raw := make([]float64, n)   // d·theta, the raw-space parameters
 	grad := make([]float64, n)
-	// Safe step size: 1/L with L bounded by the trace of the
-	// preconditioned matrix (all diagonal entries are 1) plus lambda.
-	lr := 1 / (float64(n) + lambda)
+	safe := 1 / (float64(n) + lambda)
+	lr, prev := safe, 0.0 // last step and last squared gradient norm
 	iters := 0
 	converged := false
 	for ; iters < maxIters; iters++ {
-		norm := 0.0
+		// With s = -lr·g₀ and y = g-g₀: sᵀs/sᵀy = lr·|g₀|²/g₀ᵀ(g₀-g).
+		norm, sy := 0.0, 0.0
 		for i := 0; i < n; i++ {
-			g := -b[i] + lambda*theta[i]
-			row := a[i]
-			for j := 0; j < n; j++ {
-				g += row[j] * theta[j]
+			r := -s.XtY[i]
+			for j, v := range s.XtX[i][:n] {
+				r += v * raw[j]
 			}
+			g := d[i]*r + lambda*theta[i]
+			sy += grad[i] * (grad[i] - g)
 			grad[i] = g
 			norm += g * g
 		}
@@ -78,15 +72,18 @@ func TrainLinRegGD(s *Sigma, lambda float64, maxIters int, tol float64) *LinReg 
 			converged = true
 			break
 		}
+		if bb := lr * prev / sy; iters > 0 && sy > 0 && bb <= math.MaxFloat64 {
+			lr = bb
+		} else {
+			lr = safe
+		}
+		prev = norm
 		for i := 0; i < n; i++ {
 			theta[i] -= lr * grad[i]
+			raw[i] = d[i] * theta[i]
 		}
 	}
-	// Map back to raw feature space.
-	for i := 0; i < n; i++ {
-		theta[i] *= d[i]
-	}
-	return &LinReg{Design: s.Design, Theta: theta, Lambda: lambda, Iterations: iters, Converged: converged}
+	return &LinReg{Design: s.Design, Theta: raw, Lambda: lambda, Iterations: iters, Converged: converged}
 }
 
 // TrainLinRegClosedForm solves the same standardized-ridge system as
@@ -94,62 +91,129 @@ func TrainLinRegGD(s *Sigma, lambda float64, maxIters int, tol float64) *LinReg 
 // factorization — the penalty of each parameter scales with its
 // feature's second moment, the standard convention when features are
 // standardized. λ must be positive when the one-hot blocks make XtX
-// singular (they always do together with the intercept).
+// singular (they always do together with the intercept). The system is
+// eliminated in Design.solveOrder and each row handed to choleskySolve
+// from its first non-zero, so the solve skips the one-hot zeros.
 func TrainLinRegClosedForm(s *Sigma, lambda float64) (*LinReg, error) {
-	n := s.Size()
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = append([]float64(nil), s.XtX[i]...)
-		scale := s.XtX[i][i]
-		if scale <= 0 {
-			scale = 1
+	order := s.solveOrder()
+	a := make([][]float64, len(order))
+	b := make([]float64, len(order))
+	for i, p := range order {
+		src := s.XtX[p]
+		first := 0
+		for first < i && src[order[first]] == 0 {
+			first++
 		}
-		a[i][i] += lambda * scale
+		row := make([]float64, i+1-first)
+		for j := range row {
+			row[j] = src[order[first+j]]
+		}
+		row[i-first] += lambda * ridgeScale(src[p])
+		a[i], b[i] = row, s.XtY[p]
 	}
-	theta, err := choleskySolve(a, append([]float64(nil), s.XtY...))
+	x, err := choleskySolve(a, b)
 	if err != nil {
 		return nil, err
+	}
+	theta := make([]float64, len(order))
+	for i, p := range order {
+		theta[p] = x[i]
 	}
 	return &LinReg{Design: s.Design, Theta: theta, Lambda: lambda, Converged: true}, nil
 }
 
+// ridgeScale is the standardized-ridge weight of a parameter whose
+// feature has second moment v: the penalty is ½λ·v·θ², and a feature
+// that never varies from zero is penalized as if v were 1.
+func ridgeScale(v float64) float64 {
+	if v <= 0 {
+		return 1
+	}
+	return v
+}
+
+// solveOrder is the elimination order of the closed-form solve: the
+// one-hot slots of the categorical feature with the most observed codes
+// first, every other parameter after, both in layout order. Two codes of
+// one feature never occur in the same tuple, so the leading block of XtX
+// is diagonal and all the envelope Cholesky does happens in the border.
+func (d *Design) solveOrder() []int {
+	order := make([]int, 0, d.totalSize)
+	lead := make([]bool, d.totalSize)
+	wide, codes := widest(d.catCodes)
+	for _, c := range codes {
+		p := d.catSlot[wide][c]
+		order, lead[p] = append(order, p), true
+	}
+	for p := range lead {
+		if !lead[p] {
+			order = append(order, p)
+		}
+	}
+	return order
+}
+
+// widest returns the categorical feature with the most observed codes
+// (the first of equals) and those codes.
+func widest(catCodes [][]int32) (wide int, codes []int32) {
+	for k, c := range catCodes {
+		if len(c) > len(codes) {
+			wide, codes = k, c
+		}
+	}
+	return wide, codes
+}
+
 // choleskySolve solves a x = b for symmetric positive-definite a,
-// overwriting its inputs.
+// overwriting its inputs. a is its lower triangle in envelope (skyline)
+// form: row i holds columns first..i, first = max(0, i+1-len(a[i])) — a
+// row of n entries is dense (what it stores past the diagonal is
+// ignored), a shorter one starts at its first structural non-zero.
+// Cholesky creates fill only between a row's first non-zero and its
+// diagonal, so L has the envelope of a and looping over the envelope
+// alone is exact, zeros inside it included; a dense caller pays the
+// dense n³/3 flops. The caller picks the elimination order that keeps
+// the envelope small — for the cofactor designs: the widest categorical
+// feature first, grouped per code.
 func choleskySolve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	// Factor a = L Lᵀ in place (lower triangle).
-	for j := 0; j < n; j++ {
-		d := a[j][j]
-		for k := 0; k < j; k++ {
-			d -= a[j][k] * a[j][k]
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("ml: moment matrix not positive definite at pivot %d (add ridge)", j)
-		}
-		a[j][j] = math.Sqrt(d)
-		for i := j + 1; i < n; i++ {
-			v := a[i][j]
-			for k := 0; k < j; k++ {
-				v -= a[i][k] * a[j][k]
+	first := make([]int, len(a))
+	for i, ri := range a {
+		fi := max(0, i+1-len(ri))
+		first[i] = fi
+		// Row i of L: a = L Lᵀ, column by column.
+		for j := fi; j <= i; j++ {
+			rj, fj := a[j], first[j]
+			lo := max(fi, fj)
+			x, y := ri[lo-fi:j-fi], rj[lo-fj:j-fj]
+			y = y[:len(x)] // equal already; lets the compiler drop the bounds check
+			v := ri[j-fi]
+			for k, xv := range x {
+				v -= xv * y[k]
 			}
-			a[i][j] = v / a[j][j]
+			if j < i {
+				ri[j-fi] = v / rj[j-fj]
+			} else if v > 0 {
+				ri[j-fi] = math.Sqrt(v)
+			} else {
+				return nil, fmt.Errorf("ml: moment matrix not positive definite at pivot %d (add ridge)", j)
+			}
 		}
 	}
 	// Forward solve L y = b.
-	for i := 0; i < n; i++ {
-		v := b[i]
-		for k := 0; k < i; k++ {
-			v -= a[i][k] * b[k]
+	for i, ri := range a {
+		fi, v := first[i], b[i]
+		for k, y := range b[fi:i] {
+			v -= ri[k] * y
 		}
-		b[i] = v / a[i][i]
+		b[i] = v / ri[i-fi]
 	}
-	// Back solve Lᵀ x = y.
-	for i := n - 1; i >= 0; i-- {
-		v := b[i]
-		for k := i + 1; k < n; k++ {
-			v -= a[k][i] * b[k]
+	// Back solve Lᵀ x = y, a column of Lᵀ (a row of L) at a time.
+	for i := len(a) - 1; i >= 0; i-- {
+		ri, fi := a[i], first[i]
+		b[i] /= ri[i-fi]
+		for k, l := range ri[:i-fi] {
+			b[fi+k] -= l * b[i]
 		}
-		b[i] = v / a[i][i]
 	}
 	return b, nil
 }
@@ -190,9 +254,10 @@ func (m *LinReg) RMSE(data *relation.Relation) (float64, error) {
 	return math.Sqrt(sse / float64(n)), nil
 }
 
-// ObjectiveFromSigma evaluates the (normalized) ridge least-squares
-// objective ½θᵀΣθ − θᵀb + ½·YtY + ½λ|θ|² at the model's parameters,
-// entirely from the moments — no data access.
+// ObjectiveFromSigma evaluates the (normalized) objective both trainers
+// minimize, ½θᵀΣθ − θᵀb + ½·YtY + ½λ·Σᵢ Σᵢᵢ·θᵢ² — the ridge penalty is
+// the standardized one, weighted by each feature's second moment — at the
+// model's parameters, entirely from the moments: no data access.
 func (m *LinReg) ObjectiveFromSigma(s *Sigma) float64 {
 	n := s.Size()
 	obj := 0.5 * s.YtY
@@ -202,7 +267,7 @@ func (m *LinReg) ObjectiveFromSigma(s *Sigma) float64 {
 		for j := 0; j < n; j++ {
 			obj += 0.5 * m.Theta[i] * row[j] * m.Theta[j]
 		}
-		obj += 0.5 * m.Lambda * m.Theta[i] * m.Theta[i]
+		obj += 0.5 * m.Lambda * ridgeScale(row[i]) * m.Theta[i] * m.Theta[i]
 	}
 	return obj
 }

@@ -239,11 +239,7 @@ func trainPolyFromMoments(cont []string, response string, moment func(parts ...[
 		xty[a] = v / cnt
 	}
 	for i := 0; i < dim; i++ {
-		scale := xtx[i][i]
-		if scale <= 0 {
-			scale = 1
-		}
-		xtx[i][i] += lambda * scale
+		xtx[i][i] += lambda * ridgeScale(xtx[i][i])
 	}
 	theta, err := choleskySolve(xtx, xty)
 	if err != nil {

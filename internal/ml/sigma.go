@@ -9,7 +9,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 
 	"borg/internal/query"
 	"borg/internal/relation"
@@ -254,14 +253,4 @@ func (d *Design) FeatureVector(data *relation.Relation, row int, out []float64) 
 		}
 	}
 	return nil
-}
-
-// MaxAbsEigenBound returns a cheap upper bound on the largest eigenvalue
-// of XtX (its trace), used to pick a safe gradient-descent step size.
-func (s *Sigma) MaxAbsEigenBound() float64 {
-	t := 0.0
-	for i := range s.XtX {
-		t += math.Abs(s.XtX[i][i])
-	}
-	return t
 }

@@ -1,0 +1,477 @@
+package ml
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"borg/internal/core"
+	"borg/internal/datagen"
+	"borg/internal/ring"
+	"borg/internal/xrand"
+)
+
+// denseReference is the textbook dense Cholesky solve the envelope form
+// is checked against: full storage, no structure, nothing shared with
+// choleskySolve.
+func denseReference(a [][]float64, b []float64) []float64 {
+	n := len(a)
+	l := make([][]float64, n)
+	for i := range l {
+		l[i] = make([]float64, n)
+		for j := 0; j <= i; j++ {
+			v := a[i][j]
+			for k := 0; k < j; k++ {
+				v -= l[i][k] * l[j][k]
+			}
+			if i == j {
+				l[i][i] = math.Sqrt(v)
+			} else {
+				l[i][j] = v / l[j][j]
+			}
+		}
+	}
+	x := append([]float64(nil), b...)
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			x[i] -= l[i][k] * x[k]
+		}
+		x[i] /= l[i][i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		for k := i + 1; k < n; k++ {
+			x[i] -= l[k][i] * x[k]
+		}
+		x[i] /= l[i][i]
+	}
+	return x
+}
+
+// blockedSPD generates a symmetric, strictly diagonally dominant (hence
+// positive-definite) matrix of diagonal blocks followed by a dense
+// border, with a share of the entries INSIDE that structure set to an
+// exact zero, and returns it with the first stored column of every row.
+func blockedSPD(src *xrand.Source, blocks []int, border int, zeroShare float64) (full [][]float64, first []int) {
+	n := border
+	for _, w := range blocks {
+		n += w
+	}
+	full = make([][]float64, n)
+	for i := range full {
+		full[i] = make([]float64, n)
+	}
+	first = make([]int, n)
+	start := 0
+	for _, w := range blocks {
+		for i := start; i < start+w; i++ {
+			first[i] = start
+		}
+		start += w
+	}
+	for i := 0; i < n; i++ {
+		for j := first[i]; j < i; j++ {
+			if src.Float64() >= zeroShare {
+				v := 2*src.Float64() - 1
+				full[i][j], full[j][i] = v, v
+			}
+		}
+	}
+	for i := range full {
+		sum := 0.0
+		for _, v := range full[i] {
+			sum += math.Abs(v)
+		}
+		full[i][i] = sum + 0.1 + src.Float64()
+	}
+	return full, first
+}
+
+// envelopeOf copies the rows of full from their first stored column to
+// the diagonal — the form choleskySolve takes.
+func envelopeOf(full [][]float64, first []int) [][]float64 {
+	a := make([][]float64, len(full))
+	for i := range a {
+		a[i] = append([]float64(nil), full[i][first[i]:i+1]...)
+	}
+	return a
+}
+
+func TestCholeskySolveEnvelopeMatchesDense(t *testing.T) {
+	src := xrand.New(17)
+	for trial := 0; trial < 200; trial++ {
+		var blocks []int
+		border := 0
+		zeroShare := 0.0
+		switch trial % 4 {
+		case 0: // dense: one border, every row from column 0
+			border = 1 + src.Intn(40)
+		case 1: // diagonal blocks of random size plus a random border
+			for k := src.Intn(12); k >= 0; k-- {
+				blocks = append(blocks, 1+src.Intn(6))
+			}
+			border = src.Intn(10)
+		case 2: // the same with numeric zeros inside the envelope
+			for k := src.Intn(12); k >= 0; k-- {
+				blocks = append(blocks, 1+src.Intn(6))
+			}
+			border = src.Intn(10)
+			zeroShare = 0.5
+		case 3: // the one-hot shape: 1×1 blocks, zeros in the border too
+			blocks = make([]int, 1+src.Intn(50))
+			for k := range blocks {
+				blocks[k] = 1
+			}
+			border = 1 + src.Intn(8)
+			zeroShare = 0.3
+		}
+		full, first := blockedSPD(src, blocks, border, zeroShare)
+		b := make([]float64, len(full))
+		for i := range b {
+			b[i] = 2*src.Float64() - 1
+		}
+		want := denseReference(full, b)
+
+		check := func(form string, a [][]float64) {
+			t.Helper()
+			got, err := choleskySolve(a, append([]float64(nil), b...))
+			if err != nil {
+				t.Fatalf("trial %d %s (blocks %v, border %d): %v", trial, form, blocks, border, err)
+			}
+			scale := 0.0
+			for _, v := range want {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-10*scale {
+					t.Fatalf("trial %d %s (blocks %v, border %d): x[%d] = %v, dense reference %v",
+						trial, form, blocks, border, i, got[i], want[i])
+				}
+			}
+		}
+		check("envelope", envelopeOf(full, first))
+		// The same system in full square rows is the dense call.
+		square := make([][]float64, len(full))
+		for i := range square {
+			square[i] = append([]float64(nil), full[i]...)
+		}
+		check("square", square)
+	}
+}
+
+// A pivot that turns non-positive inside a diagonal block must be
+// refused exactly like one in a dense matrix.
+func TestCholeskyRejectsIndefiniteBlock(t *testing.T) {
+	full := [][]float64{
+		{4, 0, 0, 0, 1},
+		{0, 1, 2, 0, 1},
+		{0, 2, 1, 0, 1}, // the block [[1 2] [2 1]] has eigenvalue -1
+		{0, 0, 0, 3, 1},
+		{1, 1, 1, 1, 9},
+	}
+	a := envelopeOf(full, []int{0, 1, 1, 3, 0})
+	if _, err := choleskySolve(a, []float64{1, 1, 1, 1, 1}); err == nil {
+		t.Fatal("indefinite diagonal block accepted")
+	}
+	nan := [][]float64{{1}, {math.NaN(), 1}}
+	if _, err := choleskySolve(nan, []float64{1, 1}); err == nil {
+		t.Fatal("NaN pivot accepted")
+	}
+}
+
+// tenantCofactor folds the first rows sales of the Tenant generator's
+// join (stores × 25 catalog items) into one cofactor element with the
+// categorical slots in the serving tier's order, item before store — so
+// the widest feature is NOT the first.
+func tenantCofactor(tb testing.TB, stores, rows int) (features, cats []string, cf *ring.Cofactor) {
+	tb.Helper()
+	d := datagen.Tenant(33, float64(stores)/64)
+	sales, catalog, meta := d.DB.Relation("Sales"), d.DB.Relation("Catalog"), d.DB.Relation("Stores")
+	cr := ring.CofactorRing{N: 4, K: 2}
+	cf = cr.Zero()
+	for r := 0; r < rows; r++ {
+		s, i := sales.Col(0).C[r], sales.Col(1).C[r]
+		vals := []float64{catalog.Col(2).F[int(s)*25+int(i)], meta.Col(1).F[s], meta.Col(2).F[s], sales.Col(2).F[r]}
+		cr.AddInPlace(cf, cr.LiftCat([]int{0, 1, 2, 3}, vals, []int{0, 1}, []int32{i, s}))
+	}
+	return []string{"price", "sellarea", "footfall", "units"}, []string{"item", "store"}, cf
+}
+
+func tenantSigma(tb testing.TB) *Sigma {
+	tb.Helper()
+	features, cats, cf := tenantCofactor(tb, 200, 40000)
+	sigma, err := SigmaFromCofactor(features, cats, "units", cf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sigma
+}
+
+// TestGDConvergesOnTenantDesign guards the step rule on the design the
+// end-to-end benchmark trains: 229 one-hot parameters (200 stores, 25
+// items), where the fixed 1/L step needs tens of thousands of iterations.
+func TestGDConvergesOnTenantDesign(t *testing.T) {
+	sigma := tenantSigma(t)
+	if len(sigma.catCodes[1]) < 200 || len(sigma.catCodes[0]) != 25 {
+		t.Fatalf("tenant design has %d stores × %d items", len(sigma.catCodes[1]), len(sigma.catCodes[0]))
+	}
+	gd := TrainLinRegGD(sigma, 1e-3, 5000, 1e-10)
+	if !gd.Converged || gd.Iterations >= 500 {
+		t.Fatalf("converged = %v after %d iterations, want convergence in < 500", gd.Converged, gd.Iterations)
+	}
+	closed, err := TrainLinRegClosedForm(sigma, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range closed.Theta {
+		if math.Abs(gd.Theta[i]-closed.Theta[i]) > 1e-8*(1+math.Abs(closed.Theta[i])) {
+			t.Fatalf("theta[%d]: GD %v, closed form %v (%d iterations)", i, gd.Theta[i], closed.Theta[i], gd.Iterations)
+		}
+	}
+}
+
+// TestGDHostileSigma: moments no descent can converge on must come back
+// as Converged == false once the budget is spent — never hang, never
+// report a minimizer.
+func TestGDHostileSigma(t *testing.T) {
+	for name, spoil := range map[string]func(s *Sigma){
+		"NaN":  func(s *Sigma) { s.XtX[1][2], s.XtX[2][1] = math.NaN(), math.NaN() },
+		"Inf":  func(s *Sigma) { s.XtY[1] = math.Inf(1) },
+		"-Inf": func(s *Sigma) { s.XtX[2][2] = math.Inf(-1) },
+		"zero diagonal": func(s *Sigma) { // indefinite: the descent diverges
+			for i := range s.XtX {
+				s.XtX[i][i] = 0
+			}
+		},
+	} {
+		_, j := regressionStar(11, 200)
+		sigma, _ := sigmaFor(t, j, []string{"fx", "d0x"}, []string{"d0g"}, "y")
+		spoil(sigma)
+		start := time.Now()
+		m := TrainLinRegGD(sigma, 1e-3, 20000, 1e-10)
+		if m.Converged {
+			t.Errorf("%s: reported convergence after %d iterations", name, m.Iterations)
+		}
+		if m.Iterations != 20000 {
+			t.Errorf("%s: ran %d iterations, want the whole budget of 20000", name, m.Iterations)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: took %v", name, d)
+		}
+	}
+}
+
+// TestObjectiveIsWhatTheTrainersMinimize: the closed-form parameters are
+// a minimum of ObjectiveFromSigma (no perturbation lowers it) and the
+// converged descent reaches the same value.
+func TestObjectiveIsWhatTheTrainersMinimize(t *testing.T) {
+	for name, sigma := range map[string]*Sigma{
+		"star": func() *Sigma {
+			_, j := regressionStar(5, 500)
+			s, _ := sigmaFor(t, j, []string{"fx", "d0x"}, []string{"d0g"}, "y")
+			return s
+		}(),
+		"tenant": tenantSigma(t),
+	} {
+		const lambda = 1e-3
+		closed, err := TrainLinRegClosedForm(sigma, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := closed.ObjectiveFromSigma(sigma)
+		src := xrand.New(3)
+		for trial := 0; trial < 200; trial++ {
+			eps := math.Pow(10, -float64(1+trial%6))
+			moved := *closed
+			moved.Theta = append([]float64(nil), closed.Theta...)
+			for i := range moved.Theta {
+				moved.Theta[i] += eps * (2*src.Float64() - 1) * (1 + math.Abs(moved.Theta[i]))
+			}
+			if obj := moved.ObjectiveFromSigma(sigma); obj < best-1e-12*(1+math.Abs(best)) {
+				t.Fatalf("%s: a perturbation of %g lowers the objective from %v to %v", name, eps, best, obj)
+			}
+		}
+		gd := TrainLinRegGD(sigma, lambda, 50000, 1e-10)
+		if !gd.Converged {
+			t.Fatalf("%s: descent did not converge in %d iterations", name, gd.Iterations)
+		}
+		if obj := gd.ObjectiveFromSigma(sigma); math.Abs(obj-best) > 1e-9*(1+math.Abs(best)) {
+			t.Fatalf("%s: objective at the GD parameters %v, at the closed form %v", name, obj, best)
+		}
+	}
+}
+
+// TestCatPolyUnderEveryWidestFeature: the elimination order follows
+// whichever categorical feature has the most codes; the model must not.
+func TestCatPolyUnderEveryWidestFeature(t *testing.T) {
+	features := []string{"x", "z", "y"}
+	src := xrand.New(21)
+	for _, widths := range [][]int{{7, 3}, {3, 7}, {4, 4}, {2, 9, 3}, {5}} {
+		cr := ring.CofactorRing{N: 3, K: len(widths)}
+		cf := cr.Zero()
+		idx := []int{0, 1, 2}
+		catIdx := make([]int, len(widths))
+		cats := make([]string, len(widths))
+		for k := range widths {
+			catIdx[k], cats[k] = k, fmt.Sprintf("g%d", k)
+		}
+		for r := 0; r < 600; r++ {
+			codes := make([]int32, len(widths))
+			for k, w := range widths {
+				codes[k] = int32(src.Intn(w))
+			}
+			x, z := src.Float64(), 3*src.Float64()
+			y := 1 + 2*x - z + float64(codes[0])*x + 0.01*src.NormFloat64()
+			cr.AddInPlace(cf, cr.LiftCat(idx, []float64{x, z, y}, catIdx, codes))
+		}
+		m, a, b, pos, err := catPolySystem(features, cats, "y", cf, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rebuild the system dense, in layout order, from the envelope.
+		dim := len(pos)
+		full := make([][]float64, dim)
+		rhs := make([]float64, dim)
+		for p := range full {
+			full[p] = make([]float64, dim)
+		}
+		for p := 0; p < dim; p++ {
+			rhs[p] = b[pos[p]]
+			for q := 0; q < dim; q++ {
+				i, j := max(pos[p], pos[q]), min(pos[p], pos[q])
+				if c := j - (i + 1 - len(a[i])); c >= 0 {
+					full[p][q] = a[i][c]
+				}
+			}
+		}
+		want := denseReference(full, rhs)
+		got, err := TrainCatPolyFromCofactor(features, cats, "y", cf, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Dim() != dim || m.Slots() != got.Slots() {
+			t.Fatalf("widths %v: dim %d, system %d", widths, got.Dim(), dim)
+		}
+		for p := range want {
+			if math.Abs(got.Theta[p]-want[p]) > 1e-9*(1+math.Abs(want[p])) {
+				t.Fatalf("widths %v: theta[%d] = %v, dense solve in layout order %v", widths, p, got.Theta[p], want[p])
+			}
+		}
+	}
+}
+
+func BenchmarkTrainLinRegGD(b *testing.B) {
+	d := datagen.Retailer(1, 0.05)
+	jt, err := d.Join.BuildJoinTree(d.Root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var feats []core.Feature
+	for _, c := range d.Cont {
+		feats = append(feats, core.Feature{Attr: c})
+	}
+	plan, err := core.Compile(jt, core.CovarianceBatch(feats, d.Response), core.Optimized(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := plan.Eval()
+	if err != nil {
+		b.Fatal(err)
+	}
+	retailer, err := AssembleSigma(d.Cont, nil, d.Response, results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sigma *Sigma
+	}{{"retailer", retailer}, {"tenant229", tenantSigma(b)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var m *LinReg
+			for i := 0; i < b.N; i++ {
+				m = TrainLinRegGD(c.sigma, 1e-3, 5000, 1e-10)
+			}
+			b.ReportMetric(float64(m.Iterations), "iterations")
+			if !m.Converged {
+				b.ReportMetric(1, "unconverged")
+			}
+		})
+	}
+}
+
+func BenchmarkCatPoly(b *testing.B) {
+	features, cats, cf := tenantCofactor(b, 200, 40000)
+	b.Run("tenant904/assemble", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, pos, err := catPolySystem(features, cats, "units", cf, 1e-3); err != nil || len(pos) != 904 {
+				b.Fatal(len(pos), err)
+			}
+		}
+	})
+	b.Run("tenant904/solve", func(b *testing.B) {
+		_, a, rhs, _, err := catPolySystem(features, cats, "units", cf, 1e-3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSolve(b, a, rhs)
+	})
+	b.Run("tenant904/train", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := TrainCatPolyFromCofactor(features, cats, "units", cf, 1e-3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchSolve times choleskySolve alone: the system is copied into a
+// scratch of the same shape outside the timer.
+func benchSolve(b *testing.B, a [][]float64, rhs []float64) {
+	scratch := make([][]float64, len(a))
+	for i := range a {
+		scratch[i] = make([]float64, len(a[i]))
+	}
+	x := make([]float64, len(rhs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := range a {
+			copy(scratch[r], a[r])
+		}
+		copy(x, rhs)
+		b.StartTimer()
+		if _, err := choleskySolve(scratch, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCholeskySolve(b *testing.B) {
+	src := xrand.New(5)
+	rhs := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = src.Float64()
+		}
+		return v
+	}
+	blocks := make([]int, 200)
+	for k := range blocks {
+		blocks[k] = 4
+	}
+	blocked, first := blockedSPD(src, blocks, 104, 0)
+	for _, c := range []struct {
+		name string
+		a    [][]float64
+	}{
+		{"dense229", envelopeOf(blockedSPD(src, nil, 229, 0))},
+		{"dense904", envelopeOf(blockedSPD(src, nil, 904, 0))},
+		{"blocked904", envelopeOf(blocked, first)},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchSolve(b, c.a, rhs(len(c.a))) })
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"borg/internal/ml"
 	"borg/internal/obs"
 )
 
@@ -26,11 +27,15 @@ const (
 	trainNsHelp    = "Nanoseconds per snapshot model training, by model kind."
 	trainTotalHelp = "Completed snapshot model trainings, by model kind."
 	trainErrsHelp  = "Failed snapshot model trainings, by kind and error class (empty, payload, other)."
+	gdItersHelp    = "Gradient steps per linreg training."
+	gdUnconvHelp   = "Linreg trainings that exhausted GDOptions.MaxIters: the model is a truncation, not a minimizer."
 )
 
 // newModelObs binds the zoo series into reg, pre-registering the
-// success series of every kind.
+// success series of every kind and the gradient-descent pair.
 func newModelObs(reg *obs.Registry) *modelObs {
+	reg.Histogram("borg_model_gd_iterations", gdItersHelp, nil)
+	reg.Counter("borg_model_gd_unconverged_total", gdUnconvHelp, nil)
 	for _, kind := range modelKinds {
 		reg.Counter("borg_model_train_total", trainTotalHelp, obs.Labels{"kind": kind})
 		reg.Histogram("borg_model_train_ns", trainNsHelp, obs.Labels{"kind": kind})
@@ -61,4 +66,15 @@ func (s *ServerSnapshot) obsTrain(kind string, start time.Time, errp *error) {
 	}
 	o.reg.Counter("borg_model_train_total", trainTotalHelp, obs.Labels{"kind": kind}).Inc()
 	o.reg.Histogram("borg_model_train_ns", trainNsHelp, obs.Labels{"kind": kind}).Observe(int64(time.Since(start)))
+}
+
+// obsGD records how one gradient-descent training ended, so a truncated
+// model shows on a scrape without anyone reading Converged().
+func (s *ServerSnapshot) obsGD(m *ml.LinReg) {
+	if o := s.obs; o != nil {
+		o.reg.Histogram("borg_model_gd_iterations", gdItersHelp, nil).Observe(int64(m.Iterations))
+		if !m.Converged {
+			o.reg.Counter("borg_model_gd_unconverged_total", gdUnconvHelp, nil).Inc()
+		}
+	}
 }

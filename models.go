@@ -27,7 +27,7 @@ func (q *Query) LinearRegression(f Features, response string, lambda float64) (*
 	if err != nil {
 		return nil, err
 	}
-	m := ml.TrainLinRegGD(sigma, lambda, 50000, 1e-10)
+	m := GDOptions{}.train(sigma, lambda)
 	return &LinearRegression{model: m, sigma: sigma, dicts: q.dicts(f.Categorical)}, nil
 }
 
@@ -85,7 +85,7 @@ func (m *LinearRegression) Retrain(f Features, lambda float64) (*LinearRegressio
 	if err != nil {
 		return nil, err
 	}
-	return &LinearRegression{model: ml.TrainLinRegGD(sub, lambda, 50000, 1e-10), sigma: sub, dicts: m.dicts}, nil
+	return &LinearRegression{model: GDOptions{}.train(sub, lambda), sigma: sub, dicts: m.dicts}, nil
 }
 
 func (q *Query) dict(attr string) *relation.Dict {

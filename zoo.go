@@ -99,6 +99,12 @@ func (o GDOptions) tol() float64 {
 	return o.Tol
 }
 
+// train runs the descent under these options — the one place the
+// defaults meet ml.TrainLinRegGD.
+func (o GDOptions) train(s *ml.Sigma, lambda float64) *ml.LinReg {
+	return ml.TrainLinRegGD(s, lambda, o.maxIters(), o.tol())
+}
+
 // Converged reports whether gradient descent stopped at its tolerance
 // (true for closed-form training). False means the iteration budget ran
 // out and the parameters are a truncation — retrain with a larger
@@ -218,7 +224,9 @@ func (s *ServerSnapshot) TrainLinRegGD(response string, lambda float64, opt GDOp
 	if err != nil {
 		return nil, err
 	}
-	return &LinearRegression{model: ml.TrainLinRegGD(sigma, lambda, opt.maxIters(), opt.tol()), sigma: sigma, dicts: s.dicts}, nil
+	m := opt.train(sigma, lambda)
+	s.obsGD(m)
+	return &LinearRegression{model: m, sigma: sigma, dicts: s.dicts}, nil
 }
 
 // PCAResult is a principal-component analysis trained from one epoch's
