@@ -23,9 +23,9 @@
 //   - the multi-core ingest benchmark (`-fig scale`, per strategy ×
 //     GOMAXPROCS × shard-count × mix cell on applied ops/sec, plus a
 //     scaling-efficiency floor: on hosts with 4+ CPUs the best
-//     strategy's 1→4 worker speedup must clear a minimum, so a change
-//     that re-serializes the morsel-parallel batch path fails even if
-//     absolute single-core throughput holds), and
+//     strategy's 1→4 shard speedup (procs = shards) must clear a
+//     minimum, so a change that serializes the shard writers on each
+//     other fails even if absolute single-core throughput holds), and
 //   - the observability-overhead benchmark (`-fig obs`, instrumented vs
 //     uninstrumented ingest on the same stream: the instrumented rate is
 //     throughput-gated like every other cell, and the fresh overhead
@@ -104,7 +104,7 @@ func main() {
 	obsBaselinePath := flag.String("obs-baseline", "benchmarks/obs.json", "committed observability-overhead baseline report")
 	obsFreshPath := flag.String("obs-fresh", "", "fresh observability-overhead report to gate")
 	maxRatio := flag.Float64("max-ratio", 2.5, "max allowed fresh/baseline slowdown per cell")
-	minScale := flag.Float64("min-scale", 1.5, "min 1→4 worker speedup of the best strategy (enforced on 4+ CPU hosts)")
+	minScale := flag.Float64("min-scale", 1.5, "min 1→4 shard speedup of the best strategy (enforced on 4+ CPU hosts)")
 	maxObsOverhead := flag.Float64("max-obs-overhead", 1.05, "max allowed instrumented/uninstrumented ingest slowdown in the fresh obs report")
 	flag.Parse()
 
@@ -486,10 +486,10 @@ func opsPerSec(c bench.ServeCell) float64 {
 // gateScale compares the multi-core ingest report per strategy ×
 // GOMAXPROCS × shard-count × mix cell on applied ops/sec, then enforces
 // the scaling-efficiency floor on the fresh report: on a host with 4+
-// CPUs, the best strategy's 1→4 worker speedup (shards=1, insert-only)
-// must reach minScale — the check that catches a change re-serializing
-// the morsel-parallel batch path without slowing any single cell enough
-// to trip the throughput tolerance. Hosts with fewer than 4 CPUs cannot
+// CPUs, the best strategy's 1→4 shard speedup (procs = shards,
+// insert-only) must reach minScale — the check that catches a change
+// serializing the shard writers on each other without slowing any
+// single cell enough to trip the throughput tolerance. Hosts with fewer than 4 CPUs cannot
 // exhibit 4-way scaling, so the floor is reported but not enforced
 // there. Returns true when any cell regressed or the floor is missed.
 func gateScale(baselinePath, freshPath string, maxRatio, minScale float64) bool {
@@ -504,7 +504,7 @@ func gateScale(baselinePath, freshPath string, maxRatio, minScale float64) bool 
 	ensureComparable("scale", base.Dataset, base.SF, base.Seed, fresh.Dataset, fresh.SF, fresh.Seed)
 	cpuGuard("scale", base.Env.CPUs, fresh.Env.CPUs)
 	// The cell's parallel load is the four producers plus one writer and
-	// Workers pool goroutines per shard.
+	// Workers pool goroutines (first-order scans only) per shard.
 	cells := func(cs []bench.ScaleCell) []throughputCell {
 		out := make([]throughputCell, len(cs))
 		for i, c := range cs {
@@ -521,7 +521,7 @@ func gateScale(baselinePath, freshPath string, maxRatio, minScale float64) bool 
 	return gateScaleEfficiency(fresh, minScale) || failed
 }
 
-// gateScaleEfficiency enforces the 1→4 worker scaling floor recorded in
+// gateScaleEfficiency enforces the 1→4 shard scaling floor recorded in
 // a fresh scale report. Returns true when the floor is missed on a host
 // that could have met it.
 func gateScaleEfficiency(fresh *bench.ScaleReport, minScale float64) bool {
@@ -537,10 +537,10 @@ func gateScaleEfficiency(fresh *bench.ScaleReport, minScale float64) bool {
 		return false
 	}
 	if best < minScale {
-		fmt.Printf("  scaling floor: best 1→4 worker speedup %s %.2fx below floor %.2fx  FAIL\n", bestName, best, minScale)
+		fmt.Printf("  scaling floor: best 1→4 shard speedup %s %.2fx below floor %.2fx  FAIL\n", bestName, best, minScale)
 		return true
 	}
-	fmt.Printf("  scaling floor: best 1→4 worker speedup %s %.2fx ≥ %.2fx  ok\n", bestName, best, minScale)
+	fmt.Printf("  scaling floor: best 1→4 shard speedup %s %.2fx ≥ %.2fx  ok\n", bestName, best, minScale)
 	return false
 }
 

@@ -170,10 +170,9 @@ func (r insertReq) apply(srv *borg.ShardedServer, forceDelete bool) error {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	strategy := flag.String("strategy", "fivm", "IVM strategy: fivm, higher-order, first-order")
-	batch := flag.Int("batch", 64, "inserts per snapshot publication")
-	flush := flag.Duration("flush", time.Millisecond, "max snapshot staleness for a partial batch")
+	batch := flag.Int("batch", 64, "most ops per applied batch, and most an epoch trails by under backlog")
 	queue := flag.Int("queue", 1024, "ingest queue depth (backpressure beyond it)")
-	workers := flag.Int("workers", 2, "exec worker pool size for maintenance scans")
+	workers := flag.Int("workers", 2, "exec worker pool size for first-order delta scans (F-IVM ingest is serial per shard)")
 	payload := flag.String("payload", "", `ring payload: "covar", "poly2" (lifted degree-2, enables polyreg pairs), or "cofactor" (categorical group maps, enables the full zoo; the default)`)
 	lifted := flag.Bool("lifted", false, "deprecated: equivalent to -payload poly2 when -payload is unset")
 	shards := flag.Int("shards", 1, "serving shards; ingest is hash-partitioned across them and reads are ring-merged")
@@ -193,7 +192,6 @@ func main() {
 	opt := borg.ServerOptions{
 		Strategy:           *strategy,
 		BatchSize:          *batch,
-		FlushInterval:      *flush,
 		QueueDepth:         *queue,
 		Workers:            *workers,
 		Logger:             logger,

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"borg"
 )
@@ -28,9 +27,8 @@ func main() {
 		log.Fatal(err)
 	}
 	srv, err := q.Serve([]string{"units", "price", "area"}, borg.ServerOptions{
-		Strategy:      "fivm", // one ring-valued view hierarchy
-		BatchSize:     32,     // snapshots amortize over up to 32 inserts
-		FlushInterval: time.Millisecond,
+		Strategy:  "fivm", // one ring-valued view hierarchy
+		BatchSize: 32,     // under backlog, snapshots amortize over 32 ops
 		// The lifted degree-2 ring also maintains degree-≤4 moments, which
 		// is what degree-2 polynomial regression trains from.
 		Payload: borg.PayloadPoly2,

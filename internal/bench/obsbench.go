@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"time"
 
 	"borg/internal/datagen"
 	"borg/internal/ivm"
@@ -106,11 +105,10 @@ func ObsBench(o Options) (*ObsReport, error) {
 // path, not scrape contention).
 func obsCell(d *datagen.Dataset, stream []ivm.Tuple, instrumented bool, r, writers int, o Options) (ObsCell, error) {
 	cfg := serve.Config{
-		Strategy:      serve.FIVM,
-		BatchSize:     64,
-		FlushInterval: time.Millisecond,
-		QueueDepth:    256,
-		Workers:       o.Workers,
+		Strategy:   serve.FIVM,
+		BatchSize:  64,
+		QueueDepth: 256,
+		Workers:    o.Workers,
 	}
 	variant := "uninstrumented"
 	if instrumented {

@@ -50,7 +50,6 @@ type PlanReport struct {
 	StreamLen     int     `json:"stream_len"`
 	CPUs          int     `json:"cpus"`
 	BatchSize     int     `json:"batch_size"`
-	FlushMicros   float64 `json:"flush_interval_us"`
 	BudgetSeconds float64 `json:"budget_seconds"`
 	// PlanMicros is the cost of one plan.New over the fully populated
 	// join — the per-(re)plan decision overhead, excluding reingest.
@@ -81,13 +80,12 @@ func sequentialStream(d *datagen.Dataset) []ivm.Tuple {
 // Replan(), timing the blocking cost.
 func planCell(d *datagen.Dataset, stream []ivm.Tuple, mode string, o Options) (PlanCell, error) {
 	const writers = 2
-	cfgBatch, cfgFlush := 64, time.Millisecond
+	const cfgBatch = 64
 	root := d.Root
 	cfg := serve.Config{
-		BatchSize:     cfgBatch,
-		FlushInterval: cfgFlush,
-		QueueDepth:    256,
-		Workers:       o.Workers,
+		BatchSize:  cfgBatch,
+		QueueDepth: 256,
+		Workers:    o.Workers,
 	}
 	if mode == "greedy" {
 		root = ""
@@ -191,7 +189,6 @@ func PlanBench(o Options) (*PlanReport, error) {
 		StreamLen:     len(stream),
 		CPUs:          runtime.NumCPU(),
 		BatchSize:     64,
-		FlushMicros:   float64(time.Millisecond.Microseconds()),
 		BudgetSeconds: o.Budget.Seconds(),
 		PlanMicros:    planMicros,
 		Env:           captureEnv(o.Workers, 0),

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"time"
 
 	"borg/internal/datagen"
 	"borg/internal/serve"
@@ -52,14 +51,14 @@ type ScaleReport struct {
 	StreamLen     int         `json:"stream_len"`
 	PartitionBy   string      `json:"partition_by"`
 	BatchSize     int         `json:"batch_size"`
-	FlushMicros   float64     `json:"flush_interval_us"`
 	BudgetSeconds float64     `json:"budget_seconds"`
 	Env           Environment `json:"env"`
 	Cells         []ScaleCell `json:"cells"`
-	// Speedup1to4 maps strategy → insert-only shards=1 throughput at
-	// Procs=4 over Procs=1: the 1→4 worker scaling of ApplyBatch alone,
-	// with sharding out of the picture. Near 1.0 on hosts with fewer
-	// than 4 CPUs — check Env.CPUs before reading anything into it.
+	// Speedup1to4 maps strategy → insert-only throughput of 4 shards at
+	// Procs=4 over 1 shard at Procs=1: the 1→4 scale-out of ingest along
+	// its one parallelism axis, the shard count (ApplyBatch itself is
+	// serial). Near 1.0 on hosts with fewer than 4 CPUs — check Env.CPUs
+	// before reading anything into it.
 	Speedup1to4 map[string]float64 `json:"speedup_1_to_4"`
 }
 
@@ -74,11 +73,11 @@ var (
 // worker pool sweep {1,2,4,8} and the shard count {1,2,4}, for every
 // IVM strategy, insert-only and at the 90/10 churn mix. No concurrent
 // readers — every core goes to ingest, so the curve isolates the
-// morsel-parallel batch path. GOMAXPROCS is restored on return.
+// sharded write path. GOMAXPROCS is restored on return.
 func ScaleBench(o Options) (*ScaleReport, error) {
 	o.defaults()
 	const writers, readers = 4, 0
-	cfgBatch, cfgFlush := 64, time.Millisecond
+	const cfgBatch = 64
 	d := datagen.Tenant(o.Seed, o.SF)
 	stream := interleavedStream(d, o.Seed)
 	rep := &ScaleReport{
@@ -89,7 +88,6 @@ func ScaleBench(o Options) (*ScaleReport, error) {
 		StreamLen:     len(stream),
 		PartitionBy:   "store",
 		BatchSize:     cfgBatch,
-		FlushMicros:   float64(cfgFlush.Microseconds()),
 		BudgetSeconds: o.Budget.Seconds(),
 		Env:           captureEnv(o.Workers, 0),
 		Speedup1to4:   make(map[string]float64),
@@ -103,11 +101,10 @@ func ScaleBench(o Options) (*ScaleReport, error) {
 				for _, deleteFrac := range []float64{0, 0.1} {
 					srv, err := shard.New(d.Join, d.Root, d.Cont, shard.Config{
 						Config: serve.Config{
-							Strategy:      strategy,
-							BatchSize:     cfgBatch,
-							FlushInterval: cfgFlush,
-							QueueDepth:    256,
-							Workers:       procs,
+							Strategy:   strategy,
+							BatchSize:  cfgBatch,
+							QueueDepth: 256,
+							Workers:    procs,
 						},
 						Shards:      shards,
 						PartitionBy: "store",
@@ -141,7 +138,7 @@ func ScaleBench(o Options) (*ScaleReport, error) {
 	for _, strategy := range serve.Strategies() {
 		base, at4 := 0.0, 0.0
 		for _, c := range rep.Cells {
-			if c.Strategy != strategy.String() || c.Shards != 1 || c.DeleteFrac != 0 {
+			if c.Strategy != strategy.String() || c.Shards != c.Procs || c.DeleteFrac != 0 {
 				continue
 			}
 			switch c.Procs {
@@ -190,11 +187,11 @@ func ScaleBenchTable(o Options) error {
 		[]string{"Strategy", "Procs", "Shards", "Mix", "Ops", "Ops/sec", "Note"}, rows)
 	for _, strategy := range serve.Strategies() {
 		if s, ok := rep.Speedup1to4[strategy.String()]; ok {
-			fmt.Fprintf(o.Out, "%s 1→4 worker speedup (shards=1, insert-only): %.2fx\n", strategy, s)
+			fmt.Fprintf(o.Out, "%s 1→4 shard speedup (procs = shards, insert-only): %.2fx\n", strategy, s)
 		}
 	}
 	if rep.Env.CPUs < 4 {
-		fmt.Fprintf(o.Out, "host has %d CPUs: worker scaling beyond that count is flat by construction\n", rep.Env.CPUs)
+		fmt.Fprintf(o.Out, "host has %d CPUs: scaling beyond that count is flat by construction\n", rep.Env.CPUs)
 	}
 	return nil
 }

@@ -53,7 +53,6 @@ type ServeReport struct {
 	StreamLen     int         `json:"stream_len"`
 	CPUs          int         `json:"cpus"`
 	BatchSize     int         `json:"batch_size"`
-	FlushMicros   float64     `json:"flush_interval_us"`
 	BudgetSeconds float64     `json:"budget_seconds"`
 	Env           Environment `json:"env"`
 	Cells         []ServeCell `json:"cells"`
@@ -287,7 +286,7 @@ func serveTarget(srv *serve.Server) streamTarget {
 func ServeBench(o Options) (*ServeReport, error) {
 	o.defaults()
 	const writers = 2
-	cfgBatch, cfgFlush := 64, time.Millisecond
+	const cfgBatch = 64
 	d := datagen.Retailer(o.Seed, o.SF)
 	stream := interleavedStream(d, o.Seed)
 	rep := &ServeReport{
@@ -298,7 +297,6 @@ func ServeBench(o Options) (*ServeReport, error) {
 		StreamLen:     len(stream),
 		CPUs:          runtime.NumCPU(),
 		BatchSize:     cfgBatch,
-		FlushMicros:   float64(cfgFlush.Microseconds()),
 		BudgetSeconds: o.Budget.Seconds(),
 		Env:           captureEnv(o.Workers, 0),
 	}
@@ -310,7 +308,7 @@ func ServeBench(o Options) (*ServeReport, error) {
 	}
 	for _, strategy := range serve.Strategies() {
 		for _, mix := range mixes {
-			cell, err := serveCell(d, stream, strategy, mix.readers, writers, mix.deleteFrac, cfgBatch, cfgFlush, o)
+			cell, err := serveCell(d, stream, strategy, mix.readers, writers, mix.deleteFrac, cfgBatch, o)
 			if err != nil {
 				return nil, err
 			}
@@ -322,13 +320,12 @@ func ServeBench(o Options) (*ServeReport, error) {
 
 // serveCell measures one strategy × reader-count × mix configuration
 // through the shared streaming harness.
-func serveCell(d *datagen.Dataset, stream []ivm.Tuple, strategy serve.Strategy, readers, writers int, deleteFrac float64, cfgBatch int, cfgFlush time.Duration, o Options) (ServeCell, error) {
+func serveCell(d *datagen.Dataset, stream []ivm.Tuple, strategy serve.Strategy, readers, writers int, deleteFrac float64, cfgBatch int, o Options) (ServeCell, error) {
 	srv, err := serve.New(d.Join, d.Root, d.Cont, serve.Config{
-		Strategy:      strategy,
-		BatchSize:     cfgBatch,
-		FlushInterval: cfgFlush,
-		QueueDepth:    256,
-		Workers:       o.Workers,
+		Strategy:   strategy,
+		BatchSize:  cfgBatch,
+		QueueDepth: 256,
+		Workers:    o.Workers,
 	})
 	if err != nil {
 		return ServeCell{}, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"borg/internal/datagen"
 	"borg/internal/serve"
@@ -61,7 +60,6 @@ type ShardReport struct {
 	CPUs          int         `json:"cpus"`
 	PartitionBy   string      `json:"partition_by"`
 	BatchSize     int         `json:"batch_size"`
-	FlushMicros   float64     `json:"flush_interval_us"`
 	BudgetSeconds float64     `json:"budget_seconds"`
 	Env           Environment `json:"env"`
 	Cells         []ShardCell `json:"cells"`
@@ -94,7 +92,7 @@ func shardedTarget(srv *shard.Server) streamTarget {
 func ShardBench(o Options) (*ShardReport, error) {
 	o.defaults()
 	const writers, readers = 4, 2
-	cfgBatch, cfgFlush := 64, time.Millisecond
+	const cfgBatch = 64
 	d := datagen.Tenant(o.Seed, o.SF)
 	stream := interleavedStream(d, o.Seed)
 	rep := &ShardReport{
@@ -106,17 +104,15 @@ func ShardBench(o Options) (*ShardReport, error) {
 		CPUs:          runtime.NumCPU(),
 		PartitionBy:   "store",
 		BatchSize:     cfgBatch,
-		FlushMicros:   float64(cfgFlush.Microseconds()),
 		BudgetSeconds: o.Budget.Seconds(),
 		Env:           captureEnv(o.Workers, 0),
 	}
 	cfg := func(strategy serve.Strategy) serve.Config {
 		return serve.Config{
-			Strategy:      strategy,
-			BatchSize:     cfgBatch,
-			FlushInterval: cfgFlush,
-			QueueDepth:    256,
-			Workers:       o.Workers,
+			Strategy:   strategy,
+			BatchSize:  cfgBatch,
+			QueueDepth: 256,
+			Workers:    o.Workers,
 		}
 	}
 	cell := func(tgt streamTarget, strategy serve.Strategy, shards int, variant string, deleteFrac float64) (ShardCell, error) {

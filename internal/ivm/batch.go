@@ -4,16 +4,17 @@ import (
 	"slices"
 	"time"
 
-	"borg/internal/exec"
 	"borg/internal/relation"
 )
 
-// This file is the batch-parallel ingest path shared by the three
-// strategies: ApplyBatch partitions the per-tuple delta computation —
-// the delta-join probes and ring Lift/Mul evaluations, which are
-// read-only against the batch-start state — across the exec worker
-// pool in morsels, then applies all state mutation (row appends,
-// swap-deletes, index updates, view writes) in one short serial phase.
+// This file is the batch ingest path shared by the three strategies.
+// ApplyBatch computes the per-tuple deltas of up to batchPhase ops — the
+// delta-join probes and ring lift/multiply evaluations, read-only
+// against the phase-start state — and then applies all state mutation
+// (row appends, swap-deletes, index updates, view writes) in a mutate
+// phase. Both are plain loops on the calling goroutine (a phase is
+// ~100 µs of work, less than fanning it out to a pool costs), and the
+// driver allocates nothing of its own: a batch costs what its ops cost.
 //
 // Correctness rests on grouping: ops are stably grouped by relation,
 // and groups run one after another. Within a same-relation group, a
@@ -23,9 +24,9 @@ import (
 // on its leaf-to-root path. Reads and writes are therefore disjoint
 // across the two phases, so every op in the group sees exactly the
 // state a serial application of the grouped order would show it, and
-// the serial mutate phase replays effects in op order with the same
-// fixed reduction order the serial path uses. The published result is
-// bitwise-identical to serially applying the grouped order.
+// the mutate phase replays effects in op order with the same fixed
+// reduction order the tuple-at-a-time path uses. The published result
+// is bitwise-identical to serially applying the grouped order.
 //
 // Reordering ops of DIFFERENT relations is harmless: deltas of
 // distinct relations commute under ring addition (exact, since ring
@@ -74,28 +75,35 @@ type BatchResult struct {
 	// Err is the first error encountered, nil when every op applied.
 	Err error
 	// DeltaNanos and MutateNanos split the batch's wall time into its
-	// two phases: the morsel-parallel delta computation (read-only
-	// fan-out across the worker pool) and the serial mutate replay
+	// two phases: the read-only delta computation and the mutate replay
 	// (row/index/view writes plus serial-singleton fallbacks). Measured
-	// per op group — a handful of clock reads per batch — so the
-	// serving layer can publish the phase split without re-timing.
+	// per phase — two clock reads per ≤ batchPhase ops — so the serving
+	// layer can publish the phase split without re-timing.
 	DeltaNanos  int64
 	MutateNanos int64
 }
 
-// batchMorselSize is the morsel the parallel delta phase carves op
-// groups into. Ops are orders of magnitude more expensive than the
-// row-scan work items exec.DefaultMorselSize is tuned for, so a small
-// morsel keeps the pool balanced even at serving-layer batch sizes.
-const batchMorselSize = 8
+// record folds one op's outcome into the result.
+//
+//borg:noalloc
+func (r *BatchResult) record(ins, del uint64, failed bool, err error) {
+	r.Inserts += ins
+	r.Deletes += del
+	if failed {
+		r.FullyFailed++
+	}
+	if err != nil && r.Err == nil {
+		r.Err = err
+	}
+}
 
 // batchPhase is the most ops one delta phase computes before its mutate
 // phase replays them; a longer same-relation group runs as several
 // phases. Which state a delta reads does not depend on the split — a
 // group's mutations touch nothing its deltas read — so results do not
-// either, and per-morsel scratch (viewTree) is bounded by a constant
+// either, and a tree's scratch (viewTree) is bounded by a constant
 // instead of by the largest batch ever applied.
-const batchPhase = 8 * batchMorselSize
+const batchPhase = 64
 
 // opGroup is a maximal same-relation run of batch indexes (stable
 // within the relation), or a serial singleton for ops the grouped
@@ -106,84 +114,97 @@ type opGroup struct {
 }
 
 // groupOps partitions a batch by relation, preserving op order within
-// each relation. Cross-relation updates become serial singletons.
-func groupOps(ops []Op) []opGroup {
-	groups := make([]opGroup, 0, 4)
-	pos := make(map[string]int, 4)
+// each relation; groups stand in order of their first op. Cross-relation
+// updates become serial singletons. Ops naming no relation of the join
+// share one group: each fails in the mutate phase, as it would one at a
+// time. The groups and their index lists are b's, valid until the next
+// call refills them.
+//
+//borg:noalloc
+func (b *base) groupOps(ops []Op) []opGroup {
+	groups := b.groups[:0]
+	clear(b.groupOf)
 	for i := range ops {
 		o := &ops[i]
-		rel := o.Tuple.Rel
-		if o.Kind == OpUpdate {
-			if o.Old.Rel != o.Tuple.Rel {
-				groups = append(groups, opGroup{serial: true, idx: []int{i}})
-				continue
-			}
-			rel = o.Old.Rel
+		serial := o.Kind == OpUpdate && o.Old.Rel != o.Tuple.Rel
+		slot := len(b.nodes)
+		if n, ok := b.byName[o.Tuple.Rel]; ok {
+			slot = n.id
 		}
-		g, ok := pos[rel]
-		if !ok {
-			pos[rel] = len(groups)
-			groups = append(groups, opGroup{idx: []int{i}})
-			continue
+		g := int(b.groupOf[slot]) - 1
+		if serial || g < 0 {
+			g = len(groups)
+			if g < cap(groups) {
+				groups = groups[:g+1] // with the index list an earlier call grew
+			} else {
+				groups = append(groups, opGroup{})
+			}
+			groups[g].serial, groups[g].idx = serial, groups[g].idx[:0]
+			if !serial {
+				b.groupOf[slot] = int32(g + 1)
+			}
 		}
 		groups[g].idx = append(groups[g].idx, i)
 	}
+	b.groups = groups
 	return groups
 }
 
-// applyOps is the shared ApplyBatch driver, generic over the strategy's
-// per-op effect payload EF. Each parallel group runs in phases of at
+// batcher is the ApplyBatch driver of one maintainer, generic over the
+// strategy's per-tuple effect payload EF, and built once with it: the
+// groups are the base's, a phase's effects live here, and the strategy
+// plugs in method values. Each same-relation group runs in phases of at
 // most batchPhase ops: begin (when non-nil) announces that no effect of
-// an earlier phase is pending, compute (read-only against phase-start
-// state, told which morsel of the phase it runs in) fans out across the
-// runtime's workers, then apply replays serially in op order. serialOp
-// handles the singleton fallback groups with the strategy's own
-// tuple-at-a-time methods.
-func applyOps[EF any](b *base, ops []Op,
-	begin func(),
-	compute func(morsel int, op *Op) EF,
-	apply func(op *Op, eff *EF) (ins, del uint64, failed bool, err error),
-	serialOp func(op *Op) (ins, del uint64, failed bool, err error),
-) BatchResult {
+// an earlier phase is pending, tupleEffects computes a tuple half's
+// effects against phase-start state, then applyEffects replays them in
+// op order beside the physical row mutation. Serial singleton groups go
+// through m's own tuple-at-a-time methods.
+type batcher[EF any] struct {
+	*base
+	m            Maintainer
+	begin        func()
+	tupleEffects func(n *node, vals []relation.Value, neg bool) EF
+	applyEffects func(EF)
+	effs         [batchPhase]opEffects[EF]
+}
+
+// setBatcher makes a batcher over the strategy's functions m's ApplyBatch.
+func setBatcher[EF any](b *base, m Maintainer, begin func(),
+	tupleEffects func(n *node, vals []relation.Value, neg bool) EF, applyEffects func(EF)) {
+	b.applyBatch = (&batcher[EF]{base: b, m: m, begin: begin, tupleEffects: tupleEffects, applyEffects: applyEffects}).apply
+}
+
+// ApplyBatch implements Maintainer for every strategy.
+func (b *base) ApplyBatch(ops []Op) BatchResult { return b.applyBatch(ops) }
+
+// apply is ApplyBatch: per group, phases of delta computation then
+// mutation.
+//
+//borg:noalloc
+func (bt *batcher[EF]) apply(ops []Op) BatchResult {
 	var res BatchResult
-	record := func(ins, del uint64, failed bool, err error) {
-		res.Inserts += ins
-		res.Deletes += del
-		if failed {
-			res.FullyFailed++
-		}
-		if err != nil && res.Err == nil {
-			res.Err = err
-		}
-	}
-	rt := exec.Runtime{Workers: b.rt.Workers, MorselSize: batchMorselSize, Pool: b.rt.Pool}
-	var effs [batchPhase]EF
-	for _, g := range groupOps(ops) {
+	for _, g := range bt.groupOps(ops) {
 		if g.serial {
 			start := time.Now()
 			for _, i := range g.idx {
-				record(serialOp(&ops[i]))
+				res.record(serialApply(bt.m, &ops[i]))
 			}
 			res.MutateNanos += int64(time.Since(start))
 			continue
 		}
-		for ; len(g.idx) > 0; g.idx = g.idx[min(batchPhase, len(g.idx)):] {
-			idx := g.idx[:min(batchPhase, len(g.idx))]
+		for rest := g.idx; len(rest) > 0; {
+			idx := rest[:min(batchPhase, len(rest))]
+			rest = rest[len(idx):]
 			start := time.Now()
-			if begin != nil {
-				begin()
+			if bt.begin != nil {
+				bt.begin()
 			}
-			exec.Scan(rt, len(idx),
-				func() struct{} { return struct{}{} },
-				func(s struct{}, lo, hi int) struct{} {
-					for i := lo; i < hi; i++ {
-						effs[i] = compute(lo/batchMorselSize, &ops[idx[i]])
-					}
-					return s
-				})
+			for i, oi := range idx {
+				bt.effs[i] = bt.compute(&ops[oi])
+			}
 			mid := time.Now()
 			for i, oi := range idx {
-				record(apply(&ops[oi], &effs[i]))
+				res.record(bt.mutate(&ops[oi], &bt.effs[i]))
 			}
 			res.DeltaNanos += int64(mid.Sub(start))
 			res.MutateNanos += int64(time.Since(mid))
@@ -193,7 +214,8 @@ func applyOps[EF any](b *base, ops []Op,
 }
 
 // serialApply applies one op through the strategy's tuple-at-a-time
-// methods — the fallback for ops the grouped path cannot parallelize.
+// methods — the fallback for ops the grouped path cannot prove
+// independent.
 func serialApply(m Maintainer, op *Op) (ins, del uint64, failed bool, err error) {
 	switch op.Kind {
 	case OpInsert:
@@ -217,67 +239,67 @@ func serialApply(m Maintainer, op *Op) (ins, del uint64, failed bool, err error)
 	}
 }
 
-// opEffects is the per-op payload of the parallel phase: the op's
+// opEffects is the per-op payload of the delta phase: the op's
 // delete-half and insert-half effect lists, precomputed against the
-// group-start state.
+// phase-start state.
 type opEffects[EF any] struct {
 	del, ins EF
 }
 
-// computeOpEffects builds one op's effect halves with the strategy's
+// compute builds one op's effect halves with the strategy's
 // value-based delta computation. Unknown relations and arity
-// mismatches yield empty effects; the serial phase surfaces the error
+// mismatches yield empty effects; the mutate phase surfaces the error
 // through append/locate exactly as the tuple-at-a-time path does.
-func computeOpEffects[EF any](b *base, morsel int, op *Op, tupleEffects func(morsel int, n *node, vals []relation.Value, neg bool) EF) opEffects[EF] {
+func (bt *batcher[EF]) compute(op *Op) opEffects[EF] {
 	var e opEffects[EF]
 	if op.Kind == OpDelete || op.Kind == OpUpdate {
 		t := op.Tuple
 		if op.Kind == OpUpdate {
 			t = op.Old
 		}
-		if n := b.checkTuple(t); n != nil {
-			e.del = tupleEffects(morsel, n, t.Values, true)
+		if n := bt.checkTuple(t); n != nil {
+			e.del = bt.tupleEffects(n, t.Values, true)
 		}
 	}
 	if op.Kind == OpInsert || op.Kind == OpUpdate {
-		if n := b.checkTuple(op.Tuple); n != nil {
-			e.ins = tupleEffects(morsel, n, op.Tuple.Values, false)
+		if n := bt.checkTuple(op.Tuple); n != nil {
+			e.ins = bt.tupleEffects(n, op.Tuple.Values, false)
 		}
 	}
 	return e
 }
 
-// applyOpEffects is the serial mutate phase for one op: the physical
-// row/index mutation plus the strategy's effect replay. A delete whose
-// target is not live fails without replaying its precomputed effects —
-// identical to the serial path, where the delta is never computed.
-func applyOpEffects[EF any](b *base, op *Op, e *opEffects[EF], applyEffects func(EF)) (ins, del uint64, failed bool, err error) {
+// mutate is the mutate phase for one op: the physical row/index
+// mutation plus the strategy's effect replay. A delete whose target is
+// not live fails without replaying its precomputed effects — identical
+// to the serial path, where the delta is never computed.
+func (bt *batcher[EF]) mutate(op *Op, e *opEffects[EF]) (ins, del uint64, failed bool, err error) {
 	switch op.Kind {
 	case OpInsert:
-		if _, _, err = b.append(op.Tuple); err != nil {
+		if _, _, err = bt.append(op.Tuple); err != nil {
 			return 0, 0, true, err
 		}
-		applyEffects(e.ins)
+		bt.applyEffects(e.ins)
 		return 1, 0, false, nil
 	case OpDelete:
-		n, row, lerr := b.locate(op.Tuple)
+		n, row, lerr := bt.locate(op.Tuple)
 		if lerr != nil {
 			return 0, 0, true, lerr
 		}
-		b.removeRow(n, row)
-		applyEffects(e.del)
+		bt.removeRow(n, row)
+		bt.applyEffects(e.del)
 		return 0, 1, false, nil
 	default: // OpUpdate: strict — a failed delete half inserts nothing.
-		n, row, lerr := b.locate(op.Old)
+		n, row, lerr := bt.locate(op.Old)
 		if lerr != nil {
 			return 0, 0, true, lerr
 		}
-		b.removeRow(n, row)
-		applyEffects(e.del)
-		if _, _, err = b.append(op.Tuple); err != nil {
+		bt.removeRow(n, row)
+		bt.applyEffects(e.del)
+		if _, _, err = bt.append(op.Tuple); err != nil {
 			return 0, 1, false, err
 		}
-		applyEffects(e.ins)
+		bt.applyEffects(e.ins)
 		return 1, 1, false, nil
 	}
 }

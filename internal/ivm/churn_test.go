@@ -171,27 +171,35 @@ func BenchmarkFIVMApplyBatch(b *testing.B) {
 
 // TestCovarApplyBatchAllocsBounded pins the allocation cost of the
 // covar delta path. Steady-state Inventory churn on Retailer sf=0.1
-// allocates at most 3 objects per op at Workers 1 and 2 — what is left
+// allocates at most 0.35 objects per op in a 64-op batch — what is left
 // is row-locator and join-index bucket births, not ring temporaries,
 // key closures or effect lists (≈ 25 per op before the delta path went
-// destination-passing). A batch of Weather updates fans out through
-// computeEffects over the Inventory rows of each reading; its bound is
-// a constant per op, independent of how many parent rows a reading has.
+// destination-passing) — and a batch pays no toll of its own: a 1-op
+// batch allocates at most one object, 8 and 25 ops what their ops do
+// (7 / 11 / 16–19 per CALL when ApplyBatch built its groups, closures
+// and pool tasks afresh each time). A batch of Weather updates fans out
+// through computeEffects over the Inventory rows of each reading; its
+// bound is a constant per op, independent of how many parent rows a
+// reading has.
 func TestCovarApplyBatchAllocsBounded(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		c := retailerChurn(t, 0.1, workers)
 		for _, tc := range []struct {
 			name     string
+			batch    int
 			dimShare float64
 			perOp    float64
 		}{
-			{"Inventory churn", 0, 3},
-			{"Weather updates", 1, 6},
+			{"Inventory churn", 64, 0, 0.35},
+			{"Inventory churn", 25, 0, 0.5},
+			{"Inventory churn", 8, 0, 0.75},
+			{"Inventory churn", 1, 0, 1},
+			{"Weather updates", 64, 1, 6},
 		} {
-			got := churnAllocsPerOp(t, c, tc.dimShare)
-			t.Logf("workers=%d %s: %.2f allocs/op", workers, tc.name, got)
+			got := churnAllocsPerOp(t, c, tc.batch, tc.dimShare)
+			t.Logf("workers=%d %s ×%d: %.2f allocs/op", workers, tc.name, tc.batch, got)
 			if got > tc.perOp {
-				t.Errorf("workers=%d %s: %.2f allocs/op, want ≤ %v", workers, tc.name, got, tc.perOp)
+				t.Errorf("workers=%d %s ×%d: %.2f allocs/op, want ≤ %v", workers, tc.name, tc.batch, got, tc.perOp)
 			}
 		}
 	}
@@ -201,24 +209,27 @@ func TestCovarApplyBatchAllocsBounded(t *testing.T) {
 // payload over Tenant churn: a tuple's lift, products and negation are
 // computed into recycled elements, so what an op allocates is its group
 // key and its share of copy-on-write in the views (≈ 13 per op when the
-// ring allocated every temporary). benchmarks/e2e's
+// ring allocated every temporary), at any batch size. benchmarks/e2e's
 // tenant_cofactor_2shard depends on it: at twice the garbage a GC cycle
 // ran during most ingest rounds instead of a minority, and its median
 // flipped between the two from run to run.
 func TestCofactorApplyBatchAllocsBounded(t *testing.T) {
-	got := churnAllocsPerOp(t, tenantChurn(t, 1), 0)
-	t.Logf("Tenant churn: %.2f allocs/op", got)
-	if got > 3 {
-		t.Errorf("Tenant churn: %.2f allocs/op, want ≤ 3", got)
+	c := tenantChurn(t, 1)
+	for _, batch := range []int{64, 25, 8, 1} {
+		got := churnAllocsPerOp(t, c, batch, 0)
+		t.Logf("Tenant churn ×%d: %.2f allocs/op", batch, got)
+		if got > 2 {
+			t.Errorf("Tenant churn ×%d: %.2f allocs/op, want ≤ 2", batch, got)
+		}
 	}
 }
 
-// churnAllocsPerOp reports what one op of a steady-state 64-op batch
-// allocates.
-func churnAllocsPerOp(t *testing.T, c *churn, dimShare float64) float64 {
-	const batch, runs = 64, 20
+// churnAllocsPerOp reports what one op of a steady-state batch of the
+// given size allocates.
+func churnAllocsPerOp(t *testing.T, c *churn, batch int, dimShare float64) float64 {
+	const runs = 20
 	for i := 0; i < 50; i++ {
-		c.apply(t, c.batch(batch, dimShare))
+		c.apply(t, c.batch(64, dimShare))
 	}
 	batches, next := make([][]Op, runs+1), 0 // AllocsPerRun calls once to warm up
 	for i := range batches {
@@ -227,5 +238,5 @@ func churnAllocsPerOp(t *testing.T, c *churn, dimShare float64) float64 {
 	return testing.AllocsPerRun(runs, func() {
 		c.apply(t, batches[next])
 		next++
-	}) / batch
+	}) / float64(batch)
 }

@@ -43,9 +43,15 @@ func NewFirstOrder(j *query.Join, root string, features []string, opts ...Option
 		for a := range m.cfResult {
 			m.cfResult[a] = m.csr.Zero()
 		}
+		setBatcher(b, m, nil, m.catTupleEffects, m.applyCatEffects)
 		return m, nil
 	}
-	m.result = make([]float64, len(batch.aggs))
+	m.result = make([]float64, len(m.batch.aggs))
+	// ApplyBatch: the per-op delta-query evaluations — by far the dominant
+	// cost of this strategy, each a set of scans the exec runtime splits
+	// across its workers — run against phase-start state, then the root
+	// sums replay in op order.
+	setBatcher(b, m, nil, m.tupleEffects, m.applyEffects)
 	return m, nil
 }
 
@@ -233,7 +239,7 @@ func (m *FirstOrder) upCat(n *node, key uint64, a int, partial *ring.CatScalar, 
 // child subtrees, up the ancestors and their sibling subtrees, never n
 // itself — so the evaluation reads only batch-start state for any mix
 // of same-relation ops.
-func (m *FirstOrder) tupleEffects(_ int, n *node, vals []relation.Value, neg bool) []scalarEffect {
+func (m *FirstOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []scalarEffect {
 	var out []scalarEffect
 	emit := func(a int, v float64) {
 		out = append(out, scalarEffect{a: int32(a), delta: v})
@@ -275,7 +281,7 @@ type catScalarEffect struct {
 // catTupleEffects is tupleEffects for the cofactor payload: full delta
 // queries carrying the per-group split, recording group-keyed root
 // arrivals.
-func (m *FirstOrder) catTupleEffects(_ int, n *node, vals []relation.Value, neg bool) []catScalarEffect {
+func (m *FirstOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) []catScalarEffect {
 	var out []catScalarEffect
 	emit := func(a int, v *ring.CatScalar) {
 		out = append(out, catScalarEffect{a: int32(a), delta: v})
@@ -305,30 +311,6 @@ func (m *FirstOrder) applyCatEffects(effs []catScalarEffect) {
 	for _, e := range effs {
 		m.csr.AddInPlace(m.cfResult[e.a], e.delta)
 	}
-}
-
-// ApplyBatch implements Maintainer: the per-op delta-query evaluations
-// — by far the dominant cost of this strategy — run morsel-parallel
-// against batch-start state, then the root sums replay in op order.
-func (m *FirstOrder) ApplyBatch(ops []Op) BatchResult {
-	if m.cfResult != nil {
-		return applyOps(m.base, ops, nil,
-			func(morsel int, op *Op) opEffects[[]catScalarEffect] {
-				return computeOpEffects(m.base, morsel, op, m.catTupleEffects)
-			},
-			func(op *Op, e *opEffects[[]catScalarEffect]) (uint64, uint64, bool, error) {
-				return applyOpEffects(m.base, op, e, m.applyCatEffects)
-			},
-			func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
-	}
-	return applyOps(m.base, ops, nil,
-		func(morsel int, op *Op) opEffects[[]scalarEffect] {
-			return computeOpEffects(m.base, morsel, op, m.tupleEffects)
-		},
-		func(op *Op, e *opEffects[[]scalarEffect]) (uint64, uint64, bool, error) {
-			return applyOpEffects(m.base, op, e, m.applyEffects)
-		},
-		func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 }
 
 // Count implements Maintainer.

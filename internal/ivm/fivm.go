@@ -33,12 +33,12 @@ type viewTree[E any] struct {
 	nodes  []*node
 	view   []map[uint64]E // by node id
 	result E
-	// scratch[i] serves morsel i of a delta phase; scratch[0] also the
-	// tuple-at-a-time path.
-	scratch [batchPhase / batchMorselSize]*scratch[E]
+	// scratch is the working memory of the delta computation at hand: a
+	// delta phase's, or the tuple-at-a-time path's.
+	scratch *scratch[E]
 }
 
-// scratch is the working memory of one delta computation at a time.
+// scratch is the working memory of one tree's delta computations.
 type scratch[E any] struct {
 	// tmp holds the two ends of a product chain: each factor multiplies
 	// tmp[cur] into the other and flips cur.
@@ -77,13 +77,17 @@ func newViewTree[E any](alg ring.Algebra[E], nodes []*node) *viewTree[E] {
 func newViewTreeLift[E any](alg ring.Algebra[E], nodes []*node,
 	lift func(dst E, s *scratch[E], n *node, vals []relation.Value) E) *viewTree[E] {
 	vt := &viewTree[E]{alg: alg, lift: lift, nodes: nodes,
-		view: make([]map[uint64]E, len(nodes)), result: alg.Zero()}
+		view: make([]map[uint64]E, len(nodes)), result: alg.Zero(),
+		scratch: &scratch[E]{tmp: [2]E{alg.Zero(), alg.Zero()}}}
 	for i := range vt.view {
 		vt.view[i] = make(map[uint64]E)
 	}
-	for i := range vt.scratch {
-		vt.scratch[i] = &scratch[E]{tmp: [2]E{alg.Zero(), alg.Zero()}}
-	}
+	return vt
+}
+
+// batched makes vt the one tree m's ApplyBatch maintains.
+func (vt *viewTree[E]) batched(m Maintainer, b *base) *viewTree[E] {
+	setBatcher(b, m, vt.scratch.reset, vt.tupleEffects, vt.applyEffects)
 	return vt
 }
 
@@ -121,13 +125,6 @@ func (s *scratch[E]) reset() {
 	s.used = 0
 	clear(s.effs)
 	s.effs = s.effs[:0]
-}
-
-// begin starts a delta phase.
-func (vt *viewTree[E]) begin() {
-	for _, s := range vt.scratch {
-		s.reset()
-	}
 }
 
 // mul multiplies s's running product by v.
@@ -187,7 +184,8 @@ type viewEffect[E any] struct {
 // Everything it reads — the parent's child-edge index and rows, sibling
 // views — lies OUTSIDE the write set of the effects it emits (n's own
 // relation and the views on the n→root path), which is what lets the
-// batch path run it concurrently for many tuples of one relation. A
+// batch path run it for many tuples of one relation before any of them
+// mutates. A
 // fan-out folds the parent rows of each upward key in index-bucket
 // order and climbs key by key in ascending order, a fixed reduction
 // order that makes the effect list — and with it every maintained float
@@ -230,12 +228,12 @@ func (vt *viewTree[E]) computeEffects(s *scratch[E], n *node, key uint64, delta 
 	s.fan = s.fan[:base]
 }
 
-// tupleEffects is the delta phase of one tuple half of an op in the
-// given morsel: the effects a tuple of n with these values triggers,
-// negated for a retraction; nil when it contributes nothing. vals may
-// be the scratch's own row buffer: it is last read before the climb.
-func (vt *viewTree[E]) tupleEffects(morsel int, n *node, vals []relation.Value, neg bool) []viewEffect[E] {
-	s := vt.scratch[morsel]
+// tupleEffects is the delta phase of one tuple half of an op: the
+// effects a tuple of n with these values triggers, negated for a
+// retraction; nil when it contributes nothing. vals may be the
+// scratch's own row buffer: it is last read before the climb.
+func (vt *viewTree[E]) tupleEffects(n *node, vals []relation.Value, neg bool) []viewEffect[E] {
+	s := vt.scratch
 	var none E
 	if !vt.tupleDelta(s, n, vals, nil, none) {
 		return nil
@@ -275,30 +273,15 @@ func (vt *viewTree[E]) applyEffects(effs []viewEffect[E]) {
 // with the physical removal) is merged into n's view and climbs towards
 // the root through the parent's index on n's join key.
 func (vt *viewTree[E]) propagateRow(n *node, row int, neg bool) {
-	s := vt.scratch[0]
+	s := vt.scratch
 	s.row = n.rel.AppendRowTo(s.row[:0], row)
-	vt.applyEffects(vt.tupleEffects(0, n, s.row, neg))
+	vt.applyEffects(vt.tupleEffects(n, s.row, neg))
 	s.reset()
-}
-
-// applyBatch is ApplyBatch over this tree: per-op ring deltas
-// (tupleEffects) computed morsel-parallel against phase-start state,
-// then replayed serially in op order.
-func (vt *viewTree[E]) applyBatch(b *base, ops []Op, serial func(op *Op) (uint64, uint64, bool, error)) BatchResult {
-	return applyOps(b, ops, vt.begin,
-		func(morsel int, op *Op) opEffects[[]viewEffect[E]] {
-			return computeOpEffects(b, morsel, op, vt.tupleEffects)
-		},
-		func(op *Op, e *opEffects[[]viewEffect[E]]) (uint64, uint64, bool, error) {
-			return applyOpEffects(b, op, e, vt.applyEffects)
-		},
-		serial)
 }
 
 // deltaTree is what FIVM asks of its view tree whatever the payload.
 type deltaTree interface {
 	propagateRow(n *node, row int, neg bool)
-	applyBatch(b *base, ops []Op, serial func(op *Op) (uint64, uint64, bool, error)) BatchResult
 }
 
 // FIVM is the factorized incremental view maintenance strategy (Nikolic &
@@ -355,7 +338,7 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 	switch o.payload {
 	case PayloadPoly2:
 		m.pr = ring.NewPoly2Ring(len(b.contFeats))
-		m.p2 = newViewTree[*ring.Poly2](m.pr, m.nodes)
+		m.p2 = newViewTree[*ring.Poly2](m.pr, m.nodes).batched(m, b)
 		m.tree = m.p2
 	case PayloadCofactor:
 		cfr := ring.CofactorRing{N: len(b.contFeats), K: len(b.catFeats)}
@@ -363,10 +346,10 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 			func(dst *ring.Cofactor, s *scratch[*ring.Cofactor], n *node, vals []relation.Value) *ring.Cofactor {
 				s.f, s.c = n.featValsOf(s.f[:0], vals), n.catValsOf(s.c[:0], vals)
 				return cfr.LiftCatInto(dst, n.featIdx, s.f, n.catIdx, s.c)
-			})
+			}).batched(m, b)
 		m.tree = m.cf
 	default:
-		m.cv = newViewTree[*ring.Covar](m.ring, m.nodes)
+		m.cv = newViewTree[*ring.Covar](m.ring, m.nodes).batched(m, b)
 		m.tree = m.cv
 	}
 	return m, nil
@@ -403,10 +386,10 @@ func (m *FIVM) Delete(t Tuple) error {
 	return nil
 }
 
-// ApplyBatch implements Maintainer (viewTree.applyBatch).
+// ApplyBatch implements Maintainer.
 func (m *FIVM) ApplyBatch(ops []Op) BatchResult {
 	m.cfMargOK = false
-	return m.tree.applyBatch(m.base, ops, func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
+	return m.base.ApplyBatch(ops)
 }
 
 // Count implements Maintainer.

@@ -54,8 +54,12 @@ func NewHigherOrder(j *query.Join, root string, features []string, opts ...Optio
 					return csr.LiftVal(n.catIdx, s.c, localEvalVals(n, vals, agg))
 				})
 		}
+		setBatcher(b, m, m.beginCat, m.catTupleEffects, m.applyCatEffects)
 		return m, nil
 	}
+	// ApplyBatch: each op's per-aggregate propagations run against
+	// phase-start state, then replay in op order.
+	setBatcher(b, m, nil, m.tupleEffects, m.applyEffects)
 	m.views = make(map[*node][]map[uint64]float64)
 	m.result = make([]float64, len(m.batch.aggs))
 	for _, n := range m.nodes {
@@ -148,8 +152,8 @@ func (m *HigherOrder) Delete(t Tuple) error {
 // deltas in ascending key order (a fixed reduction order, so every
 // maintained float is deterministic). Everything it reads — the
 // parent's index and rows, sibling views — is outside the write set of
-// the effects it emits, which is what lets ApplyBatch run it
-// concurrently for many tuples of one relation.
+// the effects it emits, which is what lets ApplyBatch run it for
+// many tuples of one relation before any of them mutates.
 func (m *HigherOrder) computeEffects(n *node, a int, key uint64, delta float64, out []scalarEffect) []scalarEffect {
 	out = append(out, scalarEffect{n: n, a: int32(a), key: key, delta: delta})
 	p := n.parent
@@ -213,7 +217,7 @@ func (m *HigherOrder) propagate(n *node, a int, key uint64, delta float64) {
 // tupleEffects records the full per-aggregate propagation a tuple with
 // these values triggers at node n (negated for the delete half),
 // reading only batch-start state.
-func (m *HigherOrder) tupleEffects(_ int, n *node, vals []relation.Value, neg bool) []scalarEffect {
+func (m *HigherOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []scalarEffect {
 	var out []scalarEffect
 	for a := range m.batch.aggs {
 		delta := localEvalVals(n, vals, m.batch.aggs[a])
@@ -240,12 +244,19 @@ func (m *HigherOrder) tupleEffects(_ int, n *node, vals []relation.Value, neg bo
 // catTupleEffects is tupleEffects for the cofactor payload: the
 // per-aggregate group-keyed propagations a tuple with these values
 // triggers, one effect list per aggregate tree.
-func (m *HigherOrder) catTupleEffects(morsel int, n *node, vals []relation.Value, neg bool) [][]viewEffect[*ring.CatScalar] {
+func (m *HigherOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) [][]viewEffect[*ring.CatScalar] {
 	out := make([][]viewEffect[*ring.CatScalar], len(m.cfTrees))
 	for a, vt := range m.cfTrees {
-		out[a] = vt.tupleEffects(morsel, n, vals, neg)
+		out[a] = vt.tupleEffects(n, vals, neg)
 	}
 	return out
+}
+
+// beginCat starts a delta phase on every aggregate tree.
+func (m *HigherOrder) beginCat() {
+	for _, vt := range m.cfTrees {
+		vt.scratch.reset()
+	}
 }
 
 // applyCatEffects replays per-aggregate recorded propagations.
@@ -262,35 +273,6 @@ func (m *HigherOrder) catResults() []*ring.CatScalar {
 		out[a] = vt.result
 	}
 	return out
-}
-
-// ApplyBatch implements Maintainer: the per-aggregate delta
-// propagations of each op run morsel-parallel against batch-start
-// state, then replay serially in op order.
-func (m *HigherOrder) ApplyBatch(ops []Op) BatchResult {
-	if m.cfTrees != nil {
-		return applyOps(m.base, ops,
-			func() {
-				for _, vt := range m.cfTrees {
-					vt.begin()
-				}
-			},
-			func(morsel int, op *Op) opEffects[[][]viewEffect[*ring.CatScalar]] {
-				return computeOpEffects(m.base, morsel, op, m.catTupleEffects)
-			},
-			func(op *Op, e *opEffects[[][]viewEffect[*ring.CatScalar]]) (uint64, uint64, bool, error) {
-				return applyOpEffects(m.base, op, e, m.applyCatEffects)
-			},
-			func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
-	}
-	return applyOps(m.base, ops, nil,
-		func(morsel int, op *Op) opEffects[[]scalarEffect] {
-			return computeOpEffects(m.base, morsel, op, m.tupleEffects)
-		},
-		func(op *Op, e *opEffects[[]scalarEffect]) (uint64, uint64, bool, error) {
-			return applyOpEffects(m.base, op, e, m.applyEffects)
-		},
-		func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 }
 
 // Count implements Maintainer.

@@ -147,11 +147,11 @@ type Maintainer interface {
 	// inserted, updating the maintained result with the negated
 	// contribution. It fails if no matching tuple is live.
 	Delete(t Tuple) error
-	// ApplyBatch applies a batch of ops with the morsel-parallel
-	// two-phase scheme of batch.go: per-op delta computation fans out
-	// across the runtime's worker pool (read-only against batch-start
-	// state), then a single serial phase mutates rows, indexes, and
-	// views in op order. The published result is bitwise-identical to
+	// ApplyBatch applies a batch of ops with the two-phase scheme of
+	// batch.go: the per-op deltas of up to 64 same-relation ops are
+	// computed read-only against the state before them, then one phase
+	// mutates rows, indexes, and views in op order. The result does not
+	// depend on the runtime's worker count: it is bitwise-identical to
 	// applying the same ops one at a time grouped by relation (stable
 	// within each relation); failed ops do not stop the batch.
 	ApplyBatch(ops []Op) BatchResult
@@ -250,6 +250,14 @@ type base struct {
 	// rt schedules the delta scans routed through internal/exec. The
 	// zero value is the serial runtime; SetRuntime overrides it.
 	rt exec.Runtime
+	// groups and groupOf are groupOps' buffers, reused by every batch:
+	// the groups of the batch at hand with their index lists, and per
+	// node id — one more slot for relations outside the join — the
+	// position + 1 of its group among them (0 = none yet).
+	groups  []opGroup
+	groupOf []int32
+	// applyBatch is ApplyBatch over the strategy's effect lists (setBatcher).
+	applyBatch func(ops []Op) BatchResult
 }
 
 // ContFeatures implements Maintainer.
@@ -270,10 +278,10 @@ func (b *base) Cardinalities() map[string]int {
 }
 
 // SetRuntime points the maintainer's scan kernels at the given exec
-// runtime. First-order maintenance routes its delta scans through it,
-// and every strategy's ApplyBatch fans the per-op delta computation out
-// across its worker pool; single-tuple maintenance on the view-based
-// strategies stays serial (the per-op work is too small to split).
+// runtime. First-order maintenance routes its delta scans through it;
+// the view-based strategies compute a tuple's delta with a handful of
+// hash probes, too little to split, and ApplyBatch runs its phases as
+// plain loops (batch.go), so they never touch the pool.
 func (b *base) SetRuntime(rt exec.Runtime) { b.rt = rt }
 
 // joinAttrNames lists every attribute of the join once, in schema
@@ -342,6 +350,7 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 		return n
 	}
 	build(jt.Root, nil)
+	b.groupOf = make([]int32, len(b.nodes)+1)
 
 	for _, f := range features {
 		n, ok := owner[f]

@@ -3,6 +3,9 @@ package serve
 import (
 	"runtime"
 	"testing"
+	"time"
+
+	"borg/internal/ivm"
 )
 
 // readSink keeps timed snapshot reads observable so the compiler cannot
@@ -82,5 +85,61 @@ func TestPublicationAllocsBounded(t *testing.T) {
 		readSink += srv.buildSnapshot(1, 2, 3).Count()
 	}); a > 2 {
 		t.Fatalf("epoch publication allocates %.1f/op, want at most 2 (arena + backing)", a)
+	}
+}
+
+// TestBurstAllocsBounded pins what the writer's whole path costs for one
+// k-op burst — gather, ApplyBatch, publish, with metrics on: the epoch
+// arena's two objects plus what the ops themselves allocate in the
+// maintainer (row-locator and index buckets, under half an object per
+// op in steady state). Nothing is paid per call: no groups, closures or
+// pool tasks (7 objects for a 1-op batch when ApplyBatch built them
+// afresh). The writer is stopped first so its methods can be driven
+// from the test goroutine; bursts alternate between inserting and
+// retracting the same tuples, so the state they run against is steady.
+func TestBurstAllocsBounded(t *testing.T) {
+	j, stream, feats := salesSchema(13, 400, 8, 4)
+	srv, err := New(j, "Sales", feats, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sales []ivm.Tuple
+	for _, tu := range stream {
+		if tu.Rel == "Sales" {
+			sales = append(sales, tu)
+		}
+		if err := srv.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 8, 25} {
+		retract := true
+		burst := func() {
+			kind := opInsert
+			if retract {
+				kind = opDelete
+			}
+			for _, tu := range sales[:k] {
+				srv.handle(op{kind: kind, tuple: tu, enq: time.Now()})
+			}
+			srv.applyBatch()
+			srv.publish()
+			retract = !retract
+		}
+		for i := 0; i < 20; i++ {
+			burst()
+		}
+		epoch := srv.epoch
+		a := testing.AllocsPerRun(99, burst) // an even number of bursts with its warm-up call: all k tuples live again
+		t.Logf("%d-op burst: %.2f allocs", k, a)
+		if bound := 2 + 0.5*float64(k); a > bound {
+			t.Errorf("%d-op burst allocates %.2f, want at most %.1f (arena + backing + per-op)", k, a, bound)
+		}
+		if srv.epoch != epoch+100 || srv.pending != 0 || srv.Err() != nil {
+			t.Fatalf("%d-op bursts: epoch %d → %d, pending %d, err %v", k, epoch, srv.epoch, srv.pending, srv.Err())
+		}
 	}
 }

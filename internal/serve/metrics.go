@@ -18,15 +18,19 @@ type serveMetrics struct {
 	// Ingest-path series.
 	queueWait *obs.Histogram // writer-observed wait from enqueue to handling
 	batchSize *obs.Histogram // ops per applied batch
-	deltaNs   *obs.Histogram // parallel delta-computation phase per batch
-	mutateNs  *obs.Histogram // serial mutate phase per batch
+	deltaNs   *obs.Histogram // delta-computation phases per batch
+	mutateNs  *obs.Histogram // mutate phases per batch
 	publishNs *obs.Histogram // snapshot build + swap per publication
 	flushNs   *obs.Histogram // flush-barrier service time (drain + publish)
-	inserts   *obs.Counter   // applied tuple inserts
-	deletes   *obs.Counter   // applied tuple deletes
-	rejected  *obs.Counter   // ops rejected at validation (unknown rel, arity)
-	applyErrs *obs.Counter   // batches that surfaced a maintenance error
-	epoch     *obs.Gauge     // published epoch sequence number
+	// freshnessNs is enqueue-to-visible of the OLDEST op an epoch covers:
+	// one observation and no extra clock read per publication.
+	freshnessNs *obs.Histogram
+	inserts     *obs.Counter // applied tuple inserts
+	deletes     *obs.Counter // applied tuple deletes
+	rejected    *obs.Counter // ops rejected at validation (unknown rel, arity)
+	applyErrs   *obs.Counter // batches that surfaced a maintenance error
+	panics      *obs.Counter // panics contained on the writer goroutine
+	epoch       *obs.Gauge   // published epoch sequence number
 
 	// Plan-layer series (the writer owns the plan state).
 	replans  *obs.Counter   // completed plan rebuilds
@@ -49,13 +53,15 @@ func newServeMetrics(r *obs.Registry, labels obs.Labels, queueLen func() int) *s
 	m.batchSize = r.Histogram("borg_serve_batch_size",
 		"Ops per applied batch.", labels)
 	m.deltaNs = r.Histogram("borg_serve_apply_delta_ns",
-		"Nanoseconds per batch in the morsel-parallel delta-computation phase.", labels)
+		"Nanoseconds per batch in the read-only delta-computation phases.", labels)
 	m.mutateNs = r.Histogram("borg_serve_apply_mutate_ns",
-		"Nanoseconds per batch in the serial mutate phase.", labels)
+		"Nanoseconds per batch in the mutate phases.", labels)
 	m.publishNs = r.Histogram("borg_serve_publish_ns",
 		"Nanoseconds per snapshot publication (epoch arena build and swap).", labels)
 	m.flushNs = r.Histogram("borg_serve_flush_ns",
 		"Nanoseconds per flush barrier, from writer pickup to publication.", labels)
+	m.freshnessNs = r.Histogram("borg_serve_freshness_ns",
+		"Nanoseconds from the enqueue of the oldest op an epoch covers to that epoch's publication.", labels)
 	m.inserts = r.Counter("borg_serve_inserts_total",
 		"Applied tuple inserts (the insert half of an update counts).", labels)
 	m.deletes = r.Counter("borg_serve_deletes_total",
@@ -64,6 +70,8 @@ func newServeMetrics(r *obs.Registry, labels obs.Labels, queueLen func() int) *s
 		"Ops rejected at validation time (unknown relation, arity mismatch).", labels)
 	m.applyErrs = r.Counter("borg_serve_apply_errors_total",
 		"Batches that surfaced a maintenance error (failed delete target, half-applied update).", labels)
+	m.panics = r.Counter("borg_serve_writer_panics_total",
+		"Panics contained on the writer goroutine; after one the server refuses every op.", labels)
 	m.epoch = r.Gauge("borg_serve_epoch",
 		"Published snapshot epoch sequence number.", labels)
 	m.replans = r.Counter("borg_plan_replans_total",

@@ -20,17 +20,18 @@
 //     and lock-free internally. An update is a delete+insert pair the
 //     writer applies back to back, so no snapshot splits it.
 //
-//   - Batching. The writer drains arriving ops into a batch of up to
-//     BatchSize and applies it through Maintainer.ApplyBatch: the
-//     per-tuple delta computation — read-only against batch-start
-//     state — fans out across the exec worker pool in morsels, then
-//     one short serial phase mutates rows, indexes, and views, so the
-//     maintainer still looks single-threaded to itself. A snapshot is
-//     published per batch, or after FlushInterval of quiescence,
-//     whichever comes first — amortizing both the O(n²) snapshot copy
-//     and the parallel fan-out across the batch. Published statistics
-//     are bitwise-identical to serial tuple-at-a-time application of
-//     the batch grouped by relation.
+//   - Batching. The writer is work-conserving: whenever it wakes it
+//     takes what is queued, up to BatchSize ops, applies it through
+//     Maintainer.ApplyBatch, and publishes a snapshot iff the queue is
+//     now empty or BatchSize ops are unpublished; otherwise it takes
+//     the next batch. An idle or paced server publishes as soon as it
+//     has caught up (no timer), a saturated one once per BatchSize
+//     ops, and an epoch never trails by 2·BatchSize ops or more.
+//     Published statistics are bitwise-identical to serial
+//     tuple-at-a-time application of each batch grouped by relation.
+//     A panic under the writer becomes the sticky Err, and the writer
+//     keeps emptying the queue — discarding ops, failing barriers —
+//     so no producer stays parked on a dead server.
 //
 //   - Epoch/COW handoff. A publication deep-copies the maintained
 //     covariance triple (Maintainer.SnapshotInto) into an immutable
@@ -48,6 +49,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,23 +138,20 @@ func Payloads() []Payload { return []Payload{PayloadCovar, PayloadPoly2, Payload
 type Config struct {
 	// Strategy is the IVM maintenance strategy.
 	Strategy Strategy
-	// BatchSize is how many buffered ops (inserts, deletes, updates)
-	// force a batch application and snapshot publication. It is also
-	// the unit of morsel-parallel ingest: the writer hands batches of
-	// up to this size to Maintainer.ApplyBatch, whose delta phase fans
-	// out across the worker pool. Default 64.
+	// BatchSize is the most ops (inserts, deletes, updates) one
+	// Maintainer.ApplyBatch call takes, and the most a published epoch
+	// may trail by under backlog: the writer publishes whenever it has
+	// emptied the queue, and otherwise once BatchSize applied ops are
+	// unpublished. Default 64.
 	BatchSize int
-	// FlushInterval bounds snapshot staleness: a partial batch is
-	// applied and published after this long. Default 1ms.
-	FlushInterval time.Duration
 	// QueueDepth is the ingest channel capacity; full queues apply
 	// backpressure to producers. Default 1024.
 	QueueDepth int
-	// Workers sizes the exec worker pool the maintainer's delta scans
-	// and batch application run on. 0 (the zero value) resolves to
-	// runtime.GOMAXPROCS(0) — use all cores; 1 or negative selects the
-	// serial kernels explicitly. The resolved value is reported by
-	// Workers().
+	// Workers sizes the exec worker pool behind what still scans whole
+	// relations: the first-order strategy's delta queries. F-IVM and
+	// higher-order ingest never use it — ingest parallelism comes from
+	// shards. 0 resolves to runtime.GOMAXPROCS(0); 1 or negative selects
+	// the serial kernels. The resolved value is reported by Workers().
 	Workers int
 	// Payload selects the maintained ring payload: PayloadCovar (the
 	// default), PayloadPoly2 (degree-≤4 moments for polynomial
@@ -203,9 +202,6 @@ func (c *Config) defaults() {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -369,9 +365,8 @@ type Server struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	// lastErr publishes the writer's first maintenance error to
-	// readers (Err), so asynchronous delete/update failures are
-	// observable without a Flush barrier.
+	// lastErr is the writer's first maintenance error (or its panic):
+	// what Err, Flush and Close report, readable without a barrier.
 	lastErr atomic.Pointer[error]
 
 	// queued counts tuple ops (inserts, deletes, updates) enqueued but
@@ -391,11 +386,18 @@ type Server struct {
 	// describe the plan the maintainer is currently built under; drift
 	// is recomputed at every publication; replans counts completed
 	// rebuilds.
+	// buf gathers the next batch; pending counts ops applied since the
+	// last publication, oldest is the enqueue time of the first op no
+	// epoch covers yet (zero: none, or metrics off). barrier is the
+	// barrier being served, which a panic must still answer (failed).
+	buf        []ivm.Op
 	inserts    uint64
 	deletes    uint64
 	epoch      uint64
 	pending    int
-	applyErr   error
+	oldest     time.Time
+	barrier    op
+	failed     bool
 	root       string
 	planDepth  int
 	planWidth  int
@@ -647,26 +649,40 @@ func (s *Server) QueueLen() int { return int(s.queued.Load()) }
 // error if any occurred.
 func (s *Server) Flush() error {
 	ack := make(chan error, 1)
+	return firstErr(await(s, op{flush: ack}, ack))
+}
+
+// await enqueues one barrier op and waits for the writer's answer on
+// ack; the shutdown drain still answers a barrier enqueued before Close.
+func await[T any](s *Server, barrier op, ack chan T) (T, error) {
+	var none T
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
-		return ErrClosed
+		return none, ErrClosed
 	}
-	s.in <- op{flush: ack}
+	s.in <- barrier
 	s.closeMu.RUnlock()
 	select {
-	case err := <-ack:
-		return err
+	case v := <-ack:
+		return v, nil
 	case <-s.finished:
-		// The writer's shutdown drain completes barriers that were
-		// enqueued before Close; prefer its acknowledgment.
 		select {
-		case err := <-ack:
-			return err
+		case v := <-ack:
+			return v, nil
 		default:
-			return ErrClosed
+			return none, ErrClosed
 		}
 	}
+}
+
+// firstErr is the outcome of an error-valued barrier: the writer's
+// answer, unless the barrier never reached it.
+func firstErr(answer, closed error) error {
+	if closed != nil {
+		return closed
+	}
+	return answer
 }
 
 // Replan re-plans the server greedily from live cardinalities and, when
@@ -696,52 +712,23 @@ func (s *Server) ReplanTo(root string) error {
 }
 
 // replanRequest enqueues a replan barrier and waits for the writer's
-// acknowledgment (same shutdown discipline as Flush).
+// acknowledgment.
 func (s *Server) replanRequest(root string) error {
 	ack := make(chan error, 1)
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return ErrClosed
-	}
-	s.in <- op{replan: &replanReq{root: root, ack: ack}}
-	s.closeMu.RUnlock()
-	select {
-	case err := <-ack:
-		return err
-	case <-s.finished:
-		select {
-		case err := <-ack:
-			return err
-		default:
-			return ErrClosed
-		}
-	}
+	return firstErr(await(s, op{replan: &replanReq{root: root, ack: ack}}, ack))
 }
 
 // Cardinalities returns the live per-relation row counts as of every op
 // enqueued before the call — the planning input the sharded layer sums
-// across shards to pick one global root.
+// across shards to pick one global root. A failed writer answers nil;
+// why is in Err.
 func (s *Server) Cardinalities() (map[string]int, error) {
-	ch := make(chan map[string]int, 1)
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return nil, ErrClosed
+	ack := make(chan map[string]int, 1)
+	m, err := await(s, op{cards: ack}, ack)
+	if err == nil && m == nil {
+		err = s.Err()
 	}
-	s.in <- op{cards: ch}
-	s.closeMu.RUnlock()
-	select {
-	case m := <-ch:
-		return m, nil
-	case <-s.finished:
-		select {
-		case m := <-ch:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
+	return m, err
 }
 
 // Close stops the writer after draining already-queued ops, publishes a
@@ -761,7 +748,7 @@ func (s *Server) Close() error {
 		}
 	})
 	<-s.finished
-	return s.applyErr
+	return s.Err()
 }
 
 // batchOp converts one queued op to the maintainer's batch
@@ -778,119 +765,166 @@ func (o op) batchOp() ivm.Op {
 }
 
 // run is the writer goroutine: the only goroutine that touches the
-// maintainer after New returns. It buffers arriving ops and applies
-// them in morsel-parallel batches (Maintainer.ApplyBatch) at batch
-// boundaries, flush barriers, timer expiry, and shutdown.
+// maintainer after New returns.
 func (s *Server) run() {
 	defer close(s.finished)
-	timer := time.NewTimer(s.cfg.FlushInterval)
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
+	// Grows to BatchSize with the batches; sized up front it would zero
+	// BatchSize ops of memory before the first op.
+	s.buf = make([]ivm.Op, 0, min(s.cfg.BatchSize, 64))
+	for !s.work() {
 	}
-	armed := false
-	buf := make([]ivm.Op, 0, s.cfg.BatchSize)
-	handle := func(o op) {
-		switch {
-		case o.flush != nil:
-			var start time.Time
-			if s.metrics != nil {
-				start = time.Now()
-			}
-			s.applyBatch(&buf)
-			s.publish()
-			if m := s.metrics; m != nil {
-				m.flushNs.Observe(int64(time.Since(start)))
-			}
-			o.flush <- s.applyErr
-		case o.cards != nil:
-			s.applyBatch(&buf)
-			o.cards <- s.m.Cardinalities()
-		case o.replan != nil:
-			s.applyBatch(&buf)
-			err := s.timedReplan(o.replan.root)
-			s.forcePublish()
-			o.replan.ack <- err
-		default:
-			if m := s.metrics; m != nil {
-				m.queueWait.Observe(int64(time.Since(o.enq)))
-			}
-			buf = append(buf, o.batchOp())
-		}
+}
+
+// work is one wake-up of the writer: wait for an op (or for Close),
+// then apply what is queued, batch after batch, until the queue is
+// empty. It publishes whenever it finds the queue empty after a batch —
+// the snapshot is then current; there is nothing to wait for — and
+// otherwise once BatchSize applied ops are unpublished, so no epoch
+// covers 2·BatchSize ops or more. It reports whether the server is
+// closed and drained; a panic below ends the wake-up in contain.
+func (s *Server) work() bool {
+	defer s.contain()
+	closed := false
+	select {
+	case <-s.stop:
+		// Close has shut the gate: what is queued now is all there will be.
+		closed = true
+	case o := <-s.in:
+		s.handle(o)
 	}
 	for {
-		select {
-		case <-s.stop:
-			for {
-				select {
-				case o := <-s.in:
-					handle(o)
-					if len(buf) >= s.cfg.BatchSize {
-						s.applyBatch(&buf)
-					}
-				default:
-					s.applyBatch(&buf)
-					s.publish()
-					return
-				}
+		for more := true; more && len(s.buf) < s.cfg.BatchSize; {
+			select {
+			case o := <-s.in:
+				s.handle(o)
+			default:
+				more = false
 			}
-		case o := <-s.in:
-			handle(o)
-			// Greedy drain: everything already queued joins this batch,
-			// so a loaded server applies one parallel batch and publishes
-			// once per BatchSize ops rather than once per channel wakeup.
-			more := true
-			for more && len(buf) < s.cfg.BatchSize {
-				select {
-				case o2 := <-s.in:
-					handle(o2)
-				default:
-					more = false
-				}
-			}
-			if len(buf) >= s.cfg.BatchSize {
-				s.applyBatch(&buf)
-				s.publish()
-				if armed {
-					if !timer.Stop() {
-						select {
-						case <-timer.C:
-						default:
-						}
-					}
-					armed = false
-				}
-			} else if (len(buf) > 0 || s.pending > 0) && !armed {
-				timer.Reset(s.cfg.FlushInterval)
-				armed = true
-			}
-		case <-timer.C:
-			armed = false
-			s.applyBatch(&buf)
+		}
+		s.applyBatch()
+		empty := len(s.in) == 0
+		if empty || s.pending >= s.cfg.BatchSize {
 			s.publish()
+		}
+		if empty {
+			return closed
 		}
 	}
 }
 
-// applyBatch applies the buffered ops through the maintainer's
-// morsel-parallel batch path and folds the result into the writer's
-// accounting. The buffer is reset for reuse.
-func (s *Server) applyBatch(buf *[]ivm.Op) {
-	if len(*buf) == 0 {
+// isBarrier tells a flush, cards or replan barrier from a tuple op.
+func (o *op) isBarrier() bool { return o.flush != nil || o.cards != nil || o.replan != nil }
+
+// handle takes one op off the queue: a tuple op joins the batch being
+// gathered; a barrier applies what is gathered and is served in place.
+// A failed writer refuses both.
+func (s *Server) handle(o op) {
+	if s.failed {
+		s.refuse(o)
+		return
+	}
+	if !o.isBarrier() {
+		if m := s.metrics; m != nil {
+			m.queueWait.Observe(int64(time.Since(o.enq)))
+			if s.oldest.IsZero() {
+				s.oldest = o.enq
+			}
+		}
+		s.buf = append(s.buf, o.batchOp())
 		return
 	}
 	var start time.Time
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	res := s.m.ApplyBatch(*buf)
+	s.barrier = o
+	s.applyBatch()
+	switch {
+	case o.flush != nil:
+		s.publish()
+		if m := s.metrics; m != nil {
+			m.flushNs.Observe(int64(time.Since(start)))
+		}
+		o.flush <- s.Err()
+	case o.cards != nil:
+		s.publish() // or the next batch would stack on this one, past the 2·BatchSize bound
+		o.cards <- s.m.Cardinalities()
+	default:
+		err := s.timedReplan(o.replan.root)
+		s.forcePublish()
+		o.replan.ack <- err
+	}
+	s.barrier = op{}
+}
+
+// contain is work's deferred half: it turns a panic on the writer
+// goroutine into the server's sticky error. The maintainer may be half
+// way through a mutation, so nothing is applied or published from here
+// on (the last epoch stays readable), but the queue keeps being
+// emptied: the barrier being served, the ops not yet published and
+// whatever handle sees later are refused — nobody waits on a dead writer.
+func (s *Server) contain() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.failed = true
+	err := fmt.Errorf("serve: writer panicked: %v", r)
+	s.lastErr.Store(&err)
+	if m := s.metrics; m != nil {
+		m.panics.Inc()
+	}
+	if l := s.log; l != nil {
+		l.Error("writer panicked; the server no longer applies ops", "panic", r, "stack", string(debug.Stack()))
+	}
+	s.queued.Add(-int64(len(s.buf) + s.pending))
+	s.buf, s.pending = s.buf[:0], 0
+	if s.barrier.isBarrier() {
+		s.refuse(s.barrier)
+		s.barrier = op{}
+	}
+}
+
+// refuse answers one op on behalf of a failed writer.
+func (s *Server) refuse(o op) {
+	switch {
+	case o.flush != nil:
+		o.flush <- s.Err()
+	case o.cards != nil:
+		o.cards <- nil
+	case o.replan != nil:
+		o.replan.ack <- s.Err()
+	default:
+		s.queued.Add(-1)
+	}
+}
+
+// setErr keeps the writer's first maintenance error.
+func (s *Server) setErr(err error) {
+	if s.lastErr.Load() == nil {
+		s.lastErr.Store(&err)
+	}
+}
+
+// applyBatch applies the gathered ops through the maintainer's batch
+// path and folds the result into the writer's accounting. The buffer
+// is reset for reuse.
+func (s *Server) applyBatch() {
+	n := len(s.buf)
+	if n == 0 {
+		return
+	}
+	var start time.Time
+	if s.metrics != nil {
+		start = time.Now()
+	}
+	res := s.m.ApplyBatch(s.buf)
+	s.buf = s.buf[:0]
 	s.inserts += res.Inserts
 	s.deletes += res.Deletes
 	if m := s.metrics; m != nil {
 		elapsed := time.Since(start)
-		m.batchSize.Observe(int64(len(*buf)))
+		m.batchSize.Observe(int64(n))
 		m.deltaNs.Observe(res.DeltaNanos)
 		m.mutateNs.Observe(res.MutateNanos)
 		m.inserts.Add(res.Inserts)
@@ -900,28 +934,26 @@ func (s *Server) applyBatch(buf *[]ivm.Op) {
 		}
 		if t := s.cfg.SlowBatchThreshold; t > 0 && elapsed > t {
 			if l := s.log; l != nil && l.Enabled(context.Background(), slog.LevelWarn) {
-				l.Warn("slow batch", "ops", len(*buf), "dur", elapsed, "threshold", t)
+				l.Warn("slow batch", "ops", n, "dur", elapsed, "threshold", t)
 			}
 		}
 	}
 	if res.Err != nil {
 		if l := s.log; l != nil && l.Enabled(context.Background(), slog.LevelWarn) {
-			l.Warn("batch maintenance error", "ops", len(*buf), "fully_failed", res.FullyFailed, "err", res.Err)
+			l.Warn("batch maintenance error", "ops", n, "fully_failed", res.FullyFailed, "err", res.Err)
 		}
-	}
-	if res.Err != nil && s.applyErr == nil {
-		s.applyErr = res.Err
-		e := res.Err
-		s.lastErr.Store(&e)
+		s.setErr(res.Err)
 	}
 	// Ops that changed state (even half-applied updates) must reach a
 	// snapshot before leaving the queue accounting; fully failed ops
 	// will never be covered by one.
-	s.pending += len(*buf) - res.FullyFailed
+	s.pending += n - res.FullyFailed
 	if res.FullyFailed > 0 {
 		s.queued.Add(-int64(res.FullyFailed))
+		if s.pending == 0 {
+			s.oldest = time.Time{} // nothing left for an epoch to cover
+		}
 	}
-	*buf = (*buf)[:0]
 }
 
 // pubArena is one epoch's publication storage: the snapshot header and
@@ -1096,7 +1128,12 @@ func (s *Server) forcePublish() {
 	}
 	s.snap.Store(s.buildSnapshot(s.epoch, s.inserts, s.deletes))
 	if m := s.metrics; m != nil {
-		m.publishNs.Observe(int64(time.Since(start)))
+		now := time.Now()
+		m.publishNs.Observe(int64(now.Sub(start)))
+		if !s.oldest.IsZero() {
+			m.freshnessNs.Observe(int64(now.Sub(s.oldest)))
+			s.oldest = time.Time{}
+		}
 		m.epoch.Set(float64(s.epoch))
 		m.drift.Set(s.drift)
 		m.markPublish()
@@ -1121,10 +1158,8 @@ func (s *Server) publish() {
 	}
 	if s.cfg.ReplanThreshold > 0 && s.planGreedy {
 		if drift := s.computeDrift(); drift >= s.cfg.ReplanThreshold {
-			if err := s.timedReplan(""); err != nil && s.applyErr == nil {
-				s.applyErr = err
-				e := err
-				s.lastErr.Store(&e)
+			if err := s.timedReplan(""); err != nil {
+				s.setErr(err)
 			}
 		}
 	}

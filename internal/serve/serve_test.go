@@ -70,11 +70,10 @@ func TestServerMatchesSerialReplay(t *testing.T) {
 			}
 			j, stream, features := salesSchema(42, nSales, 12, 5)
 			srv, err := New(j, "Sales", features, Config{
-				Strategy:      strategy,
-				BatchSize:     17,
-				FlushInterval: 200 * time.Microsecond,
-				QueueDepth:    64,
-				Workers:       2,
+				Strategy:   strategy,
+				BatchSize:  17,
+				QueueDepth: 64,
+				Workers:    2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -182,7 +181,7 @@ func TestServerMatchesSerialReplay(t *testing.T) {
 // TestFlushBarrier: Flush publishes everything enqueued before it.
 func TestFlushBarrier(t *testing.T) {
 	j, stream, features := salesSchema(7, 100, 8, 4)
-	srv, err := New(j, "Sales", features, Config{BatchSize: 1 << 20, FlushInterval: time.Hour})
+	srv, err := New(j, "Sales", features, Config{BatchSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,29 +196,6 @@ func TestFlushBarrier(t *testing.T) {
 	}
 	if got := srv.Snapshot().Inserts; got != uint64(len(stream)) {
 		t.Fatalf("after flush: snapshot covers %d inserts, want %d", got, len(stream))
-	}
-}
-
-// TestFlushIntervalPublishes: a partial batch becomes visible without an
-// explicit barrier once the flush interval elapses.
-func TestFlushIntervalPublishes(t *testing.T) {
-	j, stream, features := salesSchema(9, 50, 8, 4)
-	srv, err := New(j, "Sales", features, Config{BatchSize: 1 << 20, FlushInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for _, tp := range stream[:10] {
-		if err := srv.Insert(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot().Inserts != 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot never caught up: covers %d of 10 inserts", srv.Snapshot().Inserts)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -356,11 +332,10 @@ func TestServerChurnMatchesSerialReplay(t *testing.T) {
 				}
 			}
 			srv, err := New(j, "Sales", features, Config{
-				Strategy:      strategy,
-				BatchSize:     17,
-				FlushInterval: 200 * time.Microsecond,
-				QueueDepth:    64,
-				Workers:       2,
+				Strategy:   strategy,
+				BatchSize:  17,
+				QueueDepth: 64,
+				Workers:    2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -460,44 +435,6 @@ func TestServerChurnMatchesSerialReplay(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestQueueLenCoversInFlight: ops the writer has drained from the
-// channel but not yet published stay visible in QueueLen, so
-// QueueLen()==0 implies the snapshot is current (the PR-3 fix for the
-// mid-batch underreport).
-func TestQueueLenCoversInFlight(t *testing.T) {
-	j, stream, features := salesSchema(21, 60, 8, 4)
-	srv, err := New(j, "Sales", features, Config{BatchSize: 1 << 20, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	const n = 40
-	for _, tp := range stream[:n] {
-		if err := srv.Insert(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Give the writer time to drain the channel into its (unpublishable:
-	// BatchSize and FlushInterval are huge) batch. A channel-length
-	// QueueLen would now report 0 with the snapshot still empty.
-	time.Sleep(20 * time.Millisecond)
-	if got := srv.QueueLen(); got != n {
-		t.Fatalf("QueueLen = %d with %d unpublished ops in flight, want %d", got, n, n)
-	}
-	if snap := srv.Snapshot(); snap.Inserts != 0 {
-		t.Fatalf("snapshot already covers %d inserts, want 0 before any publication", snap.Inserts)
-	}
-	if err := srv.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.QueueLen(); got != 0 {
-		t.Fatalf("QueueLen = %d after Flush, want 0", got)
-	}
-	if snap := srv.Snapshot(); snap.Inserts != n {
-		t.Fatalf("snapshot covers %d inserts after Flush, want %d", snap.Inserts, n)
 	}
 }
 

@@ -251,7 +251,8 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 func (s *Server) NumShards() int { return len(s.shards) }
 
 // Workers reports the resolved per-shard worker-pool size (see
-// serve.Server.Workers); total ingest parallelism is Workers × Shards.
+// serve.Config.Workers: it serves first-order delta scans only). Shards
+// are the ingest-parallelism axis.
 func (s *Server) Workers() int { return s.shards[0].Workers() }
 
 // MorselSize reports the configured exec scan granularity (0 =

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,11 +155,10 @@ func TestShardedChurnEquivalence(t *testing.T) {
 
 			cfg := Config{
 				Config: serve.Config{
-					Strategy:      strategy,
-					BatchSize:     17,
-					FlushInterval: 200 * time.Microsecond,
-					QueueDepth:    64,
-					Workers:       2,
+					Strategy:   strategy,
+					BatchSize:  17,
+					QueueDepth: 64,
+					Workers:    2,
 				},
 				Shards:      3,
 				PartitionBy: "store",
@@ -462,17 +462,17 @@ func TestPartitionKeyUpdateRejected(t *testing.T) {
 }
 
 // TestShardedQueueLenInvariant: the aggregate QueueLen includes every
-// shard's in-flight batch, so QueueLen()==0 under quiescent producers
-// implies the merged snapshot covers every accepted op — the PR-3
-// invariant, preserved across the merge. Covered from both directions:
-// unpublished ops keep QueueLen high with the merged view behind, and a
-// drained queue certifies a complete merged view.
+// shard's in-flight batch, sampled while producers run: reading the
+// number of accepted ops, THEN QueueLen, THEN the merged snapshot must
+// always find Inserts+Deletes ≥ accepted − queueLen (per shard an op
+// leaves the count only after an epoch covering it is published, and
+// the merge loads every shard's epoch after the counts were read) —
+// and with producers stopped, QueueLen()==0 certifies a merged view of
+// every accepted op. The PR-3 invariant, preserved across the merge.
 func TestShardedQueueLenInvariant(t *testing.T) {
-	j, stream, features := tenantSchema(17, 60, 6, 4)
+	j, stream, features := tenantSchema(17, 1500, 6, 4)
 	srv, err := New(j, "Sales", features, Config{
-		// Unpublishable batches: ops drain into the writers but no
-		// snapshot can cover them until a flush barrier forces one.
-		Config:      serve.Config{BatchSize: 1 << 20, FlushInterval: time.Hour},
+		Config:      serve.Config{BatchSize: 16, QueueDepth: 32},
 		Shards:      3,
 		PartitionBy: "store",
 	})
@@ -480,40 +480,65 @@ func TestShardedQueueLenInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	const n = 40
-	for _, tp := range stream[:n] {
-		if err := srv.Insert(tp); err != nil {
-			t.Fatal(err)
+	const producers = 3
+	var sent atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(stream); i += producers {
+				if err := srv.Insert(stream[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				sent.Add(1)
+				if i%3 == 0 {
+					if err := srv.Delete(stream[i]); err != nil {
+						t.Error(err)
+						return
+					}
+					sent.Add(1)
+				}
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for sample, running := 0, true; running; sample++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		accepted := sent.Load()
+		queued := int64(srv.QueueLen())
+		m := srv.Snapshot()
+		if covered := int64(m.Inserts + m.Deletes); covered < accepted-queued {
+			t.Fatalf("sample %d: merged snapshot covers %d ops with %d accepted and QueueLen %d", sample, covered, accepted, queued)
 		}
 	}
-	// Let the shard writers drain their channels into held batches; a
-	// channel-length QueueLen would now undercount to 0.
-	time.Sleep(20 * time.Millisecond)
-	if got := srv.QueueLen(); got != n {
-		t.Fatalf("QueueLen = %d with %d unpublished ops in flight across shards, want %d", got, n, n)
+	for deadline := time.Now().Add(5 * time.Second); srv.QueueLen() != 0; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueLen stuck at %d with producers stopped", srv.QueueLen())
+		}
 	}
-	if m := srv.Snapshot(); m.Inserts != 0 {
-		t.Fatalf("merged snapshot already covers %d inserts before any publication", m.Inserts)
+	n := uint64(sent.Load())
+	if m := srv.Snapshot(); m.Inserts+m.Deletes != n {
+		t.Fatalf("QueueLen is 0 but the merged snapshot covers %d of %d ops", m.Inserts+m.Deletes, n)
 	}
-	if err := srv.Flush(); err != nil {
+	if err := srv.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.QueueLen(); got != 0 {
-		t.Fatalf("QueueLen = %d after Flush, want 0", got)
-	}
-	m := srv.Snapshot()
-	if m.Inserts != n {
-		t.Fatalf("QueueLen is 0 but the merged snapshot covers %d of %d inserts", m.Inserts, n)
-	}
 	// Per-shard stats rows sum to the aggregate the merge reports.
-	var sumIns uint64
+	var sumOps uint64
 	var sumQ int
 	for _, st := range srv.Stats() {
-		sumIns += st.Inserts
+		sumOps += st.Inserts + st.Deletes
 		sumQ += st.Queued
 	}
-	if sumIns != n || sumQ != 0 {
-		t.Fatalf("per-shard stats sum to %d inserts / %d queued, want %d / 0", sumIns, sumQ, n)
+	if sumOps != n || sumQ != 0 {
+		t.Fatalf("per-shard stats sum to %d ops / %d queued, want %d / 0", sumOps, sumQ, n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 // replanChurn drives writer w's slice of the stream into the server,
@@ -209,10 +208,9 @@ func TestServerReplanConcurrent(t *testing.T) {
 			// No Query.Root: greedy planning on empty relations roots at
 			// the lexicographically smallest relation, Items.
 			srv, err := q.Serve(features, ServerOptions{
-				Strategy:      strategy,
-				BatchSize:     13,
-				FlushInterval: 200 * time.Microsecond,
-				Workers:       2,
+				Strategy:  strategy,
+				BatchSize: 13,
+				Workers:   2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -285,7 +283,6 @@ func TestServerAutoReplan(t *testing.T) {
 	}
 	srv, err := q.Serve(features, ServerOptions{
 		BatchSize:       16,
-		FlushInterval:   200 * time.Microsecond,
 		ReplanThreshold: 2,
 	})
 	if err != nil {
@@ -334,8 +331,7 @@ func TestShardedReplanConcurrent(t *testing.T) {
 	}
 	srv, err := q.ServeSharded(features, ShardOptions{
 		ServerOptions: ServerOptions{
-			BatchSize:     13,
-			FlushInterval: 200 * time.Microsecond,
+			BatchSize: 13,
 		},
 		Shards:      3,
 		PartitionBy: "store",

@@ -48,21 +48,20 @@ type ServerOptions struct {
 	// ring-valued view hierarchy), "higher-order" (one view hierarchy
 	// per aggregate), or "first-order" (no views, full delta joins).
 	Strategy string
-	// BatchSize is how many applied inserts force a snapshot
-	// publication (default 64).
+	// BatchSize is the most ops one ApplyBatch call takes and the most
+	// an epoch may trail by under backlog: the writer publishes as soon
+	// as it has emptied the queue, else once BatchSize applied ops are
+	// unpublished (default 64).
 	BatchSize int
-	// FlushInterval bounds snapshot staleness: a partial batch is
-	// published after this long (default 1ms).
-	FlushInterval time.Duration
 	// QueueDepth is the ingest queue capacity; full queues apply
 	// backpressure to Insert callers (default 1024).
 	QueueDepth int
-	// Workers sizes the worker pool the maintainer's delta scans and
-	// morsel-parallel batch application run on. 0 falls back to the
-	// query's Workers and, when that is also unset, to
-	// runtime.GOMAXPROCS(0) — use all cores; 1 or negative selects the
-	// serial kernels explicitly. The resolved value is reported by
-	// ServerStats.Workers.
+	// Workers sizes the worker pool behind what scans whole relations:
+	// the first-order strategy's delta queries. F-IVM and higher-order
+	// ingest never use it; to ingest in parallel, shard. 0 falls back
+	// to the query's Workers and, when that is also unset, to
+	// runtime.GOMAXPROCS(0); 1 or negative selects the serial kernels
+	// explicitly. The resolved value is reported by ServerStats.Workers.
 	Workers int
 	// Payload selects the maintained ring statistics (PayloadCovar,
 	// PayloadPoly2, PayloadCofactor). The zero value is PayloadCovar.
@@ -252,7 +251,6 @@ func (q *Query) Serve(features []string, opt ServerOptions) (*Server, error) {
 	inner, err := serve.New(q.join, q.Root, features, serve.Config{
 		Strategy:           strategy,
 		BatchSize:          opt.BatchSize,
-		FlushInterval:      opt.FlushInterval,
 		QueueDepth:         opt.QueueDepth,
 		Workers:            opt.Workers,
 		MorselSize:         q.MorselSize,
@@ -326,11 +324,10 @@ type ServerStats struct {
 	Queued int
 	// Count is SUM(1) over the join at the current snapshot.
 	Count float64
-	// Workers is the resolved worker-pool size batches are applied with
-	// (ServerOptions.Workers after defaulting — a zero option on an
-	// N-core machine reports N). On a sharded server the aggregate row
-	// reports the per-shard value; total ingest parallelism is
-	// Workers × the shard count.
+	// Workers is the resolved worker-pool size (ServerOptions.Workers
+	// after defaulting — a zero option on an N-core machine reports N).
+	// On a sharded server the aggregate row reports the per-shard value.
+	// Ingest parallelism is the shard count, not Workers.
 	Workers int
 	// Root is the join-tree root the maintainer is currently planned
 	// under (on a sharded server: shard 0's root; all shards agree

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 // serverTuple is one public-facade insert for the concurrency tests.
@@ -119,10 +118,9 @@ func TestServerConcurrentBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv, err := q.Serve(features, ServerOptions{
-				Strategy:      strategy,
-				BatchSize:     13,
-				FlushInterval: 200 * time.Microsecond,
-				Workers:       2,
+				Strategy:  strategy,
+				BatchSize: 13,
+				Workers:   2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -282,10 +280,9 @@ func TestServerChurnFacade(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv, err := q.Serve(features, ServerOptions{
-				Strategy:      strategy,
-				BatchSize:     16,
-				FlushInterval: 200 * time.Microsecond,
-				Workers:       2,
+				Strategy:  strategy,
+				BatchSize: 16,
+				Workers:   2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -62,7 +62,6 @@ func (q *Query) ServeSharded(features []string, opt ShardOptions) (*ShardedServe
 		Config: serve.Config{
 			Strategy:           strategy,
 			BatchSize:          opt.BatchSize,
-			FlushInterval:      opt.FlushInterval,
 			QueueDepth:         opt.QueueDepth,
 			Workers:            opt.Workers,
 			MorselSize:         q.MorselSize,

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // shardedSchema is the multi-tenant variant of serverSchema: the tenant
@@ -77,7 +76,7 @@ func TestShardedFacadeMatchesPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 			sharded, err := q.ServeSharded(features, ShardOptions{
-				ServerOptions: ServerOptions{Strategy: strategy, BatchSize: 13, FlushInterval: 300 * time.Microsecond},
+				ServerOptions: ServerOptions{Strategy: strategy, BatchSize: 13},
 				Shards:        3,
 				PartitionBy:   "store",
 			})

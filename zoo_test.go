@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"borg/internal/ml"
 	"borg/internal/ring"
@@ -314,11 +313,10 @@ func TestModelZooChurnToEmptyAndRegrow(t *testing.T) {
 					t.Fatal(err)
 				}
 				srv, err := target.make(q, ServerOptions{
-					Strategy:      strategy,
-					BatchSize:     16,
-					FlushInterval: 200 * time.Microsecond,
-					Workers:       2,
-					Lifted:        true,
+					Strategy:  strategy,
+					BatchSize: 16,
+					Workers:   2,
+					Lifted:    true,
 				})
 				if err != nil {
 					t.Fatal(err)
