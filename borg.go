@@ -105,54 +105,101 @@ func (r *Relation) Append(values ...any) error {
 
 // coerceRow converts facade values (any common Go numeric type for
 // continuous, string for categorical) into relation values in schema
-// order — the single conversion path shared by Relation.Append,
-// StreamingCovariance.Insert, and Server.Insert/Delete/Update.
-// Categorical strings are interned under the shared dictionary lock so
-// that the Server entry points — the ones documented as safe for
-// concurrent callers — can convert in parallel; Append and
-// StreamingCovariance.Insert remain single-writer APIs (their row
-// mutation happens outside any lock).
+// order — the conversion path shared by Relation.Append,
+// StreamingCovariance.Insert, and Server.Insert/Delete/Update; every
+// value goes through coerceCell, as every cell of IngestJSON does.
+// Append and StreamingCovariance.Insert remain single-writer APIs (their
+// row mutation happens outside any lock).
 func coerceRow(r *relation.Relation, values []any) ([]relation.Value, error) {
 	if len(values) != r.NumAttrs() {
-		return nil, fmt.Errorf("borg: %s has %d attributes, got %d values", r.Name, r.NumAttrs(), len(values))
+		return nil, arityErr(r, len(values))
 	}
 	row := make([]relation.Value, len(values))
 	for i, v := range values {
-		col := r.Col(i)
+		c := cell{kind: cellOther}
 		if f, ok := asFloat(v); ok {
-			if col.Type != relation.Double {
-				return nil, fmt.Errorf("borg: attribute %s is categorical (want a string), got %T", r.Attrs()[i].Name, v)
-			}
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				// A NaN poisons every maintained sum and, being ≠ to
-				// itself, could never be matched by a later Delete.
-				return nil, fmt.Errorf("borg: attribute %s: non-finite value %v is not storable", r.Attrs()[i].Name, f)
-			}
-			row[i] = relation.FloatVal(f)
-			continue
+			c = cell{kind: cellNum, num: f}
+		} else if x, ok := v.(string); ok {
+			c = cell{kind: cellStr, str: x}
 		}
-		if x, ok := v.(string); ok {
-			if col.Type != relation.Category {
-				return nil, fmt.Errorf("borg: attribute %s is continuous (want a number), got %T", r.Attrs()[i].Name, v)
+		var refusal string
+		if row[i], refusal = coerceCell(r, i, c); refusal != "" {
+			got := fmt.Sprintf("%T", v)
+			if refusal == nonFinite {
+				got = fmt.Sprint(v)
 			}
-			internMu.RLock()
-			code, known := col.Dict.Lookup(x)
-			internMu.RUnlock()
-			if !known {
-				internMu.Lock()
-				code = col.Dict.Code(x)
-				internMu.Unlock()
-			}
-			row[i] = relation.CatVal(code)
-			continue
+			return nil, fmt.Errorf(refusal, r.Attrs()[i].Name, got)
 		}
-		want := "a number"
-		if col.Type == relation.Category {
-			want = "a string"
-		}
-		return nil, fmt.Errorf("borg: unsupported value type %T for attribute %s (want %s)", v, r.Attrs()[i].Name, want)
 	}
 	return row, nil
+}
+
+func arityErr(r *relation.Relation, got int) error {
+	return fmt.Errorf("borg: %s has %d attributes, got %d values", r.Name, r.NumAttrs(), got)
+}
+
+// cell is one value on its way into a column: a number, a string — str
+// from the ...any path, raw from the wire — or something else.
+type cell struct {
+	kind cellKind
+	num  float64
+	str  string
+	raw  []byte
+}
+
+// Why coerceCell refuses a cell, as formats of the attribute's name and
+// of what the caller got in its place.
+const (
+	wantString = "borg: attribute %s is categorical (want a string), got %s"
+	wantNumber = "borg: attribute %s is continuous (want a number), got %s"
+	nonFinite  = "borg: attribute %s: non-finite value %s is not storable"
+)
+
+// coerceCell is the per-cell rule of every ingest path: a number fits a
+// continuous attribute if it is finite, a string a categorical one. The
+// string is interned under the shared dictionary lock — looked up under
+// the read lock, which is all a known category costs, so the entry
+// points documented as safe for concurrent callers convert in parallel.
+//
+//borg:noalloc
+func coerceCell(r *relation.Relation, i int, c cell) (v relation.Value, refusal string) {
+	col := r.Col(i)
+	switch {
+	case c.kind == cellNum && col.Type == relation.Double:
+		if math.IsNaN(c.num) || math.IsInf(c.num, 0) {
+			// A NaN poisons every maintained sum and, being ≠ to
+			// itself, could never be matched by a later Delete.
+			return v, nonFinite
+		}
+		return relation.FloatVal(c.num), ""
+	case c.kind == cellStr && col.Type == relation.Category:
+		var code int32
+		var known bool
+		internMu.RLock()
+		if c.raw != nil {
+			code, known = col.Dict.LookupBytes(c.raw)
+		} else {
+			code, known = col.Dict.Lookup(c.str)
+		}
+		internMu.RUnlock()
+		if !known {
+			code = intern(col.Dict, c)
+		}
+		return relation.CatVal(code), ""
+	case col.Type == relation.Category:
+		return v, wantString
+	}
+	return v, wantNumber
+}
+
+// intern adds a category coerceCell did not find.
+func intern(d *relation.Dict, c cell) int32 {
+	if c.raw != nil {
+		c.str = string(c.raw)
+	}
+	internMu.Lock()
+	defer internMu.Unlock()
+	return d.Code(c.str)
 }
 
 // asFloat widens any common Go numeric type to float64. Large uint64 /

@@ -35,9 +35,12 @@
 // merge latencies, per-shard routing, plan drift, model-training
 // telemetry) in the Prometheus text format with no external
 // dependencies, and GET /readyz reports readiness for load balancers:
-// 503 while draining for shutdown or while the ingest queue exceeds
-// -ready-high-water (default: the total queue capacity), 200 otherwise.
-// /healthz stays pure liveness and never degrades under load.
+// 503 while draining for shutdown, after a writer error, or while the
+// ingest queue exceeds -ready-high-water (default: the total queue
+// capacity), 200 otherwise. /healthz stays pure liveness and never
+// degrades under load. The listener gives a client 5 s to send a
+// request's header, 30 s to send the request and 120 s of keep-alive
+// idleness.
 //
 // -pprof additionally mounts the Go runtime profiling endpoints under
 // /debug/pprof/ (opt-in; exposes internals — keep it off on untrusted
@@ -53,8 +56,25 @@
 //	                (default), "delete" (retract one equal-valued
 //	                tuple), or "update" (retract "values", insert
 //	                "new"). Responds {"queued": n}; if some array rows
-//	                fail: 207 with per-row errors; if all fail: 400.
-//	DELETE /insert  same body; every row is treated as a delete.
+//	                fail: 207 with per-row errors; if all fail: 400; a
+//	                failing single object: 422.
+//	                The body is scanned by borg's IngestJSON, not by
+//	                encoding/json, and this is all of its grammar: the
+//	                keys "rel", "op", "values" and "new" match exactly
+//	                (case included), in any order; any other key is
+//	                skipped with its value; of a repeated key the last
+//	                value counts; null for "values" or "new" unsets it
+//	                and for "rel" or "op" changes nothing; strings may
+//	                use every JSON escape, and a lone surrogate or
+//	                invalid UTF-8 becomes U+FFFD. Body-level errors
+//	                answer 400 and enqueue nothing: anything
+//	                json.Valid refuses (nesting past 10 000 included),
+//	                a key of the wrong JSON type, an op that is not an
+//	                object or null, and a number in "values" or "new"
+//	                beyond float64 (1e999). Everything else — unknown
+//	                relation or op, wrong arity, a cell of the wrong
+//	                type — is a row-level error: the other rows are
+//	                still attempted. Over 8 MB: 413.
 //	GET  /stats     {"epoch", "inserts", "deletes", "queued", "count",
 //	                 "means": {...}, "shards": [...], "plan": {...},
 //	                 "metrics": [...], "last_error": ...}; "metrics" is
@@ -77,7 +97,8 @@
 //	                "decision"/"class" (svm) to the response. Bad kinds
 //	                or params are 400; a model kind whose ring payload
 //	                the server does not maintain, or an empty join, is
-//	                409 — never a 200 with NaNs in the body.
+//	                409 — never a 200 with NaNs in the body. Over 1 MB:
+//	                413.
 //	GET  /model     Deprecated query-string adapter for POST /v1/model
 //	                (?kind=...&response=...&lambda=...); same kinds, same
 //	                statuses, response carries "Deprecation: true" and a
@@ -92,12 +113,16 @@
 //	                rejected ops), borg_plan_* (replans, replan latency,
 //	                drift), borg_shard_* (per-shard routing, merge
 //	                latency, memo hits, skew), borg_model_* (per-kind
-//	                training latency, counts, typed errors).
+//	                training latency, counts, typed errors), borg_http_*
+//	                (requests by status class, body bytes and handler
+//	                latency of /insert, /v1/model and /stats).
 //	GET  /healthz   200 {"status": "ok"} — pure liveness; always 200
 //	                while the process serves HTTP.
 //	GET  /readyz    200 {"status": "ready"} when accepting load; 503
-//	                {"status": "draining"|"overloaded"} during shutdown
-//	                or when the ingest queue exceeds -ready-high-water.
+//	                {"status": "draining"|"failed"|"overloaded"} during
+//	                shutdown, once the writer has reported an error
+//	                (with "error"; what /stats calls "last_error"), or
+//	                when the ingest queue exceeds -ready-high-water.
 package main
 
 import (
@@ -118,11 +143,13 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"borg"
+	"borg/internal/obs"
 )
 
 // contFeatures are the demo schema's continuous features; catFeatures
@@ -132,40 +159,6 @@ var (
 	contFeatures = []string{"units", "price", "area"}
 	catFeatures  = []string{"item", "store"}
 )
-
-type insertReq struct {
-	Rel    string `json:"rel"`
-	Values []any  `json:"values"`
-	// Op selects the operation: "insert" (default), "delete", or
-	// "update" (retract Values, insert New).
-	Op  string `json:"op,omitempty"`
-	New []any  `json:"new,omitempty"`
-}
-
-// apply routes one request row to the server. forceDelete is the
-// DELETE-method path, where every row retracts regardless of Op.
-func (r insertReq) apply(srv *borg.ShardedServer, forceDelete bool) error {
-	op := r.Op
-	if forceDelete {
-		if op != "" && op != "delete" {
-			return fmt.Errorf("op %q not allowed on DELETE /insert", op)
-		}
-		op = "delete"
-	}
-	switch op {
-	case "", "insert":
-		return srv.Insert(r.Rel, r.Values...)
-	case "delete":
-		return srv.Delete(r.Rel, r.Values...)
-	case "update":
-		if r.New == nil {
-			return fmt.Errorf("update for %s is missing the \"new\" values", r.Rel)
-		}
-		return srv.Update(r.Rel, r.Values, r.New)
-	default:
-		return fmt.Errorf("unknown op %q (want insert, delete, or update)", op)
-	}
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -246,7 +239,7 @@ func main() {
 	if *pprofOn {
 		handler = withPprof(handler)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	if *oneShot {
 		if err := selfCheck(srv, svc, httpSrv.Handler); err != nil {
 			log.Fatal(err)
@@ -758,21 +751,131 @@ type service struct {
 	draining atomic.Bool
 }
 
+// newHTTPServer is the listener's configuration. The timeouts bound what
+// a client can hold open without sending: a header in 5 s, a whole
+// request in 30 s, an idle keep-alive connection for 120 s. There is no
+// WriteTimeout, because /debug/pprof/profile?seconds=N streams for N
+// seconds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
+// reqState is what a request to an instrumented route uses beyond its
+// handler's locals, pooled so that a request allocates none of it: the
+// body buffer, the reply buffer, and the response writer that notes the
+// status for the route's metrics.
+type reqState struct {
+	http.ResponseWriter
+	status int
+	body   bytes.Buffer
+	out    []byte
+}
+
+var reqPool = sync.Pool{New: func() any { return new(reqState) }}
+
+func (st *reqState) WriteHeader(code int) {
+	st.status = code
+	st.ResponseWriter.WriteHeader(code)
+}
+
+// readBody reads the request body, at most limit bytes of it, into the
+// pooled buffer, sized from Content-Length when the client sent one.
+func (st *reqState) readBody(r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		st.body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to find EOF in
+	}
+	_, err := st.body.ReadFrom(http.MaxBytesReader(st.ResponseWriter, r.Body, limit))
+	return st.body.Bytes(), err
+}
+
+// bodyStatus is the status for a body that could not be read: 413 when
+// it is over the route's cap, else 400.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// routeMetrics are one route's HTTP series, nil handles when the server
+// has no registry.
+type routeMetrics struct {
+	class [3]*obs.Counter // 2xx, 4xx, 5xx
+	bytes *obs.Counter
+	ns    *obs.Histogram
+}
+
+// handle registers fn under pattern as an instrumented route: fn gets
+// the pooled request state as its response writer, and the route's
+// request count by status class, request body bytes and latency are
+// recorded when the server has a registry. Only the three routes that
+// carry load are instrumented: a histogram is 15 kB, walked by every
+// /stats.
+func (svc *service) handle(mux *http.ServeMux, pattern, route string, fn func(st *reqState, r *http.Request)) {
+	var m *routeMetrics
+	if reg := svc.srv.Metrics(); reg != nil {
+		m = &routeMetrics{
+			bytes: reg.Counter("borg_http_request_bytes_total", "Request body bytes read, by route.", obs.Labels{"route": route}),
+			ns:    reg.Histogram("borg_http_request_ns", "Nanoseconds from a request reaching its handler to the handler returning, by route.", obs.Labels{"route": route}),
+		}
+		for i, class := range []string{"2xx", "4xx", "5xx"} {
+			m.class[i] = reg.Counter("borg_http_requests_total", "Requests answered, by route and status class.", obs.Labels{"route": route, "class": class})
+		}
+	}
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		st := reqPool.Get().(*reqState)
+		st.ResponseWriter, st.status = w, http.StatusOK
+		st.body.Reset()
+		fn(st, r)
+		if m != nil {
+			class := 0
+			if st.status >= 400 {
+				class = min(st.status/100-3, 2)
+			}
+			m.class[class].Inc()
+			m.bytes.Add(uint64(st.body.Len()))
+			m.ns.Observe(int64(time.Since(start)))
+		}
+		st.ResponseWriter = nil
+		if st.body.Cap() <= 1<<20 { // a rare huge body is not worth pinning
+			reqPool.Put(st)
+		}
+	})
+}
+
+// jsonContentType is the Content-Type of every reply, shared so that
+// setting it allocates no slice.
+var jsonContentType = []string{"application/json"}
+
 // newHandler wires the endpoints over a running (possibly sharded)
 // server.
 func newHandler(svc *service) http.Handler {
 	srv := svc.srv
 	mux := http.NewServeMux()
-	ingest := func(forceDelete bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	ingest := func(forceDelete bool) func(*reqState, *http.Request) {
+		return func(st *reqState, r *http.Request) {
+			body, err := st.readBody(r, 8<<20)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
+				httpError(st, bodyStatus(err), err)
 				return
 			}
-			reqs, isArray, err := parseInserts(body)
+			res, err := srv.IngestJSON(body, forceDelete)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
+				httpError(st, http.StatusBadRequest, err)
+				return
+			}
+			if res.Errors == nil {
+				st.Header()["Content-Type"] = jsonContentType
+				st.out = append(strconv.AppendInt(append(st.out[:0], `{"queued":`...), int64(res.Rows), 10), "}\n"...)
+				_, _ = st.Write(st.out) // a client that went away is net/http's to report
 				return
 			}
 			// Array bodies are applied item by item, not atomically:
@@ -786,27 +889,25 @@ func newHandler(svc *service) http.Handler {
 				Error string `json:"error"`
 			}
 			var errs []rowErr
-			for i, req := range reqs {
-				if err := req.apply(srv, forceDelete); err != nil {
+			for i, err := range res.Errors {
+				if err != nil {
 					errs = append(errs, rowErr{Index: i, Error: err.Error()})
 				}
 			}
-			queued := len(reqs) - len(errs)
+			queued := res.Rows - len(errs)
 			switch {
-			case len(errs) == 0:
-				writeJSON(w, http.StatusOK, map[string]any{"queued": queued})
-			case !isArray:
-				writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": errs[0].Error, "queued": 0})
+			case !res.Array:
+				writeJSON(st, http.StatusUnprocessableEntity, map[string]any{"error": errs[0].Error, "queued": 0})
 			case queued == 0:
-				writeJSON(w, http.StatusBadRequest, map[string]any{"queued": 0, "failed": len(errs), "errors": errs})
+				writeJSON(st, http.StatusBadRequest, map[string]any{"queued": 0, "failed": len(errs), "errors": errs})
 			default:
-				writeJSON(w, http.StatusMultiStatus, map[string]any{"queued": queued, "failed": len(errs), "errors": errs})
+				writeJSON(st, http.StatusMultiStatus, map[string]any{"queued": queued, "failed": len(errs), "errors": errs})
 			}
 		}
 	}
-	mux.HandleFunc("POST /insert", ingest(false))
-	mux.HandleFunc("DELETE /insert", ingest(true))
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	svc.handle(mux, "POST /insert", "/insert", ingest(false))
+	svc.handle(mux, "DELETE /insert", "/insert", ingest(true))
+	svc.handle(mux, "GET /stats", "/stats", func(w *reqState, r *http.Request) {
 		// One merged snapshot feeds every aggregate field, so those
 		// counters are mutually consistent; "queued" and the per-shard
 		// rows are inherently live readings taken alongside (each shard
@@ -875,10 +976,10 @@ func newHandler(svc *service) http.Handler {
 			"last_error": lastErr,
 		})
 	})
-	mux.HandleFunc("POST /v1/model", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	svc.handle(mux, "POST /v1/model", "/v1/model", func(w *reqState, r *http.Request) {
+		body, err := w.readBody(r, 1<<20)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, bodyStatus(err), err)
 			return
 		}
 		var req v1ModelReq
@@ -904,7 +1005,7 @@ func newHandler(svc *service) http.Handler {
 		markDeprecated(w)
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, bodyStatus(err), err)
 			return
 		}
 		var legacy predictReq
@@ -937,6 +1038,12 @@ func newHandler(svc *service) http.Handler {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if svc.draining.Load() {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+			return
+		}
+		if err := srv.Err(); err != nil {
+			// The writer's failure is sticky: what this server reports
+			// from here on is not what its clients sent.
+			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "failed", "error": err.Error(), "queued": svc.queueLen()})
 			return
 		}
 		if q := svc.queueLen(); q > svc.highWater {
@@ -1360,24 +1467,6 @@ func modelStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-// parseInserts accepts one op object or a JSON array of them, reporting
-// which shape the body had (array bodies get per-row error reporting).
-func parseInserts(body []byte) ([]insertReq, bool, error) {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var reqs []insertReq
-		if err := json.Unmarshal(body, &reqs); err != nil {
-			return nil, true, fmt.Errorf("bad insert array: %v", err)
-		}
-		return reqs, true, nil
-	}
-	var one insertReq
-	if err := json.Unmarshal(body, &one); err != nil {
-		return nil, false, fmt.Errorf("bad insert body: %v", err)
-	}
-	return []insertReq{one}, false, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"borg"
 )
@@ -34,10 +38,11 @@ func newTestService(t *testing.T, shards int) (*service, http.Handler) {
 	return svc, newHandler(svc)
 }
 
-// TestReadyzTransitions drives /readyz through its three states: ready
+// TestReadyzTransitions drives /readyz through its four states: ready
 // under normal load, 503 "overloaded" while the queue reads over the
-// high-water mark, and 503 "draining" once shutdown flips the flag —
-// while /healthz stays 200 throughout, being pure liveness.
+// high-water mark, 503 "failed" once the writer has reported an error,
+// and 503 "draining" once shutdown flips the flag — while /healthz stays
+// 200 throughout, being pure liveness.
 func TestReadyzTransitions(t *testing.T) {
 	svc, h := newTestService(t, 1)
 
@@ -79,7 +84,31 @@ func TestReadyzTransitions(t *testing.T) {
 		t.Fatalf("drained readyz = %d %s, want 200", code, body)
 	}
 
-	// Draining for shutdown wins over an empty queue.
+	// Failed: a delete of a tuple that was never live is the writer's
+	// sticky error; the body still says how much is queued.
+	svc.queueLen = svc.srv.QueueLen
+	if code, body, _ := doHeader(h, "POST", "/insert", `{"rel": "Sales", "op": "delete", "values": ["ghost", "s1", 1]}`); code != http.StatusOK {
+		t.Fatalf("delete of a never-live tuple: %d %s, want 200 (it fails when applied)", code, body)
+	}
+	if err := svc.srv.Flush(); err == nil {
+		t.Fatal("flush after a delete of a never-live tuple reports no error")
+	}
+	code, body, _ = doHeader(h, "GET", "/readyz", "")
+	var failed struct {
+		Status, Error string
+		Queued        *int
+	}
+	if err := json.Unmarshal([]byte(body), &failed); err != nil {
+		t.Fatalf("failed body: %v", err)
+	}
+	if code != http.StatusServiceUnavailable || failed.Status != "failed" || failed.Error == "" || failed.Queued == nil || *failed.Queued != 0 {
+		t.Fatalf("readyz after a writer error = %d %s, want 503 failed with the error and queued 0", code, body)
+	}
+	if code, _, _ := doHeader(h, "GET", "/healthz", ""); code != http.StatusOK {
+		t.Fatalf("healthz degraded after a writer error: %d, want 200", code)
+	}
+
+	// Draining for shutdown wins over everything else.
 	svc.draining.Store(true)
 	code, body, _ = doHeader(h, "GET", "/readyz", "")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"draining"`) {
@@ -95,15 +124,27 @@ func TestReadyzTransitions(t *testing.T) {
 // /stats metrics block mirroring the registry.
 func TestMetricsEndpoint(t *testing.T) {
 	svc, h := newTestService(t, 2)
-	if code, body, _ := doHeader(h, "POST", "/insert", `[
+	rows := `[
 		{"rel": "Sales", "values": ["patty", "s1", 3]},
 		{"rel": "Sales", "values": ["bun", "s2", 4]},
 		{"rel": "Items", "values": ["patty", "s1", 6]}
-	]`); code != http.StatusOK {
+	]`
+	if code, body, _ := doHeader(h, "POST", "/insert", rows); code != http.StatusOK {
 		t.Fatalf("insert: %d %s", code, body)
 	}
 	if err := svc.srv.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	// One request of each other class and route the HTTP series count: a
+	// row error (422), a body error (400), a model nobody can train from
+	// an empty join (409), and a /stats read.
+	for _, req := range [][3]string{
+		{"POST", "/insert", `{"rel": "Nope"}`}, {"DELETE", "/insert", "not json"},
+		{"POST", "/v1/model", `{"kind": "linreg"}`}, {"GET", "/stats", ""},
+	} {
+		if code, body, _ := doHeader(h, req[0], req[1], req[2]); code/100 == 5 {
+			t.Fatalf("%s %s: %d %s", req[0], req[1], code, body)
+		}
 	}
 
 	code, body, hdr := doHeader(h, "GET", "/metrics", "")
@@ -119,6 +160,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		`borg_serve_inserts_total{shard="0"}`,
 		"borg_shard_skew",
 		"# TYPE borg_serve_queue_wait_ns histogram",
+		`borg_http_requests_total{class="2xx",route="/insert"} 1`,
+		`borg_http_requests_total{class="4xx",route="/insert"} 2`,
+		`borg_http_requests_total{class="5xx",route="/insert"} 0`,
+		`borg_http_requests_total{class="4xx",route="/v1/model"} 1`,
+		`borg_http_requests_total{class="2xx",route="/stats"} 1`,
+		fmt.Sprintf(`borg_http_request_bytes_total{route="/insert"} %d`, len(rows)+len(`{"rel": "Nope"}`)+len("not json")),
+		`borg_http_request_bytes_total{route="/stats"} 0`,
+		`borg_http_request_ns_count{route="/insert"} 3`,
+		`borg_http_request_ns_count{route="/v1/model"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %s", want)
@@ -148,6 +198,42 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !names[want] {
 			t.Errorf("stats metrics block missing %s", want)
 		}
+	}
+}
+
+// TestHalfHeaderIsClosed: a client that starts a request and then sends
+// nothing more is cut off by the server's ReadHeaderTimeout, not served
+// a goroutine for ever. The configured timeout is scaled down so that
+// the test waits milliseconds — a server left at net/http's zero "no
+// timeout" would still scale to zero and fail here.
+func TestHalfHeaderIsClosed(t *testing.T) {
+	_, h := newTestService(t, 1)
+	hs := newHTTPServer("", h)
+	if hs.ReadHeaderTimeout != 5*time.Second || hs.ReadTimeout != 30*time.Second || hs.IdleTimeout != 120*time.Second || hs.WriteTimeout != 0 {
+		t.Fatalf("timeouts: header %v, read %v, idle %v, write %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout /= 50
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = hs.Serve(l) }() // returns when the test closes the server
+	defer hs.Close()
+
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte("POST /insert HTTP/1.1\r\nHost: x\r\nContent-Le")); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	// The server answers a timed-out header with nothing or with a 408,
+	// then closes: either way the read ends before the deadline.
+	if _, err := bufio.NewReader(c).ReadString(0); err == nil || time.Since(start) > 4*time.Second {
+		t.Fatalf("connection with half a header still open after %v (%v)", time.Since(start), err)
 	}
 }
 

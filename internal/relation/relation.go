@@ -81,6 +81,15 @@ func (d *Dict) Lookup(s string) (int32, bool) {
 	return c, ok
 }
 
+// LookupBytes is Lookup for a string held as bytes; it does not
+// allocate.
+//
+//borg:noalloc
+func (d *Dict) LookupBytes(b []byte) (int32, bool) {
+	c, ok := d.codes[string(b)]
+	return c, ok
+}
+
 // Name returns the string for code c. It panics if c was never allocated.
 func (d *Dict) Name(c int32) string {
 	return d.names[c]

@@ -9,6 +9,7 @@ import (
 
 	"borg/internal/ivm"
 	"borg/internal/obs"
+	"borg/internal/query"
 	"borg/internal/relation"
 	"borg/internal/ring"
 	"borg/internal/serve"
@@ -101,6 +102,7 @@ type Ingestor interface {
 	Insert(rel string, values ...any) error
 	Delete(rel string, values ...any) error
 	Update(rel string, oldValues, newValues []any) error
+	IngestJSON(body []byte, forceDelete bool) (IngestResult, error)
 	Flush() error
 	Err() error
 	Close() error
@@ -129,6 +131,17 @@ type ingestSink interface {
 // conventions cannot drift between the tiers.
 type ingestAPI struct {
 	sink ingestSink
+	// rels are the schemas of the join, so that IngestJSON can resolve a
+	// relation from the bytes that name it.
+	rels []*relation.Relation
+}
+
+func newIngestAPI(sink ingestSink, j *query.Join) ingestAPI {
+	a := ingestAPI{sink: sink}
+	for _, r := range j.Relations {
+		a.rels = append(a.rels, sink.Schema(r.Name))
+	}
+	return a
 }
 
 // Insert enqueues one tuple insert into the named relation. Values
@@ -264,7 +277,7 @@ func (q *Query) Serve(features []string, opt ServerOptions) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		ingestAPI:   ingestAPI{sink: inner},
+		ingestAPI:   newIngestAPI(inner, q.join),
 		inner:       inner,
 		features:    inner.Features(),
 		catFeatures: inner.CatFeatures(),

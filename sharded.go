@@ -78,7 +78,7 @@ func (q *Query) ServeSharded(features []string, opt ShardOptions) (*ShardedServe
 		return nil, err
 	}
 	s := &ShardedServer{
-		ingestAPI:   ingestAPI{sink: inner},
+		ingestAPI:   newIngestAPI(inner, q.join),
 		inner:       inner,
 		features:    inner.Features(),
 		catFeatures: inner.CatFeatures(),
