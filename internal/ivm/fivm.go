@@ -31,8 +31,11 @@ type viewTree[E any] struct {
 	// payloads) inject their own.
 	lift   func(dst E, s *scratch[E], n *node, vals []relation.Value) E
 	nodes  []*node
-	view   []map[uint64]E // by node id
+	view   []map[uint64]E // by node id; the root's stays empty
 	result E
+	// emit folds a root delta into result: the algebra's AddInPlace unless
+	// the payload's slots are numbered apart from the features (base.slotOf).
+	emit func(result, delta E)
 	// scratch is the working memory of the delta computation at hand: a
 	// delta phase's, or the tuple-at-a-time path's.
 	scratch *scratch[E]
@@ -44,6 +47,9 @@ type scratch[E any] struct {
 	// tmp[cur] into the other and flips cur.
 	tmp [2]E
 	cur int
+	// fac holds the factors of the product at hand: a tuple's child views
+	// are all looked up before the first of them is multiplied in.
+	fac []E
 	// slab[:used] are the elements kept since the last reset, slab[used:]
 	// free ones.
 	slab []E
@@ -77,7 +83,7 @@ func newViewTree[E any](alg ring.Algebra[E], nodes []*node) *viewTree[E] {
 func newViewTreeLift[E any](alg ring.Algebra[E], nodes []*node,
 	lift func(dst E, s *scratch[E], n *node, vals []relation.Value) E) *viewTree[E] {
 	vt := &viewTree[E]{alg: alg, lift: lift, nodes: nodes,
-		view: make([]map[uint64]E, len(nodes)), result: alg.Zero(),
+		view: make([]map[uint64]E, len(nodes)), result: alg.Zero(), emit: alg.AddInPlace,
 		scratch: &scratch[E]{tmp: [2]E{alg.Zero(), alg.Zero()}}}
 	for i := range vt.view {
 		vt.view[i] = make(map[uint64]E)
@@ -144,27 +150,29 @@ func (vt *viewTree[E]) take(s *scratch[E], neg bool) E {
 }
 
 // tupleDelta computes what a tuple of node n with these values
-// contributes — lift(t) ⨂ the child views — as s's running product;
-// with from non-nil, what it contributes when child from's view changes
-// by delta (delta stands in for that view). The batch path computes it
-// before (inserts) or independently of (deletes) the physical row
-// mutation. It reports false when a join partner is missing: the tuple
-// contributes nothing (yet); it will contribute when the partner's own
-// delta climbs past this node.
+// contributes — lift(t) ⨂ the child views, in child order, which is the
+// order of their feature slots — as s's running product; with from
+// non-nil, what it contributes when child from's view changes by delta
+// (delta stands in for that view). The batch path computes it before
+// (inserts) or independently of (deletes) the physical row mutation. It
+// reports false when a join partner is missing: the tuple contributes
+// nothing (yet); it will contribute when the partner's own delta climbs
+// past this node.
 func (vt *viewTree[E]) tupleDelta(s *scratch[E], n *node, vals []relation.Value, from *node, delta E) bool {
+	s.fac = s.fac[:0]
+	for ci, c := range n.children {
+		cv := delta
+		if c != from {
+			var present bool
+			if cv, present = vt.view[c.id][relation.KeyOfVals(n.childKeyCols[ci], vals)]; !present {
+				return false
+			}
+		}
+		s.fac = append(s.fac, cv)
+	}
 	s.cur = 0
 	s.tmp[0] = vt.lift(s.tmp[0], s, n, vals)
-	if from != nil {
-		vt.mul(s, delta)
-	}
-	for ci, c := range n.children {
-		if c == from {
-			continue
-		}
-		cv, present := vt.view[c.id][relation.KeyOfVals(n.childKeyCols[ci], vals)]
-		if !present {
-			return false
-		}
+	for _, cv := range s.fac {
 		vt.mul(s, cv)
 	}
 	return true
@@ -191,12 +199,12 @@ type viewEffect[E any] struct {
 // order that makes the effect list — and with it every maintained float
 // — deterministic.
 func (vt *viewTree[E]) computeEffects(s *scratch[E], n *node, key uint64, delta E) {
-	s.effs = append(s.effs, viewEffect[E]{n: n, key: key, delta: delta})
 	p := n.parent
-	if p == nil {
+	if p == nil { // nothing reads a view of the root: its delta is the result's
 		s.effs = append(s.effs, viewEffect[E]{delta: delta})
 		return
 	}
+	s.effs = append(s.effs, viewEffect[E]{n: n, key: key, delta: delta})
 	base := len(s.fan)
 	for i, r := range p.childIndexes[n.childPos].Rows(key) {
 		s.fan = append(s.fan, fanRow{key: p.parentKey(int(r)), pos: int32(i), row: r})
@@ -247,7 +255,7 @@ func (vt *viewTree[E]) tupleEffects(n *node, vals []relation.Value, neg bool) []
 func (vt *viewTree[E]) applyEffects(effs []viewEffect[E]) {
 	for _, e := range effs {
 		if e.n == nil {
-			vt.alg.AddInPlace(vt.result, e.delta)
+			vt.emit(vt.result, e.delta)
 			continue
 		}
 		v := vt.view[e.n.id]
@@ -345,11 +353,17 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 		m.cf = newViewTreeLift[*ring.Cofactor](cfr, m.nodes,
 			func(dst *ring.Cofactor, s *scratch[*ring.Cofactor], n *node, vals []relation.Value) *ring.Cofactor {
 				s.f, s.c = n.featValsOf(s.f[:0], vals), n.catValsOf(s.c[:0], vals)
-				return cfr.LiftCatInto(dst, n.featIdx, s.f, n.catIdx, s.c)
+				return cfr.LiftCatInto(dst, n.slots, s.f, n.catIdx, s.c)
 			}).batched(m, b)
+		m.cf.emit = func(result, delta *ring.Cofactor) { result.AddMapped(delta, b.slotOf) }
 		m.tree = m.cf
 	default:
-		m.cv = newViewTree[*ring.Covar](m.ring, m.nodes).batched(m, b)
+		m.cv = newViewTreeLift[*ring.Covar](m.ring, m.nodes,
+			func(dst *ring.Covar, s *scratch[*ring.Covar], n *node, vals []relation.Value) *ring.Covar {
+				s.f = n.featValsOf(s.f[:0], vals)
+				return m.ring.LiftInto(dst, n.slots, s.f)
+			}).batched(m, b)
+		m.cv.emit = func(result, delta *ring.Covar) { result.AddMapped(delta, b.slotOf) }
 		m.tree = m.cv
 	}
 	return m, nil

@@ -38,6 +38,7 @@ package ivm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"borg/internal/exec"
@@ -222,6 +223,11 @@ type node struct {
 	// node and their columns in rel.
 	featIdx  []int
 	featCols []int
+	// slots are the ring slots the covariance payloads (covar, cofactor)
+	// lift featCols into: base.slotOf numbers the continuous features in
+	// join-tree preorder, so the slots of a subtree are one contiguous
+	// range whatever order the caller listed the features in.
+	slots []int
 
 	// catIdx/catCols: global categorical group-slot indexes owned by
 	// this node and their columns in rel (cofactor payload only).
@@ -247,6 +253,9 @@ type base struct {
 	// catFeats is empty and contFeats == features.
 	contFeats []string
 	catFeats  []string
+	// slotOf maps a ring slot (node.slots) to the feature index it holds;
+	// nil when the two numberings coincide.
+	slotOf []int
 	// rt schedules the delta scans routed through internal/exec. The
 	// zero value is the serial runtime; SetRuntime overrides it.
 	rt exec.Runtime
@@ -370,6 +379,15 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 		default:
 			return nil, fmt.Errorf("ivm: feature %s is not continuous; categorical features need WithPayload(PayloadCofactor)", f)
 		}
+	}
+	for _, n := range b.nodes { // preorder: a node's features, then its subtrees'
+		for _, fi := range n.featIdx {
+			n.slots = append(n.slots, len(b.slotOf))
+			b.slotOf = append(b.slotOf, fi)
+		}
+	}
+	if slices.IsSorted(b.slotOf) {
+		b.slotOf = nil
 	}
 	return b, nil
 }

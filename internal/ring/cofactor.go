@@ -154,26 +154,23 @@ func (e *Cofactor) Marginal() *Covar {
 // the short loop bodies keep several groups' cache misses in flight —
 // the groups of a long-lived run are scattered over the heap.
 func (e *Cofactor) MarginalInto(dst *Covar) {
-	if len(dst.Sum) != e.N || len(dst.Q) != e.N*e.N {
-		dst.Sum, dst.Q = make([]float64, e.N), make([]float64, e.N*e.N)
-	}
-	sum, q := dst.Sum, dst.Q
+	dst.N = e.N
+	dst.block(0, e.N)
+	sum := dst.Sum
 	clear(sum)
-	clear(q)
+	clear(dst.Q)
 	count := 0.0
 	for _, g := range e.vals {
 		count += g.Count
 	}
-	dst.N, dst.Count = e.N, count
+	dst.Count = count
 	for _, g := range e.vals {
-		for i, v := range g.Sum[:len(sum)] {
-			sum[i] += v
+		for i, v := range g.Sum {
+			sum[g.Lo+i] += v
 		}
 	}
 	for _, g := range e.vals {
-		for i, v := range g.Q[:len(q)] {
-			q[i] += v
-		}
+		dst.addQ(g)
 	}
 }
 
@@ -202,17 +199,23 @@ func (e *Cofactor) owns(i int) bool { return !e.shared || (e.fresh != nil && e.f
 
 // AddGroup folds g into the group under a packed key (as CatScalar.G
 // exposes them), taking ownership of g. Ascending keys append.
-func (e *Cofactor) AddGroup(key string, g *Covar) { e.add(key, g, true) }
+func (e *Cofactor) AddGroup(key string, g *Covar) { e.add(key, g, true, nil) }
 
 // add folds g into the group under key, pruning it when the statistics
 // cancel to exact zero so retraction shrinks the run for real. A group e
 // does not own is copied before the write (copy-on-write); a missing
-// one is born as g itself when e may own g, as a copy otherwise.
-func (e *Cofactor) add(key string, g *Covar, own bool) {
+// one is born as g itself when e may own g, as a copy otherwise. With to
+// non-nil g's feature slots are renamed on the way in (Covar.AddMapped),
+// and a group is born with full support.
+func (e *Cofactor) add(key string, g *Covar, own bool, to []int) {
 	i, ok := slices.BinarySearch(e.keys, key)
 	switch {
 	case !ok:
-		if !own {
+		if to != nil {
+			born := CovarRing{N: e.N}.Zero()
+			born.AddMapped(g, to)
+			g = born
+		} else if !own {
 			g = g.Clone()
 		}
 		e.ownKeys()
@@ -226,7 +229,7 @@ func (e *Cofactor) add(key string, g *Covar, own bool) {
 		e.vals[i] = e.vals[i].Clone()
 		e.markFresh(i)
 	}
-	e.vals[i].AddInPlace(g)
+	e.vals[i].AddMapped(g, to)
 	if e.vals[i].IsZero() {
 		e.ownKeys()
 		e.keys, e.vals = slices.Delete(e.keys, i, i+1), slices.Delete(e.vals, i, i+1)
@@ -372,9 +375,14 @@ func (r CofactorRing) Add(a, b *Cofactor) *Cofactor {
 // AddInPlace folds src into dst group by group (see Cofactor.add): exact
 // cancellation prunes, and a group some snapshot holds is copied before
 // its first write, so that snapshot stays bitwise unchanged.
-func (r CofactorRing) AddInPlace(dst, src *Cofactor) {
+func (r CofactorRing) AddInPlace(dst, src *Cofactor) { dst.AddMapped(src, nil) }
+
+// AddMapped is AddInPlace of src into e with, when to is non-nil, the
+// continuous feature slots of src renamed by it (Covar.AddMapped): e is
+// then a root result, whose groups all have full support.
+func (e *Cofactor) AddMapped(src *Cofactor, to []int) {
 	for j, k := range src.keys {
-		dst.add(k, src.vals[j], false)
+		e.add(k, src.vals[j], false, to)
 	}
 }
 
@@ -394,7 +402,7 @@ func (r CofactorRing) MulInto(dst, a, b *Cofactor) *Cofactor {
 		for j, kb := range b.keys {
 			if k, ok := mergeCatKeys(ka, kb); ok {
 				if p := r.covar().MulInto(dst.group(), a.vals[i], b.vals[j]); !p.IsZero() {
-					dst.add(k, p, true)
+					dst.add(k, p, true, nil)
 				}
 			}
 		}

@@ -419,12 +419,7 @@ func (a *Poly2) Covar() *Covar {
 func (a *Poly2) CovarInto(dst *Covar) {
 	r := a.ring
 	dst.N = r.N
-	if len(dst.Sum) != r.N {
-		dst.Sum = make([]float64, r.N)
-	}
-	if len(dst.Q) != r.N*r.N {
-		dst.Q = make([]float64, r.N*r.N)
-	}
+	dst.block(0, r.N)
 	dst.Count = a.M[0]
 	for i := 0; i < r.N; i++ {
 		dst.Sum[i] = a.M[r.sumIdx[i]]

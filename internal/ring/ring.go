@@ -43,10 +43,12 @@ type Inverter[T any] interface {
 //
 // LiftInto, MulInto and NegInto are destination-passing: the caller
 // offers dst, an element of this ring it owns and no longer reads, and
-// uses the returned element. The dense rings (Covar, Poly2) overwrite
-// dst and return it, allocating nothing; CofactorRing refills dst from
-// the groups dst is the sole holder of (none of them once a snapshot or
-// a sum was made of it); CatScalarRing ignores dst and returns a fresh
+// uses the returned element. CovarRing and Poly2Ring overwrite dst and
+// return it, allocating nothing — a Covar destination takes the shape of
+// the result's block of feature slots, on its own array when that has
+// the room (one from Zero always has); CofactorRing refills dst from the
+// groups dst is the sole holder of (none of them once a snapshot or a
+// sum was made of it); CatScalarRing ignores dst and returns a fresh
 // element.
 type Algebra[E any] interface {
 	Zero() E
