@@ -15,8 +15,9 @@
 //	    Continuous:  []string{"price"},
 //	}, "units", 1e-3)
 //
-// For continuous workloads, Query.Serve starts a long-lived Server that
-// maintains the model's sufficient statistics incrementally under
+// For continuous workloads, Query.ServeSharded starts a long-lived
+// ShardedServer (one shard by default) that maintains the model's
+// sufficient statistics incrementally under
 // streamed inserts (F-IVM, Section 5.2) while serving snapshot-
 // consistent statistics and freshly trained models to any number of
 // concurrent readers; cmd/borg-serve exposes it over HTTP.
@@ -106,8 +107,8 @@ func (r *Relation) Append(values ...any) error {
 // coerceRow converts facade values (any common Go numeric type for
 // continuous, string for categorical) into relation values in schema
 // order — the conversion path shared by Relation.Append,
-// StreamingCovariance.Insert, and Server.Insert/Delete/Update; every
-// value goes through coerceCell, as every cell of IngestJSON does.
+// StreamingCovariance.Insert, and ShardedServer.Insert/Delete/Update;
+// every value goes through coerceCell, as every cell of IngestJSON does.
 // Append and StreamingCovariance.Insert remain single-writer APIs (their
 // row mutation happens outside any lock).
 func coerceRow(r *relation.Relation, values []any) ([]relation.Value, error) {

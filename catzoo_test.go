@@ -65,20 +65,6 @@ type czState struct {
 	rows   []czSalesRow // churnable rows, current survivors
 }
 
-// catServer is the train/read surface shared by Server and
-// ShardedServer that this suite exercises.
-type catServer interface {
-	Ingestor
-	Count() float64
-	CatFeatures() []string
-	Payload() Payload
-	TrainLinRegGD(string, float64, GDOptions) (*LinearRegression, error)
-	TrainPolyReg(string, float64) (*PolyRegression, error)
-	TrainChowLiu() ([]DependencyEdge, error)
-	TrainCTree(string, TreeOptions) (*DecisionTree, error)
-	TrainSVM(string, float64) (*SVMClassifier, error)
-}
-
 // czPrelude streams the dimension tables and one guaranteed-survivor
 // Sales row per promo value into the live server, mirroring them into
 // st. Every categorical value is interned here, in a fixed order — the
@@ -259,13 +245,7 @@ func TestCatZooChurnEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dshard", strategy, shards), func(t *testing.T) {
 				_, q := catZooSchema(t)
 				opt := ServerOptions{Strategy: strategy, BatchSize: 7, Payload: PayloadCofactor}
-				var srv catServer
-				var err error
-				if shards == 1 {
-					srv, err = q.Serve(features, opt)
-				} else {
-					srv, err = q.ServeSharded(features, ShardOptions{ServerOptions: opt, Shards: shards, PartitionBy: "store"})
-				}
+				srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: opt, Shards: shards, PartitionBy: "store"})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -487,15 +467,14 @@ func mustCodes(t *testing.T, dicts map[string]*relation.Dict, cats map[string]st
 
 // TestCatZooPayloadGates certifies the typed-error contract per model
 // kind: a kind whose ring payload the server does not maintain refuses
-// with ErrPayloadNotMaintained (ErrLiftedNotMaintained remains an
-// errors.Is-compatible alias), and every kind on an empty cofactor join
+// with ErrPayloadNotMaintained, and every kind on an empty cofactor join
 // refuses with ErrEmptySnapshot — never NaN parameters.
 func TestCatZooPayloadGates(t *testing.T) {
 	features := append(append([]string(nil), czCont...), czCats...)
 
 	t.Run("covar", func(t *testing.T) {
 		_, q := catZooSchema(t)
-		srv, err := q.Serve(czCont, ServerOptions{})
+		srv, err := q.ServeSharded(czCont, ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,9 +497,6 @@ func TestCatZooPayloadGates(t *testing.T) {
 		if _, err := srv.TrainPolyReg("units", 1e-3); !errors.Is(err, ErrPayloadNotMaintained) {
 			t.Fatalf("TrainPolyReg on covar = %v, want ErrPayloadNotMaintained", err)
 		}
-		if _, err := srv.TrainPolyReg("units", 1e-3); !errors.Is(err, ErrLiftedNotMaintained) {
-			t.Fatalf("deprecated ErrLiftedNotMaintained alias broken: %v", err)
-		}
 		if _, err := srv.TrainChowLiu(); !errors.Is(err, ErrPayloadNotMaintained) {
 			t.Fatalf("TrainChowLiu on covar = %v, want ErrPayloadNotMaintained", err)
 		}
@@ -532,15 +508,15 @@ func TestCatZooPayloadGates(t *testing.T) {
 		}
 	})
 
-	t.Run("poly2-via-deprecated-lifted", func(t *testing.T) {
+	t.Run("poly2", func(t *testing.T) {
 		_, q := catZooSchema(t)
-		srv, err := q.Serve(czCont, ServerOptions{Lifted: true})
+		srv, err := q.ServeSharded(czCont, ShardOptions{ServerOptions: ServerOptions{Payload: PayloadPoly2}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		if srv.Payload() != PayloadPoly2 {
-			t.Fatalf("Payload with Lifted:true = %v, want poly2", srv.Payload())
+			t.Fatalf("Payload = %v, want poly2", srv.Payload())
 		}
 		if _, err := srv.TrainChowLiu(); !errors.Is(err, ErrPayloadNotMaintained) {
 			t.Fatalf("TrainChowLiu on poly2 = %v, want ErrPayloadNotMaintained", err)
@@ -550,21 +526,9 @@ func TestCatZooPayloadGates(t *testing.T) {
 		}
 	})
 
-	t.Run("explicit-payload-wins-over-lifted", func(t *testing.T) {
-		_, q := catZooSchema(t)
-		srv, err := q.Serve(features, ServerOptions{Payload: PayloadCofactor, Lifted: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		if srv.Payload() != PayloadCofactor {
-			t.Fatalf("Payload = %v, want cofactor (explicit Payload beats deprecated Lifted)", srv.Payload())
-		}
-	})
-
 	t.Run("cofactor-empty", func(t *testing.T) {
 		_, q := catZooSchema(t)
-		srv, err := q.Serve(features, ServerOptions{Payload: PayloadCofactor})
+		srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{Payload: PayloadCofactor}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,7 +552,7 @@ func TestCatZooPayloadGates(t *testing.T) {
 
 	t.Run("categorical-features-need-cofactor", func(t *testing.T) {
 		_, q := catZooSchema(t)
-		if _, err := q.Serve(features, ServerOptions{}); err == nil || !strings.Contains(err.Error(), "categorical") {
+		if _, err := q.ServeSharded(features, ShardOptions{}); err == nil || !strings.Contains(err.Error(), "categorical") {
 			t.Fatalf("Serve with categorical features on covar payload = %v, want a categorical-feature error", err)
 		}
 	})
@@ -600,12 +564,12 @@ func TestCatZooPayloadGates(t *testing.T) {
 func TestFacadeErrorsNameAvailable(t *testing.T) {
 	_, q := catZooSchema(t)
 	q.Root = "Nope"
-	if _, err := q.Serve(czCont, ServerOptions{}); err == nil ||
+	if _, err := q.ServeSharded(czCont, ShardOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "the join's relations are Sales, Items, Stores") {
 		t.Fatalf("bad root error = %v, want the available relations named", err)
 	}
 	q.Root = ""
-	srv, err := q.Serve(czCont, ServerOptions{})
+	srv, err := q.ServeSharded(czCont, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,13 +99,6 @@
 //	                the server does not maintain, or an empty join, is
 //	                409 — never a 200 with NaNs in the body. Over 1 MB:
 //	                413.
-//	GET  /model     Deprecated query-string adapter for POST /v1/model
-//	                (?kind=...&response=...&lambda=...); same kinds, same
-//	                statuses, response carries "Deprecation: true" and a
-//	                successor Link header.
-//	POST /predict   Deprecated adapter for POST /v1/model with "predict";
-//	                {"kind", "response", "lambda", "k", "features": {...},
-//	                 "cats": {...}} → {"prediction"|"projection": ...}.
 //	GET  /metrics   Prometheus text exposition (text/plain; version=0.0.4)
 //	                of every maintained series: borg_serve_* (queue wait,
 //	                batch sizes, apply phase splits, publication and
@@ -132,13 +125,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -150,6 +141,7 @@ import (
 
 	"borg"
 	"borg/internal/obs"
+	"borg/internal/serve"
 )
 
 // contFeatures are the demo schema's continuous features; catFeatures
@@ -166,8 +158,7 @@ func main() {
 	batch := flag.Int("batch", 64, "most ops per applied batch, and most an epoch trails by under backlog")
 	queue := flag.Int("queue", 1024, "ingest queue depth (backpressure beyond it)")
 	workers := flag.Int("workers", 2, "exec worker pool size for first-order delta scans (F-IVM ingest is serial per shard)")
-	payload := flag.String("payload", "", `ring payload: "covar", "poly2" (lifted degree-2, enables polyreg pairs), or "cofactor" (categorical group maps, enables the full zoo; the default)`)
-	lifted := flag.Bool("lifted", false, "deprecated: equivalent to -payload poly2 when -payload is unset")
+	payload := flag.String("payload", "cofactor", `ring payload: "covar", "poly2" (lifted degree-2, enables polyreg pairs), or "cofactor" (categorical group maps, enables the full zoo)`)
 	shards := flag.Int("shards", 1, "serving shards; ingest is hash-partitioned across them and reads are ring-merged")
 	partitionBy := flag.String("partition-by", "store", "partition attribute (must appear in every relation of the join)")
 	oneShot := flag.Bool("oneshot", false, "start, self-check the endpoints, and exit (CI smoke)")
@@ -182,29 +173,18 @@ func main() {
 	if err != nil {
 		log.Fatalf("borg-serve: %v", err)
 	}
+	pl, err := serve.ParsePayload(*payload)
+	if err != nil {
+		log.Fatalf("borg-serve: %v", err)
+	}
 	opt := borg.ServerOptions{
 		Strategy:           *strategy,
 		BatchSize:          *batch,
 		QueueDepth:         *queue,
 		Workers:            *workers,
+		Payload:            pl,
 		Logger:             logger,
 		SlowBatchThreshold: *slowBatch,
-	}
-	switch *payload {
-	case "covar":
-		opt.Payload = borg.PayloadCovar
-	case "poly2":
-		opt.Payload = borg.PayloadPoly2
-	case "cofactor":
-		opt.Payload = borg.PayloadCofactor
-	case "":
-		if *lifted {
-			opt.Payload = borg.PayloadPoly2
-		} else {
-			opt.Payload = borg.PayloadCofactor
-		}
-	default:
-		log.Fatalf("borg-serve: unknown -payload %q (want covar, poly2, or cofactor)", *payload)
 	}
 
 	db := borg.NewDatabase()
@@ -338,8 +318,7 @@ func selfCheck(srv *borg.ShardedServer, svc *service, h http.Handler) error {
 	// The degenerate-snapshot contract, before anything streams in: an
 	// empty join trains NO model of any kind — 409, never a 200 carrying
 	// NaNs — whether because the join is empty or because the payload is
-	// not maintained; /stats stays a healthy 200 reporting count 0. Both
-	// the v1 route and the deprecated GET adapter honor it.
+	// not maintained; /stats stays a healthy 200 reporting count 0.
 	for _, kind := range allKinds {
 		code, body := do("POST", "/v1/model", `{"kind": "`+kind+`"}`)
 		if code != http.StatusConflict {
@@ -347,13 +326,6 @@ func selfCheck(srv *borg.ShardedServer, svc *service, h http.Handler) error {
 		}
 		if strings.Contains(body, "NaN") {
 			return fmt.Errorf("v1 model kind=%s on empty join leaked NaN: %s", kind, body)
-		}
-		code, body, hdr := doHeader(h, "GET", "/model?kind="+kind, "")
-		if code != http.StatusConflict {
-			return fmt.Errorf("model kind=%s on empty join: %d %s, want 409", kind, code, body)
-		}
-		if hdr.Get("Deprecation") == "" {
-			return fmt.Errorf("GET /model response is missing the Deprecation header")
 		}
 	}
 	if c, err := count(); err != nil || c != 0 {
@@ -405,41 +377,24 @@ func selfCheck(srv *borg.ShardedServer, svc *service, h http.Handler) error {
 			return fmt.Errorf("v1 model kind=%s without its payload: %d %s, want 409", kind, code, out)
 		}
 	}
-	// The deprecated GET adapter serves the same kinds with the same
-	// statuses, plus the Deprecation/Link headers.
+	// Predictions in the request that trains the model: a regression
+	// evaluates on continuous values plus category strings (ignored
+	// without the cofactor payload), pca projects.
 	var linreg struct {
-		Converged  bool `json:"converged"`
-		Iterations int  `json:"iterations"`
+		Converged  bool     `json:"converged"`
+		Prediction *float64 `json:"prediction"`
 	}
-	code, body, hdr := doHeader(h, "GET", "/model?response=units&lambda=0.001", "")
-	if code != http.StatusOK {
-		return fmt.Errorf("model: %d %s", code, body)
+	code, body := do("POST", "/v1/model", `{
+		"kind": "linreg", "params": {"response": "units"},
+		"predict": {"values": {"price": 6, "area": 120}, "cats": {"item": "patty", "store": "s1"}}}`)
+	if err := json.Unmarshal([]byte(body), &linreg); err != nil || code != http.StatusOK || !linreg.Converged || linreg.Prediction == nil {
+		return fmt.Errorf("v1 linreg predict, convergence not reported: %d %s (%v)", code, body, err)
 	}
-	if hdr.Get("Deprecation") == "" || !strings.Contains(hdr.Get("Link"), "/v1/model") {
-		return fmt.Errorf("GET /model is missing the Deprecation/Link headers")
+	code, body = do("POST", "/v1/model", `{"kind": "pca", "params": {"k": 1}, "predict": {"values": {"units": 4, "price": 6, "area": 120}}}`)
+	if code != http.StatusOK || !strings.Contains(body, "projection") {
+		return fmt.Errorf("v1 pca projection: %d %s", code, body)
 	}
-	if err := json.Unmarshal([]byte(body), &linreg); err != nil || !linreg.Converged {
-		return fmt.Errorf("linreg convergence not reported: %s (%v)", body, err)
-	}
-	legacy := []string{"kind=pca&k=2", "kind=kmeans&k=3"}
 	if pl == borg.PayloadCofactor {
-		legacy = append(legacy, "kind=chowliu", "kind=ctree&response=units", "kind=svm&response=units")
-	}
-	for _, q := range legacy {
-		if code, body := do("GET", "/model?"+q, ""); code != http.StatusOK {
-			return fmt.Errorf("model?%s: %d %s", q, code, body)
-		}
-	}
-	// Categorical predictions: the cofactor payload's models evaluate on
-	// mixed continuous values + category strings, in the same request
-	// that trains them.
-	if pl == borg.PayloadCofactor {
-		code, body := do("POST", "/v1/model", `{
-			"kind": "linreg", "params": {"response": "units"},
-			"predict": {"values": {"price": 6, "area": 120}, "cats": {"item": "patty", "store": "s1"}}}`)
-		if code != http.StatusOK || !strings.Contains(body, "prediction") {
-			return fmt.Errorf("v1 categorical linreg predict: %d %s", code, body)
-		}
 		code, body = do("POST", "/v1/model", `{
 			"kind": "svm", "params": {"response": "units"},
 			"predict": {"values": {"price": 6, "area": 120}, "cats": {"item": "patty", "store": "s1"}}}`)
@@ -455,50 +410,24 @@ func selfCheck(srv *borg.ShardedServer, svc *service, h http.Handler) error {
 		}
 	}
 	// Malformed model requests are client errors (400), not server
-	// faults — on both routes.
-	for _, q := range []string{
-		"kind=transformer", "kind=pca&k=zero", "kind=kmeans&k=-3",
-		"lambda=banana", "response=ghost", "kind=linreg&max_iters=0", "tol=-1",
-		"kind=ctree&max_depth=-1", "kind=ctree&min_rows=banana",
-	} {
-		if code, body := do("GET", "/model?"+q, ""); code != http.StatusBadRequest {
-			return fmt.Errorf("model?%s: %d %s, want 400", q, code, body)
-		}
-	}
+	// faults.
 	for _, body := range []string{
 		`{"kind": "transformer"}`,
-		`{"kind": "pca", "params": {"k": -1}}`,
+		`{"params": {"response": "ghost"}}`,
+		`{"params": {"lambda": "banana"}}`,
+		`{"params": {"lambda": -1}}`,
+		`{"kind": "pca", "params": {"k": "zero"}}`,
+		`{"kind": "kmeans", "params": {"k": -3}}`,
+		`{"params": {"max_iters": -1}}`,
+		`{"params": {"tol": -1}}`,
+		`{"kind": "ctree", "params": {"max_depth": -1}}`,
+		`{"kind": "ctree", "params": {"min_rows": "banana"}}`,
 		`{"kind": "kmeans", "predict": {"values": {"price": 6}}}`,
 		`not json`,
 	} {
 		if code, out := do("POST", "/v1/model", body); code != http.StatusBadRequest {
 			return fmt.Errorf("v1 model %s: %d %s, want 400", body, code, out)
 		}
-	}
-	// Deprecated prediction round trips: regression kinds predict, pca
-	// projects, and the adapter carries the Deprecation header.
-	var pred struct {
-		Prediction float64 `json:"prediction"`
-	}
-	regBody := `{"kind": "linreg", "response": "units", "features": {"price": 6, "area": 120}}`
-	if pl == borg.PayloadCofactor {
-		regBody = `{"kind": "linreg", "response": "units", "features": {"price": 6, "area": 120}, "cats": {"item": "patty", "store": "s1"}}`
-	}
-	code, body, hdr = doHeader(h, "POST", "/predict", regBody)
-	if code != http.StatusOK {
-		return fmt.Errorf("predict linreg: %d %s", code, body)
-	}
-	if hdr.Get("Deprecation") == "" {
-		return fmt.Errorf("POST /predict is missing the Deprecation header")
-	}
-	if err := json.Unmarshal([]byte(body), &pred); err != nil {
-		return fmt.Errorf("predict body: %v", err)
-	}
-	if code, body := do("POST", "/predict", `{"kind": "pca", "k": 1, "features": {"units": 4, "price": 6, "area": 120}}`); code != http.StatusOK || !strings.Contains(body, "projection") {
-		return fmt.Errorf("predict pca: %d %s", code, body)
-	}
-	if code, body := do("POST", "/predict", `{"kind": "kmeans", "features": {"price": 6}}`); code != http.StatusBadRequest {
-		return fmt.Errorf("predict kmeans: %d %s, want 400", code, body)
 	}
 	if code, body := do("GET", "/healthz", ""); code != http.StatusOK {
 		return fmt.Errorf("healthz: %d %s", code, body)
@@ -666,7 +595,7 @@ func checkMetrics(h http.Handler) error {
 		{"borg_shard_routed_total", 7},        // every op routed through the tier
 		{"borg_shard_skew", 1},                // skew ratio is >= 1 by definition
 		{"borg_model_train_total", 4},         // the zoo round trained >= 4 kinds
-		{"borg_model_train_errors_total", 7},  // two empty-join refusals per kind
+		{"borg_model_train_errors_total", 7},  // an empty-join refusal per kind, twice
 		{"borg_serve_rejected_ops_total", 0},  // present even when nothing rejected
 		{"borg_serve_epoch_age_seconds", 0},   // scrape-time gauge exists
 	} {
@@ -704,13 +633,6 @@ func withPprof(h http.Handler) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/", h)
 	return mux
-}
-
-// markDeprecated stamps a legacy endpoint's response with the RFC 8594
-// Deprecation header and a Link to the successor route.
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/model>; rel="successor-version"`)
 }
 
 // newLogger builds the service's structured logger from the -log-level
@@ -989,37 +911,6 @@ func newHandler(svc *service) http.Handler {
 		}
 		serveModel(w, srv, req)
 	})
-	mux.HandleFunc("GET /model", func(w http.ResponseWriter, r *http.Request) {
-		// Deprecated adapter: the query string maps onto a v1 body.
-		markDeprecated(w)
-		req, err := queryToV1(r.URL.Query())
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		serveModel(w, srv, req)
-	})
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		// Deprecated adapter: the flat predict body maps onto a v1 body
-		// with a "predict" object.
-		markDeprecated(w)
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			httpError(w, bodyStatus(err), err)
-			return
-		}
-		var legacy predictReq
-		if err := json.Unmarshal(body, &legacy); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad predict body: %v", err))
-			return
-		}
-		req, err := legacy.v1()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		serveModel(w, srv, req)
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		reg := srv.Metrics()
 		if reg == nil {
@@ -1085,8 +976,7 @@ type v1Predict struct {
 }
 
 // serveModel validates, trains, optionally evaluates, and renders one
-// model request — the shared core of POST /v1/model and both deprecated
-// adapters.
+// POST /v1/model request.
 func serveModel(w http.ResponseWriter, srv *borg.ShardedServer, req v1ModelReq) {
 	p, err := req.validate()
 	if err != nil {
@@ -1118,9 +1008,9 @@ type modelParams struct {
 	tree     borg.TreeOptions
 }
 
-// validate checks a v1 body the way parseModelParams checks the legacy
-// query string: every malformed or unknown input is rejected here, so
-// the handlers map validation failures to 400 uniformly.
+// validate checks a v1 body: every malformed or unknown input is
+// rejected here, so the handler maps validation failures to 400
+// uniformly.
 func (r v1ModelReq) validate() (modelParams, error) {
 	p := modelParams{kind: r.Kind, response: r.Params.Response, lambda: 1e-3, k: 2}
 	if p.kind == "" {
@@ -1201,47 +1091,6 @@ func (r v1ModelReq) validate() (modelParams, error) {
 		}
 	}
 	return p, nil
-}
-
-// queryToV1 maps the deprecated GET /model query string onto a v1 body.
-func queryToV1(q url.Values) (v1ModelReq, error) {
-	r := v1ModelReq{Kind: q.Get("kind"), Params: v1Params{Response: q.Get("response")}}
-	var err error
-	if s := q.Get("lambda"); s != "" {
-		var l float64
-		if l, err = strconv.ParseFloat(s, 64); err != nil {
-			return r, fmt.Errorf("bad lambda %q: want a non-negative number", s)
-		}
-		r.Params.Lambda = &l
-	}
-	if s := q.Get("k"); s != "" {
-		if r.Params.K, err = strconv.Atoi(s); err != nil || r.Params.K < 1 {
-			return r, fmt.Errorf("bad k %q: want an integer >= 1", s)
-		}
-	}
-	if s := q.Get("max_iters"); s != "" {
-		// Zero means "unset" in the v1 body, so the legacy adapter must
-		// range-check eagerly to keep rejecting max_iters=0.
-		if r.Params.MaxIters, err = strconv.Atoi(s); err != nil || r.Params.MaxIters < 1 {
-			return r, fmt.Errorf("bad max_iters %q: want an integer >= 1", s)
-		}
-	}
-	if s := q.Get("tol"); s != "" {
-		if r.Params.Tol, err = strconv.ParseFloat(s, 64); err != nil {
-			return r, fmt.Errorf("bad tol %q: want a positive number", s)
-		}
-	}
-	if s := q.Get("max_depth"); s != "" {
-		if r.Params.MaxDepth, err = strconv.Atoi(s); err != nil {
-			return r, fmt.Errorf("bad max_depth %q: want an integer >= 1", s)
-		}
-	}
-	if s := q.Get("min_rows"); s != "" {
-		if r.Params.MinRows, err = strconv.ParseFloat(s, 64); err != nil {
-			return r, fmt.Errorf("bad min_rows %q: want a non-negative number", s)
-		}
-	}
-	return r, nil
 }
 
 // trainModel trains one model-zoo kind on a frozen snapshot, optionally
@@ -1430,28 +1279,6 @@ func predictReg(cont func(map[string]float64) (float64, error), cat func(map[str
 		return cat(pr.Values, pr.Cats)
 	}
 	return cont(pr.Values)
-}
-
-// predictReq is the deprecated POST /predict body.
-type predictReq struct {
-	Kind     string             `json:"kind"`
-	Response string             `json:"response,omitempty"`
-	Lambda   *float64           `json:"lambda,omitempty"`
-	K        int                `json:"k,omitempty"`
-	Features map[string]float64 `json:"features"`
-	Cats     map[string]string  `json:"cats,omitempty"`
-}
-
-// v1 maps a deprecated predict body onto the v1 request shape.
-func (r predictReq) v1() (v1ModelReq, error) {
-	if len(r.Features) == 0 {
-		return v1ModelReq{}, fmt.Errorf(`predict needs a "features" object of feature values`)
-	}
-	return v1ModelReq{
-		Kind:    r.Kind,
-		Params:  v1Params{Response: r.Response, Lambda: r.Lambda, K: r.K},
-		Predict: &v1Predict{Values: r.Features, Cats: r.Cats},
-	}, nil
 }
 
 // modelStatus maps a training error onto its HTTP status: degenerate

@@ -1,4 +1,4 @@
-// Streaming maintenance as a service: borg.Server keeps the covariance
+// Streaming maintenance as a service: borg.ShardedServer keeps the covariance
 // matrix of a feature-extraction join fresh under live inserts,
 // corrections (updates), and expirations (deletes) with F-IVM
 // (Section 5.2, Figure 4 right) while serving snapshot-consistent
@@ -26,13 +26,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := q.Serve([]string{"units", "price", "area"}, borg.ServerOptions{
+	// The zero ShardOptions run one shard: a plain server.
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, borg.ShardOptions{ServerOptions: borg.ServerOptions{
 		Strategy:  "fivm", // one ring-valued view hierarchy
 		BatchSize: 32,     // under backlog, snapshots amortize over 32 ops
 		// The lifted degree-2 ring also maintains degree-≤4 moments, which
 		// is what degree-2 polynomial regression trains from.
 		Payload: borg.PayloadPoly2,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -160,8 +161,8 @@ func categorical() {
 	// Categorical features ("item", "store") join the feature list; they
 	// require the cofactor payload, and construction says so if asked
 	// without it.
-	srv, err := q.Serve([]string{"units", "price", "area", "item", "store"},
-		borg.ServerOptions{Payload: borg.PayloadCofactor})
+	srv, err := q.ServeSharded([]string{"units", "price", "area", "item", "store"},
+		borg.ShardOptions{ServerOptions: borg.ServerOptions{Payload: borg.PayloadCofactor}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func categorical() {
 	// A kind whose payload the server does not maintain refuses with the
 	// typed ErrPayloadNotMaintained — 409 on the HTTP surface, never a
 	// silently wrong model.
-	plain, err := q.Serve([]string{"units", "price", "area"}, borg.ServerOptions{})
+	plain, err := q.ServeSharded([]string{"units", "price", "area"}, borg.ShardOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func categorical() {
 // emptySnapshotDemo shows the degenerate-snapshot contract: every
 // trainer on an empty join returns borg.ErrEmptySnapshot.
 func emptySnapshotDemo(q *borg.Query) (string, error) {
-	empty, err := q.Serve([]string{"units", "price", "area"}, borg.ServerOptions{})
+	empty, err := q.ServeSharded([]string{"units", "price", "area"}, borg.ShardOptions{})
 	if err != nil {
 		return "", err
 	}
@@ -261,8 +262,8 @@ func emptySnapshotDemo(q *borg.Query) (string, error) {
 	return "", fmt.Errorf("expected ErrEmptySnapshot on an empty join")
 }
 
-// sharded is the horizontally scaled variant: the same serving API over
-// N hash-partitioned shards. The covariance statistics live in a
+// sharded is the horizontally scaled variant: the same server with N
+// hash-partitioned shards instead of one. The covariance statistics live in a
 // commutative ring, so per-shard triples merge EXACTLY under ring
 // addition — the merged model equals the unsharded one. The one schema
 // requirement: the partition attribute ("store" here) must appear in

@@ -110,7 +110,7 @@ func ModelsBench(o Options) (*ModelsReport, error) {
 		}
 		srv, err := serve.New(d.Join, d.Root, features, serve.Config{
 			Strategy: strategy,
-			Lifted:   true,
+			Payload:  serve.PayloadPoly2,
 			Workers:  o.Workers,
 		})
 		if err != nil {

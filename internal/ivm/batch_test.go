@@ -151,7 +151,7 @@ func TestApplyBatchBitwiseEqualSerial(t *testing.T) {
 		for _, lifted := range []bool{false, true} {
 			var opts []Option
 			if lifted {
-				opts = append(opts, WithLifted())
+				opts = append(opts, WithPayload(PayloadPoly2))
 			}
 			// Reference: the grouped order, tuple at a time, serial.
 			ref := e.mk(opts...)
@@ -254,7 +254,7 @@ func TestSnapshotIntoZeroAlloc(t *testing.T) {
 		for _, lifted := range []bool{false, true} {
 			var opts []Option
 			if lifted {
-				opts = append(opts, WithLifted())
+				opts = append(opts, WithPayload(PayloadPoly2))
 			}
 			m := e.mk(opts...)
 			load := stream

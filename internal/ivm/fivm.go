@@ -454,7 +454,7 @@ func (m *FIVM) Snapshot() *ring.Covar {
 
 // SnapshotLifted implements Maintainer: a deep copy of the maintained
 // lifted degree-2 element, or nil when the maintainer was built without
-// WithLifted.
+// PayloadPoly2.
 func (m *FIVM) SnapshotLifted() *ring.Poly2 {
 	if m.p2 == nil {
 		return nil

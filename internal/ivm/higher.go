@@ -12,7 +12,7 @@ import (
 // view hierarchy per aggregate. Every insert triggers one delta
 // propagation per aggregate, each repeating the index navigation and hash
 // lookups that F-IVM performs once, which is exactly the architectural
-// difference the Figure 4 (right) experiment measures. With WithLifted
+// difference the Figure 4 (right) experiment measures. With PayloadPoly2
 // the aggregate set grows from the covariance batch (degree ≤ 2) to the
 // full degree-≤4 moment batch of polynomial regression — and the
 // per-aggregate fanout cost grows with it, the same architectural tax at

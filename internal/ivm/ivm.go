@@ -128,14 +128,6 @@ func WithCardinalities(cards map[string]int) Option {
 	return func(o *options) { o.cards = cards }
 }
 
-// WithLifted selects the lifted degree-2 ring as the maintained payload.
-//
-// Deprecated: use WithPayload(PayloadPoly2). Kept as an alias for the
-// pre-payload API.
-func WithLifted() Option {
-	return WithPayload(PayloadPoly2)
-}
-
 // Maintainer is the common interface of the three IVM strategies.
 // General deltas — inserts and deletes with negative multiplicities
 // under the covariance ring — are supported by every strategy; an
@@ -169,7 +161,7 @@ type Maintainer interface {
 	Snapshot() *ring.Covar
 	// SnapshotLifted returns a deep copy of the maintained lifted
 	// degree-2 element (degree-≤4 moments), or nil when the maintainer
-	// was built without WithLifted. Like Snapshot, the copy shares no
+	// was built without PayloadPoly2. Like Snapshot, the copy shares no
 	// state with the maintainer.
 	SnapshotLifted() *ring.Poly2
 	// SnapshotInto copies the maintained statistics into dst, reusing
@@ -178,7 +170,7 @@ type Maintainer interface {
 	SnapshotInto(dst *ring.Covar)
 	// SnapshotLiftedInto copies the maintained lifted element into dst
 	// (same reuse contract), reporting false and leaving dst alone when
-	// the maintainer was built without WithLifted.
+	// the maintainer was built without PayloadPoly2.
 	SnapshotLiftedInto(dst *ring.Poly2) bool
 	// SnapshotCofactor returns the maintained categorical cofactor
 	// element as of this call, or nil when the maintainer was not built

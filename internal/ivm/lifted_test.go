@@ -8,18 +8,18 @@ import (
 	"borg/internal/xrand"
 )
 
-// liftedMaintainers builds all three strategies with WithLifted.
+// liftedMaintainers builds all three strategies with PayloadPoly2.
 func liftedMaintainers(t *testing.T, j *query.Join, root string, features []string) []Maintainer {
 	t.Helper()
-	f, err := NewFIVM(j, root, features, WithLifted())
+	f, err := NewFIVM(j, root, features, WithPayload(PayloadPoly2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHigherOrder(j, root, features, WithLifted())
+	h, err := NewHigherOrder(j, root, features, WithPayload(PayloadPoly2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo, err := NewFirstOrder(j, root, features, WithLifted())
+	fo, err := NewFirstOrder(j, root, features, WithPayload(PayloadPoly2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLiftedViewsPrunedUnderChurn(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		stream = append(stream, randomTuple(src))
 	}
-	f, err := NewFIVM(j, "Fact", intStarFeatures, WithLifted())
+	f, err := NewFIVM(j, "Fact", intStarFeatures, WithPayload(PayloadPoly2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
 // the lifted payload) allocates nothing.
 func TestSnapshotReadZeroAlloc(t *testing.T) {
 	j, stream, feats := salesSchema(5, 300, 8, 4)
-	srv, err := New(j, "Sales", feats, Config{Lifted: true})
+	srv, err := New(j, "Sales", feats, Config{Payload: PayloadPoly2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSnapshotReadZeroAlloc(t *testing.T) {
 // be read from the test goroutine.
 func TestPublicationAllocsBounded(t *testing.T) {
 	j, stream, feats := salesSchema(7, 300, 8, 4)
-	srv, err := New(j, "Sales", feats, Config{Lifted: true})
+	srv, err := New(j, "Sales", feats, Config{Payload: PayloadPoly2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func TestEpochAgeGauge(t *testing.T) {
 // the epoch arena's budget.
 func TestWriterPathAllocsWithMetrics(t *testing.T) {
 	j, stream, feats := salesSchema(7, 300, 8, 4)
-	srv, err := New(j, "Sales", feats, Config{Obs: obs.NewRegistry(), Lifted: true})
+	srv, err := New(j, "Sales", feats, Config{Obs: obs.NewRegistry(), Payload: PayloadPoly2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,16 +122,13 @@ func ParsePayload(name string) (Payload, error) {
 	switch name {
 	case "covar", "":
 		return PayloadCovar, nil
-	case "poly2", "lifted":
+	case "poly2":
 		return PayloadPoly2, nil
 	case "cofactor":
 		return PayloadCofactor, nil
 	}
 	return PayloadCovar, fmt.Errorf("serve: unknown payload %q (want covar, poly2, or cofactor)", name)
 }
-
-// Payloads lists all payloads, for benchmark sweeps.
-func Payloads() []Payload { return []Payload{PayloadCovar, PayloadPoly2, PayloadCofactor} }
 
 // Config tunes a Server. The zero value selects F-IVM with the default
 // batching knobs.
@@ -160,11 +157,6 @@ type Config struct {
 	// Each snapshot publishes the payload's statistics alongside the
 	// covariance triple, which stays exact under every payload.
 	Payload Payload
-	// Lifted additionally maintains the lifted degree-2 ring.
-	//
-	// Deprecated: set Payload to PayloadPoly2. Lifted is honored only
-	// when Payload is unset (PayloadCovar).
-	Lifted bool
 	// MorselSize pins the exec scan granularity (0 = automatic).
 	MorselSize int
 	// ReplanThreshold opts into automatic replanning: when the plan
@@ -197,9 +189,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Payload == PayloadCovar && c.Lifted {
-		c.Payload = PayloadPoly2
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
@@ -262,12 +251,18 @@ type Snapshot struct {
 }
 
 // Count returns SUM(1) over the join at this epoch.
+//
+//borg:noalloc
 func (s *Snapshot) Count() float64 { return s.Stats.Count }
 
 // Sum returns SUM(x_i) at this epoch.
+//
+//borg:noalloc
 func (s *Snapshot) Sum(i int) float64 { return s.Stats.Sum[i] }
 
 // Moment returns SUM(x_i·x_j) at this epoch.
+//
+//borg:noalloc
 func (s *Snapshot) Moment(i, j int) float64 { return s.Stats.Q[i*s.Stats.N+j] }
 
 // ErrClosed is returned by operations on a closed server.
@@ -332,8 +327,8 @@ type Server struct {
 	m           ivm.Maintainer
 	schemas     map[string]*relation.Relation
 	pool        *exec.Pool
-	// liftedRing is the maintainer's lifted ring (nil unless
-	// Config.Lifted), kept so epoch arenas can bind Poly2 elements over
+	// liftedRing is the maintainer's lifted ring (nil unless the payload
+	// is PayloadPoly2), kept so epoch arenas can bind Poly2 elements over
 	// their own backing.
 	liftedRing *ring.Poly2Ring
 	// join is the source join New was built from; Replan re-plans and
@@ -700,8 +695,11 @@ func firstErr(answer, closed error) error {
 // pinned at construction.
 func (s *Server) Replan() error { return s.replanRequest("") }
 
-// ReplanTo is Replan with the new root pinned instead of chosen
-// greedily. An empty root means greedy (same as Replan).
+// ReplanTo is Replan with the root chosen by the caller's planner — the
+// sharded tier plans once from cardinalities summed across its shards —
+// instead of from this server's own. Like Replan it leaves the server
+// greedy-planned, so auto-replanning keeps firing afterwards. An empty
+// root means Replan.
 func (s *Server) ReplanTo(root string) error {
 	if root != "" {
 		if _, ok := s.schemas[root]; !ok {
@@ -1046,11 +1044,11 @@ func (s *Server) timedReplan(target string) error {
 	return err
 }
 
-// replan rebuilds the maintainer under a fresh plan: target pins the
-// new root, "" picks it greedily from the maintainer's live
-// cardinalities. When the planned root matches the current one, only
-// the planning mode is updated (a greedy request re-enables greedy
-// auto-replanning) — the tree rebuild is skipped. Otherwise the writer
+// replan rebuilds the maintainer under a fresh plan: target is the root
+// a caller planned, "" picks it greedily from the maintainer's live
+// cardinalities. Either way the server is greedy-planned afterwards, so
+// auto-replanning fires again. When the planned root matches the
+// current one the tree rebuild is skipped. Otherwise the writer
 // constructs a second maintainer under the new plan, reingests every
 // live row through ApplyBatch in deterministic relation-declaration
 // order, and swaps it in; a reingest failure keeps the old maintainer
@@ -1062,9 +1060,7 @@ func (s *Server) replan(target string) error {
 		return err
 	}
 	if p.Root == s.root {
-		if target == "" {
-			s.planGreedy = true
-		}
+		s.planGreedy = true
 		return nil
 	}
 	mopts := []ivm.Option{ivm.WithPayload(s.cfg.Payload), ivm.WithCardinalities(cards)}
@@ -1111,8 +1107,7 @@ func (s *Server) replan(target string) error {
 	} else {
 		s.liftedRing = nil
 	}
-	s.root, s.planDepth, s.planWidth = p.Root, p.Depth, p.Width
-	s.planGreedy = target == ""
+	s.root, s.planDepth, s.planWidth, s.planGreedy = p.Root, p.Depth, p.Width, true
 	s.replans++
 	return nil
 }

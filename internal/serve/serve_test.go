@@ -484,7 +484,7 @@ func TestLiftedSnapshotPublished(t *testing.T) {
 	j, stream, features := salesSchema(31, 120, 8, 4)
 	for _, strategy := range Strategies() {
 		t.Run(strategy.String(), func(t *testing.T) {
-			srv, err := New(j, "Sales", features, Config{Strategy: strategy, Lifted: true, BatchSize: 16})
+			srv, err := New(j, "Sales", features, Config{Strategy: strategy, Payload: PayloadPoly2, BatchSize: 16})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,16 +89,10 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// single memoizes the one-shard merged view per published epoch
-	// snapshot, so the Shards=1 fast path costs one atomic load and a
-	// pointer compare per read — the same shape as an unsharded read —
-	// instead of allocating a wrapper every time.
-	single atomic.Pointer[MergedSnapshot]
-	// merged memoizes the multi-shard fold the same way, keyed by the
-	// full vector of per-shard snapshot pointers: between publications
-	// every global read serves the cached fold (steady-state reads are
-	// allocation-free); any shard publishing invalidates it by pointer
-	// inequality.
+	// merged memoizes the multi-shard fold, keyed by the full vector of
+	// per-shard snapshot pointers: between publications every global
+	// read serves the cached fold (steady-state reads are allocation-
+	// free); any shard publishing invalidates it by pointer inequality.
 	merged atomic.Pointer[mergedMemo]
 
 	// metrics holds the tier's pre-resolved handles (nil when
@@ -159,7 +153,7 @@ func (m *shardMetrics) skew(n int) float64 {
 // folded, for pointer-compare invalidation.
 type mergedMemo struct {
 	inners []*serve.Snapshot
-	view   *MergedSnapshot
+	view   *serve.Snapshot
 }
 
 // New starts a sharded server maintaining the covariance statistics of
@@ -380,87 +374,21 @@ func (s *Server) Update(old, new ivm.Tuple) error {
 	return s.shards[i].Update(old, new)
 }
 
-// MergedSnapshot is one global read: the per-shard epoch snapshots
-// folded under ring addition into a single immutable covariance triple.
-// Each shard's contribution is individually snapshot-consistent; the
-// merge is a product of per-shard epochs, not a globally serialized
-// cut (see the package staleness notes).
-type MergedSnapshot struct {
-	// Epochs holds each shard's publication sequence number at the
-	// moment its snapshot was loaded.
-	Epochs []uint64
-	// Epoch is the sum of Epochs — a monotone global version number.
-	Epoch uint64
-	// Inserts and Deletes total the applied ops across shards.
-	Inserts uint64
-	Deletes uint64
-	// Stats is the ring sum of the per-shard covariance triples.
-	// Readers must not mutate it (nor the Epochs slice).
-	Stats *ring.Covar
-	// Lifted is the ring sum of the per-shard lifted degree-2 elements,
-	// nil unless the shards maintain PayloadPoly2. It folds under Poly2
-	// addition exactly like Stats folds under Covar addition — the same
-	// disjoint-union algebra at degree 4.
-	Lifted *ring.Poly2
-	// Cofactor is the ring sum of the per-shard categorical cofactor
-	// elements (group union, covariance addition within a group), nil
-	// unless the shards maintain PayloadCofactor. Disjoint-union
-	// exactness carries over group by group: a categorical group's join
-	// tuples all live on one shard's partition or another, never split.
-	// Like the shard snapshots it shares groups with, it is immutable.
-	Cofactor *ring.Cofactor
-	// inner identifies the single shard snapshot this view wraps on the
-	// Shards=1 fast path (nil on a real merge); it keys the memo that
-	// makes one-shard reads allocation-free.
-	inner *serve.Snapshot
-}
-
-// Count returns SUM(1) over the join at this merged view.
-//
-//borg:noalloc
-func (m *MergedSnapshot) Count() float64 { return m.Stats.Count }
-
-// Sum returns SUM(x_i) at this merged view.
-//
-//borg:noalloc
-func (m *MergedSnapshot) Sum(i int) float64 { return m.Stats.Sum[i] }
-
-// Moment returns SUM(x_i·x_j) at this merged view.
-//
-//borg:noalloc
-func (m *MergedSnapshot) Moment(i, j int) float64 { return m.Stats.Q[i*m.Stats.N+j] }
-
-// Snapshot composes the current global view: one atomic load per shard,
-// then a ring-addition fold — memoized per epoch vector, so between
-// publications repeated reads serve the same immutable view without
-// folding or allocating. On a single shard it returns the shard's
-// snapshot re-labelled — no fold, no copy, zero merge overhead — which
-// is what lets Shards=1 devolve to a plain server.
-func (s *Server) Snapshot() *MergedSnapshot {
+// Snapshot composes the current global view. On a single shard it is
+// that shard's own published snapshot — one atomic load, no fold, no
+// copy — which is what makes Shards=1 a plain server. On several it is
+// the per-shard snapshots folded under ring addition into one immutable
+// serve.Snapshot: one atomic load per shard, then the fold — memoized
+// per epoch vector, so between publications repeated reads serve the
+// same view without folding or allocating. Each shard's contribution is
+// individually snapshot-consistent; the fold is a product of per-shard
+// epochs, not a globally serialized cut. Its Epoch is the sum of the
+// shard epochs (a monotone global version), Inserts and Deletes the
+// totals; the plan fields describe one shard each and stay zero on a
+// fold (Stats reports them per shard).
+func (s *Server) Snapshot() *serve.Snapshot {
 	if len(s.shards) == 1 {
-		sn := s.shards[0].Snapshot()
-		// Between publications every read sees the same immutable inner
-		// snapshot, so the wrapper is built once per epoch and then
-		// served from the memo (a racing publication at worst rebuilds
-		// an identical wrapper).
-		if m := s.single.Load(); m != nil && m.inner == sn {
-			if sm := s.metrics; sm != nil {
-				sm.memoHits.Inc()
-			}
-			return m
-		}
-		m := &MergedSnapshot{
-			Epochs:   []uint64{sn.Epoch},
-			Epoch:    sn.Epoch,
-			Inserts:  sn.Inserts,
-			Deletes:  sn.Deletes,
-			Stats:    sn.Stats,
-			Lifted:   sn.Lifted,
-			Cofactor: sn.Cofactor,
-			inner:    sn,
-		}
-		s.single.Store(m)
-		return m
+		return s.shards[0].Snapshot()
 	}
 	// Serve the memoized fold while no shard has republished: the memo
 	// is valid exactly when every shard still publishes the snapshot it
@@ -488,12 +416,11 @@ func (s *Server) Snapshot() *MergedSnapshot {
 	for i, sh := range s.shards {
 		inners[i] = sh.Snapshot()
 	}
-	m := &MergedSnapshot{Epochs: make([]uint64, len(s.shards)), Stats: s.ring.Zero()}
+	m := &serve.Snapshot{Stats: s.ring.Zero()}
 	if s.lifted != nil {
 		m.Lifted = s.lifted.Zero()
 	}
 	for i, sn := range inners {
-		m.Epochs[i] = sn.Epoch
 		m.Epoch += sn.Epoch
 		m.Inserts += sn.Inserts
 		m.Deletes += sn.Deletes
@@ -574,7 +501,9 @@ func (s *Server) Close() error {
 // reads keep folding identically-shaped statistics — and every shard
 // rebuilds to the chosen root concurrently (see serve.Server.ReplanTo).
 // Per-shard skew cannot diverge the plans: the root choice is made
-// from the global counts, not each shard's local view.
+// from the global counts, not each shard's local view. Afterwards every
+// shard is greedy-planned, so ReplanThreshold keeps firing — also on a
+// tier whose root was pinned at construction.
 func (s *Server) Replan() error {
 	totals := make(map[string]int, len(s.join.Relations))
 	var mu sync.Mutex
@@ -649,7 +578,7 @@ type ShardStats struct {
 // Stats reports a per-shard health view: queue depths, epochs, applied
 // op counts, and partition cardinalities. The per-shard rows are each
 // internally consistent (one snapshot load per shard); summing them
-// reproduces the aggregate a MergedSnapshot reports.
+// reproduces the aggregate a Snapshot reports.
 func (s *Server) Stats() []ShardStats {
 	out := make([]ShardStats, len(s.shards))
 	for i, sh := range s.shards {

@@ -216,10 +216,6 @@ func TestShardedChurnEquivalence(t *testing.T) {
 							t.Errorf("merged width %d, want %d", m.Stats.N, len(features))
 							return
 						}
-						if len(m.Epochs) != srv.NumShards() {
-							t.Errorf("merged view folds %d shards, want %d", len(m.Epochs), srv.NumShards())
-							return
-						}
 						lastEpoch = m.Epoch
 					}
 				}()
@@ -351,8 +347,8 @@ func TestPartitionValidation(t *testing.T) {
 }
 
 // TestSingleShardFastPath: Shards=1 devolves to the plain server — a
-// merged read hands back the shard's own immutable snapshot statistics
-// (pointer-identical, no ring fold, no copy).
+// read hands back the shard's own immutable snapshot (pointer-identical,
+// no ring fold, no copy, no wrapper).
 func TestSingleShardFastPath(t *testing.T) {
 	j, stream, features := tenantSchema(11, 50, 4, 3)
 	srv, err := New(j, "Sales", features, Config{Config: serve.Config{BatchSize: 8}, Shards: 1, PartitionBy: "store"})
@@ -368,13 +364,8 @@ func TestSingleShardFastPath(t *testing.T) {
 	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	m := srv.Snapshot()
-	inner := srv.shards[0].Snapshot()
-	if m.Stats != inner.Stats {
-		t.Fatal("single-shard merged snapshot copied the statistics; want the shard's own (zero merge overhead)")
-	}
-	if m.Epoch != inner.Epoch || m.Inserts != inner.Inserts {
-		t.Fatalf("merged metadata (%d, %d) diverges from the shard's (%d, %d)", m.Epoch, m.Inserts, inner.Epoch, inner.Inserts)
+	if srv.Snapshot() != srv.shards[0].Snapshot() {
+		t.Fatal("single-shard read wraps or copies the shard's snapshot; want the shard's own (zero merge overhead)")
 	}
 }
 
@@ -588,7 +579,7 @@ func TestLiftedMergeMatchesSingleShard(t *testing.T) {
 	j, stream, features := tenantSchema(17, 240, 6, 5)
 	cfg := func(shards int) Config {
 		return Config{
-			Config:      serve.Config{Strategy: serve.FIVM, BatchSize: 16, Lifted: true},
+			Config:      serve.Config{Strategy: serve.FIVM, BatchSize: 16, Payload: serve.PayloadPoly2},
 			Shards:      shards,
 			PartitionBy: "store",
 		}

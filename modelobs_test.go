@@ -12,7 +12,7 @@ func TestGDMetricsCountTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.Serve([]string{"units", "price", "area"}, ServerOptions{})
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package borg
 import (
 	"errors"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -207,11 +208,11 @@ func TestServerReplanConcurrent(t *testing.T) {
 			}
 			// No Query.Root: greedy planning on empty relations roots at
 			// the lexicographically smallest relation, Items.
-			srv, err := q.Serve(features, ServerOptions{
+			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
 				Strategy:  strategy,
 				BatchSize: 13,
 				Workers:   2,
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,10 +282,10 @@ func TestServerAutoReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.Serve(features, ServerOptions{
+	srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
 		BatchSize:       16,
 		ReplanThreshold: 2,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,4 +387,43 @@ func TestShardedReplanConcurrent(t *testing.T) {
 	}
 	count, sums, moments := recomputeSharded(replanSurvivors(stream, writers), features)
 	checkStats(t, snap, count, sums, moments, features)
+}
+
+// TestReplanReenablesAutoReplan: an explicit Replan leaves every shard
+// greedy-planned — even when it keeps the root pinned at construction —
+// so ReplanThreshold fires once the fact table outgrows that root.
+func TestReplanReenablesAutoReplan(t *testing.T) {
+	features := []string{"units", "price", "area"}
+	stream := shardedStream(300, 6, 4)
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].rel != "Sales" && stream[j].rel == "Sales" })
+	for _, shards := range []int{1, 3} {
+		q, err := shardedSchema(t).Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Root = "Catalog"
+		srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{ReplanThreshold: 2}, Shards: shards, PartitionBy: "store"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		for i, tp := range stream {
+			if i == 6*4+6+3 { // the dimensions and 3 sales: Catalog is still the largest relation
+				if err := srv.Replan(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.Insert(tp.rel, tp.values...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := srv.Stats(); st.Root != "Sales" || st.Replans == 0 || st.Drift != 1 {
+			t.Fatalf("%d shards: root %s, %d replans, drift %v; want Sales, at least 1, 1", shards, st.Root, st.Replans, st.Drift)
+		}
+		count, sums, moments := recomputeSharded(stream, features)
+		checkStats(t, srv.CovarSnapshot(), count, sums, moments, features)
+	}
 }

@@ -117,11 +117,11 @@ func TestServerConcurrentBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := q.Serve(features, ServerOptions{
+			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
 				Strategy:  strategy,
 				BatchSize: 13,
 				Workers:   2,
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,11 +279,11 @@ func TestServerChurnFacade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := q.Serve(features, ServerOptions{
+			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
 				Strategy:  strategy,
 				BatchSize: 16,
 				Workers:   2,
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,12 +23,18 @@ type ShardOptions struct {
 	PartitionBy string
 }
 
-// ShardedServer is the horizontally scaled Server: tuples are hash-
-// partitioned on a shared attribute across independent serving shards,
-// and every read folds the per-shard snapshots with ring addition into
-// one exact global view. The read API (Count, Mean, SecondMoment, the
-// model zoo, CovarSnapshot) is unchanged from Server's, and the write
-// API is the same Ingestor surface.
+// ShardedServer is the concurrent streaming-serving layer: a long-lived
+// session that owns initially empty copies of the query's relations
+// plus an IVM maintainer per shard, ingests through batching queues
+// applied by one writer goroutine per shard, and serves snapshot-
+// consistent statistics and model reads to any number of concurrent
+// readers. Reads never block a writer, and a writer never waits for
+// readers (epoch/copy-on-write handoff). With the zero ShardOptions it
+// runs one shard and a read is one atomic pointer load. A second shard
+// adds ingest parallelism: tuples are hash-partitioned on an attribute
+// every relation shares, and a read folds the per-shard snapshots with
+// ring addition into one exact global view — the statistics of a
+// disjoint union are the ring sum of the parts'.
 type ShardedServer struct {
 	ingestAPI
 	inner       *shard.Server
@@ -38,21 +44,27 @@ type ShardedServer struct {
 	mobs        *modelObs
 }
 
-// ServeSharded starts a sharded server maintaining the selected
-// payload's statistics of the given features over initially empty
-// copies of the query's relations, hash-partitioned per ShardOptions.
-// Close it when done.
+// ServeSharded starts a server maintaining the selected payload's
+// statistics of the given features over initially empty copies of the
+// query's relations, hash-partitioned per ShardOptions. With
+// PayloadCovar or PayloadPoly2 every feature must be continuous; with
+// PayloadCofactor categorical features become the cofactor group-by
+// slots. Close it when done.
 func (q *Query) ServeSharded(features []string, opt ShardOptions) (*ShardedServer, error) {
 	strategy, err := serve.ParseStrategy(opt.Strategy)
 	if err != nil {
 		return nil, err
 	}
 	if opt.Workers == 0 {
+		// The query's parallelism config is the facade-wide default;
+		// pass ServerOptions{Workers: 1} for explicitly serial kernels.
 		opt.Workers = q.Workers
 	}
-	// As in Serve: a pinned Query.Root passes through and disables
-	// greedy planning; an empty root lets each shard's planner choose
-	// (they agree — all plan from the same source cardinalities).
+	// A pinned Query.Root passes through and disables greedy planning;
+	// an empty root lets each shard's planner choose (they agree — all
+	// plan from the same source cardinalities) and keeps replanning
+	// available. Validate the pin here so the error names the facade,
+	// not the planner.
 	if q.Root != "" {
 		if _, err := q.rootOrLargest(); err != nil {
 			return nil, err
@@ -66,7 +78,6 @@ func (q *Query) ServeSharded(features []string, opt ShardOptions) (*ShardedServe
 			Workers:            opt.Workers,
 			MorselSize:         q.MorselSize,
 			Payload:            opt.Payload,
-			Lifted:             opt.Lifted,
 			ReplanThreshold:    opt.ReplanThreshold,
 			Logger:             opt.Logger,
 			SlowBatchThreshold: opt.SlowBatchThreshold,
@@ -105,9 +116,12 @@ func (s *ShardedServer) CatFeatures() []string { return s.catFeatures }
 // Payload reports which ring statistics the shards maintain.
 func (s *ShardedServer) Payload() Payload { return s.inner.Payload() }
 
-// Metrics returns the tier's shared metric registry: tier-level merge
-// and skew series plus every shard's serve/plan series under shard="i"
-// labels, and the zoo's model-training telemetry.
+// Metrics returns the tier's shared metric registry — ingest, batching,
+// publication, plan, merge and skew series (per-shard series under
+// shard="i" labels once there are several shards) and the zoo's
+// model-training telemetry (see internal/obs). Serve it with
+// Registry.WriteExposition or embed Registry.Snapshot in a stats
+// payload.
 func (s *ShardedServer) Metrics() *obs.Registry { return s.inner.Metrics() }
 
 // ShardedServerStats is a point-in-time health view of a sharded
@@ -162,59 +176,52 @@ func (s *ShardedServer) Stats() ShardedServerStats {
 	return out
 }
 
-// Replan re-plans the tier globally: the per-shard live cardinalities
-// are summed, one greedy root is chosen from the totals, and every
-// shard rebuilds to it concurrently — each behind its own writer, so
-// ingest and merged reads continue throughout and no reader observes a
-// mixed state (see Server.Replan for the single-server semantics).
+// Replan re-plans the tier greedily from live cardinalities (summed
+// across shards: one root for the whole tier) and, where that root
+// differs from the current one, rebuilds each shard's maintainer under
+// the new variable order — behind its writer, so concurrent
+// Insert/Delete/Update callers keep enqueueing and readers keep loading
+// snapshots throughout; the rebuilt epochs are swapped in atomically
+// before Replan returns, so no reader ever observes a mixed state. Any
+// valid variable order maintains the same ring statistics, so models
+// before and after agree to float tolerance. Cost is one batch reingest
+// of the live rows. Replan also re-enables greedy planning, and with it
+// ReplanThreshold, on a server whose Query.Root was pinned at
+// construction.
 func (s *ShardedServer) Replan() error { return s.inner.Replan() }
 
-// QueueLen totals the per-shard queue depths. QueueLen()==0 with
-// quiescent producers means the merged snapshot is current — the same
-// invariant Server.Stats documents, preserved across the merge.
+// QueueLen totals the per-shard queue depths: ops enqueued or applied
+// but not yet covered by a published snapshot. QueueLen()==0 with
+// quiescent producers means the snapshot is current.
 func (s *ShardedServer) QueueLen() int { return s.inner.QueueLen() }
 
-// Count returns SUM(1) over the join at the current merged view.
+// Count returns SUM(1) over the join at the current snapshot.
 func (s *ShardedServer) Count() float64 { return s.inner.Snapshot().Count() }
 
-// Mean returns the mean of a maintained feature at the current merged
-// view (ErrEmptySnapshot while the join is empty — never NaN).
+// Mean returns the mean of a maintained feature at the current snapshot
+// (ErrEmptySnapshot while the join is empty — never NaN).
 func (s *ShardedServer) Mean(attr string) (float64, error) {
 	return s.CovarSnapshot().Mean(attr)
 }
 
-// SecondMoment returns SUM(a·b) at the current merged view.
+// SecondMoment returns SUM(a·b) at the current snapshot.
 func (s *ShardedServer) SecondMoment(a, b string) (float64, error) {
 	return s.CovarSnapshot().SecondMoment(a, b)
 }
 
 // TrainLinReg trains a ridge linear regression of the response on the
-// remaining maintained features from the current merged statistics —
-// the per-shard elements fold with ring addition before training, so
-// the model is exactly the one a single unsharded server would produce.
+// remaining maintained features from the current snapshot's statistics
+// — no data access, no interruption of the write path. On several
+// shards the per-shard elements fold with ring addition before
+// training, so the model is exactly the one a single shard would
+// produce.
 func (s *ShardedServer) TrainLinReg(response string, lambda float64) (*LinearRegression, error) {
 	return s.CovarSnapshot().TrainLinReg(response, lambda)
 }
 
-// CovarSnapshot freezes the current merged view: an immutable fold of
-// the per-shard epoch snapshots on which any number of reads and
-// trainings can run while ingest continues on every shard. It satisfies
-// the same ServerSnapshot API as an unsharded server's snapshots; its
-// Epoch is the sum of the shard epochs.
+// CovarSnapshot freezes the current epoch: an immutable view of the
+// maintained statistics on which any number of reads and trainings can
+// run while ingest continues on every shard.
 func (s *ShardedServer) CovarSnapshot() *ServerSnapshot {
-	m := s.inner.Snapshot()
-	return &ServerSnapshot{
-		snap: &serve.Snapshot{
-			Epoch:    m.Epoch,
-			Inserts:  m.Inserts,
-			Deletes:  m.Deletes,
-			Stats:    m.Stats,
-			Lifted:   m.Lifted,
-			Cofactor: m.Cofactor,
-		},
-		features:    s.features,
-		catFeatures: s.catFeatures,
-		dicts:       s.dicts,
-		obs:         s.mobs,
-	}
+	return &ServerSnapshot{snap: s.inner.Snapshot(), features: s.features, catFeatures: s.catFeatures, dicts: s.dicts, obs: s.mobs}
 }

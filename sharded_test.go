@@ -56,7 +56,7 @@ func shardedStream(nSales, nStores, nItems int) []serverTuple {
 
 // TestShardedFacadeMatchesPlain is the facade-level scale-out
 // certificate: K concurrent producers stream the same tuples into a
-// 3-shard ShardedServer and a plain Server; the merged statistics, the
+// 3-shard ShardedServer and a one-shard one; the merged statistics, the
 // per-shard stats aggregation, and the trained model must agree with
 // the unsharded run bitwise (integer data) for every strategy.
 func TestShardedFacadeMatchesPlain(t *testing.T) {
@@ -87,7 +87,7 @@ func TestShardedFacadeMatchesPlain(t *testing.T) {
 			if sharded.NumShards() != 3 {
 				t.Fatalf("NumShards = %d, want 3", sharded.NumShards())
 			}
-			plain, err := q.Serve(features, ServerOptions{Strategy: strategy, BatchSize: 13})
+			plain, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{Strategy: strategy, BatchSize: 13}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestShardedFacadeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	plain, err := q.Serve(features, ServerOptions{Strategy: "fivm"})
+	plain, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{Strategy: "fivm"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +344,28 @@ func TestServeShardedValidation(t *testing.T) {
 	}
 	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapSink keeps facade snapshot reads observable under AllocsPerRun.
+var snapSink *ServerSnapshot
+
+// TestCovarSnapshotAllocs pins the facade read: one ServerSnapshot around
+// the tier's own snapshot, at one shard and at two.
+func TestCovarSnapshotAllocs(t *testing.T) {
+	q, err := shardedSchema(t).Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{Shards: shards, PartitionBy: "store"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.CovarSnapshot() // fold once; steady state starts here
+		if a := testing.AllocsPerRun(100, func() { snapSink = srv.CovarSnapshot() }); a != 1 {
+			t.Errorf("%d shards: CovarSnapshot allocates %.1f, want 1", shards, a)
+		}
 	}
 }

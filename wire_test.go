@@ -73,7 +73,7 @@ func TestIngestJSONSemantics(t *testing.T) {
 		{name: "as deep as JSON goes", body: `{"x":` + strings.Repeat("[", wireDepth-1) + strings.Repeat("]", wireDepth-1) + `}`, want: want{rows: 1, failed: []int{0}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			srv, err := wireQuery(t).Serve([]string{"units", "price", "area"}, ServerOptions{Workers: 1})
+			srv, err := wireQuery(t).ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestIngestJSONUnquotes(t *testing.T) {
 			t.Fatalf("%s: %v", lit, err)
 		}
 		q := wireQuery(t)
-		srv, err := q.Serve([]string{"units", "price", "area"}, ServerOptions{Workers: 1})
+		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func (c *countSink) Update(_, _ ivm.Tuple) error { c.ops++; return nil }
 // the scratch is warm, and one row per Insert of boxed values.
 func TestIngestAllocs(t *testing.T) {
 	q := wireQuery(t)
-	srv, err := q.Serve([]string{"units", "price", "area"}, ServerOptions{Workers: 1})
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestInsertWideRowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.Serve([]string{"x0", "x1"}, ServerOptions{Workers: 1})
+	srv, err := q.ServeSharded([]string{"x0", "x1"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func FuzzIngestJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, forceDelete bool) {
 		q := wireQuery(t)
-		srv, err := q.Serve([]string{"units", "price", "area"}, ServerOptions{Workers: 1})
+		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

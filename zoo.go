@@ -45,12 +45,6 @@ var ErrEmptySnapshot = ml.ErrEmptySnapshot
 // TrainCTree, TrainSVM) needs ServerOptions{Payload: PayloadCofactor}.
 var ErrPayloadNotMaintained = errors.New("borg: the server does not maintain the ring statistics this model kind needs; start it with the matching ServerOptions.Payload")
 
-// ErrLiftedNotMaintained is the pre-Payload name of
-// ErrPayloadNotMaintained; errors.Is works against either.
-//
-// Deprecated: use ErrPayloadNotMaintained.
-var ErrLiftedNotMaintained = ErrPayloadNotMaintained
-
 // ErrMissingFeature is wrapped by Predict/Project when the caller's
 // value map omits one of the model's features — a client-input error,
 // distinguishable (errors.Is) from server-state errors like
@@ -622,44 +616,6 @@ func (s *ServerSnapshot) KMeansSeeds(k int) (_ *KMeansSeeding, err error) {
 		Count:         s.snap.Stats.Count,
 		Epoch:         s.snap.Epoch,
 	}, nil
-}
-
-// Lifted reports whether this snapshot carries the lifted degree-2
-// statistics polynomial regression trains on (Payload() == PayloadPoly2).
-func (s *ServerSnapshot) Lifted() bool { return s.snap.Lifted != nil }
-
-// TrainLinRegGD trains at the current snapshot with explicit gradient-
-// descent controls (see ServerSnapshot.TrainLinRegGD).
-func (s *Server) TrainLinRegGD(response string, lambda float64, opt GDOptions) (*LinearRegression, error) {
-	return s.CovarSnapshot().TrainLinRegGD(response, lambda, opt)
-}
-
-// TrainPCA extracts principal components at the current snapshot.
-func (s *Server) TrainPCA(k int) (*PCAResult, error) { return s.CovarSnapshot().TrainPCA(k) }
-
-// TrainPolyReg trains a degree-2 polynomial regression at the current
-// snapshot (requires PayloadPoly2 or PayloadCofactor).
-func (s *Server) TrainPolyReg(response string, lambda float64) (*PolyRegression, error) {
-	return s.CovarSnapshot().TrainPolyReg(response, lambda)
-}
-
-// KMeansSeeds derives cluster seeds at the current snapshot.
-func (s *Server) KMeansSeeds(k int) (*KMeansSeeding, error) { return s.CovarSnapshot().KMeansSeeds(k) }
-
-// TrainChowLiu returns the Chow–Liu dependency tree of the categorical
-// features at the current snapshot (requires PayloadCofactor).
-func (s *Server) TrainChowLiu() ([]DependencyEdge, error) { return s.CovarSnapshot().TrainChowLiu() }
-
-// TrainCTree trains a categorical regression tree at the current
-// snapshot (requires PayloadCofactor).
-func (s *Server) TrainCTree(response string, opt TreeOptions) (*DecisionTree, error) {
-	return s.CovarSnapshot().TrainCTree(response, opt)
-}
-
-// TrainSVM trains a least-squares SVM at the current snapshot (requires
-// PayloadCofactor).
-func (s *Server) TrainSVM(label string, lambda float64) (*SVMClassifier, error) {
-	return s.CovarSnapshot().TrainSVM(label, lambda)
 }
 
 // TrainLinRegGD trains on the current ring-merged statistics with

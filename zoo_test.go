@@ -11,18 +11,6 @@ import (
 	"borg/internal/ring"
 )
 
-// zooServer is the common surface of Server and ShardedServer the model
-// zoo suite drives: the whole point of the ring-merge design is that the
-// two are indistinguishable to a reader.
-type zooServer interface {
-	Insert(rel string, values ...any) error
-	Delete(rel string, values ...any) error
-	Update(rel string, oldValues, newValues []any) error
-	Flush() error
-	Close() error
-	CovarSnapshot() *ServerSnapshot
-}
-
 // zooOp is one producer-side operation of the churn phases.
 type zooOp struct {
 	kind int // 0 insert, 1 delete, 2 update (old → tp)
@@ -84,7 +72,7 @@ func churnParts(stream []serverTuple, writers int, seed uint64) (parts, drain []
 }
 
 // applyZooOp routes one churn op to the server under test.
-func applyZooOp(srv zooServer, op zooOp) error {
+func applyZooOp(srv *ShardedServer, op zooOp) error {
 	switch op.kind {
 	case 0:
 		return srv.Insert(op.tp.rel, op.tp.values...)
@@ -278,8 +266,8 @@ func requireZooMatchesBatch(t *testing.T, snap *ServerSnapshot, survivors []serv
 }
 
 // TestModelZooChurnToEmptyAndRegrow is the model zoo's race certificate
-// and the degenerate-snapshot regression test in one: on both the plain
-// Server and a 3-shard ShardedServer, for every IVM strategy, concurrent
+// and the degenerate-snapshot regression test in one: on a one-shard
+// and a 3-shard ShardedServer, for every IVM strategy, concurrent
 // writers load a stream (while concurrent readers train every model
 // kind), the zoo is checked against batch training over the survivors;
 // then the writers churn the database to EMPTY (every trainer returns
@@ -288,20 +276,9 @@ func requireZooMatchesBatch(t *testing.T, snap *ServerSnapshot, survivors []serv
 func TestModelZooChurnToEmptyAndRegrow(t *testing.T) {
 	const writers, readers = 3, 2
 	features := []string{"units", "price", "area"}
-	targets := []struct {
-		name string
-		make func(q *Query, opt ServerOptions) (zooServer, error)
-	}{
-		{"server", func(q *Query, opt ServerOptions) (zooServer, error) {
-			return q.Serve(features, opt)
-		}},
-		{"sharded", func(q *Query, opt ServerOptions) (zooServer, error) {
-			return q.ServeSharded(features, ShardOptions{ServerOptions: opt, Shards: 3, PartitionBy: "store"})
-		}},
-	}
-	for _, target := range targets {
+	for _, shards := range []int{1, 3} {
 		for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-			t.Run(target.name+"/"+strategy, func(t *testing.T) {
+			t.Run(map[int]string{1: "server", 3: "sharded"}[shards]+"/"+strategy, func(t *testing.T) {
 				nSales := 240
 				if strategy == "first-order" {
 					nSales = 60 // full delta joins per op across 35 lifted aggregates
@@ -312,12 +289,12 @@ func TestModelZooChurnToEmptyAndRegrow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := target.make(q, ServerOptions{
+				srv, err := q.ServeSharded(features, ShardOptions{Shards: shards, PartitionBy: "store", ServerOptions: ServerOptions{
 					Strategy:  strategy,
 					BatchSize: 16,
 					Workers:   2,
-					Lifted:    true,
-				})
+					Payload:   PayloadPoly2,
+				}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -432,15 +409,15 @@ func TestModelZooChurnToEmptyAndRegrow(t *testing.T) {
 }
 
 // TestPolyRegRequiresLifted pins the configuration contract: a server
-// started without Lifted trains every covariance model but returns the
-// typed ErrLiftedNotMaintained for polynomial regression.
+// started without PayloadPoly2 trains every covariance model but returns
+// the typed ErrPayloadNotMaintained for polynomial regression.
 func TestPolyRegRequiresLifted(t *testing.T) {
 	db := shardedSchema(t)
 	q, err := db.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.Serve([]string{"units", "price", "area"}, ServerOptions{Strategy: "fivm"})
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Strategy: "fivm"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +431,7 @@ func TestPolyRegRequiresLifted(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.CovarSnapshot()
-	if snap.Lifted() {
+	if snap.Payload() == PayloadPoly2 {
 		t.Fatal("unlifted server reports lifted statistics")
 	}
 	if _, err := snap.TrainLinReg("units", 1e-3); err != nil {
@@ -463,8 +440,8 @@ func TestPolyRegRequiresLifted(t *testing.T) {
 	if _, err := snap.TrainPCA(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.TrainPolyReg("units", 1e-3); !errors.Is(err, ErrLiftedNotMaintained) {
-		t.Fatalf("TrainPolyReg without Lifted: %v, want ErrLiftedNotMaintained", err)
+	if _, err := snap.TrainPolyReg("units", 1e-3); !errors.Is(err, ErrPayloadNotMaintained) {
+		t.Fatalf("TrainPolyReg without PayloadPoly2: %v, want ErrPayloadNotMaintained", err)
 	}
 }
 
@@ -476,7 +453,7 @@ func TestGDOptionsSurfaceNonConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.Serve([]string{"units", "price", "area"}, ServerOptions{})
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
