@@ -1,11 +1,14 @@
-// Command borg-bench regenerates the paper's tables and figures (see
-// DESIGN.md, experiments E1–E10).
+// Command borg-bench regenerates the paper's tables and figures; README's
+// paper → package map says which package each one exercises. It
+// reproduces relative shapes (who wins, by how much), not performance
+// claims: the system's performance is measured by benchmarks/e2e.
 //
 // Usage:
 //
-//	borg-bench -fig all            # every experiment
+//	borg-bench -fig all            # every paper figure
 //	borg-bench -fig 3 -sf 1.0      # Figure 3 at full laptop scale
 //	borg-bench -fig 4l|4r|5|6|compress|ifaq|ineq|reuse
+//	borg-bench -fig plan           # static vs greedy vs replanned on the SkewFlip stream
 package main
 
 import (
@@ -18,15 +21,14 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment: 3, 4l, 4r, 5, 6, compress, ifaq, ineq, reuse, exec, serve, shard, models, catzoo, scale, plan, obs, or all (the paper figures; exec, serve, shard, models, catzoo, scale, plan, and obs run individually)")
+	fig := flag.String("fig", "all", "experiment: 3, 4l, 4r, 5, 6, compress, ifaq, ineq, reuse, plan, or all (every paper figure; plan runs individually)")
 	sf := flag.Float64("sf", 0.2, "dataset scale factor (1.0 = full laptop-scale run)")
 	seed := flag.Uint64("seed", 2020, "random seed for data generation")
 	workers := flag.Int("workers", 2, "LMFAO worker goroutines")
-	budget := flag.Duration("budget", 5*time.Second, "per-strategy time budget for the IVM experiment")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (supported by -fig exec, serve, shard, models, catzoo, and scale)")
+	budget := flag.Duration("budget", 5*time.Second, "per-strategy time budget for the IVM and planning experiments")
 	flag.Parse()
 
-	o := bench.Options{Out: os.Stdout, Seed: *seed, SF: *sf, Workers: *workers, Budget: *budget, JSON: *jsonOut}
+	o := bench.Options{Out: os.Stdout, Seed: *seed, SF: *sf, Workers: *workers, Budget: *budget}
 	runners := map[string]func(bench.Options) error{
 		"3":        bench.Fig3,
 		"4l":       bench.Fig4Left,
@@ -37,14 +39,7 @@ func main() {
 		"ifaq":     bench.IFAQStages,
 		"ineq":     bench.Ineq,
 		"reuse":    bench.Reuse,
-		"exec":     bench.ExecBaselineTable,
-		"serve":    bench.ServeBenchTable,
-		"shard":    bench.ShardBenchTable,
-		"models":   bench.ModelsBenchTable,
-		"catzoo":   bench.CatZooBenchTable,
-		"scale":    bench.ScaleBenchTable,
 		"plan":     bench.PlanBenchTable,
-		"obs":      bench.ObsBenchTable,
 		"all":      bench.All,
 	}
 	run, ok := runners[*fig]

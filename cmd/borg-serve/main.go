@@ -156,7 +156,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	strategy := flag.String("strategy", "fivm", "IVM strategy: fivm, higher-order, first-order")
 	batch := flag.Int("batch", 64, "most ops per applied batch, and most an epoch trails by under backlog")
-	queue := flag.Int("queue", 1024, "ingest queue depth (backpressure beyond it)")
+	queue := flag.Int("queue", 1024, "ingest queue depth per shard, at least 1 (backpressure beyond it)")
 	workers := flag.Int("workers", 2, "exec worker pool size for first-order delta scans (F-IVM ingest is serial per shard)")
 	payload := flag.String("payload", "cofactor", `ring payload: "covar", "poly2" (lifted degree-2, enables polyreg pairs), or "cofactor" (categorical group maps, enables the full zoo)`)
 	shards := flag.Int("shards", 1, "serving shards; ingest is hash-partitioned across them and reads are ring-merged")
@@ -176,6 +176,11 @@ func main() {
 	pl, err := serve.ParsePayload(*payload)
 	if err != nil {
 		log.Fatalf("borg-serve: %v", err)
+	}
+	if *queue < 1 {
+		// The readiness default below is derived from it: a queue the
+		// serving layer would silently resize reads as always overloaded.
+		log.Fatalf("borg-serve: -queue must be at least 1, got %d", *queue)
 	}
 	opt := borg.ServerOptions{
 		Strategy:           *strategy,

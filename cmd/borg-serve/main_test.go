@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -262,6 +264,25 @@ func TestOneshotSelfCheck(t *testing.T) {
 	svc := &service{srv: srv, queueLen: srv.QueueLen, highWater: 1024}
 	if err := selfCheck(srv, svc, newHandler(svc)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueBelowOneRefused runs main in a child process: a -queue the
+// serving layer would resize leaves the readiness default at 0, so it
+// must stop start-up and name the flag.
+func TestQueueBelowOneRefused(t *testing.T) {
+	if q := os.Getenv("BORG_SERVE_TEST_QUEUE"); q != "" {
+		os.Args = []string{"borg-serve", "-oneshot", "-queue", q}
+		main()
+		return
+	}
+	for _, q := range []string{"0", "-1"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestQueueBelowOneRefused$")
+		cmd.Env = append(os.Environ(), "BORG_SERVE_TEST_QUEUE="+q)
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-queue") {
+			t.Errorf("-queue %s: err %v, output %q; want a start-up failure naming -queue", q, err, out)
+		}
 	}
 }
 

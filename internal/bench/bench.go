@@ -1,9 +1,10 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md, per-experiment index E1–E10). Each runner
-// prints a table in the shape of the corresponding paper artifact;
-// absolute numbers reflect the local machine and scale factor, the
-// relative shape (who wins, by how much, where crossovers fall) is the
-// reproduction target.
+// evaluation (README's paper → package map names the package behind
+// each). Each runner prints a table in the shape of the corresponding
+// paper artifact; absolute numbers reflect the local machine and scale
+// factor, the relative shape (who wins, by how much, where crossovers
+// fall) is the reproduction target. Performance claims about the system
+// itself are measured by benchmarks/e2e, not here.
 package bench
 
 import (
@@ -34,12 +35,9 @@ type Options struct {
 	SF float64
 	// Workers bounds LMFAO parallelism.
 	Workers int
-	// Budget caps the per-strategy streaming time of the IVM experiment.
+	// Budget caps the per-strategy streaming time of the IVM and
+	// planning experiments.
 	Budget time.Duration
-	// JSON switches machine-readable output on for the runners that
-	// support it (the exec-runtime baseline and the serving and
-	// sharded-serving benchmarks).
-	JSON bool
 }
 
 func (o *Options) defaults() {
@@ -315,8 +313,8 @@ func Fig4Left(o Options) error {
 func Fig4Right(o Options) error {
 	o.defaults()
 	d := datagen.Retailer(o.Seed, o.SF)
-	// Continuous features only, as in the F-IVM experiment (see DESIGN.md
-	// substitutions). Cap the ring width to keep per-update cost visible.
+	// Continuous features only, as in the F-IVM experiment. Cap the ring
+	// width to keep per-update cost visible.
 	features := d.Cont
 	stream := interleavedStream(d, o.Seed)
 

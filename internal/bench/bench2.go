@@ -337,7 +337,7 @@ func Reuse(o Options) error {
 	return nil
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every paper figure in paper order.
 func All(o Options) error {
 	o.defaults()
 	for _, f := range []func(Options) error{Fig3, Fig4Left, Fig4Right, Fig5, Fig6, Compression, IFAQStages, Ineq, Reuse} {

@@ -129,127 +129,35 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestServeBenchRuns(t *testing.T) {
+// TestPlanBenchRuns reproduces the planning figure's shape on the
+// SkewFlip stream: with a budget that never caps it, every mode ingests
+// the whole stream, the static plan keeps the declared root, and both
+// planner-driven modes end at the relation that outgrew it. Throughput
+// is not asserted.
+func TestPlanBenchRuns(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOptions(&buf)
-	o.Budget = 100 * time.Millisecond
-	if err := ServeBenchTable(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Serving layer", "fivm", "higher-order", "first-order", "Ops/sec", "90/10 ins/del", "insert-only"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ServeBench output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestShardBenchRuns(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Budget = 100 * time.Millisecond
-	// One benchmark run feeds both the rendering and the cell-coverage
-	// assertions (21 cells of servers is the slow part, not the table).
-	rep, err := ShardBench(o)
+	o.Budget = 5 * time.Second
+	rep, err := PlanBench(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderShardTable(&buf, rep)
-	out := buf.String()
-	for _, want := range []string{"Sharded serving tier", "partitioned by store", "fivm", "higher-order", "first-order",
-		"plain", "sharded", "90/10 ins/del", "insert-only", "Merged p99"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ShardBench output missing %q:\n%s", want, out)
-		}
+	if rep.StreamLen != 2408 {
+		t.Fatalf("stream has %d ops, want 2408", rep.StreamLen)
 	}
-	// The full shard-count sweep is present: 1, 2, and 4 for every
-	// strategy, plus the plain fast-path baseline.
-	type key struct {
-		strategy string
-		shards   int
-		variant  string
-	}
-	seen := make(map[key]bool)
-	for _, c := range rep.Cells {
-		seen[key{c.Strategy, c.Shards, c.Variant}] = true
-	}
-	for _, s := range []string{"fivm", "higher-order", "first-order"} {
-		if !seen[key{s, 1, "plain"}] {
-			t.Fatalf("missing plain baseline cell for %s", s)
-		}
-		for _, n := range []int{1, 2, 4} {
-			if !seen[key{s, n, "sharded"}] {
-				t.Fatalf("missing sharded cell for %s at %d shards", s, n)
-			}
-		}
-	}
-}
-
-func TestModelsBenchRuns(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Budget = 100 * time.Millisecond
-	rep, err := ModelsBench(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full cell coverage: every model kind × every strategy, with a
-	// live (non-degenerate) training rate.
-	seen := make(map[string]bool)
-	for _, c := range rep.Cells {
-		seen[c.Kind+"|"+c.Strategy] = true
-		if c.Trainings == 0 || c.TrainsPerSec <= 0 {
-			t.Fatalf("degenerate cell %s × %s: %+v", c.Kind, c.Strategy, c)
-		}
-	}
-	for _, kind := range ModelKinds {
-		for _, s := range []string{"fivm", "higher-order", "first-order"} {
-			if !seen[kind+"|"+s] {
-				t.Fatalf("missing cell %s × %s", kind, s)
-			}
-		}
-	}
-	o2 := tinyOptions(&buf)
-	o2.Budget = 100 * time.Millisecond
-	if err := ModelsBenchTable(o2); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Model zoo", "linreg", "pca", "polyreg", "kmeans-seed", "Trains/sec"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("ModelsBench output missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-func TestObsBenchRuns(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Budget = 100 * time.Millisecond
-	rep, err := ObsBench(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Cells) != 2*obsReps {
-		t.Fatalf("obs cells = %d, want %d", len(rep.Cells), 2*obsReps)
-	}
-	if rep.BestInstrumented <= 0 || rep.BestUninstrumented <= 0 || rep.OverheadRatio <= 0 {
-		t.Fatalf("degenerate bests: instr %v uninstr %v ratio %v",
-			rep.BestInstrumented, rep.BestUninstrumented, rep.OverheadRatio)
+	wantRoot := map[string]string{"static": "Sales", "greedy": "PriceLog", "replanned": "PriceLog"}
+	if len(rep.Cells) != len(wantRoot) {
+		t.Fatalf("%d cells, want %d", len(rep.Cells), len(wantRoot))
 	}
 	for _, c := range rep.Cells {
-		if c.Variant == "instrumented" && c.Series < 15 {
-			t.Fatalf("instrumented rep %d registered %d series, want >= 15", c.Rep, c.Series)
+		if c.Inserts != uint64(rep.StreamLen) {
+			t.Errorf("%s ingested %d of %d ops", c.Mode, c.Inserts, rep.StreamLen)
 		}
-		if c.Variant == "uninstrumented" && c.Series != 0 {
-			t.Fatalf("uninstrumented rep %d reports %d series", c.Rep, c.Series)
+		if c.Root != wantRoot[c.Mode] {
+			t.Errorf("%s ends at root %q, want %q", c.Mode, c.Root, wantRoot[c.Mode])
 		}
-	}
-	if err := ObsBenchTable(o); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Observability overhead", "instrumented", "ratio"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("ObsBench output missing %q:\n%s", want, buf.String())
+		if c.Mode == "replanned" && c.Replans != 1 {
+			t.Errorf("replanned reports %d replans, want 1", c.Replans)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,41 +20,31 @@ type PlanCell struct {
 	// replanned), "greedy" (cardinality-aware root with auto-replanning
 	// at publish boundaries), or "replanned" (static start, one explicit
 	// Replan() after the skew flip).
-	Mode string `json:"mode"`
+	Mode string
 	// Root is the join-tree root at the end of the run.
-	Root    string  `json:"root"`
-	Replans uint64  `json:"replans,omitempty"`
-	Drift   float64 `json:"drift"`
+	Root    string
+	Replans uint64
+	Drift   float64
 	// ReplanMillis is the blocking cost of the explicit Replan() call in
 	// the "replanned" cell (plan choice plus survivor reingest); 0
 	// elsewhere.
-	ReplanMillis float64 `json:"replan_ms,omitempty"`
-	Inserts      uint64  `json:"inserts"`
-	Seconds      float64 `json:"seconds"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	FinalEpoch   uint64  `json:"final_epoch"`
-	Note         string  `json:"note,omitempty"`
+	ReplanMillis float64
+	Inserts      uint64
+	OpsPerSec    float64
+	Note         string
 }
 
-// PlanReport is the machine-readable result of the planning benchmark:
-// ingest throughput of static vs greedy vs mid-stream-replanned plans
-// on the SkewFlip workload, where the statically pinned root is
-// outgrown by a relation streamed after it. Committed runs live under
-// benchmarks/plan.json.
+// PlanReport is the result of the planning figure: ingest throughput of
+// static vs greedy vs mid-stream-replanned plans on the SkewFlip
+// workload, where the statically pinned root is outgrown by a relation
+// streamed after it.
 type PlanReport struct {
-	Dataset       string  `json:"dataset"`
-	SF            float64 `json:"sf"`
-	Seed          uint64  `json:"seed"`
-	StreamLen     int     `json:"stream_len"`
-	CPUs          int     `json:"cpus"`
-	BatchSize     int     `json:"batch_size"`
-	BudgetSeconds float64 `json:"budget_seconds"`
+	Dataset   string
+	StreamLen int
 	// PlanMicros is the cost of one plan.New over the fully populated
 	// join — the per-(re)plan decision overhead, excluding reingest.
-	// The acceptance bar is "well under a millisecond".
-	PlanMicros float64     `json:"plan_micros"`
-	Env        Environment `json:"env"`
-	Cells      []PlanCell  `json:"cells"`
+	PlanMicros float64
+	Cells      []PlanCell
 }
 
 // sequentialStream flattens the dataset in StreamOrder WITHOUT
@@ -158,9 +146,7 @@ func planCell(d *datagen.Dataset, stream []ivm.Tuple, mode string, o Options) (P
 		Drift:        sn.Drift,
 		ReplanMillis: replanMS,
 		Inserts:      sn.Inserts,
-		Seconds:      elapsed.Seconds(),
 		OpsPerSec:    float64(sn.Inserts) / elapsed.Seconds(),
-		FinalEpoch:   sn.Epoch,
 		Note:         note,
 	}, nil
 }
@@ -182,17 +168,7 @@ func PlanBench(o Options) (*PlanReport, error) {
 	}
 	planMicros := float64(time.Since(t0).Nanoseconds()) / 1e3
 
-	rep := &PlanReport{
-		Dataset:       d.Name,
-		SF:            o.SF,
-		Seed:          o.Seed,
-		StreamLen:     len(stream),
-		CPUs:          runtime.NumCPU(),
-		BatchSize:     64,
-		BudgetSeconds: o.Budget.Seconds(),
-		PlanMicros:    planMicros,
-		Env:           captureEnv(o.Workers, 0),
-	}
+	rep := &PlanReport{Dataset: d.Name, StreamLen: len(stream), PlanMicros: planMicros}
 	for _, mode := range []string{"static", "greedy", "replanned"} {
 		cell, err := planCell(d, stream, mode, o)
 		if err != nil {
@@ -203,19 +179,12 @@ func PlanBench(o Options) (*PlanReport, error) {
 	return rep, nil
 }
 
-// PlanBenchTable runs the planning benchmark and renders it as a table,
-// or as indented JSON when o.JSON is set (the format committed under
-// benchmarks/).
+// PlanBenchTable runs the planning benchmark and renders it as a table.
 func PlanBenchTable(o Options) error {
 	o.defaults()
 	rep, err := PlanBench(o)
 	if err != nil {
 		return err
-	}
-	if o.JSON {
-		enc := json.NewEncoder(o.Out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
 	}
 	var rows [][]string
 	for _, c := range rep.Cells {
@@ -232,8 +201,8 @@ func PlanBenchTable(o Options) error {
 			c.Note,
 		})
 	}
-	printTable(o.Out, fmt.Sprintf("Planning: %s stream (%d tuples), plan cost %.0f µs (%d CPUs)",
-		rep.Dataset, rep.StreamLen, rep.PlanMicros, rep.CPUs),
+	printTable(o.Out, fmt.Sprintf("Planning: %s stream (%d tuples), plan cost %.0f µs",
+		rep.Dataset, rep.StreamLen, rep.PlanMicros),
 		[]string{"Mode", "Root", "Replans", "Drift", "Ops", "Ops/sec", "Replan", "Note"}, rows)
 	return nil
 }

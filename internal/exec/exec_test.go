@@ -50,9 +50,10 @@ func TestScanBitwiseDeterministicAcrossWorkers(t *testing.T) {
 		// Values whose sum is rounding-sensitive to association order.
 		vals[i] = 1 / float64(i+1)
 	}
-	ref := SumCol(Runtime{Workers: 1, MorselSize: 129}, vals)
+	val := func(row int) (float64, bool) { return vals[row], true }
+	ref := Sum(Runtime{Workers: 1, MorselSize: 129}, n, val)
 	for _, w := range []int{1, 2, 8} {
-		got := SumCol(Runtime{Workers: w, MorselSize: 129}, vals)
+		got := Sum(Runtime{Workers: w, MorselSize: 129}, n, val)
 		if math.Float64bits(got) != math.Float64bits(ref) {
 			t.Fatalf("workers=%d: sum %x differs from serial %x",
 				w, math.Float64bits(got), math.Float64bits(ref))
@@ -60,7 +61,7 @@ func TestScanBitwiseDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// And a DIFFERENT morsel size is allowed to differ (sanity that the
 	// test above is actually exercising association order).
-	other := SumCol(Runtime{Workers: 1, MorselSize: n}, vals)
+	other := Sum(Runtime{Workers: 1, MorselSize: n}, n, val)
 	_ = other // may or may not differ in the last ulp; no assertion
 }
 
@@ -83,7 +84,8 @@ func TestGroupedSumMatchesNaive(t *testing.T) {
 	want := naiveGroupedSum(keys, vals)
 	for _, w := range []int{1, 2, 8} {
 		rt := Runtime{Workers: w, MorselSize: 100}
-		got := GroupedSumCol(rt, vals, keys, nil)
+		got := GroupedSum(rt, n, func(row int) uint64 { return uint64(uint32(keys[row])) },
+			func(row int) (float64, bool) { return vals[row], true })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d groups, want %d", w, len(got), len(want))
 		}
@@ -92,21 +94,6 @@ func TestGroupedSumMatchesNaive(t *testing.T) {
 				t.Fatalf("workers=%d: group %d = %v, want %v", w, k, got[k], v)
 			}
 		}
-	}
-}
-
-func TestGroupedCountColTwoKeys(t *testing.T) {
-	k0 := []int32{0, 0, 1, 1, 0}
-	k1 := []int32{2, 2, 2, 3, 4}
-	got := GroupedCountCol(Serial(), len(k0), k0, k1)
-	want := map[uint64]float64{
-		0 | 2<<32: 2,
-		1 | 2<<32: 1,
-		1 | 3<<32: 1,
-		0 | 4<<32: 1,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
 	}
 }
 

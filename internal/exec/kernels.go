@@ -32,19 +32,6 @@ func Sum(rt Runtime, n int, val RowVal) float64 {
 	return Fold(parts, func(dst, src float64) float64 { return dst + src })
 }
 
-// SumCol sums a float64 column — the tightest kernel, with no per-row
-// indirection at all.
-func SumCol(rt Runtime, vals []float64) float64 {
-	parts := Scan(rt, len(vals), func() float64 { return 0 },
-		func(s float64, lo, hi int) float64 {
-			for _, v := range vals[lo:hi] {
-				s += v
-			}
-			return s
-		})
-	return Fold(parts, func(dst, src float64) float64 { return dst + src })
-}
-
 // SumWhere sums val over the rows of [0, n) whose key equals want — the
 // delta-join scan of first-order IVM.
 func SumWhere(rt Runtime, n int, key KeyFunc, want uint64, val func(row int) float64) float64 {
@@ -90,32 +77,6 @@ func GroupedSum[K comparable](rt Runtime, n int, key func(row int) K, val RowVal
 			return m
 		})
 	return Fold(parts, MergeSum[K])
-}
-
-// GroupedCount counts rows per key — GroupedSum of the constant 1.
-func GroupedCount[K comparable](rt Runtime, n int, key func(row int) K) map[K]float64 {
-	return GroupedSum(rt, n, key, func(int) (float64, bool) { return 1, true })
-}
-
-// GroupedSumCol sums a float64 column grouped by one or two int32 code
-// columns (k1 may be nil), keys packed as in relation/key.go.
-func GroupedSumCol(rt Runtime, vals []float64, k0, k1 []int32) map[uint64]float64 {
-	key := packedKey(k0, k1)
-	return GroupedSum(rt, len(vals), key, func(row int) (float64, bool) { return vals[row], true })
-}
-
-// GroupedCountCol counts rows grouped by one or two int32 code columns.
-func GroupedCountCol(rt Runtime, n int, k0, k1 []int32) map[uint64]float64 {
-	return GroupedCount(rt, n, packedKey(k0, k1))
-}
-
-func packedKey(k0, k1 []int32) KeyFunc {
-	if k1 == nil {
-		return func(row int) uint64 { return uint64(uint32(k0[row])) }
-	}
-	return func(row int) uint64 {
-		return uint64(uint32(k0[row])) | uint64(uint32(k1[row]))<<32
-	}
 }
 
 // MergeSum adds src into dst per key and returns dst (or src when dst is

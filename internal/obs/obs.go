@@ -11,8 +11,8 @@
 //     internal/shard. Each is one or two uncontended atomic adds on
 //     pre-resolved handles — no map lookups, no locks, no allocation
 //     (pinned by testing.AllocsPerRun in the test suite), so a fully
-//     instrumented pipeline stays within the perf gate's overhead
-//     budget.
+//     instrumented pipeline adds only those adds to its hot path
+//     (serve.Config.MetricsOff is the uninstrumented control arm).
 //
 //   - Reads (Registry.WriteExposition, Registry.Snapshot, histogram
 //     quantiles) run at scrape frequency — a few times a minute — and

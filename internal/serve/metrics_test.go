@@ -44,6 +44,9 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	snap := srv.Snapshot()
 	pts := metricPoints(reg)
 
+	if n := reg.SeriesCount(); n < 15 {
+		t.Errorf("instrumented server registered %d series, want >= 15", n)
+	}
 	if p := pts["borg_serve_queue_wait_ns"]; p.Count != uint64(len(stream)) {
 		t.Errorf("queue_wait count = %d, want %d", p.Count, len(stream))
 	}

@@ -500,10 +500,6 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 // defaulting, so a zero config on an N-core machine reports N.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
-// MorselSize reports the configured exec scan granularity (0 =
-// automatic).
-func (s *Server) MorselSize() int { return s.cfg.MorselSize }
-
 // Features returns the maintained continuous feature names, in snapshot
 // index order.
 func (s *Server) Features() []string { return s.features }

@@ -249,10 +249,6 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // are the ingest-parallelism axis.
 func (s *Server) Workers() int { return s.shards[0].Workers() }
 
-// MorselSize reports the configured exec scan granularity (0 =
-// automatic), uniform across shards.
-func (s *Server) MorselSize() int { return s.shards[0].MorselSize() }
-
 // Features returns the maintained continuous feature names, in snapshot
 // index order.
 func (s *Server) Features() []string { return s.features }
@@ -264,10 +260,6 @@ func (s *Server) CatFeatures() []string { return s.catFeatures }
 
 // Payload reports the maintained ring payload, uniform across shards.
 func (s *Server) Payload() serve.Payload { return s.shards[0].Payload() }
-
-// PartitionBy returns the partition attribute ("" on an unpartitioned
-// single shard).
-func (s *Server) PartitionBy() string { return s.partBy }
 
 // Schema returns a live relation with the given name, or nil. Its
 // schema metadata and dictionaries are shared across shards; its rows
