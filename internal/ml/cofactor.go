@@ -20,12 +20,24 @@ import (
 	"borg/internal/ring"
 )
 
-// CheckCofactor is the degenerate-snapshot gate for cofactor elements:
-// the marginal over all categorical groups must pass CheckSnapshot's
-// minimum-support and finiteness checks. Empty cofactors wrap
-// ErrEmptySnapshot exactly like empty covariance triples.
+// CheckCofactor is the support gate of the cofactor bridges: the groups'
+// summed count (the marginal's) must reach minCount, or the error wraps
+// ErrEmptySnapshot. It allocates nothing; finiteness needs the whole
+// marginal, which a caller holding it checks with CheckSnapshot.
 func CheckCofactor(cf *ring.Cofactor, minCount float64) error {
-	return CheckSnapshot(cf.Marginal(), minCount)
+	return support(cf.Count(), minCount)
+}
+
+// checkCofactor is the bridges' shared precondition: cf matches the name
+// lists (features nil: not given) and passes CheckCofactor.
+func checkCofactor(features, catFeatures []string, cf *ring.Cofactor) error {
+	if features != nil && cf.N != len(features) {
+		return fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
+	}
+	if cf.K != len(catFeatures) {
+		return fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
+	}
+	return CheckCofactor(cf, 1)
 }
 
 // SigmaFromCofactor builds the normalized one-hot moment matrix from a
@@ -36,13 +48,7 @@ func CheckCofactor(cf *ring.Cofactor, minCount float64) error {
 // features names the element's continuous variables in index order and
 // must contain the response; catFeatures names the categorical slots.
 func SigmaFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor) (*Sigma, error) {
-	if cf.N != len(features) {
-		return nil, fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
-	}
-	if cf.K != len(catFeatures) {
-		return nil, fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
-	}
-	if err := CheckCofactor(cf, 1); err != nil {
+	if err := checkCofactor(features, catFeatures, cf); err != nil {
 		return nil, err
 	}
 	ry := -1
@@ -192,10 +198,7 @@ func (m *LinReg) PredictDesign(x []float64, codes []int32) float64 {
 // matrix equals ml.MutualInfo over a core.MutualInfoBatch evaluation of
 // the same live tuples.
 func MutualInfoFromCofactor(catFeatures []string, cf *ring.Cofactor) ([][]float64, error) {
-	if cf.K != len(catFeatures) {
-		return nil, fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
-	}
-	if err := CheckCofactor(cf, 1); err != nil {
+	if err := checkCofactor(nil, catFeatures, cf); err != nil {
 		return nil, err
 	}
 	k := cf.K
@@ -271,13 +274,7 @@ type CatTreeConfig struct {
 // continuous splits need per-threshold statistics the cofactor does not
 // carry; the tree is categorical-splits-only by construction.
 func TrainCTreeFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor, cfg CatTreeConfig) (*Tree, error) {
-	if cf.N != len(features) {
-		return nil, fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
-	}
-	if cf.K != len(catFeatures) {
-		return nil, fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
-	}
-	if err := CheckCofactor(cf, 1); err != nil {
+	if err := checkCofactor(features, catFeatures, cf); err != nil {
 		return nil, err
 	}
 	ry := -1
@@ -484,13 +481,7 @@ func TrainCatPolyFromCofactor(features, catFeatures []string, response string, c
 // catPolySystem lays the model out and assembles its ridge system a x = b
 // in choleskySolve's envelope form; layout parameter p is unknown pos[p].
 func catPolySystem(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (m *CatPoly, a [][]float64, b []float64, pos []int, err error) {
-	if cf.N != len(features) {
-		return nil, nil, nil, nil, fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
-	}
-	if cf.K != len(catFeatures) {
-		return nil, nil, nil, nil, fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
-	}
-	if err := CheckCofactor(cf, 1); err != nil {
+	if err := checkCofactor(features, catFeatures, cf); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	ry := -1

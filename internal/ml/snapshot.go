@@ -31,14 +31,8 @@ var ErrEmptySnapshot = errors.New("empty snapshot: the join has no live tuples t
 // finite moments. It returns an error wrapping ErrEmptySnapshot for the
 // empty case, so callers at any layer can errors.Is against it.
 func CheckSnapshot(c *ring.Covar, minCount float64) error {
-	if minCount <= 0 {
-		minCount = 1
-	}
-	if math.IsNaN(c.Count) || c.Count < minCount {
-		if c.Count >= 1 {
-			return fmt.Errorf("ml: snapshot carries %v joined tuples, below the minimum support %v: %w", c.Count, minCount, ErrEmptySnapshot)
-		}
-		return fmt.Errorf("ml: %w (count = %v)", ErrEmptySnapshot, c.Count)
+	if err := support(c.Count, minCount); err != nil {
+		return err
 	}
 	for _, v := range c.Sum {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -56,19 +50,28 @@ func CheckSnapshot(c *ring.Covar, minCount float64) error {
 // CheckLifted is CheckSnapshot for a lifted degree-2 element: minimum
 // support on the count plus finiteness of every degree-≤4 moment.
 func CheckLifted(p *ring.Poly2, minCount float64) error {
-	if minCount <= 0 {
-		minCount = 1
-	}
-	if math.IsNaN(p.Count()) || p.Count() < minCount {
-		if p.Count() >= 1 {
-			return fmt.Errorf("ml: snapshot carries %v joined tuples, below the minimum support %v: %w", p.Count(), minCount, ErrEmptySnapshot)
-		}
-		return fmt.Errorf("ml: %w (count = %v)", ErrEmptySnapshot, p.Count())
+	if err := support(p.Count(), minCount); err != nil {
+		return err
 	}
 	for _, v := range p.M {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("ml: snapshot carries a non-finite lifted moment (%v); refusing to train", v)
 		}
+	}
+	return nil
+}
+
+// support is the minimum-support half of the gates: count must reach
+// minCount (1 when minCount <= 0), or the error wraps ErrEmptySnapshot.
+func support(count, minCount float64) error {
+	if minCount <= 0 {
+		minCount = 1
+	}
+	if math.IsNaN(count) || count < minCount {
+		if count >= 1 {
+			return fmt.Errorf("ml: snapshot carries %v joined tuples, below the minimum support %v: %w", count, minCount, ErrEmptySnapshot)
+		}
+		return fmt.Errorf("ml: %w (count = %v)", ErrEmptySnapshot, count)
 	}
 	return nil
 }

@@ -159,11 +159,7 @@ func (e *Cofactor) MarginalInto(dst *Covar) {
 	sum := dst.Sum
 	clear(sum)
 	clear(dst.Q)
-	count := 0.0
-	for _, g := range e.vals {
-		count += g.Count
-	}
-	dst.Count = count
+	dst.Count = e.Count()
 	for _, g := range e.vals {
 		for i, v := range g.Sum {
 			sum[g.Lo+i] += v
@@ -172,6 +168,16 @@ func (e *Cofactor) MarginalInto(dst *Covar) {
 	for _, g := range e.vals {
 		dst.addQ(g)
 	}
+}
+
+// Count sums the group counts in key order: the marginal's Count, bit
+// for bit, without folding the rest of the triple.
+func (e *Cofactor) Count() float64 {
+	count := 0.0
+	for _, g := range e.vals {
+		count += g.Count
+	}
+	return count
 }
 
 // ApproxEqual reports whether the two elements have the same group keys

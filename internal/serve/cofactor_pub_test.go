@@ -2,12 +2,16 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
+	"borg/internal/datagen"
 	"borg/internal/ivm"
 	"borg/internal/relation"
+	"borg/internal/ring"
 )
 
 // pubSink keeps published snapshots observable.
@@ -112,10 +116,121 @@ func TestCofactorPublicationAllocsBounded(t *testing.T) {
 	t.Logf("publication %d allocs, copy-on-write %d allocs for %d dirty groups", publish[1], cow[1], dirty)
 }
 
-// BenchmarkCofactorPublish times one epoch publication of the cofactor
-// payload after a 64-op batch dirtied 64 of the live groups; the batch
-// itself is outside the timer.
-func BenchmarkCofactorPublish(b *testing.B) {
+// TestCofactorDerivedTriple holds a cofactor epoch's lazily derived
+// triple to the maintainer's own marginal at that epoch, bit for bit, on
+// the real-valued Tenant stream (where summation order shows in the last
+// bits). Every epoch of an insert-then-retract stream is published, and
+// read only once the maintainers have moved on; at several shards the
+// merged epoch is held to the shard marginals summed in shard order.
+// First reads — each of them a derivation — and later reads allocate
+// nothing, and eight goroutines racing on the first read of one epoch
+// all see the same bits.
+func TestCofactorDerivedTriple(t *testing.T) {
+	ds := datagen.Tenant(5, 0.02)
+	features := []string{"units", "price", "sellarea", "footfall", "store", "item"}
+	var stream []ivm.Op
+	for _, name := range ds.StreamOrder {
+		for _, r := range ds.Join.Relations {
+			for i := 0; r.Name == name && i < r.NumRows(); i++ {
+				stream = append(stream, ivm.Op{Tuple: ivm.Tuple{Rel: name, Values: r.Row(i)}})
+			}
+		}
+	}
+	for i, o := range stream {
+		if o.Tuple.Rel == "Sales" && i%3 == 0 {
+			stream = append(stream, ivm.Op{Kind: ivm.OpDelete, Tuple: o.Tuple})
+		}
+	}
+	bits := func(c *ring.Covar) []uint64 {
+		out := []uint64{math.Float64bits(c.Count)}
+		for _, v := range append(slices.Clone(c.Sum), c.Q...) {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	for _, shards := range []int{1, 2, 3} {
+		srvs := make([]*Server, shards)
+		for i := range srvs {
+			srv, err := New(ds.Join, ds.Root, features, Config{Payload: PayloadCofactor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil { // the test goroutine drives the maintainers
+				t.Fatal(err)
+			}
+			srvs[i] = srv
+		}
+		// publish applies ops, routed by store (column 0 of every Tenant
+		// relation), and returns the tier's new epoch with the marginal its
+		// triple must equal.
+		publish := func(ops []ivm.Op) (*Snapshot, []uint64) {
+			parts := make([]*Snapshot, shards)
+			for i, srv := range srvs {
+				var mine []ivm.Op
+				for _, o := range ops {
+					if int(o.Tuple.Values[0].C)%shards == i {
+						mine = append(mine, o)
+					}
+				}
+				if res := srv.m.ApplyBatch(mine); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				parts[i] = srv.buildSnapshot(0, 0, 0)
+			}
+			if shards == 1 {
+				return parts[0], bits(srvs[0].m.Snapshot())
+			}
+			sum := ring.CovarRing{N: len(srvs[0].features)}.Zero()
+			for _, srv := range srvs {
+				sum.AddInPlace(srv.m.Snapshot())
+			}
+			return Merged(parts), bits(sum)
+		}
+		var epochs []*Snapshot
+		var want [][]uint64
+		for lo := 0; lo < len(stream); lo += 64 {
+			e, w := publish(stream[lo:min(lo+64, len(stream))])
+			epochs, want = append(epochs, e), append(want, w)
+		}
+		next := 0
+		if a := testing.AllocsPerRun(len(epochs)-1, func() { readSink += epochs[next].Stats().Count; next++ }); a != 0 {
+			t.Fatalf("%d shards: a first read allocates %.1f/op, want 0", shards, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { readSink += epochs[0].Stats().Count }); a != 0 {
+			t.Fatalf("%d shards: a later read allocates %.1f/op, want 0", shards, a)
+		}
+		for k, e := range epochs {
+			if got := bits(e.Stats()); !slices.Equal(got, want[k]) {
+				t.Fatalf("%d shards, epoch %d: derived triple %v, want the maintainer's marginal %v", shards, k, e.Stats(), want[k])
+			}
+		}
+		e, w := publish(stream[:64])
+		seen := make([][]uint64, 8)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := range seen {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				seen[r] = bits(e.Stats())
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for r, got := range seen {
+			if !slices.Equal(got, w) {
+				t.Fatalf("%d shards: racing reader %d saw %v, want %v", shards, r, got, w)
+			}
+		}
+	}
+}
+
+// BenchmarkPublishCofactor times one epoch publication of the cofactor
+// payload after a 64-op batch dirtied 64 of the live groups, in µs per
+// epoch — the layer row behind the e2e serve.publish_us_per_epoch. The
+// batch itself is outside the timer.
+func BenchmarkPublishCofactor(b *testing.B) {
 	for _, groups := range []int{500, 5000} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
 			srv, churn := cofactorServer(b, groups, 64)
@@ -127,6 +242,7 @@ func BenchmarkCofactorPublish(b *testing.B) {
 				b.StartTimer()
 				pubSink = srv.buildSnapshot(uint64(i), 0, 0)
 			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/epoch")
 		})
 	}
 }

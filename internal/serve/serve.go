@@ -205,6 +205,12 @@ func (c *Config) defaults() {
 // Snapshot is one published epoch: an immutable view of the maintained
 // statistics. All fields are frozen at publication time; readers may
 // share a Snapshot freely across goroutines.
+//
+// A covar or poly2 epoch copies its covariance triple at publication; a
+// cofactor epoch derives it on first read (Stats): the marginal of its
+// own Cofactor element, folded once in group-key order into the arena
+// the publication allocated — the maintainer's marginal at that epoch,
+// bit for bit, and no O(groups × features²) fold at every publication.
 type Snapshot struct {
 	// Epoch is the publication sequence number (0 is the empty initial
 	// snapshot).
@@ -215,9 +221,6 @@ type Snapshot struct {
 	// Deletes is how many tuple deletes had been applied when this
 	// snapshot was taken (the retraction half of an update counts here).
 	Deletes uint64
-	// Stats is the covariance triple over the maintained features.
-	// Readers must not mutate it.
-	Stats *ring.Covar
 	// Lifted is the lifted degree-2 moment element at this epoch, nil
 	// unless the server maintains PayloadPoly2. Readers must not mutate
 	// it.
@@ -248,22 +251,58 @@ type Snapshot struct {
 	Drift float64
 	// Replans counts completed plan rebuilds since the server started.
 	Replans uint64
+	// stats is the triple Stats returns; derive fills it on a cofactor
+	// or merged epoch. parts are the shard epochs a merged epoch sums.
+	stats   *ring.Covar
+	parts   []*Snapshot
+	derived sync.Once
+}
+
+// Merged starts a sharded tier's epoch over one epoch per shard: its
+// triple is the parts' summed in part order, derived on first read. The
+// caller fills in every other field.
+func Merged(parts []*Snapshot) *Snapshot {
+	return &Snapshot{stats: ring.CovarRing{N: parts[0].stats.N}.Zero(), parts: parts}
+}
+
+// Stats returns the covariance triple at this epoch, derived once by the
+// first call (see Snapshot). Readers must not mutate it.
+//
+//borg:noalloc
+func (s *Snapshot) Stats() *ring.Covar {
+	s.derived.Do(s.derive)
+	return s.stats
+}
+
+// derive fills a lazily derived triple; an eager epoch's is already set.
+func (s *Snapshot) derive() {
+	switch {
+	case s.parts != nil:
+		for _, p := range s.parts {
+			s.stats.AddInPlace(p.Stats())
+		}
+	case s.Cofactor != nil:
+		s.Cofactor.MarginalInto(s.stats)
+	}
 }
 
 // Count returns SUM(1) over the join at this epoch.
 //
 //borg:noalloc
-func (s *Snapshot) Count() float64 { return s.Stats.Count }
+func (s *Snapshot) Count() float64 { return s.Stats().Count }
 
 // Sum returns SUM(x_i) at this epoch.
 //
 //borg:noalloc
-func (s *Snapshot) Sum(i int) float64 { return s.Stats.Sum[i] }
+func (s *Snapshot) Sum(i int) float64 { return s.Stats().Sum[i] }
 
 // Moment returns SUM(x_i·x_j) at this epoch.
 //
 //borg:noalloc
-func (s *Snapshot) Moment(i, j int) float64 { return s.Stats.Q[i*s.Stats.N+j] }
+func (s *Snapshot) Moment(i, j int) float64 {
+	st := s.Stats()
+	return st.Q[i*st.N+j]
+}
 
 // ErrClosed is returned by operations on a closed server.
 var ErrClosed = errors.New("serve: server is closed")
@@ -975,9 +1014,8 @@ func (s *Server) buildSnapshot(epoch, inserts, deletes uint64) *Snapshot {
 	a.stats.N = n
 	a.stats.Sum = back[:n:n]
 	a.stats.Q = back[n : n+n*n : n+n*n]
-	s.m.SnapshotInto(&a.stats)
 	a.snap = Snapshot{
-		Epoch: epoch, Inserts: inserts, Deletes: deletes, Stats: &a.stats,
+		Epoch: epoch, Inserts: inserts, Deletes: deletes, stats: &a.stats,
 		Root: s.root, PlanDepth: s.planDepth, PlanWidth: s.planWidth,
 		PlanGreedy: s.planGreedy, Drift: s.drift, Replans: s.replans,
 	}
@@ -992,6 +1030,8 @@ func (s *Server) buildSnapshot(epoch, inserts, deletes uint64) *Snapshot {
 		// an immutable element sharing with the previous epoch's every
 		// group no op has touched since (see ivm.Maintainer).
 		a.snap.Cofactor = s.m.SnapshotCofactor()
+	} else {
+		s.m.SnapshotInto(&a.stats)
 	}
 	return &a.snap
 }

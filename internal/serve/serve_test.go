@@ -115,8 +115,8 @@ func TestServerMatchesSerialReplay(t *testing.T) {
 							t.Error("inserts went backwards")
 							return
 						}
-						if s.Stats.N != len(features) {
-							t.Errorf("snapshot width %d, want %d", s.Stats.N, len(features))
+						if s.Stats().N != len(features) {
+							t.Errorf("snapshot width %d, want %d", s.Stats().N, len(features))
 							return
 						}
 						// A snapshot is immutable: re-reading it later
@@ -161,12 +161,12 @@ func TestServerMatchesSerialReplay(t *testing.T) {
 				}
 			}
 			want := ref.Snapshot()
-			if got.Stats.Count != want.Count {
-				t.Fatalf("count: got %v, want %v", got.Stats.Count, want.Count)
+			if got.Stats().Count != want.Count {
+				t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
 			}
 			for i := range features {
-				if got.Stats.Sum[i] != want.Sum[i] {
-					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats.Sum[i], want.Sum[i])
+				if got.Stats().Sum[i] != want.Sum[i] {
+					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
 				}
 				for k := range features {
 					if got.Moment(i, k) != want.Q[i*want.N+k] {
@@ -421,12 +421,12 @@ func TestServerChurnMatchesSerialReplay(t *testing.T) {
 				}
 			}
 			want := ref.Snapshot()
-			if got.Stats.Count != want.Count {
-				t.Fatalf("count: got %v, want %v", got.Stats.Count, want.Count)
+			if got.Stats().Count != want.Count {
+				t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
 			}
 			for i := range features {
-				if got.Stats.Sum[i] != want.Sum[i] {
-					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats.Sum[i], want.Sum[i])
+				if got.Stats().Sum[i] != want.Sum[i] {
+					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
 				}
 				for k := range features {
 					if got.Moment(i, k) != want.Q[i*want.N+k] {
@@ -506,8 +506,8 @@ func TestLiftedSnapshotPublished(t *testing.T) {
 			if snap.Lifted == nil {
 				t.Fatal("lifted element missing from published snapshot")
 			}
-			if got := snap.Lifted.Covar(); !got.ApproxEqual(snap.Stats, 0) {
-				t.Fatalf("lifted covar extraction %v differs from published stats %v", got, snap.Stats)
+			if got := snap.Lifted.Covar(); !got.ApproxEqual(snap.Stats(), 0) {
+				t.Fatalf("lifted covar extraction %v differs from published stats %v", got, snap.Stats())
 			}
 			if snap.Lifted.Count() == 0 {
 				t.Fatal("lifted count is zero after a joined stream")

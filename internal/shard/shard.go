@@ -77,7 +77,6 @@ type Server struct {
 	// on the single-shard fast path with no PartitionBy.
 	partCol map[string]int
 	partCat map[string]bool
-	ring    ring.CovarRing
 	// lifted is the lifted degree-2 ring the merged snapshots fold in,
 	// nil unless the shards maintain PayloadPoly2.
 	lifted *ring.Poly2Ring
@@ -231,7 +230,6 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 	// off into group slots instead of snapshot indexes).
 	s.features = s.shards[0].Features()
 	s.catFeatures = s.shards[0].CatFeatures()
-	s.ring = ring.CovarRing{N: len(s.features)}
 	switch s.shards[0].Payload() {
 	case serve.PayloadPoly2:
 		s.lifted = ring.NewPoly2Ring(len(s.features))
@@ -408,7 +406,7 @@ func (s *Server) Snapshot() *serve.Snapshot {
 	for i, sh := range s.shards {
 		inners[i] = sh.Snapshot()
 	}
-	m := &serve.Snapshot{Stats: s.ring.Zero()}
+	m := serve.Merged(inners) // the triple is summed on first read
 	if s.lifted != nil {
 		m.Lifted = s.lifted.Zero()
 	}
@@ -416,7 +414,6 @@ func (s *Server) Snapshot() *serve.Snapshot {
 		m.Epoch += sn.Epoch
 		m.Inserts += sn.Inserts
 		m.Deletes += sn.Deletes
-		m.Stats.AddInPlace(sn.Stats)
 		if m.Lifted != nil && sn.Lifted != nil {
 			m.Lifted.AddInPlace(sn.Lifted)
 		}

@@ -212,8 +212,8 @@ func TestShardedChurnEquivalence(t *testing.T) {
 							t.Error("more deletes than inserts ever applied")
 							return
 						}
-						if m.Stats.N != len(features) {
-							t.Errorf("merged width %d, want %d", m.Stats.N, len(features))
+						if m.Stats().N != len(features) {
+							t.Errorf("merged width %d, want %d", m.Stats().N, len(features))
 							return
 						}
 						lastEpoch = m.Epoch
@@ -278,8 +278,8 @@ func TestShardedChurnEquivalence(t *testing.T) {
 			if err := single.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if !got.Stats.ApproxEqual(ref.Stats, 1e-9) {
-				t.Fatalf("merged %v != single-shard %v", got.Stats, ref.Stats)
+			if !got.Stats().ApproxEqual(ref.Stats(), 1e-9) {
+				t.Fatalf("merged %v != single-shard %v", got.Stats(), ref.Stats())
 			}
 
 			// (b) Batch recomputation over only the survivors: bitwise.
@@ -293,12 +293,12 @@ func TestShardedChurnEquivalence(t *testing.T) {
 				}
 			}
 			want := batch.Snapshot()
-			if got.Stats.Count != want.Count {
-				t.Fatalf("count: got %v, want %v", got.Stats.Count, want.Count)
+			if got.Stats().Count != want.Count {
+				t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
 			}
 			for i := range features {
-				if got.Stats.Sum[i] != want.Sum[i] {
-					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats.Sum[i], want.Sum[i])
+				if got.Stats().Sum[i] != want.Sum[i] {
+					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
 				}
 				for k := range features {
 					if got.Moment(i, k) != want.Q[i*want.N+k] {
@@ -615,7 +615,7 @@ func TestLiftedMergeMatchesSingleShard(t *testing.T) {
 	if !ms.Lifted.ApproxEqual(m1.Lifted, 0) {
 		t.Fatalf("merged lifted stats differ from single shard: %v vs %v", ms.Lifted, m1.Lifted)
 	}
-	if got := ms.Lifted.Covar(); !got.ApproxEqual(ms.Stats, 0) {
+	if got := ms.Lifted.Covar(); !got.ApproxEqual(ms.Stats(), 0) {
 		t.Fatalf("merged lifted covar extraction differs from merged triple")
 	}
 }
@@ -664,7 +664,7 @@ func TestCofactorMergeSharesShardGroups(t *testing.T) {
 	if ms.Cofactor.NumGroups() < 20 || !ms.Cofactor.ApproxEqual(m1.Cofactor, 0) {
 		t.Fatalf("merged cofactor (%d groups) differs from single shard (%d groups)", ms.Cofactor.NumGroups(), m1.Cofactor.NumGroups())
 	}
-	if got := ms.Cofactor.Marginal(); !got.ApproxEqual(ms.Stats, 0) {
+	if got := ms.Cofactor.Marginal(); !got.ApproxEqual(ms.Stats(), 0) {
 		t.Fatal("merged cofactor marginal differs from merged triple")
 	}
 	ms.Cofactor.Each(func(codes []int32, g *ring.Covar) {

@@ -343,7 +343,7 @@ func (s *ServerSnapshot) SecondMoment(a, b string) (float64, error) {
 }
 
 // Covar exposes the epoch's raw covariance triple (read-only).
-func (s *ServerSnapshot) Covar() *ring.Covar { return s.snap.Stats }
+func (s *ServerSnapshot) Covar() *ring.Covar { return s.snap.Stats() }
 
 // Cofactor exposes the epoch's raw categorical cofactor element
 // (read-only), nil unless the payload is PayloadCofactor.

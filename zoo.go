@@ -54,9 +54,10 @@ var ErrMissingFeature = errors.New("borg: missing feature value")
 // ready is the shared snapshot validation of the model zoo: minimum
 // support of one joined tuple and finite moments. Every trainer and
 // statistics read funnels through it, so the degenerate-snapshot bug
-// class is handled once, centrally, for all model kinds.
+// class is handled once, centrally, for all model kinds — on the one
+// triple a cofactor epoch derives, however many models read it.
 func (s *ServerSnapshot) ready() error {
-	return ml.CheckSnapshot(s.snap.Stats, 1)
+	return ml.CheckSnapshot(s.snap.Stats(), 1)
 }
 
 // sigma assembles this epoch's moment matrix for the given response:
@@ -66,7 +67,7 @@ func (s *ServerSnapshot) sigma(response string) (*ml.Sigma, error) {
 	if s.snap.Cofactor != nil {
 		return ml.SigmaFromCofactor(s.features, s.catFeatures, response, s.snap.Cofactor)
 	}
-	return ml.SigmaFromCovar(s.features, response, s.snap.Stats)
+	return ml.SigmaFromCovar(s.features, response, s.snap.Stats())
 }
 
 // GDOptions tunes the gradient-descent trainers. The zero value selects
@@ -252,7 +253,7 @@ func (s *ServerSnapshot) TrainPCA(k int) (_ *PCAResult, err error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	sigma, err := ml.MomentsFromCovar(s.features, s.snap.Stats)
+	sigma, err := ml.MomentsFromCovar(s.features, s.snap.Stats())
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +270,7 @@ func (s *ServerSnapshot) TrainPCA(k int) (_ *PCAResult, err error) {
 		Components:  comps,
 		Eigenvalues: eigs,
 		Means:       means,
-		Count:       s.snap.Stats.Count,
+		Count:       s.snap.Count(),
 		Epoch:       s.snap.Epoch,
 	}, nil
 }
@@ -333,13 +334,13 @@ func (s *ServerSnapshot) TrainPolyReg(response string, lambda float64) (_ *PolyR
 		if err != nil {
 			return nil, err
 		}
-		return &PolyRegression{cat: m, dicts: s.dicts, Count: s.snap.Stats.Count, Epoch: s.snap.Epoch}, nil
+		return &PolyRegression{cat: m, dicts: s.dicts, Count: s.snap.Count(), Epoch: s.snap.Epoch}, nil
 	case s.snap.Lifted != nil:
 		m, err := ml.TrainPolyRegFromLifted(s.features, response, s.snap.Lifted, lambda)
 		if err != nil {
 			return nil, err
 		}
-		return &PolyRegression{model: m, Count: s.snap.Stats.Count, Epoch: s.snap.Epoch}, nil
+		return &PolyRegression{model: m, Count: s.snap.Count(), Epoch: s.snap.Epoch}, nil
 	}
 	return nil, ErrPayloadNotMaintained
 }
@@ -456,6 +457,9 @@ func (s *ServerSnapshot) TrainChowLiu() (_ []DependencyEdge, err error) {
 	if s.snap.Cofactor == nil {
 		return nil, ErrPayloadNotMaintained
 	}
+	if err := s.ready(); err != nil {
+		return nil, err
+	}
 	mi, err := ml.MutualInfoFromCofactor(s.catFeatures, s.snap.Cofactor)
 	if err != nil {
 		return nil, err
@@ -479,6 +483,9 @@ func (s *ServerSnapshot) TrainCTree(response string, opt TreeOptions) (_ *Decisi
 	}
 	if s.snap.Cofactor == nil {
 		return nil, ErrPayloadNotMaintained
+	}
+	if err := s.ready(); err != nil {
+		return nil, err
 	}
 	tree, err := ml.TrainCTreeFromCofactor(s.features, s.catFeatures, response, s.snap.Cofactor, ml.CatTreeConfig{
 		MaxDepth: opt.MaxDepth,
@@ -523,7 +530,7 @@ func (s *ServerSnapshot) TrainSVM(label string, lambda float64) (_ *SVMClassifie
 	if err != nil {
 		return nil, err
 	}
-	return &SVMClassifier{model: m, dicts: s.dicts, Count: s.snap.Stats.Count, Epoch: s.snap.Epoch}, nil
+	return &SVMClassifier{model: m, dicts: s.dicts, Count: s.snap.Count(), Epoch: s.snap.Epoch}, nil
 }
 
 // Features returns the classifier's continuous features, in order.
@@ -592,7 +599,7 @@ func (s *ServerSnapshot) KMeansSeeds(k int) (_ *KMeansSeeding, err error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	sigma, err := ml.MomentsFromCovar(s.features, s.snap.Stats)
+	sigma, err := ml.MomentsFromCovar(s.features, s.snap.Stats())
 	if err != nil {
 		return nil, err
 	}
@@ -605,7 +612,7 @@ func (s *ServerSnapshot) KMeansSeeds(k int) (_ *KMeansSeeding, err error) {
 		mean := sigma.XtX[0][i+1]
 		variance += sigma.XtX[i+1][i+1] - mean*mean
 	}
-	variance *= s.snap.Stats.Count
+	variance *= s.snap.Count()
 	if math.IsNaN(variance) {
 		variance = 0
 	}
@@ -613,7 +620,7 @@ func (s *ServerSnapshot) KMeansSeeds(k int) (_ *KMeansSeeding, err error) {
 		Features:      s.features,
 		Centers:       centers,
 		TotalVariance: variance,
-		Count:         s.snap.Stats.Count,
+		Count:         s.snap.Count(),
 		Epoch:         s.snap.Epoch,
 	}, nil
 }
