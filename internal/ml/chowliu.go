@@ -40,10 +40,7 @@ func MutualInfo(cats []string, results []*query.AggResult) ([][]float64, error) 
 			marg[i][k[0]] = v / n
 		}
 	}
-	mi := make([][]float64, len(cats))
-	for i := range mi {
-		mi[i] = make([]float64, len(cats))
-	}
+	mi := square(len(cats))
 	for i := range cats {
 		for j := i + 1; j < len(cats); j++ {
 			r, ok := byID[fmt.Sprintf("mi_%s_%s", cats[i], cats[j])]
@@ -89,8 +86,7 @@ func ChowLiu(mi [][]float64) []TreeEdge {
 	}
 	inTree[0] = true
 	for j := 1; j < n; j++ {
-		bestMI[j] = mi[0][j]
-		bestTo[j] = 0
+		bestMI[j] = mi[0][j] // bestTo[j] is 0 already
 	}
 	var edges []TreeEdge
 	for len(edges) < n-1 {

@@ -8,245 +8,214 @@
 // marginalizations), CART-style trees over categorical splits (per-node
 // aggregates are partial group sums), and varying-coefficient degree-2
 // models (interaction moments are the group-restricted sums). No bridge
-// touches data — the snapshot already is the aggregate batch.
+// touches data — the snapshot already is the aggregate batch — and every
+// bridge reads the element through one CatLayout.
 package ml
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"borg/internal/query"
 	"borg/internal/ring"
 )
 
-// CheckCofactor is the support gate of the cofactor bridges: the groups'
-// summed count (the marginal's) must reach minCount, or the error wraps
-// ErrEmptySnapshot. It allocates nothing; finiteness needs the whole
-// marginal, which a caller holding it checks with CheckSnapshot.
-func CheckCofactor(cf *ring.Cofactor, minCount float64) error {
-	return support(cf.Count(), minCount)
+// CatLayout is what the cofactor bridges read of one cofactor element,
+// derived in one pass over its groups:
+//
+//   - the one-hot layout: per categorical slot the codes live in the
+//     element, ascending, and a dense code → rank table;
+//   - each group's ranks, G×K in group-key order, beside the group;
+//   - the aggregates the designs are assembled from: the marginal triple,
+//     one triple per (slot, code), and the co-occurrence counts of every
+//     pair of slots.
+//
+// Each aggregate adds the groups in key order: bit for bit the fold a
+// walk of the element makes. Root groups have full support (Lo = 0, N
+// features), as every bridge assumes. A layout is never written once
+// built: any number of trainers may read one at once, and the serving
+// tier derives one per published epoch.
+type CatLayout struct {
+	N, K   int
+	codes  [][]int32      // per slot: the live codes, ascending
+	rank   [][]int32      // per slot: code → rank in codes (see rankOf)
+	groups []*ring.Covar  // in key order
+	ranks  []int32        // group g's rank in slot k at g*K+k, -1 where unbound
+	total  ring.Covar     // the sum of every group
+	slot   [][]ring.Covar // slot k, rank r: the sum of the groups holding that code
+	pair   [][]float64    // pair[k*K+l], k < l: the count of ranks (a, b) at a*len(codes[l])+b
 }
 
-// checkCofactor is the bridges' shared precondition: cf matches the name
-// lists (features nil: not given) and passes CheckCofactor.
-func checkCofactor(features, catFeatures []string, cf *ring.Cofactor) error {
-	if features != nil && cf.N != len(features) {
-		return fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", cf.N, len(features))
-	}
-	if cf.K != len(catFeatures) {
-		return fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", cf.K, len(catFeatures))
-	}
-	return CheckCofactor(cf, 1)
-}
-
-// SigmaFromCofactor builds the normalized one-hot moment matrix from a
-// cofactor element, laid out EXACTLY like AssembleSigma over a
-// covariance aggregate batch: intercept, then the continuous features
-// (the maintained list minus the response, in order), then the one-hot
-// expansion of every categorical slot with observed codes sorted.
-// features names the element's continuous variables in index order and
-// must contain the response; catFeatures names the categorical slots.
-func SigmaFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor) (*Sigma, error) {
-	if err := checkCofactor(features, catFeatures, cf); err != nil {
-		return nil, err
-	}
-	ry := -1
-	var cont []string
-	var idx []int // global continuous index of each model feature
-	for i, f := range features {
-		if f == response {
-			ry = i
-			continue
-		}
-		cont = append(cont, f)
-		idx = append(idx, i)
-	}
-	if ry < 0 {
-		return nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
-	}
-
-	d := Design{Cont: cont, Cat: append([]string(nil), catFeatures...), Response: response}
-	d.catCodes, d.catSlot = observedCodes(cf)
-	pos := 1 + len(cont)
-	for k := range d.catCodes {
-		for _, c := range d.catCodes[k] {
-			d.catSlot[k][c] = pos
-			pos++
-		}
-	}
-	d.totalSize = pos
-
-	n := d.totalSize
-	s := &Sigma{Design: d, XtY: make([]float64, n)}
-	s.XtX = make([][]float64, n)
-	for i := range s.XtX {
-		s.XtX[i] = make([]float64, n)
-	}
-	// Accumulate RAW moments into the upper triangle (every block pair
-	// below has p <= q by construction: intercept < continuous < one-hot
-	// slots, and slots of later features sit at higher positions).
-	count, yty := 0.0, 0.0
+// NewCatLayout derives the layout of a cofactor element.
+func NewCatLayout(cf *ring.Cofactor) *CatLayout {
+	n, k := cf.N, cf.K
+	L := &CatLayout{N: n, K: k, groups: make([]*ring.Covar, 0, cf.NumGroups()), ranks: make([]int32, 0, cf.NumGroups()*k)}
+	top := make([]int32, k) // one past the largest live code per slot
 	cf.Each(func(codes []int32, g *ring.Covar) {
-		count += g.Count
-		for i, gi := range idx {
-			p := d.ContPos(i)
-			s.XtX[0][p] += g.Sum[gi]
-			for j := i; j < len(idx); j++ {
-				s.XtX[p][d.ContPos(j)] += g.Q[gi*cf.N+idx[j]]
-			}
-			s.XtY[p] += g.Q[gi*cf.N+ry]
+		L.groups = append(L.groups, g)
+		L.ranks = append(L.ranks, codes...)
+		for s, c := range codes {
+			top[s] = max(top[s], c+1)
 		}
-		s.XtY[0] += g.Sum[ry]
-		yty += g.Q[ry*cf.N+ry]
-		for k, c := range codes {
-			p, ok := d.CatPos(k, c)
-			if !ok {
-				continue // unbound slot: only in partial products
+	})
+	L.codes, L.rank = make([][]int32, k), make([][]int32, k)
+	cells := 1
+	for s := range L.rank {
+		rank := make([]int32, top[s]) // 1 marks a live code, then holds its rank
+		for i := s; i < len(L.ranks); i += k {
+			if c := L.ranks[i]; c >= 0 {
+				rank[c] = 1
 			}
-			s.XtX[0][p] += g.Count
-			s.XtX[p][p] += g.Count
-			for i, gi := range idx {
-				s.XtX[d.ContPos(i)][p] += g.Sum[gi]
+		}
+		for c, live := range rank {
+			rank[c] = -1
+			if live == 1 {
+				rank[c] = int32(len(L.codes[s]))
+				L.codes[s] = append(L.codes[s], int32(c))
 			}
-			s.XtY[p] += g.Sum[ry]
-			for l := k + 1; l < len(codes); l++ {
-				if q, ok := d.CatPos(l, codes[l]); ok {
-					s.XtX[p][q] += g.Count
+		}
+		L.rank[s] = rank
+		cells += len(L.codes[s])
+	}
+	for i, c := range L.ranks {
+		L.ranks[i] = int32(rankOf(L.rank[i%k], c))
+	}
+
+	w := n + n*n
+	buf := make([]float64, cells*w)
+	carve := func() ring.Covar {
+		c := ring.Covar{N: n, Sum: buf[:n:n], Q: buf[n:w:w]}
+		buf = buf[w:]
+		return c
+	}
+	L.total = carve()
+	L.slot, L.pair = make([][]ring.Covar, k), make([][]float64, k*k)
+	for s, codes := range L.codes {
+		L.slot[s] = make([]ring.Covar, len(codes))
+		for r := range codes {
+			L.slot[s][r] = carve()
+		}
+		for t := s + 1; t < k; t++ {
+			L.pair[s*k+t] = make([]float64, len(codes)*len(L.codes[t]))
+		}
+	}
+	for gi, g := range L.groups {
+		L.total.AddInPlace(g)
+		r := L.ranks[gi*k:][:k]
+		for s, a := range r {
+			if a < 0 {
+				continue // unbound: only in partial products
+			}
+			L.slot[s][a].AddInPlace(g)
+			for t := s + 1; t < k; t++ {
+				if b := r[t]; b >= 0 {
+					L.pair[s*k+t][int(a)*len(L.codes[t])+int(b)] += g.Count
 				}
 			}
 		}
-	})
-	s.Count = count
-	inv := 1 / count
-	for p := 0; p < n; p++ {
-		for q := p; q < n; q++ {
-			v := s.XtX[p][q] * inv
-			s.XtX[p][q], s.XtX[q][p] = v, v
-		}
 	}
-	s.XtX[0][0] = 1
-	for p := range s.XtY {
-		s.XtY[p] *= inv
-	}
-	s.YtY = yty * inv
-	return s, nil
+	return L
 }
 
-// observedCodes collects the per-slot category codes live in the
-// element, sorted for a deterministic one-hot layout (the same order
-// AssembleSigma derives from the group-by results).
-func observedCodes(cf *ring.Cofactor) ([][]int32, []map[int32]int) {
-	seen := make([]map[int32]bool, cf.K)
-	for k := range seen {
-		seen[k] = make(map[int32]bool)
+// check is the bridges' shared precondition: the name lists match the
+// layout (features nil: not given), and the groups' summed count — the
+// marginal's — reaches one tuple, or the error wraps ErrEmptySnapshot.
+func (L *CatLayout) check(features, catFeatures []string) error {
+	if features != nil && L.N != len(features) {
+		return fmt.Errorf("ml: cofactor has %d continuous features, name list has %d", L.N, len(features))
 	}
-	cf.Each(func(codes []int32, _ *ring.Covar) {
-		for k, c := range codes {
-			if c >= 0 {
-				seen[k][c] = true
+	if L.K != len(catFeatures) {
+		return fmt.Errorf("ml: cofactor has %d categorical slots, name list has %d", L.K, len(catFeatures))
+	}
+	return support(L.total.Count, 1)
+}
+
+// design checks the name lists and lays out the one-hot design of a
+// response: the continuous features but the response, in order, then
+// every slot's live codes. idx and ry index the element's features.
+func (L *CatLayout) design(features, catFeatures []string, response string) (d Design, idx []int, ry int, err error) {
+	if err = L.check(features, catFeatures); err != nil {
+		return d, nil, 0, err
+	}
+	if d, idx, ry, err = splitResponse(features, response); err != nil {
+		return d, nil, 0, err
+	}
+	d.Cat = slices.Clone(catFeatures)
+	d.setCats(L.codes, L.rank)
+	return d, idx, ry, nil
+}
+
+// Sigma builds the normalized one-hot moment matrix of a response, laid
+// out EXACTLY like AssembleSigma over a covariance aggregate batch:
+// intercept, then the continuous features (the maintained list minus the
+// response, in order), then the one-hot expansion of every categorical
+// slot with observed codes sorted. features names the element's
+// continuous variables in index order and must contain the response;
+// catFeatures names the categorical slots. Every entry is one of the
+// layout's aggregates: assembling it walks no group.
+func (L *CatLayout) Sigma(features, catFeatures []string, response string) (*Sigma, error) {
+	d, idx, ry, err := L.design(features, catFeatures, response)
+	if err != nil {
+		return nil, err
+	}
+	s := newSigma(d, idx, ry, &L.total)
+	inv := 1 / s.Count
+	for k, cells := range L.slot {
+		for r := range cells {
+			g, p := &cells[r], d.catBase[k]+r
+			s.set(0, p, g.Count*inv)
+			s.set(p, p, g.Count*inv)
+			for i, gi := range idx {
+				s.set(d.ContPos(i), p, g.Sum[gi]*inv)
+			}
+			s.XtY[p] = g.Sum[ry] * inv
+		}
+		for l := k + 1; l < L.K; l++ {
+			w := len(L.codes[l])
+			for c, v := range L.pair[k*L.K+l] {
+				s.set(d.catBase[k]+c/w, d.catBase[l]+c%w, v*inv)
 			}
 		}
-	})
-	catCodes := make([][]int32, cf.K)
-	catSlot := make([]map[int32]int, cf.K)
-	for k := range seen {
-		codes := make([]int32, 0, len(seen[k]))
-		for c := range seen[k] {
-			codes = append(codes, c)
-		}
-		sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-		catCodes[k] = codes
-		catSlot[k] = make(map[int32]int, len(codes))
 	}
-	return catCodes, catSlot
-}
-
-// VectorOf fills out with the dense design vector of one example given
-// its continuous values (Cont order) and categorical codes (Cat order).
-// Codes never observed during training map to an all-zero one-hot block.
-func (d *Design) VectorOf(x []float64, codes []int32, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	out[0] = 1
-	for i := range d.Cont {
-		out[d.ContPos(i)] = x[i]
-	}
-	for k := range d.Cat {
-		if p, ok := d.CatPos(k, codes[k]); ok {
-			out[p] = 1
-		}
-	}
+	return s, nil
 }
 
 // PredictDesign evaluates the model on raw continuous values (Cont
 // order) and categorical codes (Cat order) through the design layout.
+// Codes never observed during training have an all-zero one-hot block.
 func (m *LinReg) PredictDesign(x []float64, codes []int32) float64 {
-	vec := make([]float64, m.Size())
-	m.VectorOf(x, codes, vec)
-	p := 0.0
-	for i, v := range vec {
-		p += m.Theta[i] * v
+	p := m.Theta[0]
+	for i := range m.Cont {
+		p += m.Theta[m.ContPos(i)] * x[i]
+	}
+	for k := range m.Cat {
+		if q, ok := m.CatPos(k, codes[k]); ok {
+			p += m.Theta[q]
+		}
 	}
 	return p
 }
 
-// MutualInfoFromCofactor computes the pairwise mutual-information matrix
-// (in nats) of the categorical slots from a cofactor element: the slot
-// marginals and pairwise joints are group-count marginalizations, so the
-// matrix equals ml.MutualInfo over a core.MutualInfoBatch evaluation of
-// the same live tuples.
-func MutualInfoFromCofactor(catFeatures []string, cf *ring.Cofactor) ([][]float64, error) {
-	if err := checkCofactor(nil, catFeatures, cf); err != nil {
+// MutualInfo computes the pairwise mutual-information matrix (in nats)
+// of the categorical slots: the slot marginals and pairwise joints are
+// group-count marginalizations, so the matrix equals ml.MutualInfo over a
+// core.MutualInfoBatch evaluation of the same live tuples.
+func (L *CatLayout) MutualInfo(catFeatures []string) ([][]float64, error) {
+	if err := L.check(nil, catFeatures); err != nil {
 		return nil, err
 	}
-	k := cf.K
-	total := 0.0
-	marg := make([]map[int32]float64, k)
-	for i := range marg {
-		marg[i] = make(map[int32]float64)
-	}
-	joint := make([]map[[2]int32]float64, k*k) // i*k+j for i<j
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			joint[i*k+j] = make(map[[2]int32]float64)
-		}
-	}
-	cf.Each(func(codes []int32, g *ring.Covar) {
-		total += g.Count
-		for i, c := range codes {
-			marg[i][c] += g.Count
-			for j := i + 1; j < k; j++ {
-				joint[i*k+j][[2]int32{c, codes[j]}] += g.Count
-			}
-		}
-	})
-
-	mi := make([][]float64, k)
-	for i := range mi {
-		mi[i] = make([]float64, k)
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			jm := joint[i*k+j]
-			keys := make([][2]int32, 0, len(jm))
-			for key := range jm {
-				keys = append(keys, key)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				if keys[a][0] != keys[b][0] {
-					return keys[a][0] < keys[b][0]
-				}
-				return keys[a][1] < keys[b][1]
-			})
-			v := 0.0
-			for _, key := range keys {
-				pxy := jm[key] / total
+	total := L.total.Count
+	mi := square(L.K)
+	for i := 0; i < L.K; i++ {
+		for j := i + 1; j < L.K; j++ {
+			w, v := len(L.codes[j]), 0.0
+			for c, n := range L.pair[i*L.K+j] {
+				pxy := n / total
 				if pxy <= 0 {
 					continue
 				}
-				px, py := marg[i][key[0]]/total, marg[j][key[1]]/total
+				px, py := L.slot[i][c/w].Count/total, L.slot[j][c%w].Count/total
 				v += pxy * math.Log(pxy/(px*py))
 			}
 			if v < 0 && v > -1e-12 {
@@ -258,33 +227,25 @@ func MutualInfoFromCofactor(catFeatures []string, cf *ring.Cofactor) ([][]float6
 	return mi, nil
 }
 
-// CatTreeConfig configures TrainCTreeFromCofactor. Zero values pick the
+// CatTreeConfig configures CatLayout.CTree. Zero values pick the
 // TrainCART defaults (depth 4, minimum 2 join tuples per node).
 type CatTreeConfig struct {
 	MaxDepth int
 	MinRows  float64
 }
 
-// TrainCTreeFromCofactor trains a CART-style regression tree whose
-// splits are category-equality predicates, scored entirely from the
-// cofactor element's group-by aggregates: a node's (count, Σy, Σy²)
-// under any conjunction of EQ/NE categorical filters is a partial sum of
-// group statistics, so the per-node aggregate batches TrainCART
-// evaluates over the join reduce here to in-memory folds. Thresholded
-// continuous splits need per-threshold statistics the cofactor does not
-// carry; the tree is categorical-splits-only by construction.
-func TrainCTreeFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor, cfg CatTreeConfig) (*Tree, error) {
-	if err := checkCofactor(features, catFeatures, cf); err != nil {
+// CTree trains a CART-style regression tree whose splits are
+// category-equality predicates, scored entirely from the cofactor
+// element's group-by aggregates: a node's (count, Σy, Σy²) under any
+// conjunction of EQ/NE categorical filters is a partial sum of group
+// statistics, so the per-node aggregate batches TrainCART evaluates over
+// the join reduce here to in-memory folds. Thresholded continuous splits
+// need per-threshold statistics the cofactor does not carry; the tree is
+// categorical-splits-only by construction.
+func (L *CatLayout) CTree(features, catFeatures []string, response string, cfg CatTreeConfig) (*Tree, error) {
+	_, _, ry, err := L.design(features, catFeatures, response)
+	if err != nil {
 		return nil, err
-	}
-	ry := -1
-	for i, f := range features {
-		if f == response {
-			ry = i
-		}
-	}
-	if ry < 0 {
-		return nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 4
@@ -292,85 +253,87 @@ func TrainCTreeFromCofactor(features, catFeatures []string, response string, cf 
 	if cfg.MinRows <= 0 {
 		cfg.MinRows = 2
 	}
-	var groups []catGroup
-	cf.Each(func(codes []int32, g *ring.Covar) {
-		groups = append(groups, catGroup{
-			codes: append([]int32(nil), codes...),
-			s:     nodeStats{n: g.Count, sy: g.Sum[ry], syy: g.Q[ry*cf.N+ry]},
-		})
-	})
+	b := &catTree{L: L, cats: catFeatures, cfg: cfg, stats: make([]nodeStats, len(L.groups)), per: make([][]nodeStats, L.K)}
+	in := make([]int32, len(L.groups))
+	for g, c := range L.groups {
+		b.stats[g] = nodeStats{n: c.Count, sy: c.Sum[ry], syy: c.Q[ry*L.N+ry]}
+		in[g] = int32(g)
+	}
+	for k := range b.per {
+		b.per[k] = make([]nodeStats, len(L.codes[k]))
+	}
+	b.spill = make([]int32, 0, len(in))
 	t := &Tree{Response: response}
-	t.Root = buildCatNode(groups, catFeatures, cfg, 0, t)
+	t.Root = b.node(in, 0, t)
 	return t, nil
 }
 
-// catGroup is one categorical group's response statistics.
-type catGroup struct {
-	codes []int32
-	s     nodeStats
+// catTree grows a CTree. A node is the list of its groups, in key order.
+type catTree struct {
+	L     *CatLayout
+	cats  []string
+	cfg   CatTreeConfig
+	stats []nodeStats   // per group: the response's count, sum and sum of squares
+	per   [][]nodeStats // per slot and rank: the node's groups holding that code
+	spill []int32       // a split's no side, on its way back into the node
 }
 
-func buildCatNode(groups []catGroup, cats []string, cfg CatTreeConfig, depth int, t *Tree) *TreeNode {
+func (s *nodeStats) add(o nodeStats) { s.n, s.sy, s.syy = s.n+o.n, s.sy+o.sy, s.syy+o.syy }
+
+func (b *catTree) node(in []int32, depth int, t *Tree) *TreeNode {
 	var total nodeStats
-	for _, g := range groups {
-		total.n += g.s.n
-		total.sy += g.s.sy
-		total.syy += g.s.syy
+	for _, g := range in {
+		total.add(b.stats[g])
 	}
 	t.Nodes++
 	node := &TreeNode{Value: total.mean(), Count: total.n}
-	if depth >= cfg.MaxDepth || total.n < cfg.MinRows {
+	if depth >= b.cfg.MaxDepth || total.n < b.cfg.MinRows {
 		node.Leaf = true
 		return node
 	}
 
 	// Choose the split minimizing the summed child SSE — the same
-	// scoring, guards and margin as TrainCART's consider().
+	// scoring, guards and margin as TrainCART's consider(). A code none
+	// of the node's groups holds weighs 0, which the guard refuses.
+	K := b.L.K
 	bestCost := total.sse() - 1e-9
-	bestK, bestCode, found := 0, int32(0), false
-	for k := range cats {
-		per := make(map[int32]nodeStats)
-		var codes []int32
-		for _, g := range groups {
-			c := g.codes[k]
-			s, ok := per[c]
-			if !ok {
-				codes = append(codes, c)
+	bestK, bestR := -1, 0
+	for k, per := range b.per {
+		clear(per)
+		for _, g := range in {
+			if r := b.L.ranks[int(g)*K+k]; r >= 0 {
+				per[r].add(b.stats[g])
 			}
-			s.n += g.s.n
-			s.sy += g.s.sy
-			s.syy += g.s.syy
-			per[c] = s
 		}
-		sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-		for _, c := range codes {
-			s := per[c]
+		for r, s := range per {
 			rest := nodeStats{n: total.n - s.n, sy: total.sy - s.sy, syy: total.syy - s.syy}
-			if s.n < cfg.MinRows/2 || rest.n < cfg.MinRows/2 {
+			if s.n < b.cfg.MinRows/2 || rest.n < b.cfg.MinRows/2 {
 				continue
 			}
 			if cost := s.sse() + rest.sse(); cost < bestCost {
-				bestCost = cost
-				bestK, bestCode, found = k, c, true
+				bestCost, bestK, bestR = cost, k, r
 			}
 		}
 	}
-	if !found {
+	if bestK < 0 {
 		node.Leaf = true
 		return node
 	}
 
-	node.Cond = query.Filter{Attr: cats[bestK], Op: query.EQ, Code: bestCode}
-	var yes, no []catGroup
-	for _, g := range groups {
-		if g.codes[bestK] == bestCode {
+	node.Cond = query.Filter{Attr: b.cats[bestK], Op: query.EQ, Code: b.L.codes[bestK][bestR]}
+	// Split in place and stably: the yes groups to the front, the rest
+	// behind them, both still in key order.
+	yes, no := in[:0], b.spill[:0]
+	for _, g := range in {
+		if b.L.ranks[int(g)*K+bestK] == int32(bestR) {
 			yes = append(yes, g)
 		} else {
 			no = append(no, g)
 		}
 	}
-	node.True = buildCatNode(yes, cats, cfg, depth+1, t)
-	node.False = buildCatNode(no, cats, cfg, depth+1, t)
+	copy(in[len(yes):], no)
+	node.True = b.node(in[:len(yes)], depth+1, t)
+	node.False = b.node(in[len(yes):], depth+1, t)
 	return node
 }
 
@@ -414,23 +377,18 @@ func (m *LSSVM) Classify(x []float64, codes []int32) float64 {
 // feature, the categorical analogue of degree-2 polynomial regression.
 // All of its sufficient statistics are cofactor group moments.
 type CatPoly struct {
-	Cont     []string
-	Cat      []string
-	Response string
-	// CatCodes holds the observed codes per categorical feature, sorted —
-	// the one-hot slot order.
-	CatCodes [][]int32
-	// Theta is laid out: intercept, continuous slopes, one-hot shifts
-	// (feature-major, codes sorted), then interactions x_i×slot_s at
+	// Design lays out the intercept, the continuous slopes and the
+	// one-hot shifts: slot s of Slots() at 1+n+s, features in order and
+	// codes sorted.
+	Design
+	// Theta is laid out as Design, then the interactions x_i×slot_s at
 	// 1+n+S+i*S+s.
-	Theta   []float64
-	Lambda  float64
-	slotOf  []map[int32]int // code → flat slot index per cat feature
-	numSlot int
+	Theta  []float64
+	Lambda float64
 }
 
 // Slots returns the total number of one-hot slots S.
-func (m *CatPoly) Slots() int { return m.numSlot }
+func (m *CatPoly) Slots() int { return m.Size() - 1 - len(m.Cont) }
 
 // Dim returns the parameter count.
 func (m *CatPoly) Dim() int { return len(m.Theta) }
@@ -439,31 +397,37 @@ func (m *CatPoly) Dim() int { return len(m.Theta) }
 // and categorical codes (Cat order). Unobserved codes contribute no
 // shift and no interaction.
 func (m *CatPoly) PredictVec(x []float64, codes []int32) float64 {
-	n, s := len(m.Cont), m.numSlot
+	n, s := len(m.Cont), m.Slots()
 	p := m.Theta[0]
 	for i := 0; i < n; i++ {
 		p += m.Theta[1+i] * x[i]
 	}
 	for k := range m.Cat {
-		slot, ok := m.slotOf[k][codes[k]]
+		h, ok := m.CatPos(k, codes[k])
 		if !ok {
 			continue
 		}
-		p += m.Theta[1+n+slot]
+		p += m.Theta[h]
 		for i := 0; i < n; i++ {
-			p += m.Theta[1+n+s+i*s+slot] * x[i]
+			p += m.Theta[h+s+i*s] * x[i]
 		}
 	}
 	return p
 }
 
 // TrainCatPolyFromCofactor trains the varying-coefficients model from a
-// cofactor element by assembling the expanded-space normal equations
-// (every needed moment is a group-restricted count, sum or second
-// moment) and solving the standardized-ridge system in closed form, the
-// widest categorical feature eliminated first, grouped per code.
+// cofactor element (see CatLayout.TrainCatPoly).
 func TrainCatPolyFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (*CatPoly, error) {
-	m, a, b, pos, err := catPolySystem(features, catFeatures, response, cf, lambda)
+	return NewCatLayout(cf).TrainCatPoly(features, catFeatures, response, lambda)
+}
+
+// TrainCatPoly trains the varying-coefficients model by assembling the
+// expanded-space normal equations (every needed moment is a
+// group-restricted count, sum or second moment) and solving the
+// standardized-ridge system in closed form, the widest categorical
+// feature eliminated first, grouped per code.
+func (L *CatLayout) TrainCatPoly(features, catFeatures []string, response string, lambda float64) (*CatPoly, error) {
+	m, a, b, pos, err := L.polySystem(features, catFeatures, response, lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -478,35 +442,25 @@ func TrainCatPolyFromCofactor(features, catFeatures []string, response string, c
 	return m, nil
 }
 
-// catPolySystem lays the model out and assembles its ridge system a x = b
+// catPolySystem is CatLayout.polySystem over a fresh layout of cf.
+func catPolySystem(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (*CatPoly, [][]float64, []float64, []int, error) {
+	return NewCatLayout(cf).polySystem(features, catFeatures, response, lambda)
+}
+
+// polySystem lays the model out and assembles its ridge system a x = b
 // in choleskySolve's envelope form; layout parameter p is unknown pos[p].
-func catPolySystem(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (m *CatPoly, a [][]float64, b []float64, pos []int, err error) {
-	if err := checkCofactor(features, catFeatures, cf); err != nil {
+func (L *CatLayout) polySystem(features, catFeatures []string, response string, lambda float64) (m *CatPoly, a [][]float64, b []float64, pos []int, err error) {
+	d, idx, ry, err := L.design(features, catFeatures, response)
+	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	ry := -1
-	var cont []string
-	var idx []int
-	for i, f := range features {
-		if f == response {
-			ry = i
-			continue
-		}
-		cont = append(cont, f)
-		idx = append(idx, i)
-	}
-	if ry < 0 {
-		return nil, nil, nil, nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
-	}
-
-	m = &CatPoly{Cont: cont, Cat: append([]string(nil), catFeatures...), Response: response, Lambda: lambda}
-	m.CatCodes, m.slotOf, m.numSlot = observedCodesFlat(cf)
-
-	n, S := len(cont), m.numSlot
+	m = &CatPoly{Design: d, Lambda: lambda}
+	n, S := len(idx), m.Slots()
 	dim := 1 + n + S + n*S
 	cp := func(i int) int { return 1 + i }
 	hp := func(s int) int { return 1 + n + s }
 	ip := func(i, s int) int { return 1 + n + S + i*S + s }
+	slot := func(k, r int) int { return d.catBase[k] - 1 - n + r }
 
 	// The system is assembled where it is solved, in elimination order
 	// and envelope form. The shift and the n slopes of one code of the
@@ -524,9 +478,9 @@ func catPolySystem(features, catFeatures []string, response string, cf *ring.Cof
 		pos[p] = len(a)
 		a = append(a, make([]float64, len(a)+1-first))
 	}
-	wide, codes := widest(m.CatCodes)
-	for _, c := range codes {
-		s, first := m.slotOf[wide][c], len(a)
+	wide, codes := widest(d.catCodes)
+	for r := range codes {
+		s, first := slot(wide, r), len(a)
 		place(hp(s), first)
 		for i := 0; i < n; i++ {
 			place(ip(i, s), first)
@@ -547,66 +501,69 @@ func catPolySystem(features, catFeatures []string, response string, cf *ring.Cof
 		row := a[p]
 		row[len(row)-1-(p-q)] += v
 	}
-
 	b = make([]float64, dim)
-	count := 0.0
-	act := make([]int, cf.K)
-	cf.Each(func(codes []int32, g *ring.Covar) {
-		count += g.Count
-		for k, c := range codes {
-			act[k] = -1 // unbound slot (partial products only): no one-hot
-			if s, ok := m.slotOf[k][c]; ok {
-				act[k] = s
-			}
-		}
-		mom := func(i, j int) float64 { return g.Q[idx[i]*cf.N+idx[j]] }
-		momY := func(i int) float64 { return g.Q[idx[i]*cf.N+ry] }
+	mom := func(g *ring.Covar, i, j int) float64 { return g.Q[i*L.N+j] }
 
-		add(0, 0, g.Count)
-		b[pos[0]] += g.Sum[ry]
-		for i := 0; i < n; i++ {
-			add(0, cp(i), g.Sum[idx[i]])
-			b[pos[cp(i)]] += momY(i)
-			for j := i; j < n; j++ {
-				add(cp(i), cp(j), mom(i, j))
+	// The intercept and the continuous features: the marginal.
+	t := &L.total
+	add(0, 0, t.Count)
+	b[pos[0]] += t.Sum[ry]
+	for i, gi := range idx {
+		add(0, cp(i), t.Sum[gi])
+		b[pos[cp(i)]] += mom(t, gi, ry)
+		for j := i; j < n; j++ {
+			add(cp(i), cp(j), mom(t, gi, idx[j]))
+		}
+	}
+	// One code's shift and slopes, against those and against themselves:
+	// the code's aggregate.
+	for k, cells := range L.slot {
+		for r := range cells {
+			g, s := &cells[r], slot(k, r)
+			add(0, hp(s), g.Count)
+			add(hp(s), hp(s), g.Count)
+			b[pos[hp(s)]] += g.Sum[ry]
+			for i, gi := range idx {
+				add(cp(i), hp(s), g.Sum[gi])
+				add(0, ip(i, s), g.Sum[gi])
+				add(hp(s), ip(i, s), g.Sum[gi])
+				b[pos[ip(i, s)]] += mom(g, gi, ry)
+				for j, gj := range idx {
+					add(cp(j), ip(i, s), mom(g, gi, gj))
+					if i <= j {
+						add(ip(i, s), ip(j, s), mom(g, gi, gj))
+					}
+				}
 			}
 		}
-		for k := 0; k < cf.K; k++ {
-			s := act[k]
-			if s < 0 {
+	}
+	// Codes of two features against each other: the groups holding both,
+	// one walk.
+	K := L.K
+	for gi, g := range L.groups {
+		r := L.ranks[gi*K:][:K]
+		for k, rk := range r {
+			if rk < 0 {
 				continue
 			}
-			add(0, hp(s), g.Count)
-			b[pos[hp(s)]] += g.Sum[ry]
-			for i := 0; i < n; i++ {
-				add(cp(i), hp(s), g.Sum[idx[i]])
-				add(0, ip(i, s), g.Sum[idx[i]])
-				b[pos[ip(i, s)]] += momY(i)
-				for j := 0; j < n; j++ {
-					add(cp(j), ip(i, s), mom(i, j))
-				}
-			}
-			for l := k; l < cf.K; l++ {
-				u := act[l]
-				if u < 0 {
+			s := slot(k, int(rk))
+			for l := k + 1; l < K; l++ {
+				if r[l] < 0 {
 					continue
 				}
+				u := slot(l, int(r[l]))
 				add(hp(s), hp(u), g.Count)
-				for i := 0; i < n; i++ {
-					add(hp(s), ip(i, u), g.Sum[idx[i]])
-					if l > k {
-						add(hp(u), ip(i, s), g.Sum[idx[i]])
-					}
-					for j := 0; j < n; j++ {
-						if l > k || i <= j {
-							add(ip(i, s), ip(j, u), mom(i, j))
-						}
+				for i, xi := range idx {
+					add(hp(s), ip(i, u), g.Sum[xi])
+					add(hp(u), ip(i, s), g.Sum[xi])
+					for j, xj := range idx {
+						add(ip(i, s), ip(j, u), mom(g, xi, xj))
 					}
 				}
 			}
 		}
-	})
-	inv := 1 / count
+	}
+	inv := 1 / t.Count
 	for i, row := range a {
 		for j := range row {
 			row[j] *= inv
@@ -615,19 +572,4 @@ func catPolySystem(features, catFeatures []string, response string, cf *ring.Cof
 		b[i] *= inv
 	}
 	return m, a, b, pos, nil
-}
-
-// observedCodesFlat collects sorted observed codes per slot plus a flat
-// slot index over all categorical features (feature-major, codes
-// sorted), as CatPoly's layout needs.
-func observedCodesFlat(cf *ring.Cofactor) ([][]int32, []map[int32]int, int) {
-	catCodes, slots := observedCodes(cf)
-	flat := 0
-	for k := range catCodes {
-		for _, c := range catCodes[k] {
-			slots[k][c] = flat
-			flat++
-		}
-	}
-	return catCodes, slots, flat
 }

@@ -20,45 +20,9 @@ func SigmaFromCovar(features []string, response string, c *ring.Covar) (*Sigma, 
 	if err := CheckSnapshot(c, 1); err != nil {
 		return nil, err
 	}
-	ry := -1
-	var cont []string
-	var idx []int // global feature index of each model feature
-	for i, f := range features {
-		if f == response {
-			ry = i
-			continue
-		}
-		cont = append(cont, f)
-		idx = append(idx, i)
+	d, idx, ry, err := splitResponse(features, response)
+	if err != nil {
+		return nil, err
 	}
-	if ry < 0 {
-		return nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
-	}
-
-	d := Design{Cont: cont, Response: response}
-	d.totalSize = 1 + len(cont)
-	n := d.totalSize
-	s := &Sigma{Design: d, Count: c.Count, XtY: make([]float64, n)}
-	s.XtX = make([][]float64, n)
-	for i := range s.XtX {
-		s.XtX[i] = make([]float64, n)
-	}
-	inv := 1 / c.Count
-	mom := func(i, j int) float64 { return c.Q[i*c.N+j] }
-
-	s.XtX[0][0] = 1
-	for i, gi := range idx {
-		p := d.ContPos(i)
-		v := c.Sum[gi] * inv
-		s.XtX[0][p], s.XtX[p][0] = v, v
-		for j := i; j < len(idx); j++ {
-			q := d.ContPos(j)
-			m := mom(gi, idx[j]) * inv
-			s.XtX[p][q], s.XtX[q][p] = m, m
-		}
-		s.XtY[p] = mom(gi, ry) * inv
-	}
-	s.XtY[0] = c.Sum[ry] * inv
-	s.YtY = mom(ry, ry) * inv
-	return s, nil
+	return newSigma(d, idx, ry, c), nil
 }

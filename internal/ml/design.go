@@ -2,7 +2,7 @@ package ml
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"borg/internal/relation"
 )
@@ -23,9 +23,7 @@ func NewDesign(data *relation.Relation, cont, cat []string, response string) (*D
 			return nil, fmt.Errorf("ml: attribute %s is not continuous", a)
 		}
 	}
-	d.catCodes = make([][]int32, len(cat))
-	d.catSlot = make([]map[int32]int, len(cat))
-	pos := 1 + len(cont)
+	catCodes := make([][]int32, len(cat))
 	for k, g := range cat {
 		c := data.AttrIndex(g)
 		if c < 0 {
@@ -42,15 +40,10 @@ func NewDesign(data *relation.Relation, cont, cat []string, response string) (*D
 		for code := range seen {
 			codes = append(codes, code)
 		}
-		sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-		d.catCodes[k] = codes
-		d.catSlot[k] = make(map[int32]int, len(codes))
-		for _, code := range codes {
-			d.catSlot[k][code] = pos
-			pos++
-		}
+		slices.Sort(codes)
+		catCodes[k] = codes
 	}
-	d.totalSize = pos
+	d.setCats(catCodes, nil)
 	return d, nil
 }
 

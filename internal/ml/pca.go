@@ -25,9 +25,8 @@ func PCA(s *Sigma, k, iters int, seed uint64) (components [][]float64, eigenvalu
 	}
 	// Centered covariance: C[i][j] = E[x_i x_j] − E[x_i]E[x_j]; the
 	// intercept row of the normalized XtX holds the means.
-	c := make([][]float64, n)
+	c := square(n)
 	for i := 0; i < n; i++ {
-		c[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			c[i][j] = s.XtX[i+1][j+1] - s.XtX[0][i+1]*s.XtX[0][j+1]
 		}

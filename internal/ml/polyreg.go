@@ -139,21 +139,11 @@ func TrainPolyRegFromLifted(features []string, response string, p *ring.Poly2, l
 	if err := CheckLifted(p, 1); err != nil {
 		return nil, err
 	}
-	ry := -1
-	var cont []string
-	var global []int // global variable index of each local index; last is response
-	for i, f := range features {
-		if f == response {
-			ry = i
-			continue
-		}
-		cont = append(cont, f)
-		global = append(global, i)
+	d, global, ry, err := splitResponse(features, response)
+	if err != nil {
+		return nil, err
 	}
-	if ry < 0 {
-		return nil, fmt.Errorf("ml: response %s is not a maintained feature", response)
-	}
-	global = append(global, ry)
+	global = append(global, ry) // global variable index of each local index; last is response
 
 	// moment resolves SUM(Π x^pow) straight from the ring element:
 	// accumulate powers per local index, map to global variables, sort,
@@ -177,7 +167,7 @@ func TrainPolyRegFromLifted(features []string, response string, p *ring.Poly2, l
 		}
 		return m, nil
 	}
-	return trainPolyFromMoments(cont, response, moment, lambda)
+	return trainPolyFromMoments(d.Cont, response, moment, lambda)
 }
 
 // trainPolyFromMoments is the shared solver: it assembles the expanded
@@ -219,10 +209,8 @@ func trainPolyFromMoments(cont []string, response string, moment func(parts ...[
 	if cnt <= 0 {
 		return nil, fmt.Errorf("ml: poly regression over empty join: %w", ErrEmptySnapshot)
 	}
-	xtx := make([][]float64, dim)
-	xty := make([]float64, dim)
+	xtx, xty := square(dim), make([]float64, dim)
 	for a := 0; a < dim; a++ {
-		xtx[a] = make([]float64, dim)
 		pa := profile(a)
 		for b := 0; b <= a; b++ {
 			v, err := moment(append(append([][2]int(nil), pa...), profile(b)...)...)

@@ -9,9 +9,11 @@ package ml
 
 import (
 	"fmt"
+	"slices"
 
 	"borg/internal/query"
 	"borg/internal/relation"
+	"borg/internal/ring"
 )
 
 // Design fixes the dense layout of the model's parameter vector:
@@ -24,8 +26,9 @@ type Design struct {
 	Cat      []string
 	Response string
 
-	catCodes  [][]int32       // observed codes per categorical feature
-	catSlot   []map[int32]int // code → dense position
+	catCodes  [][]int32 // observed codes per categorical feature, ascending
+	catRank   [][]int32 // per feature: code → rank in catCodes (see rankOf)
+	catBase   []int     // dense position of each feature's first code
 	totalSize int
 }
 
@@ -38,8 +41,108 @@ func (d *Design) ContPos(i int) int { return 1 + i }
 // CatPos returns the dense position of code for the k-th categorical
 // feature, and whether the code was observed during assembly.
 func (d *Design) CatPos(k int, code int32) (int, bool) {
-	p, ok := d.catSlot[k][code]
-	return p, ok
+	r := rankOf(d.catRank[k], code)
+	return d.catBase[k] + r, r >= 0
+}
+
+// setCats lays the one-hot slots out behind the intercept and the
+// continuous features: feature k's codes, ascending, from catBase[k] on.
+// rank holds their code → rank tables; nil builds them from codes.
+func (d *Design) setCats(codes, rank [][]int32) {
+	if rank == nil {
+		rank = make([][]int32, len(codes))
+		for k, c := range codes {
+			rank[k] = rankTable(c)
+		}
+	}
+	d.catCodes, d.catRank, d.catBase = codes, rank, make([]int, len(codes))
+	pos := 1 + len(d.Cont)
+	for k, c := range codes {
+		d.catBase[k] = pos
+		pos += len(c)
+	}
+	d.totalSize = pos
+}
+
+// rankTable is the dense code → rank table of ascending, non-negative
+// codes: entry c is the index of c in codes, -1 for a code not in it.
+func rankTable(codes []int32) []int32 {
+	var t []int32
+	if len(codes) > 0 {
+		t = make([]int32, codes[len(codes)-1]+1)
+	}
+	for c := range t {
+		t[c] = -1
+	}
+	for r, c := range codes {
+		t[c] = int32(r)
+	}
+	return t
+}
+
+// rankOf looks a code up in a rank table: -1 for a code the table does
+// not hold (never observed, out of its range, or negative).
+func rankOf(t []int32, code int32) int {
+	if uint32(code) >= uint32(len(t)) {
+		return -1
+	}
+	return int(t[code])
+}
+
+// set writes the symmetric entry (p, q) of the moment matrix.
+func (s *Sigma) set(p, q int, v float64) { s.XtX[p][q], s.XtX[q][p] = v, v }
+
+// square allocates an n×n matrix over one backing array.
+func square(n int) [][]float64 {
+	buf, m := make([]float64, n*n), make([][]float64, n)
+	for i := range m {
+		m[i] = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
+}
+
+// newSigma allocates the moment matrix of design d and fills its
+// continuous block from a full-support triple, normalized by the count:
+// idx holds the triple's index of each continuous feature, ry the
+// response's. The one-hot block is left to the caller.
+func newSigma(d Design, idx []int, ry int, c *ring.Covar) *Sigma {
+	n := d.Size()
+	s := &Sigma{Design: d, Count: c.Count, XtX: square(n), XtY: make([]float64, n)}
+	inv := 1 / c.Count
+	mom := func(i, j int) float64 { return c.Q[i*c.N+j] * inv }
+	s.XtX[0][0] = 1
+	for i, gi := range idx {
+		p := d.ContPos(i)
+		s.set(0, p, c.Sum[gi]*inv)
+		for j := i; j < len(idx); j++ {
+			s.set(p, d.ContPos(j), mom(gi, idx[j]))
+		}
+		s.XtY[p] = mom(gi, ry)
+	}
+	s.XtY[0] = c.Sum[ry] * inv
+	s.YtY = mom(ry, ry)
+	return s
+}
+
+// splitResponse splits the response off the maintained continuous
+// features: the continuous design of the others, each one's index in
+// features, and the response's.
+func splitResponse(features []string, response string) (d Design, idx []int, ry int, err error) {
+	ry = -1
+	for i, f := range features {
+		if f == response {
+			ry = i
+			continue
+		}
+		d.Cont = append(d.Cont, f)
+		idx = append(idx, i)
+	}
+	if ry < 0 {
+		return d, nil, 0, fmt.Errorf("ml: response %s is not a maintained feature", response)
+	}
+	d.Response = response
+	d.setCats(nil, nil)
+	return d, idx, ry, nil
 }
 
 // Sigma is the (non-centred) second-moment matrix of the design: the
@@ -82,31 +185,18 @@ func AssembleSigma(cont, cat []string, response string, results []*query.AggResu
 	}
 
 	d := Design{Cont: cont, Cat: cat, Response: response}
-	d.catCodes = make([][]int32, len(cat))
-	d.catSlot = make([]map[int32]int, len(cat))
-	pos := 1 + len(cont)
+	codes := make([][]int32, len(cat))
 	for k, g := range cat {
 		r, err := get("c_" + g)
 		if err != nil {
 			return nil, err
 		}
-		d.catSlot[k] = make(map[int32]int, len(r.Groups))
 		for key := range r.Groups {
-			d.catCodes[k] = append(d.catCodes[k], key[0])
+			codes[k] = append(codes[k], key[0])
 		}
-		// Deterministic layout: sort codes.
-		codes := d.catCodes[k]
-		for i := 1; i < len(codes); i++ {
-			for j := i; j > 0 && codes[j] < codes[j-1]; j-- {
-				codes[j], codes[j-1] = codes[j-1], codes[j]
-			}
-		}
-		for _, c := range codes {
-			d.catSlot[k][c] = pos
-			pos++
-		}
+		slices.Sort(codes[k]) // deterministic layout
 	}
-	d.totalSize = pos
+	d.setCats(codes, nil)
 
 	// The generation order of q_ IDs follows the continuous list with the
 	// response appended.
@@ -123,16 +213,9 @@ func AssembleSigma(cont, cat []string, response string, results []*query.AggResu
 	}
 
 	n := d.totalSize
-	s := &Sigma{Design: d, Count: cnt.Scalar, XtY: make([]float64, n)}
-	s.XtX = make([][]float64, n)
-	for i := range s.XtX {
-		s.XtX[i] = make([]float64, n)
-	}
+	s := &Sigma{Design: d, Count: cnt.Scalar, XtX: square(n), XtY: make([]float64, n)}
 	inv := 1 / s.Count
-	set := func(i, j int, v float64) {
-		s.XtX[i][j] = v * inv
-		s.XtX[j][i] = v * inv
-	}
+	set := func(i, j int, v float64) { s.set(i, j, v*inv) }
 
 	// Intercept block.
 	s.XtX[0][0] = 1 // count/count
@@ -232,9 +315,7 @@ func AssembleSigma(cont, cat []string, response string, results []*query.AggResu
 // row of a data matrix (used for prediction and RMSE validation; training
 // never calls this).
 func (d *Design) FeatureVector(data *relation.Relation, row int, out []float64) error {
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	out[0] = 1
 	for i, a := range d.Cont {
 		c := data.AttrIndex(a)

@@ -88,21 +88,15 @@ func MomentsFromCovar(features []string, c *ring.Covar) (*Sigma, error) {
 		return nil, err
 	}
 	d := Design{Cont: append([]string(nil), features...)}
-	d.totalSize = 1 + len(features)
+	d.setCats(nil, nil)
 	n := d.totalSize
-	s := &Sigma{Design: d, Count: c.Count, XtY: make([]float64, n)}
-	s.XtX = make([][]float64, n)
-	for i := range s.XtX {
-		s.XtX[i] = make([]float64, n)
-	}
+	s := &Sigma{Design: d, Count: c.Count, XtX: square(n), XtY: make([]float64, n)}
 	inv := 1 / c.Count
 	s.XtX[0][0] = 1
 	for i := 0; i < c.N; i++ {
-		v := c.Sum[i] * inv
-		s.XtX[0][i+1], s.XtX[i+1][0] = v, v
+		s.set(0, i+1, c.Sum[i]*inv)
 		for j := i; j < c.N; j++ {
-			m := c.Q[i*c.N+j] * inv
-			s.XtX[i+1][j+1], s.XtX[j+1][i+1] = m, m
+			s.set(i+1, j+1, c.Q[i*c.N+j]*inv)
 		}
 	}
 	return s, nil

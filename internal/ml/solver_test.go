@@ -200,7 +200,7 @@ func tenantCofactor(tb testing.TB, stores, rows int) (features, cats []string, c
 func tenantSigma(tb testing.TB) *Sigma {
 	tb.Helper()
 	features, cats, cf := tenantCofactor(tb, 200, 40000)
-	sigma, err := SigmaFromCofactor(features, cats, "units", cf)
+	sigma, err := NewCatLayout(cf).Sigma(features, cats, "units")
 	if err != nil {
 		tb.Fatal(err)
 	}

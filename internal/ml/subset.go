@@ -28,8 +28,7 @@ func SubsetSigma(s *Sigma, cont, cat []string) (*Sigma, error) {
 		}
 		keep = append(keep, found)
 	}
-	d.catCodes = make([][]int32, len(cat))
-	d.catSlot = make([]map[int32]int, len(cat))
+	codes, rank := make([][]int32, len(cat)), make([][]int32, len(cat))
 	for k, g := range cat {
 		found := -1
 		for i, h := range s.Cat {
@@ -41,22 +40,17 @@ func SubsetSigma(s *Sigma, cont, cat []string) (*Sigma, error) {
 		if found < 0 {
 			return nil, fmt.Errorf("ml: subset feature %s not in sigma", g)
 		}
-		d.catSlot[k] = make(map[int32]int, len(s.catCodes[found]))
-		d.catCodes[k] = s.catCodes[found]
-		for _, code := range s.catCodes[found] {
-			p, _ := s.CatPos(found, code)
-			d.catSlot[k][code] = len(keep)
-			keep = append(keep, p)
+		codes[k], rank[k] = s.catCodes[found], s.catRank[found]
+		for r := range codes[k] {
+			keep = append(keep, s.catBase[found]+r)
 		}
 	}
-	d.totalSize = len(keep)
+	d.setCats(codes, rank)
 
-	out := &Sigma{Design: d, Count: s.Count, YtY: s.YtY}
+	out := &Sigma{Design: d, Count: s.Count, YtY: s.YtY, XtX: square(len(keep))}
 	out.XtY = make([]float64, len(keep))
-	out.XtX = make([][]float64, len(keep))
 	for i, pi := range keep {
 		out.XtY[i] = s.XtY[pi]
-		out.XtX[i] = make([]float64, len(keep))
 		for j, pj := range keep {
 			out.XtX[i][j] = s.XtX[pi][pj]
 		}

@@ -256,6 +256,35 @@ type Snapshot struct {
 	stats   *ring.Covar
 	parts   []*Snapshot
 	derived sync.Once
+	// memo holds what readers derive from the epoch (see Derive).
+	memoMu sync.Mutex
+	memo   map[any]*derivation
+}
+
+// derivation is one Derive key's value, computed once.
+type derivation struct {
+	once sync.Once
+	v    any
+}
+
+// Derive returns what fn computes from this epoch under key, running fn
+// once per key for the epoch's lifetime: concurrent callers of a key wait
+// for the first one's fn and share its value, which readers must not
+// mutate. It is how a zoo round derives its statistics once for every
+// model that reads them. Keys compare with ==; fn may Derive other keys.
+func (s *Snapshot) Derive(key any, fn func() any) any {
+	s.memoMu.Lock()
+	d := s.memo[key]
+	if d == nil {
+		if s.memo == nil {
+			s.memo = make(map[any]*derivation)
+		}
+		d = new(derivation)
+		s.memo[key] = d
+	}
+	s.memoMu.Unlock()
+	d.once.Do(func() { d.v = fn() })
+	return d.v
 }
 
 // Merged starts a sharded tier's epoch over one epoch per shard: its

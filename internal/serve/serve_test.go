@@ -100,12 +100,9 @@ func TestServerMatchesSerialReplay(t *testing.T) {
 				go func() {
 					defer readWg.Done()
 					var lastEpoch, lastInserts uint64
+					// Stop is honoured only after a read: the writers may
+					// be done before a reader is first scheduled.
 					for {
-						select {
-						case <-stopRead:
-							return
-						default:
-						}
 						s := srv.Snapshot()
 						if s.Epoch < lastEpoch {
 							t.Error("epoch went backwards")
@@ -128,6 +125,11 @@ func TestServerMatchesSerialReplay(t *testing.T) {
 						}
 						lastEpoch, lastInserts = s.Epoch, s.Inserts
 						reads.Add(1)
+						select {
+						case <-stopRead:
+							return
+						default:
+						}
 					}
 				}()
 			}

@@ -60,14 +60,47 @@ func (s *ServerSnapshot) ready() error {
 	return ml.CheckSnapshot(s.snap.Stats(), 1)
 }
 
-// sigma assembles this epoch's moment matrix for the given response:
-// the one-hot design over continuous and categorical features on a
-// cofactor snapshot, the plain continuous design otherwise.
+// derived returns what fn computes from this epoch under key: the
+// epoch's first reader of key runs fn, and every later or concurrent one
+// shares its outcome for as long as the epoch lives (serve's
+// Snapshot.Derive). It holds statistics, never a trained model.
+func derived[T any](s *ServerSnapshot, key any, fn func() (T, error)) (T, error) {
+	return s.snap.Derive(key, func() any {
+		if onDerive != nil {
+			onDerive(key)
+		}
+		v, err := fn()
+		return func() (T, error) { return v, err }
+	}).(func() (T, error))()
+}
+
+// onDerive, when set, sees the key of every derivation an epoch runs.
+var onDerive func(key any)
+
+// The keys of a cofactor zoo round: the group layout every categorical
+// trainer reads, and the moment matrix per response that TrainLinReg and
+// TrainSVM share.
+type (
+	layoutKey struct{}
+	sigmaKey  string
+)
+
+// layout is this cofactor epoch's ml.CatLayout.
+func (s *ServerSnapshot) layout() *ml.CatLayout {
+	L, _ := derived(s, layoutKey{}, func() (*ml.CatLayout, error) { return ml.NewCatLayout(s.snap.Cofactor), nil })
+	return L
+}
+
+// sigma is this epoch's moment matrix for the given response: the
+// one-hot design over continuous and categorical features on a cofactor
+// snapshot, the plain continuous design otherwise.
 func (s *ServerSnapshot) sigma(response string) (*ml.Sigma, error) {
-	if s.snap.Cofactor != nil {
-		return ml.SigmaFromCofactor(s.features, s.catFeatures, response, s.snap.Cofactor)
-	}
-	return ml.SigmaFromCovar(s.features, response, s.snap.Stats())
+	return derived(s, sigmaKey(response), func() (*ml.Sigma, error) {
+		if s.snap.Cofactor != nil {
+			return s.layout().Sigma(s.features, s.catFeatures, response)
+		}
+		return ml.SigmaFromCovar(s.features, response, s.snap.Stats())
+	})
 }
 
 // GDOptions tunes the gradient-descent trainers. The zero value selects
@@ -330,7 +363,7 @@ func (s *ServerSnapshot) TrainPolyReg(response string, lambda float64) (_ *PolyR
 	}
 	switch {
 	case s.snap.Cofactor != nil:
-		m, err := ml.TrainCatPolyFromCofactor(s.features, s.catFeatures, response, s.snap.Cofactor, lambda)
+		m, err := s.layout().TrainCatPoly(s.features, s.catFeatures, response, lambda)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +493,7 @@ func (s *ServerSnapshot) TrainChowLiu() (_ []DependencyEdge, err error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	mi, err := ml.MutualInfoFromCofactor(s.catFeatures, s.snap.Cofactor)
+	mi, err := s.layout().MutualInfo(s.catFeatures)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +520,7 @@ func (s *ServerSnapshot) TrainCTree(response string, opt TreeOptions) (_ *Decisi
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	tree, err := ml.TrainCTreeFromCofactor(s.features, s.catFeatures, response, s.snap.Cofactor, ml.CatTreeConfig{
+	tree, err := s.layout().CTree(s.features, s.catFeatures, response, ml.CatTreeConfig{
 		MaxDepth: opt.MaxDepth,
 		MinRows:  opt.MinRows,
 	})
@@ -522,7 +555,7 @@ func (s *ServerSnapshot) TrainSVM(label string, lambda float64) (_ *SVMClassifie
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	sigma, err := ml.SigmaFromCofactor(s.features, s.catFeatures, label, s.snap.Cofactor)
+	sigma, err := s.sigma(label)
 	if err != nil {
 		return nil, err
 	}
