@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"borg/internal/core"
 	"borg/internal/datagen"
@@ -115,7 +116,7 @@ func coerceRow(r *relation.Relation, values []any) ([]relation.Value, error) {
 	if len(values) != r.NumAttrs() {
 		return nil, arityErr(r, len(values))
 	}
-	row := make([]relation.Value, len(values))
+	row := carveRow(len(values))
 	for i, v := range values {
 		c := cell{kind: cellOther}
 		if f, ok := asFloat(v); ok {
@@ -133,6 +134,26 @@ func coerceRow(r *relation.Relation, values []any) ([]relation.Value, error) {
 		}
 	}
 	return row, nil
+}
+
+// rowChunks holds, per P, the unused tail of the rowChunkLen-value
+// chunk that carveRow cuts facade rows from.
+var rowChunks = sync.Pool{New: func() any { return new([]relation.Value) }}
+
+const rowChunkLen = 64
+
+// carveRow returns the next n values of a pooled chunk as a row with
+// cap == len, so no append reaches past it. No row is handed out twice
+// and no chunk is reused: a chunk lives as long as its last row.
+func carveRow(n int) []relation.Value {
+	free := rowChunks.Get().(*[]relation.Value)
+	if len(*free) < n {
+		*free = make([]relation.Value, max(rowChunkLen, n))
+	}
+	row := (*free)[:n:n]
+	*free = (*free)[n:]
+	rowChunks.Put(free)
+	return row
 }
 
 func arityErr(r *relation.Relation, got int) error {

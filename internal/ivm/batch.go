@@ -282,19 +282,19 @@ func (bt *batcher[EF]) mutate(op *Op, e *opEffects[EF]) (ins, del uint64, failed
 		bt.applyEffects(e.ins)
 		return 1, 0, false, nil
 	case OpDelete:
-		n, row, lerr := bt.locate(op.Tuple)
+		n, row, h, lerr := bt.locate(op.Tuple)
 		if lerr != nil {
 			return 0, 0, true, lerr
 		}
-		bt.removeRow(n, row)
+		bt.removeRow(n, row, h)
 		bt.applyEffects(e.del)
 		return 0, 1, false, nil
 	default: // OpUpdate: strict — a failed delete half inserts nothing.
-		n, row, lerr := bt.locate(op.Old)
+		n, row, h, lerr := bt.locate(op.Old)
 		if lerr != nil {
 			return 0, 0, true, lerr
 		}
-		bt.removeRow(n, row)
+		bt.removeRow(n, row, h)
 		bt.applyEffects(e.del)
 		if _, _, err = bt.append(op.Tuple); err != nil {
 			return 0, 1, false, err

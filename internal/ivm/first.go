@@ -91,13 +91,13 @@ func (m *FirstOrder) Insert(t Tuple) error {
 // cannot feed its own delta) — and climbs negated. The row then leaves
 // the live relation and indexes.
 func (m *FirstOrder) Delete(t Tuple) error {
-	n, row, err := m.locate(t)
+	n, row, h, err := m.locate(t)
 	if err != nil {
 		return err
 	}
 	if m.cfResult != nil {
 		m.catDeltaRow(n, row, true, m.addCatResult)
-		m.removeRow(n, row)
+		m.removeRow(n, row, h)
 		return nil
 	}
 	for a := range m.batch.aggs {
@@ -112,7 +112,7 @@ func (m *FirstOrder) Delete(t Tuple) error {
 			m.up(n, n.parentKey(row), a, -partial, m.addResult)
 		}
 	}
-	m.removeRow(n, row)
+	m.removeRow(n, row, h)
 	return nil
 }
 

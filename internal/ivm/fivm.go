@@ -390,13 +390,13 @@ func (m *FIVM) Insert(t Tuple) error {
 // child view means the tuple never contributed (it was waiting for a
 // join partner), so only the physical removal remains.
 func (m *FIVM) Delete(t Tuple) error {
-	n, row, err := m.locate(t)
+	n, row, h, err := m.locate(t)
 	if err != nil {
 		return err
 	}
 	m.cfMargOK = false
 	m.tree.propagateRow(n, row, true)
-	m.removeRow(n, row)
+	m.removeRow(n, row, h)
 	return nil
 }
 

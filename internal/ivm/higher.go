@@ -114,7 +114,7 @@ func (m *HigherOrder) Insert(t Tuple) error {
 // tuple never contributed (it was waiting for a join partner), so only
 // the physical removal remains.
 func (m *HigherOrder) Delete(t Tuple) error {
-	n, row, err := m.locate(t)
+	n, row, h, err := m.locate(t)
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func (m *HigherOrder) Delete(t Tuple) error {
 		for _, vt := range m.cfTrees {
 			vt.propagateRow(n, row, true)
 		}
-		m.removeRow(n, row)
+		m.removeRow(n, row, h)
 		return nil
 	}
 	key := n.parentKey(row)
@@ -142,7 +142,7 @@ func (m *HigherOrder) Delete(t Tuple) error {
 		}
 		m.propagate(n, a, key, -delta)
 	}
-	m.removeRow(n, row)
+	m.removeRow(n, row, h)
 	return nil
 }
 

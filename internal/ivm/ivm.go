@@ -403,24 +403,25 @@ func (b *base) append(t Tuple) (*node, int, error) {
 	return n, row, nil
 }
 
-// locate resolves a delete target: the node for t.Rel and the id of one
+// locate resolves a delete target: the node for t.Rel, the id of one
 // live row whose values equal t.Values (any one, under multiset
-// semantics). The caller must read everything it needs from the row and
-// then removeRow it before the next mutation.
-func (b *base) locate(t Tuple) (*node, int, error) {
+// semantics) and that row's hash. The caller must read everything it
+// needs from the row and then removeRow it before the next mutation.
+func (b *base) locate(t Tuple) (*node, int, uint64, error) {
 	n, ok := b.byName[t.Rel]
 	if !ok {
-		return nil, 0, fmt.Errorf("ivm: unknown relation %s", t.Rel)
+		return nil, 0, 0, fmt.Errorf("ivm: unknown relation %s", t.Rel)
 	}
 	if len(t.Values) != n.rel.NumAttrs() {
-		return nil, 0, fmt.Errorf("ivm: tuple for %s has %d values, want %d", t.Rel, len(t.Values), n.rel.NumAttrs())
+		return nil, 0, 0, fmt.Errorf("ivm: tuple for %s has %d values, want %d", t.Rel, len(t.Values), n.rel.NumAttrs())
 	}
-	for _, id := range n.rowIdx.Rows(rowHashVals(n.rel, t.Values)) {
+	h := rowHashVals(n.rel, t.Values)
+	for _, id := range n.rowIdx.Rows(h) {
 		if rowEquals(n.rel, int(id), t.Values) {
-			return n, int(id), nil
+			return n, int(id), h, nil
 		}
 	}
-	return nil, 0, fmt.Errorf("ivm: delete: no live tuple in %s matches the given values", t.Rel)
+	return nil, 0, 0, fmt.Errorf("ivm: delete: no live tuple in %s matches the given values", t.Rel)
 }
 
 // removeRow deletes the row from its relation and every index of its
@@ -429,13 +430,14 @@ func (b *base) locate(t Tuple) (*node, int, error) {
 // its index entries — child-edge indexes and the row locator — is
 // repointed in place, keeping ids dense without tombstone liveness
 // checks on the scan paths. Every step is O(1) whatever the bucket
-// sizes (relation.Index keeps each id's bucket position).
-func (b *base) removeRow(n *node, row int) {
+// sizes (relation.Index keeps each id's bucket position). h is the row's
+// hash, as locate computed it.
+func (b *base) removeRow(n *node, row int, h uint64) {
 	last := n.rel.NumRows() - 1
 	for ci := range n.children {
 		n.childIndexes[ci].Remove(n.childKey(ci, row), int32(row))
 	}
-	n.rowIdx.Remove(rowHashAt(n.rel, row), int32(row))
+	n.rowIdx.Remove(h, int32(row))
 	if row != last {
 		for ci := range n.children {
 			n.childIndexes[ci].Repoint(n.childKey(ci, last), int32(last), int32(row))

@@ -1,10 +1,10 @@
 package ring
 
 import (
-	"cmp"
 	"encoding/binary"
 	"maps"
 	"slices"
+	"sort"
 )
 
 // Cofactor is the categorical relational ring element of Section 4 of
@@ -14,8 +14,15 @@ import (
 // categorical keys (one slot per categorical feature; a slot may be
 // unbound in partial products) in ascending order, each with the
 // covariance triple of the continuous features restricted to its group.
-// The order is the representation, so Each, Marginal and the ring
+// The order is the representation, so Each, MarginalInto and the ring
 // operations are deterministic by construction.
+//
+// A key is K 32-bit slots (codes, or unboundSlot) packed two per uint64,
+// slot 2w in the high half of word w; W = ⌈K/2⌉ words per group sit in
+// one flat, pointer-free array. Unsigned word-by-word order is the byte
+// order of the big-endian slots laid end to end — the order of the
+// string keys the words replaced — so the run's order, Mul's pair order
+// and every float are as they were.
 //
 // One-hot encodings fall out for free: the indicator column of category
 // value c has SUM = the COUNT of the groups where slot=c, pairwise
@@ -31,9 +38,9 @@ type Cofactor struct {
 	// N is the number of continuous features of each group's Covar, K
 	// the number of categorical slots of each group key.
 	N, K int
-	// keys holds the packed categorical keys (see packCatKey) in
-	// ascending order; vals[i] is the statistics of group keys[i].
-	keys []string
+	// keys holds the group keys (see packCatKey), keyWords(K) words
+	// each, in ascending order; vals[i] is the statistics of key(i).
+	keys []uint64
 	vals []*Covar
 	// shared is set once another element may hold some of vals; the
 	// element then owns only the groups marked in fresh (nil = none,
@@ -52,75 +59,74 @@ type Cofactor struct {
 // relation of the tree.
 const unboundSlot = 0xFFFFFFFF
 
-func slotAt(key string, i int) uint32 {
-	return uint32(key[i])<<24 | uint32(key[i+1])<<16 | uint32(key[i+2])<<8 | uint32(key[i+3])
+// keyWords is the number of words of a k-slot key.
+func keyWords(k int) int { return (k + 1) / 2 }
+
+// key returns the key of group i.
+func (e *Cofactor) key(i int) []uint64 { return e.keys[i*keyWords(e.K) : (i+1)*keyWords(e.K)] }
+
+func slotAt(key []uint64, s int) uint32 { return uint32(key[s/2] >> (32 - 32*(s&1))) }
+
+// packCatKey writes into key, and returns, the key where slots idx[t]
+// carry codes[t] and every other slot is unbound. Codes are relation
+// dictionary codes (never negative), so uint32 round-trips them exactly.
+func packCatKey(key []uint64, idx []int, codes []int32) []uint64 {
+	for w := range key {
+		key[w] = ^uint64(0)
+	}
+	for t, s := range idx {
+		setSlot(key, s, codes[t])
+	}
+	return key
 }
 
-// packCatKey packs the K-slot key where slots idx[t] carry codes[t] and
-// every other slot is unbound. Codes are relation dictionary codes
-// (never negative), so uint32 round-trips them exactly. The key is
-// built on the stack: the one allocation is the string itself.
-func packCatKey(k int, idx []int, codes []int32) string {
-	var buf [64]byte
-	b := buf[:0]
-	for i := 0; i < k; i++ {
-		b = binary.BigEndian.AppendUint32(b, unboundSlot)
-	}
-	for t, i := range idx {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(codes[t]))
-	}
-	return string(b)
+// setSlot binds slot s of key to code c, an even slot in the high half.
+func setSlot(key []uint64, s int, c int32) {
+	sh := 32 - 32*(s&1)
+	key[s/2] = key[s/2]&^(unboundSlot<<sh) | uint64(uint32(c))<<sh
 }
 
-// mergeCatKeys combines two packed keys slot-wise: an unbound slot
-// adopts the other side's binding, equal bindings agree, and differing
-// bindings mean the two partial tuples disagree on a categorical value
-// — their product is zero (ok=false). A merge that binds nothing beyond
-// one side returns that side's string, allocating nothing.
-func mergeCatKeys(a, b string) (key string, ok bool) {
-	var buf [64]byte
-	out := buf[:0]
-	isA, isB := true, true
-	for i := 0; i < len(a); i += 4 {
-		av, bv := slotAt(a, i), slotAt(b, i)
-		switch {
-		case av == bv:
-		case av == unboundSlot:
-			av, isA = bv, false
-		case bv == unboundSlot:
-			isB = false
-		default:
-			return "", false
+// mergeCatKeys combines two keys slot-wise into dst: an unbound slot
+// (all ones) adopts the other side's binding, so the merge is a bitwise
+// and, and equal bindings agree. Differing bindings mean the two partial
+// tuples disagree on a categorical value — their product is zero (false).
+func mergeCatKeys(dst, a, b []uint64) bool {
+	for w, x := range a {
+		y := b[w]
+		for sh := 0; x != y && sh < 64; sh += 32 {
+			if xs, ys := uint32(x>>sh), uint32(y>>sh); xs != ys && xs != unboundSlot && ys != unboundSlot {
+				return false
+			}
 		}
-		out = binary.BigEndian.AppendUint32(out, av)
+		dst[w] = x & y
 	}
-	switch {
-	case isA:
-		return a, true
-	case isB:
-		return b, true
-	}
-	return string(out), true
+	return true
+}
+
+// search finds key in the run: its index, or where it would be inserted.
+func (e *Cofactor) search(key []uint64) (int, bool) {
+	i := sort.Search(len(e.vals), func(i int) bool { return slices.Compare(e.key(i), key) >= 0 })
+	return i, i < len(e.vals) && slices.Equal(e.key(i), key)
 }
 
 // NumGroups reports the number of live categorical groups.
-func (e *Cofactor) NumGroups() int { return len(e.keys) }
+func (e *Cofactor) NumGroups() int { return len(e.vals) }
 
 // Group returns the statistics of the fully bound group with the given
 // per-slot codes, or nil when that combination has no live tuples.
 func (e *Cofactor) Group(codes []int32) *Covar {
-	i, ok := slices.BinarySearchFunc(e.keys, codes, func(key string, codes []int32) int {
-		for s, c := range codes {
-			if d := cmp.Compare(slotAt(key, 4*s), uint32(c)); d != 0 {
-				return d
-			}
-		}
-		return 0
-	})
-	if !ok || len(codes) != e.K {
+	if len(codes) != e.K {
 		return nil
 	}
-	return e.vals[i]
+	var buf [4]uint64
+	key := packCatKey(slices.Grow(buf[:0], keyWords(e.K))[:keyWords(e.K)], nil, nil)
+	for s, c := range codes {
+		setSlot(key, s, c)
+	}
+	if i, ok := e.search(key); ok {
+		return e.vals[i]
+	}
+	return nil
 }
 
 // Each visits every group in ascending key order with its decoded
@@ -129,26 +135,19 @@ func (e *Cofactor) Group(codes []int32) *Covar {
 // it to retain.
 func (e *Cofactor) Each(fn func(codes []int32, g *Covar)) {
 	codes := make([]int32, e.K)
-	for i, k := range e.keys {
-		for s := 0; s < len(k)/4; s++ {
-			codes[s] = int32(slotAt(k, 4*s)) // unboundSlot wraps to -1
+	for i, g := range e.vals {
+		for s := range codes {
+			codes[s] = int32(slotAt(e.key(i), s)) // unboundSlot wraps to -1
 		}
-		fn(codes, e.vals[i])
+		fn(codes, g)
 	}
 }
 
-// Marginal sums every group into one global covariance triple — the
-// continuous statistics ignoring the categorical grouping. It is the
+// MarginalInto sums every group into dst, one global covariance triple —
+// the continuous statistics ignoring the categorical grouping, the
 // bridge that keeps Count/Sum/Moment/Snapshot exact on cofactor
-// maintainers.
-func (e *Cofactor) Marginal() *Covar {
-	m := new(Covar)
-	e.MarginalInto(m)
-	return m
-}
-
-// MarginalInto computes the marginal into dst, reusing dst's backing
-// when pre-sized — the SnapshotInto reuse contract. The run folds in
+// maintainers. It reuses dst's backing when pre-sized — the
+// SnapshotInto reuse contract. The run folds in
 // place, in key order: no sort, no lookup, no allocation. It folds one
 // component at a time: each sum still adds the groups in key order, and
 // the short loop bodies keep several groups' cache misses in flight —
@@ -203,9 +202,9 @@ func (e *Cofactor) Snapshot() *Cofactor {
 // in place.
 func (e *Cofactor) owns(i int) bool { return !e.shared || (e.fresh != nil && e.fresh[i]) }
 
-// AddGroup folds g into the group under a packed key (as CatScalar.G
+// AddGroup folds g into the group under a key image (as CatScalar.G
 // exposes them), taking ownership of g. Ascending keys append.
-func (e *Cofactor) AddGroup(key string, g *Covar) { e.add(key, g, true, nil) }
+func (e *Cofactor) AddGroup(image string, g *Covar) { e.add(imageKey(image), g, true, nil) }
 
 // add folds g into the group under key, pruning it when the statistics
 // cancel to exact zero so retraction shrinks the run for real. A group e
@@ -213,8 +212,9 @@ func (e *Cofactor) AddGroup(key string, g *Covar) { e.add(key, g, true, nil) }
 // one is born as g itself when e may own g, as a copy otherwise. With to
 // non-nil g's feature slots are renamed on the way in (Covar.AddMapped),
 // and a group is born with full support.
-func (e *Cofactor) add(key string, g *Covar, own bool, to []int) {
-	i, ok := slices.BinarySearch(e.keys, key)
+func (e *Cofactor) add(key []uint64, g *Covar, own bool, to []int) {
+	i, ok := e.search(key)
+	w := len(key)
 	switch {
 	case !ok:
 		if to != nil {
@@ -225,7 +225,7 @@ func (e *Cofactor) add(key string, g *Covar, own bool, to []int) {
 			g = g.Clone()
 		}
 		e.ownKeys()
-		e.keys, e.vals = slices.Insert(e.keys, i, key), slices.Insert(e.vals, i, g)
+		e.keys, e.vals = slices.Insert(e.keys, i*w, key...), slices.Insert(e.vals, i, g)
 		if e.fresh != nil {
 			e.fresh = slices.Insert(e.fresh, i, false)
 		}
@@ -238,7 +238,7 @@ func (e *Cofactor) add(key string, g *Covar, own bool, to []int) {
 	e.vals[i].AddMapped(g, to)
 	if e.vals[i].IsZero() {
 		e.ownKeys()
-		e.keys, e.vals = slices.Delete(e.keys, i, i+1), slices.Delete(e.vals, i, i+1)
+		e.keys, e.vals = slices.Delete(e.keys, i*w, i*w+w), slices.Delete(e.vals, i, i+1)
 		if e.fresh != nil {
 			e.fresh = slices.Delete(e.fresh, i, i+1)
 		}
@@ -258,7 +258,7 @@ func (e *Cofactor) markFresh(i int) {
 // ownKeys unshares the keys array ahead of a birth or death.
 func (e *Cofactor) ownKeys() {
 	if e.keysShared {
-		e.keys, e.keysShared = append(make([]string, 0, len(e.keys)+len(e.keys)/8+1), e.keys...), false
+		e.keys, e.keysShared = append(make([]uint64, 0, len(e.keys)+len(e.keys)/8+keyWords(e.K)), e.keys...), false
 	}
 }
 
@@ -280,23 +280,25 @@ func (r CofactorRing) Zero() *Cofactor { return &Cofactor{N: r.N, K: r.K} }
 
 // run returns an empty element with room for n groups. Single-group
 // elements — every tuple lift and most deltas — take one allocation for
-// the header and both one-element arrays.
+// the header and both one-element arrays (keys of up to four slots).
 func (r CofactorRing) run(n int) *Cofactor {
 	if n > 1 {
-		return &Cofactor{N: r.N, K: r.K, keys: make([]string, 0, n), vals: make([]*Covar, 0, n)}
+		return &Cofactor{N: r.N, K: r.K, keys: make([]uint64, 0, n*keyWords(r.K)), vals: make([]*Covar, 0, n)}
 	}
 	s := &struct {
 		e Cofactor
-		k [1]string
+		k [2]uint64
 		v [1]*Covar
 	}{}
 	s.e = Cofactor{N: r.N, K: r.K, keys: s.k[:0], vals: s.v[:0]}
 	return &s.e
 }
 
-// push appends a group under a key above every key present.
-func (e *Cofactor) push(key string, g *Covar) {
-	e.keys, e.vals = append(e.keys, key), append(e.vals, g)
+// push appends g above every group present and returns its key to fill.
+func (e *Cofactor) push(g *Covar) []uint64 {
+	n := len(e.keys)
+	e.keys, e.vals = slices.Grow(e.keys, keyWords(e.K))[:n+keyWords(e.K)], append(e.vals, g)
+	return e.keys[n:]
 }
 
 // One returns the multiplicative identity: a single all-unbound group
@@ -337,11 +339,10 @@ func (r CofactorRing) LiftCat(idx []int, vals []float64, catIdx []int, cats []in
 	return r.LiftCatInto(r.run(1), idx, vals, catIdx, cats)
 }
 
-// LiftCatInto is LiftCat into dst: the key string is its one allocation.
+// LiftCatInto is LiftCat into dst.
 func (r CofactorRing) LiftCatInto(dst *Cofactor, idx []int, vals []float64, catIdx []int, cats []int32) *Cofactor {
 	dst.reuse()
-	g := r.covar().LiftInto(dst.group(), idx, vals)
-	dst.push(packCatKey(r.K, catIdx, cats), g)
+	packCatKey(dst.push(r.covar().LiftInto(dst.group(), idx, vals)), catIdx, cats)
 	return dst
 }
 
@@ -351,7 +352,7 @@ func (r CofactorRing) LiftCatInto(dst *Cofactor, idx []int, vals []float64, catI
 // case for snapshots — and copied otherwise; floats are allocated only
 // for keys present on both sides. The sum owns none of its groups.
 func (r CofactorRing) Add(a, b *Cofactor) *Cofactor {
-	out := r.run(len(a.keys) + len(b.keys))
+	out := r.run(len(a.vals) + len(b.vals))
 	out.shared = true
 	held := func(e *Cofactor, i int) *Covar {
 		if e.owns(i) {
@@ -360,17 +361,17 @@ func (r CofactorRing) Add(a, b *Cofactor) *Cofactor {
 		return e.vals[i]
 	}
 	i, j := 0, 0
-	for i < len(a.keys) || j < len(b.keys) {
+	for i < len(a.vals) || j < len(b.vals) {
 		switch {
-		case j == len(b.keys) || (i < len(a.keys) && a.keys[i] < b.keys[j]):
-			out.push(a.keys[i], held(a, i))
+		case j == len(b.vals) || (i < len(a.vals) && slices.Compare(a.key(i), b.key(j)) < 0):
+			copy(out.push(held(a, i)), a.key(i))
 			i++
-		case i == len(a.keys) || b.keys[j] < a.keys[i]:
-			out.push(b.keys[j], held(b, j))
+		case i == len(a.vals) || slices.Compare(b.key(j), a.key(i)) < 0:
+			copy(out.push(held(b, j)), b.key(j))
 			j++
 		default:
 			if s := r.covar().Add(a.vals[i], b.vals[j]); !s.IsZero() {
-				out.push(a.keys[i], s)
+				copy(out.push(s), a.key(i))
 			}
 			i, j = i+1, j+1
 		}
@@ -387,8 +388,8 @@ func (r CofactorRing) AddInPlace(dst, src *Cofactor) { dst.AddMapped(src, nil) }
 // continuous feature slots of src renamed by it (Covar.AddMapped): e is
 // then a root result, whose groups all have full support.
 func (e *Cofactor) AddMapped(src *Cofactor, to []int) {
-	for j, k := range src.keys {
-		e.add(k, src.vals[j], false, to)
+	for j, g := range src.vals {
+		e.add(src.key(j), g, false, to)
 	}
 }
 
@@ -398,17 +399,19 @@ func (e *Cofactor) AddMapped(src *Cofactor, to []int) {
 // ONE output key; they accumulate in pair order (a-major, both runs
 // ascending), which fixes the float-addition order.
 func (r CofactorRing) Mul(a, b *Cofactor) *Cofactor {
-	return r.MulInto(r.run(max(len(a.keys), len(b.keys))), a, b)
+	return r.MulInto(r.run(max(len(a.vals), len(b.vals))), a, b)
 }
 
 // MulInto is Mul into dst, which must alias neither operand.
 func (r CofactorRing) MulInto(dst, a, b *Cofactor) *Cofactor {
 	dst.reuse()
-	for i, ka := range a.keys {
-		for j, kb := range b.keys {
-			if k, ok := mergeCatKeys(ka, kb); ok {
-				if p := r.covar().MulInto(dst.group(), a.vals[i], b.vals[j]); !p.IsZero() {
-					dst.add(k, p, true, nil)
+	var buf [4]uint64
+	key := slices.Grow(buf[:0], keyWords(r.K))[:keyWords(r.K)]
+	for i, ga := range a.vals {
+		for j, gb := range b.vals {
+			if mergeCatKeys(key, a.key(i), b.key(j)) {
+				if p := r.covar().MulInto(dst.group(), ga, gb); !p.IsZero() {
+					dst.add(key, p, true, nil)
 				}
 			}
 		}
@@ -441,9 +444,10 @@ func (r CofactorRing) IsZero(e *Cofactor) bool {
 
 // Clone deep-copies the element; the copy owns every group.
 func (r CofactorRing) Clone(e *Cofactor) *Cofactor {
-	out := r.run(len(e.keys))
-	for i, g := range e.vals {
-		out.push(e.keys[i], g.Clone())
+	out := r.run(len(e.vals))
+	out.keys = append(out.keys, e.keys...)
+	for _, g := range e.vals {
+		out.vals = append(out.vals, g.Clone())
 	}
 	return out
 }
@@ -452,10 +456,28 @@ func (r CofactorRing) Clone(e *Cofactor) *Cofactor {
 // classical strategies (higher-order, first-order) maintain per
 // covariance aggregate when the cofactor statistics are requested: each
 // SUM(Πx^p) split by categorical group, exactly LMFAO's group-by
-// aggregate batch with one scalar per group.
+// aggregate batch with one scalar per group, keyed by catImage.
 type CatScalar struct {
 	K int
 	G map[string]float64
+}
+
+// catImage is the big-endian byte image of key: images order as keys do.
+func catImage(key []uint64) string {
+	b := make([]byte, 0, 8*len(key))
+	for _, w := range key {
+		b = binary.BigEndian.AppendUint64(b, w)
+	}
+	return string(b)
+}
+
+// imageKey decodes a catImage.
+func imageKey(image string) []uint64 {
+	key := make([]uint64, len(image)/8)
+	for w := range key {
+		key[w] = binary.BigEndian.Uint64([]byte(image[8*w:]))
+	}
+	return key
 }
 
 // Total sums every group scalar in sorted-key order — the marginal of
@@ -481,7 +503,7 @@ type CatScalarRing struct{ K int }
 
 // LiftVal maps a tuple's local monomial value to a single-group scalar.
 func (r CatScalarRing) LiftVal(catIdx []int, cats []int32, v float64) *CatScalar {
-	return &CatScalar{K: r.K, G: map[string]float64{packCatKey(r.K, catIdx, cats): v}}
+	return &CatScalar{K: r.K, G: map[string]float64{catImage(packCatKey(make([]uint64, keyWords(r.K)), catIdx, cats)): v}}
 }
 
 // Zero returns the additive identity: no live groups.
@@ -510,11 +532,12 @@ func (r CatScalarRing) NegInto(_, a *CatScalar) *CatScalar { return r.Neg(a) }
 func (r CatScalarRing) Mul(a, b *CatScalar) *CatScalar {
 	out := r.Zero()
 	bKeys := b.sortedKeys()
+	key := make([]uint64, keyWords(r.K))
 	for _, ka := range a.sortedKeys() {
-		va := a.G[ka]
+		va, wa := a.G[ka], imageKey(ka)
 		for _, kb := range bKeys {
-			if k, ok := mergeCatKeys(ka, kb); ok {
-				out.G[k] += va * b.G[kb]
+			if mergeCatKeys(key, wa, imageKey(kb)) {
+				out.G[catImage(key)] += va * b.G[kb]
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 // The cofactor ring's per-layer microbenchmarks, in the shape the
 // maintenance path calls them (run with -benchmem; benchstat-readable):
-// a tuple lift, a single-group delta times a child view, and a delta
+// a tuple lift into a recycled element, a single-group delta times a child view, and a delta
 // folded into a 5 000-group root — in place, and on the first write
 // after a publication, which copies the group.
 
@@ -18,27 +18,33 @@ func benchDelta(slot0, slot1 int32) *Cofactor {
 	return benchRing.LiftCat([]int{0, 1}, []float64{2, 3}, []int{0, 1}, []int32{slot0, slot1})
 }
 
+// keySink is the one key the key benchmarks write into.
+var keySink = make([]uint64, keyWords(benchRing.K))
+
 func BenchmarkCofactorLiftCat(b *testing.B) {
 	idx, vals, catIdx, cats := []int{0, 1}, []float64{2, 3}, []int{0, 1}, []int32{7, 9}
+	dst := benchRing.Zero()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		elemSink = benchRing.LiftCat(idx, vals, catIdx, cats)
+		dst = benchRing.LiftCatInto(dst, idx, vals, catIdx, cats)
 	}
+	elemSink = dst
 }
 
 func BenchmarkCofactorPackKey(b *testing.B) {
 	catIdx, cats := []int{0, 1}, []int32{7, 9}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keySink = packCatKey(2, catIdx, cats)
+		packCatKey(keySink, catIdx, cats)
 	}
 }
 
 func BenchmarkCofactorMergeKeys(b *testing.B) {
-	x, y := packCatKey(2, []int{0}, []int32{7}), packCatKey(2, []int{1}, []int32{9})
+	x := packCatKey(make([]uint64, len(keySink)), []int{0}, []int32{7})
+	y := packCatKey(make([]uint64, len(keySink)), []int{1}, []int32{9})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keySink, _ = mergeCatKeys(x, y)
+		mergeCatKeys(keySink, x, y)
 	}
 }
 

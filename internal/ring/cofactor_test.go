@@ -1,6 +1,10 @@
 package ring
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"borg/internal/xrand"
@@ -195,13 +199,10 @@ func TestCofactorLiftComputesGroupedMoments(t *testing.T) {
 	if got.NumGroups() != len(want) {
 		t.Fatalf("factorized result has %d groups, brute force %d", got.NumGroups(), len(want))
 	}
-	if !got.Marginal().ApproxEqual(total, 1e-9) {
+	var marginal Covar
+	got.MarginalInto(&marginal)
+	if !marginal.ApproxEqual(total, 1e-9) {
 		t.Fatal("Marginal over groups != plain covariance-ring result")
-	}
-	var into Covar
-	got.MarginalInto(&into)
-	if !into.ApproxEqual(total, 1e-9) {
-		t.Fatal("MarginalInto != Marginal")
 	}
 }
 
@@ -335,28 +336,136 @@ func TestCofactorAddSharesImmutableGroups(t *testing.T) {
 	}
 }
 
-// TestCatKeyOneAllocation pins the stack-built keys: packing or merging
-// allocates the key string and nothing else, and a merge that binds
-// nothing beyond one side allocates nothing.
-func TestCatKeyOneAllocation(t *testing.T) {
+// TestCatKeyNoAllocation pins the word keys: packing, merging, and a
+// merge that binds nothing beyond one side write into their destination
+// and allocate nothing.
+func TestCatKeyNoAllocation(t *testing.T) {
+	pack := func(idx []int, codes []int32) []uint64 { return packCatKey(make([]uint64, keyWords(3)), idx, codes) }
 	idx, codes := []int{0, 2}, []int32{3, 4}
-	a, b := packCatKey(3, []int{0}, []int32{3}), packCatKey(3, []int{1, 2}, []int32{5, 4})
-	full := packCatKey(3, []int{0, 1, 2}, []int32{3, 5, 4})
-	for name, c := range map[string]struct {
-		f    func()
-		want float64
-	}{
-		"pack":        {func() { keySink = packCatKey(3, idx, codes) }, 1},
-		"merge":       {func() { keySink, _ = mergeCatKeys(a, b) }, 1},
-		"merge-sided": {func() { keySink, _ = mergeCatKeys(full, a) }, 0},
+	a, b, full := pack([]int{0}, []int32{3}), pack([]int{1, 2}, []int32{5, 4}), pack([]int{0, 1, 2}, []int32{3, 5, 4})
+	dst := make([]uint64, keyWords(3))
+	for name, f := range map[string]func(){
+		"pack":        func() { packCatKey(dst, idx, codes) },
+		"merge":       func() { mergeCatKeys(dst, a, b) },
+		"merge-sided": func() { mergeCatKeys(dst, full, a) },
 	} {
-		if got := testing.AllocsPerRun(100, c.f); got != c.want {
-			t.Errorf("%s allocates %.0f, want %.0f", name, got, c.want)
+		if got := testing.AllocsPerRun(100, f); got != 0 {
+			t.Errorf("%s allocates %.0f, want 0", name, got)
 		}
 	}
-	if k, ok := mergeCatKeys(a, b); !ok || k != full {
-		t.Fatalf("merge = %x, %v", k, ok)
+	if !mergeCatKeys(dst, a, b) || !slices.Equal(dst, full) {
+		t.Fatalf("merge = %x, want %x", dst, full)
 	}
 }
 
-var keySink string
+// oraclePack and oracleMerge build the keys Cofactor held as strings
+// before they became words: K big-endian uint32 slots laid end to end.
+func oraclePack(k int, idx []int, codes []int32) string {
+	b := make([]byte, 0, 4*k)
+	for i := 0; i < k; i++ {
+		b = binary.BigEndian.AppendUint32(b, unboundSlot)
+	}
+	for t, i := range idx {
+		binary.BigEndian.PutUint32(b[4*i:], uint32(codes[t]))
+	}
+	return string(b)
+}
+
+func oracleMerge(a, b string) (string, bool) {
+	out := make([]byte, 0, len(a))
+	for i := 0; i < len(a); i += 4 {
+		av, bv := binary.BigEndian.Uint32([]byte(a[i:])), binary.BigEndian.Uint32([]byte(b[i:]))
+		switch {
+		case av == bv, bv == unboundSlot:
+		case av == unboundSlot:
+			av = bv
+		default:
+			return "", false
+		}
+		out = binary.BigEndian.AppendUint32(out, av)
+	}
+	return string(out), true
+}
+
+// oracleOf is the string key of the same slots as a word key.
+func oracleOf(k int, key []uint64) string {
+	idx, codes := make([]int, k), make([]int32, k)
+	for s := range idx {
+		idx[s], codes[s] = s, int32(slotAt(key, s))
+	}
+	return oraclePack(k, idx, codes)
+}
+
+// FuzzCatKey holds the word keys to the string keys they replaced, on
+// K = 1..6 with random bound slots and codes drawn to include 0 and
+// math.MaxInt32: word order is string order, a merge agrees on ok and
+// on the merged key, and Each and Group round-trip the codes.
+func FuzzCatKey(f *testing.F) {
+	f.Add(uint8(2), uint8(0b01), uint8(0b10), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add(uint8(5), uint8(0b10101), uint8(0b11111), []byte{1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(3), uint8(0b111), uint8(0b011), []byte{6, 10, 14, 6, 10, 15, 255, 7})
+	f.Fuzz(func(t *testing.T, kb, maskA, maskB uint8, raw []byte) {
+		k := 1 + int(kb)%6
+		code := func(i int) int32 {
+			if i >= len(raw) {
+				return 0
+			}
+			switch c := raw[i]; c % 4 {
+			case 0:
+				return 0
+			case 1:
+				return math.MaxInt32
+			case 2:
+				return int32(c >> 2) // small codes, so that bindings often agree
+			default:
+				return int32(c)<<23 | int32(c)
+			}
+		}
+		side := func(mask uint8, from int) ([]int, []int32, []uint64, string) {
+			var idx []int
+			var codes []int32
+			for s := 0; s < k; s++ {
+				if mask>>s&1 == 1 {
+					idx, codes = append(idx, s), append(codes, code(from+s))
+				}
+			}
+			return idx, codes, packCatKey(make([]uint64, keyWords(k)), idx, codes), oraclePack(k, idx, codes)
+		}
+		ia, ca, wa, sa := side(maskA, 0)
+		ib, cb, wb, sb := side(maskB, 6)
+		if oracleOf(k, wa) != sa || oracleOf(k, wb) != sb {
+			t.Fatalf("K=%d: packed slots %x / %x, want %x / %x", k, wa, wb, sa, sb)
+		}
+		if got, want := slices.Compare(wa, wb), strings.Compare(sa, sb); got != want {
+			t.Fatalf("K=%d: word order %d, string order %d (%x vs %x)", k, got, want, sa, sb)
+		}
+		merged := make([]uint64, keyWords(k))
+		ok := mergeCatKeys(merged, wa, wb)
+		want, wantOK := oracleMerge(sa, sb)
+		if ok != wantOK || ok && oracleOf(k, merged) != want {
+			t.Fatalf("K=%d: merge %x/%x = %x %v, want %x %v", k, sa, sb, merged, ok, want, wantOK)
+		}
+		if ok && k%2 == 1 && uint32(merged[len(merged)-1]) != unboundSlot {
+			t.Fatalf("K=%d: merge bound the padding half: %x", k, merged)
+		}
+
+		r := CofactorRing{N: 1, K: k}
+		e := r.LiftCat([]int{0}, []float64{1}, ia, ca)
+		r.AddInPlace(e, r.LiftCat([]int{0}, []float64{2}, ib, cb))
+		var order []string
+		e.Each(func(codes []int32, g *Covar) {
+			idx := make([]int, k)
+			for s := range idx {
+				idx[s] = s
+			}
+			order = append(order, oraclePack(k, idx, codes))
+			if e.Group(codes) != g {
+				t.Fatalf("K=%d: Group(%v) is not the group Each visited", k, codes)
+			}
+		})
+		wantOrder := slices.Compact(slices.Sorted(slices.Values([]string{sa, sb})))
+		if !slices.Equal(order, wantOrder) {
+			t.Fatalf("K=%d: Each decoded %x, want %x", k, order, wantOrder)
+		}
+	})
+}

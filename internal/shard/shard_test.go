@@ -664,7 +664,8 @@ func TestCofactorMergeSharesShardGroups(t *testing.T) {
 	if ms.Cofactor.NumGroups() < 20 || !ms.Cofactor.ApproxEqual(m1.Cofactor, 0) {
 		t.Fatalf("merged cofactor (%d groups) differs from single shard (%d groups)", ms.Cofactor.NumGroups(), m1.Cofactor.NumGroups())
 	}
-	if got := ms.Cofactor.Marginal(); !got.ApproxEqual(ms.Stats(), 0) {
+	var marginal ring.Covar
+	if ms.Cofactor.MarginalInto(&marginal); !marginal.ApproxEqual(ms.Stats(), 0) {
 		t.Fatal("merged cofactor marginal differs from merged triple")
 	}
 	ms.Cofactor.Each(func(codes []int32, g *ring.Covar) {
