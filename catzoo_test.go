@@ -17,8 +17,8 @@ import (
 // The categorical-zoo equivalence certificate: a live server maintaining
 // the cofactor ring under random insert/delete/update churn must train
 // EXACTLY the models a batch recomputation over the surviving tuples
-// trains — for every IVM strategy, unsharded and 3-shard sharded, with
-// concurrent readers under -race. All continuous values are dyadic
+// trains — unsharded and 3-shard sharded, with concurrent readers under
+// -race. All continuous values are dyadic
 // rationals (k/2^10), so every maintained sum and product is exactly
 // representable and churned tuples cancel to exact zero; the 1e-9
 // tolerance covers only solver-side summation-order noise.
@@ -228,226 +228,220 @@ func czCompareTheta(t *testing.T, what string, live, ref []float64, tol float64)
 	}
 }
 
-// TestCatZooChurnEquivalence is the tentpole acceptance test: for every
-// IVM strategy, unsharded and 3-shard, a cofactor server under random
-// churn with concurrent readers trains ChowLiu, categorical trees,
-// LS-SVMs, one-hot linear regressions, and varying-coefficients
-// polynomial regressions identical (1e-9) to batch recomputations over
-// the survivors.
+// TestCatZooChurnEquivalence is the tentpole acceptance test: unsharded
+// and 3-shard, a cofactor server under random churn with concurrent
+// readers trains ChowLiu, categorical trees, LS-SVMs, one-hot linear
+// regressions, and varying-coefficients polynomial regressions
+// identical (1e-9) to batch recomputations over the survivors.
 func TestCatZooChurnEquivalence(t *testing.T) {
 	features := append(append([]string(nil), czCont...), czCats...)
-	for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-		nOps := 240
-		if strategy == "first-order" {
-			nOps = 100 // full delta joins per op; keep the race run quick
-		}
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/%dshard", strategy, shards), func(t *testing.T) {
-				_, q := catZooSchema(t)
-				opt := ServerOptions{Strategy: strategy, BatchSize: 7, Payload: PayloadCofactor}
-				srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: opt, Shards: shards, PartitionBy: "store"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer srv.Close()
-				if got := srv.CatFeatures(); strings.Join(got, ",") != strings.Join(czCats, ",") {
-					t.Fatalf("CatFeatures = %v, want %v", got, czCats)
-				}
-				if srv.Payload() != PayloadCofactor {
-					t.Fatalf("Payload = %v, want cofactor", srv.Payload())
-				}
+	const nOps = 240
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%dshard", shards), func(t *testing.T) {
+			_, q := catZooSchema(t)
+			opt := ServerOptions{BatchSize: 7, Payload: PayloadCofactor}
+			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: opt, Shards: shards, PartitionBy: "store"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if got := srv.CatFeatures(); strings.Join(got, ",") != strings.Join(czCats, ",") {
+				t.Fatalf("CatFeatures = %v, want %v", got, czCats)
+			}
+			if srv.Payload() != PayloadCofactor {
+				t.Fatalf("Payload = %v, want cofactor", srv.Payload())
+			}
 
-				rnd := rand.New(rand.NewSource(int64(42 + shards)))
-				st := &czState{}
-				czPrelude(t, srv, st, rnd)
+			rnd := rand.New(rand.NewSource(int64(42 + shards)))
+			st := &czState{}
+			czPrelude(t, srv, st, rnd)
 
-				// Concurrent readers train mid-churn — the race
-				// certificate for the cofactor snapshot path. Results are
-				// discarded; transient ErrEmptySnapshot is fine.
-				done := make(chan struct{})
-				var wg sync.WaitGroup
-				for r := 0; r < 2; r++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							select {
-							case <-done:
-								return
-							default:
-							}
-							_ = srv.Count()
-							_, _ = srv.TrainChowLiu()
-							_, _ = srv.TrainSVM("units", 1e-3)
-							_, _ = srv.TrainCTree("units", TreeOptions{MaxDepth: 3})
+			// Concurrent readers train mid-churn — the race
+			// certificate for the cofactor snapshot path. Results are
+			// discarded; transient ErrEmptySnapshot is fine.
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
 						}
-					}()
-				}
-				czChurn(t, srv, st, rnd, nOps)
-				close(done)
-				wg.Wait()
-				if err := srv.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				if err := srv.Err(); err != nil {
-					t.Fatal(err)
-				}
-
-				joined := st.joined()
-				if got, want := srv.Count(), float64(len(joined)); got != want {
-					t.Fatalf("Count = %v, want %v survivors", got, want)
-				}
-
-				refDB, refQ := czReference(t, st)
-				_ = refDB
-				feats := Features{Continuous: []string{"price", "area"}, Categorical: czCats}
-
-				// One-hot linear regression: same gradient-descent trainer
-				// over live cofactor projections vs the LMFAO batch.
-				liveLin, err := srv.TrainLinRegGD("units", 1e-2, GDOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				refLin, err := refQ.LinearRegression(feats, "units", 1e-2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				czCompareTheta(t, "linreg", liveLin.model.Theta, refLin.model.Theta, 1e-9)
-				probeVals := map[string]float64{"price": 55.25, "area": 60}
-				probeCats := map[string]string{"item": "item1", "store": "store2", "promo": "tv"}
-				lp, err := liveLin.PredictCat(probeVals, probeCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rp, err := refLin.PredictCat(probeVals, probeCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !czClose(lp, rp, 1e-9) {
-					t.Fatalf("linreg PredictCat = %v, batch %v", lp, rp)
-				}
-
-				// LS-SVM: closed-form solve over the identical one-hot
-				// moment matrix.
-				liveSVM, err := srv.TrainSVM("units", 1e-3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refSigma, err := refQ.covariance(feats, "units")
-				if err != nil {
-					t.Fatal(err)
-				}
-				refSVM, err := ml.TrainLSSVM(refSigma, 1e-3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				czCompareTheta(t, "svm", liveSVM.model.Theta, refSVM.Theta, 1e-9)
-				dv, err := liveSVM.DecisionValue(probeVals, probeCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				x, codes, err := resolveDesignInputs(refSVM.Cont, refSVM.Cat, refQ.dicts(czCats), probeVals, probeCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rdv := refSVM.DecisionValue(x, codes); !czClose(dv, rdv, 1e-9) {
-					t.Fatalf("svm DecisionValue = %v, batch %v", dv, rdv)
-				}
-				cls, err := liveSVM.Classify(probeVals, probeCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cls != 1 && cls != -1 {
-					t.Fatalf("Classify = %v, want ±1", cls)
-				}
-
-				// Chow–Liu: pairwise MI from cofactor group counts vs the
-				// LMFAO mutual-information batch; integer counts make both
-				// sides exact.
-				liveEdges, err := srv.TrainChowLiu()
-				if err != nil {
-					t.Fatal(err)
-				}
-				refEdges, err := refQ.ChowLiu(czCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(liveEdges) != len(refEdges) {
-					t.Fatalf("chowliu: %d edges, batch %d", len(liveEdges), len(refEdges))
-				}
-				for i := range liveEdges {
-					if liveEdges[i].A != refEdges[i].A || liveEdges[i].B != refEdges[i].B {
-						t.Fatalf("chowliu edge %d = %s-%s, batch %s-%s", i, liveEdges[i].A, liveEdges[i].B, refEdges[i].A, refEdges[i].B)
+						_ = srv.Count()
+						_, _ = srv.TrainChowLiu()
+						_, _ = srv.TrainSVM("units", 1e-3)
+						_, _ = srv.TrainCTree("units", TreeOptions{MaxDepth: 3})
 					}
-					if !czClose(liveEdges[i].MI, refEdges[i].MI, 1e-9) {
-						t.Fatalf("chowliu MI %d = %v, batch %v", i, liveEdges[i].MI, refEdges[i].MI)
-					}
-				}
+				}()
+			}
+			czChurn(t, srv, st, rnd, nOps)
+			close(done)
+			wg.Wait()
+			if err := srv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Err(); err != nil {
+				t.Fatal(err)
+			}
 
-				// Categorical regression tree: cofactor group folds vs
-				// per-node LMFAO batches; random dyadic responses make
-				// every best split unique, so the trees are identical.
-				liveTree, err := srv.TrainCTree("units", TreeOptions{MaxDepth: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				refTree, err := refQ.DecisionTree(Features{Categorical: czCats}, "units", TreeOptions{MaxDepth: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if liveTree.Nodes() != refTree.Nodes() || liveTree.Depth() != refTree.Depth() {
-					t.Fatalf("ctree shape = (%d nodes, depth %d), batch (%d, %d)",
-						liveTree.Nodes(), liveTree.Depth(), refTree.Nodes(), refTree.Depth())
-				}
-				liveRMSE, err := liveTree.TrainingRMSE(refQ)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refRMSE, err := refTree.TrainingRMSE(refQ)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !czClose(liveRMSE, refRMSE, 1e-9) {
-					t.Fatalf("ctree RMSE = %v, batch %v", liveRMSE, refRMSE)
-				}
+			joined := st.joined()
+			if got, want := srv.Count(), float64(len(joined)); got != want {
+				t.Fatalf("Count = %v, want %v survivors", got, want)
+			}
 
-				// Varying-coefficients polynomial regression vs a
-				// hand-folded cofactor over the joined survivors — an
-				// engine-free ground truth for the whole cofactor pipeline.
-				livePoly, err := srv.TrainPolyReg("units", 1e-2)
-				if err != nil {
-					t.Fatal(err)
+			refDB, refQ := czReference(t, st)
+			_ = refDB
+			feats := Features{Continuous: []string{"price", "area"}, Categorical: czCats}
+
+			// One-hot linear regression: same gradient-descent trainer
+			// over live cofactor projections vs the LMFAO batch.
+			liveLin, err := srv.TrainLinRegGD("units", 1e-2, GDOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refLin, err := refQ.LinearRegression(feats, "units", 1e-2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			czCompareTheta(t, "linreg", liveLin.model.Theta, refLin.model.Theta, 1e-9)
+			probeVals := map[string]float64{"price": 55.25, "area": 60}
+			probeCats := map[string]string{"item": "item1", "store": "store2", "promo": "tv"}
+			lp, err := liveLin.PredictCat(probeVals, probeCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := refLin.PredictCat(probeVals, probeCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !czClose(lp, rp, 1e-9) {
+				t.Fatalf("linreg PredictCat = %v, batch %v", lp, rp)
+			}
+
+			// LS-SVM: closed-form solve over the identical one-hot
+			// moment matrix.
+			liveSVM, err := srv.TrainSVM("units", 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refSigma, err := refQ.covariance(feats, "units")
+			if err != nil {
+				t.Fatal(err)
+			}
+			refSVM, err := ml.TrainLSSVM(refSigma, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			czCompareTheta(t, "svm", liveSVM.model.Theta, refSVM.Theta, 1e-9)
+			dv, err := liveSVM.DecisionValue(probeVals, probeCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, codes, err := resolveDesignInputs(refSVM.Cont, refSVM.Cat, refQ.dicts(czCats), probeVals, probeCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rdv := refSVM.DecisionValue(x, codes); !czClose(dv, rdv, 1e-9) {
+				t.Fatalf("svm DecisionValue = %v, batch %v", dv, rdv)
+			}
+			cls, err := liveSVM.Classify(probeVals, probeCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cls != 1 && cls != -1 {
+				t.Fatalf("Classify = %v, want ±1", cls)
+			}
+
+			// Chow–Liu: pairwise MI from cofactor group counts vs the
+			// LMFAO mutual-information batch; integer counts make both
+			// sides exact.
+			liveEdges, err := srv.TrainChowLiu()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refEdges, err := refQ.ChowLiu(czCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(liveEdges) != len(refEdges) {
+				t.Fatalf("chowliu: %d edges, batch %d", len(liveEdges), len(refEdges))
+			}
+			for i := range liveEdges {
+				if liveEdges[i].A != refEdges[i].A || liveEdges[i].B != refEdges[i].B {
+					t.Fatalf("chowliu edge %d = %s-%s, batch %s-%s", i, liveEdges[i].A, liveEdges[i].B, refEdges[i].A, refEdges[i].B)
 				}
-				cr := ring.CofactorRing{N: len(czCont), K: len(czCats)}
-				acc := cr.Zero()
-				dicts := refQ.dicts(czCats)
-				for _, row := range joined {
-					vals := []float64{row.units, st.prices[[2]string{row.item, row.store}], st.areas[row.store]}
-					codes := make([]int32, len(czCats))
-					for k, attr := range czCats {
-						v := []string{row.item, row.store, row.promo}[k]
-						code, ok := lookupCode(dicts, attr, v)
-						if !ok {
-							t.Fatalf("no code for %s=%q", attr, v)
-						}
-						codes[k] = code
+				if !czClose(liveEdges[i].MI, refEdges[i].MI, 1e-9) {
+					t.Fatalf("chowliu MI %d = %v, batch %v", i, liveEdges[i].MI, refEdges[i].MI)
+				}
+			}
+
+			// Categorical regression tree: cofactor group folds vs
+			// per-node LMFAO batches; random dyadic responses make
+			// every best split unique, so the trees are identical.
+			liveTree, err := srv.TrainCTree("units", TreeOptions{MaxDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refTree, err := refQ.DecisionTree(Features{Categorical: czCats}, "units", TreeOptions{MaxDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if liveTree.Nodes() != refTree.Nodes() || liveTree.Depth() != refTree.Depth() {
+				t.Fatalf("ctree shape = (%d nodes, depth %d), batch (%d, %d)",
+					liveTree.Nodes(), liveTree.Depth(), refTree.Nodes(), refTree.Depth())
+			}
+			liveRMSE, err := liveTree.TrainingRMSE(refQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refRMSE, err := refTree.TrainingRMSE(refQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !czClose(liveRMSE, refRMSE, 1e-9) {
+				t.Fatalf("ctree RMSE = %v, batch %v", liveRMSE, refRMSE)
+			}
+
+			// Varying-coefficients polynomial regression vs a
+			// hand-folded cofactor over the joined survivors — an
+			// engine-free ground truth for the whole cofactor pipeline.
+			livePoly, err := srv.TrainPolyReg("units", 1e-2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr := ring.CofactorRing{N: len(czCont), K: len(czCats)}
+			acc := cr.Zero()
+			dicts := refQ.dicts(czCats)
+			for _, row := range joined {
+				vals := []float64{row.units, st.prices[[2]string{row.item, row.store}], st.areas[row.store]}
+				codes := make([]int32, len(czCats))
+				for k, attr := range czCats {
+					v := []string{row.item, row.store, row.promo}[k]
+					code, ok := lookupCode(dicts, attr, v)
+					if !ok {
+						t.Fatalf("no code for %s=%q", attr, v)
 					}
-					cr.AddInPlace(acc, cr.LiftCat([]int{0, 1, 2}, vals, []int{0, 1, 2}, codes))
+					codes[k] = code
 				}
-				refPoly, err := ml.TrainCatPolyFromCofactor(czCont, czCats, "units", acc, 1e-2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				czCompareTheta(t, "catpoly", livePoly.cat.Theta, refPoly.Theta, 1e-9)
-				pp, err := livePoly.PredictCat(probeVals, probeCats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rpp := refPoly.PredictVec([]float64{probeVals["price"], probeVals["area"]}, mustCodes(t, dicts, probeCats)); !czClose(pp, rpp, 1e-9) {
-					t.Fatalf("catpoly PredictCat = %v, batch %v", pp, rpp)
-				}
-			})
-		}
+				cr.AddInPlace(acc, cr.LiftCat([]int{0, 1, 2}, vals, []int{0, 1, 2}, codes))
+			}
+			refPoly, err := ml.TrainCatPolyFromCofactor(czCont, czCats, "units", acc, 1e-2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			czCompareTheta(t, "catpoly", livePoly.cat.Theta, refPoly.Theta, 1e-9)
+			pp, err := livePoly.PredictCat(probeVals, probeCats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rpp := refPoly.PredictVec([]float64{probeVals["price"], probeVals["area"]}, mustCodes(t, dicts, probeCats)); !czClose(pp, rpp, 1e-9) {
+				t.Fatalf("catpoly PredictCat = %v, batch %v", pp, rpp)
+			}
+		})
 	}
 }
 

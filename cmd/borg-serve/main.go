@@ -24,7 +24,11 @@
 //
 // Usage:
 //
-//	borg-serve -addr :8080 -strategy fivm -payload cofactor -shards 4 -partition-by store
+//	borg-serve -addr :8080 -payload cofactor -shards 4 -partition-by store
+//
+// Every shard maintains its payload with F-IVM, one ring-valued view
+// hierarchy; the higher- and first-order strategies are Figure 4
+// baselines only (borg-bench -fig 4r).
 //
 // Observability: the service logs structured events (epoch
 // publications, replans, rejected ops, slow batches) through log/slog —
@@ -154,10 +158,9 @@ var (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	strategy := flag.String("strategy", "fivm", "IVM strategy: fivm, higher-order, first-order")
 	batch := flag.Int("batch", 64, "most ops per applied batch, and most an epoch trails by under backlog")
 	queue := flag.Int("queue", 1024, "ingest queue depth per shard, at least 1 (backpressure beyond it)")
-	workers := flag.Int("workers", 2, "exec worker pool size for first-order delta scans (F-IVM ingest is serial per shard)")
+	workers := flag.Int("workers", 2, "no effect on serving: F-IVM ingest is serial per shard (kept for existing scripts)")
 	payload := flag.String("payload", "cofactor", `ring payload: "covar", "poly2" (lifted degree-2, enables polyreg pairs), or "cofactor" (categorical group maps, enables the full zoo)`)
 	shards := flag.Int("shards", 1, "serving shards; ingest is hash-partitioned across them and reads are ring-merged")
 	partitionBy := flag.String("partition-by", "store", "partition attribute (must appear in every relation of the join)")
@@ -183,7 +186,6 @@ func main() {
 		log.Fatalf("borg-serve: -queue must be at least 1, got %d", *queue)
 	}
 	opt := borg.ServerOptions{
-		Strategy:           *strategy,
 		BatchSize:          *batch,
 		QueueDepth:         *queue,
 		Workers:            *workers,
@@ -247,7 +249,7 @@ func main() {
 		defer done()
 		_ = httpSrv.Shutdown(shutCtx)
 	}()
-	log.Printf("borg-serve: %s strategy, %s payload, %d shard(s) partitioned by %q, listening on %s", *strategy, srv.Payload(), srv.NumShards(), *partitionBy, *addr)
+	log.Printf("borg-serve: %s payload, %d shard(s) partitioned by %q, listening on %s", srv.Payload(), srv.NumShards(), *partitionBy, *addr)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

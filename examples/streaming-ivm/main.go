@@ -26,10 +26,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The zero ShardOptions run one shard: a plain server.
+	// The zero ShardOptions run one shard: a plain server, maintaining its
+	// payload with F-IVM's one ring-valued view hierarchy.
 	srv, err := q.ServeSharded([]string{"units", "price", "area"}, borg.ShardOptions{ServerOptions: borg.ServerOptions{
-		Strategy:  "fivm", // one ring-valued view hierarchy
-		BatchSize: 32,     // under backlog, snapshots amortize over 32 ops
+		BatchSize: 32, // under backlog, snapshots amortize over 32 ops
 		// The lifted degree-2 ring also maintains degree-≤4 moments, which
 		// is what degree-2 polynomial regression trains from.
 		Payload: borg.PayloadPoly2,
@@ -279,7 +279,7 @@ func sharded() {
 		log.Fatal(err)
 	}
 	srv, err := q.ServeSharded([]string{"units", "price", "area"}, borg.ShardOptions{
-		ServerOptions: borg.ServerOptions{Strategy: "fivm", BatchSize: 16},
+		ServerOptions: borg.ServerOptions{BatchSize: 16},
 		Shards:        3,       // three independent single-writer serving stacks
 		PartitionBy:   "store", // tuples route by hash(store)
 	})

@@ -70,11 +70,7 @@ func planCell(d *datagen.Dataset, stream []ivm.Tuple, mode string, o Options) (P
 	const writers = 2
 	const cfgBatch = 64
 	root := d.Root
-	cfg := serve.Config{
-		BatchSize:  cfgBatch,
-		QueueDepth: 256,
-		Workers:    o.Workers,
-	}
+	cfg := serve.Config{BatchSize: cfgBatch, QueueDepth: 256}
 	if mode == "greedy" {
 		root = ""
 		cfg.ReplanThreshold = 4

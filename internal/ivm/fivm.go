@@ -26,9 +26,9 @@ type viewTree[E any] struct {
 	// lift maps a tuple of node n, given by its values, to its ring
 	// element, offered dst and the scratch to extract what it lifts into.
 	// The default closure lifts the node's continuous features through
-	// the algebra; payloads with categorical slots (cofactor) or
-	// per-aggregate monomials (the scalar strategies' group-keyed
-	// payloads) inject their own.
+	// the algebra; the covar and cofactor payloads inject their own,
+	// which lift into the node's ring slots (and, for cofactor, its
+	// categorical group slots).
 	lift   func(dst E, s *scratch[E], n *node, vals []relation.Value) E
 	nodes  []*node
 	view   []map[uint64]E // by node id; the root's stays empty
@@ -452,9 +452,14 @@ func (m *FIVM) Snapshot() *ring.Covar {
 	return m.cv.result.Clone()
 }
 
-// SnapshotLifted implements Maintainer: a deep copy of the maintained
-// lifted degree-2 element, or nil when the maintainer was built without
-// PayloadPoly2.
+// CatFeatures returns the categorical feature names in cofactor
+// group-slot order; empty unless the cofactor payload is maintained.
+func (m *FIVM) CatFeatures() []string { return m.catFeats }
+
+// SnapshotLifted returns a deep copy of the maintained lifted degree-2
+// element (degree-≤4 moments), or nil when the maintainer was built
+// without PayloadPoly2. Like Snapshot, the copy shares no state with the
+// maintainer.
 func (m *FIVM) SnapshotLifted() *ring.Poly2 {
 	if m.p2 == nil {
 		return nil
@@ -475,7 +480,9 @@ func (m *FIVM) SnapshotInto(dst *ring.Covar) {
 	m.cv.result.CopyInto(dst)
 }
 
-// SnapshotLiftedInto implements Maintainer.
+// SnapshotLiftedInto copies the maintained lifted element into dst,
+// reusing dst's backing when pre-sized, and reports false, leaving dst
+// alone, when the maintainer was built without PayloadPoly2.
 func (m *FIVM) SnapshotLiftedInto(dst *ring.Poly2) bool {
 	if m.p2 == nil {
 		return false
@@ -484,12 +491,16 @@ func (m *FIVM) SnapshotLiftedInto(dst *ring.Poly2) bool {
 	return true
 }
 
-// SnapshotCofactor implements Maintainer: the root element published by
-// ring.Cofactor.Snapshot, or nil for other payloads. It costs one
-// pointer-slice copy; the groups themselves are shared with the root
-// accumulator, which from then on copies a group before its first write
-// to it — so an epoch pays for the groups its ops touched, not for the
-// live ones.
+// SnapshotCofactor returns the maintained categorical cofactor element
+// as of this call — the root element published by ring.Cofactor.Snapshot
+// — or nil when the maintainer was not built with
+// WithPayload(PayloadCofactor). The element is immutable: it is never
+// written again, by the maintainer or by a reader, so it may be handed
+// to other goroutines while applies continue. It costs one pointer-slice
+// copy; the groups themselves are shared with the root accumulator,
+// which from then on copies a group before its first write to it — so an
+// epoch pays for the groups its ops touched, not for the live ones, and
+// consecutive snapshots share every group no op touched in between.
 func (m *FIVM) SnapshotCofactor() *ring.Cofactor {
 	if m.cf == nil {
 		return nil

@@ -12,51 +12,25 @@ import (
 // view hierarchy per aggregate. Every insert triggers one delta
 // propagation per aggregate, each repeating the index navigation and hash
 // lookups that F-IVM performs once, which is exactly the architectural
-// difference the Figure 4 (right) experiment measures. With PayloadPoly2
-// the aggregate set grows from the covariance batch (degree ≤ 2) to the
-// full degree-≤4 moment batch of polynomial regression — and the
-// per-aggregate fanout cost grows with it, the same architectural tax at
-// a larger batch size.
+// difference the Figure 4 (right) experiment measures. It maintains the
+// covariance payload only.
 type HigherOrder struct {
 	*base
 	batch scalarBatch
 	// views[n][a] is aggregate a's view at node n: join key → value.
 	views  map[*node][]map[uint64]float64
 	result []float64
-	// Cofactor payload: one independent group-keyed view hierarchy per
-	// aggregate (the per-aggregate architecture unchanged — each scalar
-	// becomes a map of per-categorical-group scalars). Nil otherwise.
-	cfTrees []*viewTree[*ring.CatScalar]
-	csr     ring.CatScalarRing
 }
 
 // NewHigherOrder creates a higher-order maintainer over an initially
-// empty copy of the join's relations.
+// empty copy of the join's relations. Any payload but PayloadCovar is
+// an error.
 func NewHigherOrder(j *query.Join, root string, features []string, opts ...Option) (*HigherOrder, error) {
-	o := buildOptions(opts)
-	b, err := newBase(j, root, features, o)
+	b, err := newScalarBase("higher-order IVM", j, root, features, opts)
 	if err != nil {
 		return nil, err
 	}
-	m := &HigherOrder{
-		base:  b,
-		batch: newScalarBatch(len(b.contFeats), o.payload == PayloadPoly2),
-	}
-	if o.payload == PayloadCofactor {
-		m.csr = ring.CatScalarRing{K: len(b.catFeats)}
-		m.cfTrees = make([]*viewTree[*ring.CatScalar], len(m.batch.aggs))
-		csr := m.csr
-		for a := range m.batch.aggs {
-			agg := m.batch.aggs[a]
-			m.cfTrees[a] = newViewTreeLift[*ring.CatScalar](csr, m.nodes,
-				func(_ *ring.CatScalar, s *scratch[*ring.CatScalar], n *node, vals []relation.Value) *ring.CatScalar {
-					s.c = n.catValsOf(s.c[:0], vals)
-					return csr.LiftVal(n.catIdx, s.c, localEvalVals(n, vals, agg))
-				})
-		}
-		setBatcher(b, m, m.beginCat, m.catTupleEffects, m.applyCatEffects)
-		return m, nil
-	}
+	m := &HigherOrder{base: b, batch: newScalarBatch(len(b.contFeats))}
 	// ApplyBatch: each op's per-aggregate propagations run against
 	// phase-start state, then replay in op order.
 	setBatcher(b, m, nil, m.tupleEffects, m.applyEffects)
@@ -80,12 +54,6 @@ func (m *HigherOrder) Insert(t Tuple) error {
 	n, row, err := m.append(t)
 	if err != nil {
 		return err
-	}
-	if m.cfTrees != nil {
-		for _, vt := range m.cfTrees {
-			vt.propagateRow(n, row, false)
-		}
-		return nil
 	}
 	for a := range m.batch.aggs {
 		delta := localEval(n, row, m.batch.aggs[a])
@@ -117,13 +85,6 @@ func (m *HigherOrder) Delete(t Tuple) error {
 	n, row, h, err := m.locate(t)
 	if err != nil {
 		return err
-	}
-	if m.cfTrees != nil {
-		for _, vt := range m.cfTrees {
-			vt.propagateRow(n, row, true)
-		}
-		m.removeRow(n, row, h)
-		return nil
 	}
 	key := n.parentKey(row)
 	for a := range m.batch.aggs {
@@ -241,96 +202,17 @@ func (m *HigherOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []s
 	return out
 }
 
-// catTupleEffects is tupleEffects for the cofactor payload: the
-// per-aggregate group-keyed propagations a tuple with these values
-// triggers, one effect list per aggregate tree.
-func (m *HigherOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) [][]viewEffect[*ring.CatScalar] {
-	out := make([][]viewEffect[*ring.CatScalar], len(m.cfTrees))
-	for a, vt := range m.cfTrees {
-		out[a] = vt.tupleEffects(n, vals, neg)
-	}
-	return out
-}
-
-// beginCat starts a delta phase on every aggregate tree.
-func (m *HigherOrder) beginCat() {
-	for _, vt := range m.cfTrees {
-		vt.scratch.reset()
-	}
-}
-
-// applyCatEffects replays per-aggregate recorded propagations.
-func (m *HigherOrder) applyCatEffects(effs [][]viewEffect[*ring.CatScalar]) {
-	for a, e := range effs {
-		m.cfTrees[a].applyEffects(e)
-	}
-}
-
-// catResults collects the per-aggregate root elements.
-func (m *HigherOrder) catResults() []*ring.CatScalar {
-	out := make([]*ring.CatScalar, len(m.cfTrees))
-	for a, vt := range m.cfTrees {
-		out[a] = vt.result
-	}
-	return out
-}
-
 // Count implements Maintainer.
-func (m *HigherOrder) Count() float64 {
-	if m.cfTrees != nil {
-		return m.cfTrees[m.batch.count()].result.Total()
-	}
-	return m.result[m.batch.count()]
-}
+func (m *HigherOrder) Count() float64 { return m.result[m.batch.count()] }
 
 // Sum implements Maintainer.
-func (m *HigherOrder) Sum(i int) float64 {
-	if m.cfTrees != nil {
-		return m.cfTrees[m.batch.sum(i)].result.Total()
-	}
-	return m.result[m.batch.sum(i)]
-}
+func (m *HigherOrder) Sum(i int) float64 { return m.result[m.batch.sum(i)] }
 
 // Moment implements Maintainer.
-func (m *HigherOrder) Moment(i, j int) float64 {
-	if m.cfTrees != nil {
-		return m.cfTrees[m.batch.moment(i, j)].result.Total()
-	}
-	return m.result[m.batch.moment(i, j)]
-}
+func (m *HigherOrder) Moment(i, j int) float64 { return m.result[m.batch.moment(i, j)] }
 
 // Snapshot implements Maintainer.
-func (m *HigherOrder) Snapshot() *ring.Covar {
-	if m.cfTrees != nil {
-		return m.batch.covar(catTotals(m.catResults()))
-	}
-	return m.batch.covar(m.result)
-}
-
-// SnapshotLifted implements Maintainer.
-func (m *HigherOrder) SnapshotLifted() *ring.Poly2 { return m.batch.liftedSnapshot(m.result) }
+func (m *HigherOrder) Snapshot() *ring.Covar { return m.batch.covar(m.result) }
 
 // SnapshotInto implements Maintainer.
-func (m *HigherOrder) SnapshotInto(dst *ring.Covar) {
-	if m.cfTrees != nil {
-		m.batch.covarInto(catTotals(m.catResults()), dst)
-		return
-	}
-	m.batch.covarInto(m.result, dst)
-}
-
-// SnapshotLiftedInto implements Maintainer. Copies into dst's
-// pre-sized backing without allocating.
-//
-//borg:noalloc
-func (m *HigherOrder) SnapshotLiftedInto(dst *ring.Poly2) bool {
-	return m.batch.liftedInto(m.result, dst)
-}
-
-// SnapshotCofactor implements Maintainer.
-func (m *HigherOrder) SnapshotCofactor() *ring.Cofactor {
-	if m.cfTrees == nil {
-		return nil
-	}
-	return m.batch.cofactorSnapshot(m.catResults(), m.csr.K)
-}
+func (m *HigherOrder) SnapshotInto(dst *ring.Covar) { m.batch.covarInto(m.result, dst) }

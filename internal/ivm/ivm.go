@@ -18,8 +18,11 @@
 //     every aggregate of the batch simultaneously — the sharing that
 //     Section 5.2 credits for the orders-of-magnitude throughput gap.
 //
-// All three maintainers expose the same interface and are tested for
-// equivalence against batch recomputation.
+// F-IVM is the maintainer the serving tier runs, and the only one that
+// carries the poly2 and cofactor payloads. The two scalar strategies are
+// the Figure 4 baselines: they maintain the covariance payload only.
+// All three implement Maintainer, and for that payload they are tested
+// for equivalence against batch recomputation and against each other.
 //
 // Deletes reuse each strategy's insert machinery with the contribution
 // negated: the covariance ring supports retraction algebraically
@@ -29,9 +32,9 @@
 // by swap-delete and the hash indexes drop their ids — so memory tracks
 // the live database, not the churn history.
 //
-// Scope note (documented substitution): the maintained statistics cover
+// Scope note (documented substitution): the Figure 4 comparison covers
 // the continuous features, which matches the F-IVM covariance experiment;
-// categorical interactions would add group-keyed ring payloads and change
+// categorical interactions (F-IVM's cofactor payload) would change
 // constants, not the relative shape.
 package ivm
 
@@ -58,7 +61,8 @@ type Tuple struct {
 }
 
 // Option configures a maintainer at construction. All three strategies
-// accept the same options.
+// accept the same options; the scalar strategies reject a payload other
+// than PayloadCovar.
 type Option func(*options)
 
 type options struct {
@@ -128,11 +132,11 @@ func WithCardinalities(cards map[string]int) Option {
 	return func(o *options) { o.cards = cards }
 }
 
-// Maintainer is the common interface of the three IVM strategies.
-// General deltas — inserts and deletes with negative multiplicities
-// under the covariance ring — are supported by every strategy; an
-// update is a delete followed by an insert, composed by the layers
-// above (internal/serve applies the pair atomically on its writer).
+// Maintainer is what the three IVM strategies share over the covariance
+// payload. General deltas — inserts and deletes with negative
+// multiplicities under the covariance ring — are supported by every
+// strategy; an update is a delete followed by an insert. The payload
+// reads of the poly2 and cofactor payloads are *FIVM methods.
 type Maintainer interface {
 	// Insert applies one tuple insert and updates the maintained result.
 	Insert(t Tuple) error
@@ -159,34 +163,13 @@ type Maintainer interface {
 	// maintainer, so callers may hand it to other goroutines while
 	// inserts continue — the copy-on-write handoff of the serving layer.
 	Snapshot() *ring.Covar
-	// SnapshotLifted returns a deep copy of the maintained lifted
-	// degree-2 element (degree-≤4 moments), or nil when the maintainer
-	// was built without PayloadPoly2. Like Snapshot, the copy shares no
-	// state with the maintainer.
-	SnapshotLifted() *ring.Poly2
 	// SnapshotInto copies the maintained statistics into dst, reusing
 	// dst's backing when pre-sized — Snapshot without the allocation,
 	// for arena-managed epoch publication.
 	SnapshotInto(dst *ring.Covar)
-	// SnapshotLiftedInto copies the maintained lifted element into dst
-	// (same reuse contract), reporting false and leaving dst alone when
-	// the maintainer was built without PayloadPoly2.
-	SnapshotLiftedInto(dst *ring.Poly2) bool
-	// SnapshotCofactor returns the maintained categorical cofactor
-	// element as of this call, or nil when the maintainer was not built
-	// with WithPayload(PayloadCofactor). The element is immutable: it is
-	// never written again, by the maintainer or by a reader, so it may be
-	// handed to other goroutines while applies continue. It may share
-	// groups structurally with the maintainer's state and with the
-	// snapshots before and after it (F-IVM shares every group no op
-	// touched in between); a caller that wants to change one copies it.
-	SnapshotCofactor() *ring.Cofactor
 	// ContFeatures returns the continuous feature names in maintained
 	// (Sum/Moment index) order.
 	ContFeatures() []string
-	// CatFeatures returns the categorical feature names in cofactor
-	// group-slot order; empty unless the cofactor payload is maintained.
-	CatFeatures() []string
 	// Cardinalities returns the live per-relation row counts — the
 	// statistics the planning layer feeds on (drift tracking, greedy
 	// replanning). The map is freshly allocated on every call.
@@ -263,9 +246,6 @@ type base struct {
 
 // ContFeatures implements Maintainer.
 func (b *base) ContFeatures() []string { return b.contFeats }
-
-// CatFeatures implements Maintainer.
-func (b *base) CatFeatures() []string { return b.catFeats }
 
 // Cardinalities implements Maintainer: the live per-relation row counts
 // of the streamed-into join-tree state.
@@ -523,15 +503,3 @@ func (n *node) parentKey(row int) uint64 { return n.rel.Key(n.parentKeyCols, row
 
 // childKey returns the packed key of row `row` towards child ci.
 func (n *node) childKey(ci, row int) uint64 { return n.rel.Key(n.childKeyCols[ci], row) }
-
-// catVals extracts the categorical codes owned by n from row `row`.
-func (n *node) catVals(row int) []int32 {
-	if len(n.catCols) == 0 {
-		return nil
-	}
-	out := make([]int32, len(n.catCols))
-	for i, c := range n.catCols {
-		out[i] = n.rel.Cat(c, row)
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"borg/internal/engine"
@@ -247,12 +248,22 @@ func TestUnknownRelationRejected(t *testing.T) {
 }
 
 func TestBadFeatureRejected(t *testing.T) {
-	_, j, _, cat := testdb.RandomStar(testdb.StarSpec{Seed: 37, FactRows: 1, DimRows: []int{1}})
+	_, j, cont, cat := testdb.RandomStar(testdb.StarSpec{Seed: 37, FactRows: 1, DimRows: []int{1}})
 	if _, err := NewFIVM(j, "Fact", []string{"ghost"}); err == nil {
 		t.Fatal("unknown feature accepted")
 	}
 	if _, err := NewFIVM(j, "Fact", []string{cat[0]}); err == nil {
 		t.Fatal("categorical feature accepted")
+	}
+	// The scalar strategies maintain the covar payload only, and say
+	// which payload they refused.
+	for _, p := range []Payload{PayloadPoly2, PayloadCofactor} {
+		if _, err := NewHigherOrder(j, "Fact", cont, WithPayload(p)); err == nil || !strings.Contains(err.Error(), p.String()) {
+			t.Fatalf("higher-order with payload %s: err %v", p, err)
+		}
+		if _, err := NewFirstOrder(j, "Fact", cont, WithPayload(p)); err == nil || !strings.Contains(err.Error(), p.String()) {
+			t.Fatalf("first-order with payload %s: err %v", p, err)
+		}
 	}
 }
 

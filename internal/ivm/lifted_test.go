@@ -8,22 +8,14 @@ import (
 	"borg/internal/xrand"
 )
 
-// liftedMaintainers builds all three strategies with PayloadPoly2.
-func liftedMaintainers(t *testing.T, j *query.Join, root string, features []string) []Maintainer {
+// liftedFIVM builds the one maintainer of the lifted payload.
+func liftedFIVM(t *testing.T, j *query.Join, root string, features []string) *FIVM {
 	t.Helper()
 	f, err := NewFIVM(j, root, features, WithPayload(PayloadPoly2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHigherOrder(j, root, features, WithPayload(PayloadPoly2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, err := NewFirstOrder(j, root, features, WithPayload(PayloadPoly2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Maintainer{f, h, fo}
+	return f
 }
 
 // bruteLifted joins the surviving intStar tuples by hand — no engine, no
@@ -66,24 +58,21 @@ func bruteLifted(r *ring.Poly2Ring, live []Tuple) []float64 {
 
 // TestLiftedMatchesBruteForce is the lifted ring's maintenance
 // certificate: a random interleaving of inserts, deletes, and updates
-// must leave every maintained degree-≤4 moment — in all three
-// strategies — bitwise-equal to a hand-joined recomputation over only
-// the surviving rows, at several churn checkpoints. Integer data makes
-// every accumulation exact, so the comparison is bitwise, not
-// approximate.
+// must leave every maintained degree-≤4 moment of F-IVM bitwise-equal
+// to a hand-joined recomputation over only the surviving rows, at
+// several churn checkpoints. Integer data makes every accumulation
+// exact, so the comparison is bitwise, not approximate.
 func TestLiftedMatchesBruteForce(t *testing.T) {
 	_, j := intStar()
-	ms := liftedMaintainers(t, j, "Fact", intStarFeatures)
+	m := liftedFIVM(t, j, "Fact", intStarFeatures)
 	pr := ring.NewPoly2Ring(len(intStarFeatures))
 	src := xrand.New(99)
 
 	var live []Tuple
 	apply := func(op func(m Maintainer) error) {
 		t.Helper()
-		for _, m := range ms {
-			if err := op(m); err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
+		if err := op(m); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
 		}
 	}
 	const steps = 300
@@ -115,32 +104,30 @@ func TestLiftedMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		want := bruteLifted(pr, live)
-		for _, m := range ms {
-			got := m.SnapshotLifted()
-			if got == nil {
-				t.Fatalf("%s: lifted maintainer returned nil SnapshotLifted", m.Name())
+		got := m.SnapshotLifted()
+		if got == nil {
+			t.Fatalf("%s: lifted maintainer returned nil SnapshotLifted", m.Name())
+		}
+		for i := range want {
+			if got.M[i] != want[i] {
+				vars, pows := pr.Monomial(i)
+				t.Fatalf("%s @ step %d: moment %v^%v = %v, want exactly %v",
+					m.Name(), step, vars, pows, got.M[i], want[i])
 			}
-			for i := range want {
-				if got.M[i] != want[i] {
-					vars, pows := pr.Monomial(i)
-					t.Fatalf("%s @ step %d: moment %v^%v = %v, want exactly %v",
-						m.Name(), step, vars, pows, got.M[i], want[i])
-				}
+		}
+		// The covariance triple is the degree-≤2 extraction; Snapshot
+		// and the scalar accessors must agree with it.
+		c := m.Snapshot()
+		if c.Count != got.Count() || c.Count != m.Count() {
+			t.Fatalf("%s: covar count %v vs lifted %v vs accessor %v", m.Name(), c.Count, got.Count(), m.Count())
+		}
+		for i := range intStarFeatures {
+			if c.Sum[i] != m.Sum(i) {
+				t.Fatalf("%s: Sum(%d) mismatch", m.Name(), i)
 			}
-			// The covariance triple is the degree-≤2 extraction; Snapshot
-			// and the scalar accessors must agree with it.
-			c := m.Snapshot()
-			if c.Count != got.Count() || c.Count != m.Count() {
-				t.Fatalf("%s: covar count %v vs lifted %v vs accessor %v", m.Name(), c.Count, got.Count(), m.Count())
-			}
-			for i := range intStarFeatures {
-				if c.Sum[i] != m.Sum(i) {
-					t.Fatalf("%s: Sum(%d) mismatch", m.Name(), i)
-				}
-				for k := range intStarFeatures {
-					if c.Q[i*len(intStarFeatures)+k] != m.Moment(i, k) {
-						t.Fatalf("%s: Moment(%d,%d) mismatch", m.Name(), i, k)
-					}
+			for k := range intStarFeatures {
+				if c.Q[i*len(intStarFeatures)+k] != m.Moment(i, k) {
+					t.Fatalf("%s: Moment(%d,%d) mismatch", m.Name(), i, k)
 				}
 			}
 		}
@@ -151,20 +138,20 @@ func TestLiftedMatchesBruteForce(t *testing.T) {
 }
 
 // TestLiftedCovarMatchesPlain checks the subsumption claim directly: a
-// lifted maintainer and a plain covariance maintainer fed the same
-// stream expose bitwise-identical covariance statistics, strategy by
-// strategy.
+// lifted F-IVM maintainer and a plain covariance maintainer of every
+// strategy, fed the same stream, expose bitwise-identical covariance
+// statistics.
 func TestLiftedCovarMatchesPlain(t *testing.T) {
 	_, j := intStar()
 	plain := maintainers(t, j, "Fact", intStarFeatures)
-	lifted := liftedMaintainers(t, j, "Fact", intStarFeatures)
+	lifted := liftedFIVM(t, j, "Fact", intStarFeatures)
 	src := xrand.New(41)
 	var live []Tuple
 	for step := 0; step < 200; step++ {
 		if src.Intn(10) < 7 || len(live) == 0 {
 			tu := randomTuple(src)
 			live = append(live, tu)
-			for _, m := range append(plain, lifted...) {
+			for _, m := range append(plain, lifted) {
 				if err := m.Insert(tu); err != nil {
 					t.Fatal(err)
 				}
@@ -174,21 +161,21 @@ func TestLiftedCovarMatchesPlain(t *testing.T) {
 			tu := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			for _, m := range append(plain, lifted...) {
+			for _, m := range append(plain, lifted) {
 				if err := m.Delete(tu); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	for k, m := range lifted {
-		pc, lc := plain[k].Snapshot(), m.Snapshot()
-		if !pc.ApproxEqual(lc, 0) {
+	lc := lifted.Snapshot()
+	for _, m := range plain {
+		if pc := m.Snapshot(); !pc.ApproxEqual(lc, 0) {
 			t.Fatalf("%s: lifted covar %v differs from plain %v", m.Name(), lc, pc)
 		}
-		if plain[k].SnapshotLifted() != nil {
-			t.Fatalf("%s: plain maintainer reports a lifted snapshot", plain[k].Name())
-		}
+	}
+	if plain[0].(*FIVM).SnapshotLifted() != nil {
+		t.Fatal("plain F-IVM maintainer reports a lifted snapshot")
 	}
 }
 

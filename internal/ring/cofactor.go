@@ -1,8 +1,6 @@
 package ring
 
 import (
-	"encoding/binary"
-	"maps"
 	"slices"
 	"sort"
 )
@@ -201,10 +199,6 @@ func (e *Cofactor) Snapshot() *Cofactor {
 // owns reports whether e is the sole holder of vals[i] and may write it
 // in place.
 func (e *Cofactor) owns(i int) bool { return !e.shared || (e.fresh != nil && e.fresh[i]) }
-
-// AddGroup folds g into the group under a key image (as CatScalar.G
-// exposes them), taking ownership of g. Ascending keys append.
-func (e *Cofactor) AddGroup(image string, g *Covar) { e.add(imageKey(image), g, true, nil) }
 
 // add folds g into the group under key, pruning it when the statistics
 // cancel to exact zero so retraction shrinks the run for real. A group e
@@ -451,132 +445,3 @@ func (r CofactorRing) Clone(e *Cofactor) *Cofactor {
 	}
 	return out
 }
-
-// CatScalar is one group-keyed scalar aggregate — the payload the
-// classical strategies (higher-order, first-order) maintain per
-// covariance aggregate when the cofactor statistics are requested: each
-// SUM(Πx^p) split by categorical group, exactly LMFAO's group-by
-// aggregate batch with one scalar per group, keyed by catImage.
-type CatScalar struct {
-	K int
-	G map[string]float64
-}
-
-// catImage is the big-endian byte image of key: images order as keys do.
-func catImage(key []uint64) string {
-	b := make([]byte, 0, 8*len(key))
-	for _, w := range key {
-		b = binary.BigEndian.AppendUint64(b, w)
-	}
-	return string(b)
-}
-
-// imageKey decodes a catImage.
-func imageKey(image string) []uint64 {
-	key := make([]uint64, len(image)/8)
-	for w := range key {
-		key[w] = binary.BigEndian.Uint64([]byte(image[8*w:]))
-	}
-	return key
-}
-
-// Total sums every group scalar in sorted-key order — the marginal of
-// this aggregate over the categorical grouping, deterministic across
-// runs.
-func (e *CatScalar) Total() float64 {
-	t := 0.0
-	for _, k := range e.sortedKeys() {
-		t += e.G[k]
-	}
-	return t
-}
-
-// sortedKeys returns the group keys in ascending order — the fixed
-// iteration order that keeps scalar folds bitwise-deterministic.
-func (e *CatScalar) sortedKeys() []string { return slices.Sorted(maps.Keys(e.G)) }
-
-// CatScalarRing instantiates ring.Algebra over *CatScalar for one
-// aggregate. Lifting needs the aggregate's local monomial value, which
-// the strategies supply through per-aggregate lift closures; the
-// interface Lift binds no slots and uses the product of vals.
-type CatScalarRing struct{ K int }
-
-// LiftVal maps a tuple's local monomial value to a single-group scalar.
-func (r CatScalarRing) LiftVal(catIdx []int, cats []int32, v float64) *CatScalar {
-	return &CatScalar{K: r.K, G: map[string]float64{catImage(packCatKey(make([]uint64, keyWords(r.K)), catIdx, cats)): v}}
-}
-
-// Zero returns the additive identity: no live groups.
-func (r CatScalarRing) Zero() *CatScalar {
-	return &CatScalar{K: r.K, G: make(map[string]float64)}
-}
-
-// LiftInto, MulInto and NegInto implement Algebra by the allocating
-// forms, ignoring dst. LiftInto binds no slot and uses the product of
-// vals; maintenance injects LiftVal closures instead.
-func (r CatScalarRing) LiftInto(_ *CatScalar, idx []int, vals []float64) *CatScalar {
-	v := 1.0
-	for _, x := range vals {
-		v *= x
-	}
-	return r.LiftVal(nil, nil, v)
-}
-
-func (r CatScalarRing) MulInto(_, a, b *CatScalar) *CatScalar { return r.Mul(a, b) }
-
-func (r CatScalarRing) NegInto(_, a *CatScalar) *CatScalar { return r.Neg(a) }
-
-// Mul returns the group-wise product under merged keys. As with
-// CofactorRing.Mul, colliding pairs accumulate in sorted-key order so
-// the sums are bitwise-deterministic.
-func (r CatScalarRing) Mul(a, b *CatScalar) *CatScalar {
-	out := r.Zero()
-	bKeys := b.sortedKeys()
-	key := make([]uint64, keyWords(r.K))
-	for _, ka := range a.sortedKeys() {
-		va, wa := a.G[ka], imageKey(ka)
-		for _, kb := range bKeys {
-			if mergeCatKeys(key, wa, imageKey(kb)) {
-				out.G[catImage(key)] += va * b.G[kb]
-			}
-		}
-	}
-	return out
-}
-
-// Neg returns the additive inverse.
-func (r CatScalarRing) Neg(a *CatScalar) *CatScalar {
-	out := &CatScalar{K: r.K, G: make(map[string]float64, len(a.G))}
-	//borg:nondeterministic-ok — per-key map fill, no accumulation; order-insensitive
-	for k, v := range a.G {
-		out.G[k] = -v
-	}
-	return out
-}
-
-// AddInPlace folds src into dst, pruning exact-zero groups.
-func (r CatScalarRing) AddInPlace(dst, src *CatScalar) {
-	//borg:nondeterministic-ok — each src key folds into its own dst slot exactly once; order-insensitive
-	for k, v := range src.G {
-		s := dst.G[k] + v
-		if s == 0 {
-			delete(dst.G, k)
-		} else {
-			dst.G[k] = s
-		}
-	}
-}
-
-// IsZero reports whether every group scalar is zero.
-func (r CatScalarRing) IsZero(e *CatScalar) bool {
-	//borg:nondeterministic-ok — existence check over independent groups; order-insensitive
-	for _, v := range e.G {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone deep-copies the element.
-func (r CatScalarRing) Clone(e *CatScalar) *CatScalar { return &CatScalar{K: e.K, G: maps.Clone(e.G)} }

@@ -227,28 +227,6 @@ func TestCofactorEachSortedAndDecoded(t *testing.T) {
 	}
 }
 
-func TestCatScalarSemantics(t *testing.T) {
-	r := CatScalarRing{K: 2}
-	a := r.LiftVal([]int{0}, []int32{1}, 3)
-	b := r.LiftVal([]int{1}, []int32{2}, 5)
-	p := r.Mul(a, b)
-	if p.Total() != 15 {
-		t.Fatalf("merged product Total = %v, want 15", p.Total())
-	}
-	conflict := r.Mul(a, r.LiftVal([]int{0}, []int32{2}, 5))
-	if !r.IsZero(conflict) {
-		t.Fatal("product of scalars disagreeing on a bound slot should be zero")
-	}
-	sum := r.Clone(p)
-	r.AddInPlace(sum, r.Neg(p))
-	if !r.IsZero(sum) || len(sum.G) != 0 {
-		t.Fatal("scalar cancellation did not prune to the canonical zero")
-	}
-	if got := r.LiftInto(nil, nil, []float64{2, 3, 4}).Total(); got != 24 {
-		t.Fatalf("interface Lift Total = %v, want the vals product 24", got)
-	}
-}
-
 // rootOf builds an accumulator holding one tuple in each of n fully
 // bound groups (slot 0 = i/8, slot 1 = i%8), as the F-IVM root does.
 func rootOf(r CofactorRing, n int) *Cofactor {

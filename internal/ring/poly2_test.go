@@ -7,12 +7,11 @@ import (
 // interface conformance: both maintained payload rings satisfy the
 // generic algebra the view trees are written against.
 var (
-	_ Algebra[*Covar]     = CovarRing{}
-	_ Algebra[*Poly2]     = (*Poly2Ring)(nil)
-	_ Algebra[*Cofactor]  = CofactorRing{}
-	_ Algebra[*CatScalar] = CatScalarRing{}
-	_ Ring[*Poly2]        = (*Poly2Ring)(nil)
-	_ Inverter[*Poly2]    = (*Poly2Ring)(nil)
+	_ Algebra[*Covar]    = CovarRing{}
+	_ Algebra[*Poly2]    = (*Poly2Ring)(nil)
+	_ Algebra[*Cofactor] = CofactorRing{}
+	_ Ring[*Poly2]       = (*Poly2Ring)(nil)
+	_ Inverter[*Poly2]   = (*Poly2Ring)(nil)
 )
 
 // TestPoly2IntoOverwritesDst: the destination-passing forms leave no

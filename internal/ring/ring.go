@@ -37,9 +37,8 @@ type Inverter[T any] interface {
 // Algebra is the maintenance-facing view of a ring over heavy elements:
 // what a view hierarchy needs to lift tuples, combine subtree payloads,
 // retract contributions, and prune drained entries. CovarRing (over
-// *Covar), Poly2Ring (over *Poly2), CofactorRing and CatScalarRing all
-// implement it, which is what lets one generic F-IVM propagation
-// maintain any payload.
+// *Covar), Poly2Ring (over *Poly2) and CofactorRing all implement it,
+// which is what lets one generic F-IVM propagation maintain any payload.
 //
 // LiftInto, MulInto and NegInto are destination-passing: the caller
 // offers dst, an element of this ring it owns and no longer reads, and
@@ -48,8 +47,7 @@ type Inverter[T any] interface {
 // the result's block of feature slots, on its own array when that has
 // the room (one from Zero always has); CofactorRing refills dst from the
 // groups dst is the sole holder of (none of them once a snapshot or a
-// sum was made of it); CatScalarRing ignores dst and returns a fresh
-// element.
+// sum was made of it).
 type Algebra[E any] interface {
 	Zero() E
 	// LiftInto maps one tuple's owned feature values (global indexes idx,

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -11,29 +10,6 @@ import (
 // readSink keeps timed snapshot reads observable so the compiler cannot
 // eliminate them under AllocsPerRun.
 var readSink float64
-
-// TestWorkersDefaultResolvesToGOMAXPROCS: a zero Config must size the
-// worker pool to runtime.GOMAXPROCS(0) — use every core by default —
-// and report the resolved value through Workers().
-func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
-	j, _, feats := salesSchema(3, 10, 4, 3)
-	srv, err := New(j, "Sales", feats, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if want := runtime.GOMAXPROCS(0); srv.Workers() != want {
-		t.Fatalf("Workers() = %d, want GOMAXPROCS %d", srv.Workers(), want)
-	}
-	srvSerial, err := New(j, "Sales", feats, Config{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvSerial.Close()
-	if srvSerial.Workers() != -1 {
-		t.Fatalf("explicit Workers(-1) = %d, want -1 (serial)", srvSerial.Workers())
-	}
-}
 
 // TestSnapshotReadZeroAlloc certifies the reader hot path: with the
 // writer quiescent, a snapshot load plus statistics reads (including

@@ -59,124 +59,116 @@ func salesSchema(seed uint64, nSales, nItems, nStores int) (*query.Join, []ivm.T
 // TestServerMatchesSerialReplay is the concurrency certificate of the
 // serving layer: K concurrent writers and M concurrent readers under the
 // race detector, with the final snapshot bitwise-equal to a serial batch
-// replay through a maintainer of the same strategy.
+// replay through a maintainer of its own.
 func TestServerMatchesSerialReplay(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testServerMatchesSerialReplay)
+}
+
+func testServerMatchesSerialReplay(t *testing.T) {
 	const writers, readers = 4, 3
-	for _, strategy := range Strategies() {
-		t.Run(strategy.String(), func(t *testing.T) {
-			nSales := 600
-			if strategy == FirstOrder {
-				nSales = 150 // full delta joins; keep the race run quick
-			}
-			j, stream, features := salesSchema(42, nSales, 12, 5)
-			srv, err := New(j, "Sales", features, Config{
-				Strategy:   strategy,
-				BatchSize:  17,
-				QueueDepth: 64,
-				Workers:    2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	j, stream, features := salesSchema(42, 600, 12, 5)
+	srv, err := New(j, "Sales", features, Config{BatchSize: 17, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < len(stream); i += writers {
-						if err := srv.Insert(stream[i]); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			stopRead := make(chan struct{})
-			var readWg sync.WaitGroup
-			var reads atomic.Uint64
-			for r := 0; r < readers; r++ {
-				readWg.Add(1)
-				go func() {
-					defer readWg.Done()
-					var lastEpoch, lastInserts uint64
-					// Stop is honoured only after a read: the writers may
-					// be done before a reader is first scheduled.
-					for {
-						s := srv.Snapshot()
-						if s.Epoch < lastEpoch {
-							t.Error("epoch went backwards")
-							return
-						}
-						if s.Inserts < lastInserts {
-							t.Error("inserts went backwards")
-							return
-						}
-						if s.Stats().N != len(features) {
-							t.Errorf("snapshot width %d, want %d", s.Stats().N, len(features))
-							return
-						}
-						// A snapshot is immutable: re-reading it later
-						// must give the same values.
-						c := s.Count()
-						if s.Count() != c {
-							t.Error("snapshot mutated under reader")
-							return
-						}
-						lastEpoch, lastInserts = s.Epoch, s.Inserts
-						reads.Add(1)
-						select {
-						case <-stopRead:
-							return
-						default:
-						}
-					}
-				}()
-			}
-
-			wg.Wait()
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			close(stopRead)
-			readWg.Wait()
-			got := srv.Snapshot()
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got.Inserts != uint64(len(stream)) {
-				t.Fatalf("snapshot covers %d inserts, want %d", got.Inserts, len(stream))
-			}
-			if reads.Load() == 0 {
-				t.Fatal("readers never read")
-			}
-
-			// Serial batch replay, in stream order (any order gives the
-			// same bits: all values are integers).
-			ref, err := newMaintainer(strategy, j, "Sales", features)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tp := range stream {
-				if err := ref.Insert(tp); err != nil {
-					t.Fatal(err)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(stream); i += writers {
+				if err := srv.Insert(stream[i]); err != nil {
+					t.Error(err)
+					return
 				}
 			}
-			want := ref.Snapshot()
-			if got.Stats().Count != want.Count {
-				t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
-			}
-			for i := range features {
-				if got.Stats().Sum[i] != want.Sum[i] {
-					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
+		}(w)
+	}
+	stopRead := make(chan struct{})
+	var readWg sync.WaitGroup
+	var reads atomic.Uint64
+	for r := 0; r < readers; r++ {
+		readWg.Add(1)
+		go func() {
+			defer readWg.Done()
+			var lastEpoch, lastInserts uint64
+			// Stop is honoured only after a read: the writers may
+			// be done before a reader is first scheduled.
+			for {
+				s := srv.Snapshot()
+				if s.Epoch < lastEpoch {
+					t.Error("epoch went backwards")
+					return
 				}
-				for k := range features {
-					if got.Moment(i, k) != want.Q[i*want.N+k] {
-						t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
-					}
+				if s.Inserts < lastInserts {
+					t.Error("inserts went backwards")
+					return
+				}
+				if s.Stats().N != len(features) {
+					t.Errorf("snapshot width %d, want %d", s.Stats().N, len(features))
+					return
+				}
+				// A snapshot is immutable: re-reading it later
+				// must give the same values.
+				c := s.Count()
+				if s.Count() != c {
+					t.Error("snapshot mutated under reader")
+					return
+				}
+				lastEpoch, lastInserts = s.Epoch, s.Inserts
+				reads.Add(1)
+				select {
+				case <-stopRead:
+					return
+				default:
 				}
 			}
-		})
+		}()
+	}
+
+	wg.Wait()
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stopRead)
+	readWg.Wait()
+	got := srv.Snapshot()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Inserts != uint64(len(stream)) {
+		t.Fatalf("snapshot covers %d inserts, want %d", got.Inserts, len(stream))
+	}
+	if reads.Load() == 0 {
+		t.Fatal("readers never read")
+	}
+
+	// Serial batch replay, in stream order (any order gives the
+	// same bits: all values are integers).
+	ref, err := ivm.NewFIVM(j, "Sales", features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range stream {
+		if err := ref.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ref.Snapshot()
+	if got.Stats().Count != want.Count {
+		t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
+	}
+	for i := range features {
+		if got.Stats().Sum[i] != want.Sum[i] {
+			t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
+		}
+		for k := range features {
+			if got.Moment(i, k) != want.Q[i*want.N+k] {
+				t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
+			}
+		}
 	}
 }
 
@@ -239,23 +231,6 @@ func TestClosedServer(t *testing.T) {
 	}
 }
 
-// TestParseStrategy covers the flag spellings.
-func TestParseStrategy(t *testing.T) {
-	for name, want := range map[string]Strategy{
-		"": FIVM, "fivm": FIVM, "f-ivm": FIVM,
-		"higher": HigherOrder, "higher-order": HigherOrder,
-		"first": FirstOrder, "first-order": FirstOrder,
-	} {
-		got, err := ParseStrategy(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
-	}
-}
-
 // churnOp is one producer-side operation of the churn test.
 type churnOp struct {
 	kind int // 0 insert, 1 delete, 2 update
@@ -313,130 +288,122 @@ func churnStreams(stream []ivm.Tuple, writers int, seed uint64) ([][]churnOp, []
 // only the SURVIVING tuples (integer-exact data, so any interleaving
 // gives the same bits).
 func TestServerChurnMatchesSerialReplay(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testServerChurnMatchesSerialReplay)
+}
+
+func testServerChurnMatchesSerialReplay(t *testing.T) {
 	const writers, readers = 4, 3
-	for _, strategy := range Strategies() {
-		t.Run(strategy.String(), func(t *testing.T) {
-			nSales := 500
-			if strategy == FirstOrder {
-				nSales = 120 // full delta joins per op; keep the race run quick
+	j, stream, features := salesSchema(1234, 500, 12, 5)
+	ops, survivors := churnStreams(stream, writers, 4321)
+	var wantInserts, wantDeletes uint64
+	for _, ws := range ops {
+		for _, o := range ws {
+			if o.kind != 1 {
+				wantInserts++ // inserts and the insert half of updates
 			}
-			j, stream, features := salesSchema(1234, nSales, 12, 5)
-			ops, survivors := churnStreams(stream, writers, 4321)
-			var wantInserts, wantDeletes uint64
-			for _, ws := range ops {
-				for _, o := range ws {
-					if o.kind != 1 {
-						wantInserts++ // inserts and the insert half of updates
-					}
-					if o.kind != 0 {
-						wantDeletes++ // deletes and the retraction half of updates
-					}
-				}
+			if o.kind != 0 {
+				wantDeletes++ // deletes and the retraction half of updates
 			}
-			srv, err := New(j, "Sales", features, Config{
-				Strategy:   strategy,
-				BatchSize:  17,
-				QueueDepth: 64,
-				Workers:    2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+	}
+	srv, err := New(j, "Sales", features, Config{BatchSize: 17, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for _, o := range ops[w] {
-						var err error
-						switch o.kind {
-						case 0:
-							err = srv.Insert(o.t)
-						case 1:
-							err = srv.Delete(o.t)
-						case 2:
-							err = srv.Update(o.old, o.t)
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, o := range ops[w] {
+				var err error
+				switch o.kind {
+				case 0:
+					err = srv.Insert(o.t)
+				case 1:
+					err = srv.Delete(o.t)
+				case 2:
+					err = srv.Update(o.old, o.t)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			stopRead := make(chan struct{})
-			var readWg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				readWg.Add(1)
-				go func() {
-					defer readWg.Done()
-					var lastEpoch uint64
-					for {
-						select {
-						case <-stopRead:
-							return
-						default:
-						}
-						s := srv.Snapshot()
-						if s.Epoch < lastEpoch {
-							t.Error("epoch went backwards")
-							return
-						}
-						if s.Deletes > s.Inserts {
-							t.Error("more deletes than inserts ever applied")
-							return
-						}
-						lastEpoch = s.Epoch
-					}
-				}()
+		}(w)
+	}
+	stopRead := make(chan struct{})
+	var readWg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readWg.Add(1)
+		go func() {
+			defer readWg.Done()
+			var lastEpoch uint64
+			for {
+				select {
+				case <-stopRead:
+					return
+				default:
+				}
+				s := srv.Snapshot()
+				if s.Epoch < lastEpoch {
+					t.Error("epoch went backwards")
+					return
+				}
+				if s.Deletes > s.Inserts {
+					t.Error("more deletes than inserts ever applied")
+					return
+				}
+				lastEpoch = s.Epoch
 			}
+		}()
+	}
 
-			wg.Wait()
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			close(stopRead)
-			readWg.Wait()
-			got := srv.Snapshot()
-			if q := srv.QueueLen(); q != 0 {
-				t.Fatalf("QueueLen = %d after Flush, want 0", q)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got.Deletes != wantDeletes {
-				t.Fatalf("snapshot covers %d deletes, want %d", got.Deletes, wantDeletes)
-			}
-			if got.Inserts != wantInserts {
-				t.Fatalf("snapshot covers %d inserts, want %d", got.Inserts, wantInserts)
-			}
+	wg.Wait()
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stopRead)
+	readWg.Wait()
+	got := srv.Snapshot()
+	if q := srv.QueueLen(); q != 0 {
+		t.Fatalf("QueueLen = %d after Flush, want 0", q)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Deletes != wantDeletes {
+		t.Fatalf("snapshot covers %d deletes, want %d", got.Deletes, wantDeletes)
+	}
+	if got.Inserts != wantInserts {
+		t.Fatalf("snapshot covers %d inserts, want %d", got.Inserts, wantInserts)
+	}
 
-			// Serial replay of only the surviving tuples.
-			ref, err := newMaintainer(strategy, j, "Sales", features)
-			if err != nil {
-				t.Fatal(err)
+	// Serial replay of only the surviving tuples.
+	ref, err := ivm.NewFIVM(j, "Sales", features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range survivors {
+		if err := ref.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ref.Snapshot()
+	if got.Stats().Count != want.Count {
+		t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
+	}
+	for i := range features {
+		if got.Stats().Sum[i] != want.Sum[i] {
+			t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
+		}
+		for k := range features {
+			if got.Moment(i, k) != want.Q[i*want.N+k] {
+				t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
 			}
-			for _, tp := range survivors {
-				if err := ref.Insert(tp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := ref.Snapshot()
-			if got.Stats().Count != want.Count {
-				t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
-			}
-			for i := range features {
-				if got.Stats().Sum[i] != want.Sum[i] {
-					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
-				}
-				for k := range features {
-					if got.Moment(i, k) != want.Q[i*want.N+k] {
-						t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -480,50 +447,51 @@ func TestDeleteValidationAndStrictness(t *testing.T) {
 // TestLiftedSnapshotPublished checks the lifted-ring plumbing: a server
 // configured with Config.Lifted publishes a lifted element on every
 // epoch — including the initial empty one — whose degree-≤2 extraction
-// is bitwise-equal to the covariance triple published beside it, for
-// every strategy; an unconfigured server publishes nil.
+// is bitwise-equal to the covariance triple published beside it; an
+// unconfigured server publishes nil.
 func TestLiftedSnapshotPublished(t *testing.T) {
-	j, stream, features := salesSchema(31, 120, 8, 4)
-	for _, strategy := range Strategies() {
-		t.Run(strategy.String(), func(t *testing.T) {
-			srv, err := New(j, "Sales", features, Config{Strategy: strategy, Payload: PayloadPoly2, BatchSize: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			if snap := srv.Snapshot(); snap.Lifted == nil {
-				t.Fatal("initial snapshot of a lifted server has no lifted element")
-			} else if !snap.Lifted.IsZero() {
-				t.Fatal("initial lifted element not zero")
-			}
-			for _, tu := range stream {
-				if err := srv.Insert(tu); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			snap := srv.Snapshot()
-			if snap.Lifted == nil {
-				t.Fatal("lifted element missing from published snapshot")
-			}
-			if got := snap.Lifted.Covar(); !got.ApproxEqual(snap.Stats(), 0) {
-				t.Fatalf("lifted covar extraction %v differs from published stats %v", got, snap.Stats())
-			}
-			if snap.Lifted.Count() == 0 {
-				t.Fatal("lifted count is zero after a joined stream")
-			}
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testLiftedSnapshotPublished)
+}
 
-			// A plain server over the same join publishes no lifted stats.
-			plain, err := New(j, "Sales", features, Config{Strategy: strategy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer plain.Close()
-			if plain.Snapshot().Lifted != nil {
-				t.Fatal("unlifted server published a lifted element")
-			}
-		})
+func testLiftedSnapshotPublished(t *testing.T) {
+	j, stream, features := salesSchema(31, 120, 8, 4)
+	srv, err := New(j, "Sales", features, Config{Payload: PayloadPoly2, BatchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if snap := srv.Snapshot(); snap.Lifted == nil {
+		t.Fatal("initial snapshot of a lifted server has no lifted element")
+	} else if !snap.Lifted.IsZero() {
+		t.Fatal("initial lifted element not zero")
+	}
+	for _, tu := range stream {
+		if err := srv.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Snapshot()
+	if snap.Lifted == nil {
+		t.Fatal("lifted element missing from published snapshot")
+	}
+	if got := snap.Lifted.Covar(); !got.ApproxEqual(snap.Stats(), 0) {
+		t.Fatalf("lifted covar extraction %v differs from published stats %v", got, snap.Stats())
+	}
+	if snap.Lifted.Count() == 0 {
+		t.Fatal("lifted count is zero after a joined stream")
+	}
+
+	// A plain server over the same join publishes no lifted stats.
+	plain, err := New(j, "Sales", features, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if plain.Snapshot().Lifted != nil {
+		t.Fatal("unlifted server published a lifted element")
 	}
 }

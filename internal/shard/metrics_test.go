@@ -25,7 +25,7 @@ func pointsByKey(r *obs.Registry) map[string]obs.MetricPoint {
 func TestShardMetrics(t *testing.T) {
 	j, stream, feats := tenantSchema(21, 300, 8, 5)
 	srv, err := New(j, "Sales", feats, Config{
-		Config: serve.Config{Workers: 1},
+		Config: serve.Config{},
 		Shards: 3, PartitionBy: "store",
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestShardMetrics(t *testing.T) {
 func TestShardMetricsOff(t *testing.T) {
 	j, _, feats := tenantSchema(4, 20, 4, 3)
 	srv, err := New(j, "Sales", feats, Config{
-		Config: serve.Config{Workers: 1, MetricsOff: true},
+		Config: serve.Config{MetricsOff: true},
 		Shards: 2, PartitionBy: "store",
 	})
 	if err != nil {

@@ -242,11 +242,6 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 // NumShards returns the shard count.
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// Workers reports the resolved per-shard worker-pool size (see
-// serve.Config.Workers: it serves first-order delta scans only). Shards
-// are the ingest-parallelism axis.
-func (s *Server) Workers() int { return s.shards[0].Workers() }
-
 // Features returns the maintained continuous feature names, in snapshot
 // index order.
 func (s *Server) Features() []string { return s.features }

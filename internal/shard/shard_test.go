@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,202 +110,181 @@ func churnStreams(stream []ivm.Tuple, writers int, seed uint64) ([][]churnOp, []
 	return ops, survivors
 }
 
-func newMaintainer(st serve.Strategy, j *query.Join, root string, features []string) (ivm.Maintainer, error) {
-	switch st {
-	case serve.FIVM:
-		return ivm.NewFIVM(j, root, features)
-	case serve.HigherOrder:
-		return ivm.NewHigherOrder(j, root, features)
-	case serve.FirstOrder:
-		return ivm.NewFirstOrder(j, root, features)
-	}
-	return nil, fmt.Errorf("unknown strategy %v", st)
-}
-
 // TestShardedChurnEquivalence is the scale-out certificate: K concurrent
 // producers issuing mixed inserts, deletes, and updates into a sharded
 // server while M concurrent readers fold merged snapshots, under the
 // race detector — and the final merged snapshot approx-equal (1e-9) to
 // a single-shard server fed the same ops, and bitwise-equal to a batch
-// recomputation over only the SURVIVING tuples, for all three
-// strategies. Ring addition over disjoint partitions is exact, which is
+// recomputation over only the SURVIVING tuples. Ring addition over disjoint partitions is exact, which is
 // the property that makes sharding free.
 func TestShardedChurnEquivalence(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testShardedChurnEquivalence)
+}
+
+func testShardedChurnEquivalence(t *testing.T) {
 	const writers, readers = 4, 3
-	for _, strategy := range serve.Strategies() {
-		t.Run(strategy.String(), func(t *testing.T) {
-			nSales := 400
-			if strategy == serve.FirstOrder {
-				nSales = 100 // full delta joins per op; keep the race run quick
+	j, stream, features := tenantSchema(99, 400, 9, 5)
+	ops, survivors := churnStreams(stream, writers, 777)
+	var wantInserts, wantDeletes uint64
+	for _, ws := range ops {
+		for _, o := range ws {
+			if o.kind != 1 {
+				wantInserts++
 			}
-			j, stream, features := tenantSchema(99, nSales, 9, 5)
-			ops, survivors := churnStreams(stream, writers, 777)
-			var wantInserts, wantDeletes uint64
-			for _, ws := range ops {
-				for _, o := range ws {
-					if o.kind != 1 {
-						wantInserts++
-					}
-					if o.kind != 0 {
-						wantDeletes++
-					}
+			if o.kind != 0 {
+				wantDeletes++
+			}
+		}
+	}
+
+	cfg := Config{
+		Config:      serve.Config{BatchSize: 17, QueueDepth: 64},
+		Shards:      3,
+		PartitionBy: "store",
+	}
+	srv, err := New(j, "Sales", features, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, o := range ops[w] {
+				var err error
+				switch o.kind {
+				case 0:
+					err = srv.Insert(o.t)
+				case 1:
+					err = srv.Delete(o.t)
+				case 2:
+					err = srv.Update(o.old, o.t)
+				}
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
-
-			cfg := Config{
-				Config: serve.Config{
-					Strategy:   strategy,
-					BatchSize:  17,
-					QueueDepth: 64,
-					Workers:    2,
-				},
-				Shards:      3,
-				PartitionBy: "store",
+		}(w)
+	}
+	stopRead := make(chan struct{})
+	var readWg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readWg.Add(1)
+		go func() {
+			defer readWg.Done()
+			var lastEpoch uint64
+			for {
+				select {
+				case <-stopRead:
+					return
+				default:
+				}
+				m := srv.Snapshot()
+				if m.Epoch < lastEpoch {
+					t.Error("merged epoch went backwards")
+					return
+				}
+				if m.Deletes > m.Inserts {
+					t.Error("more deletes than inserts ever applied")
+					return
+				}
+				if m.Stats().N != len(features) {
+					t.Errorf("merged width %d, want %d", m.Stats().N, len(features))
+					return
+				}
+				lastEpoch = m.Epoch
 			}
-			srv, err := New(j, "Sales", features, cfg)
+		}()
+	}
+
+	wg.Wait()
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stopRead)
+	readWg.Wait()
+	got := srv.Snapshot()
+	if q := srv.QueueLen(); q != 0 {
+		t.Fatalf("QueueLen = %d after Flush, want 0", q)
+	}
+	// The router must actually spread load: with 9 stores over 3
+	// shards, more than one shard owns data.
+	populated := 0
+	for _, st := range srv.Stats() {
+		if st.Inserts > 0 {
+			populated++
+		}
+	}
+	if populated < 2 {
+		t.Fatalf("only %d of %d shards received tuples; router is not partitioning", populated, srv.NumShards())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Inserts != wantInserts || got.Deletes != wantDeletes {
+		t.Fatalf("merged covers %d/%d inserts/deletes, want %d/%d", got.Inserts, got.Deletes, wantInserts, wantDeletes)
+	}
+
+	// (a) Single-shard server fed the same per-producer op streams,
+	// serially: the unsharded reference.
+	single, err := New(j, "Sales", features, Config{Config: cfg.Config, Shards: 1, PartitionBy: "store"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ws := range ops {
+		for _, o := range ws {
+			var err error
+			switch o.kind {
+			case 0:
+				err = single.Insert(o.t)
+			case 1:
+				err = single.Delete(o.t)
+			case 2:
+				err = single.Update(o.old, o.t)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	if err := single.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ref := single.Snapshot()
+	if err := single.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Stats().ApproxEqual(ref.Stats(), 1e-9) {
+		t.Fatalf("merged %v != single-shard %v", got.Stats(), ref.Stats())
+	}
 
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for _, o := range ops[w] {
-						var err error
-						switch o.kind {
-						case 0:
-							err = srv.Insert(o.t)
-						case 1:
-							err = srv.Delete(o.t)
-						case 2:
-							err = srv.Update(o.old, o.t)
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
+	// (b) Batch recomputation over only the survivors: bitwise.
+	batch, err := ivm.NewFIVM(j, "Sales", features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range survivors {
+		if err := batch.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := batch.Snapshot()
+	if got.Stats().Count != want.Count {
+		t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
+	}
+	for i := range features {
+		if got.Stats().Sum[i] != want.Sum[i] {
+			t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
+		}
+		for k := range features {
+			if got.Moment(i, k) != want.Q[i*want.N+k] {
+				t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
 			}
-			stopRead := make(chan struct{})
-			var readWg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				readWg.Add(1)
-				go func() {
-					defer readWg.Done()
-					var lastEpoch uint64
-					for {
-						select {
-						case <-stopRead:
-							return
-						default:
-						}
-						m := srv.Snapshot()
-						if m.Epoch < lastEpoch {
-							t.Error("merged epoch went backwards")
-							return
-						}
-						if m.Deletes > m.Inserts {
-							t.Error("more deletes than inserts ever applied")
-							return
-						}
-						if m.Stats().N != len(features) {
-							t.Errorf("merged width %d, want %d", m.Stats().N, len(features))
-							return
-						}
-						lastEpoch = m.Epoch
-					}
-				}()
-			}
-
-			wg.Wait()
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			close(stopRead)
-			readWg.Wait()
-			got := srv.Snapshot()
-			if q := srv.QueueLen(); q != 0 {
-				t.Fatalf("QueueLen = %d after Flush, want 0", q)
-			}
-			// The router must actually spread load: with 9 stores over 3
-			// shards, more than one shard owns data.
-			populated := 0
-			for _, st := range srv.Stats() {
-				if st.Inserts > 0 {
-					populated++
-				}
-			}
-			if populated < 2 {
-				t.Fatalf("only %d of %d shards received tuples; router is not partitioning", populated, srv.NumShards())
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got.Inserts != wantInserts || got.Deletes != wantDeletes {
-				t.Fatalf("merged covers %d/%d inserts/deletes, want %d/%d", got.Inserts, got.Deletes, wantInserts, wantDeletes)
-			}
-
-			// (a) Single-shard server fed the same per-producer op streams,
-			// serially: the unsharded reference.
-			single, err := New(j, "Sales", features, Config{Config: cfg.Config, Shards: 1, PartitionBy: "store"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ws := range ops {
-				for _, o := range ws {
-					var err error
-					switch o.kind {
-					case 0:
-						err = single.Insert(o.t)
-					case 1:
-						err = single.Delete(o.t)
-					case 2:
-						err = single.Update(o.old, o.t)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := single.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			ref := single.Snapshot()
-			if err := single.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !got.Stats().ApproxEqual(ref.Stats(), 1e-9) {
-				t.Fatalf("merged %v != single-shard %v", got.Stats(), ref.Stats())
-			}
-
-			// (b) Batch recomputation over only the survivors: bitwise.
-			batch, err := newMaintainer(strategy, j, "Sales", features)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tp := range survivors {
-				if err := batch.Insert(tp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := batch.Snapshot()
-			if got.Stats().Count != want.Count {
-				t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
-			}
-			for i := range features {
-				if got.Stats().Sum[i] != want.Sum[i] {
-					t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
-				}
-				for k := range features {
-					if got.Moment(i, k) != want.Q[i*want.N+k] {
-						t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -579,7 +557,7 @@ func TestLiftedMergeMatchesSingleShard(t *testing.T) {
 	j, stream, features := tenantSchema(17, 240, 6, 5)
 	cfg := func(shards int) Config {
 		return Config{
-			Config:      serve.Config{Strategy: serve.FIVM, BatchSize: 16, Payload: serve.PayloadPoly2},
+			Config:      serve.Config{BatchSize: 16, Payload: serve.PayloadPoly2},
 			Shards:      shards,
 			PartitionBy: "store",
 		}

@@ -191,83 +191,76 @@ func replanReaders(t *testing.T, snapFn func() *ServerSnapshot, stop chan struct
 // recompute over the surviving tuples — the maintainer swap lost and
 // invented nothing.
 func TestServerReplanConcurrent(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testServerReplanConcurrent)
+}
+
+func testServerReplanConcurrent(t *testing.T) {
 	const writers, readers = 4, 3
 	features := []string{"units", "price", "area"}
-	for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-		t.Run(strategy, func(t *testing.T) {
-			nSales := 400
-			if strategy == "first-order" {
-				nSales = 120
-			}
-			stream := serverStream(nSales, 10, 5)
+	stream := serverStream(400, 10, 5)
 
-			db := serverSchema(t)
-			q, err := db.Query()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// No Query.Root: greedy planning on empty relations roots at
-			// the lexicographically smallest relation, Items.
-			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
-				Strategy:  strategy,
-				BatchSize: 13,
-				Workers:   2,
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := srv.Stats().Root; got != "Items" {
-				t.Fatalf("initial greedy root: got %s, want Items", got)
-			}
-
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					replanChurn(t, srv, stream, w, writers)
-				}(w)
-			}
-			stopRead := make(chan struct{})
-			var readWg sync.WaitGroup
-			replanReaders(t, srv.CovarSnapshot, stopRead, &readWg, readers)
-
-			// Replan repeatedly while producers and readers run: the
-			// first call flips the root to Sales, later ones no-op.
-			for i := 0; i < 4; i++ {
-				if err := srv.Replan(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			wg.Wait()
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Replan(); err != nil { // post-churn: root settles on Sales
-				t.Fatal(err)
-			}
-			close(stopRead)
-			readWg.Wait()
-
-			st := srv.Stats()
-			snap := srv.CovarSnapshot()
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if st.Root != "Sales" {
-				t.Fatalf("post-replan root: got %s, want Sales", st.Root)
-			}
-			if st.Replans == 0 {
-				t.Fatal("no replans counted despite a root change")
-			}
-			if st.Drift < 1 {
-				t.Fatalf("drift %v < 1", st.Drift)
-			}
-			count, sums, moments := recomputeBatch(replanSurvivors(stream, writers), features)
-			checkStats(t, snap, count, sums, moments, features)
-		})
+	db := serverSchema(t)
+	q, err := db.Query()
+	if err != nil {
+		t.Fatal(err)
 	}
+	// No Query.Root: greedy planning on empty relations roots at
+	// the lexicographically smallest relation, Items.
+	srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{BatchSize: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().Root; got != "Items" {
+		t.Fatalf("initial greedy root: got %s, want Items", got)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			replanChurn(t, srv, stream, w, writers)
+		}(w)
+	}
+	stopRead := make(chan struct{})
+	var readWg sync.WaitGroup
+	replanReaders(t, srv.CovarSnapshot, stopRead, &readWg, readers)
+
+	// Replan repeatedly while producers and readers run: the
+	// first call flips the root to Sales, later ones no-op.
+	for i := 0; i < 4; i++ {
+		if err := srv.Replan(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wg.Wait()
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Replan(); err != nil { // post-churn: root settles on Sales
+		t.Fatal(err)
+	}
+	close(stopRead)
+	readWg.Wait()
+
+	st := srv.Stats()
+	snap := srv.CovarSnapshot()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Root != "Sales" {
+		t.Fatalf("post-replan root: got %s, want Sales", st.Root)
+	}
+	if st.Replans == 0 {
+		t.Fatal("no replans counted despite a root change")
+	}
+	if st.Drift < 1 {
+		t.Fatalf("drift %v < 1", st.Drift)
+	}
+	count, sums, moments := recomputeBatch(replanSurvivors(stream, writers), features)
+	checkStats(t, snap, count, sums, moments, features)
 }
 
 // TestServerAutoReplan: with ReplanThreshold set, the server replans by

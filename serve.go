@@ -23,7 +23,7 @@ import (
 var internMu sync.RWMutex
 
 // Payload selects which ring statistics a server maintains — the
-// payload of the relational ring its IVM strategy carries.
+// payload of the relational ring its F-IVM view hierarchy carries.
 type Payload = serve.Payload
 
 const (
@@ -41,14 +41,10 @@ const (
 	PayloadCofactor = serve.PayloadCofactor
 )
 
-// ServerOptions tunes every shard of a ShardedServer. The zero value
-// selects F-IVM maintenance of the covariance payload with the default
-// batching knobs.
+// ServerOptions tunes every shard of a ShardedServer. Every shard
+// maintains its payload with F-IVM; the zero value selects the
+// covariance payload with the default batching knobs.
 type ServerOptions struct {
-	// Strategy is the IVM maintenance strategy: "fivm" (default, one
-	// ring-valued view hierarchy), "higher-order" (one view hierarchy
-	// per aggregate), or "first-order" (no views, full delta joins).
-	Strategy string
 	// BatchSize is the most ops one ApplyBatch call takes and the most
 	// an epoch may trail by under backlog: the writer publishes as soon
 	// as it has emptied the queue, else once BatchSize applied ops are
@@ -57,12 +53,9 @@ type ServerOptions struct {
 	// QueueDepth is the ingest queue capacity; full queues apply
 	// backpressure to Insert callers (default 1024).
 	QueueDepth int
-	// Workers sizes the worker pool behind what scans whole relations:
-	// the first-order strategy's delta queries. F-IVM and higher-order
-	// ingest never use it; to ingest in parallel, shard. 0 falls back
-	// to the query's Workers and, when that is also unset, to
-	// runtime.GOMAXPROCS(0); 1 or negative selects the serial kernels
-	// explicitly. The resolved value is reported by ServerStats.Workers.
+	// Workers has no effect on serving: F-IVM ingest is serial per
+	// shard, so to ingest in parallel, shard. It is kept only until the
+	// benchmark harness stops setting it.
 	Workers int
 	// Payload selects the maintained ring statistics (PayloadCovar,
 	// PayloadPoly2, PayloadCofactor). The zero value is PayloadCovar.
@@ -241,11 +234,6 @@ type ServerStats struct {
 	Queued int
 	// Count is SUM(1) over the join at the current snapshot.
 	Count float64
-	// Workers is the resolved worker-pool size (ServerOptions.Workers
-	// after defaulting — a zero option on an N-core machine reports N).
-	// On a sharded server the aggregate row reports the per-shard value.
-	// Ingest parallelism is the shard count, not Workers.
-	Workers int
 	// Root is the join-tree root the maintainer is currently planned
 	// under (on a sharded server: shard 0's root; all shards agree
 	// unless per-shard auto-replans diverged them).

@@ -102,164 +102,157 @@ func serverSchema(t *testing.T) *Database {
 // and the final snapshot bitwise-equal to a batch recomputation of the
 // same tuples through the LMFAO engine.
 func TestServerConcurrentBitwise(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testServerConcurrentBitwise)
+}
+
+func testServerConcurrentBitwise(t *testing.T) {
 	const writers, readers = 4, 4
 	features := []string{"units", "price", "area"}
-	for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-		t.Run(strategy, func(t *testing.T) {
-			nSales := 400
-			if strategy == "first-order" {
-				nSales = 120 // full delta joins per insert; keep the race run quick
-			}
-			stream := serverStream(nSales, 10, 5)
+	stream := serverStream(400, 10, 5)
 
-			db := serverSchema(t)
-			q, err := db.Query()
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
-				Strategy:  strategy,
-				BatchSize: 13,
-				Workers:   2,
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
+	db := serverSchema(t)
+	q, err := db.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{BatchSize: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < len(stream); i += writers {
-						if err := srv.Insert(stream[i].rel, stream[i].values...); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			stopRead := make(chan struct{})
-			var readWg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				readWg.Add(1)
-				go func() {
-					defer readWg.Done()
-					var lastEpoch uint64
-					for {
-						select {
-						case <-stopRead:
-							return
-						default:
-						}
-						snap := srv.CovarSnapshot()
-						if snap.Epoch() < lastEpoch {
-							t.Error("epoch went backwards")
-							return
-						}
-						lastEpoch = snap.Epoch()
-						// The empty prefix of the stream legitimately has no
-						// statistics: the typed error is the contract, NaN
-						// would be the bug.
-						if _, err := snap.Mean("price"); err != nil && !errors.Is(err, ErrEmptySnapshot) {
-							t.Error(err)
-							return
-						}
-						if snap.Count() > 0 {
-							if _, err := snap.TrainLinReg("units", 1e-3); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-						st := srv.Stats()
-						if st.Queued < 0 {
-							t.Error("negative queue")
-							return
-						}
-					}
-				}()
-			}
-
-			wg.Wait()
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			close(stopRead)
-			readWg.Wait()
-			snap := srv.CovarSnapshot()
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if snap.Inserts() != uint64(len(stream)) {
-				t.Fatalf("snapshot covers %d inserts, want %d", snap.Inserts(), len(stream))
-			}
-
-			// Batch recomputation #1, engine-independent: join the raw
-			// tuples directly and accumulate count/sums/moments. All
-			// values are integers, so every accumulation is exact and
-			// the comparison below can demand bitwise equality.
-			count, sums, moments := recomputeBatch(stream, features)
-			if got := snap.Count(); got != count {
-				t.Fatalf("count: got %v, want %v", got, count)
-			}
-			for i, f := range features {
-				got, err := snap.Mean(f)
-				if err != nil {
-					t.Fatal(err)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(stream); i += writers {
+				if err := srv.Insert(stream[i].rel, stream[i].values...); err != nil {
+					t.Error(err)
+					return
 				}
-				if want := sums[i] / count; got != want {
-					t.Fatalf("mean(%s): got %v, want %v", f, got, want)
+			}
+		}(w)
+	}
+	stopRead := make(chan struct{})
+	var readWg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readWg.Add(1)
+		go func() {
+			defer readWg.Done()
+			var lastEpoch uint64
+			for {
+				select {
+				case <-stopRead:
+					return
+				default:
 				}
-				for k, g := range features {
-					gm, err := snap.SecondMoment(f, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gm != moments[i][k] {
-						t.Fatalf("moment(%s,%s): got %v, want %v", f, g, gm, moments[i][k])
+				snap := srv.CovarSnapshot()
+				if snap.Epoch() < lastEpoch {
+					t.Error("epoch went backwards")
+					return
+				}
+				lastEpoch = snap.Epoch()
+				// The empty prefix of the stream legitimately has no
+				// statistics: the typed error is the contract, NaN
+				// would be the bug.
+				if _, err := snap.Mean("price"); err != nil && !errors.Is(err, ErrEmptySnapshot) {
+					t.Error(err)
+					return
+				}
+				if snap.Count() > 0 {
+					if _, err := snap.TrainLinReg("units", 1e-3); err != nil {
+						t.Error(err)
+						return
 					}
 				}
+				st := srv.Stats()
+				if st.Queued < 0 {
+					t.Error("negative queue")
+					return
+				}
 			}
+		}()
+	}
 
-			// Batch recomputation #2, through the LMFAO engine: the
-			// model trained on the snapshot must match the model trained
-			// on batch-computed moments over the same tuples.
-			ref := serverSchema(t)
-			for _, tp := range stream {
-				rel := ref.Relation(tp.rel)
-				if err := rel.Append(tp.values...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rq, err := ref.Query()
+	wg.Wait()
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stopRead)
+	readWg.Wait()
+	snap := srv.CovarSnapshot()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Inserts() != uint64(len(stream)) {
+		t.Fatalf("snapshot covers %d inserts, want %d", snap.Inserts(), len(stream))
+	}
+
+	// Batch recomputation #1, engine-independent: join the raw
+	// tuples directly and accumulate count/sums/moments. All
+	// values are integers, so every accumulation is exact and
+	// the comparison below can demand bitwise equality.
+	count, sums, moments := recomputeBatch(stream, features)
+	if got := snap.Count(); got != count {
+		t.Fatalf("count: got %v, want %v", got, count)
+	}
+	for i, f := range features {
+		got, err := snap.Mean(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sums[i] / count; got != want {
+			t.Fatalf("mean(%s): got %v, want %v", f, got, want)
+		}
+		for k, g := range features {
+			gm, err := snap.SecondMoment(f, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mSnap, err := snap.TrainLinReg("units", 1e-3)
-			if err != nil {
-				t.Fatal(err)
+			if gm != moments[i][k] {
+				t.Fatalf("moment(%s,%s): got %v, want %v", f, g, gm, moments[i][k])
 			}
-			mBatch, err := rq.LinearRegression(Features{Continuous: []string{"price", "area"}}, "units", 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(mSnap.Intercept()-mBatch.Intercept()) > 1e-9 {
-				t.Fatalf("intercept: snapshot %v vs batch %v", mSnap.Intercept(), mBatch.Intercept())
-			}
-			for _, f := range []string{"price", "area"} {
-				a, err := mSnap.Coefficient(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := mBatch.Coefficient(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(a-b) > 1e-9 {
-					t.Fatalf("coefficient(%s): snapshot %v vs batch %v", f, a, b)
-				}
-			}
-		})
+		}
+	}
+
+	// Batch recomputation #2, through the LMFAO engine: the
+	// model trained on the snapshot must match the model trained
+	// on batch-computed moments over the same tuples.
+	ref := serverSchema(t)
+	for _, tp := range stream {
+		rel := ref.Relation(tp.rel)
+		if err := rel.Append(tp.values...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rq, err := ref.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mSnap, err := snap.TrainLinReg("units", 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mBatch, err := rq.LinearRegression(Features{Continuous: []string{"price", "area"}}, "units", 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(mSnap.Intercept()-mBatch.Intercept()) > 1e-9 {
+		t.Fatalf("intercept: snapshot %v vs batch %v", mSnap.Intercept(), mBatch.Intercept())
+	}
+	for _, f := range []string{"price", "area"} {
+		a, err := mSnap.Coefficient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := mBatch.Coefficient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(a-b) > 1e-9 {
+			t.Fatalf("coefficient(%s): snapshot %v vs batch %v", f, a, b)
+		}
 	}
 }
 
@@ -269,145 +262,142 @@ func TestServerConcurrentBitwise(t *testing.T) {
 // snapshot matches LMFAO batch training on a database holding only the
 // surviving rows.
 func TestServerChurnFacade(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testServerChurnFacade)
+}
+
+func testServerChurnFacade(t *testing.T) {
 	features := []string{"units", "price", "area"}
-	for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-		t.Run(strategy, func(t *testing.T) {
-			stream := serverStream(250, 10, 5)
+	stream := serverStream(250, 10, 5)
 
-			db := serverSchema(t)
-			q, err := db.Query()
+	db := serverSchema(t)
+	q, err := db.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{BatchSize: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Single producer with deterministic churn: ~20% of Sales
+	// rows expire (delete), ~10% are corrected (update). Deletes
+	// and updates always target a previously inserted tuple, so
+	// the per-producer FIFO guarantees they find it live.
+	state := uint64(0xDEADBEEFCAFE)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	var live []serverTuple
+	var surviving []serverTuple
+	for _, tp := range stream {
+		if err := srv.Insert(tp.rel, tp.values...); err != nil {
+			t.Fatal(err)
+		}
+		if tp.rel == "Sales" {
+			live = append(live, tp)
+		} else {
+			surviving = append(surviving, tp) // dimensions never churn here
+		}
+		if len(live) == 0 {
+			continue
+		}
+		switch r := next(100); {
+		case r < 20:
+			i := next(len(live))
+			if err := srv.Delete(live[i].rel, live[i].values...); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case r < 30:
+			i := next(len(live))
+			old := live[i]
+			nu := serverTuple{rel: old.rel, values: append([]any(nil), old.values...)}
+			nu.values[2] = old.values[2].(int) + 1 // corrected units
+			if err := srv.Update(nu.rel, old.values, nu.values); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = nu
+		}
+	}
+	surviving = append(surviving, live...)
+
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.Deletes == 0 {
+		t.Fatal("degenerate run: churn produced no deletes")
+	}
+	if st.Queued != 0 {
+		t.Fatalf("Queued = %d after Flush, want 0", st.Queued)
+	}
+	snap := srv.CovarSnapshot()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Engine-independent recompute over only the survivors:
+	// bitwise (integer data).
+	count, sums, moments := recomputeBatch(surviving, features)
+	if got := snap.Count(); got != count {
+		t.Fatalf("count: got %v, want %v", got, count)
+	}
+	for i, f := range features {
+		for k, g := range features {
+			gm, err := snap.SecondMoment(f, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{
-				Strategy:  strategy,
-				BatchSize: 16,
-				Workers:   2,
-			}})
-			if err != nil {
-				t.Fatal(err)
+			if gm != moments[i][k] {
+				t.Fatalf("moment(%s,%s): got %v, want %v", f, g, gm, moments[i][k])
 			}
+		}
+		m, err := snap.Mean(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sums[i] / count; m != want {
+			t.Fatalf("mean(%s): got %v, want %v", f, m, want)
+		}
+	}
 
-			// Single producer with deterministic churn: ~20% of Sales
-			// rows expire (delete), ~10% are corrected (update). Deletes
-			// and updates always target a previously inserted tuple, so
-			// the per-producer FIFO guarantees they find it live.
-			state := uint64(0xDEADBEEFCAFE)
-			next := func(n int) int {
-				state = state*6364136223846793005 + 1442695040888963407
-				return int(state>>33) % n
-			}
-			var live []serverTuple
-			var surviving []serverTuple
-			for _, tp := range stream {
-				if err := srv.Insert(tp.rel, tp.values...); err != nil {
-					t.Fatal(err)
-				}
-				if tp.rel == "Sales" {
-					live = append(live, tp)
-				} else {
-					surviving = append(surviving, tp) // dimensions never churn here
-				}
-				if len(live) == 0 {
-					continue
-				}
-				switch r := next(100); {
-				case r < 20:
-					i := next(len(live))
-					if err := srv.Delete(live[i].rel, live[i].values...); err != nil {
-						t.Fatal(err)
-					}
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-				case r < 30:
-					i := next(len(live))
-					old := live[i]
-					nu := serverTuple{rel: old.rel, values: append([]any(nil), old.values...)}
-					nu.values[2] = old.values[2].(int) + 1 // corrected units
-					if err := srv.Update(nu.rel, old.values, nu.values); err != nil {
-						t.Fatal(err)
-					}
-					live[i] = nu
-				}
-			}
-			surviving = append(surviving, live...)
-
-			if err := srv.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			st := srv.Stats()
-			if st.Deletes == 0 {
-				t.Fatal("degenerate run: churn produced no deletes")
-			}
-			if st.Queued != 0 {
-				t.Fatalf("Queued = %d after Flush, want 0", st.Queued)
-			}
-			snap := srv.CovarSnapshot()
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Engine-independent recompute over only the survivors:
-			// bitwise (integer data).
-			count, sums, moments := recomputeBatch(surviving, features)
-			if got := snap.Count(); got != count {
-				t.Fatalf("count: got %v, want %v", got, count)
-			}
-			for i, f := range features {
-				for k, g := range features {
-					gm, err := snap.SecondMoment(f, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gm != moments[i][k] {
-						t.Fatalf("moment(%s,%s): got %v, want %v", f, g, gm, moments[i][k])
-					}
-				}
-				m, err := snap.Mean(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := sums[i] / count; m != want {
-					t.Fatalf("mean(%s): got %v, want %v", f, m, want)
-				}
-			}
-
-			// LMFAO batch training on a database of only the survivors
-			// must agree with the model trained on the churned snapshot.
-			ref := serverSchema(t)
-			for _, tp := range surviving {
-				if err := ref.Relation(tp.rel).Append(tp.values...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rq, err := ref.Query()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mSnap, err := snap.TrainLinReg("units", 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mBatch, err := rq.LinearRegression(Features{Continuous: []string{"price", "area"}}, "units", 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(mSnap.Intercept()-mBatch.Intercept()) > 1e-9 {
-				t.Fatalf("intercept: snapshot %v vs batch %v", mSnap.Intercept(), mBatch.Intercept())
-			}
-			for _, f := range []string{"price", "area"} {
-				a, err := mSnap.Coefficient(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := mBatch.Coefficient(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(a-b) > 1e-9 {
-					t.Fatalf("coefficient(%s): snapshot %v vs batch %v", f, a, b)
-				}
-			}
-		})
+	// LMFAO batch training on a database of only the survivors
+	// must agree with the model trained on the churned snapshot.
+	ref := serverSchema(t)
+	for _, tp := range surviving {
+		if err := ref.Relation(tp.rel).Append(tp.values...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rq, err := ref.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mSnap, err := snap.TrainLinReg("units", 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mBatch, err := rq.LinearRegression(Features{Continuous: []string{"price", "area"}}, "units", 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(mSnap.Intercept()-mBatch.Intercept()) > 1e-9 {
+		t.Fatalf("intercept: snapshot %v vs batch %v", mSnap.Intercept(), mBatch.Intercept())
+	}
+	for _, f := range []string{"price", "area"} {
+		a, err := mSnap.Coefficient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := mBatch.Coefficient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(a-b) > 1e-9 {
+			t.Fatalf("coefficient(%s): snapshot %v vs batch %v", f, a, b)
+		}
 	}
 }

@@ -51,15 +51,6 @@ type ShardedServer struct {
 // PayloadCofactor categorical features become the cofactor group-by
 // slots. Close it when done.
 func (q *Query) ServeSharded(features []string, opt ShardOptions) (*ShardedServer, error) {
-	strategy, err := serve.ParseStrategy(opt.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Workers == 0 {
-		// The query's parallelism config is the facade-wide default;
-		// pass ServerOptions{Workers: 1} for explicitly serial kernels.
-		opt.Workers = q.Workers
-	}
 	// A pinned Query.Root passes through and disables greedy planning;
 	// an empty root lets each shard's planner choose (they agree — all
 	// plan from the same source cardinalities) and keeps replanning
@@ -72,11 +63,8 @@ func (q *Query) ServeSharded(features []string, opt ShardOptions) (*ShardedServe
 	}
 	inner, err := shard.New(q.join, q.Root, features, shard.Config{
 		Config: serve.Config{
-			Strategy:           strategy,
 			BatchSize:          opt.BatchSize,
 			QueueDepth:         opt.QueueDepth,
-			Workers:            opt.Workers,
-			MorselSize:         q.MorselSize,
 			Payload:            opt.Payload,
 			ReplanThreshold:    opt.ReplanThreshold,
 			Logger:             opt.Logger,
@@ -138,9 +126,7 @@ type ShardedServerStats struct {
 // counts, queue depths, and partition cardinalities.
 func (s *ShardedServer) Stats() ShardedServerStats {
 	rows := s.inner.Stats()
-	workers := s.inner.Workers()
 	out := ShardedServerStats{Shards: make([]ServerStats, len(rows))}
-	out.Workers = workers
 	for i, r := range rows {
 		out.Shards[i] = ServerStats{
 			Epoch:     r.Epoch,
@@ -148,7 +134,6 @@ func (s *ShardedServer) Stats() ShardedServerStats {
 			Deletes:   r.Deletes,
 			Queued:    r.Queued,
 			Count:     r.Count,
-			Workers:   workers,
 			Root:      r.Root,
 			PlanDepth: r.PlanDepth,
 			PlanWidth: r.PlanWidth,

@@ -58,163 +58,160 @@ func shardedStream(nSales, nStores, nItems int) []serverTuple {
 // certificate: K concurrent producers stream the same tuples into a
 // 3-shard ShardedServer and a one-shard one; the merged statistics, the
 // per-shard stats aggregation, and the trained model must agree with
-// the unsharded run bitwise (integer data) for every strategy.
+// the unsharded run bitwise (integer data).
 func TestShardedFacadeMatchesPlain(t *testing.T) {
+	// The subtest is named after the one maintainer the serving tier builds.
+	t.Run("fivm", testShardedFacadeMatchesPlain)
+}
+
+func testShardedFacadeMatchesPlain(t *testing.T) {
 	const writers = 4
 	features := []string{"units", "price", "area"}
-	for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-		t.Run(strategy, func(t *testing.T) {
-			nSales := 300
-			if strategy == "first-order" {
-				nSales = 80
-			}
-			stream := shardedStream(nSales, 8, 4)
+	stream := shardedStream(300, 8, 4)
 
-			db := shardedSchema(t)
-			q, err := db.Query()
+	db := shardedSchema(t)
+	q, err := db.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := q.ServeSharded(features, ShardOptions{
+		ServerOptions: ServerOptions{BatchSize: 13},
+		Shards:        3,
+		PartitionBy:   "store",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	if sharded.NumShards() != 3 {
+		t.Fatalf("NumShards = %d, want 3", sharded.NumShards())
+	}
+	plain, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{BatchSize: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(stream); i += writers {
+				if err := sharded.Insert(stream[i].rel, stream[i].values...); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := sharded.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if q := sharded.QueueLen(); q != 0 {
+		t.Fatalf("QueueLen = %d after Flush, want 0", q)
+	}
+	for _, tp := range stream {
+		if err := plain.Insert(tp.rel, tp.values...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plain.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Merged statistics equal the unsharded server's, bitwise.
+	if got, want := sharded.Count(), plain.Count(); got != want {
+		t.Fatalf("count: sharded %v, plain %v", got, want)
+	}
+	for _, f := range features {
+		gm, err := sharded.Mean(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := plain.Mean(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gm != pm {
+			t.Fatalf("mean(%s): sharded %v, plain %v", f, gm, pm)
+		}
+		for _, g := range features {
+			gq, err := sharded.SecondMoment(f, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded, err := q.ServeSharded(features, ShardOptions{
-				ServerOptions: ServerOptions{Strategy: strategy, BatchSize: 13},
-				Shards:        3,
-				PartitionBy:   "store",
-			})
+			pq, err := plain.SecondMoment(f, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sharded.Close()
-			if sharded.NumShards() != 3 {
-				t.Fatalf("NumShards = %d, want 3", sharded.NumShards())
+			if gq != pq {
+				t.Fatalf("moment(%s,%s): sharded %v, plain %v", f, g, gq, pq)
 			}
-			plain, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{Strategy: strategy, BatchSize: 13}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer plain.Close()
+		}
+	}
 
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < len(stream); i += writers {
-						if err := sharded.Insert(stream[i].rel, stream[i].values...); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if err := sharded.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if q := sharded.QueueLen(); q != 0 {
-				t.Fatalf("QueueLen = %d after Flush, want 0", q)
-			}
-			for _, tp := range stream {
-				if err := plain.Insert(tp.rel, tp.values...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := plain.Flush(); err != nil {
-				t.Fatal(err)
-			}
+	// Stats aggregate across shards and stay mutually consistent:
+	// the per-shard rows sum to the aggregate, and the aggregate
+	// matches the snapshot totals.
+	st := sharded.Stats()
+	if len(st.Shards) != 3 {
+		t.Fatalf("Stats reports %d shard rows, want 3", len(st.Shards))
+	}
+	var sumIns, sumDel, sumEpoch uint64
+	var sumCount float64
+	populated := 0
+	for _, row := range st.Shards {
+		sumIns += row.Inserts
+		sumDel += row.Deletes
+		sumEpoch += row.Epoch
+		sumCount += row.Count
+		if row.Inserts > 0 {
+			populated++
+		}
+	}
+	if sumIns != st.Inserts || sumDel != st.Deletes || sumEpoch != st.Epoch || sumCount != st.Count {
+		t.Fatalf("per-shard rows (%d, %d, %d, %v) do not sum to the aggregate (%d, %d, %d, %v)",
+			sumIns, sumDel, sumEpoch, sumCount, st.Inserts, st.Deletes, st.Epoch, st.Count)
+	}
+	if populated < 2 {
+		t.Fatalf("only %d of 3 shards received tuples; router is not partitioning", populated)
+	}
+	if st.Inserts != uint64(len(stream)) {
+		t.Fatalf("aggregate covers %d inserts, want %d", st.Inserts, len(stream))
+	}
+	snap := sharded.CovarSnapshot()
+	if snap.Epoch() != st.Epoch || snap.Inserts() != st.Inserts {
+		t.Fatalf("CovarSnapshot (%d, %d) disagrees with Stats (%d, %d)",
+			snap.Epoch(), snap.Inserts(), st.Epoch, st.Inserts)
+	}
 
-			// Merged statistics equal the unsharded server's, bitwise.
-			if got, want := sharded.Count(), plain.Count(); got != want {
-				t.Fatalf("count: sharded %v, plain %v", got, want)
-			}
-			for _, f := range features {
-				gm, err := sharded.Mean(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pm, err := plain.Mean(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gm != pm {
-					t.Fatalf("mean(%s): sharded %v, plain %v", f, gm, pm)
-				}
-				for _, g := range features {
-					gq, err := sharded.SecondMoment(f, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pq, err := plain.SecondMoment(f, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gq != pq {
-						t.Fatalf("moment(%s,%s): sharded %v, plain %v", f, g, gq, pq)
-					}
-				}
-			}
-
-			// Stats aggregate across shards and stay mutually consistent:
-			// the per-shard rows sum to the aggregate, and the aggregate
-			// matches the snapshot totals.
-			st := sharded.Stats()
-			if len(st.Shards) != 3 {
-				t.Fatalf("Stats reports %d shard rows, want 3", len(st.Shards))
-			}
-			var sumIns, sumDel, sumEpoch uint64
-			var sumCount float64
-			populated := 0
-			for _, row := range st.Shards {
-				sumIns += row.Inserts
-				sumDel += row.Deletes
-				sumEpoch += row.Epoch
-				sumCount += row.Count
-				if row.Inserts > 0 {
-					populated++
-				}
-			}
-			if sumIns != st.Inserts || sumDel != st.Deletes || sumEpoch != st.Epoch || sumCount != st.Count {
-				t.Fatalf("per-shard rows (%d, %d, %d, %v) do not sum to the aggregate (%d, %d, %d, %v)",
-					sumIns, sumDel, sumEpoch, sumCount, st.Inserts, st.Deletes, st.Epoch, st.Count)
-			}
-			if populated < 2 {
-				t.Fatalf("only %d of 3 shards received tuples; router is not partitioning", populated)
-			}
-			if st.Inserts != uint64(len(stream)) {
-				t.Fatalf("aggregate covers %d inserts, want %d", st.Inserts, len(stream))
-			}
-			snap := sharded.CovarSnapshot()
-			if snap.Epoch() != st.Epoch || snap.Inserts() != st.Inserts {
-				t.Fatalf("CovarSnapshot (%d, %d) disagrees with Stats (%d, %d)",
-					snap.Epoch(), snap.Inserts(), st.Epoch, st.Inserts)
-			}
-
-			// The trained model is the unsharded model: ring-merged
-			// sufficient statistics are exactly the batch statistics.
-			gotModel, err := sharded.TrainLinReg("units", 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantModel, err := plain.TrainLinReg("units", 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(gotModel.Intercept()-wantModel.Intercept()) > 1e-9 {
-				t.Fatalf("intercept: sharded %v, plain %v", gotModel.Intercept(), wantModel.Intercept())
-			}
-			for _, f := range []string{"price", "area"} {
-				gc, err := gotModel.Coefficient(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wc, err := wantModel.Coefficient(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(gc-wc) > 1e-9 {
-					t.Fatalf("coefficient(%s): sharded %v, plain %v", f, gc, wc)
-				}
-			}
-		})
+	// The trained model is the unsharded model: ring-merged
+	// sufficient statistics are exactly the batch statistics.
+	gotModel, err := sharded.TrainLinReg("units", 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantModel, err := plain.TrainLinReg("units", 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(gotModel.Intercept()-wantModel.Intercept()) > 1e-9 {
+		t.Fatalf("intercept: sharded %v, plain %v", gotModel.Intercept(), wantModel.Intercept())
+	}
+	for _, f := range []string{"price", "area"} {
+		gc, err := gotModel.Coefficient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, err := wantModel.Coefficient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(gc-wc) > 1e-9 {
+			t.Fatalf("coefficient(%s): sharded %v, plain %v", f, gc, wc)
+		}
 	}
 }
 
@@ -232,7 +229,7 @@ func TestShardedFacadeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded, err := q.ServeSharded(features, ShardOptions{
-		ServerOptions: ServerOptions{Strategy: "fivm", BatchSize: 7},
+		ServerOptions: ServerOptions{BatchSize: 7},
 		Shards:        3,
 		PartitionBy:   "store",
 	})
@@ -240,7 +237,7 @@ func TestShardedFacadeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	plain, err := q.ServeSharded(features, ShardOptions{ServerOptions: ServerOptions{Strategy: "fivm"}})
+	plain, err := q.ServeSharded(features, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ func TestShardedFacadeChurn(t *testing.T) {
 
 // TestServeShardedValidation: construction-time errors at the facade —
 // a partition attribute missing from one relation names both; multiple
-// shards require a partition attribute; unknown strategies are caught.
+// shards require a partition attribute.
 func TestServeShardedValidation(t *testing.T) {
 	db := shardedSchema(t)
 	q, err := db.Query()
@@ -323,11 +320,6 @@ func TestServeShardedValidation(t *testing.T) {
 	}
 	if _, err := q.ServeSharded(features, ShardOptions{Shards: 4}); err == nil {
 		t.Fatal("multiple shards without PartitionBy accepted")
-	}
-	if _, err := q.ServeSharded(features, ShardOptions{
-		ServerOptions: ServerOptions{Strategy: "nope"}, Shards: 2, PartitionBy: "store",
-	}); err == nil {
-		t.Fatal("unknown strategy accepted")
 	}
 
 	// The zero ShardOptions value is a plain single-shard server.

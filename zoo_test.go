@@ -267,8 +267,7 @@ func requireZooMatchesBatch(t *testing.T, snap *ServerSnapshot, survivors []serv
 
 // TestModelZooChurnToEmptyAndRegrow is the model zoo's race certificate
 // and the degenerate-snapshot regression test in one: on a one-shard
-// and a 3-shard ShardedServer, for every IVM strategy, concurrent
-// writers load a stream (while concurrent readers train every model
+// and a 3-shard ShardedServer, concurrent writers load a stream (while concurrent readers train every model
 // kind), the zoo is checked against batch training over the survivors;
 // then the writers churn the database to EMPTY (every trainer returns
 // ErrEmptySnapshot — never NaN); then the database regrows with
@@ -277,134 +276,126 @@ func TestModelZooChurnToEmptyAndRegrow(t *testing.T) {
 	const writers, readers = 3, 2
 	features := []string{"units", "price", "area"}
 	for _, shards := range []int{1, 3} {
-		for _, strategy := range []string{"fivm", "higher-order", "first-order"} {
-			t.Run(map[int]string{1: "server", 3: "sharded"}[shards]+"/"+strategy, func(t *testing.T) {
-				nSales := 240
-				if strategy == "first-order" {
-					nSales = 60 // full delta joins per op across 35 lifted aggregates
-				}
-				stream := shardedStream(nSales, 5, 4)
-				db := shardedSchema(t)
-				q, err := db.Query()
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv, err := q.ServeSharded(features, ShardOptions{Shards: shards, PartitionBy: "store", ServerOptions: ServerOptions{
-					Strategy:  strategy,
-					BatchSize: 16,
-					Workers:   2,
-					Payload:   PayloadPoly2,
-				}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer srv.Close()
+		t.Run(map[int]string{1: "server", 3: "sharded"}[shards], func(t *testing.T) {
+			stream := shardedStream(240, 5, 4)
+			db := shardedSchema(t)
+			q, err := db.Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := q.ServeSharded(features, ShardOptions{Shards: shards, PartitionBy: "store", ServerOptions: ServerOptions{
+				BatchSize: 16,
+				Payload:   PayloadPoly2,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-				// Concurrent readers hammer the zoo across all phases; an
-				// empty epoch's typed error is the contract, anything else
-				// (a NaN model, a crash) is the bug.
-				stopRead := make(chan struct{})
-				var readWg sync.WaitGroup
-				for r := 0; r < readers; r++ {
-					readWg.Add(1)
-					go func() {
-						defer readWg.Done()
-						for {
-							select {
-							case <-stopRead:
-								return
-							default:
-							}
-							snap := srv.CovarSnapshot()
-							if _, err := snap.TrainLinReg("units", 1e-3); err != nil && !errors.Is(err, ErrEmptySnapshot) {
+			// Concurrent readers hammer the zoo across all phases; an
+			// empty epoch's typed error is the contract, anything else
+			// (a NaN model, a crash) is the bug.
+			stopRead := make(chan struct{})
+			var readWg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				readWg.Add(1)
+				go func() {
+					defer readWg.Done()
+					for {
+						select {
+						case <-stopRead:
+							return
+						default:
+						}
+						snap := srv.CovarSnapshot()
+						if _, err := snap.TrainLinReg("units", 1e-3); err != nil && !errors.Is(err, ErrEmptySnapshot) {
+							t.Error(err)
+							return
+						}
+						if _, err := snap.TrainPCA(2); err != nil && !errors.Is(err, ErrEmptySnapshot) {
+							t.Error(err)
+							return
+						}
+						if _, err := snap.TrainPolyReg("units", 1e-3); err != nil && !errors.Is(err, ErrEmptySnapshot) {
+							t.Error(err)
+							return
+						}
+						if _, err := snap.KMeansSeeds(3); err != nil && !errors.Is(err, ErrEmptySnapshot) {
+							t.Error(err)
+							return
+						}
+						if m, err := snap.Mean("price"); err == nil && math.IsNaN(m) {
+							t.Error("Mean leaked NaN")
+							return
+						}
+					}
+				}()
+			}
+			defer func() {
+				select {
+				case <-stopRead:
+				default:
+					close(stopRead)
+				}
+				readWg.Wait()
+			}()
+
+			// runWriters fans per-writer op streams out concurrently;
+			// each writer owns its partition, so deletes and updates
+			// always follow the matching inserts in per-producer FIFO
+			// order.
+			runWriters := func(parts [][]zooOp) {
+				t.Helper()
+				var wg sync.WaitGroup
+				for w := 0; w < len(parts); w++ {
+					wg.Add(1)
+					go func(part []zooOp) {
+						defer wg.Done()
+						for _, op := range part {
+							if err := applyZooOp(srv, op); err != nil {
 								t.Error(err)
-								return
-							}
-							if _, err := snap.TrainPCA(2); err != nil && !errors.Is(err, ErrEmptySnapshot) {
-								t.Error(err)
-								return
-							}
-							if _, err := snap.TrainPolyReg("units", 1e-3); err != nil && !errors.Is(err, ErrEmptySnapshot) {
-								t.Error(err)
-								return
-							}
-							if _, err := snap.KMeansSeeds(3); err != nil && !errors.Is(err, ErrEmptySnapshot) {
-								t.Error(err)
-								return
-							}
-							if m, err := snap.Mean("price"); err == nil && math.IsNaN(m) {
-								t.Error("Mean leaked NaN")
 								return
 							}
 						}
-					}()
+					}(parts[w])
 				}
-				defer func() {
-					select {
-					case <-stopRead:
-					default:
-						close(stopRead)
-					}
-					readWg.Wait()
-				}()
+				wg.Wait()
+			}
 
-				// runWriters fans per-writer op streams out concurrently;
-				// each writer owns its partition, so deletes and updates
-				// always follow the matching inserts in per-producer FIFO
-				// order.
-				runWriters := func(parts [][]zooOp) {
-					t.Helper()
-					var wg sync.WaitGroup
-					for w := 0; w < len(parts); w++ {
-						wg.Add(1)
-						go func(part []zooOp) {
-							defer wg.Done()
-							for _, op := range part {
-								if err := applyZooOp(srv, op); err != nil {
-									t.Error(err)
-									return
-								}
-							}
-						}(parts[w])
-					}
-					wg.Wait()
-				}
+			// Phase 1: concurrent mixed insert/delete/update churn,
+			// then live-equals-batch over the survivors.
+			parts, drain, survivors := churnParts(stream, writers, 0xC0FFEE)
+			runWriters(parts)
+			if err := srv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			requireZooMatchesBatch(t, srv.CovarSnapshot(), survivors, "loaded")
 
-				// Phase 1: concurrent mixed insert/delete/update churn,
-				// then live-equals-batch over the survivors.
-				parts, drain, survivors := churnParts(stream, writers, 0xC0FFEE)
-				runWriters(parts)
-				if err := srv.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				requireZooMatchesBatch(t, srv.CovarSnapshot(), survivors, "loaded")
+			// Phase 2: churn to empty — every writer retracts what its
+			// partition left live, concurrently. The snapshot must
+			// drain to the typed empty contract, not to NaN residue.
+			runWriters(drain)
+			if err := srv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			requireEmptyContract(t, srv.CovarSnapshot(), "churned to empty")
 
-				// Phase 2: churn to empty — every writer retracts what its
-				// partition left live, concurrently. The snapshot must
-				// drain to the typed empty contract, not to NaN residue.
-				runWriters(drain)
-				if err := srv.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				requireEmptyContract(t, srv.CovarSnapshot(), "churned to empty")
+			// Phase 3: regrow with DIFFERENT data (fresh stream shape,
+			// fresh churn) and check live-equals-batch again — the
+			// maintainers must behave as if freshly constructed.
+			parts, _, survivors = churnParts(shardedStream(120, 4, 3), writers, 0xBEEF)
+			runWriters(parts)
+			if err := srv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			requireZooMatchesBatch(t, srv.CovarSnapshot(), survivors, "regrown")
 
-				// Phase 3: regrow with DIFFERENT data (fresh stream shape,
-				// fresh churn) and check live-equals-batch again — the
-				// maintainers must behave as if freshly constructed.
-				parts, _, survivors = churnParts(shardedStream(nSales/2, 4, 3), writers, 0xBEEF)
-				runWriters(parts)
-				if err := srv.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				requireZooMatchesBatch(t, srv.CovarSnapshot(), survivors, "regrown")
-
-				close(stopRead)
-				readWg.Wait()
-				if err := srv.Close(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+			close(stopRead)
+			readWg.Wait()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -417,7 +408,7 @@ func TestPolyRegRequiresLifted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Strategy: "fivm"}})
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
