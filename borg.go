@@ -107,11 +107,10 @@ func (r *Relation) Append(values ...any) error {
 
 // coerceRow converts facade values (any common Go numeric type for
 // continuous, string for categorical) into relation values in schema
-// order — the conversion path shared by Relation.Append,
-// StreamingCovariance.Insert, and ShardedServer.Insert/Delete/Update;
-// every value goes through coerceCell, as every cell of IngestJSON does.
-// Append and StreamingCovariance.Insert remain single-writer APIs (their
-// row mutation happens outside any lock).
+// order — the conversion path shared by Relation.Append and
+// ShardedServer.Insert/Delete/Update; every value goes through
+// coerceCell, as every cell of IngestJSON does. Append remains a
+// single-writer API (its row mutation happens outside any lock).
 func coerceRow(r *relation.Relation, values []any) ([]relation.Value, error) {
 	if len(values) != r.NumAttrs() {
 		return nil, arityErr(r, len(values))

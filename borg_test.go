@@ -205,47 +205,56 @@ func TestFacadeKMeansAndChowLiu(t *testing.T) {
 	}
 }
 
+// TestFacadeStreamingCovariance streams the toy join into a one-shard
+// ServeSharded: an item counts for nothing before a sale joins it, and
+// then count, mean and second moment are exact. The unknown-feature
+// error is TestFacadeErrorsNameAvailable's.
 func TestFacadeStreamingCovariance(t *testing.T) {
 	db, _, _ := buildToyDB(t)
 	q, err := db.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := q.StreamCovariance([]string{"units", "price"})
+	srv, err := q.ServeSharded([]string{"units", "price"}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Insert("Items", "patty", 6.0); err != nil {
+	defer srv.Close()
+	read := func() *ServerSnapshot {
+		if err := srv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return srv.CovarSnapshot()
+	}
+	if err := srv.Insert("Items", "patty", 6.0); err != nil {
 		t.Fatal(err)
 	}
-	if st.Count() != 0 {
-		t.Fatal("count before any sale")
+	if c := read().Count(); c != 0 {
+		t.Fatalf("count before any sale = %v, want 0", c)
 	}
-	if err := st.Insert("Sales", "patty", "zurich", 1.0); err != nil {
+	if err := srv.Insert("Sales", "patty", "zurich", 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if st.Count() != 1 {
-		t.Fatalf("count = %v, want 1", st.Count())
+	snap := read()
+	if snap.Count() != 1 {
+		t.Fatalf("count = %v, want 1", snap.Count())
 	}
-	mean, err := st.Mean("price")
+	mean, err := snap.Mean("price")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mean != 6 {
 		t.Fatalf("mean price = %v, want 6", mean)
 	}
-	m, err := st.SecondMoment("units", "price")
+	m, err := snap.SecondMoment("units", "price")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != 6 {
 		t.Fatalf("SUM(units*price) = %v, want 6", m)
 	}
-	if err := st.Insert("Ghost"); err == nil {
+	if err := srv.Insert("Ghost"); err == nil {
 		t.Fatal("unknown relation accepted")
-	}
-	if _, err := st.Mean("ghost"); err == nil {
-		t.Fatal("unknown feature accepted")
 	}
 }
 

@@ -572,11 +572,4 @@ func TestFacadeErrorsNameAvailable(t *testing.T) {
 		!strings.Contains(err.Error(), "the maintained features are units, price, area") {
 		t.Fatalf("unknown feature error = %v, want the maintained features named", err)
 	}
-	sc, err := q.StreamCovariance(czCont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.Mean("ghost"); err == nil || !strings.Contains(err.Error(), "the maintained features are") {
-		t.Fatalf("streaming unknown feature error = %v, want the maintained features named", err)
-	}
 }

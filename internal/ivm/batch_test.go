@@ -125,7 +125,7 @@ func liftedStateOf(m Maintainer) []uint64 {
 	if !ok {
 		return nil
 	}
-	p := f.SnapshotLifted()
+	p := published(f).Lifted
 	if p == nil {
 		return nil
 	}
@@ -251,7 +251,8 @@ func TestApplyBatchApproxEqualOriginalOrder(t *testing.T) {
 
 // TestSnapshotIntoZeroAlloc certifies the arena publication hot path:
 // once the destination is sized, SnapshotInto must not allocate for any
-// strategy, nor F-IVM's SnapshotLiftedInto.
+// strategy, and F-IVM's PublishInto allocates its float backing only,
+// for the covar and the poly2 payload alike.
 func TestSnapshotIntoZeroAlloc(t *testing.T) {
 	spec := testdb.StarSpec{Seed: 13, FactRows: 80, DimRows: []int{7, 5}}
 	db, _, _, _ := testdb.RandomStar(spec)
@@ -281,14 +282,12 @@ func TestSnapshotIntoZeroAlloc(t *testing.T) {
 			if !ok {
 				continue
 			}
-			var p ring.Poly2
-			if got := f.SnapshotLiftedInto(&p); got != lifted {
-				t.Fatalf("%s: SnapshotLiftedInto = %v, want %v", e.name, got, lifted)
+			if got := published(f).Lifted != nil; got != lifted {
+				t.Fatalf("%s: published Lifted non-nil = %v, want %v", e.name, got, lifted)
 			}
-			if lifted {
-				if a := testing.AllocsPerRun(100, func() { f.SnapshotLiftedInto(&p) }); a != 0 {
-					t.Errorf("%s: SnapshotLiftedInto allocates %.0f/op, want 0", e.name, a)
-				}
+			var p Published
+			if a := testing.AllocsPerRun(100, func() { p = Published{}; f.PublishInto(&p) }); a != 1 {
+				t.Errorf("%s lifted=%v: PublishInto allocates %.0f/op, want 1 (the float backing)", e.name, lifted, a)
 			}
 		}
 	}

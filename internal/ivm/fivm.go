@@ -317,21 +317,30 @@ type FIVM struct {
 	p2   *viewTree[*ring.Poly2]
 	pr   *ring.Poly2Ring
 	cf   *viewTree[*ring.Cofactor]
-	// cfMarg caches the marginal of cf.result over its groups, which is
-	// what every scalar read of a cofactor maintainer is served from: it
-	// is folded once after an apply (which clears cfMargOK), not per read.
-	cfMarg   ring.Covar
-	cfMargOK bool
+	// marg caches the covariance triple of a poly2 or cofactor root,
+	// which is what every scalar read of such a maintainer is served
+	// from: it is folded once after an apply (which clears margOK), not
+	// per read.
+	marg   ring.Covar
+	margOK bool
 }
 
-// marginal returns the continuous statistics of a cofactor maintainer,
-// valid until the next apply.
-func (m *FIVM) marginal() *ring.Covar {
-	if !m.cfMargOK {
-		m.cf.result.MarginalInto(&m.cfMarg)
-		m.cfMargOK = true
+// triple returns the maintained covariance triple, valid until the next
+// apply: the covar root itself, or the triple of the poly2 or cofactor
+// root.
+func (m *FIVM) triple() *ring.Covar {
+	if m.cv != nil {
+		return m.cv.result
 	}
-	return &m.cfMarg
+	if !m.margOK {
+		if m.p2 != nil {
+			m.p2.result.CovarInto(&m.marg)
+		} else {
+			m.cf.result.MarginalInto(&m.marg)
+		}
+		m.margOK = true
+	}
+	return &m.marg
 }
 
 // NewFIVM creates an F-IVM maintainer over an initially empty copy of the
@@ -378,7 +387,7 @@ func (m *FIVM) Insert(t Tuple) error {
 	if err != nil {
 		return err
 	}
-	m.cfMargOK = false
+	m.margOK = false
 	m.tree.propagateRow(n, row, false)
 	return nil
 }
@@ -394,7 +403,7 @@ func (m *FIVM) Delete(t Tuple) error {
 	if err != nil {
 		return err
 	}
-	m.cfMargOK = false
+	m.margOK = false
 	m.tree.propagateRow(n, row, true)
 	m.removeRow(n, row, h)
 	return nil
@@ -402,94 +411,30 @@ func (m *FIVM) Delete(t Tuple) error {
 
 // ApplyBatch implements Maintainer.
 func (m *FIVM) ApplyBatch(ops []Op) BatchResult {
-	m.cfMargOK = false
+	m.margOK = false
 	return m.base.ApplyBatch(ops)
 }
 
 // Count implements Maintainer.
-func (m *FIVM) Count() float64 {
-	if m.p2 != nil {
-		return m.p2.result.Count()
-	}
-	if m.cf != nil {
-		return m.marginal().Count
-	}
-	return m.cv.result.Count
-}
+func (m *FIVM) Count() float64 { return m.triple().Count }
 
 // Sum implements Maintainer.
-func (m *FIVM) Sum(i int) float64 {
-	if m.p2 != nil {
-		return m.p2.result.M[m.pr.SumIndex(i)]
-	}
-	if m.cf != nil {
-		return m.marginal().Sum[i]
-	}
-	return m.cv.result.Sum[i]
-}
+func (m *FIVM) Sum(i int) float64 { return m.triple().Sum[i] }
 
 // Moment implements Maintainer.
-func (m *FIVM) Moment(i, j int) float64 {
-	if m.p2 != nil {
-		return m.p2.result.M[m.pr.MomentIndex(i, j)]
-	}
-	if m.cf != nil {
-		return m.marginal().Q[i*m.ring.N+j]
-	}
-	return m.cv.result.Q[i*m.ring.N+j]
-}
+func (m *FIVM) Moment(i, j int) float64 { return m.triple().Q[i*m.ring.N+j] }
 
-// Snapshot implements Maintainer: a deep copy of the root triple (for a
-// lifted maintainer the degree-≤2 extraction, for a cofactor maintainer
-// the marginal over all categorical groups).
-func (m *FIVM) Snapshot() *ring.Covar {
-	if m.p2 != nil {
-		return m.p2.result.Covar()
-	}
-	if m.cf != nil {
-		return m.marginal().Clone()
-	}
-	return m.cv.result.Clone()
-}
+// Snapshot implements Maintainer: a deep copy of the maintained triple
+// (for a lifted maintainer the degree-≤2 extraction, for a cofactor
+// maintainer the marginal over all categorical groups).
+func (m *FIVM) Snapshot() *ring.Covar { return m.triple().Clone() }
+
+// SnapshotInto implements Maintainer.
+func (m *FIVM) SnapshotInto(dst *ring.Covar) { m.triple().CopyInto(dst) }
 
 // CatFeatures returns the categorical feature names in cofactor
 // group-slot order; empty unless the cofactor payload is maintained.
 func (m *FIVM) CatFeatures() []string { return m.catFeats }
-
-// SnapshotLifted returns a deep copy of the maintained lifted degree-2
-// element (degree-≤4 moments), or nil when the maintainer was built
-// without PayloadPoly2. Like Snapshot, the copy shares no state with the
-// maintainer.
-func (m *FIVM) SnapshotLifted() *ring.Poly2 {
-	if m.p2 == nil {
-		return nil
-	}
-	return m.p2.result.Clone()
-}
-
-// SnapshotInto implements Maintainer.
-func (m *FIVM) SnapshotInto(dst *ring.Covar) {
-	if m.p2 != nil {
-		m.p2.result.CovarInto(dst)
-		return
-	}
-	if m.cf != nil {
-		m.marginal().CopyInto(dst)
-		return
-	}
-	m.cv.result.CopyInto(dst)
-}
-
-// SnapshotLiftedInto copies the maintained lifted element into dst,
-// reusing dst's backing when pre-sized, and reports false, leaving dst
-// alone, when the maintainer was built without PayloadPoly2.
-func (m *FIVM) SnapshotLiftedInto(dst *ring.Poly2) bool {
-	if m.p2 == nil {
-		return false
-	}
-	m.p2.result.CopyInto(dst)
-	return true
-}
 
 // SnapshotCofactor returns the maintained categorical cofactor element
 // as of this call — the root element published by ring.Cofactor.Snapshot
@@ -508,15 +453,19 @@ func (m *FIVM) SnapshotCofactor() *ring.Cofactor {
 	return m.cf.result.Snapshot()
 }
 
-// Result exposes the maintained covariance triple (read-only; for a
-// lifted maintainer it is extracted fresh per call, for a cofactor
-// maintainer it is the cached marginal, valid until the next apply).
-func (m *FIVM) Result() *ring.Covar {
-	if m.p2 != nil {
-		return m.p2.result.Covar()
+// PublishInto publishes the maintained payload as one epoch into dst, a
+// zero Published (see Published for when its triple is read). It
+// allocates one float backing, for the triple and, under PayloadPoly2,
+// the copied lifted element; a cofactor epoch adds what SnapshotCofactor
+// allocates.
+func (m *FIVM) PublishInto(dst *Published) {
+	dst.bind(m.ring.N, m.pr)
+	switch {
+	case m.p2 != nil:
+		m.p2.result.CopyInto(dst.Lifted)
+	case m.cf != nil:
+		dst.Cofactor = m.cf.result.Snapshot()
+	default:
+		m.cv.result.CopyInto(&dst.stats)
 	}
-	if m.cf != nil {
-		return m.marginal()
-	}
-	return m.cv.result
 }

@@ -92,13 +92,14 @@ const (
 	// every moment SUM(Πx^p) of total degree ≤ 4, the sufficient
 	// statistics of degree-2 polynomial regression. The covariance
 	// statistics are the degree-≤2 prefix, so Count/Sum/Moment/Snapshot
-	// stay exact and SnapshotLifted becomes non-nil.
+	// stay exact and a published epoch's Lifted becomes non-nil.
 	PayloadPoly2
 	// PayloadCofactor maintains the categorical cofactor ring
 	// (ring.Cofactor): the covariance triple per group of categorical
 	// values. Categorical features become legal in the feature list,
-	// SnapshotCofactor becomes non-nil, and the continuous statistics
-	// (marginal over all groups) stay exact.
+	// SnapshotCofactor and a published epoch's Cofactor become non-nil,
+	// and the continuous statistics (marginal over all groups) stay
+	// exact.
 	PayloadCofactor
 )
 
@@ -112,6 +113,20 @@ func (p Payload) String() string {
 	default:
 		return "covar"
 	}
+}
+
+// ParsePayload resolves a payload name as String spells it ("" is
+// covar), as flags and configs use it.
+func ParsePayload(name string) (Payload, error) {
+	switch name {
+	case "covar", "":
+		return PayloadCovar, nil
+	case "poly2":
+		return PayloadPoly2, nil
+	case "cofactor":
+		return PayloadCofactor, nil
+	}
+	return PayloadCovar, fmt.Errorf("ivm: unknown payload %q (want covar, poly2, or cofactor)", name)
 }
 
 // WithPayload selects the maintained ring payload. Maintenance cost is

@@ -18,6 +18,13 @@ func liftedFIVM(t *testing.T, j *query.Join, root string, features []string) *FI
 	return f
 }
 
+// published publishes m's current state as one epoch.
+func published(m *FIVM) *Published {
+	p := new(Published)
+	m.PublishInto(p)
+	return p
+}
+
 // bruteLifted joins the surviving intStar tuples by hand — no engine, no
 // ring — and accumulates every degree-≤4 moment in the ring's monomial
 // order. Feature order matches intStarFeatures: fx, fy, d0x, d1x.
@@ -104,9 +111,9 @@ func TestLiftedMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		want := bruteLifted(pr, live)
-		got := m.SnapshotLifted()
+		got := published(m).Lifted
 		if got == nil {
-			t.Fatalf("%s: lifted maintainer returned nil SnapshotLifted", m.Name())
+			t.Fatalf("%s: lifted maintainer published a nil Lifted", m.Name())
 		}
 		for i := range want {
 			if got.M[i] != want[i] {
@@ -174,7 +181,7 @@ func TestLiftedCovarMatchesPlain(t *testing.T) {
 			t.Fatalf("%s: lifted covar %v differs from plain %v", m.Name(), lc, pc)
 		}
 	}
-	if plain[0].(*FIVM).SnapshotLifted() != nil {
+	if published(plain[0].(*FIVM)).Lifted != nil {
 		t.Fatal("plain F-IVM maintainer reports a lifted snapshot")
 	}
 }

@@ -76,7 +76,7 @@ func sameStats(t *testing.T, label string, a, b Maintainer, payload Payload) {
 	t.Helper()
 	sameCovar(t, label+"/covar", a.Snapshot(), b.Snapshot())
 	if payload == PayloadPoly2 {
-		la, lb := a.(*FIVM).SnapshotLifted(), b.(*FIVM).SnapshotLifted()
+		la, lb := published(a.(*FIVM)).Lifted, published(b.(*FIVM)).Lifted
 		if la == nil || lb == nil {
 			t.Fatalf("%s: lifted snapshot nil (%v, %v)", label, la == nil, lb == nil)
 		}

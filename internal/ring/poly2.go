@@ -213,12 +213,6 @@ func (r *Poly2Ring) IndexOf(vars []int, pows []uint8) int {
 	return i
 }
 
-// SumIndex returns the moment index of SUM(x_i).
-func (r *Poly2Ring) SumIndex(i int) int { return r.sumIdx[i] }
-
-// MomentIndex returns the moment index of SUM(x_i·x_j).
-func (r *Poly2Ring) MomentIndex(i, j int) int { return r.momIdx[i*r.N+j] }
-
 // Zero returns the additive identity.
 func (r *Poly2Ring) Zero() *Poly2 {
 	return &Poly2{ring: r, M: make([]float64, len(r.exps))}

@@ -16,7 +16,7 @@ var readSink float64
 // the lifted payload) allocates nothing.
 func TestSnapshotReadZeroAlloc(t *testing.T) {
 	j, stream, feats := salesSchema(5, 300, 8, 4)
-	srv, err := New(j, "Sales", feats, Config{Payload: PayloadPoly2})
+	srv, err := New(j, "Sales", feats, Config{Payload: ivm.PayloadPoly2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSnapshotReadZeroAlloc(t *testing.T) {
 // be read from the test goroutine.
 func TestPublicationAllocsBounded(t *testing.T) {
 	j, stream, feats := salesSchema(7, 300, 8, 4)
-	srv, err := New(j, "Sales", feats, Config{Payload: PayloadPoly2})
+	srv, err := New(j, "Sales", feats, Config{Payload: ivm.PayloadPoly2})
 	if err != nil {
 		t.Fatal(err)
 	}

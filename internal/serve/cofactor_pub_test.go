@@ -26,7 +26,7 @@ func cofactorServer(tb testing.TB, groups, dirty int) (*Server, func(i int) []iv
 	const stores = 20
 	items := groups / stores
 	j, dims, feats := salesSchema(3, 0, items, stores) // the join and its Items and Stores rows
-	srv, err := New(j, "Sales", append(feats, "item", "store"), Config{Payload: PayloadCofactor})
+	srv, err := New(j, "Sales", append(feats, "item", "store"), Config{Payload: ivm.PayloadCofactor})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -116,18 +116,19 @@ func TestCofactorPublicationAllocsBounded(t *testing.T) {
 	t.Logf("publication %d allocs, copy-on-write %d allocs for %d dirty groups", publish[1], cow[1], dirty)
 }
 
-// TestCofactorDerivedTriple holds a cofactor epoch's lazily derived
-// triple to the maintainer's own marginal at that epoch, bit for bit, on
+// TestCofactorDerivedTriple holds the lazily derived triple of a
+// cofactor epoch (its marginal) and of a poly2 epoch (its degree-≤2
+// prefix) to the maintainer's own triple at that epoch, bit for bit, on
 // the real-valued Tenant stream (where summation order shows in the last
 // bits). Every epoch of an insert-then-retract stream is published, and
 // read only once the maintainers have moved on; at several shards the
-// merged epoch is held to the shard marginals summed in shard order.
+// merged epoch is held to the shard triples summed in shard order.
 // First reads — each of them a derivation — and later reads allocate
 // nothing, and eight goroutines racing on the first read of one epoch
 // all see the same bits.
 func TestCofactorDerivedTriple(t *testing.T) {
 	ds := datagen.Tenant(5, 0.02)
-	features := []string{"units", "price", "sellarea", "footfall", "store", "item"}
+	cont := []string{"units", "price", "sellarea", "footfall"}
 	var stream []ivm.Op
 	for _, name := range ds.StreamOrder {
 		for _, r := range ds.Join.Relations {
@@ -148,79 +149,87 @@ func TestCofactorDerivedTriple(t *testing.T) {
 		}
 		return out
 	}
-	for _, shards := range []int{1, 2, 3} {
-		srvs := make([]*Server, shards)
-		for i := range srvs {
-			srv, err := New(ds.Join, ds.Root, features, Config{Payload: PayloadCofactor})
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		payload  ivm.Payload
+		features []string
+	}{
+		{ivm.PayloadCofactor, append(slices.Clone(cont), "store", "item")},
+		{ivm.PayloadPoly2, cont},
+	} {
+		for _, shards := range []int{1, 2, 3} {
+			srvs := make([]*Server, shards)
+			for i := range srvs {
+				srv, err := New(ds.Join, ds.Root, tc.features, Config{Payload: tc.payload})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Close(); err != nil { // the test goroutine drives the maintainers
+					t.Fatal(err)
+				}
+				srvs[i] = srv
 			}
-			if err := srv.Close(); err != nil { // the test goroutine drives the maintainers
-				t.Fatal(err)
-			}
-			srvs[i] = srv
-		}
-		// publish applies ops, routed by store (column 0 of every Tenant
-		// relation), and returns the tier's new epoch with the marginal its
-		// triple must equal.
-		publish := func(ops []ivm.Op) (*Snapshot, []uint64) {
-			parts := make([]*Snapshot, shards)
-			for i, srv := range srvs {
-				var mine []ivm.Op
-				for _, o := range ops {
-					if int(o.Tuple.Values[0].C)%shards == i {
-						mine = append(mine, o)
+			// publish applies ops, routed by store (column 0 of every Tenant
+			// relation), and returns the tier's new epoch with the maintainer
+			// triple its own must equal.
+			publish := func(ops []ivm.Op) (*Snapshot, []uint64) {
+				parts := make([]*Snapshot, shards)
+				for i, srv := range srvs {
+					var mine []ivm.Op
+					for _, o := range ops {
+						if int(o.Tuple.Values[0].C)%shards == i {
+							mine = append(mine, o)
+						}
 					}
+					if res := srv.m.ApplyBatch(mine); res.Err != nil {
+						t.Fatal(res.Err)
+					}
+					parts[i] = srv.buildSnapshot(0, 0, 0)
 				}
-				if res := srv.m.ApplyBatch(mine); res.Err != nil {
-					t.Fatal(res.Err)
+				if shards == 1 {
+					return parts[0], bits(srvs[0].m.Snapshot())
 				}
-				parts[i] = srv.buildSnapshot(0, 0, 0)
+				sum := ring.CovarRing{N: len(srvs[0].features)}.Zero()
+				for _, srv := range srvs {
+					sum.AddInPlace(srv.m.Snapshot())
+				}
+				return Merged(parts), bits(sum)
 			}
-			if shards == 1 {
-				return parts[0], bits(srvs[0].m.Snapshot())
+			var epochs []*Snapshot
+			var want [][]uint64
+			for lo := 0; lo < len(stream); lo += 64 {
+				e, w := publish(stream[lo:min(lo+64, len(stream))])
+				epochs, want = append(epochs, e), append(want, w)
 			}
-			sum := ring.CovarRing{N: len(srvs[0].features)}.Zero()
-			for _, srv := range srvs {
-				sum.AddInPlace(srv.m.Snapshot())
+			next := 0
+			if a := testing.AllocsPerRun(len(epochs)-1, func() { readSink += epochs[next].Stats().Count; next++ }); a != 0 {
+				t.Fatalf("%v, %d shards: a first read allocates %.1f/op, want 0", tc.payload, shards, a)
 			}
-			return Merged(parts), bits(sum)
-		}
-		var epochs []*Snapshot
-		var want [][]uint64
-		for lo := 0; lo < len(stream); lo += 64 {
-			e, w := publish(stream[lo:min(lo+64, len(stream))])
-			epochs, want = append(epochs, e), append(want, w)
-		}
-		next := 0
-		if a := testing.AllocsPerRun(len(epochs)-1, func() { readSink += epochs[next].Stats().Count; next++ }); a != 0 {
-			t.Fatalf("%d shards: a first read allocates %.1f/op, want 0", shards, a)
-		}
-		if a := testing.AllocsPerRun(100, func() { readSink += epochs[0].Stats().Count }); a != 0 {
-			t.Fatalf("%d shards: a later read allocates %.1f/op, want 0", shards, a)
-		}
-		for k, e := range epochs {
-			if got := bits(e.Stats()); !slices.Equal(got, want[k]) {
-				t.Fatalf("%d shards, epoch %d: derived triple %v, want the maintainer's marginal %v", shards, k, e.Stats(), want[k])
+			if a := testing.AllocsPerRun(100, func() { readSink += epochs[0].Stats().Count }); a != 0 {
+				t.Fatalf("%v, %d shards: a later read allocates %.1f/op, want 0", tc.payload, shards, a)
 			}
-		}
-		e, w := publish(stream[:64])
-		seen := make([][]uint64, 8)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for r := range seen {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				seen[r] = bits(e.Stats())
-			}()
-		}
-		close(start)
-		wg.Wait()
-		for r, got := range seen {
-			if !slices.Equal(got, w) {
-				t.Fatalf("%d shards: racing reader %d saw %v, want %v", shards, r, got, w)
+			for k, e := range epochs {
+				if got := bits(e.Stats()); !slices.Equal(got, want[k]) {
+					t.Fatalf("%v, %d shards, epoch %d: derived triple %v, want the maintainer's %v", tc.payload, shards, k, e.Stats(), want[k])
+				}
+			}
+			e, w := publish(stream[:64])
+			seen := make([][]uint64, 8)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := range seen {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					seen[r] = bits(e.Stats())
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for r, got := range seen {
+				if !slices.Equal(got, w) {
+					t.Fatalf("%v, %d shards: racing reader %d saw %v, want %v", tc.payload, shards, r, got, w)
+				}
 			}
 		}
 	}

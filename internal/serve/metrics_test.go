@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"borg/internal/ivm"
 	"borg/internal/obs"
 )
 
@@ -199,7 +200,7 @@ func TestEpochAgeGauge(t *testing.T) {
 // the epoch arena's budget.
 func TestWriterPathAllocsWithMetrics(t *testing.T) {
 	j, stream, feats := salesSchema(7, 300, 8, 4)
-	srv, err := New(j, "Sales", feats, Config{Obs: obs.NewRegistry(), Payload: PayloadPoly2})
+	srv, err := New(j, "Sales", feats, Config{Obs: obs.NewRegistry(), Payload: ivm.PayloadPoly2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -456,7 +456,7 @@ func TestLiftedSnapshotPublished(t *testing.T) {
 
 func testLiftedSnapshotPublished(t *testing.T) {
 	j, stream, features := salesSchema(31, 120, 8, 4)
-	srv, err := New(j, "Sales", features, Config{Payload: PayloadPoly2, BatchSize: 16})
+	srv, err := New(j, "Sales", features, Config{Payload: ivm.PayloadPoly2, BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

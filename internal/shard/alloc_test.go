@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"borg/internal/ivm"
 	"borg/internal/serve"
 )
 
@@ -19,7 +20,7 @@ func TestMergedSnapshotZeroAllocSteadyState(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		j, stream, feats := tenantSchema(9, 400, 6, 5)
 		srv, err := New(j, "Sales", feats, Config{
-			Config:      serve.Config{Payload: serve.PayloadPoly2},
+			Config:      serve.Config{Payload: ivm.PayloadPoly2},
 			Shards:      shards,
 			PartitionBy: "store",
 		})

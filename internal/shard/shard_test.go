@@ -557,7 +557,7 @@ func TestLiftedMergeMatchesSingleShard(t *testing.T) {
 	j, stream, features := tenantSchema(17, 240, 6, 5)
 	cfg := func(shards int) Config {
 		return Config{
-			Config:      serve.Config{BatchSize: 16, Payload: serve.PayloadPoly2},
+			Config:      serve.Config{BatchSize: 16, Payload: ivm.PayloadPoly2},
 			Shards:      shards,
 			PartitionBy: "store",
 		}
@@ -609,7 +609,7 @@ func TestCofactorMergeSharesShardGroups(t *testing.T) {
 	features = append(features, "store", "item")
 	cfg := func(shards int) Config {
 		return Config{
-			Config:      serve.Config{BatchSize: 16, Payload: serve.PayloadCofactor},
+			Config:      serve.Config{BatchSize: 16, Payload: ivm.PayloadCofactor},
 			Shards:      shards,
 			PartitionBy: "store",
 		}

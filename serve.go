@@ -24,21 +24,21 @@ var internMu sync.RWMutex
 
 // Payload selects which ring statistics a server maintains — the
 // payload of the relational ring its F-IVM view hierarchy carries.
-type Payload = serve.Payload
+type Payload = ivm.Payload
 
 const (
 	// PayloadCovar maintains the continuous covariance triple
 	// (COUNT/SUM/second moments) — the default, sufficient for linear
 	// regression, PCA and k-means seeding.
-	PayloadCovar = serve.PayloadCovar
+	PayloadCovar = ivm.PayloadCovar
 	// PayloadPoly2 additionally maintains every moment of total degree
 	// ≤ 4 — the sufficient statistics of degree-2 polynomial regression.
-	PayloadPoly2 = serve.PayloadPoly2
+	PayloadPoly2 = ivm.PayloadPoly2
 	// PayloadCofactor maintains the categorical cofactor ring: the
 	// covariance statistics per group of categorical values, the
 	// sufficient statistics of the mixed continuous/categorical zoo
 	// (one-hot regression, Chow–Liu, categorical trees, LS-SVM).
-	PayloadCofactor = serve.PayloadCofactor
+	PayloadCofactor = ivm.PayloadCofactor
 )
 
 // ServerOptions tunes every shard of a ShardedServer. Every shard
