@@ -15,10 +15,13 @@
 //     (serve.Config.MetricsOff is the uninstrumented control arm).
 //
 //   - Reads (Registry.WriteExposition, Registry.Snapshot, histogram
-//     quantiles) run at scrape frequency — a few times a minute — and
-//     may allocate freely. A scrape is not a consistent cut: each
-//     atomic is loaded independently, so counters lag each other by in-
-//     flight updates, which is the standard Prometheus contract.
+//     quantiles) run at request rate, not only at scrape rate: borg-
+//     serve's /stats embeds Registry.Snapshot. So both read every
+//     histogram in place, into one stack array per call, and
+//     Registry.Snapshot allocates only the slice it returns. A read is
+//     not a consistent cut: each atomic is loaded independently, so
+//     counters lag each other by in-flight updates, which is the
+//     standard Prometheus contract.
 //
 // Histograms are log-scale with linear sub-buckets (the HdrHistogram
 // bucketing scheme): values below 2^subBits land in exact unit
@@ -152,11 +155,17 @@ func (h *Histogram) Observe(v int64) {
 // of a superset/subset within in-flight updates (the usual scrape
 // contract).
 func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	s.Counts = make([]uint64, NumBuckets)
+	return h.readInto(new([NumBuckets]uint64))
+}
+
+// readInto loads the histogram into counts and returns a snapshot over
+// them: the one reader behind Snapshot, Registry.Snapshot and the
+// exposition, which pass a stack array and so allocate nothing.
+func (h *Histogram) readInto(counts *[NumBuckets]uint64) HistSnapshot {
+	s := HistSnapshot{Counts: counts[:]}
 	for i := range h.buckets {
 		c := h.buckets[i].Load()
-		s.Counts[i] = c
+		counts[i] = c
 		s.Count += c
 	}
 	s.Sum = h.sum.Load()
@@ -408,6 +417,7 @@ func expositionBounds(counts []uint64) []int {
 func (r *Registry) WriteExposition(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	var counts [NumBuckets]uint64
 	for _, name := range r.order {
 		f := r.families[name]
 		if f.help != "" {
@@ -440,7 +450,7 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 				}
 				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(v))
 			case kindHistogram:
-				err = writeHistogram(w, f.name, s)
+				err = writeHistogram(w, f.name, s, &counts)
 			}
 			if err != nil {
 				return err
@@ -451,9 +461,9 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 }
 
 // writeHistogram renders one histogram series with cumulative octave
-// buckets, _sum, and _count.
-func writeHistogram(w io.Writer, name string, s *series) error {
-	snap := s.histogram.Snapshot()
+// buckets, _sum, and _count, reading it into counts.
+func writeHistogram(w io.Writer, name string, s *series, counts *[NumBuckets]uint64) error {
+	snap := s.histogram.readInto(counts)
 	var cum uint64
 	next := 0
 	for _, b := range expositionBounds(snap.Counts) {
@@ -517,11 +527,17 @@ type MetricPoint struct {
 
 // Snapshot renders every registered series as a MetricPoint, with
 // histogram quantiles pre-extracted — the compact form embedded in
-// /stats beside the full /metrics exposition.
+// /stats beside the full /metrics exposition. Its one allocation is the
+// returned slice.
 func (r *Registry) Snapshot() []MetricPoint {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []MetricPoint
+	n := 0
+	for _, f := range r.families {
+		n += len(f.order)
+	}
+	out := make([]MetricPoint, 0, n)
+	var counts [NumBuckets]uint64
 	for _, name := range r.order {
 		f := r.families[name]
 		for _, sig := range f.order {
@@ -541,7 +557,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 				}
 			case kindHistogram:
 				p.Type = "histogram"
-				snap := s.histogram.Snapshot()
+				snap := s.histogram.readInto(&counts)
 				p.Count = snap.Count
 				p.Sum = snap.Sum
 				p.P50 = snap.Quantile(0.50)

@@ -348,3 +348,37 @@ func TestSnapshotPoints(t *testing.T) {
 		t.Fatalf("b_ns = %+v", p)
 	}
 }
+
+// TestSnapshotReadsInPlace pins the /stats read: Registry.Snapshot
+// allocates its one slice whatever the number of histograms, and reads
+// each histogram to exactly the quantiles of its copying Snapshot.
+func TestSnapshotReadsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r := NewRegistry()
+	var hists []*Histogram
+	for n := 1; n <= 20; n++ {
+		r.Counter("c_total", "", Labels{"n": string(rune('a' + n))}).Add(uint64(n))
+		h := r.Histogram("h_ns", "", Labels{"n": string(rune('a' + n))})
+		for i := 0; i < 50*n; i++ {
+			h.Observe(int64(rng.ExpFloat64() * float64(1000*n)))
+		}
+		hists = append(hists, h)
+		if allocs := testing.AllocsPerRun(20, func() { _ = r.Snapshot() }); allocs != 1 {
+			t.Fatalf("Snapshot over %d histograms: %v allocs, want 1", n, allocs)
+		}
+	}
+	var got []MetricPoint
+	for _, p := range r.Snapshot() {
+		if p.Type == "histogram" {
+			got = append(got, p)
+		}
+	}
+	for i, h := range hists {
+		want := h.Snapshot()
+		p := got[i]
+		if p.Count != want.Count || p.Sum != want.Sum || p.P50 != want.Quantile(0.50) || p.P95 != want.Quantile(0.95) || p.P99 != want.Quantile(0.99) {
+			t.Fatalf("histogram %d: point %+v, copy count %d sum %d p50 %d p95 %d p99 %d",
+				i, p, want.Count, want.Sum, want.Quantile(0.50), want.Quantile(0.95), want.Quantile(0.99))
+		}
+	}
+}

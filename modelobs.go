@@ -15,12 +15,16 @@ var modelKinds = []string{"linreg", "polyreg", "pca", "kmeans", "chowliu", "ctre
 
 // modelObs instruments the model zoo: per-kind training latency and
 // counts, plus typed-error counters classed by what went wrong (empty
-// snapshot, payload not maintained, other). Trainings run at read
-// frequency, far off the ingest hot path, so the handles resolve lazily
-// through the registry. A nil *modelObs disables instrumentation — the
-// snapshots of an uninstrumented server carry nil.
+// snapshot, payload not maintained, other). The success and
+// gradient-descent handles resolve once, in newModelObs; only the rare
+// error counters resolve through the registry. A nil *modelObs disables
+// instrumentation — the snapshots of an uninstrumented server carry nil.
 type modelObs struct {
-	reg *obs.Registry
+	reg      *obs.Registry
+	trains   map[string]*obs.Counter   // by kind
+	trainNs  map[string]*obs.Histogram // by kind
+	gdIters  *obs.Histogram
+	gdUnconv *obs.Counter
 }
 
 const (
@@ -34,13 +38,18 @@ const (
 // newModelObs binds the zoo series into reg, pre-registering the
 // success series of every kind and the gradient-descent pair.
 func newModelObs(reg *obs.Registry) *modelObs {
-	reg.Histogram("borg_model_gd_iterations", gdItersHelp, nil)
-	reg.Counter("borg_model_gd_unconverged_total", gdUnconvHelp, nil)
-	for _, kind := range modelKinds {
-		reg.Counter("borg_model_train_total", trainTotalHelp, obs.Labels{"kind": kind})
-		reg.Histogram("borg_model_train_ns", trainNsHelp, obs.Labels{"kind": kind})
+	o := &modelObs{
+		reg:      reg,
+		trains:   make(map[string]*obs.Counter, len(modelKinds)),
+		trainNs:  make(map[string]*obs.Histogram, len(modelKinds)),
+		gdIters:  reg.Histogram("borg_model_gd_iterations", gdItersHelp, nil),
+		gdUnconv: reg.Counter("borg_model_gd_unconverged_total", gdUnconvHelp, nil),
 	}
-	return &modelObs{reg: reg}
+	for _, kind := range modelKinds {
+		o.trains[kind] = reg.Counter("borg_model_train_total", trainTotalHelp, obs.Labels{"kind": kind})
+		o.trainNs[kind] = reg.Histogram("borg_model_train_ns", trainNsHelp, obs.Labels{"kind": kind})
+	}
+	return o
 }
 
 // obsTrain records one training outcome; defer it with the trainer's
@@ -64,17 +73,17 @@ func (s *ServerSnapshot) obsTrain(kind string, start time.Time, errp *error) {
 		o.reg.Counter("borg_model_train_errors_total", trainErrsHelp, obs.Labels{"kind": kind, "class": class}).Inc()
 		return
 	}
-	o.reg.Counter("borg_model_train_total", trainTotalHelp, obs.Labels{"kind": kind}).Inc()
-	o.reg.Histogram("borg_model_train_ns", trainNsHelp, obs.Labels{"kind": kind}).Observe(int64(time.Since(start)))
+	o.trains[kind].Inc()
+	o.trainNs[kind].Observe(int64(time.Since(start)))
 }
 
 // obsGD records how one gradient-descent training ended, so a truncated
 // model shows on a scrape without anyone reading Converged().
 func (s *ServerSnapshot) obsGD(m *ml.LinReg) {
 	if o := s.obs; o != nil {
-		o.reg.Histogram("borg_model_gd_iterations", gdItersHelp, nil).Observe(int64(m.Iterations))
+		o.gdIters.Observe(int64(m.Iterations))
 		if !m.Converged {
-			o.reg.Counter("borg_model_gd_unconverged_total", gdUnconvHelp, nil).Inc()
+			o.gdUnconv.Inc()
 		}
 	}
 }
