@@ -317,27 +317,27 @@ type FIVM struct {
 	p2   *viewTree[*ring.Poly2]
 	pr   *ring.Poly2Ring
 	cf   *viewTree[*ring.Cofactor]
-	// marg caches the covariance triple of a poly2 or cofactor root,
-	// which is what every scalar read of such a maintainer is served
-	// from: it is folded once after an apply (which clears margOK), not
-	// per read.
+	// root is the cofactor root result, cf's emit target.
+	root *ring.CofactorRoot
+	// marg caches the covariance triple of a poly2 root, which is what
+	// every scalar read of such a maintainer is served from: it is folded
+	// once after an apply (which clears margOK), not per read.
 	marg   ring.Covar
 	margOK bool
 }
 
 // triple returns the maintained covariance triple, valid until the next
-// apply: the covar root itself, or the triple of the poly2 or cofactor
-// root.
+// apply: the covar root itself, the cofactor root's running marginal, or
+// the triple of the poly2 root.
 func (m *FIVM) triple() *ring.Covar {
-	if m.cv != nil {
+	switch {
+	case m.cv != nil:
 		return m.cv.result
+	case m.root != nil:
+		return m.root.Marginal()
 	}
 	if !m.margOK {
-		if m.p2 != nil {
-			m.p2.result.CovarInto(&m.marg)
-		} else {
-			m.cf.result.MarginalInto(&m.marg)
-		}
+		m.p2.result.CovarInto(&m.marg)
 		m.margOK = true
 	}
 	return &m.marg
@@ -364,7 +364,8 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 				s.f, s.c = n.featValsOf(s.f[:0], vals), n.catValsOf(s.c[:0], vals)
 				return cfr.LiftCatInto(dst, n.slots, s.f, n.catIdx, s.c)
 			}).batched(m, b)
-		m.cf.emit = func(result, delta *ring.Cofactor) { result.AddMapped(delta, b.slotOf) }
+		m.root = ring.NewCofactorRoot(cfr, b.slotOf)
+		m.cf.emit = func(_, delta *ring.Cofactor) { m.root.Add(delta) }
 		m.tree = m.cf
 	default:
 		m.cv = newViewTreeLift[*ring.Covar](m.ring, m.nodes,
@@ -437,34 +438,31 @@ func (m *FIVM) SnapshotInto(dst *ring.Covar) { m.triple().CopyInto(dst) }
 func (m *FIVM) CatFeatures() []string { return m.catFeats }
 
 // SnapshotCofactor returns the maintained categorical cofactor element
-// as of this call — the root element published by ring.Cofactor.Snapshot
-// — or nil when the maintainer was not built with
-// WithPayload(PayloadCofactor). The element is immutable: it is never
-// written again, by the maintainer or by a reader, so it may be handed
-// to other goroutines while applies continue. It costs one pointer-slice
-// copy; the groups themselves are shared with the root accumulator,
-// which from then on copies a group before its first write to it — so an
-// epoch pays for the groups its ops touched, not for the live ones, and
-// consecutive snapshots share every group no op touched in between.
+// as of this call, materialized from the root's current epoch, or nil
+// when the maintainer was not built with WithPayload(PayloadCofactor).
+// The element is immutable: it is never written again, by the
+// maintainer or by a reader, so it may be handed to other goroutines
+// while applies continue.
 func (m *FIVM) SnapshotCofactor() *ring.Cofactor {
-	if m.cf == nil {
+	if m.root == nil {
 		return nil
 	}
-	return m.cf.result.Snapshot()
+	return m.root.Publish().Element()
 }
 
 // PublishInto publishes the maintained payload as one epoch into dst, a
-// zero Published (see Published for when its triple is read). It
-// allocates one float backing, for the triple and, under PayloadPoly2,
-// the copied lifted element; a cofactor epoch adds what SnapshotCofactor
-// allocates.
+// zero Published (see Published for when its element and triple are
+// read). It allocates one float backing, for the triple (a cofactor
+// root's running marginal) and, under PayloadPoly2, the copied lifted
+// element; a cofactor epoch's element is recorded, not copied.
 func (m *FIVM) PublishInto(dst *Published) {
 	dst.bind(m.ring.N, m.pr)
 	switch {
 	case m.p2 != nil:
 		m.p2.result.CopyInto(dst.Lifted)
-	case m.cf != nil:
-		dst.Cofactor = m.cf.result.Snapshot()
+	case m.root != nil:
+		m.root.Marginal().CopyInto(&dst.stats)
+		dst.epoch, dst.payload = m.root.Publish(), PayloadCofactor
 	default:
 		m.cv.result.CopyInto(&dst.stats)
 	}

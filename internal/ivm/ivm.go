@@ -98,8 +98,8 @@ const (
 	// (ring.Cofactor): the covariance triple per group of categorical
 	// values. Categorical features become legal in the feature list,
 	// SnapshotCofactor and a published epoch's Cofactor become non-nil,
-	// and the continuous statistics (marginal over all groups) stay
-	// exact.
+	// and the continuous statistics (the ring.CofactorRoot's running
+	// marginal over all groups) stay exact.
 	PayloadCofactor
 )
 
@@ -176,7 +176,7 @@ type Maintainer interface {
 	// Snapshot returns a deep copy of the maintained statistics as one
 	// covariance-ring triple. The copy shares no state with the
 	// maintainer, so callers may hand it to other goroutines while
-	// inserts continue — the copy-on-write handoff of the serving layer.
+	// inserts continue — the epoch handoff of the serving layer.
 	Snapshot() *ring.Covar
 	// SnapshotInto copies the maintained statistics into dst, reusing
 	// dst's backing when pre-sized — Snapshot without the allocation,

@@ -11,31 +11,37 @@ import (
 // immutable once published (FIVM.PublishInto, Merge), so readers may
 // share it across goroutines.
 //
-// The triple follows one rule. A covar epoch's element is its triple,
-// copied at publication. A poly2 or cofactor epoch derives the triple
-// from its own element on the first read, and a merged epoch sums its
-// parts' triples in part order on the first read; either way the
-// derivation runs once, into storage the publication allocated, and
-// its bits are the maintainer's own at that epoch. No read allocates.
+// The triple follows one rule. A covar or cofactor epoch's triple is
+// copied at publication (a cofactor root's is its running marginal). A
+// poly2 epoch derives the triple from its own element on the first
+// read, and a merged epoch sums its parts' triples in part order on the
+// first read; either way the derivation runs once, into storage the
+// publication allocated, and its bits are the maintainer's own at that
+// epoch. No read of the triple allocates or materializes a cofactor
+// element: that happens once, on the first call of Cofactor.
 type Published struct {
 	// Lifted is the lifted degree-2 moment element, nil unless the
 	// payload is PayloadPoly2. Readers must not mutate it.
 	Lifted *ring.Poly2
-	// Cofactor is the categorical cofactor element, nil unless the
-	// payload is PayloadCofactor. It is immutable and structurally shared
-	// across epochs: consecutive epochs hold the same group for every key
-	// no op touched in between, and neither the writer nor a reader ever
-	// mutates a published group.
-	Cofactor *ring.Cofactor
-	// n is the feature count, fixed at publication (a derivation writes
-	// stats.N). stats and lifted are the storage Stats and Lifted point
-	// into; parts are the epochs a merged epoch sums.
+	// n is the feature count and payload the payload, fixed at
+	// publication (a derivation writes stats.N). stats and lifted are the
+	// storage Stats and Lifted point into; parts are the epochs a merged
+	// epoch sums.
 	n       int
+	payload Payload
 	stats   ring.Covar
 	lifted  ring.Poly2
 	parts   []*Published
 	derived sync.Once
+	// epoch is a cofactor epoch's element before materialization.
+	epoch        ring.CofactorEpoch
+	cofactor     *ring.Cofactor
+	materialized sync.Once
 }
+
+// onMaterialize, when set, is called by every materialization of a
+// cofactor element: a test's probe.
+var onMaterialize func()
 
 // bind gives p one float backing for its triple and, over a lifted
 // ring, for Lifted.
@@ -49,31 +55,57 @@ func (p *Published) bind(n int, lr *ring.Poly2Ring) {
 	p.stats = ring.Covar{N: n, Sum: back[:n:n], Q: back[n : n+n*n : n+n*n]}
 	if lr != nil {
 		lr.Bind(&p.lifted, back[n+n*n:])
-		p.Lifted = &p.lifted
+		p.Lifted, p.payload = &p.lifted, PayloadPoly2
 	}
 }
 
 // Merge makes dst, a zero Published, the sum of parts: one epoch per
-// shard of a sharded tier, all of one payload. The elements are summed
-// now and the triple on first read (see Published).
+// shard of a sharded tier, all of one payload. Lifted elements are
+// summed now, the rest on first read (see Published).
 func Merge(dst *Published, parts []*Published) {
 	var lr *ring.Poly2Ring
 	if l := parts[0].Lifted; l != nil {
 		lr = l.Ring()
 	}
 	dst.bind(parts[0].n, lr)
-	dst.parts = parts
-	for i, q := range parts {
+	dst.parts, dst.payload = parts, parts[0].payload
+	for _, q := range parts {
 		if lr != nil {
 			dst.Lifted.AddInPlace(q.Lifted)
 		}
-		// A sorted merge of immutable runs: a group living on one shard
-		// (every group, when the partition attribute is a categorical
-		// slot) is shared with that shard's epoch, not copied.
-		if i == 0 {
-			dst.Cofactor = q.Cofactor
-		} else if c := q.Cofactor; c != nil {
-			dst.Cofactor = ring.CofactorRing{N: c.N, K: c.K}.Add(dst.Cofactor, c)
+	}
+}
+
+// Payload reports which ring payload the epoch carries, materializing
+// nothing.
+func (p *Published) Payload() Payload { return p.payload }
+
+// Cofactor returns the epoch's immutable categorical cofactor element,
+// nil unless the payload is PayloadCofactor. The first call materializes
+// it, once however many readers race; a merged epoch's is the sorted
+// merge of its parts', sharing every group that lives on one part.
+func (p *Published) Cofactor() *ring.Cofactor {
+	if p.payload != PayloadCofactor {
+		return nil
+	}
+	p.materialized.Do(p.materialize)
+	return p.cofactor
+}
+
+// materialize sets cofactor.
+func (p *Published) materialize() {
+	if onMaterialize != nil {
+		onMaterialize()
+	}
+	if p.parts == nil {
+		p.cofactor = p.epoch.Element()
+		return
+	}
+	for i, q := range p.parts {
+		if c := q.Cofactor(); i == 0 {
+			p.cofactor = c
+		} else {
+			p.cofactor = ring.CofactorRing{N: c.N, K: c.K}.Add(p.cofactor, c)
 		}
 	}
 }
@@ -87,15 +119,13 @@ func (p *Published) Stats() *ring.Covar {
 	return &p.stats
 }
 
-// derive fills a derived triple; a covar epoch's is already set.
+// derive fills a derived triple; a covar or cofactor epoch's is set.
 func (p *Published) derive() {
 	switch {
 	case p.parts != nil:
 		for _, q := range p.parts {
 			p.stats.AddInPlace(q.Stats())
 		}
-	case p.Cofactor != nil:
-		p.Cofactor.MarginalInto(&p.stats)
 	case p.Lifted != nil:
 		p.Lifted.CovarInto(&p.stats)
 	}

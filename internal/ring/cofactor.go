@@ -28,10 +28,11 @@ import (
 // moments SUM(x_i * 1[g=c]) are the group-restricted sums. The trainers
 // in internal/ml consume exactly those projections.
 //
-// A group is immutable once a second element can reach it: Snapshot and
-// CofactorRing.Add hand groups on instead of copying them, and an
-// element writes a group in place only while it is the sole holder
-// (see owns), copying it first otherwise.
+// A group is immutable once a second element can reach it.
+// CofactorRing.Add and a CofactorRoot's materialization hand groups on
+// instead of copying them, and mark what they build shared: a shared
+// element copies a group before writing it. The F-IVM root result is a
+// CofactorRoot, whose published elements nobody writes.
 type Cofactor struct {
 	// N is the number of continuous features of each group's Covar, K
 	// the number of categorical slots of each group key.
@@ -40,12 +41,9 @@ type Cofactor struct {
 	// each, in ascending order; vals[i] is the statistics of key(i).
 	keys []uint64
 	vals []*Covar
-	// shared is set once another element may hold some of vals; the
-	// element then owns only the groups marked in fresh (nil = none,
-	// else parallel to vals), those it allocated since. keysShared says
-	// the same of the keys array, which a birth or death copies first.
-	shared, keysShared bool
-	fresh              []bool
+	// shared is set once another element may hold some of vals: e then
+	// writes none of them in place.
+	shared bool
 	// spare holds the groups of the value a destination-passing form
 	// overwrote (see reuse), for the next one to compute into.
 	spare []*Covar
@@ -149,7 +147,7 @@ func (e *Cofactor) Each(fn func(codes []int32, g *Covar)) {
 // place, in key order: no sort, no lookup, no allocation. It folds one
 // component at a time: each sum still adds the groups in key order, and
 // the short loop bodies keep several groups' cache misses in flight —
-// the groups of a long-lived run are scattered over the heap.
+// a merged run's groups lie in several slabs.
 func (e *Cofactor) MarginalInto(dst *Covar) {
 	dst.N = e.N
 	dst.block(0, e.N)
@@ -184,28 +182,12 @@ func (e *Cofactor) ApproxEqual(o *Cofactor, tol float64) bool {
 		slices.EqualFunc(e.vals, o.vals, func(g, og *Covar) bool { return g.ApproxEqual(og, tol) })
 }
 
-// Snapshot publishes the element's current value without copying a
-// float: the returned element shares every group — and the keys array —
-// with e, at the cost of one pointer-slice copy. It is immutable: from
-// here on e copies a group before its first write to it (and the keys
-// before a birth or death), so successive snapshots share every group
-// untouched between them and none is ever written.
-func (e *Cofactor) Snapshot() *Cofactor {
-	e.shared, e.keysShared = true, true
-	clear(e.fresh)
-	return &Cofactor{N: e.N, K: e.K, keys: e.keys, vals: slices.Clone(e.vals), shared: true, keysShared: true}
-}
-
-// owns reports whether e is the sole holder of vals[i] and may write it
-// in place.
-func (e *Cofactor) owns(i int) bool { return !e.shared || (e.fresh != nil && e.fresh[i]) }
-
 // add folds g into the group under key, pruning it when the statistics
-// cancel to exact zero so retraction shrinks the run for real. A group e
-// does not own is copied before the write (copy-on-write); a missing
-// one is born as g itself when e may own g, as a copy otherwise. With to
-// non-nil g's feature slots are renamed on the way in (Covar.AddMapped),
-// and a group is born with full support.
+// cancel to exact zero so retraction shrinks the run for real. A group
+// of a shared element is copied before the write (copy-on-write); a
+// missing one is born as g itself when e may own g, as a copy otherwise.
+// With to non-nil g's feature slots are renamed on the way in
+// (Covar.AddMapped), and a group is born with full support.
 func (e *Cofactor) add(key []uint64, g *Covar, own bool, to []int) {
 	i, ok := e.search(key)
 	w := len(key)
@@ -218,41 +200,14 @@ func (e *Cofactor) add(key []uint64, g *Covar, own bool, to []int) {
 		} else if !own {
 			g = g.Clone()
 		}
-		e.ownKeys()
 		e.keys, e.vals = slices.Insert(e.keys, i*w, key...), slices.Insert(e.vals, i, g)
-		if e.fresh != nil {
-			e.fresh = slices.Insert(e.fresh, i, false)
-		}
-		e.markFresh(i)
 		return
-	case !e.owns(i):
+	case e.shared:
 		e.vals[i] = e.vals[i].Clone()
-		e.markFresh(i)
 	}
 	e.vals[i].AddMapped(g, to)
 	if e.vals[i].IsZero() {
-		e.ownKeys()
 		e.keys, e.vals = slices.Delete(e.keys, i*w, i*w+w), slices.Delete(e.vals, i, i+1)
-		if e.fresh != nil {
-			e.fresh = slices.Delete(e.fresh, i, i+1)
-		}
-	}
-}
-
-// markFresh records that e allocated vals[i] itself.
-func (e *Cofactor) markFresh(i int) {
-	if e.shared {
-		if e.fresh == nil {
-			e.fresh = make([]bool, len(e.vals))
-		}
-		e.fresh[i] = true
-	}
-}
-
-// ownKeys unshares the keys array ahead of a birth or death.
-func (e *Cofactor) ownKeys() {
-	if e.keysShared {
-		e.keys, e.keysShared = append(make([]uint64, 0, len(e.keys)+len(e.keys)/8+keyWords(e.K)), e.keys...), false
 	}
 }
 
@@ -301,7 +256,7 @@ func (r CofactorRing) One() *Cofactor { return r.LiftCat(nil, nil, nil, nil) }
 
 // reuse empties e for a destination-passing form to compute into,
 // keeping the groups it is the sole holder of as spares: all of them,
-// unless a snapshot or sum was made of it, and then none.
+// unless it is shared, and then none.
 func (e *Cofactor) reuse() {
 	if e.shared {
 		*e = Cofactor{N: e.N, K: e.K}
@@ -343,13 +298,14 @@ func (r CofactorRing) LiftCatInto(dst *Cofactor, idx []int, vals []float64, catI
 // Add returns a+b componentwise (group union, covariance addition) by a
 // sorted merge. A group present on one side only is shared with that
 // operand when the operand no longer writes it in place — always the
-// case for snapshots — and copied otherwise; floats are allocated only
-// for keys present on both sides. The sum owns none of its groups.
+// case for published elements — and copied otherwise; floats are
+// allocated only for keys present on both sides. The sum owns none of
+// its groups.
 func (r CofactorRing) Add(a, b *Cofactor) *Cofactor {
 	out := r.run(len(a.vals) + len(b.vals))
 	out.shared = true
 	held := func(e *Cofactor, i int) *Covar {
-		if e.owns(i) {
+		if !e.shared {
 			return e.vals[i].Clone()
 		}
 		return e.vals[i]
@@ -374,8 +330,8 @@ func (r CofactorRing) Add(a, b *Cofactor) *Cofactor {
 }
 
 // AddInPlace folds src into dst group by group (see Cofactor.add): exact
-// cancellation prunes, and a group some snapshot holds is copied before
-// its first write, so that snapshot stays bitwise unchanged.
+// cancellation prunes, and a shared dst copies a group before writing
+// it, so the elements sharing it stay bitwise unchanged.
 func (r CofactorRing) AddInPlace(dst, src *Cofactor) { dst.AddMapped(src, nil) }
 
 // AddMapped is AddInPlace of src into e with, when to is non-nil, the

@@ -5,10 +5,13 @@ import "testing"
 // The cofactor ring's per-layer microbenchmarks, in the shape the
 // maintenance path calls them (run with -benchmem; benchstat-readable):
 // a tuple lift into a recycled element, a single-group delta times a child view, and a delta
-// folded into a 5 000-group root — in place, and on the first write
-// after a publication, which copies the group.
+// folded into a 5 000-group root — in place, and appended to a
+// CofactorRoot's log with an epoch published every 64 deltas.
 
-var elemSink *Cofactor
+var (
+	elemSink  *Cofactor
+	epochSink CofactorEpoch
+)
 
 // benchRing has the tenant workload's shape: four continuous features,
 // two categorical slots.
@@ -74,12 +77,16 @@ func BenchmarkCofactorAddInPlace(b *testing.B) {
 		}
 	})
 	b.Run("root-after-publish", func(b *testing.B) {
+		logged := NewCofactorRoot(benchRing, nil)
+		for _, d := range deltas {
+			logged.Add(d)
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if i%64 == 0 {
-				elemSink = root.Snapshot()
+				epochSink = logged.Publish()
 			}
-			benchRing.AddInPlace(root, deltas[i*37%groups])
+			logged.Add(deltas[i*37%groups])
 		}
 	})
 }

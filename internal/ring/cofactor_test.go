@@ -102,8 +102,9 @@ func TestCofactorIntoRecyclesDst(t *testing.T) {
 	}
 	same("a sum of recycled results", acc, accWant)
 
-	// A dst whose groups a snapshot shares gives none of them up.
-	snap, a := acc.Snapshot(), randCofactor(r, src)
+	// A dst whose groups another element shares gives none of them up.
+	acc = r.Add(acc, r.Zero())
+	snap, a := r.Add(acc, r.Zero()), randCofactor(r, src)
 	same("NegInto of a shared element in place", r.NegInto(acc, acc), r.Neg(accWant))
 	same("MulInto a shared dst", r.MulInto(acc, a, a), r.Mul(a, a))
 	same("the snapshot", snap, accWant)
@@ -228,7 +229,7 @@ func TestCofactorEachSortedAndDecoded(t *testing.T) {
 }
 
 // rootOf builds an accumulator holding one tuple in each of n fully
-// bound groups (slot 0 = i/8, slot 1 = i%8), as the F-IVM root does.
+// bound groups (slot 0 = i/8, slot 1 = i%8), accumulated in place.
 func rootOf(r CofactorRing, n int) *Cofactor {
 	e := r.Zero()
 	for i := 0; i < n; i++ {
@@ -237,48 +238,15 @@ func rootOf(r CofactorRing, n int) *Cofactor {
 	return e
 }
 
-// TestCofactorSnapshotSharesUntouchedGroups pins the structural sharing
-// of successive snapshots: a group no write touched between two epochs
-// is the same *Covar in both, a touched one was copied exactly once, the
-// keys array is shared until a group is born or dies, and no snapshot
-// ever changes.
-func TestCofactorSnapshotSharesUntouchedGroups(t *testing.T) {
-	r := CofactorRing{N: 1, K: 2}
-	root := rootOf(r, 64)
-	s1 := root.Snapshot()
-	bits1 := r.Clone(s1)
-	touch := r.LiftCat([]int{0}, []float64{5}, []int{0, 1}, []int32{2, 3}) // group 19
-	r.AddInPlace(root, touch)
-	r.AddInPlace(root, touch) // second write: in place, no second copy
-	s2 := root.Snapshot()
-	if &s1.keys[0] != &s2.keys[0] {
-		t.Fatal("keys array copied although no group was born or died")
-	}
-	for i := range s1.vals {
-		if same := s1.vals[i] == s2.vals[i]; same != (i != 19) {
-			t.Fatalf("group %d shared between epochs: %v", i, same)
-		}
-	}
-	if g := s2.Group([]int32{2, 3}); g.Count != 3 || g.Sum[0] != 19+5+5 {
-		t.Fatalf("touched group = %v", g)
-	}
-	r.AddInPlace(root, r.LiftCat([]int{0}, []float64{1}, []int{0, 1}, []int32{9, 9})) // birth
-	r.AddInPlace(root, r.Neg(touch))
-	r.AddInPlace(root, r.Neg(touch))
-	r.AddInPlace(root, r.Neg(r.LiftCat([]int{0}, []float64{19}, []int{0, 1}, []int32{2, 3}))) // death
-	s3 := root.Snapshot()
-	if s3.NumGroups() != 64 || s3.Group([]int32{2, 3}) != nil || s3.Group([]int32{9, 9}) == nil {
-		t.Fatalf("after a birth and a death: %d groups", s3.NumGroups())
-	}
-	if &s3.keys[0] == &s2.keys[0] {
-		t.Fatal("keys array still shared after a birth and a death")
-	}
-	if !s1.ApproxEqual(bits1, 0) || s2.NumGroups() != 64 || s2.Group([]int32{2, 3}).Count != 3 {
-		t.Fatal("a published snapshot changed")
-	}
+// published returns e's value as a published element, immutable and
+// sharing its groups.
+func published(r CofactorRing, e *Cofactor) *Cofactor {
+	root := NewCofactorRoot(r, nil)
+	root.Add(e)
+	return root.Publish().Element()
 }
 
-// TestCofactorAddSharesImmutableGroups: the sum of two snapshots shares
+// TestCofactorAddSharesImmutableGroups: the sum of two published elements shares
 // every group present on one side only, allocates for the collisions,
 // and is independent of what its operands do next; groups an operand
 // still writes in place are copied instead.
@@ -288,7 +256,7 @@ func TestCofactorAddSharesImmutableGroups(t *testing.T) {
 	for i := 8; i < 24; i++ { // overlaps a on groups 8..15
 		r.AddInPlace(b, r.LiftCat([]int{0}, []float64{1}, []int{0, 1}, []int32{int32(i / 8), int32(i % 8)}))
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
+	sa, sb := published(r, a), published(r, b)
 	sum := r.Add(sa, sb)
 	if sum.NumGroups() != 24 {
 		t.Fatalf("sum has %d groups, want 24", sum.NumGroups())
@@ -306,7 +274,7 @@ func TestCofactorAddSharesImmutableGroups(t *testing.T) {
 	r.AddInPlace(a, sum) // operands and the sum itself move on
 	r.AddInPlace(sum, b)
 	if !r.Add(sa, sb).ApproxEqual(want, 0) || sa.Group([]int32{0, 3}).Count != 1 {
-		t.Fatal("snapshots changed by writes to elements sharing their groups")
+		t.Fatal("published elements changed by writes to elements sharing their groups")
 	}
 	live := r.LiftCat([]int{0}, []float64{1}, []int{0}, []int32{7}) // owns its group
 	if s := r.Add(live, r.Zero()); s.vals[0] == live.vals[0] {

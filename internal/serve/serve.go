@@ -11,7 +11,7 @@
 // fresh models while data streams in — only pays off inside a runtime
 // shaped like the workload: writes are frequent and tiny, reads want a
 // consistent view and must never block the write path. The design here
-// is the classic single-writer / copy-on-write arrangement of HTAP
+// is the classic single-writer / immutable-snapshot arrangement of HTAP
 // serving systems:
 //
 //   - Ingest. Ops (inserts, deletes, updates) enter through a buffered
@@ -34,13 +34,13 @@
 //     keeps emptying the queue — discarding ops, failing barriers —
 //     so no producer stays parked on a dead server.
 //
-//   - Epoch/COW handoff. A publication fills an immutable Snapshot —
-//     the header, then the maintainer's payload (ivm.FIVM.PublishInto)
-//     — and swaps it into an atomic pointer. A covar or poly2 epoch is
-//     two allocations, the Snapshot and one float backing its element
-//     is copied into; a cofactor epoch adds the two of its element's
-//     header and group pointers (the groups are shared, copy-on-write,
-//     with the maintainer), four in all. A read is one atomic load; the
+//   - Epoch handoff. A publication fills an immutable Snapshot — the
+//     header, then the maintainer's payload (ivm.FIVM.PublishInto) —
+//     and swaps it into an atomic pointer: two allocations, the
+//     Snapshot and one float backing its triple is copied into. A
+//     cofactor epoch's element is the root's base plus a prefix of its
+//     append-only delta log (ring.CofactorEpoch), materialized on first
+//     read, so the writer never writes it. A read is one atomic load; the
 //     snapshot it returns never changes, so readers never block the
 //     writer and the writer never waits for readers.
 package serve

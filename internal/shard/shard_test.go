@@ -639,17 +639,17 @@ func TestCofactorMergeSharesShardGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms, m1 := sharded.Snapshot(), single.Snapshot()
-	if ms.Cofactor.NumGroups() < 20 || !ms.Cofactor.ApproxEqual(m1.Cofactor, 0) {
-		t.Fatalf("merged cofactor (%d groups) differs from single shard (%d groups)", ms.Cofactor.NumGroups(), m1.Cofactor.NumGroups())
+	if ms.Cofactor().NumGroups() < 20 || !ms.Cofactor().ApproxEqual(m1.Cofactor(), 0) {
+		t.Fatalf("merged cofactor (%d groups) differs from single shard (%d groups)", ms.Cofactor().NumGroups(), m1.Cofactor().NumGroups())
 	}
 	var marginal ring.Covar
-	if ms.Cofactor.MarginalInto(&marginal); !marginal.ApproxEqual(ms.Stats(), 0) {
+	if ms.Cofactor().MarginalInto(&marginal); !marginal.ApproxEqual(ms.Stats(), 0) {
 		t.Fatal("merged cofactor marginal differs from merged triple")
 	}
-	ms.Cofactor.Each(func(codes []int32, g *ring.Covar) {
+	ms.Cofactor().Each(func(codes []int32, g *ring.Covar) {
 		holders := 0
 		for _, sh := range sharded.shards {
-			if sh.Snapshot().Cofactor.Group(codes) == g {
+			if sh.Snapshot().Cofactor().Group(codes) == g {
 				holders++
 			}
 		}

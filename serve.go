@@ -287,15 +287,7 @@ func (s *ServerSnapshot) Features() []string { return s.features }
 func (s *ServerSnapshot) CatFeatures() []string { return s.catFeatures }
 
 // Payload reports which ring statistics this epoch carries.
-func (s *ServerSnapshot) Payload() Payload {
-	switch {
-	case s.snap.Cofactor != nil:
-		return PayloadCofactor
-	case s.snap.Lifted != nil:
-		return PayloadPoly2
-	}
-	return PayloadCovar
-}
+func (s *ServerSnapshot) Payload() Payload { return s.snap.Payload() }
 
 // Mean returns the mean of a maintained feature at this epoch. A
 // snapshot of an empty join — never populated, or churned to empty by
@@ -335,7 +327,7 @@ func (s *ServerSnapshot) Covar() *ring.Covar { return s.snap.Stats() }
 
 // Cofactor exposes the epoch's raw categorical cofactor element
 // (read-only), nil unless the payload is PayloadCofactor.
-func (s *ServerSnapshot) Cofactor() *ring.Cofactor { return s.snap.Cofactor }
+func (s *ServerSnapshot) Cofactor() *ring.Cofactor { return s.snap.Cofactor() }
 
 // TrainLinReg trains a ridge linear regression of the response on the
 // remaining maintained features from this epoch's statistics, with the

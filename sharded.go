@@ -29,7 +29,7 @@ type ShardOptions struct {
 // applied by one writer goroutine per shard, and serves snapshot-
 // consistent statistics and model reads to any number of concurrent
 // readers. Reads never block a writer, and a writer never waits for
-// readers (epoch/copy-on-write handoff). With the zero ShardOptions it
+// readers (epoch handoff). With the zero ShardOptions it
 // runs one shard and a read is one atomic pointer load. A second shard
 // adds ingest parallelism: tuples are hash-partitioned on an attribute
 // every relation shares, and a read folds the per-shard snapshots with

@@ -87,7 +87,7 @@ type (
 
 // layout is this cofactor epoch's ml.CatLayout.
 func (s *ServerSnapshot) layout() *ml.CatLayout {
-	L, _ := derived(s, layoutKey{}, func() (*ml.CatLayout, error) { return ml.NewCatLayout(s.snap.Cofactor), nil })
+	L, _ := derived(s, layoutKey{}, func() (*ml.CatLayout, error) { return ml.NewCatLayout(s.snap.Cofactor()), nil })
 	return L
 }
 
@@ -96,7 +96,7 @@ func (s *ServerSnapshot) layout() *ml.CatLayout {
 // snapshot, the plain continuous design otherwise.
 func (s *ServerSnapshot) sigma(response string) (*ml.Sigma, error) {
 	return derived(s, sigmaKey(response), func() (*ml.Sigma, error) {
-		if s.snap.Cofactor != nil {
+		if s.Payload() == PayloadCofactor {
 			return s.layout().Sigma(s.features, s.catFeatures, response)
 		}
 		return ml.SigmaFromCovar(s.features, response, s.snap.Stats())
@@ -362,7 +362,7 @@ func (s *ServerSnapshot) TrainPolyReg(response string, lambda float64) (_ *PolyR
 		return nil, err
 	}
 	switch {
-	case s.snap.Cofactor != nil:
+	case s.Payload() == PayloadCofactor:
 		m, err := s.layout().TrainCatPoly(s.features, s.catFeatures, response, lambda)
 		if err != nil {
 			return nil, err
@@ -487,7 +487,7 @@ func (m *PolyRegression) PredictCat(values map[string]float64, cats map[string]s
 // form of Query.ChowLiu, no data access. Requires PayloadCofactor.
 func (s *ServerSnapshot) TrainChowLiu() (_ []DependencyEdge, err error) {
 	defer s.obsTrain("chowliu", time.Now(), &err)
-	if s.snap.Cofactor == nil {
+	if s.Payload() != PayloadCofactor {
 		return nil, ErrPayloadNotMaintained
 	}
 	if err := s.ready(); err != nil {
@@ -514,7 +514,7 @@ func (s *ServerSnapshot) TrainCTree(response string, opt TreeOptions) (_ *Decisi
 	if _, err := s.featureIndex(response); err != nil {
 		return nil, err
 	}
-	if s.snap.Cofactor == nil {
+	if s.Payload() != PayloadCofactor {
 		return nil, ErrPayloadNotMaintained
 	}
 	if err := s.ready(); err != nil {
@@ -549,7 +549,7 @@ func (s *ServerSnapshot) TrainSVM(label string, lambda float64) (_ *SVMClassifie
 	if _, err := s.featureIndex(label); err != nil {
 		return nil, err
 	}
-	if s.snap.Cofactor == nil {
+	if s.Payload() != PayloadCofactor {
 		return nil, ErrPayloadNotMaintained
 	}
 	if err := s.ready(); err != nil {

@@ -166,7 +166,7 @@ func TestZooDerivesOncePerEpoch(t *testing.T) {
 			if !maps.Equal(derived, want) {
 				t.Fatalf("%d concurrent rounds derived %v, want %v", readers, derived, want)
 			}
-			fresh := ml.NewCatLayout(snap.snap.Cofactor)
+			fresh := ml.NewCatLayout(snap.snap.Cofactor())
 			if !reflect.DeepEqual(snap.layout(), fresh) {
 				t.Fatal("a trainer wrote into the epoch's shared layout")
 			}
