@@ -1,20 +1,20 @@
 package ivm
 
 import (
-	"slices"
 	"time"
 
 	"borg/internal/relation"
 )
 
-// This file is the batch ingest path shared by the three strategies.
-// ApplyBatch computes the per-tuple deltas of up to batchPhase ops — the
-// delta-join probes and ring lift/multiply evaluations, read-only
-// against the phase-start state — and then applies all state mutation
-// (row appends, swap-deletes, index updates, view writes) in a mutate
-// phase. Both are plain loops on the calling goroutine (a phase is
-// ~100 µs of work, less than fanning it out to a pool costs), and the
-// driver allocates nothing of its own: a batch costs what its ops cost.
+// This file is F-IVM's batch ingest path; the Figure 4 baselines apply
+// one tuple at a time. ApplyBatch computes the per-tuple deltas of up
+// to batchPhase ops — the delta-join probes and ring lift/multiply
+// evaluations, read-only against the phase-start state — and then
+// applies all state mutation (row appends, swap-deletes, index updates,
+// view writes) in a mutate phase. Both are plain loops on the calling
+// goroutine (a phase is ~100 µs of work, less than fanning it out to a
+// pool costs), and the driver allocates nothing of its own: a batch
+// costs what its ops cost.
 //
 // Correctness rests on grouping: ops are stably grouped by relation,
 // and groups run one after another. Within a same-relation group, a
@@ -150,38 +150,26 @@ func (b *base) groupOps(ops []Op) []opGroup {
 	return groups
 }
 
-// batcher is the ApplyBatch driver of one maintainer, generic over the
-// strategy's per-tuple effect payload EF, and built once with it: the
-// groups are the base's, a phase's effects live here, and the strategy
-// plugs in method values. Each same-relation group runs in phases of at
-// most batchPhase ops: begin (when non-nil) announces that no effect of
-// an earlier phase is pending, tupleEffects computes a tuple half's
+// batcher is F-IVM's view tree together with its ApplyBatch driver,
+// built once with the maintainer: the groups are the base's and a
+// phase's effects live here. Each same-relation group runs in phases of
+// at most batchPhase ops: the tree's scratch is reset (no effect of an
+// earlier phase is pending), tupleEffects computes each tuple half's
 // effects against phase-start state, then applyEffects replays them in
 // op order beside the physical row mutation. Serial singleton groups go
 // through m's own tuple-at-a-time methods.
-type batcher[EF any] struct {
+type batcher[E any] struct {
 	*base
-	m            Maintainer
-	begin        func()
-	tupleEffects func(n *node, vals []relation.Value, neg bool) EF
-	applyEffects func(EF)
-	effs         [batchPhase]opEffects[EF]
+	*viewTree[E]
+	m    *FIVM
+	effs [batchPhase]opEffects[E]
 }
-
-// setBatcher makes a batcher over the strategy's functions m's ApplyBatch.
-func setBatcher[EF any](b *base, m Maintainer, begin func(),
-	tupleEffects func(n *node, vals []relation.Value, neg bool) EF, applyEffects func(EF)) {
-	b.applyBatch = (&batcher[EF]{base: b, m: m, begin: begin, tupleEffects: tupleEffects, applyEffects: applyEffects}).apply
-}
-
-// ApplyBatch implements Maintainer for every strategy.
-func (b *base) ApplyBatch(ops []Op) BatchResult { return b.applyBatch(ops) }
 
 // apply is ApplyBatch: per group, phases of delta computation then
 // mutation.
 //
 //borg:noalloc
-func (bt *batcher[EF]) apply(ops []Op) BatchResult {
+func (bt *batcher[E]) apply(ops []Op) BatchResult {
 	var res BatchResult
 	for _, g := range bt.groupOps(ops) {
 		if g.serial {
@@ -196,9 +184,7 @@ func (bt *batcher[EF]) apply(ops []Op) BatchResult {
 			idx := rest[:min(batchPhase, len(rest))]
 			rest = rest[len(idx):]
 			start := time.Now()
-			if bt.begin != nil {
-				bt.begin()
-			}
+			bt.scratch.reset()
 			for i, oi := range idx {
 				bt.effs[i] = bt.compute(&ops[oi])
 			}
@@ -213,7 +199,7 @@ func (bt *batcher[EF]) apply(ops []Op) BatchResult {
 	return res
 }
 
-// serialApply applies one op through the strategy's tuple-at-a-time
+// serialApply applies one op through the maintainer's tuple-at-a-time
 // methods — the fallback for ops the grouped path cannot prove
 // independent.
 func serialApply(m Maintainer, op *Op) (ins, del uint64, failed bool, err error) {
@@ -242,16 +228,16 @@ func serialApply(m Maintainer, op *Op) (ins, del uint64, failed bool, err error)
 // opEffects is the per-op payload of the delta phase: the op's
 // delete-half and insert-half effect lists, precomputed against the
 // phase-start state.
-type opEffects[EF any] struct {
-	del, ins EF
+type opEffects[E any] struct {
+	del, ins []viewEffect[E]
 }
 
-// compute builds one op's effect halves with the strategy's
-// value-based delta computation. Unknown relations and arity
-// mismatches yield empty effects; the mutate phase surfaces the error
-// through append/locate exactly as the tuple-at-a-time path does.
-func (bt *batcher[EF]) compute(op *Op) opEffects[EF] {
-	var e opEffects[EF]
+// compute builds one op's effect halves with the tree's value-based
+// delta computation. Unknown relations and arity mismatches yield empty
+// effects; the mutate phase surfaces the error through append/locate
+// exactly as the tuple-at-a-time path does.
+func (bt *batcher[E]) compute(op *Op) opEffects[E] {
+	var e opEffects[E]
 	if op.Kind == OpDelete || op.Kind == OpUpdate {
 		t := op.Tuple
 		if op.Kind == OpUpdate {
@@ -270,10 +256,10 @@ func (bt *batcher[EF]) compute(op *Op) opEffects[EF] {
 }
 
 // mutate is the mutate phase for one op: the physical row/index
-// mutation plus the strategy's effect replay. A delete whose target is
+// mutation plus the tree's effect replay. A delete whose target is
 // not live fails without replaying its precomputed effects — identical
 // to the serial path, where the delta is never computed.
-func (bt *batcher[EF]) mutate(op *Op, e *opEffects[EF]) (ins, del uint64, failed bool, err error) {
+func (bt *batcher[E]) mutate(op *Op, e *opEffects[E]) (ins, del uint64, failed bool, err error) {
 	switch op.Kind {
 	case OpInsert:
 		if _, _, err = bt.append(op.Tuple); err != nil {
@@ -304,29 +290,6 @@ func (bt *batcher[EF]) mutate(op *Op, e *opEffects[EF]) (ins, del uint64, failed
 	}
 }
 
-// scalarEffect is one pending write of the scalar strategies'
-// propagation: merge delta into aggregate a's view at (n, key), or —
-// with n nil — into the root result.
-type scalarEffect struct {
-	n     *node
-	a     int32
-	key   uint64
-	delta float64
-}
-
-// sortedKeys returns m's keys in ascending order — the fixed reduction
-// order that makes delta propagation deterministic (and so
-// bitwise-reproducible across runs and worker counts) instead of
-// following Go's randomized map iteration.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // featValsOf appends the feature values owned by n in a value tuple to
 // dst.
 func (n *node) featValsOf(dst []float64, vals []relation.Value) []float64 {
@@ -343,24 +306,6 @@ func (n *node) catValsOf(dst []int32, vals []relation.Value) []int32 {
 		dst = append(dst, vals[c].C)
 	}
 	return dst
-}
-
-// localEvalVals is localEval against a value tuple instead of a stored
-// row: the product of agg a's factors owned by node n.
-func localEvalVals(n *node, vals []relation.Value, a aggDef) float64 {
-	v := 1.0
-	for k, fi := range n.featIdx {
-		for t, f := range a.feats {
-			if f != fi {
-				continue
-			}
-			x := vals[n.featCols[k]].F
-			for p := uint8(0); p < a.pows[t]; p++ {
-				v *= x
-			}
-		}
-	}
-	return v
 }
 
 // checkTuple resolves a tuple's node when the relation is known and the

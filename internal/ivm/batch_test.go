@@ -3,6 +3,7 @@ package ivm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"borg/internal/exec"
@@ -12,21 +13,21 @@ import (
 	"borg/internal/xrand"
 )
 
-// batchMaintainer is one strategy under test, behind an
-// option-forwarding constructor.
-type batchMaintainer struct {
-	name string
-	mk   func(opts ...Option) Maintainer
-}
-
-// batchMaintainers enumerates the three strategies over a given star
-// join, plus the maintained feature count stateOf needs.
-func batchMaintainers(spec testdb.StarSpec) ([]batchMaintainer, int) {
-	_, j, cont, _ := testdb.RandomStar(spec)
-	return []batchMaintainer{
-		{"F-IVM", func(opts ...Option) Maintainer { m, _ := NewFIVM(j, "Fact", cont, opts...); return m }},
-		{"higher-order", func(opts ...Option) Maintainer { m, _ := NewHigherOrder(j, "Fact", cont, opts...); return m }},
-		{"first-order", func(opts ...Option) Maintainer { m, _ := NewFirstOrder(j, "Fact", cont, opts...); return m }},
+// fivmOver returns a constructor of F-IVM over a star join with a given
+// payload — the continuous features, plus the categorical ones under
+// PayloadCofactor — and the continuous feature count stateOf needs.
+func fivmOver(spec testdb.StarSpec) (func(Payload) *FIVM, int) {
+	_, j, cont, cats := testdb.RandomStar(spec)
+	return func(p Payload) *FIVM {
+		feats := cont
+		if p == PayloadCofactor {
+			feats = append(slices.Clip(cont), cats...)
+		}
+		m, err := NewFIVM(j, "Fact", feats, WithPayload(p))
+		if err != nil {
+			panic(err)
+		}
+		return m
 	}, len(cont)
 }
 
@@ -120,12 +121,8 @@ func applySerialGrouped(m Maintainer, ops []Op) BatchResult {
 
 // liftedStateOf reads the lifted payload as raw float bits (nil when
 // the maintainer does not carry the lifted ring).
-func liftedStateOf(m Maintainer) []uint64 {
-	f, ok := m.(*FIVM)
-	if !ok {
-		return nil
-	}
-	p := published(f).Lifted
+func liftedStateOf(m *FIVM) []uint64 {
+	p := published(m).Lifted
 	if p == nil {
 		return nil
 	}
@@ -136,74 +133,81 @@ func liftedStateOf(m Maintainer) []uint64 {
 	return out
 }
 
+// cofactorStateOf reads the cofactor payload as group codes and raw
+// float bits (nil when the maintainer does not carry the cofactor ring).
+func cofactorStateOf(m *FIVM) []uint64 {
+	e := m.SnapshotCofactor()
+	if e == nil {
+		return nil
+	}
+	return cofactorBits(e)
+}
+
 // TestApplyBatchBitwiseEqualSerial is the equivalence certificate of
-// the morsel-parallel batch path: for every strategy, plain, and for
-// F-IVM also lifted, ApplyBatch at Workers 1, 2, and 8 must leave a maintained state
-// BITWISE equal to serially applying the grouped order through the
-// tuple-at-a-time Insert/Delete path, after every batch of a mixed
-// insert/delete/update schedule that includes failing ops and
-// cross-relation updates. Run under -race and -cpu 1,2,8 this also
-// certifies the parallel delta phase as data-race-free.
+// the batch path: for every payload, ApplyBatch at Workers 1, 2, and 8
+// must leave a maintained state — the covariance statistics and the
+// lifted or cofactor element — BITWISE equal to serially applying the
+// grouped order through the tuple-at-a-time Insert/Delete path, after
+// every batch of a mixed insert/delete/update schedule that includes
+// failing ops and cross-relation updates. Run under -race and
+// -cpu 1,2,8 this also certifies the batch path as data-race-free.
 func TestApplyBatchBitwiseEqualSerial(t *testing.T) {
 	spec := testdb.StarSpec{Seed: 71, FactRows: 220, DimRows: []int{11, 6}}
 	db, _, _, _ := testdb.RandomStar(spec)
 	stream := streamOf(db, 29)
 	batches := batchesOf(stream, 43)
-	type rtSetter interface{ SetRuntime(exec.Runtime) }
-	mks, nfeat := batchMaintainers(spec)
-	for _, e := range mks {
-		for _, lifted := range []bool{false, true} {
-			if lifted && e.name != "F-IVM" {
-				continue // the scalar strategies maintain covar only
-			}
-			var opts []Option
-			if lifted {
-				opts = append(opts, WithPayload(PayloadPoly2))
-			}
-			// Reference: the grouped order, tuple at a time, serial.
-			ref := e.mk(opts...)
-			refStates := make([][]uint64, len(batches))
-			refLifted := make([][]uint64, len(batches))
-			refResults := make([]BatchResult, len(batches))
-			for bi, ops := range batches {
-				refResults[bi] = applySerialGrouped(ref, ops)
-				refStates[bi] = stateOf(ref, nfeat)
-				refLifted[bi] = liftedStateOf(ref)
-			}
-			for _, w := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("%s/lifted=%v/workers=%d", e.name, lifted, w), func(t *testing.T) {
-					m := e.mk(opts...)
-					m.(rtSetter).SetRuntime(exec.Runtime{Workers: w, MorselSize: 32})
-					for bi, ops := range batches {
-						res := m.ApplyBatch(ops)
-						want := refResults[bi]
-						if res.Inserts != want.Inserts || res.Deletes != want.Deletes || res.FullyFailed != want.FullyFailed {
-							t.Fatalf("batch %d: result %+v, want %+v", bi, res, want)
-						}
-						if (res.Err == nil) != (want.Err == nil) {
-							t.Fatalf("batch %d: err %v, want %v", bi, res.Err, want.Err)
-						}
-						if res.Err != nil && res.Err.Error() != want.Err.Error() {
-							t.Fatalf("batch %d: err %q, want %q", bi, res.Err, want.Err)
-						}
-						got := stateOf(m, nfeat)
-						for i := range refStates[bi] {
-							if got[i] != refStates[bi][i] {
-								t.Fatalf("batch %d: state word %d = %x, want %x", bi, i, got[i], refStates[bi][i])
-							}
-						}
-						gotL := liftedStateOf(m)
-						if len(gotL) != len(refLifted[bi]) {
-							t.Fatalf("batch %d: lifted payload width %d, want %d", bi, len(gotL), len(refLifted[bi]))
-						}
-						for i := range refLifted[bi] {
-							if gotL[i] != refLifted[bi][i] {
-								t.Fatalf("batch %d: lifted word %d = %x, want %x", bi, i, gotL[i], refLifted[bi][i])
-							}
+	mk, nfeat := fivmOver(spec)
+	for _, row := range []struct {
+		name    string
+		payload Payload
+	}{{"lifted=false", PayloadCovar}, {"lifted=true", PayloadPoly2}, {"cofactor", PayloadCofactor}} {
+		payload := row.payload
+		// Reference: the grouped order, tuple at a time, serial.
+		ref := mk(payload)
+		refStates := make([][]uint64, len(batches))
+		refPayload := make([][]uint64, len(batches))
+		refResults := make([]BatchResult, len(batches))
+		for bi, ops := range batches {
+			refResults[bi] = applySerialGrouped(ref, ops)
+			refStates[bi] = stateOf(ref, nfeat)
+			refPayload[bi] = append(liftedStateOf(ref), cofactorStateOf(ref)...)
+		}
+		if payload != PayloadCovar && len(refPayload[len(batches)-1]) == 0 {
+			t.Fatalf("%s: the reference ends with an empty payload element", payload)
+		}
+		for _, w := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("F-IVM/%s/workers=%d", row.name, w), func(t *testing.T) {
+				m := mk(payload)
+				m.SetRuntime(exec.Runtime{Workers: w, MorselSize: 32})
+				for bi, ops := range batches {
+					res := m.ApplyBatch(ops)
+					want := refResults[bi]
+					if res.Inserts != want.Inserts || res.Deletes != want.Deletes || res.FullyFailed != want.FullyFailed {
+						t.Fatalf("batch %d: result %+v, want %+v", bi, res, want)
+					}
+					if (res.Err == nil) != (want.Err == nil) {
+						t.Fatalf("batch %d: err %v, want %v", bi, res.Err, want.Err)
+					}
+					if res.Err != nil && res.Err.Error() != want.Err.Error() {
+						t.Fatalf("batch %d: err %q, want %q", bi, res.Err, want.Err)
+					}
+					got := stateOf(m, nfeat)
+					for i := range refStates[bi] {
+						if got[i] != refStates[bi][i] {
+							t.Fatalf("batch %d: state word %d = %x, want %x", bi, i, got[i], refStates[bi][i])
 						}
 					}
-				})
-			}
+					gotP := append(liftedStateOf(m), cofactorStateOf(m)...)
+					if len(gotP) != len(refPayload[bi]) {
+						t.Fatalf("batch %d: payload width %d, want %d", bi, len(gotP), len(refPayload[bi]))
+					}
+					for i := range refPayload[bi] {
+						if gotP[i] != refPayload[bi][i] {
+							t.Fatalf("batch %d: payload word %d = %x, want %x", bi, i, gotP[i], refPayload[bi][i])
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -223,72 +227,56 @@ func TestApplyBatchApproxEqualOriginalOrder(t *testing.T) {
 		d := math.Abs(a - b)
 		return d <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 	}
-	mks, nfeat := batchMaintainers(spec)
-	for _, e := range mks {
-		m := e.mk()
-		ref := e.mk()
-		for _, ops := range batches {
-			m.ApplyBatch(ops)
-			for i := range ops {
-				serialApply(ref, &ops[i])
-			}
+	mk, nfeat := fivmOver(spec)
+	m, ref := mk(PayloadCovar), mk(PayloadCovar)
+	for _, ops := range batches {
+		m.ApplyBatch(ops)
+		for i := range ops {
+			serialApply(ref, &ops[i])
 		}
-		if !approx(m.Count(), ref.Count()) {
-			t.Fatalf("%s: Count %v vs original-order %v", e.name, m.Count(), ref.Count())
+	}
+	if !approx(m.Count(), ref.Count()) {
+		t.Fatalf("Count %v vs original-order %v", m.Count(), ref.Count())
+	}
+	for i := 0; i < nfeat; i++ {
+		if !approx(m.Sum(i), ref.Sum(i)) {
+			t.Fatalf("Sum(%d) %v vs original-order %v", i, m.Sum(i), ref.Sum(i))
 		}
-		for i := 0; i < nfeat; i++ {
-			if !approx(m.Sum(i), ref.Sum(i)) {
-				t.Fatalf("%s: Sum(%d) %v vs original-order %v", e.name, i, m.Sum(i), ref.Sum(i))
-			}
-			for j := 0; j < nfeat; j++ {
-				if !approx(m.Moment(i, j), ref.Moment(i, j)) {
-					t.Fatalf("%s: Moment(%d,%d) %v vs original-order %v", e.name, i, j, m.Moment(i, j), ref.Moment(i, j))
-				}
+		for j := 0; j < nfeat; j++ {
+			if !approx(m.Moment(i, j), ref.Moment(i, j)) {
+				t.Fatalf("Moment(%d,%d) %v vs original-order %v", i, j, m.Moment(i, j), ref.Moment(i, j))
 			}
 		}
 	}
 }
 
 // TestSnapshotIntoZeroAlloc certifies the arena publication hot path:
-// once the destination is sized, SnapshotInto must not allocate for any
-// strategy, and F-IVM's PublishInto allocates its float backing only,
-// for the covar and the poly2 payload alike.
+// once the destination is sized, SnapshotInto must not allocate, and
+// PublishInto allocates its float backing only, for the covar and the
+// poly2 payload alike.
 func TestSnapshotIntoZeroAlloc(t *testing.T) {
 	spec := testdb.StarSpec{Seed: 13, FactRows: 80, DimRows: []int{7, 5}}
 	db, _, _, _ := testdb.RandomStar(spec)
 	stream := streamOf(db, 3)
-	mks, _ := batchMaintainers(spec)
-	for _, e := range mks {
-		for _, lifted := range []bool{false, true} {
-			if lifted && e.name != "F-IVM" {
-				continue // the scalar strategies maintain covar only
+	mk, _ := fivmOver(spec)
+	for _, payload := range []Payload{PayloadCovar, PayloadPoly2} {
+		m := mk(payload)
+		for _, tu := range stream {
+			if err := m.Insert(tu); err != nil {
+				t.Fatalf("%s: %v", payload, err)
 			}
-			var opts []Option
-			if lifted {
-				opts = append(opts, WithPayload(PayloadPoly2))
-			}
-			m := e.mk(opts...)
-			for _, tu := range stream {
-				if err := m.Insert(tu); err != nil {
-					t.Fatalf("%s: %v", e.name, err)
-				}
-			}
-			var cov ring.Covar
-			m.SnapshotInto(&cov)
-			if a := testing.AllocsPerRun(100, func() { m.SnapshotInto(&cov) }); a != 0 {
-				t.Errorf("%s lifted=%v: SnapshotInto allocates %.0f/op, want 0", e.name, lifted, a)
-			}
-			f, ok := m.(*FIVM)
-			if !ok {
-				continue
-			}
-			if got := published(f).Lifted != nil; got != lifted {
-				t.Fatalf("%s: published Lifted non-nil = %v, want %v", e.name, got, lifted)
-			}
-			var p Published
-			if a := testing.AllocsPerRun(100, func() { p = Published{}; f.PublishInto(&p) }); a != 1 {
-				t.Errorf("%s lifted=%v: PublishInto allocates %.0f/op, want 1 (the float backing)", e.name, lifted, a)
-			}
+		}
+		var cov ring.Covar
+		m.SnapshotInto(&cov)
+		if a := testing.AllocsPerRun(100, func() { m.SnapshotInto(&cov) }); a != 0 {
+			t.Errorf("%s: SnapshotInto allocates %.0f/op, want 0", payload, a)
+		}
+		if got, want := published(m).Lifted != nil, payload == PayloadPoly2; got != want {
+			t.Fatalf("%s: published Lifted non-nil = %v, want %v", payload, got, want)
+		}
+		var p Published
+		if a := testing.AllocsPerRun(100, func() { p = Published{}; m.PublishInto(&p) }); a != 1 {
+			t.Errorf("%s: PublishInto allocates %.0f/op, want 1 (the float backing)", payload, a)
 		}
 	}
 }

@@ -91,12 +91,6 @@ func newViewTreeLift[E any](alg ring.Algebra[E], nodes []*node,
 	return vt
 }
 
-// batched makes vt the one tree m's ApplyBatch maintains.
-func (vt *viewTree[E]) batched(m Maintainer, b *base) *viewTree[E] {
-	setBatcher(b, m, vt.scratch.reset, vt.tupleEffects, vt.applyEffects)
-	return vt
-}
-
 // views iterates the tree's views by node (range vt.views).
 func (vt *viewTree[E]) views(yield func(*node, map[uint64]E) bool) {
 	for i, v := range vt.view {
@@ -287,9 +281,11 @@ func (vt *viewTree[E]) propagateRow(n *node, row int, neg bool) {
 	s.reset()
 }
 
-// deltaTree is what FIVM asks of its view tree whatever the payload.
+// deltaTree is what FIVM asks of its view tree whatever the payload
+// (a batcher): tuple-at-a-time propagation and batch application.
 type deltaTree interface {
 	propagateRow(n *node, row int, neg bool)
+	apply(ops []Op) BatchResult
 }
 
 // FIVM is the factorized incremental view maintenance strategy (Nikolic &
@@ -310,8 +306,8 @@ type deltaTree interface {
 type FIVM struct {
 	*base
 	ring ring.CovarRing
-	// tree is the maintained hierarchy, whatever its payload; exactly one
-	// of cv/p2/cf is non-nil and names it by its ring, for the reads.
+	// tree drives the maintained hierarchy, whatever its payload; exactly
+	// one of cv/p2/cf is non-nil and names it by its ring, for the reads.
 	tree deltaTree
 	cv   *viewTree[*ring.Covar]
 	p2   *viewTree[*ring.Poly2]
@@ -355,26 +351,26 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 	switch o.payload {
 	case PayloadPoly2:
 		m.pr = ring.NewPoly2Ring(len(b.contFeats))
-		m.p2 = newViewTree[*ring.Poly2](m.pr, m.nodes).batched(m, b)
-		m.tree = m.p2
+		m.p2 = newViewTree[*ring.Poly2](m.pr, m.nodes)
+		m.tree = &batcher[*ring.Poly2]{base: b, viewTree: m.p2, m: m}
 	case PayloadCofactor:
 		cfr := ring.CofactorRing{N: len(b.contFeats), K: len(b.catFeats)}
 		m.cf = newViewTreeLift[*ring.Cofactor](cfr, m.nodes,
 			func(dst *ring.Cofactor, s *scratch[*ring.Cofactor], n *node, vals []relation.Value) *ring.Cofactor {
 				s.f, s.c = n.featValsOf(s.f[:0], vals), n.catValsOf(s.c[:0], vals)
 				return cfr.LiftCatInto(dst, n.slots, s.f, n.catIdx, s.c)
-			}).batched(m, b)
+			})
 		m.root = ring.NewCofactorRoot(cfr, b.slotOf)
 		m.cf.emit = func(_, delta *ring.Cofactor) { m.root.Add(delta) }
-		m.tree = m.cf
+		m.tree = &batcher[*ring.Cofactor]{base: b, viewTree: m.cf, m: m}
 	default:
 		m.cv = newViewTreeLift[*ring.Covar](m.ring, m.nodes,
 			func(dst *ring.Covar, s *scratch[*ring.Covar], n *node, vals []relation.Value) *ring.Covar {
 				s.f = n.featValsOf(s.f[:0], vals)
 				return m.ring.LiftInto(dst, n.slots, s.f)
-			}).batched(m, b)
+			})
 		m.cv.emit = func(result, delta *ring.Covar) { result.AddMapped(delta, b.slotOf) }
-		m.tree = m.cv
+		m.tree = &batcher[*ring.Covar]{base: b, viewTree: m.cv, m: m}
 	}
 	return m, nil
 }
@@ -410,10 +406,16 @@ func (m *FIVM) Delete(t Tuple) error {
 	return nil
 }
 
-// ApplyBatch implements Maintainer.
+// ApplyBatch applies a batch of ops with the two-phase scheme of
+// batch.go: the per-op deltas of up to 64 same-relation ops are
+// computed read-only against the state before them, then one phase
+// mutates rows, indexes, and views in op order. The result does not
+// depend on the runtime's worker count: it is bitwise-identical to
+// applying the same ops one at a time grouped by relation (stable
+// within each relation); failed ops do not stop the batch.
 func (m *FIVM) ApplyBatch(ops []Op) BatchResult {
 	m.margOK = false
-	return m.base.ApplyBatch(ops)
+	return m.tree.apply(ops)
 }
 
 // Count implements Maintainer.
@@ -430,7 +432,8 @@ func (m *FIVM) Moment(i, j int) float64 { return m.triple().Q[i*m.ring.N+j] }
 // maintainer the marginal over all categorical groups).
 func (m *FIVM) Snapshot() *ring.Covar { return m.triple().Clone() }
 
-// SnapshotInto implements Maintainer.
+// SnapshotInto copies the maintained statistics into dst, reusing
+// dst's backing when pre-sized — Snapshot without the allocation.
 func (m *FIVM) SnapshotInto(dst *ring.Covar) { m.triple().CopyInto(dst) }
 
 // CatFeatures returns the categorical feature names in cofactor

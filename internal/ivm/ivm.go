@@ -20,9 +20,11 @@
 //
 // F-IVM is the maintainer the serving tier runs, and the only one that
 // carries the poly2 and cofactor payloads. The two scalar strategies are
-// the Figure 4 baselines: they maintain the covariance payload only.
-// All three implement Maintainer, and for that payload they are tested
-// for equivalence against batch recomputation and against each other.
+// the Figure 4 baselines: they maintain the covariance payload only,
+// one tuple at a time. All three implement Maintainer, and for that
+// payload they are tested for equivalence against batch recomputation
+// and against each other. Batch ingest ((*FIVM).ApplyBatch, batch.go)
+// is F-IVM's alone.
 //
 // Deletes reuse each strategy's insert machinery with the contribution
 // negated: the covariance ring supports retraction algebraically
@@ -40,7 +42,6 @@ package ivm
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -150,8 +151,9 @@ func WithCardinalities(cards map[string]int) Option {
 // Maintainer is what the three IVM strategies share over the covariance
 // payload. General deltas — inserts and deletes with negative
 // multiplicities under the covariance ring — are supported by every
-// strategy; an update is a delete followed by an insert. The payload
-// reads of the poly2 and cofactor payloads are *FIVM methods.
+// strategy; an update is a delete followed by an insert. Batch ingest
+// and the payload reads of the poly2 and cofactor payloads are *FIVM
+// methods.
 type Maintainer interface {
 	// Insert applies one tuple insert and updates the maintained result.
 	Insert(t Tuple) error
@@ -159,14 +161,6 @@ type Maintainer interface {
 	// inserted, updating the maintained result with the negated
 	// contribution. It fails if no matching tuple is live.
 	Delete(t Tuple) error
-	// ApplyBatch applies a batch of ops with the two-phase scheme of
-	// batch.go: the per-op deltas of up to 64 same-relation ops are
-	// computed read-only against the state before them, then one phase
-	// mutates rows, indexes, and views in op order. The result does not
-	// depend on the runtime's worker count: it is bitwise-identical to
-	// applying the same ops one at a time grouped by relation (stable
-	// within each relation); failed ops do not stop the batch.
-	ApplyBatch(ops []Op) BatchResult
 	// Count returns the maintained SUM(1) over the join.
 	Count() float64
 	// Sum returns the maintained SUM(x_i) for feature i.
@@ -178,10 +172,6 @@ type Maintainer interface {
 	// maintainer, so callers may hand it to other goroutines while
 	// inserts continue — the epoch handoff of the serving layer.
 	Snapshot() *ring.Covar
-	// SnapshotInto copies the maintained statistics into dst, reusing
-	// dst's backing when pre-sized — Snapshot without the allocation,
-	// for arena-managed epoch publication.
-	SnapshotInto(dst *ring.Covar)
 	// ContFeatures returns the continuous feature names in maintained
 	// (Sum/Moment index) order.
 	ContFeatures() []string
@@ -255,8 +245,6 @@ type base struct {
 	// position + 1 of its group among them (0 = none yet).
 	groups  []opGroup
 	groupOf []int32
-	// applyBatch is ApplyBatch over the strategy's effect lists (setBatcher).
-	applyBatch func(ops []Op) BatchResult
 }
 
 // ContFeatures implements Maintainer.
@@ -442,26 +430,13 @@ func (b *base) removeRow(n *node, row int, h uint64) {
 	n.rel.SwapDeleteRow(row)
 }
 
-// normBits maps a float to the bit pattern rows are matched and hashed
-// by: -0.0 folds into +0.0 (they compare equal, so they must hash
-// equal), and everything else — including any NaN payload the facade's
-// finiteness check did not see — keeps its exact bits. Matching on bits
-// rather than == means even a directly injected NaN row stays
-// locatable for retraction instead of being immortal (NaN != NaN).
-func normBits(f float64) uint64 {
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
-}
-
 // rowHashVals hashes a full value tuple (FNV-1a over the cells).
 func rowHashVals(rel *relation.Relation, vals []relation.Value) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < rel.NumAttrs(); i++ {
 		var x uint64
 		if rel.Col(i).Type == relation.Double {
-			x = normBits(vals[i].F)
+			x = relation.NormBits(vals[i].F)
 		} else {
 			x = uint64(uint32(vals[i].C))
 		}
@@ -477,7 +452,7 @@ func rowHashAt(rel *relation.Relation, row int) uint64 {
 		var x uint64
 		c := rel.Col(i)
 		if c.Type == relation.Double {
-			x = normBits(c.F[row])
+			x = relation.NormBits(c.F[row])
 		} else {
 			x = uint64(uint32(c.C[row]))
 		}
@@ -492,7 +467,7 @@ func rowEquals(rel *relation.Relation, row int, vals []relation.Value) bool {
 	for i := 0; i < rel.NumAttrs(); i++ {
 		c := rel.Col(i)
 		if c.Type == relation.Double {
-			if normBits(c.F[row]) != normBits(vals[i].F) {
+			if relation.NormBits(c.F[row]) != relation.NormBits(vals[i].F) {
 				return false
 			}
 		} else if c.C[row] != vals[i].C {

@@ -109,25 +109,12 @@ func newScalarBase(name string, j *query.Join, root string, features []string, o
 // scalar maintainers' Snapshot.
 func (b scalarBatch) covar(result []float64) *ring.Covar {
 	c := (ring.CovarRing{N: b.n}).Zero()
-	b.covarInto(result, c)
-	return c
-}
-
-// covarInto is covar without the allocation: the triple is written into
-// dst, reusing its backing when pre-sized.
-func (b scalarBatch) covarInto(result []float64, dst *ring.Covar) {
-	dst.N = b.n
-	if len(dst.Sum) != b.n {
-		dst.Sum = make([]float64, b.n)
-	}
-	if len(dst.Q) != b.n*b.n {
-		dst.Q = make([]float64, b.n*b.n)
-	}
-	dst.Count = result[b.count()]
+	c.Count = result[b.count()]
 	for i := 0; i < b.n; i++ {
-		dst.Sum[i] = result[b.sum(i)]
+		c.Sum[i] = result[b.sum(i)]
 		for j := 0; j < b.n; j++ {
-			dst.Q[i*b.n+j] = result[b.moment(i, j)]
+			c.Q[i*b.n+j] = result[b.moment(i, j)]
 		}
 	}
+	return c
 }

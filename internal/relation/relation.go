@@ -20,6 +20,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -191,6 +192,19 @@ func FloatVal(f float64) Value { return Value{F: f} }
 
 // CatVal wraps a category code cell.
 func CatVal(c int32) Value { return Value{C: c} }
+
+// NormBits maps a float cell to the bit pattern it is matched, hashed
+// and routed by: -0.0 folds into +0.0 (they compare equal, so they
+// must hash equal — a delete then routes to its insert's shard and
+// matches its row), and everything else keeps its exact bits, any NaN
+// payload included. Matching on bits rather than == keeps even a NaN
+// row locatable for retraction instead of immortal (NaN != NaN).
+func NormBits(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	return math.Float64bits(f)
+}
 
 // AppendRow appends one tuple given one Value per attribute, in schema order.
 func (r *Relation) AppendRow(vals ...Value) {

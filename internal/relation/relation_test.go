@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,20 @@ func TestAppendAndAccess(t *testing.T) {
 	}
 	if r.FormatCell(0, 0) != "patty" || r.FormatCell(1, 1) != "2" {
 		t.Fatalf("FormatCell mismatch: %q %q", r.FormatCell(0, 0), r.FormatCell(1, 1))
+	}
+}
+
+// TestNormBits pins the float identity rows are matched, hashed and
+// routed by: -0.0 is +0.0, and every other value keeps its own bits — a
+// NaN too, so a NaN row can still be found again to retract it.
+func TestNormBits(t *testing.T) {
+	if NormBits(math.Copysign(0, -1)) != NormBits(0) {
+		t.Fatal("-0.0 and +0.0 normalize to different bits")
+	}
+	for _, f := range []float64{0, 1, -1, math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000123)} {
+		if got := NormBits(f); got != math.Float64bits(f) {
+			t.Fatalf("NormBits(%v) = %x, want its own bits %x", f, got, math.Float64bits(f))
+		}
 	}
 }
 

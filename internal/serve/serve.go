@@ -23,7 +23,7 @@
 //
 //   - Batching. The writer is work-conserving: whenever it wakes it
 //     takes what is queued, up to BatchSize ops, applies it through
-//     Maintainer.ApplyBatch, and publishes a snapshot iff the queue is
+//     (*ivm.FIVM).ApplyBatch, and publishes a snapshot iff the queue is
 //     now empty or BatchSize ops are unpublished; otherwise it takes
 //     the next batch. An idle or paced server publishes as soon as it
 //     has caught up (no timer), a saturated one once per BatchSize
@@ -66,7 +66,7 @@ import (
 // payload with the default batching knobs.
 type Config struct {
 	// BatchSize is the most ops (inserts, deletes, updates) one
-	// Maintainer.ApplyBatch call takes, and the most a published epoch
+	// (*ivm.FIVM).ApplyBatch call takes, and the most a published epoch
 	// may trail by under backlog: the writer publishes whenever it has
 	// emptied the queue, and otherwise once BatchSize applied ops are
 	// unpublished. Default 64.

@@ -29,7 +29,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -249,8 +248,8 @@ func (s *Server) Metrics() *obs.Registry { return s.obsReg }
 
 // partValueBits returns the bit pattern of t's partition-attribute
 // value — the identity tuples are routed (and the update rule judged)
-// by. Values that compare equal always map to equal bits (normBits
-// folds -0.0 into +0.0 like the row matching of internal/ivm does).
+// by. Values that compare equal always map to equal bits
+// (relation.NormBits, which the row matching of internal/ivm uses too).
 func (s *Server) partValueBits(t ivm.Tuple) (uint64, error) {
 	col, ok := s.partCol[t.Rel]
 	if !ok {
@@ -263,7 +262,7 @@ func (s *Server) partValueBits(t ivm.Tuple) (uint64, error) {
 	if s.partCat[t.Rel] {
 		return uint64(uint32(t.Values[col].C)), nil
 	}
-	return normBits(t.Values[col].F), nil
+	return relation.NormBits(t.Values[col].F), nil
 }
 
 // shardOf routes a tuple: the hash of its partition-attribute value,
@@ -551,17 +550,6 @@ func (s *Server) Stats() []ShardStats {
 		}
 	}
 	return out
-}
-
-// normBits maps a float to the bits it is hashed by: -0.0 folds into
-// +0.0 (they compare equal, so they must route equal), everything else
-// keeps its exact bit pattern — consistent with the row matching of
-// internal/ivm, so a Delete always routes to its insert's shard.
-func normBits(f float64) uint64 {
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
 }
 
 // splitmix64 is the SplitMix64 finalizer: a full-avalanche bijection
