@@ -19,7 +19,8 @@ import (
 // Correctness rests on grouping: ops are stably grouped by relation,
 // and groups run one after another. Within a same-relation group, a
 // tuple's delta reads only OTHER relations' state — child views below
-// it, parent rows and sibling views above it — while the group's
+// it; parent rows, their edge index (built by the edge's first fan-out,
+// node.childRows) and sibling views above it — while the group's
 // mutations touch only its own relation's rows/indexes and the views
 // on its leaf-to-root path. Reads and writes are therefore disjoint
 // across the two phases, so every op in the group sees exactly the

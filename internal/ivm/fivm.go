@@ -187,7 +187,8 @@ type viewEffect[E any] struct {
 // views — lies OUTSIDE the write set of the effects it emits (n's own
 // relation and the views on the n→root path), which is what lets the
 // batch path run it for many tuples of one relation before any of them
-// mutates. A
+// mutates. Its one write of state is the parent's edge index, built on
+// the edge's first fan-out (childRows), over rows no effect touches. A
 // fan-out folds the parent rows of each upward key in index-bucket
 // order and climbs key by key in ascending order, a fixed reduction
 // order that makes the effect list — and with it every maintained float
@@ -200,7 +201,7 @@ func (vt *viewTree[E]) computeEffects(s *scratch[E], n *node, key uint64, delta 
 	}
 	s.effs = append(s.effs, viewEffect[E]{n: n, key: key, delta: delta})
 	base := len(s.fan)
-	for i, r := range p.childIndexes[n.childPos].Rows(key) {
+	for i, r := range p.childRows(n.childPos, key) {
 		s.fan = append(s.fan, fanRow{key: p.parentKey(int(r)), pos: int32(i), row: r})
 	}
 	slices.SortFunc(s.fan[base:], func(a, b fanRow) int {

@@ -129,7 +129,7 @@ func (m *HigherOrder) propagate(n *node, a int, key uint64, delta float64) {
 		m.result[a] += delta
 		return
 	}
-	rows := p.childIndexes[n.childPos].Rows(key)
+	rows := p.childRows(n.childPos, key)
 	deltas := exec.GroupedFold(rows,
 		func(r int) uint64 { return p.parentKey(r) },
 		func(r int) (float64, bool) {

@@ -184,9 +184,7 @@ type Maintainer interface {
 }
 
 // node is one relation of the live join tree, with the indexes needed for
-// delta propagation: for every child edge an index of THIS relation's
-// rows by the child's join key (used when a delta climbs from that
-// child), maintained incrementally.
+// delta propagation and deletes.
 type node struct {
 	id       int // position in base.nodes
 	tn       *query.TreeNode
@@ -197,7 +195,12 @@ type node struct {
 	parentKeyCols []int
 	children      []*node
 	childKeyCols  [][]int
-	childIndexes  []*relation.Index
+	// childIndexes[ci] indexes THIS relation's rows by child ci's join
+	// key, which a delta climbing from that child fans out over. It is
+	// nil until that first fan-out over a non-empty relation builds it
+	// (childRows), and maintained incrementally from then on: an edge no
+	// delta climbs costs nothing.
+	childIndexes []*relation.Index
 
 	// featIdx/featCols: global continuous-feature indexes owned by this
 	// node and their columns in rel.
@@ -214,11 +217,9 @@ type node struct {
 	catIdx  []int
 	catCols []int
 
-	// rowIdx locates live rows by a hash of their full value tuple, so a
-	// delete resolves its target in O(1) expected time instead of
-	// scanning the relation. Buckets hold candidate ids; hash collisions
-	// are resolved by exact value comparison.
-	rowIdx *relation.Index
+	// locator finds the live rows of a value tuple, so a delete resolves
+	// its target in O(1) expected time instead of scanning the relation.
+	locator rowLocator
 }
 
 // base is the shared state of all maintainers: a live database (initially
@@ -309,7 +310,8 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 	owner := make(map[string]*node)
 	var build func(tn *query.TreeNode, parent *node) *node
 	build = func(tn *query.TreeNode, parent *node) *node {
-		n := &node{id: len(b.nodes), tn: tn, rel: tn.Rel, parent: parent, rowIdx: relation.NewIndex(nil)}
+		n := &node{id: len(b.nodes), tn: tn, rel: tn.Rel, parent: parent,
+			childIndexes: make([]*relation.Index, len(tn.Children)), locator: rowLocator{head: make(map[uint64]int32)}}
 		b.nodes = append(b.nodes, n)
 		for _, a := range tn.JoinAttrs {
 			n.parentKeyCols = append(n.parentKeyCols, tn.Rel.AttrIndex(a))
@@ -326,7 +328,6 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 				cols = append(cols, tn.Rel.AttrIndex(a))
 			}
 			n.childKeyCols = append(n.childKeyCols, cols)
-			n.childIndexes = append(n.childIndexes, relation.NewIndex(cols))
 			c := build(ctn, n)
 			c.childPos = ci
 			n.children = append(n.children, c)
@@ -367,8 +368,8 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 	return b, nil
 }
 
-// append adds the tuple to its live relation and all indexes, returning
-// the node and the new row id.
+// append adds the tuple to its live relation, its row locator and the
+// child-edge indexes built so far, returning the node and the new row id.
 func (b *base) append(t Tuple) (*node, int, error) {
 	n, ok := b.byName[t.Rel]
 	if !ok {
@@ -379,10 +380,12 @@ func (b *base) append(t Tuple) (*node, int, error) {
 	}
 	n.rel.AppendRow(t.Values...)
 	row := n.rel.NumRows() - 1
-	for ci := range n.children {
-		n.childIndexes[ci].Insert(n.childKey(ci, row), int32(row))
+	for ci, ix := range n.childIndexes {
+		if ix != nil {
+			ix.Insert(n.childKey(ci, row), int32(row))
+		}
 	}
-	n.rowIdx.Insert(rowHashAt(n.rel, row), int32(row))
+	n.locator.insert(rowHashAt(n.rel, row))
 	return n, row, nil
 }
 
@@ -399,7 +402,7 @@ func (b *base) locate(t Tuple) (*node, int, uint64, error) {
 		return nil, 0, 0, fmt.Errorf("ivm: tuple for %s has %d values, want %d", t.Rel, len(t.Values), n.rel.NumAttrs())
 	}
 	h := rowHashVals(n.rel, t.Values)
-	for _, id := range n.rowIdx.Rows(h) {
+	for id := n.locator.first(h); id >= 0; id = n.locator.links[id].next {
 		if rowEquals(n.rel, int(id), t.Values) {
 			return n, int(id), h, nil
 		}
@@ -407,27 +410,123 @@ func (b *base) locate(t Tuple) (*node, int, uint64, error) {
 	return nil, 0, 0, fmt.Errorf("ivm: delete: no live tuple in %s matches the given values", t.Rel)
 }
 
-// removeRow deletes the row from its relation and every index of its
-// node. The relation compacts by swap-delete (relation.SwapDeleteRow),
-// so the row formerly last is renumbered to the freed slot and each of
-// its index entries — child-edge indexes and the row locator — is
-// repointed in place, keeping ids dense without tombstone liveness
-// checks on the scan paths. Every step is O(1) whatever the bucket
-// sizes (relation.Index keeps each id's bucket position). h is the row's
-// hash, as locate computed it.
+// removeRow deletes the row from its relation, its row locator and the
+// child-edge indexes built so far. The relation compacts by swap-delete
+// (relation.SwapDeleteRow), so the row formerly last is renumbered to
+// the freed slot and each of its index entries is repointed in place,
+// keeping ids dense without tombstone liveness checks on the scan
+// paths. Every step is O(1) whatever the bucket or chain lengths
+// (relation.Index keeps each id's bucket position, the locator each
+// row's chain links). h is the row's hash, as locate computed it.
 func (b *base) removeRow(n *node, row int, h uint64) {
 	last := n.rel.NumRows() - 1
-	for ci := range n.children {
-		n.childIndexes[ci].Remove(n.childKey(ci, row), int32(row))
-	}
-	n.rowIdx.Remove(h, int32(row))
-	if row != last {
-		for ci := range n.children {
-			n.childIndexes[ci].Repoint(n.childKey(ci, last), int32(last), int32(row))
+	for ci, ix := range n.childIndexes {
+		if ix != nil {
+			ix.Remove(n.childKey(ci, row), int32(row))
 		}
-		n.rowIdx.Repoint(rowHashAt(n.rel, last), int32(last), int32(row))
+	}
+	n.locator.remove(h, int32(row))
+	if row != last {
+		for ci, ix := range n.childIndexes {
+			if ix != nil {
+				ix.Repoint(n.childKey(ci, last), int32(last), int32(row))
+			}
+		}
+		n.locator.repoint(rowHashAt(n.rel, last), int32(last), int32(row))
 	}
 	n.rel.SwapDeleteRow(row)
+}
+
+// childRows returns the ids of n's rows whose join key towards child ci
+// is k: the parent rows a delta climbing from that child fans out over.
+// The edge's index is built on the first call over a non-empty relation
+// and kept from then on; an empty relation has no rows to list and gets
+// no index. The build point depends only on the op sequence, so the
+// batch and tuple-at-a-time paths build at the same op. It is the one
+// write of a delta phase, and a safe one: the phase is serial, and the
+// group it computes is the child's, whose mutate phase never touches n's
+// rows.
+func (n *node) childRows(ci int, k uint64) []int32 {
+	ix := n.childIndexes[ci]
+	if ix == nil {
+		if n.rel.NumRows() == 0 {
+			return nil
+		}
+		ix = n.rel.BuildIndex(n.childKeyCols[ci])
+		n.childIndexes[ci] = ix
+	}
+	return ix.Rows(k)
+}
+
+// rowLocator finds live rows by a hash of their full value tuple. The
+// rows of one hash form a doubly linked chain through links, headed in
+// head, so insert, remove and repoint touch a constant number of links
+// whatever the chain length, and a new hash costs a map slot, nothing
+// more. Duplicate rows and hash collisions share a chain; locate tells
+// them apart by exact value comparison (rowEquals).
+type rowLocator struct {
+	head  map[uint64]int32
+	links []rowLink // by row id, mirroring the relation
+}
+
+// rowLink is a row's place in its hash chain; -1 ends the chain.
+type rowLink struct{ prev, next int32 }
+
+// first returns the head of h's chain, or -1 when no row has hash h.
+func (l *rowLocator) first(h uint64) int32 {
+	if id, ok := l.head[h]; ok {
+		return id
+	}
+	return -1
+}
+
+// insert chains the relation's newly appended row, id len(links), under
+// hash h, at the head of its chain.
+func (l *rowLocator) insert(h uint64) {
+	id, next := int32(len(l.links)), l.first(h)
+	if next >= 0 {
+		l.links[next].prev = id
+	}
+	l.links = append(l.links, rowLink{prev: -1, next: next})
+	l.head[h] = id
+}
+
+// remove unchains row id, whose hash is h. Removing the last row drops
+// its link; any other row's slot is refilled by repoint, as the
+// relation's swap-delete refills it.
+func (l *rowLocator) remove(h uint64, id int32) {
+	k := l.links[id]
+	switch {
+	case k.prev >= 0:
+		l.links[k.prev].next = k.next
+	case k.next >= 0:
+		l.head[h] = k.next
+	default:
+		delete(l.head, h)
+	}
+	if k.next >= 0 {
+		l.links[k.next].prev = k.prev
+	}
+	if int(id) == len(l.links)-1 {
+		l.links = l.links[:id]
+	}
+}
+
+// repoint moves the last row, from, whose hash is h, into the slot of
+// the removed row to, keeping its place in its chain, and drops the
+// last link.
+func (l *rowLocator) repoint(h uint64, from, to int32) {
+	k := l.links[from]
+	l.links[to] = k
+	if k.prev >= 0 {
+		l.links[k.prev].next = to
+	} else {
+		l.head[h] = to
+	}
+	if k.next >= 0 {
+		l.links[k.next].prev = to
+	}
+	l.links = l.links[:from]
 }
 
 // rowHashVals hashes a full value tuple (FNV-1a over the cells).

@@ -93,10 +93,13 @@ type Index struct {
 	pos  []int32 // pos[id] is id's position in its bucket; stale once id is removed
 }
 
-// BuildIndex indexes the relation on the given categorical columns.
+// BuildIndex indexes the relation on the given categorical columns. The
+// position table is sized to the rows, but the map grows with the keys:
+// a fact table has several rows per key, so a hint of one slot per row
+// would reserve several times the memory the index needs.
 func (r *Relation) BuildIndex(cols []int) *Index {
 	key := r.KeyFunc(cols)
-	ix := &Index{cols: cols, m: make(map[uint64][]int32, r.rows), pos: make([]int32, r.rows)}
+	ix := &Index{cols: cols, m: make(map[uint64][]int32), pos: make([]int32, r.rows)}
 	for i := 0; i < r.rows; i++ {
 		ix.Insert(key(i), int32(i))
 	}
