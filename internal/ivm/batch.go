@@ -11,10 +11,11 @@ import (
 // to batchPhase ops — the delta-join probes and ring lift/multiply
 // evaluations, read-only against the phase-start state — and then
 // applies all state mutation (row appends, swap-deletes, index updates,
-// view writes) in a mutate phase. Both are plain loops on the calling
-// goroutine (a phase is ~100 µs of work, less than fanning it out to a
-// pool costs), and the driver allocates nothing of its own: a batch
-// costs what its ops cost.
+// view writes) in a mutate phase — except a root tuple's product, which
+// the mutate phase computes and adds to the result (viewTree.applyRoot).
+// Both are plain loops on the calling goroutine (a phase is ~100 µs of
+// work, less than fanning it out to a pool costs), and the driver
+// allocates nothing of its own: a batch costs what its ops cost.
 //
 // Correctness rests on grouping: ops are stably grouped by relation,
 // and groups run one after another. Within a same-relation group, a
@@ -26,8 +27,11 @@ import (
 // across the two phases, so every op in the group sees exactly the
 // state a serial application of the grouped order would show it, and
 // the mutate phase replays effects in op order with the same fixed
-// reduction order the tuple-at-a-time path uses. The published result
-// is bitwise-identical to serially applying the grouped order.
+// reduction order the tuple-at-a-time path uses. A root tuple writes
+// only the result, which nothing in its group reads, and reads child
+// views no op of its group writes, so the same hook serves it in either
+// path. The published result is bitwise-identical to serially applying
+// the grouped order.
 //
 // Reordering ops of DIFFERENT relations is harmless: deltas of
 // distinct relations commute under ring addition (exact, since ring
@@ -77,9 +81,11 @@ type BatchResult struct {
 	Err error
 	// DeltaNanos and MutateNanos split the batch's wall time into its
 	// two phases: the read-only delta computation and the mutate replay
-	// (row/index/view writes plus serial-singleton fallbacks). Measured
-	// per phase — two clock reads per ≤ batchPhase ops — so the serving
-	// layer can publish the phase split without re-timing.
+	// (row/index/view writes plus serial-singleton fallbacks). A root
+	// tuple's product is mutate time: DeltaNanos covers the deltas that
+	// climb from non-root nodes. Measured per phase — two clock reads
+	// per ≤ batchPhase ops — so the serving layer can publish the phase
+	// split without re-timing.
 	DeltaNanos  int64
 	MutateNanos int64
 }
@@ -156,7 +162,7 @@ func (b *base) groupOps(ops []Op) []opGroup {
 // phase's effects live here. Each same-relation group runs in phases of
 // at most batchPhase ops: the tree's scratch is reset (no effect of an
 // earlier phase is pending), tupleEffects computes each tuple half's
-// effects against phase-start state, then applyEffects replays them in
+// effects against phase-start state, then applyTuple replays them in
 // op order beside the physical row mutation. Serial singleton groups go
 // through m's own tuple-at-a-time methods.
 type batcher[E any] struct {
@@ -257,16 +263,17 @@ func (bt *batcher[E]) compute(op *Op) opEffects[E] {
 }
 
 // mutate is the mutate phase for one op: the physical row/index
-// mutation plus the tree's effect replay. A delete whose target is
-// not live fails without replaying its precomputed effects — identical
-// to the serial path, where the delta is never computed.
+// mutation plus the tree's write half (applyTuple). A delete whose
+// target is not live fails without writing anything — identical to the
+// serial path, where the delta is never computed.
 func (bt *batcher[E]) mutate(op *Op, e *opEffects[E]) (ins, del uint64, failed bool, err error) {
 	switch op.Kind {
 	case OpInsert:
-		if _, _, err = bt.append(op.Tuple); err != nil {
+		n, _, err := bt.append(op.Tuple)
+		if err != nil {
 			return 0, 0, true, err
 		}
-		bt.applyEffects(e.ins)
+		bt.applyTuple(n, op.Tuple.Values, false, e.ins)
 		return 1, 0, false, nil
 	case OpDelete:
 		n, row, h, lerr := bt.locate(op.Tuple)
@@ -274,7 +281,7 @@ func (bt *batcher[E]) mutate(op *Op, e *opEffects[E]) (ins, del uint64, failed b
 			return 0, 0, true, lerr
 		}
 		bt.removeRow(n, row, h)
-		bt.applyEffects(e.del)
+		bt.applyTuple(n, op.Tuple.Values, true, e.del)
 		return 0, 1, false, nil
 	default: // OpUpdate: strict — a failed delete half inserts nothing.
 		n, row, h, lerr := bt.locate(op.Old)
@@ -282,11 +289,11 @@ func (bt *batcher[E]) mutate(op *Op, e *opEffects[E]) (ins, del uint64, failed b
 			return 0, 0, true, lerr
 		}
 		bt.removeRow(n, row, h)
-		bt.applyEffects(e.del)
-		if _, _, err = bt.append(op.Tuple); err != nil {
+		bt.applyTuple(n, op.Old.Values, true, e.del)
+		if n, _, err = bt.append(op.Tuple); err != nil {
 			return 0, 1, false, err
 		}
-		bt.applyEffects(e.ins)
+		bt.applyTuple(n, op.Tuple.Values, false, e.ins)
 		return 1, 1, false, nil
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"borg/internal/exec"
+	"borg/internal/query"
 	"borg/internal/relation"
 	"borg/internal/ring"
 	"borg/internal/testdb"
@@ -209,6 +210,80 @@ func TestApplyBatchBitwiseEqualSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCovarBatchBitwiseEqualSerialManyToMany is the batch certificate
+// for the covar payload where the order of a product's factors shows in
+// its bits. On the star schemas every dimension key is unique, so every
+// child view a root tuple multiplies has count 1 and integer-free
+// reassociation goes unseen. Here every dimension repeats its keys
+// (child views count 2–5 tuples, drained and reborn by the churn),
+// Dim0 has a sub-dimension below it, and every feature is real-valued:
+// two product orders round differently. ApplyBatch must still leave the
+// result and every view entry bitwise equal to the grouped order
+// applied tuple at a time, after every batch.
+func TestCovarBatchBitwiseEqualSerialManyToMany(t *testing.T) {
+	src := xrand.New(83)
+	db := relation.NewDatabase()
+	cat := func(name string) relation.Attribute { return relation.Attribute{Name: name, Type: relation.Category} }
+	num := func(name string) relation.Attribute { return relation.Attribute{Name: name, Type: relation.Double} }
+	fill := func(r *relation.Relation, rows int, keys ...int) {
+		start := r.Grow(rows)
+		for row := start; row < start+rows; row++ {
+			for c, dom := range keys {
+				r.Col(c).C[row] = int32(src.Intn(dom))
+			}
+			for c := len(keys); c < r.NumAttrs(); c++ {
+				r.Col(c).F[row] = src.Float64()*3 - 1.1
+			}
+		}
+	}
+	fact := db.NewRelation("Fact", []relation.Attribute{cat("k0"), cat("k1"), num("fx"), num("fy")})
+	dim0 := db.NewRelation("Dim0", []relation.Attribute{cat("k0"), cat("sk"), num("d0x"), num("d0y")})
+	sub := db.NewRelation("Sub0", []relation.Attribute{cat("sk"), num("sx")})
+	dim1 := db.NewRelation("Dim1", []relation.Attribute{cat("k1"), num("d1x")})
+	fill(fact, 160, 5, 4)
+	fill(dim0, 14, 5, 3)
+	fill(sub, 9, 3)
+	fill(dim1, 12, 4)
+	j := query.NewJoin(fact, dim0, sub, dim1)
+	feats := []string{"fx", "fy", "d0x", "d0y", "sx", "d1x"}
+	mk := func() *FIVM {
+		m, err := NewFIVM(j, "Fact", feats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	batched, serial := mk(), mk()
+	wide := false
+	for bi, ops := range batchesOf(streamOf(db, 31), 47) {
+		batched.ApplyBatch(ops)
+		applySerialGrouped(serial, ops)
+		if g, w := stateOf(batched, len(feats)), stateOf(serial, len(feats)); !slices.Equal(g, w) {
+			t.Fatalf("batch %d: batched and tuple-at-a-time results differ", bi)
+		}
+		serialViews := make(map[int]map[uint64]*ring.Covar)
+		for n, v := range serial.cv.views {
+			serialViews[n.id] = v
+		}
+		for n, v := range batched.cv.views {
+			sv := serialViews[n.id]
+			if len(v) != len(sv) {
+				t.Fatalf("batch %d, %s view: %d keys batched, %d tuple-at-a-time", bi, n.rel.Name, len(v), len(sv))
+			}
+			//borg:nondeterministic-ok — every entry is checked alone
+			for k, e := range v {
+				if s, ok := sv[k]; !ok || !slices.Equal(covarBits(e), covarBits(s)) {
+					t.Fatalf("batch %d, %s view, key %x: batched and tuple-at-a-time entries differ", bi, n.rel.Name, k)
+				}
+				wide = wide || (n.parent != nil && n.parent.parent == nil && e.Count > 1)
+			}
+		}
+	}
+	if !wide {
+		t.Fatal("no child view of the root ever counted more than one tuple")
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // Deltas are computed in the destination-passing forms of the algebra,
 // into scratch elements that are recycled: an effect's delta is valid
 // until the mutate phase that replays it ends, and a view that stores
-// one clones it (applyEffects).
+// one copies it (views.merge). The root hook computes into the rest of
+// the scratch in the mutate phase: a root tuple's phase keeps nothing.
 type viewTree[E any] struct {
 	alg ring.Algebra[E]
 	// lift maps a tuple of node n, given by its values, to its ring
@@ -31,11 +32,15 @@ type viewTree[E any] struct {
 	// categorical group slots).
 	lift   func(dst E, s *scratch[E], n *node, vals []relation.Value) E
 	nodes  []*node
-	view   []map[uint64]E // by node id; the root's stays empty
+	view   []views[E] // by node id; the root's stays empty
 	result E
 	// emit folds a root delta into result: the algebra's AddInPlace unless
 	// the payload's slots are numbered apart from the features (base.slotOf).
 	emit func(result, delta E)
+	// applyRoot adds what a root tuple with these values contributes,
+	// negated for a retraction, to result: rootDelta, or for the covar
+	// payload one fused product (covarRoot).
+	applyRoot func(n *node, vals []relation.Value, neg bool)
 	// scratch is the working memory of the delta computation at hand: a
 	// delta phase's, or the tuple-at-a-time path's.
 	scratch *scratch[E]
@@ -47,8 +52,8 @@ type scratch[E any] struct {
 	// tmp[cur] into the other and flips cur.
 	tmp [2]E
 	cur int
-	// fac holds the factors of the product at hand: a tuple's child views
-	// are all looked up before the first of them is multiplied in.
+	// fac holds the factors of the product at hand (factors): a tuple's
+	// child views are all looked up before the first is multiplied in.
 	fac []E
 	// slab[:used] are the elements kept since the last reset, slab[used:]
 	// free ones.
@@ -83,21 +88,13 @@ func newViewTree[E any](alg ring.Algebra[E], nodes []*node) *viewTree[E] {
 func newViewTreeLift[E any](alg ring.Algebra[E], nodes []*node,
 	lift func(dst E, s *scratch[E], n *node, vals []relation.Value) E) *viewTree[E] {
 	vt := &viewTree[E]{alg: alg, lift: lift, nodes: nodes,
-		view: make([]map[uint64]E, len(nodes)), result: alg.Zero(), emit: alg.AddInPlace,
+		view: make([]views[E], len(nodes)), result: alg.Zero(), emit: alg.AddInPlace,
 		scratch: &scratch[E]{tmp: [2]E{alg.Zero(), alg.Zero()}}}
+	vt.applyRoot = vt.rootDelta
 	for i := range vt.view {
-		vt.view[i] = make(map[uint64]E)
+		vt.view[i] = &mapViews[E]{alg: alg, m: make(map[uint64]E)}
 	}
 	return vt
-}
-
-// views iterates the tree's views by node (range vt.views).
-func (vt *viewTree[E]) views(yield func(*node, map[uint64]E) bool) {
-	for i, v := range vt.view {
-		if !yield(vt.nodes[i], v) {
-			return
-		}
-	}
 }
 
 // keep retains e until s is next reset and returns a free element to
@@ -143,30 +140,38 @@ func (vt *viewTree[E]) take(s *scratch[E], neg bool) E {
 	return d
 }
 
-// tupleDelta computes what a tuple of node n with these values
-// contributes — lift(t) ⨂ the child views, in child order, which is the
-// order of their feature slots — as s's running product; with from
-// non-nil, what it contributes when child from's view changes by delta
-// (delta stands in for that view). The batch path computes it before
-// (inserts) or independently of (deletes) the physical row mutation. It
+// factors gathers in s.fac the factors of what a tuple of node n with
+// these values contributes: its lift, computed into s.tmp[0], then the
+// child views in child order, which is the order of their feature
+// slots; with from non-nil, delta stands in for child from's view. It
 // reports false when a join partner is missing: the tuple contributes
 // nothing (yet); it will contribute when the partner's own delta climbs
 // past this node.
-func (vt *viewTree[E]) tupleDelta(s *scratch[E], n *node, vals []relation.Value, from *node, delta E) bool {
-	s.fac = s.fac[:0]
+func (vt *viewTree[E]) factors(s *scratch[E], n *node, vals []relation.Value, from *node, delta E) bool {
+	s.fac = append(s.fac[:0], delta) // the lift's place
 	for ci, c := range n.children {
 		cv := delta
 		if c != from {
 			var present bool
-			if cv, present = vt.view[c.id][relation.KeyOfVals(n.childKeyCols[ci], vals)]; !present {
+			if cv, present = vt.view[c.id].get(relation.KeyOfVals(n.childKeyCols[ci], vals)); !present {
 				return false
 			}
 		}
 		s.fac = append(s.fac, cv)
 	}
-	s.cur = 0
 	s.tmp[0] = vt.lift(s.tmp[0], s, n, vals)
-	for _, cv := range s.fac {
+	s.fac[0] = s.tmp[0]
+	return true
+}
+
+// tupleDelta computes the product of a tuple's factors as s's running
+// product; false when a join partner is missing.
+func (vt *viewTree[E]) tupleDelta(s *scratch[E], n *node, vals []relation.Value, from *node, delta E) bool {
+	if !vt.factors(s, n, vals, from, delta) {
+		return false
+	}
+	s.cur = 0
+	for _, cv := range s.fac[1:] {
 		vt.mul(s, cv)
 	}
 	return true
@@ -182,7 +187,7 @@ type viewEffect[E any] struct {
 
 // computeEffects is the read-only half of delta propagation: it walks
 // the leaf-to-root path and appends the writes the propagation performs
-// to s.effs instead of performing them (applyEffects does).
+// to s.effs instead of performing them (applyTuple does).
 // Everything it reads — the parent's child-edge index and rows, sibling
 // views — lies OUTSIDE the write set of the effects it emits (n's own
 // relation and the views on the n→root path), which is what lets the
@@ -233,12 +238,13 @@ func (vt *viewTree[E]) computeEffects(s *scratch[E], n *node, key uint64, delta 
 
 // tupleEffects is the delta phase of one tuple half of an op: the
 // effects a tuple of n with these values triggers, negated for a
-// retraction; nil when it contributes nothing. vals may be the
-// scratch's own row buffer: it is last read before the climb.
+// retraction; nil when it contributes nothing, or is a root tuple's.
+// vals may be the scratch's own row buffer: it is last read before the
+// climb.
 func (vt *viewTree[E]) tupleEffects(n *node, vals []relation.Value, neg bool) []viewEffect[E] {
 	s := vt.scratch
 	var none E
-	if !vt.tupleDelta(s, n, vals, nil, none) {
+	if n.parent == nil || !vt.tupleDelta(s, n, vals, nil, none) {
 		return nil
 	}
 	start := len(s.effs)
@@ -246,27 +252,28 @@ func (vt *viewTree[E]) tupleEffects(n *node, vals []relation.Value, neg bool) []
 	return s.effs[start:]
 }
 
-// applyEffects replays a recorded propagation: the write half.
-func (vt *viewTree[E]) applyEffects(effs []viewEffect[E]) {
+// rootDelta is the default root hook: the tuple's product, negated for
+// a retraction, emitted into the result.
+func (vt *viewTree[E]) rootDelta(n *node, vals []relation.Value, neg bool) {
+	var none E
+	if s := vt.scratch; vt.tupleDelta(s, n, vals, nil, none) {
+		vt.emit(vt.result, vt.take(s, neg))
+	}
+}
+
+// applyTuple is the write half of one tuple half, after its row
+// mutation: a root tuple's contribution is added to the result, any
+// other tuple's effects are replayed.
+func (vt *viewTree[E]) applyTuple(n *node, vals []relation.Value, neg bool, effs []viewEffect[E]) {
+	if n.parent == nil {
+		vt.applyRoot(n, vals, neg)
+		return
+	}
 	for _, e := range effs {
 		if e.n == nil {
 			vt.emit(vt.result, e.delta)
-			continue
-		}
-		v := vt.view[e.n.id]
-		if cur, present := v[e.key]; present {
-			vt.alg.AddInPlace(cur, e.delta)
-			// A retraction that drains a key's support leaves the exact
-			// additive identity (integer-exact data cancels bitwise);
-			// prune it so view memory tracks the live database, not the
-			// churn history. Missing and present-zero entries are
-			// interchangeable to every reader: both multiply a delta to
-			// nothing.
-			if vt.alg.IsZero(cur) {
-				delete(v, e.key)
-			}
-		} else if !vt.alg.IsZero(e.delta) {
-			v[e.key] = vt.alg.Clone(e.delta)
+		} else {
+			vt.view[e.n.id].merge(e.key, e.delta)
 		}
 	}
 }
@@ -274,11 +281,12 @@ func (vt *viewTree[E]) applyEffects(effs []viewEffect[E]) {
 // propagateRow is the tuple-at-a-time path: stored row's current
 // contribution at n (negated for a retraction, which the caller follows
 // with the physical removal) is merged into n's view and climbs towards
-// the root through the parent's index on n's join key.
+// the root through the parent's index on n's join key; a root row's is
+// added to the result.
 func (vt *viewTree[E]) propagateRow(n *node, row int, neg bool) {
 	s := vt.scratch
 	s.row = n.rel.AppendRowTo(s.row[:0], row)
-	vt.applyEffects(vt.tupleEffects(n, s.row, neg))
+	vt.applyTuple(n, s.row, neg, vt.tupleEffects(n, s.row, neg))
 	s.reset()
 }
 
@@ -371,6 +379,7 @@ func NewFIVM(j *query.Join, root string, features []string, opts ...Option) (*FI
 				return m.ring.LiftInto(dst, n.slots, s.f)
 			})
 		m.cv.emit = func(result, delta *ring.Covar) { result.AddMapped(delta, b.slotOf) }
+		m.cv.applyRoot = covarRoot(m.ring, m.cv, b.slotOf)
 		m.tree = &batcher[*ring.Covar]{base: b, viewTree: m.cv, m: m}
 	}
 	return m, nil

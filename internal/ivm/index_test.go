@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"borg/internal/datagen"
+	"borg/internal/ring"
 )
 
 // TestChildIndexesBuiltOnFirstFanOut pins when F-IVM pays for a
@@ -58,8 +59,12 @@ func TestChildIndexesBuiltOnFirstFanOut(t *testing.T) {
 	if g, w := stateOf(batched.m, nfeat), stateOf(serial.m, nfeat); !slices.Equal(g, w) {
 		t.Fatal("batched and tuple-at-a-time root triples differ")
 	}
-	for id, v := range batched.m.cv.view {
-		sv := serial.m.cv.view[id]
+	serialViews := make(map[int]map[uint64]*ring.Covar)
+	for n, v := range serial.m.cv.views {
+		serialViews[n.id] = v
+	}
+	for n, v := range batched.m.cv.views {
+		id, sv := n.id, serialViews[n.id]
 		if len(v) != len(sv) {
 			t.Fatalf("%s view: %d keys batched, %d tuple-at-a-time", batched.m.nodes[id].rel.Name, len(v), len(sv))
 		}

@@ -254,6 +254,71 @@ func (r CovarRing) MulInto(dst, a, b *Covar) *Covar {
 	return dst
 }
 
+// AddProduct adds the product of fs, or subtracts it when neg, into the
+// full-support dst, slot i on cell to[i] (to covers every block). The
+// factors lie on disjoint blocks — a root tuple's lift and child views —
+// so each cell of the product is one term, added to dst once and never
+// stored:
+//
+//	count      Π c
+//	sum f      s_f · Π_{g≠f} c_g
+//	Q (f,f)    Q_f · Π_{g≠f} c_g
+//	Q (f,g)    s_f s_gᵀ · Π_{h≠f,g} c_h
+//
+// That is what the MulInto chain over fs, NegInto and AddMapped add,
+// bitwise when every partial product is exact (dyadic data), else to the
+// rounding of folding the counts in another order (a result cell, never
+// -0, absorbs ±0 alike, and negation commutes with rounding).
+//
+//borg:noalloc
+func (r CovarRing) AddProduct(dst *Covar, to []int, neg bool, fs []*Covar) {
+	sign, n := 1.0, dst.N
+	if neg {
+		sign = -1
+	}
+	dst.Count += countsBut(fs, -1, -1, sign)
+	for f, a := range fs {
+		ka := len(a.Sum)
+		if ka == 0 {
+			continue
+		}
+		ta, cf := to[a.Lo:][:ka], countsBut(fs, f, -1, sign)
+		for i, ti := range ta {
+			dst.Sum[ti] += a.Sum[i] * cf
+			row, qi := dst.Q[ti*n:][:n], a.Q[i*ka:][:ka]
+			for j, tj := range ta {
+				row[tj] += qi[j] * cf
+			}
+		}
+		for g := f + 1; g < len(fs); g++ {
+			b := fs[g]
+			if len(b.Sum) == 0 {
+				continue
+			}
+			tb, cfg := to[b.Lo:][:len(b.Sum)], countsBut(fs, f, g, sign)
+			for i, ti := range ta {
+				x, row := a.Sum[i]*cfg, dst.Q[ti*n:][:n]
+				for j, tj := range tb {
+					v := x * b.Sum[j]
+					row[tj] += v
+					dst.Q[tj*n+ti] += v
+				}
+			}
+		}
+	}
+}
+
+// countsBut is sign times the counts of fs but f's and g's, in order.
+func countsBut(fs []*Covar, f, g int, sign float64) float64 {
+	c := sign
+	for h, e := range fs {
+		if h != f && h != g {
+			c *= e.Count
+		}
+	}
+	return c
+}
+
 // scale writes c·src + 0 over dst[:len(src)].
 //
 //borg:noalloc

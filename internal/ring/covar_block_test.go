@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -190,6 +191,91 @@ func TestCovarAddMappedRenamesSlots(t *testing.T) {
 	}
 }
 
+// addChain is what F-IVM added to its root before the fused product:
+// the MulInto chain over es in order, NegInto for a retraction, then
+// AddMapped.
+func addChain(r CovarRing, dst *Covar, to []int, neg bool, es []*Covar) {
+	p, tmp := es[0].Clone(), r.Zero()
+	for _, e := range es[1:] {
+		p, tmp = r.MulInto(tmp, p, e), p
+	}
+	if neg {
+		p = r.NegInto(p, p)
+	}
+	dst.AddMapped(p, to)
+}
+
+// TestCovarAddProductMatchesChain holds the fused root product to the
+// chain it replaced — MulInto factor by factor, NegInto, AddMapped —
+// over random factor lists: one to five factors on adjacent blocks from
+// a random first slot, some of them empty, counts of either sign and
+// zero, both signs of the product, and a random renaming of the slots.
+// On small integer components every partial product is exact, and the
+// results must agree bit for bit, onto an accumulator already holding
+// integers; on real-valued components each product cell is one term
+// rounded in another order, and they agree to 1e-12 relative.
+func TestCovarAddProductMatchesChain(t *testing.T) {
+	src := xrand.New(40 + blockRuns) // -count=n draws n sets of shapes
+	blockRuns++
+	for trial := 0; trial < 2000; trial++ {
+		reals := trial%2 == 1
+		lo := src.Intn(3)
+		es := make([]*Covar, 1+src.Intn(5))
+		ks, end := make([]int, len(es)), lo
+		for f := range es {
+			if src.Intn(4) > 0 {
+				ks[f] = 1 + src.Intn(4)
+			}
+			end += ks[f]
+		}
+		n := end + src.Intn(3)
+		r := CovarRing{N: n}
+		for f, next := range ks {
+			es[f] = randBlock(r, src, lo, next)
+			es[f].Count = float64(src.Intn(5) - 2)
+			if reals {
+				es[f].Count += src.Float64()
+				for i := range es[f].Sum {
+					es[f].Sum[i] = src.Float64()*4 - 2
+					for j := 0; j <= i; j++ {
+						v := src.Float64()*6 - 3
+						es[f].Q[i*next+j], es[f].Q[j*next+i] = v, v
+					}
+				}
+			}
+			lo += next
+		}
+		to := src.Perm(n)
+		neg := src.Intn(2) == 0
+		got, want := r.Zero(), r.Zero()
+		if !reals {
+			acc := randBlock(r, src, 0, n)
+			got.AddInPlace(acc)
+			want.AddInPlace(acc)
+		}
+		r.AddProduct(got, to, neg, es)
+		addChain(r, want, to, neg, es)
+		if reals {
+			if !got.ApproxEqual(want, 1e-12) {
+				t.Fatalf("trial %d: fused %v, chain %v", trial, got, want)
+			}
+			continue
+		}
+		sameBits(t, fmt.Sprintf("trial %d (blocks %v, neg %v)", trial, ks, neg), got, want, false)
+	}
+}
+
+// retailerRoot returns the factors of a Retailer root tuple (N = 11):
+// Inventory's lift over slot 0, then the views of Stores (slots 1–7),
+// Item (8) and Weather (9–10).
+func retailerRoot(r CovarRing, src *xrand.Source) []*Covar {
+	var es []*Covar
+	for _, b := range [][2]int{{0, 1}, {1, 7}, {8, 1}, {9, 2}} {
+		es = append(es, randBlock(r, src, b[0], b[1]))
+	}
+	return es
+}
+
 // TestCovarViewElementFootprint pins what a stored view element costs:
 // the clone of a 2-feature element of an N = 11 ring is two objects,
 // the header and one array of 2 sums and 4 moments.
@@ -231,6 +317,30 @@ func BenchmarkCovarMulDisjoint(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCovarAddProduct times what a Retailer root tuple costs the
+// result (N = 11, factors of 1, 7, 1 and 2 slots, a retraction): the
+// fused product against the MulInto chain, NegInto and AddMapped it
+// replaced.
+func BenchmarkCovarAddProduct(b *testing.B) {
+	r := CovarRing{N: 11}
+	src := xrand.New(10)
+	es := retailerRoot(r, src)
+	to, dst, tmp := src.Perm(11), r.Zero(), [2]*Covar{r.Zero(), r.Zero()}
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.AddProduct(dst, to, true, es)
+		}
+	})
+	b.Run("chain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := r.MulInto(tmp[0], es[0], es[1])
+			p = r.MulInto(tmp[1], p, es[2])
+			p = r.MulInto(tmp[0], p, es[3])
+			dst.AddMapped(r.NegInto(p, p), to)
+		}
+	})
 }
 
 // BenchmarkCovarAddInPlaceBlock times the view merge: a 2-feature delta

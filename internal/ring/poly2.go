@@ -350,13 +350,6 @@ func (a *Poly2) AddInPlace(b *Poly2) {
 	}
 }
 
-// SubInPlace subtracts b from a.
-func (a *Poly2) SubInPlace(b *Poly2) {
-	for i := range a.M {
-		a.M[i] -= b.M[i]
-	}
-}
-
 // IsZero reports whether a is exactly the additive identity.
 func (a *Poly2) IsZero() bool {
 	for _, v := range a.M {

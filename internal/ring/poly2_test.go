@@ -151,8 +151,8 @@ func TestPoly2MomentLookup(t *testing.T) {
 		t.Fatalf("count: got %v, want 2", got)
 	}
 	// Retraction drains back to the exact additive identity.
-	a.SubInPlace(r.Lift([]int{0, 1}, []float64{2, 3}))
-	a.SubInPlace(r.Lift([]int{0, 1}, []float64{4, 5}))
+	a.AddInPlace(r.Neg(r.Lift([]int{0, 1}, []float64{2, 3})))
+	a.AddInPlace(r.Neg(r.Lift([]int{0, 1}, []float64{4, 5})))
 	if !a.IsZero() {
 		t.Fatalf("drained element not zero: %v", a.M)
 	}
