@@ -265,17 +265,6 @@ func TestCovarAddProductMatchesChain(t *testing.T) {
 	}
 }
 
-// retailerRoot returns the factors of a Retailer root tuple (N = 11):
-// Inventory's lift over slot 0, then the views of Stores (slots 1–7),
-// Item (8) and Weather (9–10).
-func retailerRoot(r CovarRing, src *xrand.Source) []*Covar {
-	var es []*Covar
-	for _, b := range [][2]int{{0, 1}, {1, 7}, {8, 1}, {9, 2}} {
-		es = append(es, randBlock(r, src, b[0], b[1]))
-	}
-	return es
-}
-
 // TestCovarViewElementFootprint pins what a stored view element costs:
 // the clone of a 2-feature element of an N = 11 ring is two objects,
 // the header and one array of 2 sums and 4 moments.
@@ -326,7 +315,10 @@ func BenchmarkCovarMulDisjoint(b *testing.B) {
 func BenchmarkCovarAddProduct(b *testing.B) {
 	r := CovarRing{N: 11}
 	src := xrand.New(10)
-	es := retailerRoot(r, src)
+	var es []*Covar // Inventory's lift, then the views of Stores, Item and Weather
+	for _, blk := range [][2]int{{0, 1}, {1, 7}, {8, 1}, {9, 2}} {
+		es = append(es, randBlock(r, src, blk[0], blk[1]))
+	}
 	to, dst, tmp := src.Perm(11), r.Zero(), [2]*Covar{r.Zero(), r.Zero()}
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
