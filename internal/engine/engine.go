@@ -93,8 +93,7 @@ func hashJoin(l, r *relation.Relation) (*relation.Relation, error) {
 	lKey := l.KeyFunc(sharedL)
 	nl := l.NumAttrs()
 	for i := 0; i < l.NumRows(); i++ {
-		matches := ix.Rows(lKey(i))
-		for _, m := range matches {
+		for m := ix.First(lKey(i)); m >= 0; m = ix.Next(m) {
 			row := out.Grow(1)
 			for c := 0; c < nl; c++ {
 				col := out.Col(c)

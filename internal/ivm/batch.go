@@ -276,19 +276,19 @@ func (bt *batcher[E]) mutate(op *Op, e *opEffects[E]) (ins, del uint64, failed b
 		bt.applyTuple(n, op.Tuple.Values, false, e.ins)
 		return 1, 0, false, nil
 	case OpDelete:
-		n, row, h, lerr := bt.locate(op.Tuple)
+		n, row, lerr := bt.locate(op.Tuple)
 		if lerr != nil {
 			return 0, 0, true, lerr
 		}
-		bt.removeRow(n, row, h)
+		bt.removeRow(n, row)
 		bt.applyTuple(n, op.Tuple.Values, true, e.del)
 		return 0, 1, false, nil
 	default: // OpUpdate: strict — a failed delete half inserts nothing.
-		n, row, h, lerr := bt.locate(op.Old)
+		n, row, lerr := bt.locate(op.Old)
 		if lerr != nil {
 			return 0, 0, true, lerr
 		}
-		bt.removeRow(n, row, h)
+		bt.removeRow(n, row)
 		bt.applyTuple(n, op.Old.Values, true, e.del)
 		if n, _, err = bt.append(op.Tuple); err != nil {
 			return 0, 1, false, err

@@ -65,7 +65,7 @@ func (m *FirstOrder) Insert(t Tuple) error {
 // cannot feed its own delta) — and climbs negated. The row then leaves
 // the live relation and indexes.
 func (m *FirstOrder) Delete(t Tuple) error {
-	n, row, h, err := m.locate(t)
+	n, row, err := m.locate(t)
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func (m *FirstOrder) Delete(t Tuple) error {
 			m.up(n, n.parentKey(row), a, -partial)
 		}
 	}
-	m.removeRow(n, row, h)
+	m.removeRow(n, row)
 	return nil
 }
 

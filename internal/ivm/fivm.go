@@ -71,7 +71,7 @@ type scratch[E any] struct {
 }
 
 // fanRow is one parent row of a fan-out: its key towards ITS parent and
-// its position in the index bucket that listed it.
+// its position along the index chain that listed it.
 type fanRow struct {
 	key      uint64
 	pos, row int32
@@ -194,7 +194,7 @@ type viewEffect[E any] struct {
 // batch path run it for many tuples of one relation before any of them
 // mutates. Its one write of state is the parent's edge index, built on
 // the edge's first fan-out (childRows), over rows no effect touches. A
-// fan-out folds the parent rows of each upward key in index-bucket
+// fan-out folds the parent rows of each upward key in index-chain
 // order and climbs key by key in ascending order, a fixed reduction
 // order that makes the effect list — and with it every maintained float
 // — deterministic.
@@ -206,8 +206,9 @@ func (vt *viewTree[E]) computeEffects(s *scratch[E], n *node, key uint64, delta 
 	}
 	s.effs = append(s.effs, viewEffect[E]{n: n, key: key, delta: delta})
 	base := len(s.fan)
-	for i, r := range p.childRows(n.childPos, key) {
-		s.fan = append(s.fan, fanRow{key: p.parentKey(int(r)), pos: int32(i), row: r})
+	ix, r := p.childRows(n.childPos, key)
+	for i := int32(0); r >= 0; i, r = i+1, ix.Next(r) {
+		s.fan = append(s.fan, fanRow{key: p.parentKey(int(r)), pos: i, row: r})
 	}
 	slices.SortFunc(s.fan[base:], func(a, b fanRow) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
@@ -406,13 +407,13 @@ func (m *FIVM) Insert(t Tuple) error {
 // child view means the tuple never contributed (it was waiting for a
 // join partner), so only the physical removal remains.
 func (m *FIVM) Delete(t Tuple) error {
-	n, row, h, err := m.locate(t)
+	n, row, err := m.locate(t)
 	if err != nil {
 		return err
 	}
 	m.margOK = false
 	m.tree.propagateRow(n, row, true)
-	m.removeRow(n, row, h)
+	m.removeRow(n, row)
 	return nil
 }
 

@@ -80,7 +80,7 @@ func (m *HigherOrder) Insert(t Tuple) error {
 // tuple never contributed (it was waiting for a join partner), so only
 // the physical removal remains.
 func (m *HigherOrder) Delete(t Tuple) error {
-	n, row, h, err := m.locate(t)
+	n, row, err := m.locate(t)
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func (m *HigherOrder) Delete(t Tuple) error {
 		}
 		m.propagate(n, a, key, -delta)
 	}
-	m.removeRow(n, row, h)
+	m.removeRow(n, row)
 	return nil
 }
 
@@ -129,7 +129,10 @@ func (m *HigherOrder) propagate(n *node, a int, key uint64, delta float64) {
 		m.result[a] += delta
 		return
 	}
-	rows := p.childRows(n.childPos, key)
+	var rows []int32
+	for ix, r := p.childRows(n.childPos, key); r >= 0; r = ix.Next(r) {
+		rows = append(rows, r)
+	}
 	deltas := exec.GroupedFold(rows,
 		func(r int) uint64 { return p.parentKey(r) },
 		func(r int) (float64, bool) {

@@ -1,10 +1,12 @@
 package ivm
 
 import (
+	"iter"
 	"slices"
 	"testing"
 
 	"borg/internal/datagen"
+	"borg/internal/relation"
 	"borg/internal/ring"
 )
 
@@ -50,7 +52,7 @@ func TestChildIndexesBuiltOnFirstFanOut(t *testing.T) {
 	}
 	for r := 0; r < inv.NumRows(); r++ {
 		k := inv.Key(cols, r)
-		if g, w := slices.Sorted(slices.Values(got.Rows(k))), slices.Sorted(slices.Values(want.Rows(k))); !slices.Equal(g, w) {
+		if g, w := slices.Sorted(chain(got, k)), slices.Sorted(chain(want, k)); !slices.Equal(g, w) {
 			t.Fatalf("key %x: rows %v, BuildIndex over the live rows %v", k, g, w)
 		}
 	}
@@ -76,82 +78,10 @@ func TestChildIndexesBuiltOnFirstFanOut(t *testing.T) {
 	}
 }
 
-// FuzzRowLocator drives the row locator through the operations base
-// puts it through — append, delete by value (locate, then swap-delete)
-// and swap-delete by row id — against a naive multiset of the live
-// values. Hashes take 4 values over 16 row values, so chains hold
-// collisions and long runs of duplicates. After every step each chain
-// must link consistently, hold only rows of its hash, and cover every
-// live row exactly once, and a value must be locatable exactly when the
-// multiset holds it.
-func FuzzRowLocator(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 1, 0, 5, 1, 1, 2, 0, 1, 5, 2, 1})
-	f.Add([]byte{0, 3, 0, 7, 0, 11, 0, 15, 1, 7, 2, 0, 1, 3, 1, 15})
-	f.Fuzz(func(t *testing.T, prog []byte) {
-		l := rowLocator{head: make(map[uint64]int32)}
-		var vals []byte // live rows by id, as the relation holds them
-		count := make(map[byte]int)
-		hash := func(v byte) uint64 { return uint64(v % 4) }
-		swapDelete := func(id int32) {
-			last := int32(len(vals) - 1)
-			count[vals[id]]--
-			l.remove(hash(vals[id]), id)
-			if id != last {
-				l.repoint(hash(vals[last]), last, id)
-			}
-			vals[id] = vals[last]
-			vals = vals[:last]
+// chain iterates k's row ids in chain order.
+func chain(ix *relation.Index, k uint64) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		for id := ix.First(k); id >= 0 && yield(id); id = ix.Next(id) {
 		}
-		locate := func(v byte) int32 {
-			id := l.first(hash(v))
-			for id >= 0 && vals[id] != v {
-				id = l.links[id].next
-			}
-			return id
-		}
-		for len(prog) >= 2 {
-			op, arg := prog[0]%3, prog[1]
-			prog = prog[2:]
-			switch op {
-			case 0: // append
-				v := arg % 16
-				vals = append(vals, v)
-				count[v]++
-				l.insert(hash(v))
-			case 1: // delete by value
-				if id := locate(arg % 16); id >= 0 {
-					swapDelete(id)
-				}
-			case 2: // swap-delete by id
-				if len(vals) > 0 {
-					swapDelete(int32(int(arg) % len(vals)))
-				}
-			}
-
-			if len(l.links) != len(vals) {
-				t.Fatalf("%d links for %d rows", len(l.links), len(vals))
-			}
-			seen := make([]bool, len(vals))
-			for h := range uint64(4) {
-				prev := int32(-1)
-				for id := l.first(h); id >= 0; prev, id = id, l.links[id].next {
-					if seen[id] || hash(vals[id]) != h || l.links[id].prev != prev {
-						t.Fatalf("chain %d: row %d (seen %v, value %d, prev %d, want %d)", h, id, seen[id], vals[id], l.links[id].prev, prev)
-					}
-					seen[id] = true
-				}
-			}
-			if i := slices.Index(seen, false); i >= 0 {
-				t.Fatalf("row %d is on no chain", i)
-			}
-			if len(l.head) > 4 {
-				t.Fatalf("%d chain heads for 4 hashes", len(l.head))
-			}
-			for v := range byte(16) {
-				if id := locate(v); (id >= 0) != (count[v] > 0) {
-					t.Fatalf("value %d: located row %d, the oracle holds %d", v, id, count[v])
-				}
-			}
-		}
-	})
+	}
 }

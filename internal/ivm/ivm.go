@@ -184,7 +184,10 @@ type Maintainer interface {
 }
 
 // node is one relation of the live join tree, with the indexes needed for
-// delta propagation and deletes.
+// delta propagation and deletes. Both kinds are relation.Index chains,
+// headed in an open-addressed key table and linked by row id: an op
+// touches a few links and table slots, and allocates nothing once the
+// live set has reached its size.
 type node struct {
 	id       int // position in base.nodes
 	tn       *query.TreeNode
@@ -195,7 +198,7 @@ type node struct {
 	parentKeyCols []int
 	children      []*node
 	childKeyCols  [][]int
-	// childIndexes[ci] indexes THIS relation's rows by child ci's join
+	// childIndexes[ci] chains THIS relation's rows by child ci's join
 	// key, which a delta climbing from that child fans out over. It is
 	// nil until that first fan-out over a non-empty relation builds it
 	// (childRows), and maintained incrementally from then on: an edge no
@@ -217,9 +220,12 @@ type node struct {
 	catIdx  []int
 	catCols []int
 
-	// locator finds the live rows of a value tuple, so a delete resolves
-	// its target in O(1) expected time instead of scanning the relation.
-	locator rowLocator
+	// locator chains the live rows by a hash of their full value tuple
+	// (rowHashAt), so a delete resolves its target in O(1) expected time
+	// instead of scanning the relation. Duplicate rows and hash
+	// collisions share a chain; locate tells them apart by exact value
+	// comparison (rowEquals).
+	locator relation.Index
 }
 
 // base is the shared state of all maintainers: a live database (initially
@@ -311,7 +317,7 @@ func newBase(j *query.Join, root string, features []string, o options) (*base, e
 	var build func(tn *query.TreeNode, parent *node) *node
 	build = func(tn *query.TreeNode, parent *node) *node {
 		n := &node{id: len(b.nodes), tn: tn, rel: tn.Rel, parent: parent,
-			childIndexes: make([]*relation.Index, len(tn.Children)), locator: rowLocator{head: make(map[uint64]int32)}}
+			childIndexes: make([]*relation.Index, len(tn.Children))}
 		b.nodes = append(b.nodes, n)
 		for _, a := range tn.JoinAttrs {
 			n.parentKeyCols = append(n.parentKeyCols, tn.Rel.AttrIndex(a))
@@ -385,29 +391,28 @@ func (b *base) append(t Tuple) (*node, int, error) {
 			ix.Insert(n.childKey(ci, row), int32(row))
 		}
 	}
-	n.locator.insert(rowHashAt(n.rel, row))
+	n.locator.Insert(rowHashAt(n.rel, row), int32(row))
 	return n, row, nil
 }
 
 // locate resolves a delete target: the node for t.Rel, the id of one
 // live row whose values equal t.Values (any one, under multiset
-// semantics) and that row's hash. The caller must read everything it
-// needs from the row and then removeRow it before the next mutation.
-func (b *base) locate(t Tuple) (*node, int, uint64, error) {
+// semantics). The caller must read everything it needs from the row
+// and then removeRow it before the next mutation.
+func (b *base) locate(t Tuple) (*node, int, error) {
 	n, ok := b.byName[t.Rel]
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("ivm: unknown relation %s", t.Rel)
+		return nil, 0, fmt.Errorf("ivm: unknown relation %s", t.Rel)
 	}
 	if len(t.Values) != n.rel.NumAttrs() {
-		return nil, 0, 0, fmt.Errorf("ivm: tuple for %s has %d values, want %d", t.Rel, len(t.Values), n.rel.NumAttrs())
+		return nil, 0, fmt.Errorf("ivm: tuple for %s has %d values, want %d", t.Rel, len(t.Values), n.rel.NumAttrs())
 	}
-	h := rowHashVals(n.rel, t.Values)
-	for id := n.locator.first(h); id >= 0; id = n.locator.links[id].next {
+	for id := n.locator.First(rowHashVals(n.rel, t.Values)); id >= 0; id = n.locator.Next(id) {
 		if rowEquals(n.rel, int(id), t.Values) {
-			return n, int(id), h, nil
+			return n, int(id), nil
 		}
 	}
-	return nil, 0, 0, fmt.Errorf("ivm: delete: no live tuple in %s matches the given values", t.Rel)
+	return nil, 0, fmt.Errorf("ivm: delete: no live tuple in %s matches the given values", t.Rel)
 }
 
 // removeRow deletes the row from its relation, its row locator and the
@@ -415,118 +420,46 @@ func (b *base) locate(t Tuple) (*node, int, uint64, error) {
 // (relation.SwapDeleteRow), so the row formerly last is renumbered to
 // the freed slot and each of its index entries is repointed in place,
 // keeping ids dense without tombstone liveness checks on the scan
-// paths. Every step is O(1) whatever the bucket or chain lengths
-// (relation.Index keeps each id's bucket position, the locator each
-// row's chain links). h is the row's hash, as locate computed it.
-func (b *base) removeRow(n *node, row int, h uint64) {
+// paths. Every step is O(1) whatever the chain lengths.
+func (b *base) removeRow(n *node, row int) {
 	last := n.rel.NumRows() - 1
-	for ci, ix := range n.childIndexes {
+	swapDelete(&n.locator, row, last)
+	for _, ix := range n.childIndexes {
 		if ix != nil {
-			ix.Remove(n.childKey(ci, row), int32(row))
+			swapDelete(ix, row, last)
 		}
-	}
-	n.locator.remove(h, int32(row))
-	if row != last {
-		for ci, ix := range n.childIndexes {
-			if ix != nil {
-				ix.Repoint(n.childKey(ci, last), int32(last), int32(row))
-			}
-		}
-		n.locator.repoint(rowHashAt(n.rel, last), int32(last), int32(row))
 	}
 	n.rel.SwapDeleteRow(row)
 }
 
-// childRows returns the ids of n's rows whose join key towards child ci
-// is k: the parent rows a delta climbing from that child fans out over.
-// The edge's index is built on the first call over a non-empty relation
-// and kept from then on; an empty relation has no rows to list and gets
-// no index. The build point depends only on the op sequence, so the
-// batch and tuple-at-a-time paths build at the same op. It is the one
-// write of a delta phase, and a safe one: the phase is serial, and the
-// group it computes is the child's, whose mutate phase never touches n's
-// rows.
-func (n *node) childRows(ci int, k uint64) []int32 {
+// swapDelete drops row from ix and renames last's entry, if another, to
+// row. An entry records its key, so no key is recomputed.
+func swapDelete(ix *relation.Index, row, last int) {
+	ix.Remove(ix.KeyOf(int32(row)), int32(row))
+	if row != last {
+		ix.Repoint(ix.KeyOf(int32(last)), int32(last), int32(row))
+	}
+}
+
+// childRows returns n's index on child ci's join key and the first of
+// n's rows whose key is k, -1 if none: the parent rows a delta climbing
+// from that child fans out over, in chain order (ix.Next). The edge's
+// index is built on the first call over a non-empty relation and kept
+// from then on; an empty relation has no rows to list and gets no
+// index. The build point depends only on the op sequence, so the batch
+// and tuple-at-a-time paths build at the same op. It is the one write of
+// a delta phase, and a safe one: the phase is serial, and the group it
+// computes is the child's, whose mutate phase never touches n's rows.
+func (n *node) childRows(ci int, k uint64) (*relation.Index, int32) {
 	ix := n.childIndexes[ci]
 	if ix == nil {
 		if n.rel.NumRows() == 0 {
-			return nil
+			return nil, -1
 		}
 		ix = n.rel.BuildIndex(n.childKeyCols[ci])
 		n.childIndexes[ci] = ix
 	}
-	return ix.Rows(k)
-}
-
-// rowLocator finds live rows by a hash of their full value tuple. The
-// rows of one hash form a doubly linked chain through links, headed in
-// head, so insert, remove and repoint touch a constant number of links
-// whatever the chain length, and a new hash costs a map slot, nothing
-// more. Duplicate rows and hash collisions share a chain; locate tells
-// them apart by exact value comparison (rowEquals).
-type rowLocator struct {
-	head  map[uint64]int32
-	links []rowLink // by row id, mirroring the relation
-}
-
-// rowLink is a row's place in its hash chain; -1 ends the chain.
-type rowLink struct{ prev, next int32 }
-
-// first returns the head of h's chain, or -1 when no row has hash h.
-func (l *rowLocator) first(h uint64) int32 {
-	if id, ok := l.head[h]; ok {
-		return id
-	}
-	return -1
-}
-
-// insert chains the relation's newly appended row, id len(links), under
-// hash h, at the head of its chain.
-func (l *rowLocator) insert(h uint64) {
-	id, next := int32(len(l.links)), l.first(h)
-	if next >= 0 {
-		l.links[next].prev = id
-	}
-	l.links = append(l.links, rowLink{prev: -1, next: next})
-	l.head[h] = id
-}
-
-// remove unchains row id, whose hash is h. Removing the last row drops
-// its link; any other row's slot is refilled by repoint, as the
-// relation's swap-delete refills it.
-func (l *rowLocator) remove(h uint64, id int32) {
-	k := l.links[id]
-	switch {
-	case k.prev >= 0:
-		l.links[k.prev].next = k.next
-	case k.next >= 0:
-		l.head[h] = k.next
-	default:
-		delete(l.head, h)
-	}
-	if k.next >= 0 {
-		l.links[k.next].prev = k.prev
-	}
-	if int(id) == len(l.links)-1 {
-		l.links = l.links[:id]
-	}
-}
-
-// repoint moves the last row, from, whose hash is h, into the slot of
-// the removed row to, keeping its place in its chain, and drops the
-// last link.
-func (l *rowLocator) repoint(h uint64, from, to int32) {
-	k := l.links[from]
-	l.links[to] = k
-	if k.prev >= 0 {
-		l.links[k.prev].next = to
-	} else {
-		l.head[h] = to
-	}
-	if k.next >= 0 {
-		l.links[k.next].prev = to
-	}
-	l.links = l.links[:from]
+	return ix, ix.First(k)
 }
 
 // rowHashVals hashes a full value tuple (FNV-1a over the cells).

@@ -41,13 +41,15 @@ func (v *mapViews[E]) merge(key uint64, delta E) {
 
 // covarSlab is a covar view stored flat: a record [count | Sum | Q] per
 // key at stride 1+k+k², over the node's subtree block [lo, lo+k), which
-// every delta at the node has (base.slotOf numbers slots in preorder).
-// Drained records are reused, so a birth copies a delta into place and
-// allocates nothing once the array has grown to the view's peak.
+// every delta at the node has (base.slotOf numbers slots in preorder),
+// found through an open-addressed key table (relation.KeyTable) from join
+// key to record. Drained records are reused, so a birth copies a delta
+// into place and allocates nothing once the array and the table have
+// grown to the view's peak.
 type covarSlab struct {
 	lo, k int
 	recs  []float64
-	slot  map[uint64]int32
+	slot  relation.KeyTable
 	free  []int32
 	hdr   ring.Covar // get's window on a record: a product reads a view once
 }
@@ -69,7 +71,7 @@ func (v *covarSlab) at(s int32) *ring.Covar {
 
 //borg:noalloc
 func (v *covarSlab) get(key uint64) (*ring.Covar, bool) {
-	s, ok := v.slot[key]
+	s, ok := v.slot.Get(key)
 	if !ok {
 		return nil, false
 	}
@@ -83,11 +85,11 @@ func (v *covarSlab) merge(key uint64, d *ring.Covar) {
 	if len(d.Sum) != v.k {
 		offBlock()
 	}
-	if s, present := v.slot[key]; present {
+	if s, present := v.slot.Get(key); present {
 		e := v.at(s)
 		e.AddInPlace(d)
 		if v.rec(s)[0] = e.Count; e.IsZero() {
-			delete(v.slot, key)
+			v.slot.Delete(key)
 			v.free = append(v.free, s)
 		}
 	} else if !d.IsZero() {
@@ -111,7 +113,7 @@ func (v *covarSlab) birth(key uint64, d *ring.Covar) {
 	}
 	d.CopyInto(v.at(s))
 	v.rec(s)[0] = d.Count
-	v.slot[key] = s
+	v.slot.Set(key, s)
 }
 
 // covarRoot stores vt's views in slabs, each over its node's subtree
@@ -135,7 +137,7 @@ func covarRoot(r ring.CovarRing, vt *viewTree[*ring.Covar], to []int) func(*node
 	}
 	lo := 0
 	for i, n := range nodes {
-		vt.view[i] = &covarSlab{lo: lo, k: k[i], slot: make(map[uint64]int32), hdr: ring.Covar{N: r.N, Lo: lo}}
+		vt.view[i] = &covarSlab{lo: lo, k: k[i], hdr: ring.Covar{N: r.N, Lo: lo}}
 		lo += len(n.slots)
 	}
 	return func(n *node, vals []relation.Value, neg bool) {

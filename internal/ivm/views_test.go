@@ -17,7 +17,7 @@ func (vt *viewTree[E]) views(yield func(*node, map[uint64]E) bool) {
 			m = v.m
 		case *covarSlab:
 			//borg:nondeterministic-ok — copies each record alone
-			for key := range v.slot {
+			for key := range v.slot.All() {
 				e, _ := v.get(key)
 				m[key] = any(e.Clone()).(E)
 			}
@@ -45,7 +45,7 @@ func FuzzCovarViewSlab(f *testing.F) {
 	f.Fuzz(func(t *testing.T, width uint8, prog []byte) {
 		k := int(width % 4)
 		r := ring.CovarRing{N: k}
-		slab := &covarSlab{k: k, slot: make(map[uint64]int32), hdr: ring.Covar{N: k}}
+		slab := &covarSlab{k: k, hdr: ring.Covar{N: k}}
 		oracle := make(map[uint64]*ring.Covar)
 		next := func() float64 {
 			if len(prog) == 0 {
@@ -91,8 +91,8 @@ func FuzzCovarViewSlab(f *testing.F) {
 				}
 			}
 			records := len(slab.recs) / (1 + k + k*k)
-			if len(slab.slot)+len(slab.free) != records || records > 4 {
-				t.Fatalf("step %d: %d records, %d live and %d free", step, records, len(slab.slot), len(slab.free))
+			if slab.slot.Len()+len(slab.free) != records || records > 4 {
+				t.Fatalf("step %d: %d records, %d live and %d free", step, records, slab.slot.Len(), len(slab.free))
 			}
 		}
 	})

@@ -8,6 +8,15 @@ import (
 	"borg/internal/xrand"
 )
 
+// chain lists k's row ids in chain order, nil if none.
+func chain(ix *Index, k uint64) []int32 {
+	var ids []int32
+	for id := ix.First(k); id >= 0; id = ix.Next(id) {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // TestIndexAgainstModel drives seeded random Insert/Remove/Repoint
 // histories against a naive map-of-sets model. Ids arrive out of order,
 // freed ids come back under other keys, absent ids and keys are removed
@@ -28,7 +37,7 @@ func TestIndexAgainstModel(t *testing.T) {
 				t.Fatalf("seed %d step %d %s: Len = %d, model has %d non-empty keys", seed, step, op, ix.Len(), len(model))
 			}
 			for k := uint64(0); k < keys+1; k++ {
-				got := slices.Clone(ix.Rows(k))
+				got := chain(ix, k)
 				slices.Sort(got)
 				var want []int32
 				for id := range model[k] {
@@ -38,7 +47,7 @@ func TestIndexAgainstModel(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d %s: Rows(%d) = %v, want %v", seed, step, op, k, got, want)
 				}
-				if rows, ok := ix.m[k]; ok && len(rows) == 0 {
+				if _, ok := ix.head.Get(k); ok && len(got) == 0 {
 					t.Fatalf("seed %d step %d %s: empty bucket retained for key %d", seed, step, op, k)
 				}
 			}
@@ -96,11 +105,11 @@ func TestIndexAgainstModel(t *testing.T) {
 				from, to := held[src.Intn(len(held))], freeID()
 				k := keyOf[from]
 				op = fmt.Sprintf("Repoint(%d, %d, %d)", k, from, to)
-				at := slices.Index(ix.Rows(k), from)
+				at := slices.Index(chain(ix, k), from)
 				if !ix.Repoint(k, from, to) {
 					t.Fatalf("seed %d step %d %s reported missing", seed, step, op)
 				}
-				if ix.Rows(k)[at] != to {
+				if chain(ix, k)[at] != to {
 					t.Fatalf("seed %d step %d %s moved the entry within its bucket", seed, step, op)
 				}
 				delete(model[k], from)
@@ -135,4 +144,84 @@ func BenchmarkIndexRemove(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzRowLocator drives an Index keyed by row hash, as F-IVM's row
+// locator, through the operations ivm's base puts it through — append,
+// delete by value (locate, then swap-delete) and swap-delete by row id —
+// against a naive multiset of the live values. Hashes take 4 values over
+// 16 row values, so chains hold collisions and long runs of duplicates.
+// After every step each chain must link consistently, hold only rows of
+// its hash, and cover every live row exactly once, and a value must be
+// locatable exactly when the multiset holds it.
+func FuzzRowLocator(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0, 5, 1, 1, 2, 0, 1, 5, 2, 1})
+	f.Add([]byte{0, 3, 0, 7, 0, 11, 0, 15, 1, 7, 2, 0, 1, 3, 1, 15})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var l Index
+		var vals []byte // live rows by id, as the relation holds them
+		count := make(map[byte]int)
+		hash := func(v byte) uint64 { return uint64(v % 4) }
+		swapDelete := func(id int32) {
+			last := int32(len(vals) - 1)
+			count[vals[id]]--
+			l.Remove(hash(vals[id]), id)
+			if id != last {
+				l.Repoint(hash(vals[last]), last, id)
+			}
+			vals[id] = vals[last]
+			vals = vals[:last]
+		}
+		locate := func(v byte) int32 {
+			id := l.First(hash(v))
+			for id >= 0 && vals[id] != v {
+				id = l.Next(id)
+			}
+			return id
+		}
+		for len(prog) >= 2 {
+			op, arg := prog[0]%3, prog[1]
+			prog = prog[2:]
+			switch op {
+			case 0: // append
+				v := arg % 16
+				vals = append(vals, v)
+				count[v]++
+				l.Insert(hash(v), int32(len(vals)-1))
+			case 1: // delete by value
+				if id := locate(arg % 16); id >= 0 {
+					swapDelete(id)
+				}
+			case 2: // swap-delete by id
+				if len(vals) > 0 {
+					swapDelete(int32(int(arg) % len(vals)))
+				}
+			}
+
+			if len(l.ents) != len(vals) {
+				t.Fatalf("%d links for %d rows", len(l.ents), len(vals))
+			}
+			seen := make([]bool, len(vals))
+			for h := range uint64(4) {
+				prev := int32(-1)
+				for id := l.First(h); id >= 0; prev, id = id, l.Next(id) {
+					if seen[id] || hash(vals[id]) != h || l.ents[id].prev != prev {
+						t.Fatalf("chain %d: row %d (seen %v, value %d, prev %d, want %d)", h, id, seen[id], vals[id], l.ents[id].prev, prev)
+					}
+					seen[id] = true
+				}
+			}
+			if i := slices.Index(seen, false); i >= 0 {
+				t.Fatalf("row %d is on no chain", i)
+			}
+			if l.Len() > 4 {
+				t.Fatalf("%d chain heads for 4 hashes", l.Len())
+			}
+			for v := range byte(16) {
+				if id := locate(v); (id >= 0) != (count[v] > 0) {
+					t.Fatalf("value %d: located row %d, the oracle holds %d", v, id, count[v])
+				}
+			}
+		}
+	})
 }

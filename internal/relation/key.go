@@ -81,26 +81,39 @@ func (r *Relation) KeyFunc(cols []int) func(row int) uint64 {
 	panic(errWideKey)
 }
 
-// Index is a hash index from packed join key to the row ids holding it.
-// A row id is held under at most one key at a time, which lets the index
-// keep, per id, its position in its bucket: insert, remove and repoint
-// are O(1) whatever the bucket size, for 4 bytes per row. Bucket order
-// is a deterministic function of the operation sequence and otherwise
-// unspecified.
+// Index maps a key — a packed join key, or a row hash — to the row ids
+// holding it. The ids of one key form a doubly linked chain, headed in a
+// KeyTable and linked by id, so insert, remove and repoint touch a
+// constant number of links whatever the chain length, and a new key
+// costs a table slot: no bucket is ever allocated. A row id is held
+// under at most one key at a time, and its entry records that key, which
+// answers an absent entry in O(1) — 16 bytes per id in all. Insert puts
+// an id at the head of its key's chain, and BuildIndex inserts rows last
+// to first, so it lists a key's rows in ascending id; a chain's order is
+// otherwise a deterministic function of the operation sequence. The
+// zero value is an empty index on no columns.
 type Index struct {
 	cols []int
-	m    map[uint64][]int32
-	pos  []int32 // pos[id] is id's position in its bucket; stale once id is removed
+	head KeyTable
+	ents []entry // by id
 }
 
-// BuildIndex indexes the relation on the given categorical columns. The
-// position table is sized to the rows, but the map grows with the keys:
-// a fact table has several rows per key, so a hint of one slot per row
-// would reserve several times the memory the index needs.
+// entry is an id's place in its key's chain: -1 ends the chain on either
+// side, and an id held under no key has prev unheld.
+type entry struct {
+	key        uint64
+	prev, next int32
+}
+
+const unheld = -2
+
+// BuildIndex indexes the relation on the given categorical columns, each
+// key's rows chained in ascending id. The entries are sized to the rows,
+// the key table grows with the keys.
 func (r *Relation) BuildIndex(cols []int) *Index {
 	key := r.KeyFunc(cols)
-	ix := &Index{cols: cols, m: make(map[uint64][]int32), pos: make([]int32, r.rows)}
-	for i := 0; i < r.rows; i++ {
+	ix := &Index{cols: cols, ents: make([]entry, 0, r.rows)}
+	for i := r.rows - 1; i >= 0; i-- {
 		ix.Insert(key(i), int32(i))
 	}
 	return ix
@@ -108,82 +121,113 @@ func (r *Relation) BuildIndex(cols []int) *Index {
 
 // NewIndex returns an empty index on the given columns, to be maintained
 // incrementally with Insert as rows are appended.
-func NewIndex(cols []int) *Index {
-	return &Index{cols: cols, m: make(map[uint64][]int32)}
-}
+func NewIndex(cols []int) *Index { return &Index{cols: cols} }
 
-// Insert records that row id, held under no key so far, carries key k.
+// Insert records that row id, held under no key so far, carries key k:
+// it becomes the head of k's chain.
 func (ix *Index) Insert(k uint64, id int32) {
-	b := ix.m[k]
-	ix.setPos(id, len(b))
-	ix.m[k] = append(b, id)
+	ix.cover(id)
+	next, ok := ix.head.Get(k)
+	if ok {
+		ix.ents[next].prev = id
+	} else {
+		next = -1
+	}
+	ix.head.Set(k, id)
+	ix.ents[id] = entry{key: k, prev: -1, next: next}
 }
 
-// setPos records id's bucket position, growing the table to cover id.
-func (ix *Index) setPos(id int32, p int) {
-	for int(id) >= len(ix.pos) {
-		ix.pos = append(ix.pos, 0)
+// cover grows the entries to hold id.
+func (ix *Index) cover(id int32) {
+	for int(id) >= len(ix.ents) {
+		ix.ents = append(ix.ents, entry{prev: unheld})
 	}
-	ix.pos[id] = int32(p)
 }
 
-// find returns k's bucket and id's position in it, or -1 when id is not
-// held under k: a stale or foreign position never points at id.
-func (ix *Index) find(k uint64, id int32) ([]int32, int) {
-	b := ix.m[k]
-	if int(id) < len(ix.pos) {
-		if p := int(ix.pos[id]); p < len(b) && b[p] == id {
-			return b, p
-		}
+// held reports whether row id is held under key k.
+func (ix *Index) held(k uint64, id int32) bool {
+	return uint(id) < uint(len(ix.ents)) && ix.ents[id].prev != unheld && ix.ents[id].key == k
+}
+
+// drop frees id's entry; the last entry goes with it.
+func (ix *Index) drop(id int32) {
+	ix.ents[id].prev = unheld
+	if int(id) == len(ix.ents)-1 {
+		ix.ents = ix.ents[:id]
 	}
-	return b, -1
 }
 
 // Remove forgets that row id carries key k, reporting whether the entry
-// existed; an absent entry changes nothing. The entry is found through
-// the position table and its slot refilled with the bucket's last id,
-// and a bucket that empties is dropped, so a long-lived index under
-// churn does not accumulate dead keys.
+// existed; an absent entry — a free id, or a held one under another key
+// — changes nothing. A key whose chain drains leaves the table, so a
+// long-lived index under churn does not accumulate dead keys.
 //
 //borg:noalloc
 func (ix *Index) Remove(k uint64, id int32) bool {
-	b, p := ix.find(k, id)
-	if p < 0 {
+	if !ix.held(k, id) {
 		return false
 	}
-	last := len(b) - 1
-	if last == 0 {
-		delete(ix.m, k)
-		return true
+	e := ix.ents[id]
+	switch {
+	case e.prev >= 0:
+		ix.ents[e.prev].next = e.next
+	case e.next >= 0:
+		ix.head.Set(k, e.next)
+	default:
+		ix.head.Delete(k)
 	}
-	b[p] = b[last]
-	ix.pos[b[p]] = int32(p)
-	ix.m[k] = b[:last]
+	if e.next >= 0 {
+		ix.ents[e.next].prev = e.prev
+	}
+	ix.drop(id)
 	return true
 }
 
 // Repoint renames the entry (k, from) to (k, to) in place, keeping its
-// bucket position — what a swap-delete needs when the relation's last
+// place in the chain — what a swap-delete needs when the relation's last
 // row moves into a freed slot. to must be held under no key. It reports
 // whether the entry existed.
 //
 //borg:noalloc
 func (ix *Index) Repoint(k uint64, from, to int32) bool {
-	b, p := ix.find(k, from)
-	if p < 0 {
+	if !ix.held(k, from) {
 		return false
 	}
-	b[p] = to
-	ix.setPos(to, p)
+	ix.cover(to)
+	e := ix.ents[from]
+	if e.prev >= 0 {
+		ix.ents[e.prev].next = to
+	} else {
+		ix.head.Set(k, to)
+	}
+	if e.next >= 0 {
+		ix.ents[e.next].prev = to
+	}
+	ix.ents[to] = e
+	ix.drop(from)
 	return true
 }
 
-// Rows returns the row ids with key k (nil if none). The slice must not
-// be modified.
-func (ix *Index) Rows(k uint64) []int32 { return ix.m[k] }
+// First returns the first row id with key k, or -1 if none.
+//
+//borg:noalloc
+func (ix *Index) First(k uint64) int32 {
+	if id, ok := ix.head.Get(k); ok {
+		return id
+	}
+	return -1
+}
+
+// Next returns the row id after id in its key's chain, or -1 at the end.
+//
+//borg:noalloc
+func (ix *Index) Next(id int32) int32 { return ix.ents[id].next }
+
+// KeyOf returns the key held row id carries.
+func (ix *Index) KeyOf(id int32) uint64 { return ix.ents[id].key }
 
 // Len returns the number of distinct keys.
-func (ix *Index) Len() int { return len(ix.m) }
+func (ix *Index) Len() int { return ix.head.Len() }
 
 // Cols returns the indexed column positions.
 func (ix *Index) Cols() []int { return ix.cols }

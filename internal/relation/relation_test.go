@@ -177,7 +177,7 @@ func TestKeyFuncAndIndex(t *testing.T) {
 	if ix.Len() != 3 {
 		t.Fatalf("index has %d keys, want 3", ix.Len())
 	}
-	rows := ix.Rows(PackKey1(1))
+	rows := chain(ix, PackKey1(1))
 	want := []int32{1, 4, 7}
 	if len(rows) != len(want) {
 		t.Fatalf("Rows(1) = %v, want %v", rows, want)
@@ -187,7 +187,7 @@ func TestKeyFuncAndIndex(t *testing.T) {
 			t.Fatalf("Rows(1) = %v, want %v", rows, want)
 		}
 	}
-	if ix.Rows(PackKey1(99)) != nil {
+	if chain(ix, PackKey1(99)) != nil {
 		t.Fatal("Rows of absent key should be nil")
 	}
 
@@ -376,7 +376,7 @@ func TestIndexRemove(t *testing.T) {
 	if !ix.Remove(7, 0) {
 		t.Fatal("Remove(7, 0) reported missing")
 	}
-	if rows := ix.Rows(7); len(rows) != 1 || rows[0] != 1 {
+	if rows := chain(ix, 7); len(rows) != 1 || rows[0] != 1 {
 		t.Fatalf("Rows(7) = %v, want [1]", rows)
 	}
 	// Removing an absent id (wrong id, wrong key) reports false and
@@ -391,15 +391,15 @@ func TestIndexRemove(t *testing.T) {
 	if !ix.Remove(7, 1) {
 		t.Fatal("Remove(7, 1) reported missing")
 	}
-	if ix.Rows(7) != nil {
-		t.Fatalf("Rows(7) = %v after draining, want nil", ix.Rows(7))
+	if chain(ix, 7) != nil {
+		t.Fatalf("Rows(7) = %v after draining, want nil", chain(ix, 7))
 	}
 	if ix.Len() != 1 {
 		t.Fatalf("Len = %d after draining key 7, want 1", ix.Len())
 	}
 	// Re-inserting under a drained key works.
 	ix.Insert(7, 4)
-	if rows := ix.Rows(7); len(rows) != 1 || rows[0] != 4 {
+	if rows := chain(ix, 7); len(rows) != 1 || rows[0] != 4 {
 		t.Fatalf("Rows(7) after re-insert = %v, want [4]", rows)
 	}
 }
