@@ -97,7 +97,10 @@ func (r *Relation) Rows() int { return r.rel.NumRows() }
 // categorical attributes take string values, which are interned in the
 // shared dictionaries.
 func (r *Relation) Append(values ...any) error {
-	row, err := coerceRow(r.rel, values)
+	scratch := rowScratch.Get().(*[]relation.Value)
+	defer rowScratch.Put(scratch)
+	row, err := coerceRow(r.rel, values, (*scratch)[:0])
+	*scratch = row
 	if err != nil {
 		return err
 	}
@@ -105,54 +108,43 @@ func (r *Relation) Append(values ...any) error {
 	return nil
 }
 
-// coerceRow converts facade values (any common Go numeric type for
-// continuous, string for categorical) into relation values in schema
-// order — the conversion path shared by Relation.Append and
-// ShardedServer.Insert/Delete/Update; every value goes through
-// coerceCell, as every cell of IngestJSON does. Append remains a
-// single-writer API (its row mutation happens outside any lock).
-func coerceRow(r *relation.Relation, values []any) ([]relation.Value, error) {
+// rowScratch holds the rows the facade converts values into: a row is
+// dead once the call it was converted for returns, because AppendRow
+// and every ingest sink copy the values, so the next call reuses it.
+var rowScratch = sync.Pool{New: func() any { return new([]relation.Value) }}
+
+// coerceRow appends facade values (any common Go numeric type for
+// continuous, string for categorical), converted into relation values
+// in schema order, to dst — the conversion path shared by
+// Relation.Append and ShardedServer.Insert/Delete/Update; every value
+// goes through coerceCell, as every cell of IngestJSON does. The
+// column's type is read first, so a string is not tried against the
+// numeric kinds. Append remains a single-writer API (its row mutation
+// happens outside any lock).
+func coerceRow(r *relation.Relation, values []any, dst []relation.Value) ([]relation.Value, error) {
 	if len(values) != r.NumAttrs() {
-		return nil, arityErr(r, len(values))
+		return dst, arityErr(r, len(values))
 	}
-	row := carveRow(len(values))
 	for i, v := range values {
 		c := cell{kind: cellOther}
-		if f, ok := asFloat(v); ok {
+		if r.Col(i).Type == relation.Category {
+			if x, ok := v.(string); ok {
+				c = cell{kind: cellStr, str: x}
+			}
+		} else if f, ok := asFloat(v); ok {
 			c = cell{kind: cellNum, num: f}
-		} else if x, ok := v.(string); ok {
-			c = cell{kind: cellStr, str: x}
 		}
-		var refusal string
-		if row[i], refusal = coerceCell(r, i, c); refusal != "" {
+		val, refusal := coerceCell(r, i, c)
+		if refusal != "" {
 			got := fmt.Sprintf("%T", v)
 			if refusal == nonFinite {
 				got = fmt.Sprint(v)
 			}
-			return nil, fmt.Errorf(refusal, r.Attrs()[i].Name, got)
+			return dst, fmt.Errorf(refusal, r.Attrs()[i].Name, got)
 		}
+		dst = append(dst, val)
 	}
-	return row, nil
-}
-
-// rowChunks holds, per P, the unused tail of the rowChunkLen-value
-// chunk that carveRow cuts facade rows from.
-var rowChunks = sync.Pool{New: func() any { return new([]relation.Value) }}
-
-const rowChunkLen = 64
-
-// carveRow returns the next n values of a pooled chunk as a row with
-// cap == len, so no append reaches past it. No row is handed out twice
-// and no chunk is reused: a chunk lives as long as its last row.
-func carveRow(n int) []relation.Value {
-	free := rowChunks.Get().(*[]relation.Value)
-	if len(*free) < n {
-		*free = make([]relation.Value, max(rowChunkLen, n))
-	}
-	row := (*free)[:n:n]
-	*free = (*free)[n:]
-	rowChunks.Put(free)
-	return row
+	return dst, nil
 }
 
 func arityErr(r *relation.Relation, got int) error {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"borg/internal/relation"
 )
 
 // buildToyDB creates a two-relation schema with a planted linear signal:
@@ -357,6 +359,50 @@ func TestCoerceRowNumericWidening(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "struct {}") || !strings.Contains(err.Error(), "number") {
 		t.Fatalf("unsupported-type error %q does not name the type and expected kind", err)
+	}
+}
+
+// TestCoerceRowTypeTable: coerceRow reads the column's type before the
+// value's, and every numeric kind and a string meet both column types
+// with the value or the exact refusal text the value-first dispatch
+// gave.
+func TestCoerceRowTypeTable(t *testing.T) {
+	db := NewDatabase()
+	r := db.AddRelation("R", Cat("k"), Num("x")).rel
+	code := r.Col(0).Dict.Code("s")
+	for _, v := range []any{
+		float64(1.5), float32(2.5), int(-3), int64(4), int32(5), int16(6), int8(7),
+		uint(8), uint64(1 << 60), uint32(10), uint16(11), uint8(12),
+		"s", nil, true, math.NaN(), float32(math.Inf(-1)),
+	} {
+		f, numeric := asFloat(v)
+		_, str := v.(string)
+		// v as the categorical key, then as the continuous value.
+		for col, row := range [][]any{{v, 1.0}, {"s", v}} {
+			got, err := coerceRow(r, row, nil)
+			var want string
+			switch {
+			case col == 0 && !str:
+				want = fmt.Sprintf("borg: attribute k is categorical (want a string), got %T", v)
+			case col == 1 && numeric && (math.IsNaN(f) || math.IsInf(f, 0)):
+				want = fmt.Sprintf("borg: attribute x: non-finite value %v is not storable", v)
+			case col == 1 && !numeric:
+				want = fmt.Sprintf("borg: attribute x is continuous (want a number), got %T", v)
+			}
+			if want != "" {
+				if err == nil || err.Error() != want {
+					t.Fatalf("%T %v in column %d: got %v, %v; want refusal %q", v, v, col, got, err, want)
+				}
+				continue
+			}
+			wantRow := []relation.Value{relation.CatVal(code), relation.FloatVal(1)}
+			if col == 1 {
+				wantRow[1] = relation.FloatVal(f)
+			}
+			if err != nil || len(got) != 2 || got[0] != wantRow[0] || got[1] != wantRow[1] {
+				t.Fatalf("%T %v in column %d: got %v, %v; want %v", v, v, col, got, err, wantRow)
+			}
+		}
 	}
 }
 

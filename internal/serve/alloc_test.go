@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"borg/internal/ivm"
 )
@@ -64,16 +63,18 @@ func TestPublicationAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestBurstAllocsBounded pins what the writer's whole path costs for one
-// k-op burst — gather, ApplyBatch, publish, with metrics on: the epoch
-// arena's two objects, whatever k. The ops allocate nothing in the
-// maintainer in steady state: its row locator and edge indexes are
-// chains headed in key tables, which stop growing once the live set
-// has reached its size. Nothing is paid per call: no groups, closures or
-// pool tasks (7 objects for a 1-op batch when ApplyBatch built them
-// afresh). The writer is stopped first so its methods can be driven
-// from the test goroutine; bursts alternate between inserting and
-// retracting the same tuples, so the state they run against is steady.
+// TestBurstAllocsBounded pins what one k-op burst costs on the whole
+// ingest path — copy-in, take, ApplyBatch, free, publish, with metrics
+// on: the epoch arena's two objects, whatever k. The ops allocate
+// nothing in the queue (each is copied into a slot allocated with the
+// server) nor in the maintainer in steady state: its row locator and
+// edge indexes are chains headed in key tables, which stop growing once
+// the live set has reached its size. Nothing is paid per call: no
+// groups, closures or pool tasks (7 objects for a 1-op batch when
+// ApplyBatch built them afresh). The writer is stopped first and the
+// queue reopened, so the test goroutine plays producer and writer; bursts
+// alternate between inserting and retracting the same tuples, so the
+// state they run against is steady.
 func TestBurstAllocsBounded(t *testing.T) {
 	j, stream, feats := salesSchema(13, 400, 8, 4)
 	srv, err := New(j, "Sales", feats, Config{})
@@ -92,18 +93,22 @@ func TestBurstAllocsBounded(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	srv.q.closed = false
 	for _, k := range []int{1, 8, 25} {
 		retract := true
 		burst := func() {
-			kind := opInsert
-			if retract {
-				kind = opDelete
-			}
 			for _, tu := range sales[:k] {
-				srv.handle(op{kind: kind, tuple: tu, enq: time.Now()})
+				send := srv.Insert
+				if retract {
+					send = srv.Delete
+				}
+				if err := send(tu); err != nil {
+					t.Fatal(err)
+				}
 			}
-			srv.applyBatch()
-			srv.publish()
+			for srv.q.n > 0 { // a run stops at the end of the array
+				srv.work()
+			}
 			retract = !retract
 		}
 		for i := 0; i < 20; i++ {
@@ -115,8 +120,8 @@ func TestBurstAllocsBounded(t *testing.T) {
 		if a > 2 {
 			t.Errorf("%d-op burst allocates %.2f, want at most 2 (arena + backing)", k, a)
 		}
-		if srv.epoch != epoch+100 || srv.pending != 0 || srv.Err() != nil {
-			t.Fatalf("%d-op bursts: epoch %d → %d, pending %d, err %v", k, epoch, srv.epoch, srv.pending, srv.Err())
+		if srv.epoch != epoch+100 || srv.pending != 0 || srv.QueueLen() != 0 || srv.Err() != nil {
+			t.Fatalf("%d-op bursts: epoch %d → %d, pending %d, queued %d, err %v", k, epoch, srv.epoch, srv.pending, srv.QueueLen(), srv.Err())
 		}
 	}
 }

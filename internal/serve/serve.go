@@ -14,18 +14,21 @@
 // is the classic single-writer / immutable-snapshot arrangement of HTAP
 // serving systems:
 //
-//   - Ingest. Ops (inserts, deletes, updates) enter through a buffered
-//     MPSC channel (any number of producer goroutines, backpressure
-//     when the queue is full) and are applied by ONE writer goroutine
-//     that owns the maintainer — the maintainer stays single-threaded
-//     and lock-free internally. An update is a delete+insert pair the
-//     writer applies back to back, so no snapshot splits it.
+//   - Ingest. Ops (inserts, deletes, updates) enter a ring of
+//     QueueDepth slots allocated once (any number of producer
+//     goroutines, backpressure when every slot is filled); a producer
+//     copies its tuple's values into its slot under the ring's lock.
+//     ONE writer goroutine owns the maintainer — the maintainer stays
+//     single-threaded and lock-free internally. An update is a
+//     delete+insert pair the writer applies back to back, so no
+//     snapshot splits it.
 //
-//   - Batching. The writer is work-conserving: whenever it wakes it
-//     takes what is queued, up to BatchSize ops, applies it through
-//     (*ivm.FIVM).ApplyBatch, and publishes a snapshot iff the queue is
+//   - Batching. The writer is work-conserving: under one lock it takes
+//     the run of filled slots at the head, up to BatchSize ops, applies
+//     the slots themselves through (*ivm.FIVM).ApplyBatch, frees them
+//     under a second lock, and publishes a snapshot iff the queue is
 //     now empty or BatchSize ops are unpublished; otherwise it takes
-//     the next batch. An idle or paced server publishes as soon as it
+//     the next run. An idle or paced server publishes as soon as it
 //     has caught up (no timer), a saturated one once per BatchSize
 //     ops, and an epoch never trails by 2·BatchSize ops or more.
 //     Published statistics are bitwise-identical to serial
@@ -71,8 +74,10 @@ type Config struct {
 	// emptied the queue, and otherwise once BatchSize applied ops are
 	// unpublished. Default 64.
 	BatchSize int
-	// QueueDepth is the ingest channel capacity; full queues apply
-	// backpressure to producers. Default 1024.
+	// QueueDepth is the most ops accepted and not yet applied: the
+	// slots of the ingest ring, each with room for an update of the
+	// widest relation. When every slot is filled producers wait.
+	// Default 1024.
 	QueueDepth int
 	// Payload selects the maintained ring payload: ivm.PayloadCovar (the
 	// default), ivm.PayloadPoly2 (degree-≤4 moments for polynomial
@@ -202,39 +207,70 @@ func Merged(parts []*Snapshot) *Snapshot {
 // ErrClosed is returned by operations on a closed server.
 var ErrClosed = errors.New("serve: server is closed")
 
-// opKind discriminates the queued operations the writer applies.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-	opUpdate
-)
-
-type op struct {
-	kind  opKind
-	tuple ivm.Tuple
-	// old is the tuple an update retracts before inserting tuple.
-	old ivm.Tuple
-	// flush, when non-nil, marks a barrier: the writer publishes the
-	// current state and acknowledges on the channel instead of applying
-	// a tuple.
+// barrier is a queued Flush, Cardinalities or Replan request: it holds a
+// slot of its own, so it keeps its place in FIFO order among the tuple
+// ops, and exactly one of its channels is set.
+type barrier struct {
 	flush chan error
-	// cards, when non-nil, requests the maintainer's live per-relation
-	// cardinalities after applying everything buffered so far.
 	cards chan map[string]int
-	// replan, when non-nil, requests a plan rebuild (see Server.Replan).
-	replan *replanReq
-	// enq is the enqueue timestamp the writer observes queue wait
-	// against (zero when metrics are off).
-	enq time.Time
+	// ack answers a replan onto root ("" = greedy; see Server.Replan).
+	ack  chan error
+	root string
 }
 
-// replanReq carries one replan request to the writer: the root to pin
-// ("" = greedy from live cardinalities) and the acknowledgment channel.
-type replanReq struct {
-	root string
-	ack  chan error
+// queue is the ingest ring: QueueDepth slots allocated once. A slot is
+// an ivm.Op whose tuples point into the slot's own stride of vals, room
+// for both halves of an update of the widest relation, so producers copy
+// their values in and the writer hands a run of slots to ApplyBatch as
+// it is. head is the oldest filled slot and n the filled ones, the run
+// the writer has taken included: a slot is free again once applied.
+type queue struct {
+	mu     sync.Mutex
+	space  sync.Cond // producers wait here while every slot is filled
+	ready  sync.Cond // the writer waits here while none is
+	ops    []ivm.Op
+	bars   []*barrier  // non-nil: the slot is that barrier
+	enq    []time.Time // enqueue stamps; nil when metrics are off
+	vals   []relation.Value
+	stride int
+	head   int
+	n      int
+	closed bool
+}
+
+// take waits for a filled slot and returns the run at the head the
+// writer applies next: the barrier alone when the head is one, else at
+// most max tuple ops, stopping before a barrier and at the end of the
+// array. ok is false once the queue is closed and empty.
+func (q *queue) take(max int) (lo, k int, b *barrier, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.n == 0 {
+		if q.closed {
+			return 0, 0, nil, false
+		}
+		q.ready.Wait()
+	}
+	lo, k = q.head, 1
+	if b = q.bars[lo]; b != nil {
+		q.bars[lo] = nil
+		return lo, 1, b, true
+	}
+	for end := min(lo+q.n, lo+max, len(q.ops)); lo+k < end && q.bars[lo+k] == nil; k++ {
+	}
+	return lo, k, nil, true
+}
+
+// free returns the k slots taken last to the producers, waking them once
+// for the whole run, and reports how many slots are still filled.
+func (q *queue) free(k int) int {
+	q.mu.Lock()
+	q.head = (q.head + k) % len(q.ops)
+	q.n -= k
+	n := q.n
+	q.mu.Unlock()
+	q.space.Broadcast()
+	return n
 }
 
 // Server owns one maintainer and serves it concurrently. Create with
@@ -260,20 +296,9 @@ type Server struct {
 	featArgs []string
 	relNames []string
 
-	in       chan op
+	q        queue
 	snap     atomic.Pointer[Snapshot]
-	stop     chan struct{}
 	finished chan struct{}
-	stopOnce sync.Once
-
-	// closeMu gates enqueues against Close: a producer sends while
-	// holding the read lock, Close flips closed under the write lock
-	// BEFORE signalling the writer to stop — so every op that was
-	// accepted (queued incremented, channel send committed) is
-	// guaranteed to be seen by the writer's shutdown drain, never
-	// silently dropped with a stale queued count.
-	closeMu sync.RWMutex
-	closed  bool
 
 	// lastErr is the writer's first maintenance error (or its panic):
 	// what Err, Flush and Close report, readable without a barrier.
@@ -296,17 +321,18 @@ type Server struct {
 	// describe the plan the maintainer is currently built under; drift
 	// is recomputed at every publication; replans counts completed
 	// rebuilds.
-	// buf gathers the next batch; pending counts ops applied since the
-	// last publication, oldest is the enqueue time of the first op no
-	// epoch covers yet (zero: none, or metrics off). barrier is the
-	// barrier being served, which a panic must still answer (failed).
-	buf        []ivm.Op
+	// taken is the run of slots the writer holds; pending counts ops
+	// applied since the last publication, oldest is the enqueue time of
+	// the first op no epoch covers yet (zero: none, or metrics off).
+	// barrier is the barrier being served, which a panic must still
+	// answer (failed).
+	taken      int
 	inserts    uint64
 	deletes    uint64
 	epoch      uint64
 	pending    int
 	oldest     time.Time
-	barrier    op
+	barrier    *barrier
 	failed     bool
 	root       string
 	planDepth  int
@@ -352,8 +378,6 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 		schemas:     make(map[string]*relation.Relation, len(j.Relations)),
 		join:        j,
 		featArgs:    append([]string(nil), features...),
-		in:          make(chan op, cfg.QueueDepth),
-		stop:        make(chan struct{}),
 		finished:    make(chan struct{}),
 		root:        p.Root,
 		planDepth:   p.Depth,
@@ -369,9 +393,15 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 		// maintainer's live relations via the common source relation.
 		s.schemas[r.Name] = r.CloneEmpty()
 		s.relNames = append(s.relNames, r.Name)
+		s.q.stride = max(s.q.stride, 2*r.NumAttrs())
 	}
+	s.q.ops = make([]ivm.Op, cfg.QueueDepth)
+	s.q.bars = make([]*barrier, cfg.QueueDepth)
+	s.q.vals = make([]relation.Value, cfg.QueueDepth*s.q.stride)
+	s.q.space.L, s.q.ready.L = &s.q.mu, &s.q.mu
 	s.log = cfg.Logger
 	if !cfg.MetricsOff {
+		s.q.enq = make([]time.Time, cfg.QueueDepth)
 		// Handles resolve once here; everything after this line updates
 		// them with bare atomic ops.
 		if s.cfg.Obs == nil {
@@ -417,31 +447,33 @@ func (s *Server) Metrics() *obs.Registry {
 func (s *Server) Schema(name string) *relation.Relation { return s.schemas[name] }
 
 // Insert enqueues one tuple insert. It validates the tuple's shape
-// synchronously, then blocks only when the ingest queue is full
-// (backpressure). The insert is visible to readers once a snapshot
-// covering it is published.
+// synchronously, then blocks only while every queue slot is filled
+// (backpressure). The values are copied into the queue before Insert
+// returns, so the caller may reuse t.Values at once. The insert is
+// visible to readers once a snapshot covering it is published.
 func (s *Server) Insert(t ivm.Tuple) error {
 	if err := s.check(t); err != nil {
 		return s.reject(err)
 	}
-	return s.enqueue(op{kind: opInsert, tuple: t})
+	return s.push(ivm.OpInsert, t, ivm.Tuple{}, nil)
 }
 
 // Delete enqueues the retraction of one previously inserted tuple
 // (matched by value, multiset semantics). Like Insert it validates the
-// shape synchronously; a delete whose target is not live when the
-// writer applies it surfaces as a maintenance error through Flush and
-// Close.
+// shape synchronously and copies the values before it returns; a delete
+// whose target is not live when the writer applies it surfaces as a
+// maintenance error through Flush and Close.
 func (s *Server) Delete(t ivm.Tuple) error {
 	if err := s.check(t); err != nil {
 		return s.reject(err)
 	}
-	return s.enqueue(op{kind: opDelete, tuple: t})
+	return s.push(ivm.OpDelete, t, ivm.Tuple{}, nil)
 }
 
 // Update enqueues a delete of old followed by an insert of new, applied
 // back to back by the writer goroutine so no published snapshot ever
-// shows the join without one or the other.
+// shows the join without one or the other. Both tuples' values are
+// copied before Update returns.
 func (s *Server) Update(old, new ivm.Tuple) error {
 	if err := s.check(old); err != nil {
 		return s.reject(err)
@@ -449,7 +481,7 @@ func (s *Server) Update(old, new ivm.Tuple) error {
 	if err := s.check(new); err != nil {
 		return s.reject(err)
 	}
-	return s.enqueue(op{kind: opUpdate, tuple: new, old: old})
+	return s.push(ivm.OpUpdate, new, old, nil)
 }
 
 // reject accounts and logs one validation failure on its way back to
@@ -477,24 +509,41 @@ func (s *Server) check(t ivm.Tuple) error {
 	return nil
 }
 
-// enqueue hands one tuple op to the writer, accounting it as queued
-// until a publication covers it (or its application fails). The send
-// happens under the close read-lock: the writer cannot be stopped while
-// any enqueue is in flight, so an accepted op is always applied (the
-// shutdown drain empties the channel) and the queued counter never
-// leaks. Backpressure is preserved — a full channel blocks here, and
-// the still-running writer drains it.
-func (s *Server) enqueue(o op) error {
+// push fills the tail slot with one tuple op, copying its values, or
+// with barrier b, waiting while every slot is filled. A tuple op counts
+// as queued until a publication covers it (or its application fails).
+// An op Close has shut out returns ErrClosed; one that got a slot is
+// applied, because the writer empties the queue before it stops.
+func (s *Server) push(kind ivm.OpKind, t, old ivm.Tuple, b *barrier) error {
+	var enq time.Time
 	if s.metrics != nil {
-		o.enq = time.Now()
+		enq = time.Now()
 	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
+	q := &s.q
+	q.mu.Lock()
+	for q.n == len(q.ops) && !q.closed {
+		q.space.Wait()
+	}
+	if q.closed {
+		q.mu.Unlock()
 		return ErrClosed
 	}
-	s.queued.Add(1)
-	s.in <- o
+	i := (q.head + q.n) % len(q.ops)
+	q.n++
+	if q.enq != nil {
+		q.enq[i] = enq
+	}
+	if q.bars[i] = b; b == nil {
+		s.queued.Add(1)
+		vals := q.vals[i*q.stride : (i+1)*q.stride]
+		nt := copy(vals, t.Values)
+		no := copy(vals[nt:], old.Values)
+		q.ops[i] = ivm.Op{Kind: kind,
+			Tuple: ivm.Tuple{Rel: t.Rel, Values: vals[:nt:nt]},
+			Old:   ivm.Tuple{Rel: old.Rel, Values: vals[nt : nt+no : nt+no]}}
+	}
+	q.mu.Unlock()
+	q.ready.Signal() // unlocked: the writer it wakes does not wait for the lock
 	return nil
 }
 
@@ -517,9 +566,9 @@ func (s *Server) Err() error {
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // QueueLen reports how many tuple ops are enqueued or applied but not
-// yet covered by a published snapshot. Unlike a bare channel length it
-// includes the batch the writer is currently holding, so QueueLen()==0
-// implies the snapshot reflects every accepted op.
+// yet covered by a published snapshot. Unlike the filled slots it
+// counts the applied ops no epoch covers yet, so QueueLen()==0 implies
+// the snapshot reflects every accepted op.
 func (s *Server) QueueLen() int { return int(s.queued.Load()) }
 
 // Flush is a write barrier: it waits until every op enqueued before
@@ -527,31 +576,17 @@ func (s *Server) QueueLen() int { return int(s.queued.Load()) }
 // error if any occurred.
 func (s *Server) Flush() error {
 	ack := make(chan error, 1)
-	return firstErr(await(s, op{flush: ack}, ack))
+	return firstErr(await(s, &barrier{flush: ack}, ack))
 }
 
-// await enqueues one barrier op and waits for the writer's answer on
-// ack; the shutdown drain still answers a barrier enqueued before Close.
-func await[T any](s *Server, barrier op, ack chan T) (T, error) {
-	var none T
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return none, ErrClosed
+// await enqueues one barrier and waits for the writer's answer on ack:
+// the writer answers every barrier that got a slot, failed or closing.
+func await[T any](s *Server, b *barrier, ack chan T) (T, error) {
+	if err := s.push(0, ivm.Tuple{}, ivm.Tuple{}, b); err != nil {
+		var none T
+		return none, err
 	}
-	s.in <- barrier
-	s.closeMu.RUnlock()
-	select {
-	case v := <-ack:
-		return v, nil
-	case <-s.finished:
-		select {
-		case v := <-ack:
-			return v, nil
-		default:
-			return none, ErrClosed
-		}
-	}
+	return <-ack, nil
 }
 
 // firstErr is the outcome of an error-valued barrier: the writer's
@@ -596,7 +631,7 @@ func (s *Server) ReplanTo(root string) error {
 // acknowledgment.
 func (s *Server) replanRequest(root string) error {
 	ack := make(chan error, 1)
-	return firstErr(await(s, op{replan: &replanReq{root: root, ack: ack}}, ack))
+	return firstErr(await(s, &barrier{ack: ack, root: root}, ack))
 }
 
 // Cardinalities returns the live per-relation row counts as of every op
@@ -605,7 +640,7 @@ func (s *Server) replanRequest(root string) error {
 // why is in Err.
 func (s *Server) Cardinalities() (map[string]int, error) {
 	ack := make(chan map[string]int, 1)
-	m, err := await(s, op{cards: ack}, ack)
+	m, err := await(s, &barrier{cards: ack}, ack)
 	if err == nil && m == nil {
 		err = s.Err()
 	}
@@ -614,133 +649,99 @@ func (s *Server) Cardinalities() (map[string]int, error) {
 
 // Close stops the writer after draining already-queued ops and
 // publishes a final snapshot. It returns the first maintenance error,
-// if any. Close is idempotent. An op racing with Close is either
-// rejected with ErrClosed or fully applied and drained — never accepted
-// and then silently dropped.
+// if any. Close is idempotent. An op racing with Close — a producer
+// parked on a full queue included — is either rejected with ErrClosed
+// or fully applied and drained, never accepted and then silently
+// dropped.
 func (s *Server) Close() error {
-	s.stopOnce.Do(func() {
-		s.closeMu.Lock()
-		s.closed = true
-		s.closeMu.Unlock()
-		close(s.stop)
-		<-s.finished
-	})
+	s.q.mu.Lock()
+	s.q.closed = true
+	s.q.space.Broadcast()
+	s.q.ready.Signal()
+	s.q.mu.Unlock()
 	<-s.finished
 	return s.Err()
-}
-
-// batchOp converts one queued op to the maintainer's batch
-// representation (flush barriers never reach here).
-func (o op) batchOp() ivm.Op {
-	switch o.kind {
-	case opDelete:
-		return ivm.Op{Kind: ivm.OpDelete, Tuple: o.tuple}
-	case opUpdate:
-		return ivm.Op{Kind: ivm.OpUpdate, Tuple: o.tuple, Old: o.old}
-	default:
-		return ivm.Op{Kind: ivm.OpInsert, Tuple: o.tuple}
-	}
 }
 
 // run is the writer goroutine: the only goroutine that touches the
 // maintainer after New returns.
 func (s *Server) run() {
 	defer close(s.finished)
-	// Grows to BatchSize with the batches; sized up front it would zero
-	// BatchSize ops of memory before the first op.
-	s.buf = make([]ivm.Op, 0, min(s.cfg.BatchSize, 64))
-	for !s.work() {
+	for s.work() {
 	}
 }
 
-// work is one wake-up of the writer: wait for an op (or for Close),
-// then apply what is queued, batch after batch, until the queue is
-// empty. It publishes whenever it finds the queue empty after a batch —
-// the snapshot is then current; there is nothing to wait for — and
-// otherwise once BatchSize applied ops are unpublished, so no epoch
-// covers 2·BatchSize ops or more. It reports whether the server is
-// closed and drained; a panic below ends the wake-up in contain.
-func (s *Server) work() bool {
+// work is one take of the writer: a run of tuple ops is applied, a
+// barrier served, and either is refused by a failed writer; then the
+// slots are freed. It publishes whenever the queue is empty after the
+// take — the snapshot is then current; there is nothing to wait for —
+// and otherwise once BatchSize applied ops are unpublished, so no epoch
+// covers 2·BatchSize ops or more. It reports false once the queue is
+// closed and drained; a panic below ends the take in contain.
+func (s *Server) work() (open bool) {
 	defer s.contain()
-	closed := false
-	select {
-	case <-s.stop:
-		// Close has shut the gate: what is queued now is all there will be.
-		closed = true
-	case o := <-s.in:
-		s.handle(o)
+	lo, k, b, open := s.q.take(s.cfg.BatchSize)
+	if !open {
+		return false
 	}
-	for {
-		for more := true; more && len(s.buf) < s.cfg.BatchSize; {
-			select {
-			case o := <-s.in:
-				s.handle(o)
-			default:
-				more = false
+	s.taken, s.barrier = k, b
+	switch {
+	case s.failed:
+		s.refuse(b, k)
+	case b != nil:
+		s.serve(b)
+	default:
+		if m := s.metrics; m != nil {
+			now := time.Now() // one clock read per take
+			for _, t := range s.q.enq[lo : lo+k] {
+				m.queueWait.Observe(int64(now.Sub(t)))
+			}
+			if s.oldest.IsZero() {
+				s.oldest = s.q.enq[lo]
 			}
 		}
-		s.applyBatch()
-		empty := len(s.in) == 0
-		if empty || s.pending >= s.cfg.BatchSize {
-			s.publish()
-		}
-		if empty {
-			return closed
-		}
+		s.applyBatch(s.q.ops[lo : lo+k])
 	}
+	s.barrier = nil
+	left := s.q.free(k)
+	s.taken = 0
+	if left == 0 || s.pending >= s.cfg.BatchSize {
+		s.publish()
+	}
+	return true
 }
 
-// isBarrier tells a flush, cards or replan barrier from a tuple op.
-func (o *op) isBarrier() bool { return o.flush != nil || o.cards != nil || o.replan != nil }
-
-// handle takes one op off the queue: a tuple op joins the batch being
-// gathered; a barrier applies what is gathered and is served in place.
-// A failed writer refuses both.
-func (s *Server) handle(o op) {
-	if s.failed {
-		s.refuse(o)
-		return
-	}
-	if !o.isBarrier() {
-		if m := s.metrics; m != nil {
-			m.queueWait.Observe(int64(time.Since(o.enq)))
-			if s.oldest.IsZero() {
-				s.oldest = o.enq
-			}
-		}
-		s.buf = append(s.buf, o.batchOp())
-		return
-	}
-	var start time.Time
-	if s.metrics != nil {
-		start = time.Now()
-	}
-	s.barrier = o
-	s.applyBatch()
+// serve answers one barrier in its place: everything before it is
+// applied already.
+func (s *Server) serve(b *barrier) {
 	switch {
-	case o.flush != nil:
+	case b.flush != nil:
+		var start time.Time
+		if s.metrics != nil {
+			start = time.Now()
+		}
 		s.publish()
 		if m := s.metrics; m != nil {
 			m.flushNs.Observe(int64(time.Since(start)))
 		}
-		o.flush <- s.Err()
-	case o.cards != nil:
+		b.flush <- s.Err()
+	case b.cards != nil:
 		s.publish() // or the next batch would stack on this one, past the 2·BatchSize bound
-		o.cards <- s.m.Cardinalities()
+		b.cards <- s.m.Cardinalities()
 	default:
-		err := s.timedReplan(o.replan.root)
+		err := s.timedReplan(b.root)
 		s.forcePublish()
-		o.replan.ack <- err
+		b.ack <- err
 	}
-	s.barrier = op{}
 }
 
 // contain is work's deferred half: it turns a panic on the writer
 // goroutine into the server's sticky error. The maintainer may be half
 // way through a mutation, so nothing is applied or published from here
 // on (the last epoch stays readable), but the queue keeps being
-// emptied: the barrier being served, the ops not yet published and
-// whatever handle sees later are refused — nobody waits on a dead writer.
+// emptied: the barrier being served, the ops taken or not yet published
+// and whatever the writer takes later are refused, and the taken slots
+// freed — nobody waits on a dead writer.
 func (s *Server) contain() {
 	r := recover()
 	if r == nil {
@@ -755,25 +756,27 @@ func (s *Server) contain() {
 	if l := s.log; l != nil {
 		l.Error("writer panicked; the server no longer applies ops", "panic", r, "stack", string(debug.Stack()))
 	}
-	s.queued.Add(-int64(len(s.buf) + s.pending))
-	s.buf, s.pending = s.buf[:0], 0
-	if s.barrier.isBarrier() {
-		s.refuse(s.barrier)
-		s.barrier = op{}
+	s.queued.Add(-int64(s.pending))
+	s.pending = 0
+	if s.taken > 0 {
+		s.refuse(s.barrier, s.taken)
+		s.q.free(s.taken)
 	}
+	s.taken, s.barrier = 0, nil
 }
 
-// refuse answers one op on behalf of a failed writer.
-func (s *Server) refuse(o op) {
+// refuse answers, on behalf of a failed writer, barrier b or else a run
+// of k tuple ops.
+func (s *Server) refuse(b *barrier, k int) {
 	switch {
-	case o.flush != nil:
-		o.flush <- s.Err()
-	case o.cards != nil:
-		o.cards <- nil
-	case o.replan != nil:
-		o.replan.ack <- s.Err()
+	case b == nil:
+		s.queued.Add(-int64(k))
+	case b.flush != nil:
+		b.flush <- s.Err()
+	case b.cards != nil:
+		b.cards <- nil
 	default:
-		s.queued.Add(-1)
+		b.ack <- s.Err()
 	}
 }
 
@@ -784,20 +787,15 @@ func (s *Server) setErr(err error) {
 	}
 }
 
-// applyBatch applies the gathered ops through the maintainer's batch
-// path and folds the result into the writer's accounting. The buffer
-// is reset for reuse.
-func (s *Server) applyBatch() {
-	n := len(s.buf)
-	if n == 0 {
-		return
-	}
+// applyBatch applies a run of taken slots through the maintainer's
+// batch path and folds the result into the writer's accounting.
+func (s *Server) applyBatch(ops []ivm.Op) {
+	n := len(ops)
 	var start time.Time
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	res := s.m.ApplyBatch(s.buf)
-	s.buf = s.buf[:0]
+	res := s.m.ApplyBatch(ops)
 	s.inserts += res.Inserts
 	s.deletes += res.Deletes
 	if m := s.metrics; m != nil {
@@ -919,14 +917,17 @@ func (s *Server) replan(target string) error {
 	}
 	// Reingest the survivors. Inserts do not touch s.inserts/s.deletes —
 	// they are the same logical rows, re-expressed under the new order.
+	// A chunk's values share one buffer, refilled once the chunk is
+	// applied (ApplyBatch copies the rows it keeps).
 	const replanChunk = 4096
 	ops := make([]ivm.Op, 0, replanChunk)
+	vals := make([]relation.Value, 0, replanChunk*s.q.stride/2)
 	flushChunk := func() error {
 		if len(ops) == 0 {
 			return nil
 		}
 		res := nm.ApplyBatch(ops)
-		ops = ops[:0]
+		ops, vals = ops[:0], vals[:0]
 		if res.Err != nil {
 			return fmt.Errorf("serve: replan reingest: %w", res.Err)
 		}
@@ -935,7 +936,9 @@ func (s *Server) replan(target string) error {
 	for _, name := range s.relNames {
 		rel := s.m.Relation(name)
 		for i := 0; i < rel.NumRows(); i++ {
-			ops = append(ops, ivm.Op{Kind: ivm.OpInsert, Tuple: ivm.Tuple{Rel: name, Values: rel.Row(i)}})
+			lo := len(vals)
+			vals = rel.AppendRowTo(vals, i)
+			ops = append(ops, ivm.Op{Kind: ivm.OpInsert, Tuple: ivm.Tuple{Rel: name, Values: vals[lo:len(vals):len(vals)]}})
 			if len(ops) >= replanChunk {
 				if err := flushChunk(); err != nil {
 					return err

@@ -50,8 +50,8 @@ type ServerOptions struct {
 	// as it has emptied the queue, else once BatchSize applied ops are
 	// unpublished (default 64).
 	BatchSize int
-	// QueueDepth is the ingest queue capacity; full queues apply
-	// backpressure to Insert callers (default 1024).
+	// QueueDepth is the most ops a shard holds accepted and not yet
+	// applied; beyond it Insert callers wait (default 1024).
 	QueueDepth int
 	// Workers has no effect on serving: F-IVM ingest is serial per
 	// shard, so to ingest in parallel, shard. It is kept only until the
@@ -84,7 +84,8 @@ type ServerOptions struct {
 // Relation.Append conventions (any Go numeric type for continuous
 // attributes, string for categorical). All methods are safe for any
 // number of concurrent callers; Insert/Delete/Update block only when an
-// ingest queue is full.
+// ingest queue is full, and the values are copied (and the caller's
+// slices free to reuse) by the time they return.
 type Ingestor interface {
 	Insert(rel string, values ...any) error
 	Delete(rel string, values ...any) error
@@ -98,8 +99,10 @@ type Ingestor interface {
 var _ Ingestor = (*ShardedServer)(nil)
 
 // ingestSink is the internal surface the facade ingests through —
-// tuple-level ingest on converted rows plus schema lookup. shard.Server
-// satisfies it, and tests substitute a counting fake.
+// tuple-level ingest on converted rows plus schema lookup. Insert,
+// Delete and Update copy the values before they return: the facade
+// converts into scratch rows it reuses at once. shard.Server satisfies
+// it, and tests substitute a counting fake.
 type ingestSink interface {
 	Schema(rel string) *relation.Relation
 	Insert(t ivm.Tuple) error
@@ -134,11 +137,7 @@ func newIngestAPI(sink ingestSink, j *query.Join) ingestAPI {
 // a sharded server the tuple is routed to its shard by the partition
 // hash.
 func (a ingestAPI) Insert(rel string, values ...any) error {
-	row, err := a.coerce(rel, values)
-	if err != nil {
-		return err
-	}
-	return a.sink.Insert(ivm.Tuple{Rel: rel, Values: row})
+	return a.send(ivm.OpInsert, rel, values, nil)
 }
 
 // Delete enqueues the retraction of one previously inserted tuple,
@@ -150,11 +149,7 @@ func (a ingestAPI) Insert(rel string, values ...any) error {
 // from the same goroutine — the ingest queues preserve per-producer
 // order, and on a sharded server equal values hash to the same shard.
 func (a ingestAPI) Delete(rel string, values ...any) error {
-	row, err := a.coerce(rel, values)
-	if err != nil {
-		return err
-	}
-	return a.sink.Delete(ivm.Tuple{Rel: rel, Values: row})
+	return a.send(ivm.OpDelete, rel, values, nil)
 }
 
 // Update enqueues a correction: the tuple equal to oldValues is
@@ -165,26 +160,36 @@ func (a ingestAPI) Delete(rel string, values ...any) error {
 // servers reject updates that change the partition attribute; issue an
 // explicit Delete and Insert to move a tuple across shards.
 func (a ingestAPI) Update(rel string, oldValues, newValues []any) error {
-	oldRow, err := a.coerce(rel, oldValues)
-	if err != nil {
-		return err
-	}
-	newRow, err := a.coerce(rel, newValues)
-	if err != nil {
-		return err
-	}
-	return a.sink.Update(ivm.Tuple{Rel: rel, Values: oldRow}, ivm.Tuple{Rel: rel, Values: newRow})
+	return a.send(ivm.OpUpdate, rel, oldValues, newValues)
 }
 
-// coerce resolves the relation schema and converts one facade value
-// row. Shards share dictionaries, so one conversion is valid on every
-// shard.
-func (a ingestAPI) coerce(rel string, values []any) ([]relation.Value, error) {
+// send resolves the relation schema, converts one facade value row (two
+// for an update: old, then new) into a pooled scratch row and hands it
+// to the sink, which has copied the values when it returns. Shards
+// share dictionaries, so one conversion is valid on every shard.
+func (a ingestAPI) send(kind ivm.OpKind, rel string, values, newValues []any) error {
 	r := a.sink.Schema(rel)
 	if r == nil {
-		return nil, fmt.Errorf("borg: unknown relation %s", rel)
+		return fmt.Errorf("borg: unknown relation %s", rel)
 	}
-	return coerceRow(r, values)
+	scratch := rowScratch.Get().(*[]relation.Value)
+	defer rowScratch.Put(scratch)
+	row, err := coerceRow(r, values, (*scratch)[:0])
+	if err == nil && kind == ivm.OpUpdate {
+		row, err = coerceRow(r, newValues, row)
+	}
+	*scratch = row
+	if err != nil {
+		return err
+	}
+	t := ivm.Tuple{Rel: rel, Values: row[:r.NumAttrs()]}
+	switch kind {
+	case ivm.OpInsert:
+		return a.sink.Insert(t)
+	case ivm.OpDelete:
+		return a.sink.Delete(t)
+	}
+	return a.sink.Update(t, ivm.Tuple{Rel: rel, Values: row[r.NumAttrs():]})
 }
 
 // Flush is a write barrier: it returns once every op enqueued before

@@ -78,6 +78,9 @@ type wireScan struct {
 	rows  []wireRow
 	cells []wireCell
 	text  []byte // strings that had to be unquoted
+	// vals is the row being enqueued: the sink copies it, so every row
+	// of every body reuses it.
+	vals []relation.Value
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScan) }}
@@ -447,7 +450,7 @@ func (a ingestAPI) IngestJSON(body []byte, forceDelete bool) (IngestResult, erro
 		return IngestResult{}, fmt.Errorf("borg: ingest body of %d bytes is too large", len(body))
 	}
 	s := wirePool.Get().(*wireScan)
-	*s = wireScan{b: body, rows: s.rows[:0], cells: s.cells[:0], text: s.text[:0]}
+	*s = wireScan{b: body, rows: s.rows[:0], cells: s.cells[:0], text: s.text[:0], vals: s.vals[:0]}
 	defer func() {
 		s.b, s.err = nil, nil
 		wirePool.Put(s)
@@ -457,12 +460,8 @@ func (a ingestAPI) IngestJSON(body []byte, forceDelete bool) (IngestResult, erro
 		return IngestResult{}, s.err
 	}
 	res := IngestResult{Rows: len(s.rows), Array: array}
-	// Phase 2. The queue holds the rows until the writer has copied them
-	// into columns, so the arena is allocated per body and never reused.
-	arena := make([]relation.Value, 0, len(s.cells))
-	for i := range s.rows {
-		var err error
-		if arena, err = a.applyRow(s, &s.rows[i], arena, forceDelete); err != nil {
+	for i := range s.rows { // phase 2
+		if err := a.applyRow(s, &s.rows[i], forceDelete); err != nil {
 			if res.Errors == nil {
 				res.Errors = make([]error, res.Rows)
 			}
@@ -472,19 +471,19 @@ func (a ingestAPI) IngestJSON(body []byte, forceDelete bool) (IngestResult, erro
 	return res, nil
 }
 
-// applyRow resolves one row's op and relation, coerces its cells onto
-// the arena and enqueues it.
-func (a ingestAPI) applyRow(s *wireScan, row *wireRow, arena []relation.Value, forceDelete bool) ([]relation.Value, error) {
+// applyRow resolves one row's op and relation, coerces its cells into
+// the scan's row and enqueues it.
+func (a ingestAPI) applyRow(s *wireScan, row *wireRow, forceDelete bool) error {
 	op, name := s.bytes(row.op), s.bytes(row.rel)
 	switch {
 	case forceDelete && len(op) > 0 && string(op) != "delete":
-		return arena, fmt.Errorf("op %q not allowed where every row is a delete", op)
+		return fmt.Errorf("op %q not allowed where every row is a delete", op)
 	case len(op) > 0 && string(op) != "insert" && string(op) != "delete" && string(op) != "update":
-		return arena, fmt.Errorf("unknown op %q (want insert, delete, or update)", op)
+		return fmt.Errorf("unknown op %q (want insert, delete, or update)", op)
 	}
 	update := !forceDelete && string(op) == "update"
 	if update && row.newN < 0 {
-		return arena, fmt.Errorf("update for %s is missing the \"new\" values", name)
+		return fmt.Errorf("update for %s is missing the \"new\" values", name)
 	}
 	var r *relation.Relation
 	for _, known := range a.rels {
@@ -494,31 +493,30 @@ func (a ingestAPI) applyRow(s *wireScan, row *wireRow, arena []relation.Value, f
 		}
 	}
 	if r == nil {
-		return arena, fmt.Errorf("borg: unknown relation %s", name)
+		return fmt.Errorf("borg: unknown relation %s", name)
 	}
-	start := len(arena)
-	arena, err := coerceCells(s, r, row.valLo, row.valN, arena)
+	vals, err := coerceCells(s, r, row.valLo, row.valN, s.vals[:0])
 	if err == nil && update {
-		arena, err = coerceCells(s, r, row.newLo, row.newN, arena)
+		vals, err = coerceCells(s, r, row.newLo, row.newN, vals)
 	}
-	if err != nil {
-		return arena[:start], err
+	if s.vals = vals; err != nil {
+		return err
 	}
-	k := start + r.NumAttrs()
-	t := ivm.Tuple{Rel: r.Name, Values: arena[start:k]}
+	k := r.NumAttrs()
+	t := ivm.Tuple{Rel: r.Name, Values: vals[:k]}
 	switch {
 	case update:
-		return arena, a.sink.Update(t, ivm.Tuple{Rel: r.Name, Values: arena[k:]})
+		return a.sink.Update(t, ivm.Tuple{Rel: r.Name, Values: vals[k:]})
 	case forceDelete || string(op) == "delete":
-		return arena, a.sink.Delete(t)
+		return a.sink.Delete(t)
 	}
-	return arena, a.sink.Insert(t)
+	return a.sink.Insert(t)
 }
 
-// coerceCells appends cells lo..lo+n, one row of r, to the arena.
-func coerceCells(s *wireScan, r *relation.Relation, lo, n int32, arena []relation.Value) ([]relation.Value, error) {
+// coerceCells appends cells lo..lo+n, one row of r, to dst.
+func coerceCells(s *wireScan, r *relation.Relation, lo, n int32, dst []relation.Value) ([]relation.Value, error) {
 	if n = max(n, 0); int(n) != r.NumAttrs() {
-		return arena, arityErr(r, int(n))
+		return dst, arityErr(r, int(n))
 	}
 	for i, c := range s.cells[lo : lo+n] {
 		in := cell{kind: min(c.kind, cellOther), num: c.num}
@@ -527,9 +525,9 @@ func coerceCells(s *wireScan, r *relation.Relation, lo, n int32, arena []relatio
 		}
 		v, refusal := coerceCell(r, i, in)
 		if refusal != "" {
-			return arena, fmt.Errorf(refusal, r.Attrs()[i].Name, cellGot[c.kind])
+			return dst, fmt.Errorf(refusal, r.Attrs()[i].Name, cellGot[c.kind])
 		}
-		arena = append(arena, v)
+		dst = append(dst, v)
 	}
-	return arena, nil
+	return dst, nil
 }
