@@ -56,23 +56,16 @@ func TestFacadeLinearRegression(t *testing.T) {
 	if math.Abs(coef+0.5) > 0.05 {
 		t.Fatalf("price coefficient = %v, want ≈ -0.5", coef)
 	}
-	zur, err := m.CategoryCoefficient(q, "city", "zurich")
+	zur, err := m.CategoryCoefficient("city", "zurich")
 	if err != nil {
 		t.Fatal(err)
 	}
-	oxf, err := m.CategoryCoefficient(q, "city", "oxford")
+	oxf, err := m.CategoryCoefficient("city", "oxford")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs((zur-oxf)-2) > 0.05 {
 		t.Fatalf("city effect difference = %v, want ≈ 2", zur-oxf)
-	}
-	rmse, err := m.TrainingRMSE(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse > 0.01 {
-		t.Fatalf("noise-free fit has RMSE %v", rmse)
 	}
 	// Retrain on a subset without data access.
 	m2, err := m.Retrain(Features{Continuous: []string{"price"}}, 1e-6)
@@ -85,8 +78,59 @@ func TestFacadeLinearRegression(t *testing.T) {
 	if _, err := m.Coefficient("ghost"); err == nil {
 		t.Fatal("unknown coefficient accepted")
 	}
-	if _, err := m.CategoryCoefficient(q, "city", "nowhere"); err == nil {
+	if _, err := m.CategoryCoefficient("city", "nowhere"); err == nil {
 		t.Fatal("unknown category accepted")
+	}
+}
+
+// TestCategoryCoefficientDuringIngest reads a batch model's one-hot
+// parameters while a server over the same database interns new
+// categories into the dictionary the model resolves them through: under
+// -race, a lookup that skips internMu is reported.
+func TestCategoryCoefficientDuringIngest(t *testing.T) {
+	db, _, _ := buildToyDB(t)
+	q, err := db.Query("Sales", "Items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := q.LinearRegression(Features{Continuous: []string{"price"}, Categorical: []string{"city"}}, "units", 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.CategoryCoefficient("city", "zurich")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := q.ServeSharded([]string{"units", "price"}, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 500; i++ {
+			if err := srv.Insert("Sales", "patty", fmt.Sprintf("city%d", i), 1.0); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- srv.Flush()
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		if got, err := m.CategoryCoefficient("city", "zurich"); err != nil || got != want {
+			t.Fatalf("CategoryCoefficient = %v, %v during ingest; want %v", got, err, want)
+		}
+		if _, err := m.CategoryCoefficient("city", "city3"); err == nil {
+			t.Fatal("a category interned after training has a coefficient")
+		}
 	}
 }
 
@@ -173,13 +217,6 @@ func TestFacadeDecisionTree(t *testing.T) {
 	}
 	if tree.Nodes() == 0 {
 		t.Fatal("no nodes evaluated")
-	}
-	rmse, err := tree.TrainingRMSE(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse > 1.5 {
-		t.Fatalf("tree RMSE %v too high", rmse)
 	}
 	if tree.Depth() > 3 {
 		t.Fatalf("depth %d exceeds max", tree.Depth())
@@ -277,35 +314,6 @@ func TestGenerateDataset(t *testing.T) {
 		t.Fatal("unknown dataset accepted")
 	}
 }
-
-func TestDatasetEndToEnd(t *testing.T) {
-	ds, err := GenerateDataset("yelp", 3, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ds.LinearRegression(ds.Feats, ds.Response, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, err := m.TrainingRMSE(ds.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Yelp response (stars) has a planted dependence on user and
-	// business averages: the model must beat the trivial predictor.
-	cov, err := ds.Covariance(Features{}, ds.Response)
-	if err != nil {
-		t.Fatal(err)
-	}
-	std := math.Sqrt(cov.sigmaYtY() - cov.sigmaMeanY()*cov.sigmaMeanY())
-	if rmse > 0.9*std {
-		t.Fatalf("RMSE %v vs response std %v: no signal", rmse, std)
-	}
-}
-
-// Unexported helpers for the test above.
-func (c *Covariance) sigmaYtY() float64   { return c.sigma.YtY }
-func (c *Covariance) sigmaMeanY() float64 { return c.sigma.XtY[0] }
 
 func TestFieldHelpers(t *testing.T) {
 	if Num("x").Categorical || !Cat("g").Categorical {

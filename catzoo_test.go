@@ -394,17 +394,13 @@ func TestCatZooChurnEquivalence(t *testing.T) {
 				t.Fatalf("ctree shape = (%d nodes, depth %d), batch (%d, %d)",
 					liveTree.Nodes(), liveTree.Depth(), refTree.Nodes(), refTree.Depth())
 			}
-			liveRMSE, err := liveTree.TrainingRMSE(refQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refRMSE, err := refTree.TrainingRMSE(refQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !czClose(liveRMSE, refRMSE, 1e-9) {
-				t.Fatalf("ctree RMSE = %v, batch %v", liveRMSE, refRMSE)
-			}
+
+			// Both served models score themselves on the epoch they were
+			// trained on: their TrainingRMSE matches the materialized
+			// survivors'.
+			survivors := materialize(t, refQ)
+			checkTrainingRMSE(t, liveLin, survivors, "units")
+			checkTrainingRMSE(t, liveTree, survivors, "units")
 
 			// Varying-coefficients polynomial regression vs a
 			// hand-folded cofactor over the joined survivors — an

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rmse, err := tree.TrainingRMSE(ds.Query)
+	rmse, err := tree.TrainingRMSE()
 	if err != nil {
 		log.Fatal(err)
 	}

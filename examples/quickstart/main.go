@@ -52,9 +52,9 @@ func main() {
 	}
 
 	coef, _ := model.Coefficient("price")
-	zurich, _ := model.CategoryCoefficient(q, "city", "zurich")
-	oxford, _ := model.CategoryCoefficient(q, "city", "oxford")
-	rmse, _ := model.TrainingRMSE(q)
+	zurich, _ := model.CategoryCoefficient("city", "zurich")
+	oxford, _ := model.CategoryCoefficient("city", "oxford")
+	rmse, _ := model.TrainingRMSE()
 	fmt.Printf("units ≈ %.2f %+.2f·price  (city: zurich %+.2f, oxford %+.2f)\n",
 		model.Intercept(), coef, zurich, oxford)
 	fmt.Printf("training RMSE: %.4f (signal is noise-free, so ≈ 0)\n", rmse)

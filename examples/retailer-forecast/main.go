@@ -28,7 +28,7 @@ func main() {
 	}
 	trainTime := time.Since(start)
 
-	rmse, err := model.TrainingRMSE(ds.Query)
+	rmse, err := model.TrainingRMSE()
 	if err != nil {
 		log.Fatal(err)
 	}

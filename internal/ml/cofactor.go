@@ -286,7 +286,7 @@ func (b *catTree) node(in []int32, depth int, t *Tree) *TreeNode {
 		total.add(b.stats[g])
 	}
 	t.Nodes++
-	node := &TreeNode{Value: total.mean(), Count: total.n}
+	node := &TreeNode{Value: total.mean(), Count: total.n, SSE: total.sse()}
 	if depth >= b.cfg.MaxDepth || total.n < b.cfg.MinRows {
 		node.Leaf = true
 		return node

@@ -35,6 +35,7 @@ type TreeNode struct {
 	Leaf  bool
 	Value float64 // prediction at leaves; node mean everywhere
 	Count float64
+	SSE   float64 // Σ (y − Value)² over the node's tuples
 	Cond  query.Filter
 	True  *TreeNode
 	False *TreeNode
@@ -106,7 +107,7 @@ func buildNode(jt *query.JoinTree, cfg TreeConfig, path []query.Filter, depth in
 		syy: byID["node_syy"].Scalar,
 	}
 	t.Nodes++
-	node := &TreeNode{Value: total.mean(), Count: total.n}
+	node := &TreeNode{Value: total.mean(), Count: total.n, SSE: total.sse()}
 	if depth >= cfg.MaxDepth || total.n < cfg.MinRows {
 		node.Leaf = true
 		return node, nil
@@ -214,6 +215,23 @@ func (t *Tree) RMSE(data *relation.Relation) (float64, error) {
 		sse += e * e
 	}
 	return math.Sqrt(sse / float64(data.NumRows())), nil
+}
+
+// TrainingRMSE is the tree's root-mean-square error over the tuples it
+// was trained on, √(Σ leaf SSE / Count), from the statistics its builder
+// kept at every node: no data access.
+func (t *Tree) TrainingRMSE() (float64, error) {
+	if t.Root.Count == 0 {
+		return 0, fmt.Errorf("ml: tree trained on no tuples")
+	}
+	return math.Sqrt(max(t.Root.leafSSE(), 0) / t.Root.Count), nil
+}
+
+func (n *TreeNode) leafSSE() float64 {
+	if n.Leaf {
+		return n.SSE
+	}
+	return n.True.leafSSE() + n.False.leafSSE()
 }
 
 // Depth returns the maximum depth of the tree (root = 0).

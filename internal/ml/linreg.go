@@ -268,20 +268,26 @@ func (m *LinReg) RMSE(data *relation.Relation) (float64, error) {
 	return math.Sqrt(sse / float64(n)), nil
 }
 
+// MSEFromSigma is the model's mean squared error over the tuples s was
+// assembled from, E[(θᵀx − y)²] = YtY − 2θᵀXtY + θᵀXtXθ, read from the
+// moments alone: no data access. Cancellation on a near-perfect fit can
+// leave a tiny negative, which is clamped to 0.
+func (m *LinReg) MSEFromSigma(s *Sigma) float64 {
+	mse := s.YtY
+	for i, th := range m.Theta {
+		mse += th * (dot(s.XtX[i][:len(m.Theta)], m.Theta) - 2*s.XtY[i])
+	}
+	return max(mse, 0)
+}
+
 // ObjectiveFromSigma evaluates the (normalized) objective both trainers
-// minimize, ½θᵀΣθ − θᵀb + ½·YtY + ½λ·Σᵢ Σᵢᵢ·θᵢ² — the ridge penalty is
-// the standardized one, weighted by each feature's second moment — at the
-// model's parameters, entirely from the moments: no data access.
+// minimize, ½·MSE + ½λ·Σᵢ Σᵢᵢ·θᵢ² — the ridge penalty is the
+// standardized one, weighted by each feature's second moment — at the
+// model's parameters, entirely from the moments.
 func (m *LinReg) ObjectiveFromSigma(s *Sigma) float64 {
-	n := s.Size()
-	obj := 0.5 * s.YtY
-	for i := 0; i < n; i++ {
-		obj -= m.Theta[i] * s.XtY[i]
-		row := s.XtX[i]
-		for j := 0; j < n; j++ {
-			obj += 0.5 * m.Theta[i] * row[j] * m.Theta[j]
-		}
-		obj += 0.5 * m.Lambda * ridgeScale(row[i]) * m.Theta[i] * m.Theta[i]
+	obj := 0.5 * m.MSEFromSigma(s)
+	for i, th := range m.Theta {
+		obj += 0.5 * m.Lambda * ridgeScale(s.XtX[i][i]) * th * th
 	}
 	return obj
 }

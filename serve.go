@@ -218,7 +218,7 @@ func (q *Query) dicts(attrs []string) map[string]*relation.Dict {
 	}
 	out := make(map[string]*relation.Dict, len(attrs))
 	for _, a := range attrs {
-		out[a] = q.dict(a)
+		out[a] = q.db.db.Dict(a)
 	}
 	return out
 }

@@ -122,7 +122,7 @@ func TestIngestJSONUnquotes(t *testing.T) {
 		if err != nil || res.Errors != nil {
 			t.Fatalf("%s: %v %v", lit, err, res.Errors)
 		}
-		if d := q.dict("store"); d.Len() != 1 || d.Name(0) != want {
+		if d := q.db.db.Dict("store"); d.Len() != 1 || d.Name(0) != want {
 			t.Errorf("%s interned %q, want %q", lit, d.Name(0), want)
 		}
 		srv.Close()
@@ -280,7 +280,7 @@ func FuzzIngestJSON(f *testing.F) {
 			queued := srv.inner.QueueLen()
 			_ = srv.Flush()
 			st := srv.Stats()
-			dicts := q.dict("item").Len() + q.dict("store").Len()
+			dicts := q.db.db.Dict("item").Len() + q.db.db.Dict("store").Len()
 			if queued != 0 || st.Inserts != 0 || st.Deletes != 0 || dicts != 0 {
 				t.Fatalf("%q is not JSON, yet %d ops were queued, %d+%d applied and %d categories interned", body, queued, st.Inserts, st.Deletes, dicts)
 			}

@@ -174,26 +174,6 @@ func (m *LinearRegression) PredictCat(values map[string]float64, cats map[string
 	return m.model.PredictDesign(x, codes), nil
 }
 
-// CategoryWeight returns the one-hot parameter of (attr, value) on a
-// model trained from a cofactor snapshot.
-func (m *LinearRegression) CategoryWeight(attr, value string) (float64, error) {
-	for k, g := range m.model.Cat {
-		if g != attr {
-			continue
-		}
-		code, ok := lookupCode(m.dicts, attr, value)
-		if !ok {
-			return 0, fmt.Errorf("borg: value %q never observed for %s", value, attr)
-		}
-		pos, ok := m.model.CatPos(k, code)
-		if !ok {
-			return 0, fmt.Errorf("borg: value %q not in the training data", value)
-		}
-		return m.model.Theta[pos], nil
-	}
-	return 0, fmt.Errorf("borg: %s is not a categorical feature of the model", attr)
-}
-
 // resolveDesignInputs converts the facade's named prediction inputs to
 // design-space vectors: continuous values in Cont order and one
 // dictionary code per categorical feature (-1 when the category string
