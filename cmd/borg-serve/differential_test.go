@@ -305,7 +305,7 @@ func newTwin(t *testing.T) (*borg.ShardedServer, *service) {
 		t.Fatal(err)
 	}
 	srv, err := q.ServeSharded(contFeatures, borg.ShardOptions{
-		ServerOptions: borg.ServerOptions{Payload: borg.PayloadCovar, Workers: 1, BatchSize: 1},
+		ServerOptions: borg.ServerOptions{Payload: borg.PayloadCovar, BatchSize: 1},
 		Shards:        2,
 		PartitionBy:   "store",
 	})

@@ -28,7 +28,7 @@ func newTestService(t *testing.T, shards int) (*service, http.Handler) {
 		t.Fatal(err)
 	}
 	srv, err := q.ServeSharded([]string{"units", "price", "area"}, borg.ShardOptions{
-		ServerOptions: borg.ServerOptions{Payload: borg.PayloadCovar, Workers: 1},
+		ServerOptions: borg.ServerOptions{Payload: borg.PayloadCovar},
 		Shards:        shards,
 		PartitionBy:   "store",
 	})
@@ -253,7 +253,7 @@ func TestOneshotSelfCheck(t *testing.T) {
 	}
 	feats := append(append([]string(nil), contFeatures...), catFeatures...)
 	srv, err := q.ServeSharded(feats, borg.ShardOptions{
-		ServerOptions: borg.ServerOptions{Payload: borg.PayloadCofactor, Workers: 1},
+		ServerOptions: borg.ServerOptions{Payload: borg.PayloadCofactor},
 		Shards:        2,
 		PartitionBy:   "store",
 	})

@@ -253,7 +253,7 @@ func newPayloadService(t testing.TB, pl borg.Payload, rows int) (*service, http.
 	if pl == borg.PayloadCofactor {
 		features = append(append([]string(nil), contFeatures...), catFeatures...)
 	}
-	srv, err := q.ServeSharded(features, borg.ShardOptions{ServerOptions: borg.ServerOptions{Payload: pl, Workers: 1}})
+	srv, err := q.ServeSharded(features, borg.ShardOptions{ServerOptions: borg.ServerOptions{Payload: pl}})
 	if err != nil {
 		t.Fatal(err)
 	}

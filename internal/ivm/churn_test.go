@@ -1,14 +1,11 @@
 package ivm
 
 import (
-	"math"
-	"slices"
 	"testing"
 
 	"borg/internal/datagen"
 	"borg/internal/exec"
 	"borg/internal/relation"
-	"borg/internal/ring"
 	"borg/internal/xrand"
 )
 
@@ -257,130 +254,4 @@ func churnAllocsPerOp(t *testing.T, c *churn, batch int, dimShare float64) float
 		c.apply(t, batches[next])
 		next++
 	}) / float64(batch)
-}
-
-// overlapCounter is the covariance algebra with its products counted,
-// and among them those whose operands' blocks overlap — the products
-// that take the general four-term rule instead of the block rule.
-type overlapCounter struct {
-	ring.CovarRing
-	products, overlapping *int
-}
-
-func (c overlapCounter) MulInto(dst, a, b *ring.Covar) *ring.Covar {
-	*c.products++
-	if len(a.Sum) > 0 && len(b.Sum) > 0 && a.Lo < b.Lo+len(b.Sum) && b.Lo < a.Lo+len(a.Sum) {
-		*c.overlapping++
-	}
-	return c.CovarRing.MulInto(dst, a, b)
-}
-
-// TestFIVMFeatureOrderInvariant: what F-IVM computes, and what it pays,
-// does not depend on the order the caller lists the features in. Over
-// Retailer churn (Inventory ops and Weather updates) with the features
-// in dataset order, reversed and shuffled, every product of the
-// maintenance path is a block product of disjoint slot ranges, every
-// stored view element is exactly as wide as its subtree's feature
-// count, and the snapshots — each in its caller's order — are bitwise
-// equal once permuted back.
-func TestFIVMFeatureOrderInvariant(t *testing.T) {
-	d := datagen.Retailer(2020, 0.05)
-	base := append(slices.Clone(d.Cont), d.Response)
-	reversed := slices.Clone(base)
-	slices.Reverse(reversed)
-	shuffled := slices.Clone(base)
-	for i, j := range xrand.New(20 + orderRuns).Perm(len(base)) { // -count=n draws n shuffles
-		shuffled[i] = base[j]
-	}
-	orderRuns++
-	var ref []uint64
-	for _, feats := range [][]string{base, reversed, shuffled} {
-		c := newChurn(t, d, feats, "", "Weather", "maxtemp", 1)
-		products, overlapping := 0, 0
-		c.m.cv.alg = overlapCounter{c.m.ring, &products, &overlapping}
-		for i := 0; i < 40; i++ {
-			c.apply(t, c.batch(64, 0.05))
-		}
-		if products == 0 || overlapping != 0 {
-			t.Fatalf("%v: %d of %d products had overlapping supports", feats, overlapping, products)
-		}
-		width := make([]int, len(c.m.nodes)) // nodes are in preorder: children after parents
-		for i := len(c.m.nodes) - 1; i >= 0; i-- {
-			n := c.m.nodes[i]
-			width[i] += len(n.featIdx)
-			if n.parent != nil {
-				width[n.parent.id] += width[i]
-			}
-		}
-		for n, v := range c.m.cv.views {
-			if (len(v) == 0) != (n.parent == nil) {
-				t.Fatalf("%v: view of %s has %d entries", feats, n.rel.Name, len(v))
-			}
-			//borg:nondeterministic-ok — every entry is checked alone
-			for _, e := range v {
-				if len(e.Sum) != width[n.id] || len(e.Q) != width[n.id]*width[n.id] {
-					t.Fatalf("%v: a view element of %s is %d slots wide, its subtree has %d features", feats, n.rel.Name, len(e.Sum), width[n.id])
-				}
-			}
-		}
-		got := covarBits(inOrder(c.m.Snapshot(), base, feats))
-		if ref == nil {
-			ref = got
-		} else if !slices.Equal(got, ref) {
-			t.Fatalf("%v: snapshot differs bitwise from dataset order's", feats)
-		}
-	}
-}
-
-// TestFIVMCofactorFeatureOrderInvariant is the same for the cofactor
-// payload over Tenant churn, where the root delta lands on the result
-// group by group: every group of the published element, put back into
-// one feature order, is bitwise the same whatever order was asked for.
-func TestFIVMCofactorFeatureOrderInvariant(t *testing.T) {
-	d := datagen.Tenant(2020, 1)
-	base := []string{"price", "sellarea", "footfall", "units"}
-	var ref []uint64
-	for _, feats := range [][]string{base, {"units", "footfall", "sellarea", "price"}, {"footfall", "price", "units", "sellarea"}} {
-		c := newChurn(t, d, append(slices.Clone(feats), "item", "store"), "store", "", "", 1, WithPayload(PayloadCofactor))
-		for i := 0; i < 40; i++ {
-			c.apply(t, c.batch(64, 0))
-			c.m.SnapshotCofactor() // an epoch: later writes copy the groups they touch
-		}
-		var got []uint64
-		c.m.SnapshotCofactor().Each(func(codes []int32, g *ring.Covar) {
-			got = append(got, uint64(uint32(codes[0])), uint64(uint32(codes[1])))
-			got = append(got, covarBits(inOrder(g, base, feats))...)
-		})
-		if got = append(got, covarBits(inOrder(c.m.Snapshot(), base, feats))...); ref == nil {
-			ref = got
-		} else if !slices.Equal(got, ref) {
-			t.Fatalf("%v: published cofactor element differs bitwise from %v's", feats, base)
-		}
-	}
-}
-
-// inOrder returns e, whose slots hold features feats, with its slots
-// holding the same features in the order want.
-func inOrder(e *ring.Covar, want, feats []string) *ring.Covar {
-	n := len(want)
-	out := ring.CovarRing{N: n}.Zero()
-	out.Count = e.Count
-	for i, f := range want {
-		pi := slices.Index(feats, f)
-		out.Sum[i] = e.Sum[pi]
-		for j, g := range want {
-			out.Q[i*n+j] = e.Q[pi*n+slices.Index(feats, g)]
-		}
-	}
-	return out
-}
-
-var orderRuns uint64
-
-func covarBits(e *ring.Covar) []uint64 {
-	out := []uint64{math.Float64bits(e.Count)}
-	for _, v := range append(slices.Clone(e.Sum), e.Q...) {
-		out = append(out, math.Float64bits(v))
-	}
-	return out
 }

@@ -302,8 +302,8 @@ func triBits(c *ring.Covar) []uint64 {
 // to the log and folds it: all eight see one element, bitwise the value
 // at publication, and exactly one materialization runs.
 func TestCofactorFirstReadMaterializesOnce(t *testing.T) {
-	_, j := intStar()
-	m, err := NewFIVM(j, "Fact", append(slices.Clone(intStarFeatures), "k0", "k1"), WithPayload(PayloadCofactor))
+	j, feats, randomTuple := randomTuples(5)
+	m, err := NewFIVM(j, "Fact", feats, WithPayload(PayloadCofactor))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,13 +39,12 @@ func groupOps(ops []Op) []opGroup {
 // one stated difference: they share a single group (every one of them
 // fails in the mutate phase), which keeps their relative order.
 func TestGroupOpsMatchesSpecification(t *testing.T) {
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 3, FactRows: 300, DimRows: []int{9, 6}})
-	m, err := NewFIVM(j, "Fact", cont)
+	r := newReplay(testdb.Generate(testdb.Config{Seed: 3, Steps: 300, Dims: 2}))
+	m, err := NewFIVM(r.j, "Fact", r.h.Cont())
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := batchesOf(streamOf(db, 5), 41)
-	batches = append(batches, batches[0][:1], batches[1][:7], batches[0])
+	batches := append(r.batches, r.batches[0][:1], r.batches[1][:7], r.batches[0])
 	for bi, ops := range batches {
 		known := slices.DeleteFunc(slices.Clone(ops), func(o Op) bool {
 			return m.byName[o.Tuple.Rel] == nil || (o.Kind == OpUpdate && m.byName[o.Old.Rel] == nil)

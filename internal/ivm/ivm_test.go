@@ -1,237 +1,13 @@
 package ivm
 
 import (
-	"math"
 	"strings"
 	"testing"
 
-	"borg/internal/engine"
 	"borg/internal/query"
 	"borg/internal/relation"
 	"borg/internal/testdb"
-	"borg/internal/xrand"
 )
-
-// streamOf flattens a populated database into an interleaved insert
-// stream (dimension and fact tuples mixed), deterministically shuffled.
-func streamOf(db *relation.Database, seed uint64) []Tuple {
-	var out []Tuple
-	for _, r := range db.Relations() {
-		for i := 0; i < r.NumRows(); i++ {
-			out = append(out, Tuple{Rel: r.Name, Values: r.Row(i)})
-		}
-	}
-	src := xrand.New(seed)
-	src.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// groundTruth computes count/sums/moments over the full join with the
-// classical engine.
-func groundTruth(t *testing.T, j *query.Join, features []string) (float64, []float64, [][]float64) {
-	t.Helper()
-	data, err := engine.MaterializeJoin(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt, err := engine.EvalAggregate(data, &query.AggSpec{ID: "n"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := make([]float64, len(features))
-	moms := make([][]float64, len(features))
-	for i, f := range features {
-		r, err := engine.EvalAggregate(data, &query.AggSpec{ID: "s", Factors: []query.Factor{{Attr: f, Power: 1}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums[i] = r.Scalar
-		moms[i] = make([]float64, len(features))
-		for k, g := range features {
-			var spec query.AggSpec
-			if i == k {
-				spec = query.AggSpec{ID: "q", Factors: []query.Factor{{Attr: f, Power: 2}}}
-			} else {
-				spec = query.AggSpec{ID: "q", Factors: []query.Factor{{Attr: f, Power: 1}, {Attr: g, Power: 1}}}
-			}
-			rr, err := engine.EvalAggregate(data, &spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			moms[i][k] = rr.Scalar
-		}
-	}
-	return cnt.Scalar, sums, moms
-}
-
-func approxEq(a, b float64) bool {
-	d := math.Abs(a - b)
-	return d <= 1e-6*(1+math.Abs(a)+math.Abs(b))
-}
-
-func checkAgainstTruth(t *testing.T, m Maintainer, features []string, cnt float64, sums []float64, moms [][]float64) {
-	t.Helper()
-	if !approxEq(m.Count(), cnt) {
-		t.Fatalf("%s: Count = %v, want %v", m.Name(), m.Count(), cnt)
-	}
-	for i := range features {
-		if !approxEq(m.Sum(i), sums[i]) {
-			t.Fatalf("%s: Sum(%d) = %v, want %v", m.Name(), i, m.Sum(i), sums[i])
-		}
-		for k := range features {
-			if !approxEq(m.Moment(i, k), moms[i][k]) {
-				t.Fatalf("%s: Moment(%d,%d) = %v, want %v", m.Name(), i, k, m.Moment(i, k), moms[i][k])
-			}
-		}
-	}
-}
-
-func maintainers(t *testing.T, j *query.Join, root string, features []string) []Maintainer {
-	t.Helper()
-	f, err := NewFIVM(j, root, features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHigherOrder(j, root, features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, err := NewFirstOrder(j, root, features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Maintainer{f, h, fo}
-}
-
-func TestAllStrategiesMatchBatchRecompute(t *testing.T) {
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 31, FactRows: 400, DimRows: []int{15, 8}})
-	features := cont // fx, fy, d0x, d1x
-	stream := streamOf(db, 99)
-	ms := maintainers(t, j, "Fact", features)
-	for _, m := range ms {
-		for _, tu := range stream {
-			if err := m.Insert(tu); err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
-		}
-	}
-	cnt, sums, moms := groundTruth(t, j, features)
-	if cnt == 0 {
-		t.Fatal("degenerate test: empty join")
-	}
-	for _, m := range ms {
-		checkAgainstTruth(t, m, features, cnt, sums, moms)
-	}
-}
-
-func TestStrategiesAgreeMidStream(t *testing.T) {
-	// Equivalence must hold at every prefix, not only at the end.
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 32, FactRows: 120, DimRows: []int{6, 4}})
-	stream := streamOf(db, 7)
-	ms := maintainers(t, j, "Fact", cont)
-	for step, tu := range stream {
-		for _, m := range ms {
-			if err := m.Insert(tu); err != nil {
-				t.Fatal(err)
-			}
-		}
-		f := ms[0]
-		for _, m := range ms[1:] {
-			if !approxEq(f.Count(), m.Count()) {
-				t.Fatalf("step %d: %s count %v != F-IVM %v", step, m.Name(), m.Count(), f.Count())
-			}
-			for i := range cont {
-				if !approxEq(f.Sum(i), m.Sum(i)) {
-					t.Fatalf("step %d: %s sum(%d) diverged", step, m.Name(), i)
-				}
-			}
-			if !approxEq(f.Moment(0, 1), m.Moment(0, 1)) {
-				t.Fatalf("step %d: %s moment(0,1) diverged", step, m.Name())
-			}
-		}
-	}
-}
-
-func TestSnowflakeMaintenance(t *testing.T) {
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 33, FactRows: 200, DimRows: []int{8, 5}, Snowflake: true})
-	features := cont
-	stream := streamOf(db, 13)
-	ms := maintainers(t, j, "Fact", features)
-	for _, m := range ms {
-		for _, tu := range stream {
-			if err := m.Insert(tu); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	cnt, sums, moms := groundTruth(t, j, features)
-	for _, m := range ms {
-		checkAgainstTruth(t, m, features, cnt, sums, moms)
-	}
-}
-
-func TestDanglingInsertsContributeNothing(t *testing.T) {
-	_, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 34, FactRows: 10, DimRows: []int{3}})
-	m, err := NewFIVM(j, "Fact", cont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Insert fact tuples pointing at a key no dimension tuple will have.
-	fact := j.Relations[0]
-	row := make([]relation.Value, fact.NumAttrs())
-	row[0] = relation.CatVal(999)
-	row[1] = relation.FloatVal(5)
-	row[2] = relation.FloatVal(7)
-	for i := 0; i < 3; i++ {
-		if err := m.Insert(Tuple{Rel: "Fact", Values: row}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Count() != 0 {
-		t.Fatalf("dangling inserts produced count %v", m.Count())
-	}
-}
-
-func TestLateDimensionArrival(t *testing.T) {
-	// Fact tuples first, their dimension partner later: the dimension's
-	// delta must retroactively credit the waiting fact tuples.
-	_, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 35, FactRows: 0, DimRows: []int{3}})
-	ms := maintainers(t, j, "Fact", cont[:2]) // fx, fy
-	factRow := func(k int32, fx, fy float64) Tuple {
-		return Tuple{Rel: "Fact", Values: []relation.Value{relation.CatVal(k), relation.FloatVal(fx), relation.FloatVal(fy)}}
-	}
-	dimRow := func(k int32) Tuple {
-		return Tuple{Rel: "Dim0", Values: []relation.Value{relation.CatVal(k), relation.FloatVal(1), relation.CatVal(0)}}
-	}
-	for _, m := range ms {
-		if err := m.Insert(factRow(5, 2, 3)); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Insert(factRow(5, 4, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if m.Count() != 0 {
-			t.Fatalf("%s: count %v before dimension arrived", m.Name(), m.Count())
-		}
-		if err := m.Insert(dimRow(5)); err != nil {
-			t.Fatal(err)
-		}
-		if m.Count() != 2 {
-			t.Fatalf("%s: count %v after dimension arrived, want 2", m.Name(), m.Count())
-		}
-		if !approxEq(m.Sum(0), 6) || !approxEq(m.Moment(0, 1), 2*3+4*1) {
-			t.Fatalf("%s: stats wrong after late arrival: sum=%v moment=%v", m.Name(), m.Sum(0), m.Moment(0, 1))
-		}
-		// A second dimension tuple with the same key doubles everything
-		// (join multiplicity).
-		if err := m.Insert(dimRow(5)); err != nil {
-			t.Fatal(err)
-		}
-		if m.Count() != 4 {
-			t.Fatalf("%s: count %v after duplicate dimension, want 4", m.Name(), m.Count())
-		}
-	}
-}
 
 func TestUnknownRelationRejected(t *testing.T) {
 	_, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 36, FactRows: 1, DimRows: []int{1}})
@@ -295,8 +71,14 @@ func TestAggIndexLayout(t *testing.T) {
 }
 
 func BenchmarkInsertThroughput(b *testing.B) {
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 40, FactRows: 5000, DimRows: []int{100, 50}})
-	stream := streamOf(db, 5)
+	r, ops := historyOps(testdb.Config{Seed: 40, Steps: 5000, Dims: 2})
+	j, cont := r.j, r.h.Cont()
+	var stream []Tuple
+	for _, o := range ops {
+		if o.Kind == OpInsert && o.Tuple.Rel != "NoSuchRel" {
+			stream = append(stream, o.Tuple)
+		}
+	}
 	mk := []func() Maintainer{
 		func() Maintainer { m, _ := NewFIVM(j, "Fact", cont); return m },
 		func() Maintainer { m, _ := NewHigherOrder(j, "Fact", cont); return m },
@@ -313,5 +95,61 @@ func BenchmarkInsertThroughput(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func maintainers(t *testing.T, j *query.Join, root string, features []string) []Maintainer {
+	t.Helper()
+	f, err := NewFIVM(j, root, features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHigherOrder(j, root, features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo, err := NewFirstOrder(j, root, features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Maintainer{f, h, fo}
+}
+
+// TestDeleteErrors: deletes of unknown relations, wrong arity, and
+// values that match no live row fail loudly and leave state untouched.
+func TestDeleteErrors(t *testing.T) {
+	h := testdb.Generate(testdb.Config{Seed: 1, Dims: 1})
+	db, j := h.Database()
+	for _, m := range maintainers(t, j, "Fact", h.Cont()) {
+		if err := m.Delete(Tuple{Rel: "Ghost"}); err == nil {
+			t.Fatalf("%s: unknown relation accepted", m.Name())
+		}
+		if err := m.Delete(Tuple{Rel: "Fact", Values: []relation.Value{{}}}); err == nil {
+			t.Fatalf("%s: arity mismatch accepted", m.Name())
+		}
+		tu := Tuple{Rel: "Dim0", Values: testdb.Values(db, "Dim0", []any{"p0", "k0", 4.0, "d0g0"})}
+		if err := m.Delete(tu); err == nil {
+			t.Fatalf("%s: delete from empty relation accepted", m.Name())
+		}
+		if err := m.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		near := Tuple{Rel: "Dim0", Values: testdb.Values(db, "Dim0", []any{"p0", "k0", 5.0, "d0g0"})}
+		if err := m.Delete(near); err == nil {
+			t.Fatalf("%s: delete of non-matching values accepted", m.Name())
+		}
+		// Multiset semantics: two equal rows need two deletes.
+		if err := m.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Delete(tu); err != nil {
+			t.Fatalf("%s: first delete: %v", m.Name(), err)
+		}
+		if err := m.Delete(tu); err != nil {
+			t.Fatalf("%s: second delete: %v", m.Name(), err)
+		}
+		if err := m.Delete(tu); err == nil {
+			t.Fatalf("%s: third delete of a doubly-inserted tuple accepted", m.Name())
+		}
 	}
 }

@@ -28,8 +28,8 @@ func stateOf(m Maintainer, nfeat int) []uint64 {
 // byte-identical maintained states. Under -race this certifies the
 // kernel scans first-order maintenance runs in parallel.
 func TestIVMStateBitIdenticalAcrossWorkers(t *testing.T) {
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 51, FactRows: 250, DimRows: []int{12, 7}})
-	stream := streamOf(db, 17)
+	r, ops := historyOps(testdb.Config{Seed: 51, Steps: 250, Dims: 2, Real: true})
+	j, cont := r.j, r.h.Cont()
 	mks := []struct {
 		name string
 		mk   func() Maintainer
@@ -43,10 +43,8 @@ func TestIVMStateBitIdenticalAcrossWorkers(t *testing.T) {
 		run := func(workers int) []uint64 {
 			m := e.mk()
 			m.(rtSetter).SetRuntime(exec.Runtime{Workers: workers, MorselSize: 32})
-			for _, tu := range stream {
-				if err := m.Insert(tu); err != nil {
-					t.Fatalf("%s: %v", e.name, err)
-				}
+			for i := range ops {
+				serialApply(m, &ops[i])
 			}
 			return stateOf(m, len(cont))
 		}

@@ -10,6 +10,7 @@ import (
 	"borg/internal/ivm"
 	"borg/internal/query"
 	"borg/internal/relation"
+	"borg/internal/testdb"
 )
 
 // tinyRing is the queue the slot-ring tests run on: four slots and runs
@@ -165,10 +166,10 @@ func TestSlotRingBarrierOrder(t *testing.T) {
 // Insert, Delete or Update returns, and the published state is still a
 // recompute over what was sent — the queue holds copies.
 func TestSlotRingCopyIn(t *testing.T) {
-	const writers = 4
-	j, stream, features := salesSchema(57, 500, 12, 5)
-	ops, survivors := churnStreams(stream, writers, 5757)
-	srv, err := New(j, "Sales", features, tinyRing)
+	h := testdb.Generate(testdb.Config{Seed: 57, Steps: 500, Producers: 4})
+	db, j := h.Database()
+	features := h.Cont()
+	srv, err := New(j, "Fact", features, tinyRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,39 +179,40 @@ func TestSlotRingCopyIn(t *testing.T) {
 			vals[i] = relation.Value{F: -1e9, C: 1 << 30}
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var nu, old []relation.Value // one buffer per half, reused for every op
-			for _, o := range ops[w] {
-				nu = append(nu[:0], o.t.Values...)
-				old = append(old[:0], o.old.Values...)
-				tu := ivm.Tuple{Rel: o.t.Rel, Values: nu}
-				var err error
-				switch o.kind {
-				case 0:
-					err = srv.Insert(tu)
-				case 1:
-					err = srv.Delete(tu)
-				default:
-					err = srv.Update(ivm.Tuple{Rel: o.old.Rel, Values: old}, tu)
-				}
-				scribble(nu)
-				scribble(old)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+	err = h.Replay(func(ops []testdb.Step) error {
+		var nu, old []relation.Value // one buffer per half, reused for every op
+		for _, s := range ops {
+			old = append(old[:0], testdb.Values(db, s.Rel, s.Row)...)
+			tu := ivm.Tuple{Rel: s.Rel, Values: old}
+			var err error
+			switch s.Kind {
+			case testdb.Insert:
+				err = srv.Insert(tu)
+			case testdb.Delete:
+				err = srv.Delete(tu)
+			default:
+				nu = append(nu[:0], testdb.Values(db, s.Rel, s.New)...)
+				err = srv.Update(tu, ivm.Tuple{Rel: s.Rel, Values: nu})
 			}
-		}()
-	}
-	wg.Wait()
-	if err := srv.Flush(); err != nil {
+			scribble(nu)
+			scribble(old)
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func(i int) error {
+		if h.Steps[i].Kind != testdb.Flush || i != len(h.Steps)-2 {
+			return nil // only the last flush: what was sent, all of it
+		}
+		if err := srv.Flush(); err != nil {
+			return err
+		}
+		return testdb.CompareCovar(srv.Snapshot().Stats(), h.Survivors(i).Covar(features), true)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	matchRecompute(t, srv.Snapshot(), j, features, survivors)
 }
 
 // TestReplanAllocsDoNotGrowWithRows: a replan reingests the live rows

@@ -62,232 +62,6 @@ func tenantSchema(seed uint64, nSales, nStores, nItems int) (*query.Join, []ivm.
 	return query.NewJoin(sales, catalog, stores), stream, []string{"units", "price", "area"}
 }
 
-// churnOp is one producer-side operation: insert (0), delete (1), or
-// update (2, retracting old and inserting t).
-type churnOp struct {
-	kind int
-	t    ivm.Tuple
-	old  ivm.Tuple
-}
-
-// churnStreams partitions an insert stream round-robin across `writers`
-// producers and injects deletes (~15%) and updates (~10%) into each
-// partition, always retracting a tuple the SAME producer inserted
-// earlier. Updates bump the last continuous attribute and never touch
-// the partition key, so old and new route to the same shard. Returns
-// the per-writer op streams and the surviving tuple multiset.
-func churnStreams(stream []ivm.Tuple, writers int, seed uint64) ([][]churnOp, []ivm.Tuple) {
-	src := xrand.New(seed)
-	ops := make([][]churnOp, writers)
-	live := make([][]ivm.Tuple, writers)
-	bump := func(t ivm.Tuple) ivm.Tuple {
-		nv := append([]relation.Value(nil), t.Values...)
-		nv[len(nv)-1] = relation.FloatVal(nv[len(nv)-1].F + 1)
-		return ivm.Tuple{Rel: t.Rel, Values: nv}
-	}
-	for i, t := range stream {
-		w := i % writers
-		ops[w] = append(ops[w], churnOp{kind: 0, t: t})
-		live[w] = append(live[w], t)
-		switch r := src.Intn(100); {
-		case r < 15 && len(live[w]) > 0:
-			j := src.Intn(len(live[w]))
-			ops[w] = append(ops[w], churnOp{kind: 1, t: live[w][j]})
-			live[w][j] = live[w][len(live[w])-1]
-			live[w] = live[w][:len(live[w])-1]
-		case r < 25 && len(live[w]) > 0:
-			j := src.Intn(len(live[w]))
-			old := live[w][j]
-			nu := bump(old)
-			ops[w] = append(ops[w], churnOp{kind: 2, t: nu, old: old})
-			live[w][j] = nu
-		}
-	}
-	var survivors []ivm.Tuple
-	for _, l := range live {
-		survivors = append(survivors, l...)
-	}
-	return ops, survivors
-}
-
-// TestShardedChurnEquivalence is the scale-out certificate: K concurrent
-// producers issuing mixed inserts, deletes, and updates into a sharded
-// server while M concurrent readers fold merged snapshots, under the
-// race detector — and the final merged snapshot approx-equal (1e-9) to
-// a single-shard server fed the same ops, and bitwise-equal to a batch
-// recomputation over only the SURVIVING tuples. Ring addition over disjoint partitions is exact, which is
-// the property that makes sharding free.
-func TestShardedChurnEquivalence(t *testing.T) {
-	// The subtest is named after the one maintainer the serving tier builds.
-	t.Run("fivm", testShardedChurnEquivalence)
-}
-
-func testShardedChurnEquivalence(t *testing.T) {
-	const writers, readers = 4, 3
-	j, stream, features := tenantSchema(99, 400, 9, 5)
-	ops, survivors := churnStreams(stream, writers, 777)
-	var wantInserts, wantDeletes uint64
-	for _, ws := range ops {
-		for _, o := range ws {
-			if o.kind != 1 {
-				wantInserts++
-			}
-			if o.kind != 0 {
-				wantDeletes++
-			}
-		}
-	}
-
-	cfg := Config{
-		Config:      serve.Config{BatchSize: 17, QueueDepth: 64},
-		Shards:      3,
-		PartitionBy: "store",
-	}
-	srv, err := New(j, "Sales", features, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, o := range ops[w] {
-				var err error
-				switch o.kind {
-				case 0:
-					err = srv.Insert(o.t)
-				case 1:
-					err = srv.Delete(o.t)
-				case 2:
-					err = srv.Update(o.old, o.t)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	stopRead := make(chan struct{})
-	var readWg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		readWg.Add(1)
-		go func() {
-			defer readWg.Done()
-			var lastEpoch uint64
-			for {
-				select {
-				case <-stopRead:
-					return
-				default:
-				}
-				m := srv.Snapshot()
-				if m.Epoch < lastEpoch {
-					t.Error("merged epoch went backwards")
-					return
-				}
-				if m.Deletes > m.Inserts {
-					t.Error("more deletes than inserts ever applied")
-					return
-				}
-				if m.Stats().N != len(features) {
-					t.Errorf("merged width %d, want %d", m.Stats().N, len(features))
-					return
-				}
-				lastEpoch = m.Epoch
-			}
-		}()
-	}
-
-	wg.Wait()
-	if err := srv.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	close(stopRead)
-	readWg.Wait()
-	got := srv.Snapshot()
-	if q := srv.QueueLen(); q != 0 {
-		t.Fatalf("QueueLen = %d after Flush, want 0", q)
-	}
-	// The router must actually spread load: with 9 stores over 3
-	// shards, more than one shard owns data.
-	populated := 0
-	for _, st := range srv.Stats() {
-		if st.Inserts > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		t.Fatalf("only %d of %d shards received tuples; router is not partitioning", populated, srv.NumShards())
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Inserts != wantInserts || got.Deletes != wantDeletes {
-		t.Fatalf("merged covers %d/%d inserts/deletes, want %d/%d", got.Inserts, got.Deletes, wantInserts, wantDeletes)
-	}
-
-	// (a) Single-shard server fed the same per-producer op streams,
-	// serially: the unsharded reference.
-	single, err := New(j, "Sales", features, Config{Config: cfg.Config, Shards: 1, PartitionBy: "store"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ws := range ops {
-		for _, o := range ws {
-			var err error
-			switch o.kind {
-			case 0:
-				err = single.Insert(o.t)
-			case 1:
-				err = single.Delete(o.t)
-			case 2:
-				err = single.Update(o.old, o.t)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := single.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ref := single.Snapshot()
-	if err := single.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Stats().ApproxEqual(ref.Stats(), 1e-9) {
-		t.Fatalf("merged %v != single-shard %v", got.Stats(), ref.Stats())
-	}
-
-	// (b) Batch recomputation over only the survivors: bitwise.
-	batch, err := ivm.NewFIVM(j, "Sales", features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range survivors {
-		if err := batch.Insert(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := batch.Snapshot()
-	if got.Stats().Count != want.Count {
-		t.Fatalf("count: got %v, want %v", got.Stats().Count, want.Count)
-	}
-	for i := range features {
-		if got.Stats().Sum[i] != want.Sum[i] {
-			t.Fatalf("sum[%d]: got %v, want %v", i, got.Stats().Sum[i], want.Sum[i])
-		}
-		for k := range features {
-			if got.Moment(i, k) != want.Q[i*want.N+k] {
-				t.Fatalf("moment[%d,%d]: got %v, want %v", i, k, got.Moment(i, k), want.Q[i*want.N+k])
-			}
-		}
-	}
-}
-
 // TestPartitionValidation: the partition attribute is validated against
 // every relation at construction, and the error names both the
 // attribute and the offending relation — never a silent mis-route.
@@ -545,56 +319,6 @@ func TestShardedErrAndCloseIdempotent(t *testing.T) {
 	// A closed sharded server rejects new ops on every shard.
 	if err := srv.Insert(stream[1]); err == nil {
 		t.Fatal("insert accepted after Close")
-	}
-}
-
-// TestLiftedMergeMatchesSingleShard checks the degree-4 half of the
-// merge algebra: the lifted elements of a 3-shard server fold under
-// Poly2 addition into exactly the statistics a single-shard server
-// maintains over the same stream (bitwise on integer data), and the
-// merged element's covariance extraction matches the merged triple.
-func TestLiftedMergeMatchesSingleShard(t *testing.T) {
-	j, stream, features := tenantSchema(17, 240, 6, 5)
-	cfg := func(shards int) Config {
-		return Config{
-			Config:      serve.Config{BatchSize: 16, Payload: ivm.PayloadPoly2},
-			Shards:      shards,
-			PartitionBy: "store",
-		}
-	}
-	sharded, err := New(j, "Sales", features, cfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	single, err := New(j, "Sales", features, cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	for _, tu := range stream {
-		if err := sharded.Insert(tu); err != nil {
-			t.Fatal(err)
-		}
-		if err := single.Insert(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sharded.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := single.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ms, m1 := sharded.Snapshot(), single.Snapshot()
-	if ms.Lifted == nil || m1.Lifted == nil {
-		t.Fatal("lifted element missing from merged snapshot")
-	}
-	if !ms.Lifted.ApproxEqual(m1.Lifted, 0) {
-		t.Fatalf("merged lifted stats differ from single shard: %v vs %v", ms.Lifted, m1.Lifted)
-	}
-	if got := ms.Lifted.Covar(); !got.ApproxEqual(ms.Stats(), 0) {
-		t.Fatalf("merged lifted covar extraction differs from merged triple")
 	}
 }
 

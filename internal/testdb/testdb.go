@@ -1,8 +1,10 @@
 // Package testdb builds small deterministic databases used by tests and
-// examples across the repository: the paper's Figure 7 running example
-// and randomized star/snowflake schemas for equivalence testing between
-// the classical engine, LMFAO, the factorized engine, and the IVM
-// strategies.
+// examples across the repository: the paper's Figure 7 running example,
+// randomized star/snowflake schemas for equivalence testing between the
+// classical engine, LMFAO, the factorized engine, and the IVM
+// strategies, and seeded histories of inserts, deletes, updates,
+// flushes and replans (history.go) with the nested-loop recompute they
+// are checked against (oracle.go). Only tests and examples import it.
 package testdb
 
 import (

@@ -1,22 +1,17 @@
 package borg
 
-import "testing"
+import (
+	"testing"
+
+	"borg/internal/testdb"
+)
 
 // TestGDMetricsCountTruncation: a linreg training that spends its whole
 // iteration budget must show on a scrape — the iteration histogram sees
 // every training, the unconverged counter only the truncated one — and
 // both series exist before the first training.
 func TestGDMetricsCountTruncation(t *testing.T) {
-	db := shardedSchema(t)
-	q, err := db.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv, _ := served(t, cont, ShardOptions{})
 	read := func() (trainings uint64, iterations int64, unconverged float64) {
 		found := 0
 		for _, p := range srv.Metrics().Snapshot() {
@@ -37,18 +32,10 @@ func TestGDMetricsCountTruncation(t *testing.T) {
 	if n, _, u := read(); n != 0 || u != 0 {
 		t.Fatalf("before any training: %d trainings, %v unconverged", n, u)
 	}
-	for _, tp := range shardedStream(80, 3, 3) {
-		if err := srv.Insert(tp.rel, tp.values...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Flush(); err != nil {
+	if _, err := srv.TrainLinRegGD(testdb.Response, 1e-3, GDOptions{MaxIters: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.TrainLinRegGD("units", 1e-3, GDOptions{MaxIters: 2}); err != nil {
-		t.Fatal(err)
-	}
-	full, err := srv.TrainLinRegGD("units", 1e-3, GDOptions{})
+	full, err := srv.TrainLinRegGD(testdb.Response, 1e-3, GDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

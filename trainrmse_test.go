@@ -1,6 +1,7 @@
 package borg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,14 +26,12 @@ func materialize(t *testing.T, q *Query) *relation.Relation {
 	return data
 }
 
-// checkTrainingRMSE holds m.TrainingRMSE() to the model's RMSE over the
+// trainingRMSE holds m.TrainingRMSE() to the model's RMSE over the
 // materialized join within 1e-9·RMS(y), and returns it together with the
 // response's standard deviation over that join.
-func checkTrainingRMSE(t *testing.T, m scored, data *relation.Relation, response string) (rmse, std float64) {
-	t.Helper()
-	rmse, err := m.TrainingRMSE()
-	if err != nil {
-		t.Fatal(err)
+func trainingRMSE(m scored, data *relation.Relation, response string) (rmse, std float64, err error) {
+	if rmse, err = m.TrainingRMSE(); err != nil {
+		return 0, 0, err
 	}
 	var oracle float64
 	switch m := m.(type) {
@@ -41,10 +40,10 @@ func checkTrainingRMSE(t *testing.T, m scored, data *relation.Relation, response
 	case *DecisionTree:
 		oracle, err = m.tree.RMSE(data)
 	default:
-		t.Fatalf("no oracle for %T", m)
+		err = fmt.Errorf("no oracle for %T", m)
 	}
 	if err != nil {
-		t.Fatal(err)
+		return 0, 0, err
 	}
 	yc := data.AttrIndex(response)
 	var sy, syy float64
@@ -54,9 +53,9 @@ func checkTrainingRMSE(t *testing.T, m scored, data *relation.Relation, response
 	}
 	n := float64(data.NumRows())
 	if d := math.Abs(rmse - oracle); d > 1e-9*math.Sqrt(syy/n) {
-		t.Fatalf("TrainingRMSE = %v, materialized %v: off by %.3g·RMS(y)", rmse, oracle, d/math.Sqrt(syy/n))
+		return 0, 0, fmt.Errorf("TrainingRMSE = %v, materialized %v: off by %.3g·RMS(y)", rmse, oracle, d/math.Sqrt(syy/n))
 	}
-	return rmse, math.Sqrt(syy/n - (sy/n)*(sy/n))
+	return rmse, math.Sqrt(syy/n - (sy/n)*(sy/n)), nil
 }
 
 // quickstartDB is examples/quickstart's database: units = 10 − price +
@@ -148,7 +147,10 @@ func TestTrainingRMSEFromAggregates(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rmse, std := checkTrainingRMSE(t, trained, data, response)
+					rmse, std, err := trainingRMSE(trained, data, response)
+					if err != nil {
+						t.Fatal(err)
+					}
 					t.Logf("RMSE %.6g, response std %.6g", rmse, std)
 					if rmse > m.under*std {
 						t.Fatalf("RMSE %v above %v·std(y) = %v", rmse, m.under, m.under*std)

@@ -74,7 +74,7 @@ func TestIngestJSONSemantics(t *testing.T) {
 		{name: "as deep as JSON goes", body: `{"x":` + strings.Repeat("[", wireDepth-1) + strings.Repeat("]", wireDepth-1) + `}`, want: want{rows: 1, failed: []int{0}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			srv, err := wireQuery(t).ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
+			srv, err := wireQuery(t).ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestIngestJSONUnquotes(t *testing.T) {
 			t.Fatalf("%s: %v", lit, err)
 		}
 		q := wireQuery(t)
-		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
+		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func rowAllocs(n int, f func()) float64 {
 // returns and the scratch row is reused.
 func TestIngestAllocs(t *testing.T) {
 	q := wireQuery(t)
-	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
+	srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestInsertWideRowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := q.ServeSharded([]string{"x0", "x1"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
+	srv, err := q.ServeSharded([]string{"x0", "x1"}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func FuzzIngestJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, forceDelete bool) {
 		q := wireQuery(t)
-		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{ServerOptions: ServerOptions{Workers: 1}})
+		srv, err := q.ServeSharded([]string{"units", "price", "area"}, ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
