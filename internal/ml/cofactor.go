@@ -63,11 +63,14 @@ func NewCatLayout(cf *ring.Cofactor) *CatLayout {
 	cells := 1
 	for s := range L.rank {
 		rank := make([]int32, top[s]) // 1 marks a live code, then holds its rank
+		nlive := 0
 		for i := s; i < len(L.ranks); i += k {
-			if c := L.ranks[i]; c >= 0 {
+			if c := L.ranks[i]; c >= 0 && rank[c] == 0 {
 				rank[c] = 1
+				nlive++
 			}
 		}
+		L.codes[s] = make([]int32, 0, nlive)
 		for c, live := range rank {
 			rank[c] = -1
 			if live == 1 {
@@ -473,17 +476,17 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 	for p := range pos {
 		pos[p] = -1
 	}
-	a = make([][]float64, 0, dim)
-	place := func(p, first int) { // the next unknown is p, its row starts at column first
-		pos[p] = len(a)
-		a = append(a, make([]float64, len(a)+1-first))
+	first := make([]int, 0, dim) // per unknown, the column its row starts at
+	place := func(p, f int) {    // the next unknown is p
+		pos[p] = len(first)
+		first = append(first, f)
 	}
 	wide, codes := widest(d.catCodes)
 	for r := range codes {
-		s, first := slot(wide, r), len(a)
-		place(hp(s), first)
+		s, f := slot(wide, r), len(first)
+		place(hp(s), f)
 		for i := 0; i < n; i++ {
-			place(ip(i, s), first)
+			place(ip(i, s), f)
 		}
 	}
 	for p := range pos {
@@ -491,6 +494,7 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 			place(p, 0)
 		}
 	}
+	a = envelope(first)
 	// add accumulates v into the symmetric entry (p, q), given in layout
 	// positions; an entry outside the envelope is an index panic.
 	add := func(p, q int, v float64) {

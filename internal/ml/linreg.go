@@ -42,27 +42,70 @@ type LinReg struct {
 // one-hot designs tens of iterations where the fixed step takes tens of
 // thousands. When sᵀy is not positive (it is on a positive-definite
 // system) or the quotient not finite, the step falls back to 1/L.
+//
+// The product Σ·θ skips the one-hot zeros: two codes of one categorical
+// feature never occur in the same tuple, so a row of a one-hot block is
+// zero in every other column of that block. Such a row adds the columns
+// before its block, its diagonal, then the columns after, in ascending
+// order; the terms it leaves out are ±0, so on finite parameters the sum
+// is bitwise the dense one. The intercept and continuous rows add the
+// whole row, two rows per sweep: each keeps its own running sum in
+// column order, and the pair reads θ once. A product of short rows is
+// bound by how fast the core takes in the loop's instructions: one row
+// per sweep took 20–40% longer on the Retailer design or not, depending
+// on where the linker put the loop.
 func TrainLinRegGD(s *Sigma, lambda float64, maxIters int, tol float64) *LinReg {
 	n := s.Size()
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
 		d[i] = 1 / math.Sqrt(ridgeScale(s.XtX[i][i]))
 	}
+	dense, block := s.oneHotBlocks()
 	theta := make([]float64, n) // standardized parameters
 	raw := make([]float64, n)   // d·theta, the raw-space parameters
 	grad := make([]float64, n)
+	res := make([]float64, n)
 	safe := 1 / (float64(n) + lambda)
 	lr, prev := safe, 0.0 // last step and last squared gradient norm
 	iters := 0
 	converged := false
 	for ; iters < maxIters; iters++ {
-		// With s = -lr·g₀ and y = g-g₀: sᵀs/sᵀy = lr·|g₀|²/g₀ᵀ(g₀-g).
-		norm, sy := 0.0, 0.0
-		for i := 0; i < n; i++ {
+		// The residual moments Σ·raw − XtY: the leading rows whole, two at
+		// a time, then each one-hot row around its block.
+		i := 0
+		for ; i+1 < dense; i += 2 {
+			r0, r1 := -s.XtY[i], -s.XtY[i+1]
+			row1 := s.XtX[i+1][:n]
+			for j, v := range s.XtX[i][:n] {
+				x := raw[j]
+				r0 += v * x
+				r1 += row1[j] * x
+			}
+			res[i], res[i+1] = r0, r1
+		}
+		for ; i < dense; i++ {
 			r := -s.XtY[i]
 			for j, v := range s.XtX[i][:n] {
 				r += v * raw[j]
 			}
+			res[i] = r
+		}
+		for i := dense; i < n; i++ {
+			row, lo, hi := s.XtX[i][:n], block[i][0], block[i][1]
+			head, tail := raw[:lo], raw[hi:]
+			r := -s.XtY[i]
+			for j, v := range row[:len(head)] {
+				r += v * head[j]
+			}
+			r += row[i] * raw[i]
+			for j, v := range row[hi:] {
+				r += v * tail[j]
+			}
+			res[i] = r
+		}
+		// With s = -lr·g₀ and y = g-g₀: sᵀs/sᵀy = lr·|g₀|²/g₀ᵀ(g₀-g).
+		norm, sy := 0.0, 0.0
+		for i, r := range res {
 			g := d[i]*r + lambda*theta[i]
 			sy += grad[i] * (grad[i] - g)
 			grad[i] = g
@@ -96,20 +139,22 @@ func TrainLinRegGD(s *Sigma, lambda float64, maxIters int, tol float64) *LinReg 
 // from its first non-zero, so the solve skips the one-hot zeros.
 func TrainLinRegClosedForm(s *Sigma, lambda float64) (*LinReg, error) {
 	order := s.solveOrder()
-	a := make([][]float64, len(order))
-	b := make([]float64, len(order))
+	first := make([]int, len(order))
 	for i, p := range order {
 		src := s.XtX[p]
-		first := 0
-		for first < i && src[order[first]] == 0 {
-			first++
+		for first[i] < i && src[order[first[i]]] == 0 {
+			first[i]++
 		}
-		row := make([]float64, i+1-first)
+	}
+	a := envelope(first)
+	b := make([]float64, len(order))
+	for i, p := range order {
+		src, row := s.XtX[p], a[i]
 		for j := range row {
-			row[j] = src[order[first+j]]
+			row[j] = src[order[first[i]+j]]
 		}
-		row[i-first] += lambda * ridgeScale(src[p])
-		a[i], b[i] = row, s.XtY[p]
+		row[len(row)-1] += lambda * ridgeScale(src[p])
+		b[i] = s.XtY[p]
 	}
 	x, err := choleskySolve(a, b)
 	if err != nil {
@@ -120,6 +165,21 @@ func TrainLinRegClosedForm(s *Sigma, lambda float64) (*LinReg, error) {
 		theta[p] = x[i]
 	}
 	return &LinReg{Design: s.Design, Theta: theta, Lambda: lambda, Converged: true}, nil
+}
+
+// oneHotBlocks returns how many leading parameters — the intercept and
+// the continuous features — sit in no one-hot block, and per parameter
+// the block [lo, hi) its row sits in (zero for those leading ones).
+func (d *Design) oneHotBlocks() (dense int, block [][2]int) {
+	dense, block = d.totalSize, make([][2]int, d.totalSize)
+	for k, codes := range d.catCodes {
+		lo, hi := d.catBase[k], d.catBase[k]+len(codes)
+		dense = min(dense, lo)
+		for i := lo; i < hi; i++ {
+			block[i] = [2]int{lo, hi}
+		}
+	}
+	return dense, block
 }
 
 // ridgeScale is the standardized-ridge weight of a parameter whose
@@ -165,6 +225,21 @@ func widest(catCodes [][]int32) (wide int, codes []int32) {
 	return wide, codes
 }
 
+// envelope allocates a zeroed matrix in choleskySolve's envelope form,
+// row i holding columns first[i]..i, every row carved from one array.
+func envelope(first []int) [][]float64 {
+	size := 0
+	for i, f := range first {
+		size += i + 1 - f
+	}
+	buf, a := make([]float64, size), make([][]float64, len(first))
+	for i, f := range first {
+		w := i + 1 - f
+		a[i], buf = buf[:w:w], buf[w:]
+	}
+	return a
+}
+
 // choleskySolve solves a x = b for symmetric positive-definite a,
 // overwriting its inputs. a is its lower triangle in envelope (skyline)
 // form: row i holds columns first..i, first = max(0, i+1-len(a[i])) — a
@@ -175,13 +250,23 @@ func widest(catCodes [][]int32) (wide int, codes []int32) {
 // alone is exact, zeros inside it included; a dense caller pays the
 // dense n³/3 flops. The caller picks the elimination order that keeps
 // the envelope small — for the cofactor designs: the widest categorical
-// feature first, grouped per code.
+// feature first, grouped per code. Two consecutive rows that both start
+// at column 0 are computed together (factorPair).
 func choleskySolve(a [][]float64, b []float64) ([]float64, error) {
 	first := make([]int, len(a))
 	for i, ri := range a {
-		fi := max(0, i+1-len(ri))
-		first[i] = fi
+		first[i] = max(0, i+1-len(ri))
+	}
+	for i := 0; i < len(a); i++ {
+		if first[i] == 0 && i+1 < len(a) && first[i+1] == 0 {
+			if err := factorPair(a, first, i); err != nil {
+				return nil, err
+			}
+			i++
+			continue
+		}
 		// Row i of L: a = L Lᵀ, column by column.
+		ri, fi := a[i], first[i]
 		for j := fi; j <= i; j++ {
 			rj, fj := a[j], first[j]
 			lo := max(fi, fj)
@@ -191,7 +276,7 @@ func choleskySolve(a [][]float64, b []float64) ([]float64, error) {
 			} else if v > 0 {
 				ri[j-fi] = math.Sqrt(v)
 			} else {
-				return nil, fmt.Errorf("ml: moment matrix not positive definite at pivot %d (add ridge)", j)
+				return nil, notPositiveDefinite(j)
 			}
 		}
 	}
@@ -211,11 +296,84 @@ func choleskySolve(a [][]float64, b []float64) ([]float64, error) {
 	return b, nil
 }
 
+func notPositiveDefinite(pivot int) error {
+	return fmt.Errorf("ml: moment matrix not positive definite at pivot %d (add ridge)", pivot)
+}
+
+// factorPair computes rows i and i+1 of L, both stored from column 0,
+// in one sweep over the rows before them: each row j is read once for
+// both. Two columns j, j+1 whose rows also start at column 0 take the
+// 2×2 kernel dot2x2; any other column is summed inline — in the
+// cofactor systems, a row of a lead block, a few entries long, or the
+// odd column out.
+func factorPair(a [][]float64, first []int, i int) error {
+	x, y := a[i][:i+1], a[i+1][:i+2]
+	for j := 0; j < i; {
+		rj, fj := a[j], first[j]
+		if fj == 0 && j+1 < i && first[j+1] == 0 {
+			rk := a[j+1][:j+2]
+			s00, s01, s10, s11 := dot2x2(x[:j], y[:j], rj[:j], rk[:j])
+			x[j] = (x[j] - s00) / rj[j]
+			y[j] = (y[j] - s10) / rj[j]
+			x[j+1] = (x[j+1] - s01 - x[j]*rk[j]) / rk[j+1]
+			y[j+1] = (y[j+1] - s11 - y[j]*rk[j]) / rk[j+1]
+			j += 2
+			continue
+		}
+		rj = rj[:j+1-fj]
+		u, v := x[j], y[j]
+		xs, ys := x[fj:j], y[fj:j]
+		for k, l := range rj[:len(xs)] {
+			u -= xs[k] * l
+			v -= ys[k] * l
+		}
+		x[j], y[j] = u/rj[j-fj], v/rj[j-fj]
+		j++
+	}
+	// The diagonal block: L[i][i], L[i+1][i] and L[i+1][i+1].
+	var sxx, syx, syy float64
+	ys := y[:i]
+	for k, u := range x[:i] {
+		v := ys[k]
+		sxx += u * u
+		syx += v * u
+		syy += v * v
+	}
+	d := x[i] - sxx
+	if !(d > 0) {
+		return notPositiveDefinite(i)
+	}
+	x[i] = math.Sqrt(d)
+	y[i] = (y[i] - syx) / x[i]
+	e := y[i+1] - syy - y[i]*y[i]
+	if !(e > 0) {
+		return notPositiveDefinite(i + 1)
+	}
+	y[i+1] = math.Sqrt(e)
+	return nil
+}
+
+// dot2x2 returns the four inner products of x0 and x1 with y0 and y1
+// (all as long as x0) in one pass: each operand is loaded once per step
+// for two multiply-adds, where two dot calls load it once for one.
+func dot2x2(x0, x1, y0, y1 []float64) (s00, s01, s10, s11 float64) {
+	x1, y0, y1 = x1[:len(x0)], y0[:len(x0)], y1[:len(x0)]
+	for k, u := range x0 {
+		v, p, q := x1[k], y0[k], y1[k]
+		s00 += u * p
+		s01 += u * q
+		s10 += v * p
+		s11 += v * q
+	}
+	return s00, s01, s10, s11
+}
+
 // dot returns Σ x[k]·y[k] (y at least as long as x) in four interleaved
 // partial sums, so that consecutive multiply-adds do not wait on each
-// other: it takes the 904-unknown tenant solve from 3.7 to 2.3 ms on a
-// 2-vCPU Xeon, where a right-looking rank-4 Schur update per diagonal
-// block measured 2.7 ms.
+// other. choleskySolve uses it for a row it factors alone and for the
+// forward solve; the row pairs of the 904-unknown tenant solve take
+// dot2x2 instead, which moved that solve from 5.4 to 3.0 ms (medians,
+// shared 2-vCPU Intel Xeon).
 func dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64

@@ -129,6 +129,7 @@ func newSigma(d Design, idx []int, ry int, c *ring.Covar) *Sigma {
 // features, and the response's.
 func splitResponse(features []string, response string) (d Design, idx []int, ry int, err error) {
 	ry = -1
+	d.Cont, idx = make([]string, 0, len(features)), make([]int, 0, len(features))
 	for i, f := range features {
 		if f == response {
 			ry = i

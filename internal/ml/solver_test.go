@@ -179,6 +179,112 @@ func TestCholeskyRejectsIndefiniteBlock(t *testing.T) {
 	}
 }
 
+// FuzzCholeskyEnvelope holds choleskySolve to the dense reference on
+// generated SPD systems: shape gives the widths (1–5) of the leading
+// diagonal blocks — none is the dense system — border the width of the
+// dense border, zeros the share of exact zeros inside the envelope. Each
+// system is solved in three forms: rows from their block (the border
+// from column 0, so rows pair up and their columns pair up), rows from
+// their first non-zero, and whole square rows. A non-zero spoil makes
+// pivot (spoil-1) mod n non-positive, the pivots before it untouched:
+// every form must then fail, naming that pivot.
+func FuzzCholeskyEnvelope(f *testing.F) {
+	f.Add(uint64(1), []byte{}, uint8(9), uint8(0), uint16(0))                 // dense, odd: a lone last row
+	f.Add(uint64(2), []byte{}, uint8(8), uint8(1), uint16(0))                 // dense, even
+	f.Add(uint64(3), []byte{3, 3, 3, 3}, uint8(0), uint8(0), uint16(0))       // blocks of 4, no border
+	f.Add(uint64(4), []byte{0, 1, 2, 3, 4}, uint8(7), uint8(2), uint16(0))    // widths 1–5, odd border
+	f.Add(uint64(5), []byte{3, 3, 3, 3, 3, 3}, uint8(6), uint8(3), uint16(0)) // the CatPoly shape
+	f.Add(uint64(6), []byte{}, uint8(6), uint8(0), uint16(4))                 // second row of the pair (2, 3)
+	f.Add(uint64(7), []byte{1, 4}, uint8(5), uint8(1), uint16(11))            // border pair (9, 10)
+	f.Add(uint64(8), []byte{0, 2}, uint8(4), uint8(0), uint16(3))             // a lone row of a block from column 1
+	f.Fuzz(func(t *testing.T, seed uint64, shape []byte, border, zeros uint8, spoil uint16) {
+		if len(shape) > 48 {
+			shape = shape[:48]
+		}
+		blocks := make([]int, len(shape))
+		for k, w := range shape {
+			blocks[k] = 1 + int(w)%5
+		}
+		src := xrand.New(seed)
+		full, first := blockedSPD(src, blocks, int(border)%48, float64(zeros%4)/4)
+		n := len(full)
+		if n == 0 {
+			return
+		}
+		pivot := -1
+		if spoil > 0 {
+			pivot = int(spoil-1) % n
+			// The pivot is a_pp − Σ_k L[p][k]²; setting a_pp to half that
+			// sum, less one, leaves it about −(½Σ + 1).
+			l := make([][]float64, pivot+1)
+			sum := 0.0
+			for i := range l {
+				l[i] = make([]float64, i+1)
+				for j := 0; j <= i; j++ {
+					v := full[i][j]
+					for k := 0; k < j; k++ {
+						v -= l[i][k] * l[j][k]
+					}
+					if i == pivot {
+						if j == i {
+							break
+						}
+						l[i][j] = v / l[j][j]
+						sum += l[i][j] * l[i][j]
+					} else if j == i {
+						l[i][i] = math.Sqrt(v)
+					} else {
+						l[i][j] = v / l[j][j]
+					}
+				}
+			}
+			full[pivot][pivot] = sum/2 - 1
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 2*src.Float64() - 1
+		}
+		trimmed := make([]int, n)
+		for i := range trimmed {
+			for trimmed[i] < i && full[i][trimmed[i]] == 0 {
+				trimmed[i]++
+			}
+		}
+		square := make([][]float64, n)
+		for i := range square {
+			square[i] = append([]float64(nil), full[i]...)
+		}
+		var want []float64
+		if pivot < 0 {
+			want = denseReference(full, b)
+		}
+		for _, form := range []struct {
+			name string
+			a    [][]float64
+		}{{"envelope", envelopeOf(full, first)}, {"trimmed", envelopeOf(full, trimmed)}, {"square", square}} {
+			got, err := choleskySolve(form.a, append([]float64(nil), b...))
+			if pivot >= 0 {
+				if err == nil || err.Error() != notPositiveDefinite(pivot).Error() {
+					t.Fatalf("%s (blocks %v, n %d): pivot %d spoiled, got error %v", form.name, blocks, n, pivot, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s (blocks %v, n %d): %v", form.name, blocks, n, err)
+			}
+			scale := 0.0
+			for _, v := range want {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9*scale {
+					t.Fatalf("%s (blocks %v, n %d): x[%d] = %v, dense reference %v", form.name, blocks, n, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 // tenantCofactor folds the first rows sales of the Tenant generator's
 // join (stores × 25 catalog items) into one cofactor element with the
 // categorical slots in the serving tier's order, item before store — so
@@ -360,11 +466,15 @@ func TestCatPolyUnderEveryWidestFeature(t *testing.T) {
 	}
 }
 
-func BenchmarkTrainLinRegGD(b *testing.B) {
+// retailerSigma is the continuous Retailer design (sf 0.05), assembled
+// from an LMFAO covariance batch: no categorical feature, so the GD
+// product is the dense one.
+func retailerSigma(tb testing.TB) *Sigma {
+	tb.Helper()
 	d := datagen.Retailer(1, 0.05)
 	jt, err := d.Join.BuildJoinTree(d.Root)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var feats []core.Feature
 	for _, c := range d.Cont {
@@ -372,20 +482,125 @@ func BenchmarkTrainLinRegGD(b *testing.B) {
 	}
 	plan, err := core.Compile(jt, core.CovarianceBatch(feats, d.Response), core.Optimized(2))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	results, err := plan.Eval()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	retailer, err := AssembleSigma(d.Cont, nil, d.Response, results)
+	sigma, err := AssembleSigma(d.Cont, nil, d.Response, results)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sigma
+}
+
+// threeCatSigma is a one-hot design over three categorical features
+// whose first two never hold codes 0 and 0 together: the pair count of
+// that cell is zero, as it is for most cells of a sparse join.
+func threeCatSigma(tb testing.TB) *Sigma {
+	tb.Helper()
+	widths := []int{6, 4, 9}
+	cr := ring.CofactorRing{N: 3, K: len(widths)}
+	cf := cr.Zero()
+	src := xrand.New(41)
+	for r := 0; r < 2000; r++ {
+		codes := make([]int32, len(widths))
+		for k, w := range widths {
+			codes[k] = int32(src.Intn(w))
+		}
+		if codes[0] == 0 && codes[1] == 0 {
+			codes[1] = 1
+		}
+		x, z := src.Float64(), 2*src.Float64()
+		y := 1 + x - z + 0.3*float64(codes[2]) - 0.5*float64(codes[0]) + 0.01*src.NormFloat64()
+		cr.AddInPlace(cf, cr.LiftCat([]int{0, 1, 2}, []float64{x, z, y}, []int{0, 1, 2}, codes))
+	}
+	sigma, err := NewCatLayout(cf).Sigma([]string{"x", "z", "y"}, []string{"g0", "g1", "g2"}, "y")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, _ := sigma.CatPos(0, 0)
+	q, _ := sigma.CatPos(1, 0)
+	if sigma.XtX[p][q] != 0 || sigma.XtX[p][p] == 0 || sigma.XtX[q][q] == 0 {
+		tb.Fatalf("codes (0, 0) of g0 and g1: pair moment %v, marginals %v and %v", sigma.XtX[p][q], sigma.XtX[p][p], sigma.XtX[q][q])
+	}
+	return sigma
+}
+
+// denseGD is TrainLinRegGD with the dense Σ·θ product it had before the
+// product skipped the one-hot zeros: every row, every column, in order.
+func denseGD(s *Sigma, lambda float64, maxIters int, tol float64) (theta []float64, iters int, converged bool) {
+	n := s.Size()
+	d := make([]float64, n)
+	for i := 0; i < n; i++ {
+		d[i] = 1 / math.Sqrt(ridgeScale(s.XtX[i][i]))
+	}
+	th := make([]float64, n)
+	raw := make([]float64, n)
+	grad := make([]float64, n)
+	safe := 1 / (float64(n) + lambda)
+	lr, prev := safe, 0.0
+	for ; iters < maxIters; iters++ {
+		norm, sy := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			r := -s.XtY[i]
+			for j, v := range s.XtX[i][:n] {
+				r += v * raw[j]
+			}
+			g := d[i]*r + lambda*th[i]
+			sy += grad[i] * (grad[i] - g)
+			grad[i] = g
+			norm += g * g
+		}
+		if math.Sqrt(norm) < tol {
+			converged = true
+			break
+		}
+		if bb := lr * prev / sy; iters > 0 && sy > 0 && bb <= math.MaxFloat64 {
+			lr = bb
+		} else {
+			lr = safe
+		}
+		prev = norm
+		for i := 0; i < n; i++ {
+			th[i] -= lr * grad[i]
+			raw[i] = d[i] * th[i]
+		}
+	}
+	return raw, iters, converged
+}
+
+// TestGDSkipsOneHotZerosBitwise: the product that skips each one-hot
+// row's own block adds only ±0 less than the dense one, so the descent
+// is the dense descent bit for bit — parameters, iteration count and
+// convergence — with and without categorical features.
+func TestGDSkipsOneHotZerosBitwise(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		sigma *Sigma
-	}{{"retailer", retailer}, {"tenant229", tenantSigma(b)}} {
+	}{{"tenant229", tenantSigma(t)}, {"retailer", retailerSigma(t)}, {"threecat", threeCatSigma(t)}} {
+		for _, budget := range []int{5000, 7} {
+			got := TrainLinRegGD(c.sigma, 1e-3, budget, 1e-10)
+			theta, iters, converged := denseGD(c.sigma, 1e-3, budget, 1e-10)
+			if got.Iterations != iters || got.Converged != converged {
+				t.Fatalf("%s, budget %d: %d iterations (converged %v), dense %d (%v)",
+					c.name, budget, got.Iterations, got.Converged, iters, converged)
+			}
+			for i, v := range theta {
+				if math.Float64bits(got.Theta[i]) != math.Float64bits(v) {
+					t.Fatalf("%s, budget %d: theta[%d] = %v, dense %v", c.name, budget, i, got.Theta[i], v)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkTrainLinRegGD(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		sigma *Sigma
+	}{{"retailer", retailerSigma(b)}, {"tenant229", tenantSigma(b)}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var m *LinReg
@@ -406,6 +621,16 @@ func BenchmarkCatPoly(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, _, pos, err := catPolySystem(features, cats, "units", cf, 1e-3); err != nil || len(pos) != 904 {
+				b.Fatal(len(pos), err)
+			}
+		}
+	})
+	b.Run("tenant904/system", func(b *testing.B) { // assemble less the layout, which a round derives once
+		L := NewCatLayout(cf)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, pos, err := L.polySystem(features, cats, "units", 1e-3); err != nil || len(pos) != 904 {
 				b.Fatal(len(pos), err)
 			}
 		}

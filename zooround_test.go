@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"borg/internal/datagen"
 	"borg/internal/ml"
@@ -203,11 +204,17 @@ func TestZooDerivesOncePerEpoch(t *testing.T) {
 // BenchmarkCofactorZooRound times one zoo round of the tenant workload:
 // a fresh merged epoch of a 2-shard Tenant server at about 5 000
 // cofactor groups, then the shard fold and all seven kinds trained off
-// it — model_p50_ms of tenant_cofactor_2shard, without the load.
+// it — model_p50_ms of tenant_cofactor_2shard, without the load. It
+// reports where a round's time goes, as a mean per round: fold-ms (the
+// merged snapshot), derive-ms (the epoch's layout and moment matrix,
+// which the first trainer pays in a served round) and one <kind>-ms per
+// model kind, training alone.
 func BenchmarkCofactorZooRound(b *testing.B) {
 	srv, sales := tenantZooServer(b, 2, 200, 60000)
 	defer srv.Close()
 	b.ReportMetric(float64(srv.CovarSnapshot().Cofactor().NumGroups()), "groups")
+	var fold, derive time.Duration
+	per := make([]time.Duration, len(zooKinds))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -222,10 +229,26 @@ func BenchmarkCofactorZooRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+		start := time.Now()
 		snap := srv.CovarSnapshot()
-		for _, kind := range zooKinds {
+		lap := time.Now()
+		fold += lap.Sub(start)
+		if _, err := snap.sigma("units"); err != nil {
+			b.Fatal(err)
+		}
+		now := time.Now()
+		derive, lap = derive+now.Sub(lap), now
+		for k, kind := range zooKinds {
 			trainZooKind(b, snap, kind)
+			now = time.Now()
+			per[k], lap = per[k]+now.Sub(lap), now
 		}
 	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/round")
+	b.ReportMetric(ms(fold), "fold-ms")
+	b.ReportMetric(ms(derive), "derive-ms")
+	for k, kind := range zooKinds {
+		b.ReportMetric(ms(per[k]), kind+"-ms")
+	}
 }
