@@ -47,22 +47,33 @@ type CatLayout struct {
 	pair   [][]float64    // pair[k*K+l], k < l: the count of ranks (a, b) at a*len(codes[l])+b
 }
 
-// NewCatLayout derives the layout of a cofactor element.
+// NewCatLayout derives the layout of a cofactor element. Its tables are
+// carved from a few arrays — the groups' codes, the rank tables with
+// the code lists, and the triples with the pair counts, one each — so a
+// derivation makes the same handful of allocations at any K.
 func NewCatLayout(cf *ring.Cofactor) *CatLayout {
-	n, k := cf.N, cf.K
-	L := &CatLayout{N: n, K: k, groups: make([]*ring.Covar, 0, cf.NumGroups()), ranks: make([]int32, 0, cf.NumGroups()*k)}
-	top := make([]int32, k) // one past the largest live code per slot
+	n, k, ng := cf.N, cf.K, cf.NumGroups()
+	L := &CatLayout{N: n, K: k, groups: make([]*ring.Covar, 0, ng)}
+	ints := make([]int32, ng*k+k)
+	L.ranks = ints[:ng*k]
+	top := ints[ng*k:] // one past the largest live code per slot
 	cf.Each(func(codes []int32, g *ring.Covar) {
+		copy(L.ranks[len(L.groups)*k:], codes)
 		L.groups = append(L.groups, g)
-		L.ranks = append(L.ranks, codes...)
 		for s, c := range codes {
 			top[s] = max(top[s], c+1)
 		}
 	})
-	L.codes, L.rank = make([][]int32, k), make([][]int32, k)
+	size := 0
+	for _, t := range top {
+		size += 2 * int(t) // a rank table and a code list at most as long
+	}
+	tables, lists := make([]int32, size), make([][]int32, 2*k)
+	L.codes, L.rank = lists[:k:k], lists[k:]
 	cells := 1
 	for s := range L.rank {
-		rank := make([]int32, top[s]) // 1 marks a live code, then holds its rank
+		rank := tables[:top[s]:top[s]] // 1 marks a live code, then holds its rank
+		tables = tables[top[s]:]
 		nlive := 0
 		for i := s; i < len(L.ranks); i += k {
 			if c := L.ranks[i]; c >= 0 && rank[c] == 0 {
@@ -70,7 +81,7 @@ func NewCatLayout(cf *ring.Cofactor) *CatLayout {
 				nlive++
 			}
 		}
-		L.codes[s] = make([]int32, 0, nlive)
+		L.codes[s], tables = tables[:0:nlive], tables[nlive:]
 		for c, live := range rank {
 			rank[c] = -1
 			if live == 1 {
@@ -79,28 +90,36 @@ func NewCatLayout(cf *ring.Cofactor) *CatLayout {
 			}
 		}
 		L.rank[s] = rank
-		cells += len(L.codes[s])
+		cells += nlive
 	}
 	for i, c := range L.ranks {
 		L.ranks[i] = int32(rankOf(L.rank[i%k], c))
 	}
 
-	w := n + n*n
-	buf := make([]float64, cells*w)
+	w, npair := n+n*n, 0
+	for s := range k {
+		for t := s + 1; t < k; t++ {
+			npair += len(L.codes[s]) * len(L.codes[t])
+		}
+	}
+	buf := make([]float64, cells*w+npair)
+	buf, pairs := buf[:cells*w], buf[cells*w:]
 	carve := func() ring.Covar {
 		c := ring.Covar{N: n, Sum: buf[:n:n], Q: buf[n:w:w]}
 		buf = buf[w:]
 		return c
 	}
 	L.total = carve()
+	slot := make([]ring.Covar, cells-1)
 	L.slot, L.pair = make([][]ring.Covar, k), make([][]float64, k*k)
 	for s, codes := range L.codes {
-		L.slot[s] = make([]ring.Covar, len(codes))
+		L.slot[s], slot = slot[:len(codes):len(codes)], slot[len(codes):]
 		for r := range codes {
 			L.slot[s][r] = carve()
 		}
 		for t := s + 1; t < k; t++ {
-			L.pair[s*k+t] = make([]float64, len(codes)*len(L.codes[t]))
+			m := len(codes) * len(L.codes[t])
+			L.pair[s*k+t], pairs = pairs[:m:m], pairs[m:]
 		}
 	}
 	for gi, g := range L.groups {
@@ -472,12 +491,12 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 	// feature never occur in the same group, so the moments between their
 	// parameters are structurally zero — (n+1)×(n+1) diagonal blocks,
 	// whose rows start at their block. The rows after are stored whole.
-	pos = make([]int, dim)
+	ints := make([]int, 2*dim)
+	pos, first := ints[:dim], ints[dim:dim] // first: per unknown, the column its row starts at
 	for p := range pos {
 		pos[p] = -1
 	}
-	first := make([]int, 0, dim) // per unknown, the column its row starts at
-	place := func(p, f int) {    // the next unknown is p
+	place := func(p, f int) { // the next unknown is p
 		pos[p] = len(first)
 		first = append(first, f)
 	}
@@ -494,7 +513,7 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 			place(p, 0)
 		}
 	}
-	a = envelope(first)
+	a, b = envelope(first)
 	// add accumulates v into the symmetric entry (p, q), given in layout
 	// positions; an entry outside the envelope is an index panic.
 	add := func(p, q int, v float64) {
@@ -505,7 +524,6 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 		row := a[p]
 		row[len(row)-1-(p-q)] += v
 	}
-	b = make([]float64, dim)
 	mom := func(g *ring.Covar, i, j int) float64 { return g.Q[i*L.N+j] }
 
 	// The intercept and the continuous features: the marginal.
@@ -542,17 +560,50 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 		}
 	}
 	// Codes of two features against each other: the groups holding both,
-	// one walk.
+	// one walk. Against the group's code s of the widest feature, each
+	// code u of another feature has n+1 rows in the border — its shift
+	// and its slopes — and each of them meets s's block in the n+1
+	// columns from pos[hp(s)] on, in block order (s's shift, then its
+	// slopes): the walk writes those straight, one row at a time. Pairs
+	// of two other features go through add.
 	K := L.K
 	for gi, g := range L.groups {
 		r := L.ranks[gi*K:][:K]
+		if K > 0 && r[wide] >= 0 {
+			f := pos[hp(slot(wide, int(r[wide])))]
+			for l, rl := range r {
+				if l == wide || rl < 0 {
+					continue
+				}
+				u := slot(l, int(rl))
+				// A joined group's Q need not be bitwise symmetric: read
+				// it as add's pairs (k < l) do, the earlier feature's
+				// variable first — the column's when the widest is first.
+				mr, mc := 1, L.N
+				if l < wide {
+					mr, mc = L.N, 1
+				}
+				row := a[pos[hp(u)]][f : f+1+n]
+				row[0] += g.Count
+				for i, xi := range idx {
+					row[1+i] += g.Sum[xi]
+				}
+				for j, xj := range idx {
+					row := a[pos[ip(j, u)]][f : f+1+n]
+					row[0] += g.Sum[xj]
+					for i, xi := range idx {
+						row[1+i] += g.Q[xj*mr+xi*mc]
+					}
+				}
+			}
+		}
 		for k, rk := range r {
-			if rk < 0 {
+			if k == wide || rk < 0 {
 				continue
 			}
 			s := slot(k, int(rk))
 			for l := k + 1; l < K; l++ {
-				if r[l] < 0 {
+				if l == wide || r[l] < 0 {
 					continue
 				}
 				u := slot(l, int(r[l]))

@@ -146,8 +146,7 @@ func TrainLinRegClosedForm(s *Sigma, lambda float64) (*LinReg, error) {
 			first[i]++
 		}
 	}
-	a := envelope(first)
-	b := make([]float64, len(order))
+	a, b := envelope(first)
 	for i, p := range order {
 		src, row := s.XtX[p], a[i]
 		for j := range row {
@@ -225,19 +224,21 @@ func widest(catCodes [][]int32) (wide int, codes []int32) {
 	return wide, codes
 }
 
-// envelope allocates a zeroed matrix in choleskySolve's envelope form,
-// row i holding columns first[i]..i, every row carved from one array.
-func envelope(first []int) [][]float64 {
-	size := 0
+// envelope allocates a zeroed system in choleskySolve's form: a in
+// envelope form, row i holding columns first[i]..i, and the right-hand
+// side b, every row and b carved from one array.
+func envelope(first []int) (a [][]float64, b []float64) {
+	size := len(first)
 	for i, f := range first {
 		size += i + 1 - f
 	}
-	buf, a := make([]float64, size), make([][]float64, len(first))
+	buf := make([]float64, size)
+	a, b, buf = make([][]float64, len(first)), buf[:len(first):len(first)], buf[len(first):]
 	for i, f := range first {
 		w := i + 1 - f
 		a[i], buf = buf[:w:w], buf[w:]
 	}
-	return a
+	return a, b
 }
 
 // choleskySolve solves a x = b for symmetric positive-definite a,
@@ -257,9 +258,10 @@ func choleskySolve(a [][]float64, b []float64) ([]float64, error) {
 	for i, ri := range a {
 		first[i] = max(0, i+1-len(ri))
 	}
+	inv := make([]float64, len(a)) // 1/L[i][i], once row i is factored
 	for i := 0; i < len(a); i++ {
 		if first[i] == 0 && i+1 < len(a) && first[i+1] == 0 {
-			if err := factorPair(a, first, i); err != nil {
+			if err := factorPair(a, first, inv, i); err != nil {
 				return nil, err
 			}
 			i++
@@ -275,6 +277,7 @@ func choleskySolve(a [][]float64, b []float64) ([]float64, error) {
 				ri[j-fi] = v / rj[j-fj]
 			} else if v > 0 {
 				ri[j-fi] = math.Sqrt(v)
+				inv[i] = 1 / ri[j-fi]
 			} else {
 				return nil, notPositiveDefinite(j)
 			}
@@ -305,8 +308,9 @@ func notPositiveDefinite(pivot int) error {
 // both. Two columns j, j+1 whose rows also start at column 0 take the
 // 2×2 kernel dot2x2; any other column is summed inline — in the
 // cofactor systems, a row of a lead block, a few entries long, or the
-// odd column out.
-func factorPair(a [][]float64, first []int, i int) error {
+// odd column out — and multiplied by row j's reciprocal pivot inv[j],
+// which every border pair shares. It records inv[i] and inv[i+1].
+func factorPair(a [][]float64, first []int, inv []float64, i int) error {
 	x, y := a[i][:i+1], a[i+1][:i+2]
 	for j := 0; j < i; {
 		rj, fj := a[j], first[j]
@@ -327,7 +331,7 @@ func factorPair(a [][]float64, first []int, i int) error {
 			u -= xs[k] * l
 			v -= ys[k] * l
 		}
-		x[j], y[j] = u/rj[j-fj], v/rj[j-fj]
+		x[j], y[j] = u*inv[j], v*inv[j]
 		j++
 	}
 	// The diagonal block: L[i][i], L[i+1][i] and L[i+1][i+1].
@@ -350,20 +354,43 @@ func factorPair(a [][]float64, first []int, i int) error {
 		return notPositiveDefinite(i + 1)
 	}
 	y[i+1] = math.Sqrt(e)
+	inv[i], inv[i+1] = 1/x[i], 1/y[i+1]
 	return nil
 }
 
-// dot2x2 returns the four inner products of x0 and x1 with y0 and y1
-// (all as long as x0) in one pass: each operand is loaded once per step
-// for two multiply-adds, where two dot calls load it once for one.
-func dot2x2(x0, x1, y0, y1 []float64) (s00, s01, s10, s11 float64) {
-	x1, y0, y1 = x1[:len(x0)], y0[:len(x0)], y1[:len(x0)]
-	for k, u := range x0 {
-		v, p, q := x1[k], y0[k], y1[k]
-		s00 += u * p
-		s01 += u * q
-		s10 += v * p
-		s11 += v * q
+// dot2x2Generic returns the four inner products of x0 and x1 with y0
+// and y1 (all as long as x0) in one pass: each operand is loaded once
+// per step for two multiply-adds, where two dot calls load it once for
+// one. Its summation order is fixed, and dot2x2 — the SSE2 kernel on
+// amd64, this function elsewhere or under the purego tag — keeps it bit
+// for bit: per output four partial sums, sum l over the steps k ≡ l
+// (mod 4) below n&^3, reduced as (p0+p2)+(p1+p3), then the last n mod 4
+// steps added in order. The conversions keep a compiler from fusing a
+// multiply-add, which would round once where the kernel rounds twice.
+func dot2x2Generic(x0, x1, y0, y1 []float64) (s00, s01, s10, s11 float64) {
+	n := len(x0)
+	x1, y0, y1 = x1[:n], y0[:n], y1[:n]
+	var p00, p01, p10, p11 [4]float64
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		for l := range 4 {
+			u, v, p, q := x0[k+l], x1[k+l], y0[k+l], y1[k+l]
+			p00[l] += float64(u * p)
+			p01[l] += float64(u * q)
+			p10[l] += float64(v * p)
+			p11[l] += float64(v * q)
+		}
+	}
+	s00 = (p00[0] + p00[2]) + (p00[1] + p00[3])
+	s01 = (p01[0] + p01[2]) + (p01[1] + p01[3])
+	s10 = (p10[0] + p10[2]) + (p10[1] + p10[3])
+	s11 = (p11[0] + p11[2]) + (p11[1] + p11[3])
+	for ; k < n; k++ {
+		u, v, p, q := x0[k], x1[k], y0[k], y1[k]
+		s00 += float64(u * p)
+		s01 += float64(u * q)
+		s10 += float64(v * p)
+		s11 += float64(v * q)
 	}
 	return s00, s01, s10, s11
 }
@@ -372,8 +399,7 @@ func dot2x2(x0, x1, y0, y1 []float64) (s00, s01, s10, s11 float64) {
 // partial sums, so that consecutive multiply-adds do not wait on each
 // other. choleskySolve uses it for a row it factors alone and for the
 // forward solve; the row pairs of the 904-unknown tenant solve take
-// dot2x2 instead, which moved that solve from 5.4 to 3.0 ms (medians,
-// shared 2-vCPU Intel Xeon).
+// dot2x2 instead (see README, "Envelope Cholesky", for its timings).
 func dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64

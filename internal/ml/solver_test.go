@@ -466,6 +466,138 @@ func TestCatPolyUnderEveryWidestFeature(t *testing.T) {
 	}
 }
 
+// TestCatPolySystemMatchesRawRows holds every entry CatPoly's assembly
+// writes to the expanded-space normal equations built straight from the
+// raw rows: per row the feature vector {1, x_i, 1[g_k=c], x_i·1[g_k=c]}
+// in the layout CatPoly documents, its outer product and its product
+// with y, summed, then normalized and ridged as polySystem does. An
+// entry outside the envelope must be a structural zero. Widths {2,9,3}
+// pair two features that are both not the widest; {} has no categorical
+// feature at all.
+func TestCatPolySystemMatchesRawRows(t *testing.T) {
+	features := []string{"x", "z", "y"}
+	const lambda, rows = 1e-3, 600
+	src := xrand.New(22)
+	for _, widths := range [][]int{{7, 3}, {3, 7}, {4, 4}, {2, 9, 3}, {5}, {}} {
+		cr := ring.CofactorRing{N: 3, K: len(widths)}
+		cf := cr.Zero()
+		catIdx := make([]int, len(widths))
+		cats := make([]string, len(widths))
+		for k := range widths {
+			catIdx[k], cats[k] = k, fmt.Sprintf("g%d", k)
+		}
+		type row struct {
+			cont  []float64
+			y     float64
+			codes []int32
+		}
+		raw := make([]row, rows)
+		for r := range raw {
+			codes := make([]int32, len(widths))
+			for k, w := range widths {
+				codes[k] = int32(src.Intn(w))
+			}
+			x, z := src.Float64(), 3*src.Float64()-1
+			y := 1 + 2*x - z + 0.01*src.NormFloat64()
+			if len(codes) > 0 {
+				y += float64(codes[0]) * x
+			}
+			raw[r] = row{[]float64{x, z}, y, codes}
+			cr.AddInPlace(cf, cr.LiftCat([]int{0, 1, 2}, []float64{x, z, y}, catIdx, codes))
+		}
+		m, a, b, pos, err := catPolySystem(features, cats, "y", cf, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, S, dim := len(m.Cont), m.Slots(), len(pos)
+		xtx, mag, xty, ymag := square(dim), square(dim), make([]float64, dim), make([]float64, dim)
+		phi := make([]float64, dim)
+		for _, r := range raw {
+			clear(phi)
+			phi[0] = 1
+			copy(phi[1:], r.cont)
+			for k, c := range r.codes {
+				h, ok := m.CatPos(k, c)
+				if !ok {
+					t.Fatalf("widths %v: code %d of slot %d has no slot", widths, c, k)
+				}
+				phi[h] = 1
+				for i, v := range r.cont {
+					phi[1+n+S+i*S+(h-1-n)] = v
+				}
+			}
+			for p, u := range phi {
+				for q, v := range phi {
+					xtx[p][q] += u * v
+					mag[p][q] += math.Abs(u * v)
+				}
+				xty[p] += u * r.y
+				ymag[p] += math.Abs(u * r.y)
+			}
+		}
+		near := func(got, want, scale float64) bool { return math.Abs(got-want) <= 1e-12*scale }
+		for p := range dim {
+			i := pos[p]
+			if want := xty[p] / rows; !near(b[i], want, ymag[p]/rows) {
+				t.Fatalf("widths %v: b of parameter %d = %v, raw rows %v", widths, p, b[i], want)
+			}
+			for q := range dim {
+				j := pos[q]
+				if j > i {
+					continue
+				}
+				want, scale := xtx[p][q]/rows, mag[p][q]/rows
+				if p == q {
+					want += lambda * ridgeScale(want)
+					scale *= 1 + lambda
+				}
+				c := j - (i + 1 - len(a[i]))
+				if c < 0 {
+					if want != 0 {
+						t.Fatalf("widths %v: entry (%d, %d) = %v lies outside the envelope", widths, p, q, want)
+					}
+					continue
+				}
+				if !near(a[i][c], want, scale) {
+					t.Fatalf("widths %v: entry (%d, %d) = %v, raw rows %v", widths, p, q, a[i][c], want)
+				}
+			}
+		}
+	}
+}
+
+// layoutSink keeps NewCatLayout's result observable under AllocsPerRun.
+var layoutSink *CatLayout
+
+// TestCatLayoutAllocsFlatInK pins a layout derivation — once per epoch
+// on a cofactor server — to the same few allocations at any number of
+// categorical features: the per-slot tables are carved from shared
+// arrays, not made one per slot or pair of slots. The count includes
+// the code buffer of the walk over the element's groups.
+func TestCatLayoutAllocsFlatInK(t *testing.T) {
+	const want = 10
+	src := xrand.New(23)
+	widths := []int{6, 3, 11, 2}
+	for k := 1; k <= len(widths); k++ {
+		cr := ring.CofactorRing{N: 2, K: k}
+		cf := cr.Zero()
+		catIdx := make([]int, k)
+		for s := range catIdx {
+			catIdx[s] = s
+		}
+		for range 200 {
+			codes := make([]int32, k)
+			for s := range codes {
+				codes[s] = int32(src.Intn(widths[s]))
+			}
+			cr.AddInPlace(cf, cr.LiftCat([]int{0, 1}, []float64{src.Float64(), src.Float64()}, catIdx, codes))
+		}
+		if got := testing.AllocsPerRun(20, func() { layoutSink = NewCatLayout(cf) }); got != want {
+			t.Errorf("K = %d: NewCatLayout makes %v allocations, want %d", k, got, want)
+		}
+	}
+}
+
 // retailerSigma is the continuous Retailer design (sf 0.05), assembled
 // from an LMFAO covariance batch: no categorical feature, so the GD
 // product is the dense one.
