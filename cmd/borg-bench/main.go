@@ -1,7 +1,8 @@
-// Command borg-bench regenerates the paper's tables and figures; README's
-// paper → package map says which package each one exercises. It
-// reproduces relative shapes (who wins, by how much), not performance
-// claims: the system's performance is measured by benchmarks/e2e.
+// Command borg-bench regenerates the paper's tables and figures, the
+// entries of internal/bench's Figures; README's paper → package map says
+// which package each one exercises. It reproduces relative shapes (who
+// wins, by how much), not performance claims: the system's performance
+// is measured by benchmarks/e2e.
 //
 // Usage:
 //
@@ -28,28 +29,21 @@ func main() {
 	budget := flag.Duration("budget", 5*time.Second, "per-strategy time budget for the IVM and planning experiments")
 	flag.Parse()
 
-	o := bench.Options{Out: os.Stdout, Seed: *seed, SF: *sf, Workers: *workers, Budget: *budget}
-	runners := map[string]func(bench.Options) error{
-		"3":        bench.Fig3,
-		"4l":       bench.Fig4Left,
-		"4r":       bench.Fig4Right,
-		"5":        bench.Fig5,
-		"6":        bench.Fig6,
-		"compress": bench.Compression,
-		"ifaq":     bench.IFAQStages,
-		"ineq":     bench.Ineq,
-		"reuse":    bench.Reuse,
-		"plan":     bench.PlanBenchTable,
-		"all":      bench.All,
-	}
-	run, ok := runners[*fig]
+	figs, ok := bench.Lookup(*fig)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "borg-bench: unknown experiment %q\n", *fig)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(o); err != nil {
-		fmt.Fprintf(os.Stderr, "borg-bench: %v\n", err)
-		os.Exit(1)
+	o := bench.Options{Seed: *seed, SF: *sf, Workers: *workers, Budget: *budget}
+	for _, f := range figs {
+		tables, err := f.Run(o)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "borg-bench: %s: %v\n", f.Paper, err)
+			os.Exit(1)
+		}
+		for _, t := range tables {
+			t.Print(os.Stdout)
+		}
 	}
 }
