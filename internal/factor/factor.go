@@ -10,7 +10,7 @@
 // Figure 8). For acyclic joins and join-tree-derived orders the
 // f-representation has size linear in the input, while the flat join
 // result can be larger by a factor polynomial in the database size —
-// the compression measured by the E6 experiment.
+// the compression the §1.2 figure measures (borg-bench -fig compress).
 //
 // Aggregates evaluate in one bottom-up pass over the f-representation
 // under any ring (Figure 9: counts; Figure 10: covariance triples),

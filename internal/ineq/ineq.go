@@ -12,7 +12,7 @@
 // then answers each R row with one binary search — Θ((|R|+|S|)·log|S|)
 // regardless of how large the join is. The gap between the two is the
 // "polynomially less time" the paper refers to, and is measured by the
-// E9 experiment.
+// §2.3 figure (borg-bench -fig ineq).
 package ineq
 
 import (

@@ -461,14 +461,21 @@ func (m *FIVM) SnapshotCofactor() *ring.Cofactor {
 	if m.root == nil {
 		return nil
 	}
-	return m.root.Publish().Element()
+	var ep ring.CofactorEpoch
+	m.root.Publish(&ep) // never handed back: its window is not reused
+	return ep.Element()
 }
 
-// PublishInto publishes the maintained payload as one epoch into dst, a
-// zero Published (see Published for when its element and triple are
-// read). It allocates one float backing, for the triple (a cofactor
-// root's running marginal) and, under PayloadPoly2, the copied lifted
-// element; a cofactor epoch's element is recorded, not copied.
+// PublishInto publishes the maintained payload as one epoch into dst
+// (see Published for when its element and triple are read). dst is a
+// zero Published, or one this maintainer published before that no
+// reader obtained: the writer hands an unread epoch back, and this call
+// resets it and reuses its storage. Into a zero dst it allocates one
+// float backing, for the triple (a cofactor root's running marginal)
+// and, under PayloadPoly2, the copied lifted element; into a handed-back
+// one it allocates nothing, and a cofactor epoch handed back returns its
+// log window to the root (see ring.CofactorRoot). A cofactor epoch's
+// element is recorded, not copied.
 func (m *FIVM) PublishInto(dst *Published) {
 	dst.bind(m.ring.N, m.pr)
 	switch {
@@ -476,7 +483,8 @@ func (m *FIVM) PublishInto(dst *Published) {
 		m.p2.result.CopyInto(dst.Lifted)
 	case m.root != nil:
 		m.root.Marginal().CopyInto(&dst.stats)
-		dst.epoch, dst.payload = m.root.Publish(), PayloadCofactor
+		m.root.Publish(&dst.epoch)
+		dst.payload = PayloadCofactor
 	default:
 		m.cv.result.CopyInto(&dst.stats)
 	}

@@ -8,8 +8,10 @@ import (
 
 // Published is one published epoch of a maintained payload: its ring
 // element and the covariance triple every payload is read as. It is
-// immutable once published (FIVM.PublishInto, Merge), so readers may
-// share it across goroutines.
+// immutable once a reader has obtained it (FIVM.PublishInto, Merge), so
+// readers may share it across goroutines. Only an epoch no reader ever
+// obtained is written again: its writer may hand it back to
+// FIVM.PublishInto, which resets it and publishes into it.
 //
 // The triple follows one rule. A covar or cofactor epoch's triple is
 // copied at publication (a cofactor root's is its running marginal). A
@@ -25,9 +27,10 @@ type Published struct {
 	Lifted *ring.Poly2
 	// n is the feature count and payload the payload, fixed at
 	// publication (a derivation writes stats.N). stats and lifted are the
-	// storage Stats and Lifted point into; parts are the epochs a merged
-	// epoch sums.
+	// storage Stats and Lifted point into, back their floats; parts are
+	// the epochs a merged epoch sums.
 	n       int
+	back    []float64
 	payload Payload
 	stats   ring.Covar
 	lifted  ring.Poly2
@@ -43,15 +46,22 @@ type Published struct {
 // cofactor element: a test's probe.
 var onMaterialize func()
 
-// bind gives p one float backing for its triple and, over a lifted
-// ring, for Lifted.
+// bind resets p to an unread epoch of n features and gives it one float
+// backing, for its triple and, over a lifted ring, for Lifted: the one p
+// already has when it is of that size, else a new one. The cofactor
+// epoch is left for its root, which takes it back (ring.CofactorRoot's
+// Publish).
 func (p *Published) bind(n int, lr *ring.Poly2Ring) {
 	size := n + n*n
 	if lr != nil {
 		size += lr.Len()
 	}
-	back := make([]float64, size)
-	p.n = n
+	if len(p.back) != size {
+		p.back = make([]float64, size)
+	}
+	back := p.back
+	p.n, p.payload, p.parts, p.cofactor, p.Lifted = n, PayloadCovar, nil, nil, nil
+	p.derived, p.materialized = sync.Once{}, sync.Once{}
 	p.stats = ring.Covar{N: n, Sum: back[:n:n], Q: back[n : n+n*n : n+n*n]}
 	if lr != nil {
 		lr.Bind(&p.lifted, back[n+n*n:])

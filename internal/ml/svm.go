@@ -27,7 +27,7 @@ type SVMConfig struct {
 	Lambda, LR float64
 	Iters      int
 	// Scan switches to the classical per-pair evaluation (the baseline
-	// of the E9 experiment).
+	// of the §2.3 figure).
 	Scan bool
 }
 

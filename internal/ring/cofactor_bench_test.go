@@ -84,7 +84,7 @@ func BenchmarkCofactorAddInPlace(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if i%64 == 0 {
-				epochSink = logged.Publish()
+				logged.Publish(&epochSink) // handed back unread: the window recycles
 			}
 			logged.Add(deltas[i*37%groups])
 		}

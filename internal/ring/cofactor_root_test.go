@@ -53,8 +53,13 @@ func randRootDelta(r CofactorRing, src *xrand.Source, real bool) *Cofactor {
 // bit, groups and blocks alike: random deltas over a small key set,
 // integer or real values, exact cancellations (the negation of an
 // earlier delta), with and without a slot renaming, and publications
-// and folds at random points. Every epoch is read only at the end, after
-// every later append and fold. On integer data the running marginal is
+// and folds at random points. Publications follow a serving writer: the
+// epoch a publication supersedes is handed back to the next one unless
+// a reader held it, so unread windows retire and recycle under the
+// held ones. A held epoch is materialized when it is taken and again at
+// the end, after every later append, fold and recycle, and both must be
+// the accumulation at the time it was taken; so must epochs published
+// and read only at the end. On integer data the running marginal is
 // bitwise the key-order marginal of the accumulation.
 func FuzzCofactorRootReplay(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint8(0))
@@ -74,8 +79,22 @@ func FuzzCofactorRootReplay(f *testing.F) {
 		type epoch struct {
 			ep   CofactorEpoch
 			want []uint64
+			elem *Cofactor // materialized when taken; nil: read only at the end
 		}
 		var epochs []epoch
+		// cur is the current epoch, held once a reader took it; free is
+		// the superseded unread one, handed back at the next publication.
+		var cur, free epoch
+		var held bool
+		publish := func() {
+			ep := free.ep
+			free = epoch{}
+			root.Publish(&ep)
+			if !held {
+				free = cur
+			}
+			cur, held = epoch{ep: ep, want: elemBits(acc)}, false
+		}
 		for s := 0; s < int(steps%2048); s++ {
 			d := randRootDelta(r, src, real)
 			if len(deltas) > 0 && src.Intn(3) == 0 {
@@ -85,14 +104,29 @@ func FuzzCofactorRootReplay(f *testing.F) {
 			root.Add(d)
 			acc.AddMapped(d, to)
 			switch src.Intn(12) {
-			case 0:
-				epochs = append(epochs, epoch{root.Publish(), elemBits(acc)})
-			case 1:
+			case 0, 1, 2:
+				publish()
+			case 3:
+				if cur.want != nil && !held {
+					cur.elem, held = cur.ep.Element(), true
+					epochs = append(epochs, cur)
+				}
+			case 4:
+				var ep CofactorEpoch
+				root.Publish(&ep)
+				epochs = append(epochs, epoch{ep: ep, want: elemBits(acc)})
+			case 5:
 				root.fold()
 			}
 		}
-		epochs = append(epochs, epoch{root.Publish(), elemBits(acc)})
+		publish()
+		epochs = append(epochs, cur)
 		for k, e := range epochs {
+			if e.elem != nil {
+				if got := elemBits(e.elem); !slices.Equal(got, e.want) {
+					t.Fatalf("epoch %d of %d (to %v, real %v): element materialized when held now reads %v, want %v", k, len(epochs), to, real, got, e.want)
+				}
+			}
 			if got := elemBits(e.ep.Element()); !slices.Equal(got, e.want) {
 				t.Fatalf("epoch %d of %d (to %v, real %v): materialized %v, want %v", k, len(epochs), to, real, got, e.want)
 			}
@@ -105,4 +139,46 @@ func FuzzCofactorRootReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCofactorRootRecyclesUnreadWindows: a root whose every epoch is
+// handed back unread, one publication after it was superseded as a
+// serving writer does, allocates nothing in steady state across at
+// least ten folds — grow takes its chunks from retired windows and a
+// fold writes into the base before last — and its epochs still read as
+// in-place accumulation.
+func TestCofactorRootRecyclesUnreadWindows(t *testing.T) {
+	r := CofactorRing{N: 3, K: 2}
+	src := xrand.New(7)
+	deltas := make([]*Cofactor, 61)
+	for i := range deltas {
+		deltas[i] = randRootDelta(r, src, false)
+	}
+	root, acc := NewCofactorRoot(r, nil), r.Zero()
+	var cur, free CofactorEpoch
+	i, folds := 0, 0
+	steps := func() {
+		for k := 0; k < 1000; k++ {
+			w := root.win
+			root.Add(deltas[i%len(deltas)])
+			acc.AddMapped(deltas[i%len(deltas)], nil)
+			if root.win != w {
+				folds++
+			}
+			if i++; i%8 == 0 {
+				ep := free
+				root.Publish(&ep)
+				free, cur = cur, ep
+			}
+		}
+	}
+	steps()
+	folds = 0
+	if a := testing.AllocsPerRun(4, steps); a != 0 || folds < 10 {
+		t.Fatalf("steady state allocates %.1f per 1000 deltas over %d folds, want 0 over at least 10", a, folds)
+	}
+	root.Publish(&free)
+	if got, want := elemBits(free.Element()), elemBits(acc); !slices.Equal(got, want) {
+		t.Fatalf("epoch after recycling materialized %v, want %v", got, want)
+	}
 }

@@ -243,7 +243,9 @@ func rootOf(r CofactorRing, n int) *Cofactor {
 func published(r CofactorRing, e *Cofactor) *Cofactor {
 	root := NewCofactorRoot(r, nil)
 	root.Add(e)
-	return root.Publish().Element()
+	var ep CofactorEpoch
+	root.Publish(&ep)
+	return ep.Element()
 }
 
 // TestCofactorAddSharesImmutableGroups: the sum of two published elements shares

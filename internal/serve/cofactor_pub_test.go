@@ -61,14 +61,17 @@ func cofactorServer(tb testing.TB, groups, dirty int) (*Server, func(i int) []iv
 }
 
 // TestCofactorPublicationAllocsBounded pins what publishing a cofactor
-// epoch allocates: a constant handful (the Snapshot and its float
-// backing) however many groups are live and however many of them the
-// epoch's ops dirtied — an epoch is the root's base and a prefix of its
-// delta log, and nothing is copied. It pins too that a publication costs
-// the writer nothing later: the same batch applied right after one
-// allocates at most one more than applied with none in between, at any
-// size — the writer appends deltas to its log and never copies a group
-// an epoch holds.
+// epoch through the writer allocates. An epoch is the root's base and a
+// prefix of its delta log, and nothing is copied; once superseded, an
+// epoch no reader pinned is reused, header, backing and log window, so in
+// steady state a publication allocates nothing however many groups are
+// live and however many of them the epoch's ops dirtied. When a reader
+// pins every epoch, each costs a constant handful (the Snapshot and its
+// float backing). It pins too that a pinned publication costs the writer
+// nothing later: the same batch applied right after one allocates at
+// most one more than applied with none in between, at any size — the
+// writer appends deltas to its log and never copies a group an epoch
+// holds.
 func TestCofactorPublicationAllocsBounded(t *testing.T) {
 	const dirty, runs = 16, 51
 	var ms runtime.MemStats
@@ -83,7 +86,7 @@ func TestCofactorPublicationAllocsBounded(t *testing.T) {
 		slices.Sort(counts)
 		return counts[runs/2]
 	}
-	var publish, after [2]int64
+	var unread, pinned, after [2]int64
 	for k, groups := range []int{500, 5000} {
 		srv, churn := cofactorServer(t, groups, dirty)
 		apply := func(i int) int64 {
@@ -91,16 +94,23 @@ func TestCofactorPublicationAllocsBounded(t *testing.T) {
 			srv.m.ApplyBatch(churn(i))
 			return mallocs() - m0
 		}
-		publish[k] = median(func(i int) int64 {
+		publish := func(i int, read bool) int64 {
 			apply(i)
 			m0 := mallocs()
-			pubSink = srv.buildSnapshot(uint64(i), 0, 0)
+			srv.forcePublish()
+			if read {
+				pubSink = srv.Snapshot()
+			}
 			return mallocs() - m0
-		})
-		// The same insert batch right after a publication, less the same
-		// batch applied again (its deletes in between) with no publication.
+		}
+		unread[k] = median(func(i int) int64 { return publish(i, false) })
+		pinned[k] = median(func(i int) int64 { return publish(i, true) })
+		// The same insert batch right after a pinned publication, less the
+		// same batch applied again (its deletes in between) with no
+		// publication.
 		after[k] = median(func(i int) int64 {
-			pubSink = srv.buildSnapshot(uint64(i), 0, 0)
+			srv.forcePublish()
+			pubSink = srv.Snapshot()
 			first := apply(2 * i)
 			apply(2*i + 1)
 			again := apply(2 * i)
@@ -109,13 +119,16 @@ func TestCofactorPublicationAllocsBounded(t *testing.T) {
 		})
 	}
 	const c = 4
-	if publish[0] != publish[1] || publish[1] > c {
-		t.Fatalf("publication allocates %d at 500 groups, %d at 5000; want equal and at most %d", publish[0], publish[1], c)
+	if unread[0] != 0 || unread[1] != 0 {
+		t.Fatalf("an unread publication allocates %d at 500 groups, %d at 5000; want 0", unread[0], unread[1])
+	}
+	if pinned[0] != pinned[1] || pinned[1] > c {
+		t.Fatalf("a pinned publication allocates %d at 500 groups, %d at 5000; want equal and at most %d", pinned[0], pinned[1], c)
 	}
 	if after[0] != after[1] || after[1] > 1 {
 		t.Fatalf("a batch right after a publication allocates %d more at 500 groups, %d at 5000; want equal and at most 1", after[0], after[1])
 	}
-	t.Logf("publication %d allocs; a batch after it %d more", publish[1], after[1])
+	t.Logf("publication %d allocs unread, %d pinned; a batch after it %d more", unread[1], pinned[1], after[1])
 }
 
 // TestCofactorDerivedTriple holds the lazily derived triple of a

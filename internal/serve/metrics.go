@@ -31,6 +31,7 @@ type serveMetrics struct {
 	applyErrs   *obs.Counter // batches that surfaced a maintenance error
 	panics      *obs.Counter // panics contained on the writer goroutine
 	epoch       *obs.Gauge   // published epoch sequence number
+	recycled    *obs.Counter // publications into a reused epoch
 
 	// Plan-layer series (the writer owns the plan state).
 	replans  *obs.Counter   // completed plan rebuilds
@@ -74,6 +75,8 @@ func newServeMetrics(r *obs.Registry, labels obs.Labels, queueLen func() int) *s
 		"Panics contained on the writer goroutine; after one the server refuses every op.", labels)
 	m.epoch = r.Gauge("borg_serve_epoch",
 		"Published snapshot epoch sequence number.", labels)
+	m.recycled = r.Counter("borg_serve_epochs_recycled_total",
+		"Publications into a superseded epoch no reader pinned, reused instead of allocated.", labels)
 	m.replans = r.Counter("borg_plan_replans_total",
 		"Completed plan rebuilds (root changes; no-op replan requests do not count).", labels)
 	m.replanNs = r.Histogram("borg_plan_replan_ns",

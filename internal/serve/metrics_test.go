@@ -57,6 +57,11 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	if p := pts["borg_serve_epoch"]; p.Value != float64(snap.Epoch) {
 		t.Errorf("epoch gauge = %v, snapshot epoch %d", p.Value, snap.Epoch)
 	}
+	// Nothing was read while the stream went in, so every publication
+	// but the first reused the epoch it superseded but one.
+	if p := pts["borg_serve_epochs_recycled_total"]; snap.Epoch < 2 || p.Value != float64(snap.Epoch-1) {
+		t.Errorf("epochs_recycled_total = %v after %d unread epochs, want %d", p.Value, snap.Epoch, snap.Epoch-1)
+	}
 	bs := pts["borg_serve_batch_size"]
 	if bs.Count == 0 || uint64(bs.Sum) != snap.Inserts {
 		t.Errorf("batch_size count=%d sum=%d, want sum %d", bs.Count, bs.Sum, snap.Inserts)
@@ -94,7 +99,7 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	if err := reg.WriteExposition(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"borg_serve_queue_wait_ns_count", "borg_serve_epoch ", "borg_plan_replans_total", "borg_serve_epoch_age_seconds"} {
+	for _, want := range []string{"borg_serve_queue_wait_ns_count", "borg_serve_epoch ", "borg_plan_replans_total", "borg_serve_epoch_age_seconds", "borg_serve_epochs_recycled_total"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %s", want)
 		}

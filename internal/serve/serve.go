@@ -37,15 +37,20 @@
 //     keeps emptying the queue — discarding ops, failing barriers —
 //     so no producer stays parked on a dead server.
 //
-//   - Epoch handoff. A publication fills an immutable Snapshot — the
-//     header, then the maintainer's payload (ivm.FIVM.PublishInto) —
-//     and swaps it into an atomic pointer: two allocations, the
-//     Snapshot and one float backing its triple is copied into. A
-//     cofactor epoch's element is the root's base plus a prefix of its
-//     append-only delta log (ring.CofactorEpoch), materialized on first
-//     read, so the writer never writes it. A read is one atomic load; the
-//     snapshot it returns never changes, so readers never block the
-//     writer and the writer never waits for readers.
+//   - Epoch handoff. A publication fills a Snapshot — the header, then
+//     the maintainer's payload (ivm.FIVM.PublishInto) — and swaps it
+//     into an atomic pointer. A cofactor epoch's element is the root's
+//     base plus a prefix of its append-only delta log
+//     (ring.CofactorEpoch), materialized on first read, so the writer
+//     never writes it. A read pins the snapshot it returns (see
+//     Snapshot): an atomic add and two atomic loads, no lock, and what
+//     it returns never changes, so readers never block the writer and
+//     the writer never waits for readers. Once a publication has
+//     superseded an epoch no reader pinned, the writer reuses it for a
+//     later one — the header, its float backing and, through the
+//     maintainer, a cofactor epoch's log window — so a publication
+//     nobody reads allocates nothing; what a reader pinned is never
+//     reused and goes to the GC once dropped.
 package serve
 
 import (
@@ -128,10 +133,16 @@ func (c *Config) defaults() {
 // Snapshot is one published epoch: the maintainer's ivm.Published
 // payload (its element, and the covariance triple Stats, Count, Sum and
 // Moment read) under a header of counters and plan facts. All fields are
-// frozen at publication time; readers may share a Snapshot freely across
-// goroutines.
+// frozen once a reader has it (Server.Snapshot pins it); readers may
+// share a Snapshot freely across goroutines.
 type Snapshot struct {
 	ivm.Published
+	// pins counts the reads in flight on this epoch and held is set once
+	// one obtained it (see Server.Snapshot). Once a publication has
+	// superseded the epoch the writer reuses it if it finds neither, and
+	// otherwise never.
+	pins atomic.Int32
+	held atomic.Bool
 	// Epoch is the publication sequence number (0 is the empty initial
 	// snapshot).
 	Epoch uint64
@@ -300,6 +311,12 @@ type Server struct {
 	snap     atomic.Pointer[Snapshot]
 	finished chan struct{}
 
+	// spare is a superseded epoch no reader pinned, for buildSnapshot to
+	// reuse, and pubBy the maintainer that published the current epoch.
+	// Writer-owned.
+	spare *Snapshot
+	pubBy *ivm.FIVM
+
 	// lastErr is the writer's first maintenance error (or its panic):
 	// what Err, Flush and Close report, readable without a barrier.
 	lastErr atomic.Pointer[error]
@@ -413,6 +430,7 @@ func New(j *query.Join, root string, features []string, cfg Config) (*Server, er
 	// zero element, so readers can rely on Lifted and Cofactor being
 	// non-nil exactly when the server maintains them.
 	s.snap.Store(s.buildSnapshot(0, 0, 0))
+	s.pubBy = m
 	go s.run()
 	return s, nil
 }
@@ -559,11 +577,33 @@ func (s *Server) Err() error {
 	return nil
 }
 
-// Snapshot returns the current published epoch: one atomic load, never
-// blocking the writer. The result is immutable.
+// Snapshot returns the current published epoch and pins it, without a
+// lock and never blocking the writer. It loads the current epoch; unless
+// a read has held it already, it adds one to its pins and loads the
+// current pointer again. When the epoch is still current the writer
+// cannot have found it unpinned (see recycle), so the read marks it
+// held: it is never reused, and the result is immutable. Otherwise the
+// read backs off and retries. Nothing but pins and held is read before
+// the recheck.
 //
 //borg:noalloc
-func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
+func (s *Server) Snapshot() *Snapshot {
+	for {
+		sn := s.snap.Load()
+		if sn.held.Load() {
+			return sn
+		}
+		sn.pins.Add(1)
+		ok := s.snap.Load() == sn
+		if ok {
+			sn.held.Store(true)
+		}
+		sn.pins.Add(-1)
+		if ok {
+			return sn
+		}
+	}
+}
 
 // QueueLen reports how many tuple ops are enqueued or applied but not
 // yet covered by a published snapshot. Unlike the filled slots it
@@ -832,19 +872,40 @@ func (s *Server) applyBatch(ops []ivm.Op) {
 	}
 }
 
-// buildSnapshot publishes the maintainer's current payload as a fresh
-// epoch under a header filled from the writer's state. Readers may hold
-// the epoch indefinitely (the atomic pointer handoff makes no liveness
-// promise), so it is released by the GC when its last reader drops it,
-// never recycled in place.
+// buildSnapshot publishes the maintainer's current payload as an epoch
+// under a header filled from the writer's state: the spare, a superseded
+// epoch no reader pinned, when there is one (see recycle), else a new
+// one. A reused epoch is reset here, all but pins and held, which only
+// readers write; its payload is reset and refilled by PublishInto.
 func (s *Server) buildSnapshot(epoch, inserts, deletes uint64) *Snapshot {
-	snap := &Snapshot{
-		Epoch: epoch, Inserts: inserts, Deletes: deletes,
-		Root: s.root, PlanDepth: s.planDepth, PlanWidth: s.planWidth,
-		PlanGreedy: s.planGreedy, Drift: s.drift, Replans: s.replans,
+	snap := s.spare
+	s.spare = nil
+	if snap == nil {
+		snap = new(Snapshot)
+	} else {
+		snap.memo = nil
+		if m := s.metrics; m != nil {
+			m.recycled.Inc()
+		}
 	}
+	snap.Epoch, snap.Inserts, snap.Deletes = epoch, inserts, deletes
+	snap.Root, snap.PlanDepth, snap.PlanWidth = s.root, s.planDepth, s.planWidth
+	snap.PlanGreedy, snap.Drift, snap.Replans = s.planGreedy, s.drift, s.replans
 	s.m.PublishInto(&snap.Published)
 	return snap
+}
+
+// recycle checks old, the epoch a publication just superseded: with no
+// read in flight and none that held it, it becomes the spare the next
+// buildSnapshot reuses. Go's atomics are sequentially consistent, so a
+// read that pins old after the pins load finds the new epoch on its
+// recheck and backs off, and one that pinned it before has set held
+// before it unpinned. A held epoch, or one an earlier maintainer
+// published (a replan swapped it out), is left to the GC.
+func (s *Server) recycle(old *Snapshot, by *ivm.FIVM) {
+	if by == s.m && old.pins.Load() == 0 && !old.held.Load() {
+		s.spare = old
+	}
 }
 
 // computeDrift recomputes the plan-drift ratio from the live relations,
@@ -950,6 +1011,7 @@ func (s *Server) replan(target string) error {
 		return err
 	}
 	s.m = nm
+	s.spare = nil // the old maintainer's epochs go to the GC with it
 	s.root, s.planDepth, s.planWidth, s.planGreedy = p.Root, p.Depth, p.Width, true
 	s.replans++
 	return nil
@@ -964,7 +1026,10 @@ func (s *Server) forcePublish() {
 	if s.metrics != nil {
 		start = time.Now()
 	}
+	old, by := s.snap.Load(), s.pubBy
 	s.snap.Store(s.buildSnapshot(s.epoch, s.inserts, s.deletes))
+	s.pubBy = s.m
+	s.recycle(old, by)
 	if m := s.metrics; m != nil {
 		now := time.Now()
 		m.publishNs.Observe(int64(now.Sub(start)))

@@ -23,8 +23,8 @@
 // single-writer ingest queue, and epoch/COW snapshot — so ingest
 // parallelism scales with the shard count while every shard keeps the
 // single-writer simplicity that makes the maintainers lock-free. A
-// merged read folds the per-shard snapshots (one atomic load each) with
-// ring addition; it never blocks any writer.
+// merged read folds the per-shard snapshots (one pinned read each, see
+// serve.Server.Snapshot) with ring addition; it never blocks any writer.
 package shard
 
 import (
@@ -342,10 +342,10 @@ func (s *Server) Update(old, new ivm.Tuple) error {
 }
 
 // Snapshot composes the current global view. On a single shard it is
-// that shard's own published snapshot — one atomic load, no fold, no
+// that shard's own published snapshot — one pinned read, no fold, no
 // copy — which is what makes Shards=1 a plain server. On several it is
 // the per-shard snapshots folded under ring addition into one immutable
-// serve.Snapshot: one atomic load per shard, then the fold — memoized
+// serve.Snapshot: one pinned read per shard, then the fold — memoized
 // per epoch vector, so between publications repeated reads serve the
 // same view without folding or allocating. Each shard's contribution is
 // individually snapshot-consistent; the fold is a product of per-shard
@@ -359,29 +359,34 @@ func (s *Server) Snapshot() *serve.Snapshot {
 	}
 	// Serve the memoized fold while no shard has republished: the memo
 	// is valid exactly when every shard still publishes the snapshot it
-	// was folded from (pointer identity — snapshots are immutable).
-	if memo := s.merged.Load(); memo != nil {
-		same := true
-		for i, sh := range s.shards {
-			if sh.Snapshot() != memo.inners[i] {
-				same = false
-				break
+	// was folded from. Pointer identity is enough, because the memo's
+	// snapshots are pinned and so never reused for another epoch. Each
+	// shard is read once: from the first one that moved on, the pinned
+	// reads become the fold's parts.
+	memo := s.merged.Load()
+	var inners []*serve.Snapshot
+	for i, sh := range s.shards {
+		sn := sh.Snapshot()
+		if inners == nil {
+			if memo != nil && sn == memo.inners[i] {
+				continue
+			}
+			inners = make([]*serve.Snapshot, len(s.shards))
+			if memo != nil {
+				copy(inners, memo.inners[:i])
 			}
 		}
-		if same {
-			if sm := s.metrics; sm != nil {
-				sm.memoHits.Inc()
-			}
-			return memo.view
+		inners[i] = sn
+	}
+	if inners == nil {
+		if sm := s.metrics; sm != nil {
+			sm.memoHits.Inc()
 		}
+		return memo.view
 	}
 	var foldStart time.Time
 	if s.metrics != nil {
 		foldStart = time.Now()
-	}
-	inners := make([]*serve.Snapshot, len(s.shards))
-	for i, sh := range s.shards {
-		inners[i] = sh.Snapshot()
 	}
 	m := serve.Merged(inners)
 	for _, sn := range inners {
