@@ -2,7 +2,9 @@
 // time: it runs the internal/analysis suite — mapiter (bitwise
 // determinism), obsguard (MetricsOff stays a control arm), planroute
 // (every join tree through internal/plan), atomicmix (no mixed
-// atomic/plain field access) — over the requested packages, plus the
+// atomic/plain field access), deadexport (no exported internal/
+// identifier without a non-test caller, counted over the whole module
+// whatever the patterns) — over the requested packages, plus the
 // noalloc build-mode gate (//borg:noalloc functions stay free of heap
 // escapes, via `go build -gcflags=-m`).
 //
@@ -63,13 +65,13 @@ func main() {
 	if err := loader.List(patterns...); err != nil {
 		fatalf(2, "borg-vet: %v", err)
 	}
-	pkgs, err := loader.Packages()
+	pkgs, module, err := loader.Packages()
 	if err != nil {
 		fatalf(2, "borg-vet: %v", err)
 	}
-	progress(*verbose, "type-checked %d packages", len(pkgs))
+	progress(*verbose, "type-checked %d packages", len(module))
 
-	diags, err := analysis.Run(pkgs, selected)
+	diags, err := analysis.Run(pkgs, module, selected)
 	if err != nil {
 		fatalf(2, "borg-vet: %v", err)
 	}

@@ -185,10 +185,14 @@ func categorical() {
 	}
 	must(srv.Flush())
 
+	// Every model below trains on one snapshot, so all of them see the
+	// same epoch while ingest goes on.
+	snap := srv.CovarSnapshot()
+
 	// One-hot ridge regression: the categorical groups become indicator
 	// blocks assembled from the cofactor maps — no design matrix is ever
 	// materialized. Prediction takes values AND category strings.
-	lr, err := srv.TrainLinRegGD("units", 1e-2, borg.GDOptions{})
+	lr, err := snap.TrainLinRegGD("units", 1e-2, borg.GDOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -199,10 +203,10 @@ func categorical() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncategorical zoo at epoch %d: one-hot units(bun@s1) ~ %.2f\n",
-		srv.CovarSnapshot().Epoch(), pred)
+		snap.Epoch(), pred)
 
 	// Chow–Liu reads pairwise co-occurrence counts off the group keys.
-	edges, err := srv.TrainChowLiu()
+	edges, err := snap.TrainChowLiu()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func categorical() {
 
 	// A categorical regression tree scores every split from the
 	// group-restricted (count, sum, sum²) triples of ONE snapshot.
-	tree, err := srv.TrainCTree("units", borg.TreeOptions{MaxDepth: 3})
+	tree, err := snap.TrainCTree("units", borg.TreeOptions{MaxDepth: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func categorical() {
 		tree.Nodes(), tree.Depth())
 
 	// LS-SVM on the same one-hot moments; Classify returns ±1.
-	svm, err := srv.TrainSVM("units", 1e-3)
+	svm, err := snap.TrainSVM("units", 1e-3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -240,7 +244,7 @@ func categorical() {
 		log.Fatal(err)
 	}
 	defer plain.Close()
-	if _, err := plain.TrainChowLiu(); errors.Is(err, borg.ErrPayloadNotMaintained) {
+	if _, err := plain.CovarSnapshot().TrainChowLiu(); errors.Is(err, borg.ErrPayloadNotMaintained) {
 		fmt.Println("covar-payload server: TrainChowLiu correctly refused (ErrPayloadNotMaintained)")
 	} else {
 		log.Fatal("expected ErrPayloadNotMaintained from a covar-payload server")
@@ -255,7 +259,7 @@ func emptySnapshotDemo(q *borg.Query) (string, error) {
 		return "", err
 	}
 	defer empty.Close()
-	if _, err := empty.TrainPCA(2); errors.Is(err, borg.ErrEmptySnapshot) {
+	if _, err := empty.CovarSnapshot().TrainPCA(2); errors.Is(err, borg.ErrEmptySnapshot) {
 		fmt.Println("empty join: TrainPCA correctly refused with ErrEmptySnapshot")
 		return "ok", nil
 	}
@@ -325,7 +329,7 @@ func sharded() {
 
 	// A merged read folds the per-shard snapshots with ring addition;
 	// training sees exactly the statistics an unsharded server would.
-	shardModel, err := srv.TrainLinReg("units", 1e-3)
+	shardModel, err := srv.CovarSnapshot().TrainLinReg("units", 1e-3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -343,8 +343,8 @@ func (c *check) empty(s *ServerSnapshot) error {
 	const y = testdb.Response
 	f := c.srv.Features()
 	errs := make([]error, 10)
-	_, errs[0] = c.srv.Mean(f[0])
-	_, errs[1] = c.srv.SecondMoment(f[0], f[1])
+	_, errs[0] = c.srv.CovarSnapshot().Mean(f[0])
+	_, errs[1] = c.srv.CovarSnapshot().SecondMoment(f[0], f[1])
 	_, errs[2] = s.TrainLinReg(y, 1e-3)
 	_, errs[3] = s.TrainLinRegGD(y, 1e-3, GDOptions{})
 	_, errs[4] = s.TrainPCA(2)
@@ -438,7 +438,7 @@ func (c *check) models(s *ServerSnapshot, o *testdb.Oracle) error {
 		return errors.Join(near("linreg", lin.model.Theta, blin.model.Theta), near("svm", svm.model.Theta, bsvm.Theta),
 			near("chowliu", mi(edges), mi(bedges)), near("catpoly", poly.cat.Theta, bpoly.Theta), scored(lin), scored(tree))
 	}
-	lin := try(c.srv.TrainLinReg(y, 1e-3)).(*LinearRegression)
+	lin := try(c.srv.CovarSnapshot().TrainLinReg(y, 1e-3)).(*LinearRegression)
 	blin := try(rq.LinearRegression(Features{Continuous: others}, y, 1e-3)).(*LinearRegression)
 	sigma := try(ml.MomentsFromCovar(cont, o.Covar(cont))).(*ml.Sigma)
 	pca := try(s.TrainPCA(2)).(*PCAResult)

@@ -7,11 +7,12 @@
 // The suite encodes the repo's load-bearing invariants as compile-time
 // checks (see the individual analyzer files):
 //
-//   - mapiter:   no unsorted map iteration in deterministic code
-//   - obsguard:  stored obs handles only dereferenced behind nil guards
-//   - planroute: join trees are built by internal/plan, nowhere else
-//   - atomicmix: no field accessed both atomically and plainly
-//   - noalloc:   //borg:noalloc functions stay free of heap escapes
+//   - mapiter:    no unsorted map iteration in deterministic code
+//   - obsguard:   stored obs handles only dereferenced behind nil guards
+//   - planroute:  join trees are built by internal/plan, nowhere else
+//   - atomicmix:  no field accessed both atomically and plainly
+//   - deadexport: no exported internal/ identifier without a non-test caller
+//   - noalloc:    //borg:noalloc functions stay free of heap escapes
 //
 // False positives are suppressed in place with an annotation comment:
 //
@@ -49,6 +50,9 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
+	// Module is every loaded package of the module, matched by the
+	// patterns or not: what a module-wide check counts references over.
+	Module []*Package
 
 	diags *[]Diagnostic
 }
@@ -82,16 +86,17 @@ func (d Diagnostic) String() string {
 // build-mode gate is separate (NoallocGate) because it needs the
 // compiler, not just the AST.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapIter, ObsGuard, PlanRoute, AtomicMix}
+	return []*Analyzer{MapIter, ObsGuard, PlanRoute, AtomicMix, DeadExport}
 }
 
-// Run applies the given analyzers to every package and returns the
-// surviving diagnostics sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// Run applies the given analyzers to every package of pkgs, with module
+// as the module-wide universe, and returns the surviving diagnostics
+// sorted by position.
+func Run(pkgs, module []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
+			pass := &Pass{Analyzer: a, Pkg: pkg, Module: module, diags: &diags}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 			}

@@ -12,6 +12,9 @@ package analysis
 // A fixture with no want comments asserts the analyzer stays silent.
 
 import (
+	"errors"
+	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -61,7 +64,7 @@ func runFixture(t *testing.T, a *Analyzer, rel, pkgPath string) *Package {
 	if err != nil {
 		t.Fatalf("loading fixture %s as %s: %v", rel, pkgPath, err)
 	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
+	diags, err := Run([]*Package{pkg}, []*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, rel, err)
 	}
@@ -172,6 +175,30 @@ func TestAtomicMixFixtures(t *testing.T) {
 	runFixture(t, AtomicMix, "atomicmix", "borg/internal/fixture")
 }
 
+// TestDeadExportFixtures checks lib with its caller user in the module,
+// first with both packages as targets and then with lib alone: a run
+// over a subset of the module must still see the calls from outside it.
+func TestDeadExportFixtures(t *testing.T) {
+	l := fixtureLoader(t)
+	dir := filepath.Join("testdata", "src", "deadexport")
+	lib, err := l.CheckDir(filepath.Join(dir, "lib"), "borg/internal/deadexport/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := l.CheckDir(filepath.Join(dir, "user"), "borg/internal/deadexport/user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := []*Package{lib, user}
+	for _, targets := range [][]*Package{module, {lib}} {
+		diags, err := Run(targets, module, []*Analyzer{DeadExport})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchWants(t, filepath.Join(dir, "lib"), diags)
+	}
+}
+
 func TestMalformedAnnotationReported(t *testing.T) {
 	pkg := runFixture(t, MapIter, "annotation", "borg/internal/ivm")
 	if len(pkg.Malformed) != 1 {
@@ -200,3 +227,45 @@ func malformedFixtureLine(t *testing.T) int {
 	t.Fatal("annotation fixture has no bare //borg:vet-ok line")
 	return 0
 }
+
+// CheckDir parses and type-checks all .go files of one directory as a
+// package with the given import path — the analysistest entry point for
+// fixture packages that live under testdata (invisible to go list) but
+// need to type-check against real repo packages. A later fixture may
+// import an earlier one by a path that has no export data.
+func (l *Loader) CheckDir(dir, pkgPath string) (*Package, error) {
+	if !l.loadedOK {
+		return nil, errors.New("analysis: Loader.List has not run")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
+	}
+	pkg, err := l.check(pkgPath, dir, files, importerFunc(func(path string) (*types.Package, error) {
+		if p := fixtureTypes[path]; p != nil && l.exports[path] == "" {
+			return p, nil
+		}
+		return l.imports.Import(path)
+	}))
+	if err != nil {
+		return nil, err
+	}
+	fixtureTypes[pkgPath] = pkg.Types
+	return pkg, nil
+}
+
+// fixtureTypes holds the fixtures CheckDir has checked, by import path.
+var fixtureTypes = make(map[string]*types.Package)
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -78,6 +78,7 @@ type Loader struct {
 	exports  map[string]string // import path -> export data file
 	imports  types.Importer
 	listed   []*listPkg
+	targets  map[string]bool // import paths the patterns match
 	loadedOK bool
 }
 
@@ -96,17 +97,26 @@ func NewLoader(dir string) (*Loader, error) {
 }
 
 // List resolves the patterns (default ./...) and builds the export-data
-// universe for them and all their dependencies. It must run before
-// Packages or CheckDir.
+// universe for them, the rest of the module and all their
+// dependencies. It must run before Packages or CheckDir.
 func (l *Loader) List(patterns ...string) error {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	out, err := goCmd(l.ModDir, append([]string{"list", "-e", "-f", "{{.ImportPath}}"}, patterns...)...)
+	if err != nil {
+		return err
+	}
+	l.targets = make(map[string]bool)
+	for _, path := range strings.Fields(string(out)) {
+		l.targets[path] = true
+	}
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
 		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Module,Error",
+		"./...",
 	}, patterns...)
-	out, err := goCmd(l.ModDir, args...)
+	out, err = goCmd(l.ModDir, args...)
 	if err != nil {
 		return err
 	}
@@ -143,14 +153,15 @@ func (l *Loader) List(patterns ...string) error {
 	return nil
 }
 
-// Packages parses and type-checks every pattern-matched module package
+// Packages parses and type-checks every non-test package of the module
 // (dependencies and the standard library are imported from export data,
-// not re-checked). Results are sorted by import path.
-func (l *Loader) Packages() ([]*Package, error) {
+// not re-checked). It returns the pattern-matched ones as targets and
+// all of them as module, the universe a module-wide check counts
+// references over; both are sorted by import path.
+func (l *Loader) Packages() (targets, module []*Package, err error) {
 	if !l.loadedOK {
-		return nil, errors.New("analysis: Loader.List has not run")
+		return nil, nil, errors.New("analysis: Loader.List has not run")
 	}
-	var pkgs []*Package
 	for _, p := range l.listed {
 		if p.Standard || p.DepOnly {
 			continue
@@ -159,42 +170,24 @@ func (l *Loader) Packages() ([]*Package, error) {
 		for _, f := range p.GoFiles {
 			files = append(files, filepath.Join(p.Dir, f))
 		}
-		pkg, err := l.check(p.ImportPath, p.Dir, files)
+		pkg, err := l.check(p.ImportPath, p.Dir, files, l.imports)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		module = append(module, pkg)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
-	return pkgs, nil
-}
-
-// CheckDir parses and type-checks all .go files of one directory as a
-// package with the given import path — the analysistest entry point for
-// fixture packages that live under testdata (invisible to go list) but
-// need to type-check against real repo packages.
-func (l *Loader) CheckDir(dir, pkgPath string) (*Package, error) {
-	if !l.loadedOK {
-		return nil, errors.New("analysis: Loader.List has not run")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
+	sort.Slice(module, func(i, j int) bool { return module[i].PkgPath < module[j].PkgPath })
+	for _, pkg := range module {
+		if l.targets[pkg.PkgPath] {
+			targets = append(targets, pkg)
 		}
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
-	}
-	return l.check(pkgPath, dir, files)
+	return targets, module, nil
 }
 
-// check parses the named files and type-checks them as one package.
-func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error) {
+// check parses the named files and type-checks them as one package,
+// resolving its imports through imp.
+func (l *Loader) check(pkgPath, dir string, filenames []string, imp types.Importer) (*Package, error) {
 	pkg := &Package{
 		PkgPath:  pkgPath,
 		Dir:      dir,
@@ -233,7 +226,7 @@ func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l.imports}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, l.fset, pkg.Files, pkg.Info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)

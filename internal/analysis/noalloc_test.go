@@ -79,7 +79,7 @@ func TestNoallocGateEndToEnd(t *testing.T) {
 	if err := l.List("./..."); err != nil {
 		t.Fatalf("List: %v", err)
 	}
-	pkgs, err := l.Packages()
+	pkgs, _, err := l.Packages()
 	if err != nil {
 		t.Fatalf("Packages: %v", err)
 	}

@@ -309,3 +309,22 @@ func TestSpecStringsStable(t *testing.T) {
 		}
 	}
 }
+
+// SlotCount returns the total number of distinct slots (views' columns)
+// across all nodes — the sharing metric reported by the ablation bench.
+func (p *Plan) SlotCount() int {
+	n := 0
+	for _, np := range p.bottomUp {
+		n += len(np.slots)
+	}
+	return n
+}
+
+// NodeSlotCounts returns relation name → slot count, for diagnostics.
+func (p *Plan) NodeSlotCounts() map[string]int {
+	out := make(map[string]int, len(p.bottomUp))
+	for _, np := range p.bottomUp {
+		out[np.rel.Name] = len(np.slots)
+	}
+	return out
+}

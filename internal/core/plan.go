@@ -210,10 +210,6 @@ type restriction struct {
 	groups  []string
 }
 
-func (r *restriction) empty() bool {
-	return len(r.factors) == 0 && len(r.filters) == 0 && len(r.groups) == 0
-}
-
 // synthesize builds (or reuses) the slot for the given spec restricted to
 // the subtree rooted at tn, returning its index in tn's node plan. specIdx
 // disambiguates signatures when sharing is disabled.
@@ -425,23 +421,4 @@ func specializeLocal(rel *relation.Relation, s *slot) func(row int) (float64, bo
 		}
 		return v, true
 	}
-}
-
-// SlotCount returns the total number of distinct slots (views' columns)
-// across all nodes — the sharing metric reported by the ablation bench.
-func (p *Plan) SlotCount() int {
-	n := 0
-	for _, np := range p.bottomUp {
-		n += len(np.slots)
-	}
-	return n
-}
-
-// NodeSlotCounts returns relation name → slot count, for diagnostics.
-func (p *Plan) NodeSlotCounts() map[string]int {
-	out := make(map[string]int, len(p.bottomUp))
-	for _, np := range p.bottomUp {
-		out[np.rel.Name] = len(np.slots)
-	}
-	return out
 }

@@ -116,12 +116,6 @@ func hashJoin(l, r *relation.Relation) (*relation.Relation, error) {
 	return out, nil
 }
 
-// EvalAggregate computes one aggregate with a full serial scan over the
-// materialized data matrix.
-func EvalAggregate(data *relation.Relation, spec *query.AggSpec) (*query.AggResult, error) {
-	return EvalAggregateRT(exec.Serial(), data, spec)
-}
-
 // EvalAggregateRT computes one aggregate over the data matrix through
 // the shared exec kernels: a scalar-sum kernel for ungrouped aggregates,
 // a grouped-sum kernel keyed by packed uint64 codes for up to two

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"borg/internal/exec"
 	"borg/internal/query"
 	"borg/internal/relation"
 	"borg/internal/testdb"
@@ -23,7 +24,7 @@ func TestMaterializeFigure7(t *testing.T) {
 	}
 	// Spot-check: total price over the join. Each burger order contributes
 	// 6+2+2=10, each hotdog order 2+2+4=8; 2 orders each → 20+16=36.
-	res, err := EvalAggregate(data, &query.AggSpec{ID: "sp", Factors: []query.Factor{{Attr: "price", Power: 1}}})
+	res, err := EvalAggregateRT(exec.Serial(), data, &query.AggSpec{ID: "sp", Factors: []query.Factor{{Attr: "price", Power: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestGroupedAggregateOverJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalAggregate(data, &query.AggSpec{
+	res, err := EvalAggregateRT(exec.Serial(), data, &query.AggSpec{
 		ID:      "p_by_dish",
 		GroupBy: []string{"dish"},
 		Factors: []query.Factor{{Attr: "price", Power: 1}},
@@ -111,7 +112,7 @@ func TestEvalAggregateUnknownAttr(t *testing.T) {
 		{ID: "b3", Filters: []query.Filter{{Attr: "ghost", Op: query.GE}}},
 	}
 	for i := range bad {
-		if _, err := EvalAggregate(data, &bad[i]); err == nil {
+		if _, err := EvalAggregateRT(exec.Serial(), data, &bad[i]); err == nil {
 			t.Errorf("spec %s accepted with unknown attribute", bad[i].ID)
 		}
 	}
@@ -120,7 +121,7 @@ func TestEvalAggregateUnknownAttr(t *testing.T) {
 func TestFilteredAggregate(t *testing.T) {
 	_, j := testdb.Figure7()
 	data, _ := MaterializeJoin(j)
-	res, err := EvalAggregate(data, &query.AggSpec{
+	res, err := EvalAggregateRT(exec.Serial(), data, &query.AggSpec{
 		ID:      "cnt_expensive",
 		Filters: []query.Filter{{Attr: "price", Op: query.GE, Threshold: 4}},
 	})
@@ -150,7 +151,7 @@ func TestEvalBatchMatchesSingles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range specs {
-		single, err := EvalAggregate(data, &specs[i])
+		single, err := EvalAggregateRT(exec.Serial(), data, &specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func TestEvalAggregateRTEmptyRelation(t *testing.T) {
 	}
 	for width := 1; width <= len(cat); width++ {
 		spec := query.AggSpec{ID: "g", GroupBy: cat[:width]}
-		res, err := EvalAggregateRT(exec.Parallel(4), data, &spec)
+		res, err := EvalAggregateRT(exec.Runtime{Workers: 4}, data, &spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"borg/internal/exec"
 	"borg/internal/query"
 	"borg/internal/testdb"
 )
@@ -76,7 +77,7 @@ func TestVolcanoIsSlower(t *testing.T) {
 	}
 	spec := query.AggSpec{ID: "q", Factors: []query.Factor{{Attr: cont[0], Power: 1}, {Attr: cont[1], Power: 1}}}
 	compiled := benchmarkOnce(t, func() {
-		if _, err := EvalAggregate(data, &spec); err != nil {
+		if _, err := EvalAggregateRT(exec.Serial(), data, &spec); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -62,10 +62,6 @@ type Runtime struct {
 // Serial is the runtime of the classic single-threaded scan.
 func Serial() Runtime { return Runtime{Workers: 1} }
 
-// Parallel returns a runtime with the given worker count and automatic
-// morsel sizing.
-func Parallel(workers int) Runtime { return Runtime{Workers: workers} }
-
 func (rt Runtime) workers() int {
 	if rt.Workers < 1 {
 		return 1
@@ -85,16 +81,6 @@ func (rt Runtime) morselSize(n int) int {
 		return n
 	}
 	return DefaultMorselSize
-}
-
-// NumMorsels returns how many morsels an n-row scan decomposes into
-// under this runtime — the number of partial states Scan produces.
-func (rt Runtime) NumMorsels(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	size := rt.morselSize(n)
-	return (n + size - 1) / size
 }
 
 // Scan is the morsel scheduler: it splits the row range [0, n) into

@@ -33,9 +33,6 @@ func TestScanCoversEveryRowOnce(t *testing.T) {
 						t.Fatalf("n=%d ms=%d w=%d: row %d visited %d times", n, ms, w, r, seen[r])
 					}
 				}
-				if got := rt.NumMorsels(n); got != len(parts) {
-					t.Fatalf("NumMorsels=%d, Scan produced %d parts", got, len(parts))
-				}
 			}
 		}
 	}
@@ -99,7 +96,7 @@ func TestGroupedSumMatchesNaive(t *testing.T) {
 
 func TestSumRespectsFilter(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
-	got := Sum(Parallel(4), len(vals), func(row int) (float64, bool) {
+	got := Sum(Runtime{Workers: 4}, len(vals), func(row int) (float64, bool) {
 		return vals[row], vals[row] > 2.5
 	})
 	if got != 12 {
@@ -195,13 +192,16 @@ func TestFoldEmptyAndMergeNil(t *testing.T) {
 }
 
 func TestSerialRuntimeUsesSingleMorsel(t *testing.T) {
-	if got := Serial().NumMorsels(1 << 20); got != 1 {
+	morsels := func(rt Runtime, n int) int {
+		return len(Scan(rt, n, func() int { return 0 }, func(s, lo, hi int) int { return s }))
+	}
+	if got := morsels(Serial(), 1<<20); got != 1 {
 		t.Fatalf("serial auto morsels = %d, want 1 (the classic single-pass scan)", got)
 	}
-	if got := Parallel(8).NumMorsels(1 << 20); got != (1<<20+DefaultMorselSize-1)/DefaultMorselSize {
+	if got := morsels(Runtime{Workers: 8}, 1<<20); got != (1<<20+DefaultMorselSize-1)/DefaultMorselSize {
 		t.Fatalf("parallel auto morsels = %d", got)
 	}
-	if got := (Runtime{}).NumMorsels(0); got != 0 {
-		t.Fatalf("NumMorsels(0) = %d", got)
+	if got := morsels(Runtime{}, 0); got != 0 {
+		t.Fatalf("morsels of 0 rows = %d", got)
 	}
 }

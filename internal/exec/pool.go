@@ -20,6 +20,8 @@ type Pool struct {
 }
 
 // NewPool starts a pool of n worker goroutines (minimum 1).
+//
+//borg:vet-ok deadexport — benchmarks/e2e builds the pool its layer rows run on
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1

@@ -2,7 +2,6 @@ package factor
 
 import (
 	"borg/internal/query"
-	"borg/internal/relation"
 	"borg/internal/ring"
 )
 
@@ -98,39 +97,4 @@ func (f *FRep) CompressionRatio() float64 {
 // builder's cache — the d-representation sharing of Figure 8.
 func (f *FRep) SharedNodeCount() int {
 	return len(f.cached)
-}
-
-// Enumerate streams the tuples of the represented join result, honoring
-// multiplicities. The callback receives the assignment keyed by attribute
-// name; it must copy values it wants to keep. Enumeration order follows
-// the variable order.
-func (f *FRep) Enumerate(fn func(assign map[string]relation.Value)) {
-	if len(f.Roots) == 0 {
-		return
-	}
-	assign := make(map[string]relation.Value)
-	var rec func(pending []*Node)
-	rec = func(pending []*Node) {
-		if len(pending) == 0 {
-			fn(assign)
-			return
-		}
-		n := pending[0]
-		rest := pending[1:]
-		t, _ := f.Order.Join.AttrType(n.Var.Attr)
-		for i := range n.Entries {
-			e := &n.Entries[i]
-			if t == relation.Category {
-				assign[n.Var.Attr] = relation.CatVal(e.Cat)
-			} else {
-				assign[n.Var.Attr] = relation.FloatVal(e.Num)
-			}
-			next := append(append(make([]*Node, 0, len(e.Children)+len(rest)), e.Children...), rest...)
-			for m := int64(0); m < e.Mult; m++ {
-				rec(next)
-			}
-		}
-		delete(assign, n.Var.Attr)
-	}
-	rec(f.Roots)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"borg/internal/engine"
+	"borg/internal/exec"
 	"borg/internal/query"
 	"borg/internal/relation"
 	"borg/internal/ring"
@@ -190,7 +191,7 @@ func TestRandomStarAgreesWithEngine(t *testing.T) {
 				}
 				return float64(e.Mult)
 			})
-			want, err := engine.EvalAggregate(flat, &query.AggSpec{ID: "s", Factors: []query.Factor{{Attr: attr, Power: 1}}})
+			want, err := engine.EvalAggregateRT(exec.Serial(), flat, &query.AggSpec{ID: "s", Factors: []query.Factor{{Attr: attr, Power: 1}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,4 +301,39 @@ func TestDuplicateRowsMultiplicity(t *testing.T) {
 	if sum != 9 {
 		t.Fatalf("SUM(x) = %v, want 9", sum)
 	}
+}
+
+// Enumerate streams the tuples of the represented join result, honoring
+// multiplicities. The callback receives the assignment keyed by attribute
+// name; it must copy values it wants to keep. Enumeration order follows
+// the variable order.
+func (f *FRep) Enumerate(fn func(assign map[string]relation.Value)) {
+	if len(f.Roots) == 0 {
+		return
+	}
+	assign := make(map[string]relation.Value)
+	var rec func(pending []*Node)
+	rec = func(pending []*Node) {
+		if len(pending) == 0 {
+			fn(assign)
+			return
+		}
+		n := pending[0]
+		rest := pending[1:]
+		t, _ := f.Order.Join.AttrType(n.Var.Attr)
+		for i := range n.Entries {
+			e := &n.Entries[i]
+			if t == relation.Category {
+				assign[n.Var.Attr] = relation.CatVal(e.Cat)
+			} else {
+				assign[n.Var.Attr] = relation.FloatVal(e.Num)
+			}
+			next := append(append(make([]*Node, 0, len(e.Children)+len(rest)), e.Children...), rest...)
+			for m := int64(0); m < e.Mult; m++ {
+				rec(next)
+			}
+		}
+		delete(assign, n.Var.Attr)
+	}
+	rec(f.Roots)
 }

@@ -59,9 +59,6 @@ func NewEnv(rels map[string]*relation.Relation) *Env {
 	return &Env{rels: rels, vars: make(map[string]Value)}
 }
 
-// Bind sets a variable (used by tests and program drivers).
-func (env *Env) Bind(name string, v Value) { env.vars[name] = v }
-
 // Eval interprets e under env.
 func Eval(e Expr, env *Env) (Value, error) {
 	switch n := e.(type) {

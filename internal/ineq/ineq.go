@@ -26,9 +26,6 @@ import (
 // or a weighted sum of features.
 type RowFunc func(rel *relation.Relation, row int) float64
 
-// One is the constant-1 RowFunc.
-func One(*relation.Relation, int) float64 { return 1 }
-
 // Col returns a RowFunc reading the named continuous column.
 func Col(rel *relation.Relation, name string) (RowFunc, error) {
 	c := rel.AttrIndex(name)
@@ -39,17 +36,6 @@ func Col(rel *relation.Relation, name string) (RowFunc, error) {
 		return nil, fmt.Errorf("ineq: attribute %s is not continuous", name)
 	}
 	return func(r *relation.Relation, row int) float64 { return r.Float(c, row) }, nil
-}
-
-// Weighted returns a RowFunc computing Σ w[i] * cols[i](row).
-func Weighted(fs []RowFunc, w []float64) RowFunc {
-	return func(rel *relation.Relation, row int) float64 {
-		v := 0.0
-		for i, f := range fs {
-			v += w[i] * f(rel, row)
-		}
-		return v
-	}
 }
 
 // Pair is a prepared two-relation join R ⋈ S on one shared categorical

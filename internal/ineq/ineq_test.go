@@ -56,6 +56,17 @@ func resultsClose(a, b Result) error {
 	return nil
 }
 
+// weighted returns a RowFunc computing Σ w[i] * fs[i](row).
+func weighted(fs []RowFunc, w []float64) RowFunc {
+	return func(rel *relation.Relation, row int) float64 {
+		v := 0.0
+		for i, f := range fs {
+			v += w[i] * f(rel, row)
+		}
+		return v
+	}
+}
+
 func TestFactorizedMatchesScan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		p := makePair(t, seed, 300, 200, 40)
@@ -63,8 +74,8 @@ func TestFactorizedMatchesScan(t *testing.T) {
 		x2, _ := Col(p.R, "x2")
 		y1, _ := Col(p.S, "y1")
 		y2, _ := Col(p.S, "y2")
-		a := Weighted([]RowFunc{x1, x2}, []float64{0.7, -1.3})
-		b := Weighted([]RowFunc{y1, y2}, []float64{2.1, 0.4})
+		a := weighted([]RowFunc{x1, x2}, []float64{0.7, -1.3})
+		b := weighted([]RowFunc{y1, y2}, []float64{2.1, 0.4})
 		for _, c := range []float64{-3, -0.5, 0, 0.5, 3} {
 			fast := p.Eval(a, b, []RowFunc{x1, x2}, []RowFunc{y1, y2}, c)
 			slow := p.EvalScan(a, b, []RowFunc{x1, x2}, []RowFunc{y1, y2}, c)
@@ -142,17 +153,6 @@ func TestNewPairErrors(t *testing.T) {
 	}
 	if _, err := Col(r, "k"); err == nil {
 		t.Fatal("Col accepted categorical attribute")
-	}
-}
-
-func TestWeightedAndOne(t *testing.T) {
-	db := relation.NewDatabase()
-	r := db.NewRelation("R", []relation.Attribute{{Name: "x", Type: relation.Double}})
-	r.AppendRow(relation.FloatVal(3))
-	x, _ := Col(r, "x")
-	w := Weighted([]RowFunc{x, One}, []float64{2, 5})
-	if got := w(r, 0); got != 2*3+5 {
-		t.Fatalf("Weighted = %v, want 11", got)
 	}
 }
 

@@ -445,6 +445,8 @@ func (m *FIVM) Snapshot() *ring.Covar { return m.triple().Clone() }
 
 // SnapshotInto copies the maintained statistics into dst, reusing
 // dst's backing when pre-sized — Snapshot without the allocation.
+//
+//borg:vet-ok deadexport — benchmarks/e2e times it (until ROADMAP item 1(d) moves that row)
 func (m *FIVM) SnapshotInto(dst *ring.Covar) { m.triple().CopyInto(dst) }
 
 // CatFeatures returns the categorical feature names in cofactor
@@ -457,6 +459,8 @@ func (m *FIVM) CatFeatures() []string { return m.catFeats }
 // The element is immutable: it is never written again, by the
 // maintainer or by a reader, so it may be handed to other goroutines
 // while applies continue.
+//
+//borg:vet-ok deadexport — benchmarks/e2e times it (until ROADMAP item 1(d) moves that row)
 func (m *FIVM) SnapshotCofactor() *ring.Cofactor {
 	if m.root == nil {
 		return nil

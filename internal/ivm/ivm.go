@@ -273,6 +273,8 @@ func (b *base) Cardinalities() map[string]int {
 // the view-based strategies compute a tuple's delta with a handful of
 // hash probes, too little to split, and ApplyBatch runs its phases as
 // plain loops (batch.go), so they never touch the pool.
+//
+//borg:vet-ok deadexport — benchmarks/e2e calls it (until ROADMAP item 1(d) drops it)
 func (b *base) SetRuntime(rt exec.Runtime) { b.rt = rt }
 
 // joinAttrNames lists every attribute of the join once, in schema

@@ -384,15 +384,6 @@ func (m *LSSVM) DecisionValue(x []float64, codes []int32) float64 {
 	return m.PredictDesign(x, codes)
 }
 
-// Classify returns the predicted label: +1 when the decision value is
-// nonnegative, -1 otherwise.
-func (m *LSSVM) Classify(x []float64, codes []int32) float64 {
-	if m.DecisionValue(x, codes) >= 0 {
-		return 1
-	}
-	return -1
-}
-
 // CatPoly is a varying-coefficients degree-2 model: linear in the
 // expanded space {1, x_i, 1[g_k=c], x_i·1[g_k=c]} — per-category
 // intercept shifts plus per-category slopes for every continuous
@@ -411,9 +402,6 @@ type CatPoly struct {
 
 // Slots returns the total number of one-hot slots S.
 func (m *CatPoly) Slots() int { return m.Size() - 1 - len(m.Cont) }
-
-// Dim returns the parameter count.
-func (m *CatPoly) Dim() int { return len(m.Theta) }
 
 // PredictVec evaluates the model on raw continuous values (Cont order)
 // and categorical codes (Cat order). Unobserved codes contribute no
@@ -439,6 +427,8 @@ func (m *CatPoly) PredictVec(x []float64, codes []int32) float64 {
 
 // TrainCatPolyFromCofactor trains the varying-coefficients model from a
 // cofactor element (see CatLayout.TrainCatPoly).
+//
+//borg:vet-ok deadexport — history_test.go's batch reference for the served polyreg
 func TrainCatPolyFromCofactor(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (*CatPoly, error) {
 	return NewCatLayout(cf).TrainCatPoly(features, catFeatures, response, lambda)
 }
@@ -462,11 +452,6 @@ func (L *CatLayout) TrainCatPoly(features, catFeatures []string, response string
 		m.Theta[p] = x[pos[p]]
 	}
 	return m, nil
-}
-
-// catPolySystem is CatLayout.polySystem over a fresh layout of cf.
-func catPolySystem(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (*CatPoly, [][]float64, []float64, []int, error) {
-	return NewCatLayout(cf).polySystem(features, catFeatures, response, lambda)
 }
 
 // polySystem lays the model out and assembles its ridge system a x = b

@@ -197,6 +197,8 @@ func (t *Tree) Predict(data *relation.Relation, row int) (float64, error) {
 }
 
 // RMSE validates the tree against a materialized data matrix.
+//
+//borg:vet-ok deadexport — trainrmse_test.go's oracle for the served tree's TrainingRMSE
 func (t *Tree) RMSE(data *relation.Relation) (float64, error) {
 	yc := data.AttrIndex(t.Response)
 	if yc < 0 {

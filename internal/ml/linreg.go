@@ -463,15 +463,3 @@ func (m *LinReg) MSEFromSigma(s *Sigma) float64 {
 	}
 	return max(mse, 0)
 }
-
-// ObjectiveFromSigma evaluates the (normalized) objective both trainers
-// minimize, ½·MSE + ½λ·Σᵢ Σᵢᵢ·θᵢ² — the ridge penalty is the
-// standardized one, weighted by each feature's second moment — at the
-// model's parameters, entirely from the moments.
-func (m *LinReg) ObjectiveFromSigma(s *Sigma) float64 {
-	obj := 0.5 * m.MSEFromSigma(s)
-	for i, th := range m.Theta {
-		obj += 0.5 * m.Lambda * ridgeScale(s.XtX[i][i]) * th * th
-	}
-	return obj
-}

@@ -467,84 +467,6 @@ func TestMutualInfoAndChowLiu(t *testing.T) {
 	}
 }
 
-func TestSVMFastEqualsScanAndSeparates(t *testing.T) {
-	// Linearly separable data split across two relations: label depends
-	// on x + y sign.
-	db := relation.NewDatabase()
-	r := db.NewRelation("R", []relation.Attribute{
-		{Name: "k", Type: relation.Category},
-		{Name: "x", Type: relation.Double},
-		{Name: "label", Type: relation.Double},
-	})
-	s := db.NewRelation("S", []relation.Attribute{
-		{Name: "k", Type: relation.Category},
-		{Name: "yv", Type: relation.Double},
-	})
-	src := xrand.New(11)
-	const domain = 15
-	shift := make([]float64, domain)
-	for k := 0; k < domain; k++ {
-		shift[k] = src.Float64()*2 - 1
-		s.AppendRow(relation.CatVal(int32(k)), relation.FloatVal(shift[k]))
-	}
-	for i := 0; i < 400; i++ {
-		k := src.Intn(domain)
-		x := src.Float64()*4 - 2
-		label := 1.0
-		if x+shift[k] < 0 {
-			label = -1
-		}
-		r.AppendRow(relation.CatVal(int32(k)), relation.FloatVal(x), relation.FloatVal(label))
-	}
-	cfg := SVMConfig{
-		RFeatures: []string{"x"},
-		SFeatures: []string{"yv"},
-		Label:     "label",
-		Key:       "k",
-		Lambda:    1e-3,
-		LR:        0.5,
-		Iters:     80,
-	}
-	fast, err := TrainSVM(r, s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scan = true
-	slow, err := TrainSVM(r, s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fast.WR {
-		if math.Abs(fast.WR[i]-slow.WR[i]) > 1e-9 {
-			t.Fatalf("fast and scan training diverge: WR %v vs %v", fast.WR, slow.WR)
-		}
-	}
-	if math.Abs(fast.Bias-slow.Bias) > 1e-9 {
-		t.Fatalf("bias diverges: %v vs %v", fast.Bias, slow.Bias)
-	}
-	// Classification accuracy on the joined pairs.
-	correct, total := 0, 0
-	for ri := 0; ri < r.NumRows(); ri++ {
-		for si := 0; si < s.NumRows(); si++ {
-			if r.Cat(0, ri) != s.Cat(0, si) {
-				continue
-			}
-			m, err := fast.Margin(r, ri, s, si)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m > 0 {
-				correct++
-			}
-			total++
-		}
-	}
-	acc := float64(correct) / float64(total)
-	if acc < 0.9 {
-		t.Fatalf("SVM accuracy %v on separable data", acc)
-	}
-}
-
 func TestPCARecoversDominantDirection(t *testing.T) {
 	// Build a star whose features are strongly correlated along (1,1).
 	db := relation.NewDatabase()

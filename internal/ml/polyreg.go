@@ -238,6 +238,8 @@ func trainPolyFromMoments(cont []string, response string, moment func(parts ...[
 
 // PolyRegOverJoin runs the full pipeline: synthesize the batch, evaluate
 // it with LMFAO over the join tree, and solve.
+//
+//borg:vet-ok deadexport — history_test.go holds the served polyreg to it
 func PolyRegOverJoin(jt *query.JoinTree, cont []string, response string, lambda float64, opts core.Options) (*PolyReg, error) {
 	plan, err := core.Compile(jt, PolyBatch(cont, response), opts)
 	if err != nil {

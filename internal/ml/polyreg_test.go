@@ -112,62 +112,3 @@ func TestPairPosLayout(t *testing.T) {
 		}
 	}
 }
-
-func TestDetectFD(t *testing.T) {
-	db := relation.NewDatabase()
-	r := db.NewRelation("Stores", []relation.Attribute{
-		{Name: "city", Type: relation.Category},
-		{Name: "country", Type: relation.Category},
-	})
-	// city 0,1 → country 0; city 2 → country 1: FD holds.
-	r.AppendRow(relation.CatVal(0), relation.CatVal(0))
-	r.AppendRow(relation.CatVal(1), relation.CatVal(0))
-	r.AppendRow(relation.CatVal(2), relation.CatVal(1))
-	r.AppendRow(relation.CatVal(1), relation.CatVal(0)) // repeat, consistent
-	fd, ok, err := DetectFD(r, "city", "country")
-	if err != nil || !ok {
-		t.Fatalf("FD not detected: %v %v", ok, err)
-	}
-	if fd[0] != 0 || fd[1] != 0 || fd[2] != 1 {
-		t.Fatalf("FD mapping wrong: %v", fd)
-	}
-	// Violate it.
-	r.AppendRow(relation.CatVal(1), relation.CatVal(1))
-	if _, ok, _ := DetectFD(r, "city", "country"); ok {
-		t.Fatal("violated FD still detected")
-	}
-	if _, _, err := DetectFD(r, "ghost", "country"); err == nil {
-		t.Fatal("unknown attribute accepted")
-	}
-}
-
-func TestExpandFDModelPreservesPredictions(t *testing.T) {
-	// Train with city only (composite parameters); expand to city+country
-	// parameters; the per-pair sum must equal the composite parameter, so
-	// predictions are unchanged.
-	_, j := regressionStar(21, 400)
-	sigma, _ := sigmaFor(t, j, []string{"fx"}, []string{"d0g"}, "y")
-	m, err := TrainLinRegClosedForm(sigma, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fabricate an FD d0g → parity (codes 0..3 → 0/1).
-	fd := map[int32]int32{0: 0, 1: 1, 2: 0, 3: 1}
-	det, dep, err := ExpandFDModel(m, "d0g", fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for code, comp := range det {
-		pos, ok := m.CatPos(0, code)
-		if !ok {
-			t.Fatalf("code %d missing", code)
-		}
-		if math.Abs((comp+dep[fd[code]])-m.Theta[pos]) > 1e-12 {
-			t.Fatalf("split parameters do not sum back: %v + %v != %v",
-				comp, dep[fd[code]], m.Theta[pos])
-		}
-	}
-	if _, _, err := ExpandFDModel(m, "ghost", fd); err == nil {
-		t.Fatal("unknown attribute accepted")
-	}
-}

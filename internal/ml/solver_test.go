@@ -455,8 +455,8 @@ func TestCatPolyUnderEveryWidestFeature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Dim() != dim || m.Slots() != got.Slots() {
-			t.Fatalf("widths %v: dim %d, system %d", widths, got.Dim(), dim)
+		if len(got.Theta) != dim || m.Slots() != got.Slots() {
+			t.Fatalf("widths %v: dim %d, system %d", widths, len(got.Theta), dim)
 		}
 		for p := range want {
 			if math.Abs(got.Theta[p]-want[p]) > 1e-9*(1+math.Abs(want[p])) {
@@ -831,4 +831,21 @@ func BenchmarkCholeskySolve(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) { benchSolve(b, c.a, rhs(len(c.a))) })
 	}
+}
+
+// ObjectiveFromSigma evaluates the (normalized) objective both trainers
+// minimize, ½·MSE + ½λ·Σᵢ Σᵢᵢ·θᵢ² — the ridge penalty is the
+// standardized one, weighted by each feature's second moment — at the
+// model's parameters, entirely from the moments.
+func (m *LinReg) ObjectiveFromSigma(s *Sigma) float64 {
+	obj := 0.5 * m.MSEFromSigma(s)
+	for i, th := range m.Theta {
+		obj += 0.5 * m.Lambda * ridgeScale(s.XtX[i][i]) * th * th
+	}
+	return obj
+}
+
+// catPolySystem is CatLayout.polySystem over a fresh layout of cf.
+func catPolySystem(features, catFeatures []string, response string, cf *ring.Cofactor, lambda float64) (*CatPoly, [][]float64, []float64, []int, error) {
+	return NewCatLayout(cf).polySystem(features, catFeatures, response, lambda)
 }

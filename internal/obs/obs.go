@@ -114,17 +114,6 @@ type Gauge struct {
 //borg:noalloc
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d to the gauge (load-CAS loop; callers on hot paths prefer
-// Set with a precomputed value).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge reading.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -189,6 +178,8 @@ type HistSnapshot struct {
 // commutative, and quantiles of the merge equal quantiles of the
 // concatenated observation streams (to bucket resolution) — per-shard
 // histograms fold into exactly the global histogram.
+//
+//borg:vet-ok deadexport — benchmarks/e2e folds per-shard histograms with it
 func (s *HistSnapshot) Merge(other HistSnapshot) {
 	if s.Counts == nil {
 		s.Counts = make([]uint64, NumBuckets)
@@ -224,14 +215,6 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return BucketLower(NumBuckets - 1)
-}
-
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // Labels name one series within a metric family (e.g. shard="2",
@@ -367,6 +350,8 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 
 // SeriesCount returns the number of registered series across all
 // families (each labelled instance counts once).
+//
+//borg:vet-ok deadexport — obs and serve tests bound the series count with it
 func (r *Registry) SeriesCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

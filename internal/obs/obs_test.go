@@ -104,9 +104,6 @@ func TestQuantileEmpty(t *testing.T) {
 	if got := snap.Quantile(0.5); got != 0 {
 		t.Fatalf("empty Quantile = %d, want 0", got)
 	}
-	if snap.Mean() != 0 {
-		t.Fatalf("empty Mean = %g, want 0", snap.Mean())
-	}
 }
 
 // TestMergeAssociativity checks the disjoint-union algebra: folding

@@ -197,31 +197,6 @@ func varDepth(vo *query.VarOrder) int {
 	return max
 }
 
-// Drift measures how far live cardinalities have moved away from a
-// root choice: the largest current cardinality divided by the current
-// cardinality of the given root (floored at one row). 1.0 means the
-// root is still the largest relation — the greedy choice stands; values
-// above 1 grow as churn skews relative sizes, and the serving layer
-// replans when the ratio crosses its threshold. An all-empty join
-// reports 1 (no data, no drift).
-func Drift(root string, cards map[string]int) float64 {
-	max := 0
-	//borg:nondeterministic-ok — integer max is commutative and exact; order-insensitive
-	for _, c := range cards {
-		if c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	rc := cards[root]
-	if rc < 1 {
-		rc = 1
-	}
-	return float64(max) / float64(rc)
-}
-
 func hasRelation(j *query.Join, name string) bool {
 	for _, r := range j.Relations {
 		if r.Name == name {

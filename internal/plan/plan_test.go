@@ -192,25 +192,6 @@ func TestWidthAndDepth(t *testing.T) {
 	}
 }
 
-// TestDrift: the drift ratio is max-cardinality over root-cardinality,
-// 1 on empty joins and with the root still largest.
-func TestDrift(t *testing.T) {
-	for _, tc := range []struct {
-		root  string
-		cards map[string]int
-		want  float64
-	}{
-		{"Sales", map[string]int{"Sales": 100, "Items": 10}, 1},
-		{"Sales", map[string]int{"Sales": 10, "Items": 100}, 10},
-		{"Sales", map[string]int{"Sales": 0, "Items": 50}, 50},
-		{"Sales", map[string]int{}, 1},
-	} {
-		if got := Drift(tc.root, tc.cards); got != tc.want {
-			t.Errorf("Drift(%s, %v) = %v, want %v", tc.root, tc.cards, got, tc.want)
-		}
-	}
-}
-
 // TestPlanningIsCheap: a plan over the 4-relation star costs well under
 // a millisecond — the property live replanning depends on.
 func TestPlanningIsCheap(t *testing.T) {

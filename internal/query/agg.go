@@ -216,6 +216,8 @@ func (r *AggResult) Value(k GroupKey) float64 {
 
 // ApproxEqual compares two results within a relative tolerance, treating
 // missing groups as zero.
+//
+//borg:vet-ok deadexport — query, core and engine tests compare results with it
 func (r *AggResult) ApproxEqual(o *AggResult, tol float64) bool {
 	if r.IsScalar() != o.IsScalar() {
 		return false

@@ -257,23 +257,6 @@ func sharedAttrs(a, b *relation.Relation) []string {
 	return out
 }
 
-// SubtreeAttrs returns the set of attribute names appearing in the
-// subtree rooted at n.
-func (n *TreeNode) SubtreeAttrs() map[string]bool {
-	out := make(map[string]bool)
-	var walk func(m *TreeNode)
-	walk = func(m *TreeNode) {
-		for _, a := range m.Rel.Attrs() {
-			out[a.Name] = true
-		}
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
-
 // Size returns the number of nodes in the subtree rooted at n.
 func (n *TreeNode) Size() int {
 	s := 1

@@ -205,16 +205,6 @@ func TestVarOrderFigure8Shape(t *testing.T) {
 	}
 }
 
-func TestEdgeCoverNumber(t *testing.T) {
-	_, j := figure7DB()
-	// price only in Items, customer only in Orders => need at least those
-	// two; together with Dish's item/dish shared attrs, Orders+Items
-	// covers customer, day, dish, item, price => cover number 2.
-	if got := j.EdgeCoverNumber(); got != 2 {
-		t.Fatalf("EdgeCoverNumber = %d, want 2", got)
-	}
-}
-
 func TestAggSpecValidate(t *testing.T) {
 	_, j := figure7DB()
 	good := []AggSpec{
@@ -384,4 +374,21 @@ func TestSnowflakeJoinTree(t *testing.T) {
 	if len(vo.Vars()) != len(j.Attrs()) {
 		t.Fatalf("var order covers %d attrs, join has %d", len(vo.Vars()), len(j.Attrs()))
 	}
+}
+
+// SubtreeAttrs returns the set of attribute names appearing in the
+// subtree rooted at n.
+func (n *TreeNode) SubtreeAttrs() map[string]bool {
+	out := make(map[string]bool)
+	var walk func(m *TreeNode)
+	walk = func(m *TreeNode) {
+		for _, a := range m.Rel.Attrs() {
+			out[a.Name] = true
+		}
+		for _, c := range m.Children {
+			walk(c)
+		}
+	}
+	walk(n)
+	return out
 }

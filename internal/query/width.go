@@ -3,45 +3,7 @@ package query
 // Width measures of Section 3.2. The evaluated feature-extraction queries
 // are all acyclic, where the interesting measures collapse: fractional
 // hypertree width 1, factorization width 1 (over a join-tree-derived
-// variable order). We still expose the integral edge cover number, which
-// upper-bounds the fractional one and hence the AGM output-size exponent,
-// because tests and docs use it to explain why flat join results blow up
-// (|join| = O(N^rho)) while factorized ones do not (O(N) for acyclic).
-
-// EdgeCoverNumber returns the size of a minimum integral edge cover of
-// the join hypergraph: the fewest relations whose attributes together
-// cover all attributes. Exhaustive search; fine for the ≤ 12 relations of
-// real feature-extraction queries.
-func (j *Join) EdgeCoverNumber() int {
-	attrs := j.Attrs()
-	pos := make(map[string]uint, len(attrs))
-	for i, a := range attrs {
-		pos[a] = uint(i)
-	}
-	full := uint64(1)<<uint(len(attrs)) - 1
-	masks := make([]uint64, len(j.Relations))
-	for i, r := range j.Relations {
-		for _, a := range r.Attrs() {
-			masks[i] |= 1 << pos[a.Name]
-		}
-	}
-	best := len(j.Relations)
-	n := len(j.Relations)
-	for sub := uint64(1); sub < 1<<uint(n); sub++ {
-		var cover uint64
-		bits := 0
-		for i := 0; i < n; i++ {
-			if sub&(1<<uint(i)) != 0 {
-				cover |= masks[i]
-				bits++
-			}
-		}
-		if cover == full && bits < best {
-			best = bits
-		}
-	}
-	return best
-}
+// variable order).
 
 // FactorizationWidth returns the factorization width of the given
 // variable order: the maximum, over variables v, of the number of

@@ -27,7 +27,7 @@ func TestIndexAgainstModel(t *testing.T) {
 	const keys, ids = 7, 96
 	for seed := uint64(1); seed <= 20; seed++ {
 		src := xrand.New(seed)
-		ix := NewIndex([]int{0})
+		ix := &Index{}
 		model := make(map[uint64]map[int32]struct{})
 		keyOf := make(map[int32]uint64) // id → the key holding it
 		var held []int32
@@ -128,7 +128,7 @@ func TestIndexAgainstModel(t *testing.T) {
 func BenchmarkIndexRemove(b *testing.B) {
 	for _, n := range []int{10, 1000, 10000} {
 		b.Run(fmt.Sprintf("bucket=%d", n), func(b *testing.B) {
-			ix := NewIndex([]int{0})
+			ix := &Index{}
 			for id := 0; id < n; id++ {
 				ix.Insert(1, int32(id))
 			}

@@ -91,9 +91,8 @@ func (r *Relation) KeyFunc(cols []int) func(row int) uint64 {
 // an id at the head of its key's chain, and BuildIndex inserts rows last
 // to first, so it lists a key's rows in ascending id; a chain's order is
 // otherwise a deterministic function of the operation sequence. The
-// zero value is an empty index on no columns.
+// zero value is an empty index.
 type Index struct {
-	cols []int
 	head KeyTable
 	ents []entry // by id
 }
@@ -112,16 +111,12 @@ const unheld = -2
 // the key table grows with the keys.
 func (r *Relation) BuildIndex(cols []int) *Index {
 	key := r.KeyFunc(cols)
-	ix := &Index{cols: cols, ents: make([]entry, 0, r.rows)}
+	ix := &Index{ents: make([]entry, 0, r.rows)}
 	for i := r.rows - 1; i >= 0; i-- {
 		ix.Insert(key(i), int32(i))
 	}
 	return ix
 }
-
-// NewIndex returns an empty index on the given columns, to be maintained
-// incrementally with Insert as rows are appended.
-func NewIndex(cols []int) *Index { return &Index{cols: cols} }
 
 // Insert records that row id, held under no key so far, carries key k:
 // it becomes the head of k's chain.
@@ -228,6 +223,3 @@ func (ix *Index) KeyOf(id int32) uint64 { return ix.ents[id].key }
 
 // Len returns the number of distinct keys.
 func (ix *Index) Len() int { return ix.head.Len() }
-
-// Cols returns the indexed column positions.
-func (ix *Index) Cols() []int { return ix.cols }

@@ -111,6 +111,8 @@ func (t *KeyTable) Delete(k uint64) bool {
 func (t *KeyTable) Len() int { return t.n }
 
 // All iterates the table's keys and values in slot order.
+//
+//borg:vet-ok deadexport — relation and ivm tests compare tables to their models with it
 func (t *KeyTable) All() iter.Seq2[uint64, int32] {
 	return func(yield func(uint64, int32) bool) {
 		for _, s := range t.slots {

@@ -192,7 +192,7 @@ func TestKeyFuncAndIndex(t *testing.T) {
 	}
 
 	// Incremental index agrees with bulk build.
-	inc := NewIndex([]int{0})
+	inc := &Index{}
 	kf := r.KeyFunc([]int{0})
 	for i := 0; i < r.NumRows(); i++ {
 		inc.Insert(kf(i), int32(i))
@@ -368,7 +368,7 @@ func TestSwapDeleteRowPanics(t *testing.T) {
 }
 
 func TestIndexRemove(t *testing.T) {
-	ix := NewIndex([]int{0})
+	ix := &Index{}
 	ix.Insert(7, 0)
 	ix.Insert(7, 1)
 	ix.Insert(9, 2)
@@ -402,4 +402,28 @@ func TestIndexRemove(t *testing.T) {
 	if rows := chain(ix, 7); len(rows) != 1 || rows[0] != 4 {
 		t.Fatalf("Rows(7) after re-insert = %v, want [4]", rows)
 	}
+}
+
+// Truncate drops all rows but keeps schema and dictionaries.
+func (r *Relation) Truncate() {
+	for i := range r.cols {
+		r.cols[i].F = r.cols[i].F[:0]
+		r.cols[i].C = r.cols[i].C[:0]
+	}
+	r.rows = 0
+}
+
+// EqualRows reports whether rows i and j agree on the given columns.
+func (r *Relation) EqualRows(i, j int, cols []int) bool {
+	for _, c := range cols {
+		col := &r.cols[c]
+		if col.Type == Category {
+			if col.C[i] != col.C[j] {
+				return false
+			}
+		} else if col.F[i] != col.F[j] {
+			return false
+		}
+	}
+	return true
 }

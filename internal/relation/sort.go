@@ -52,18 +52,3 @@ func (r *Relation) Permute(perm []int32) {
 		}
 	}
 }
-
-// EqualRows reports whether rows i and j agree on the given columns.
-func (r *Relation) EqualRows(i, j int, cols []int) bool {
-	for _, c := range cols {
-		col := &r.cols[c]
-		if col.Type == Category {
-			if col.C[i] != col.C[j] {
-				return false
-			}
-		} else if col.F[i] != col.F[j] {
-			return false
-		}
-	}
-	return true
-}

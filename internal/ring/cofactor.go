@@ -110,6 +110,8 @@ func (e *Cofactor) NumGroups() int { return len(e.vals) }
 
 // Group returns the statistics of the fully bound group with the given
 // per-slot codes, or nil when that combination has no live tuples.
+//
+//borg:vet-ok deadexport — ring and shard tests read single groups with it
 func (e *Cofactor) Group(codes []int32) *Covar {
 	if len(codes) != e.K {
 		return nil
@@ -177,6 +179,8 @@ func (e *Cofactor) Count() float64 {
 
 // ApproxEqual reports whether the two elements have the same group keys
 // and componentwise equal statistics within tol.
+//
+//borg:vet-ok deadexport — ring, ivm and shard tests compare elements with it
 func (e *Cofactor) ApproxEqual(o *Cofactor, tol float64) bool {
 	return e.N == o.N && e.K == o.K && slices.Equal(e.keys, o.keys) &&
 		slices.EqualFunc(e.vals, o.vals, func(g, og *Covar) bool { return g.ApproxEqual(og, tol) })

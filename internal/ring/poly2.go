@@ -272,6 +272,8 @@ func (r *Poly2Ring) NegInto(dst, a *Poly2) *Poly2 {
 // touching unowned variables stay 0 — the convolution fills them in when
 // lifts of join partners multiply. idx and vals run in parallel; idx
 // entries index the global feature space [0, N).
+//
+//borg:vet-ok deadexport — ring and ml tests lift reference rows with it
 func (r *Poly2Ring) Lift(idx []int, vals []float64) *Poly2 {
 	return r.LiftInto(r.Zero(), idx, vals)
 }
@@ -384,23 +386,6 @@ func (a *Poly2) Moment(vars []int, pows []uint8) (float64, bool) {
 // Ring returns the owning ring (monomial enumeration and index lookups).
 func (a *Poly2) Ring() *Poly2Ring { return a.ring }
 
-// Covar extracts the degree-≤2 prefix as a covariance triple: the lifted
-// ring strictly subsumes the covariance ring, so maintainers that carry
-// a Poly2 derive their Covar snapshot from it instead of maintaining
-// both.
-func (a *Poly2) Covar() *Covar {
-	r := a.ring
-	c := (CovarRing{N: r.N}).Zero()
-	c.Count = a.M[0]
-	for i := 0; i < r.N; i++ {
-		c.Sum[i] = a.M[r.sumIdx[i]]
-		for j := 0; j < r.N; j++ {
-			c.Q[i*r.N+j] = a.M[r.momIdx[i*r.N+j]]
-		}
-	}
-	return c
-}
-
 // CovarInto extracts the degree-≤2 prefix into dst without allocating
 // (when dst's slices are already sized) — Covar's arena-friendly twin.
 func (a *Poly2) CovarInto(dst *Covar) {
@@ -440,6 +425,8 @@ func (r *Poly2Ring) Bind(dst *Poly2, backing []float64) {
 }
 
 // ApproxEqual reports whether a and b agree within tol on every moment.
+//
+//borg:vet-ok deadexport — ring tests compare elements with it
 func (a *Poly2) ApproxEqual(b *Poly2, tol float64) bool {
 	if len(a.M) != len(b.M) {
 		return false

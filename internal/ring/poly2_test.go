@@ -120,7 +120,8 @@ func TestPoly2CovarAgreement(t *testing.T) {
 
 	check := func(name string, p *Poly2, c *Covar) {
 		t.Helper()
-		got := p.Covar()
+		got := cr.Zero()
+		p.CovarInto(got)
 		if !got.ApproxEqual(c, 0) {
 			t.Fatalf("%s: poly2 covar %v vs covar %v", name, got, c)
 		}

@@ -31,8 +31,8 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Metrics() != reg {
-		t.Fatal("Metrics() did not return the injected registry")
+	if srv.cfg.Obs != reg {
+		t.Fatal("the server did not keep the injected registry")
 	}
 	for _, tu := range stream {
 		if err := srv.Insert(tu); err != nil {
@@ -115,8 +115,8 @@ func TestMetricsOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Metrics() != nil {
-		t.Fatal("MetricsOff server returned a registry")
+	if srv.metrics != nil {
+		t.Fatal("MetricsOff server resolved metric handles")
 	}
 	for _, tu := range stream {
 		if err := srv.Insert(tu); err != nil {

@@ -447,16 +447,6 @@ func (s *Server) CatFeatures() []string { return s.catFeatures }
 // Payload reports the maintained ring payload.
 func (s *Server) Payload() ivm.Payload { return s.cfg.Payload }
 
-// Metrics returns the registry holding this server's metric series —
-// the one passed in Config.Obs, or the private registry a nil Obs
-// created. Nil when Config.MetricsOff disabled instrumentation.
-func (s *Server) Metrics() *obs.Registry {
-	if s.metrics == nil {
-		return nil
-	}
-	return s.cfg.Obs
-}
-
 // Schema returns a metadata-only view of the named relation, or nil.
 // Callers may use its schema metadata and dictionaries (to resolve
 // attribute types and intern categorical values — the dictionaries are

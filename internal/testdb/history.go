@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"borg/internal/query"
 	"borg/internal/relation"
@@ -360,14 +362,21 @@ func (h *History) repaired() *History {
 	return out
 }
 
+// shrinkBudget bounds the wall-clock time Shrink spends replaying.
+var shrinkBudget = 30 * time.Second
+
 // Shrink delta-debugs h down to a history that still fails: it drops
 // ever smaller runs of steps, keeping each removal after which the
-// repaired history still fails, until no single step can go.
+// repaired history still fails, until no single step can go or
+// shrinkBudget has passed; it returns the smallest failing history it
+// found. The budget is checked between replays: it cannot end a replay
+// that never returns.
 func Shrink(h *History, fails func(*History) bool) *History {
+	deadline := time.Now().Add(shrinkBudget)
 	cur := h.repaired()
-	for n := len(cur.Steps) / 2; n >= 1; {
+	for n := len(cur.Steps) / 2; n >= 1 && time.Now().Before(deadline); {
 		removed := false
-		for lo := 0; lo < len(cur.Steps)-1; lo += n {
+		for lo := 0; lo < len(cur.Steps)-1 && time.Now().Before(deadline); lo += n {
 			hi := min(lo+n, len(cur.Steps)-1)
 			try := &History{Config: cur.Config, Steps: append(append([]Step(nil), cur.Steps[:lo]...), cur.Steps[hi:]...)}
 			if try = try.repaired(); len(try.Steps) < len(cur.Steps) && fails(try) {
@@ -383,8 +392,12 @@ func Shrink(h *History, fails func(*History) bool) *History {
 }
 
 // Run runs check over n histories shaped by c, seeded from name. On a
-// failure (a panic counts) it shrinks the history and returns an error
-// carrying the seed, the failure and the shrunk history as a Go literal.
+// failure (a panic counts) it writes the seed and the failure to stderr
+// first, so a replay that crashes or hangs while shrinking still names
+// them, then shrinks the history and returns an error carrying the
+// seed, the failure and the shrunk history as a Go literal. A shrunk
+// history that passes when re-run is reported as such, with the
+// original history in its place.
 func Run(name string, n int, c Config, check func(*History) error) error {
 	safe := func(h *History) (err error) {
 		defer func() {
@@ -400,8 +413,14 @@ func Run(name string, n int, c Config, check func(*History) error) error {
 		c.Seed = f.Sum64() + uint64(i)
 		h := Generate(c)
 		if err := safe(h); err != nil {
+			fmt.Fprintf(os.Stderr, "testdb: %s: history seed %d (%d steps) failed: %v\ntestdb: shrinking for at most %v\n",
+				name, c.Seed, len(h.Steps), err, shrinkBudget)
 			small := Shrink(h, func(h *History) bool { return safe(h) != nil })
-			return fmt.Errorf("history seed %d: %v\nshrunk to %d steps, failing with %v:\n%#v", c.Seed, err, len(small.Steps), safe(small), small)
+			if serr := safe(small); serr != nil {
+				return fmt.Errorf("history seed %d: %v\nshrunk to %d steps, failing with %v:\n%#v", c.Seed, err, len(small.Steps), serr, small)
+			}
+			return fmt.Errorf("history seed %d: %v\nthe %d-step shrunk history passed when re-run, so the failure did not reproduce; the original %d steps:\n%#v",
+				c.Seed, err, len(small.Steps), len(h.Steps), h)
 		}
 	}
 	return nil

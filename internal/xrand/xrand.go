@@ -22,13 +22,6 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Fork derives an independent source from s. The derived stream is
-// decorrelated from the parent by an extra mixing step, so generators
-// handed to concurrent workers do not overlap.
-func (s *Source) Fork() *Source {
-	return &Source{state: mix(s.Uint64()) ^ 0x9e3779b97f4a7c15}
-}
-
 // Uint64 returns the next pseudo-random 64-bit value.
 func (s *Source) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
@@ -47,11 +40,6 @@ func (s *Source) Intn(n int) int {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Int31n returns a uniform int32 in [0, n).
-func (s *Source) Int31n(n int32) int32 {
-	return int32(s.Intn(int(n)))
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -73,6 +61,8 @@ func (s *Source) NormFloat64() float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n) as a slice.
+//
+//borg:vet-ok deadexport — xrand and ring tests draw permutations with it
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

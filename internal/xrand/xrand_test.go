@@ -204,3 +204,10 @@ func BenchmarkZipf(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Fork derives an independent source from s. The derived stream is
+// decorrelated from the parent by an extra mixing step, so generators
+// handed to concurrent workers do not overlap.
+func (s *Source) Fork() *Source {
+	return &Source{state: mix(s.Uint64()) ^ 0x9e3779b97f4a7c15}
+}

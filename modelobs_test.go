@@ -32,10 +32,10 @@ func TestGDMetricsCountTruncation(t *testing.T) {
 	if n, _, u := read(); n != 0 || u != 0 {
 		t.Fatalf("before any training: %d trainings, %v unconverged", n, u)
 	}
-	if _, err := srv.TrainLinRegGD(testdb.Response, 1e-3, GDOptions{MaxIters: 2}); err != nil {
+	if _, err := srv.CovarSnapshot().TrainLinRegGD(testdb.Response, 1e-3, GDOptions{MaxIters: 2}); err != nil {
 		t.Fatal(err)
 	}
-	full, err := srv.TrainLinRegGD(testdb.Response, 1e-3, GDOptions{})
+	full, err := srv.CovarSnapshot().TrainLinRegGD(testdb.Response, 1e-3, GDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,30 +180,6 @@ func (s *ShardedServer) Replan() error { return s.inner.Replan() }
 // quiescent producers means the snapshot is current.
 func (s *ShardedServer) QueueLen() int { return s.inner.QueueLen() }
 
-// Count returns SUM(1) over the join at the current snapshot.
-func (s *ShardedServer) Count() float64 { return s.inner.Snapshot().Count() }
-
-// Mean returns the mean of a maintained feature at the current snapshot
-// (ErrEmptySnapshot while the join is empty — never NaN).
-func (s *ShardedServer) Mean(attr string) (float64, error) {
-	return s.CovarSnapshot().Mean(attr)
-}
-
-// SecondMoment returns SUM(a·b) at the current snapshot.
-func (s *ShardedServer) SecondMoment(a, b string) (float64, error) {
-	return s.CovarSnapshot().SecondMoment(a, b)
-}
-
-// TrainLinReg trains a ridge linear regression of the response on the
-// remaining maintained features from the current snapshot's statistics
-// — no data access, no interruption of the write path. On several
-// shards the per-shard elements fold with ring addition before
-// training, so the model is exactly the one a single shard would
-// produce.
-func (s *ShardedServer) TrainLinReg(response string, lambda float64) (*LinearRegression, error) {
-	return s.CovarSnapshot().TrainLinReg(response, lambda)
-}
-
 // CovarSnapshot freezes the current epoch: an immutable view of the
 // maintained statistics on which any number of reads and trainings can
 // run while ingest continues on every shard.

@@ -41,7 +41,7 @@ func served(t *testing.T, features func(h *testdb.History) []string, opt ShardOp
 	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Count() == 0 {
+	if srv.CovarSnapshot().Count() == 0 {
 		t.Fatal("the loaded join is empty")
 	}
 	return srv, h
@@ -124,7 +124,7 @@ func TestPolyRegRequiresLifted(t *testing.T) {
 // starved iteration budget must be reported, not silently swallowed.
 func TestGDOptionsSurfaceNonConvergence(t *testing.T) {
 	srv, _ := served(t, cont, ShardOptions{})
-	starved, err := srv.TrainLinRegGD(testdb.Response, 1e-3, GDOptions{MaxIters: 2})
+	starved, err := srv.CovarSnapshot().TrainLinRegGD(testdb.Response, 1e-3, GDOptions{MaxIters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestGDOptionsSurfaceNonConvergence(t *testing.T) {
 	if starved.IterationsRun() != 2 {
 		t.Fatalf("IterationsRun = %d, want 2", starved.IterationsRun())
 	}
-	full, err := srv.TrainLinRegGD(testdb.Response, 1e-3, GDOptions{})
+	full, err := srv.CovarSnapshot().TrainLinRegGD(testdb.Response, 1e-3, GDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestGDOptionsSurfaceNonConvergence(t *testing.T) {
 func TestCatZooPayloadGates(t *testing.T) {
 	const y = testdb.Response
 	kinds := func(srv *ShardedServer) map[string]error {
-		_, poly := srv.TrainPolyReg(y, 1e-3)
-		_, chow := srv.TrainChowLiu()
-		_, tree := srv.TrainCTree(y, TreeOptions{})
-		_, svm := srv.TrainSVM(y, 1e-3)
-		_, lin := srv.TrainLinRegGD(y, 1e-3, GDOptions{})
+		_, poly := srv.CovarSnapshot().TrainPolyReg(y, 1e-3)
+		_, chow := srv.CovarSnapshot().TrainChowLiu()
+		_, tree := srv.CovarSnapshot().TrainCTree(y, TreeOptions{})
+		_, svm := srv.CovarSnapshot().TrainSVM(y, 1e-3)
+		_, lin := srv.CovarSnapshot().TrainLinRegGD(y, 1e-3, GDOptions{})
 		return map[string]error{"polyreg": poly, "chowliu": chow, "ctree": tree, "svm": svm, "linreg": lin}
 	}
 	for _, tc := range []struct {

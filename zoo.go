@@ -637,43 +637,3 @@ func (s *ServerSnapshot) KMeansSeeds(k int) (_ *KMeansSeeding, err error) {
 		Epoch:         s.snap.Epoch,
 	}, nil
 }
-
-// TrainLinRegGD trains on the current ring-merged statistics with
-// explicit gradient-descent controls.
-func (s *ShardedServer) TrainLinRegGD(response string, lambda float64, opt GDOptions) (*LinearRegression, error) {
-	return s.CovarSnapshot().TrainLinRegGD(response, lambda, opt)
-}
-
-// TrainPCA extracts principal components from the current ring-merged
-// statistics — identical to an unsharded server's components.
-func (s *ShardedServer) TrainPCA(k int) (*PCAResult, error) { return s.CovarSnapshot().TrainPCA(k) }
-
-// TrainPolyReg trains a degree-2 polynomial regression from the current
-// ring-merged statistics (requires PayloadPoly2 or PayloadCofactor).
-func (s *ShardedServer) TrainPolyReg(response string, lambda float64) (*PolyRegression, error) {
-	return s.CovarSnapshot().TrainPolyReg(response, lambda)
-}
-
-// KMeansSeeds derives cluster seeds from the current ring-merged
-// statistics.
-func (s *ShardedServer) KMeansSeeds(k int) (*KMeansSeeding, error) {
-	return s.CovarSnapshot().KMeansSeeds(k)
-}
-
-// TrainChowLiu returns the Chow–Liu dependency tree from the current
-// ring-merged cofactor statistics (requires PayloadCofactor).
-func (s *ShardedServer) TrainChowLiu() ([]DependencyEdge, error) {
-	return s.CovarSnapshot().TrainChowLiu()
-}
-
-// TrainCTree trains a categorical regression tree from the current
-// ring-merged cofactor statistics (requires PayloadCofactor).
-func (s *ShardedServer) TrainCTree(response string, opt TreeOptions) (*DecisionTree, error) {
-	return s.CovarSnapshot().TrainCTree(response, opt)
-}
-
-// TrainSVM trains a least-squares SVM from the current ring-merged
-// cofactor statistics (requires PayloadCofactor).
-func (s *ShardedServer) TrainSVM(label string, lambda float64) (*SVMClassifier, error) {
-	return s.CovarSnapshot().TrainSVM(label, lambda)
-}
