@@ -92,8 +92,9 @@ func (p *Published) Payload() Payload { return p.payload }
 
 // Cofactor returns the epoch's immutable categorical cofactor element,
 // nil unless the payload is PayloadCofactor. The first call materializes
-// it, once however many readers race; a merged epoch's is the sorted
-// merge of its parts', sharing every group that lives on one part.
+// it, once however many readers race; a merged epoch's is one merge over
+// every part's base and log (ring.MergeEpochs), which materializes no
+// part's own element.
 func (p *Published) Cofactor() *ring.Cofactor {
 	if p.payload != PayloadCofactor {
 		return nil
@@ -111,13 +112,11 @@ func (p *Published) materialize() {
 		p.cofactor = p.epoch.Element()
 		return
 	}
+	eps := make([]ring.CofactorEpoch, len(p.parts))
 	for i, q := range p.parts {
-		if c := q.Cofactor(); i == 0 {
-			p.cofactor = c
-		} else {
-			p.cofactor = ring.CofactorRing{N: c.N, K: c.K}.Add(p.cofactor, c)
-		}
+		eps[i] = q.epoch
 	}
+	p.cofactor = ring.MergeEpochs(eps)
 }
 
 // Stats returns the covariance triple at this epoch, derived once by the

@@ -26,7 +26,8 @@ import (
 //
 //   - the one-hot layout: per categorical slot the codes live in the
 //     element, ascending, and a dense code → rank table;
-//   - each group's ranks, G×K in group-key order, beside the group;
+//   - each group's ranks, G×K in group-key order; a group itself is read
+//     from the element by its index (ring.Cofactor.At);
 //   - the aggregates the designs are assembled from: the marginal triple,
 //     one triple per (slot, code), and the co-occurrence counts of every
 //     pair of slots.
@@ -37,14 +38,14 @@ import (
 // built: any number of trainers may read one at once, and the serving
 // tier derives one per published epoch.
 type CatLayout struct {
-	N, K   int
-	codes  [][]int32      // per slot: the live codes, ascending
-	rank   [][]int32      // per slot: code → rank in codes (see rankOf)
-	groups []*ring.Covar  // in key order
-	ranks  []int32        // group g's rank in slot k at g*K+k, -1 where unbound
-	total  ring.Covar     // the sum of every group
-	slot   [][]ring.Covar // slot k, rank r: the sum of the groups holding that code
-	pair   [][]float64    // pair[k*K+l], k < l: the count of ranks (a, b) at a*len(codes[l])+b
+	N, K  int
+	codes [][]int32      // per slot: the live codes, ascending
+	rank  [][]int32      // per slot: code → rank in codes (see rankOf)
+	cf    *ring.Cofactor // the element, its groups read by index in key order
+	ranks []int32        // group g's rank in slot k at g*K+k, -1 where unbound
+	total ring.Covar     // the sum of every group
+	slot  [][]ring.Covar // slot k, rank r: the sum of the groups holding that code
+	pair  [][]float64    // pair[k*K+l], k < l: the count of ranks (a, b) at a*len(codes[l])+b
 }
 
 // NewCatLayout derives the layout of a cofactor element. Its tables are
@@ -53,17 +54,17 @@ type CatLayout struct {
 // derivation makes the same handful of allocations at any K.
 func NewCatLayout(cf *ring.Cofactor) *CatLayout {
 	n, k, ng := cf.N, cf.K, cf.NumGroups()
-	L := &CatLayout{N: n, K: k, groups: make([]*ring.Covar, 0, ng)}
+	L := &CatLayout{N: n, K: k, cf: cf}
 	ints := make([]int32, ng*k+k)
 	L.ranks = ints[:ng*k]
 	top := ints[ng*k:] // one past the largest live code per slot
-	cf.Each(func(codes []int32, g *ring.Covar) {
-		copy(L.ranks[len(L.groups)*k:], codes)
-		L.groups = append(L.groups, g)
+	for gi := range ng {
+		codes := L.ranks[gi*k:][:k]
+		cf.Codes(gi, codes)
 		for s, c := range codes {
 			top[s] = max(top[s], c+1)
 		}
-	})
+	}
 	size := 0
 	for _, t := range top {
 		size += 2 * int(t) // a rank table and a code list at most as long
@@ -122,22 +123,49 @@ func NewCatLayout(cf *ring.Cofactor) *CatLayout {
 			L.pair[s*k+t], pairs = pairs[:m:m], pairs[m:]
 		}
 	}
-	for gi, g := range L.groups {
-		L.total.AddInPlace(g)
+	// Each group is read once and added into the marginal and its codes'
+	// triples together; every triple still adds the groups in key order.
+	var g ring.Covar
+	var held [8]*ring.Covar
+	for gi := range ng {
+		cf.At(gi, &g)
+		cells := append(held[:0], &L.total)
 		r := L.ranks[gi*k:][:k]
 		for s, a := range r {
 			if a < 0 {
 				continue // unbound: only in partial products
 			}
-			L.slot[s][a].AddInPlace(g)
+			cells = append(cells, &L.slot[s][a])
 			for t := s + 1; t < k; t++ {
 				if b := r[t]; b >= 0 {
 					L.pair[s*k+t][int(a)*len(L.codes[t])+int(b)] += g.Count
 				}
 			}
 		}
+		addAll(cells, &g)
 	}
 	return L
+}
+
+// addAll adds g into every cell, full-support triples of the layout; g
+// over a narrower block goes through AddInPlace.
+func addAll(cells []*ring.Covar, g *ring.Covar) {
+	if g.Lo != 0 || len(g.Sum) != g.N {
+		for _, c := range cells {
+			c.AddInPlace(g)
+		}
+		return
+	}
+	for _, c := range cells {
+		c.Count += g.Count
+		sum, q := c.Sum[:len(g.Sum)], c.Q[:len(g.Q)]
+		for i, v := range g.Sum {
+			sum[i] += v
+		}
+		for i, v := range g.Q {
+			q[i] += v
+		}
+	}
 }
 
 // check is the bridges' shared precondition: the name lists match the
@@ -275,9 +303,12 @@ func (L *CatLayout) CTree(features, catFeatures []string, response string, cfg C
 	if cfg.MinRows <= 0 {
 		cfg.MinRows = 2
 	}
-	b := &catTree{L: L, cats: catFeatures, cfg: cfg, stats: make([]nodeStats, len(L.groups)), per: make([][]nodeStats, L.K)}
-	in := make([]int32, len(L.groups))
-	for g, c := range L.groups {
+	ng := L.cf.NumGroups()
+	b := &catTree{L: L, cats: catFeatures, cfg: cfg, stats: make([]nodeStats, ng), per: make([][]nodeStats, L.K)}
+	in := make([]int32, ng)
+	var c ring.Covar
+	for g := range ng {
+		L.cf.At(g, &c)
 		b.stats[g] = nodeStats{n: c.Count, sy: c.Sum[ry], syy: c.Q[ry*L.N+ry]}
 		in[g] = int32(g)
 	}
@@ -552,7 +583,9 @@ func (L *CatLayout) polySystem(features, catFeatures []string, response string, 
 	// slopes): the walk writes those straight, one row at a time. Pairs
 	// of two other features go through add.
 	K := L.K
-	for gi, g := range L.groups {
+	var win ring.Covar
+	for gi := range L.cf.NumGroups() {
+		g := L.cf.At(gi, &win)
 		r := L.ranks[gi*K:][:K]
 		if K > 0 && r[wide] >= 0 {
 			f := pos[hp(slot(wide, int(r[wide])))]

@@ -288,19 +288,39 @@ func FuzzCholeskyEnvelope(f *testing.F) {
 // tenantCofactor folds the first rows sales of the Tenant generator's
 // join (stores × 25 catalog items) into one cofactor element with the
 // categorical slots in the serving tier's order, item before store — so
-// the widest feature is NOT the first.
+// the widest feature is NOT the first. The element is built by in-place
+// adds, so its groups' records lie in birth order.
 func tenantCofactor(tb testing.TB, stores, rows int) (features, cats []string, cf *ring.Cofactor) {
+	cr := ring.CofactorRing{N: 4, K: 2}
+	cf = cr.Zero()
+	features, cats = tenantLifts(tb, stores, rows, func(l *ring.Cofactor) { cr.AddInPlace(cf, l) })
+	return features, cats, cf
+}
+
+// tenantServed is tenantCofactor's element as a served epoch's: the same
+// lifts added to a ring.CofactorRoot, published and materialized, so its
+// records lie in key order in one slab.
+func tenantServed(tb testing.TB, stores, rows int) *ring.Cofactor {
+	root := ring.NewCofactorRoot(ring.CofactorRing{N: 4, K: 2}, nil)
+	tenantLifts(tb, stores, rows, root.Add)
+	var ep ring.CofactorEpoch
+	root.Publish(&ep)
+	return ep.Element()
+}
+
+// tenantLifts hands the lift of each of the first rows Tenant sales to
+// add, and names the continuous and categorical features.
+func tenantLifts(tb testing.TB, stores, rows int, add func(*ring.Cofactor)) (features, cats []string) {
 	tb.Helper()
 	d := datagen.Tenant(33, float64(stores)/64)
 	sales, catalog, meta := d.DB.Relation("Sales"), d.DB.Relation("Catalog"), d.DB.Relation("Stores")
 	cr := ring.CofactorRing{N: 4, K: 2}
-	cf = cr.Zero()
 	for r := 0; r < rows; r++ {
 		s, i := sales.Col(0).C[r], sales.Col(1).C[r]
 		vals := []float64{catalog.Col(2).F[int(s)*25+int(i)], meta.Col(1).F[s], meta.Col(2).F[s], sales.Col(2).F[r]}
-		cr.AddInPlace(cf, cr.LiftCat([]int{0, 1, 2, 3}, vals, []int{0, 1}, []int32{i, s}))
+		add(cr.LiftCat([]int{0, 1, 2, 3}, vals, []int{0, 1}, []int32{i, s}))
 	}
-	return []string{"price", "sellarea", "footfall", "units"}, []string{"item", "store"}, cf
+	return []string{"price", "sellarea", "footfall", "units"}, []string{"item", "store"}
 }
 
 func tenantSigma(tb testing.TB) *Sigma {
@@ -572,10 +592,10 @@ var layoutSink *CatLayout
 // TestCatLayoutAllocsFlatInK pins a layout derivation — once per epoch
 // on a cofactor server — to the same few allocations at any number of
 // categorical features: the per-slot tables are carved from shared
-// arrays, not made one per slot or pair of slots. The count includes
-// the code buffer of the walk over the element's groups.
+// arrays, not made one per slot or pair of slots. The walk over the
+// element's groups reads them by index and allocates nothing.
 func TestCatLayoutAllocsFlatInK(t *testing.T) {
-	const want = 10
+	const want = 8
 	src := xrand.New(23)
 	widths := []int{6, 3, 11, 2}
 	for k := 1; k <= len(widths); k++ {
@@ -757,16 +777,23 @@ func BenchmarkCatPoly(b *testing.B) {
 			}
 		}
 	})
-	b.Run("tenant904/system", func(b *testing.B) { // assemble less the layout, which a round derives once
-		L := NewCatLayout(cf)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, _, pos, err := L.polySystem(features, cats, "units", 1e-3); err != nil || len(pos) != 904 {
-				b.Fatal(len(pos), err)
+	// system is the assembly less the layout, which a round derives once,
+	// over the element built in place; system-served over the element a
+	// root publishes, whose groups a served round reads.
+	system := func(cf *ring.Cofactor) func(b *testing.B) {
+		return func(b *testing.B) {
+			L := NewCatLayout(cf)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, pos, err := L.polySystem(features, cats, "units", 1e-3); err != nil || len(pos) != 904 {
+					b.Fatal(len(pos), err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("tenant904/system", system(cf))
+	b.Run("tenant904/system-served", system(tenantServed(b, 200, 40000)))
 	b.Run("tenant904/solve", func(b *testing.B) {
 		_, a, rhs, _, err := catPolySystem(features, cats, "units", cf, 1e-3)
 		if err != nil {

@@ -1,15 +1,19 @@
 package ring
 
-import "slices"
+import (
+	"math"
+	"sync"
+)
 
 // CofactorRoot is the F-IVM root result over the cofactor ring: an
-// immutable base in key order, its groups in one slab, plus an
-// append-only log of the root deltas added since, group by group in op
-// order, in fixed-size chunks that never move. The writer only appends
-// to the log, folding each group into a running marginal, so it never
-// writes what a reader holds, and an epoch (Publish) is base plus a
-// prefix of the log: O(1). Its element is materialized on demand by
-// replaying the prefix over base key by key exactly as Cofactor.add
+// immutable base in key order (keys and one record slab, see Cofactor),
+// plus an append-only log of the root deltas added since, group by group
+// in op order, in fixed-size chunks that never move. The writer only
+// appends to the log, folding each group into a running marginal, so it
+// never writes what a reader holds, and an epoch (Publish) is base plus a
+// prefix of the log: O(1). Its element is materialized on demand, written
+// once in key order by one merge over the base and the sorted log that
+// replays a key's deltas over its base group exactly as Cofactor.fold
 // folds the same deltas in place, so its groups are bitwise the ones
 // in-place accumulation builds. Once the log holds as many deltas as
 // base has groups, Add folds it into a new base — the work in-place
@@ -22,7 +26,9 @@ import "slices"
 // recycled: its chunks go on a free list that Add takes from before it
 // allocates, and its base's arrays become the output of a later fold, so
 // bases are double-buffered. A window with an epoch out at its retirement
-// (see Publish) is left to the GC; the root allocates afresh in its place.
+// (see Publish) is left to the GC; the root allocates afresh in its place:
+// one array per log chunk, and four objects per fold (the window, the
+// base's keys and slab, the window's chunk list).
 type CofactorRoot struct {
 	r CofactorRing
 	// to renames the delta groups' feature slots (Cofactor.AddMapped).
@@ -32,22 +38,19 @@ type CofactorRoot struct {
 	marg Covar
 	// closed are the windows folds closed while an epoch of theirs was
 	// out; free holds the chunks of recycled windows and spare one
-	// recycled window, whose base arrays and chunk array the next fold
+	// recycled window, whose base arrays and chunk list the next fold
 	// reuses; sc is the fold's scratch.
 	closed []*logWindow
-	free   []*logChunk
+	free   []logChunk
 	spare  *logWindow
-	sc     replayScratch
+	sc     mergeScratch
 }
 
 // logWindow is a base and the log chunks appended to it, the unit the
-// root recycles. hdr and slab are the base's group headers and floats
-// (nil for an empty root's base).
+// root recycles.
 type logWindow struct {
-	base   *Cofactor
-	hdr    []Covar
-	slab   []float64
-	chunks []*logChunk
+	base   Cofactor
+	chunks []logChunk
 	// out counts the epochs published and not handed back; seen is set
 	// once a retirement found the closed window with one out.
 	out  int
@@ -58,21 +61,33 @@ type logWindow struct {
 // floor of the fold threshold.
 const logChunkLen = 256
 
-// logChunk holds logChunkLen delta groups, pointer-free: their keys,
-// blocks and floats, each group given an N+N² stride.
-type logChunk struct {
-	keys   []uint64
-	meta   []struct{ lo, k int32 }
-	counts []float64
-	floats []float64
+// logChunk holds logChunkLen delta groups in one pointer-free array:
+// their keys' words as float64 bits (logChunkLen·W), then each group's
+// block as the bits of lo<<32 | width (logChunkLen), then a record
+// [count | sums | Q] per group at the stride 1+N+N², each as wide as its
+// delta's block.
+type logChunk []float64
+
+// chunkLen is the length of one log chunk.
+func (r CofactorRing) chunkLen() int { return logChunkLen * (keyWords(r.K) + 2 + r.N + r.N*r.N) }
+
+// entry points d at delta group i of ch and returns it.
+//
+//borg:noalloc
+func (r CofactorRing) entry(ch logChunk, i int, d *Covar) *Covar {
+	w := keyWords(r.K)
+	b := math.Float64bits(ch[logChunkLen*w+i])
+	lo, k := int(b>>32), int(uint32(b))
+	rec := ch[logChunkLen*(w+1)+i*(1+r.N+r.N*r.N):]
+	*d = Covar{N: r.N, Lo: lo, Count: rec[0], Sum: rec[1 : 1+k : 1+k], Q: rec[1+k : 1+k+k*k : 1+k+k*k]}
+	return d
 }
 
 // NewCofactorRoot returns an empty root whose delta groups' slots are
 // renamed by to (nil: none).
 func NewCofactorRoot(r CofactorRing, to []int) *CofactorRoot {
 	root := &CofactorRoot{r: r, to: to, marg: *r.covar().Zero()}
-	root.win = &logWindow{base: r.Zero()}
-	root.win.base.shared = true
+	root.win = &logWindow{base: Cofactor{N: r.N, K: r.K}}
 	return root
 }
 
@@ -81,21 +96,24 @@ func NewCofactorRoot(r CofactorRing, to []int) *CofactorRoot {
 //
 //borg:noalloc
 func (r *CofactorRoot) Add(delta *Cofactor) {
-	w, stride := keyWords(r.r.K), r.r.N+r.r.N*r.r.N
-	for j, g := range delta.vals {
+	w, st := keyWords(r.r.K), 1+r.r.N+r.r.N*r.r.N
+	blk := math.Float64frombits(uint64(delta.lo)<<32 | uint64(delta.w))
+	var g Covar
+	for j := 0; j < delta.n; j++ {
 		c, i := r.n/logChunkLen, r.n%logChunkLen
 		if c == len(r.win.chunks) {
 			r.grow()
 		}
-		ch, k := r.win.chunks[c], len(g.Sum)
-		copy(ch.keys[i*w:(i+1)*w], delta.key(j))
-		ch.meta[i].lo, ch.meta[i].k, ch.counts[i] = int32(g.Lo), int32(k), g.Count
-		copy(ch.floats[i*stride:], g.Sum)
-		copy(ch.floats[i*stride+k:], g.Q)
-		r.marg.AddMapped(g, r.to)
+		ch := r.win.chunks[c]
+		for x, v := range delta.key(j) {
+			ch[i*w+x] = math.Float64frombits(v)
+		}
+		ch[logChunkLen*w+i] = blk
+		copy(ch[logChunkLen*(w+1)+i*st:], delta.rec(delta.recOf(j)))
+		r.marg.AddMapped(delta.At(j, &g), r.to)
 		r.n++
 	}
-	if r.n >= max(len(r.win.base.vals), logChunkLen) {
+	if r.n >= max(r.win.base.n, logChunkLen) {
 		r.fold()
 	}
 }
@@ -105,13 +123,11 @@ func (r *CofactorRoot) Add(delta *Cofactor) {
 //
 //go:noinline
 func (r *CofactorRoot) grow() {
-	var ch *logChunk
+	var ch logChunk
 	if k := len(r.free); k > 0 {
 		ch, r.free[k-1], r.free = r.free[k-1], nil, r.free[:k-1]
 	} else {
-		ch = &logChunk{keys: make([]uint64, logChunkLen*keyWords(r.r.K)),
-			meta: make([]struct{ lo, k int32 }, logChunkLen), counts: make([]float64, logChunkLen),
-			floats: make([]float64, logChunkLen*(r.r.N+r.r.N*r.r.N))}
+		ch = make(logChunk, r.r.chunkLen())
 	}
 	r.win.chunks = append(r.win.chunks, ch)
 }
@@ -129,7 +145,11 @@ func (r *CofactorRoot) fold() {
 		nw = new(logWindow)
 	}
 	r.spare = nil
-	CofactorEpoch{base: old.base, chunks: old.chunks, n: r.n, to: r.to}.replay(nw, &r.sc)
+	eps := [1]CofactorEpoch{{base: &old.base, chunks: old.chunks, n: r.n, to: r.to}}
+	mergeEpochs(eps[:], &nw.base, &r.sc)
+	if nw.chunks == nil { // room for the log that triggers the next fold
+		nw.chunks = make([]logChunk, 0, max(nw.base.n, logChunkLen)/logChunkLen+1)
+	}
 	nw.out, nw.seen = 0, false
 	r.win, r.n = nw, 0
 	nw.base.MarginalInto(&r.marg)
@@ -159,8 +179,8 @@ func (r *CofactorRoot) Marginal() *Covar { return &r.marg }
 // is recycled; one found with an epoch out at two publications is left
 // to the GC, since a writer hands an unread epoch back at most one
 // publication after it was superseded. An epoch that is never handed
-// back — one a reader took — therefore keeps its window, and everything
-// an element materialized from it shares, out of reuse for good.
+// back — one a reader took — therefore keeps its window out of reuse for
+// good.
 func (r *CofactorRoot) Publish(ep *CofactorEpoch) {
 	if ep.w != nil {
 		ep.w.out--
@@ -178,7 +198,7 @@ func (r *CofactorRoot) Publish(ep *CofactorEpoch) {
 	clear(r.closed[len(keep):])
 	r.closed = keep
 	r.win.out++
-	*ep = CofactorEpoch{base: r.win.base, chunks: r.win.chunks, n: r.n, to: r.to, w: r.win}
+	*ep = CofactorEpoch{base: &r.win.base, chunks: r.win.chunks, n: r.n, to: r.to, w: r.win}
 }
 
 // CofactorEpoch is one published value of a CofactorRoot: its base and
@@ -186,29 +206,261 @@ func (r *CofactorRoot) Publish(ep *CofactorEpoch) {
 // the epoch is out (see Publish).
 type CofactorEpoch struct {
 	base   *Cofactor
-	chunks []*logChunk
+	chunks []logChunk
 	n      int
 	to     []int
 	w      *logWindow
 }
 
-// Element materializes the epoch's element, immutable like every
-// published one: groups no logged delta touched are shared with the
-// base, the touched ones are replayed into one key-ordered slab. Each
-// call materializes anew; nil for the zero epoch.
-func (ep CofactorEpoch) Element() *Cofactor { return ep.replay(nil, nil) }
+// Element materializes the epoch's element, which nothing writes: the
+// base itself when the log is empty, else a new element merged from base
+// and log. Each call materializes anew; nil for the zero epoch.
+func (ep CofactorEpoch) Element() *Cofactor {
+	if ep.n == 0 {
+		return ep.base
+	}
+	return MergeEpochs([]CofactorEpoch{ep})
+}
 
-// replayStep is one key of a replay's merged run: its base group (-1:
-// none) and its deltas ord[lo:hi].
-type replayStep struct{ bi, lo, hi int32 }
+// MergeEpochs materializes the sum of epochs of roots over one ring and
+// slot renaming — the shards of a sharded tier — as one new element,
+// written once in key order by one merge over every part's base and log.
+// Its groups are bitwise the sorted merge CofactorRing.Add makes of the
+// parts' elements, pairwise in part order: a key on one part is that
+// part's group, a key on several is summed from zero in part order, and
+// a sum that reaches exact zero is dropped before the next part's group
+// is met. Zero epochs count as empty parts; nil when every part is one.
+func MergeEpochs(eps []CofactorEpoch) *Cofactor {
+	live := eps[:0:0]
+	for _, ep := range eps {
+		if ep.base != nil {
+			live = append(live, ep)
+		}
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	out, sc := new(Cofactor), scratchPool.Get().(*mergeScratch)
+	mergeEpochs(live, out, sc)
+	scratchPool.Put(sc)
+	return out
+}
 
-// replayScratch is the storage of a replay's temporaries, reused by a
-// root's folds: the keys copied out of the log, sortLog's two orders
-// and the merged run.
-type replayScratch struct {
+// scratchPool holds the merge scratch of materializations, which keep
+// none of it.
+var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// mergeCursor is one part of a merge: its base and log, the log's keys
+// copied out in log order and its positions in key order (ord), the
+// part's steps in key order with their keys laid end to end, and the
+// next step.
+type mergeCursor struct {
+	base   *Cofactor
+	chunks []logChunk
+	lk     []uint64
+	ord    []int32
+	steps  []mergeStep
+	keys   []uint64
+	next   int
+}
+
+// mergeStep is one key of a part: its base group (-1: none) and its
+// deltas' sorted log positions [lo, hi).
+type mergeStep struct{ bi, lo, hi int32 }
+
+// plan appends to steps one step per key of the part, in key order — a
+// sorted merge of its base's keys with its sorted log — and to keys the
+// step's key.
+func (c *mergeCursor) plan(steps []mergeStep, keys []uint64, w int) ([]mergeStep, []uint64) {
+	b, n := c.base, int32(len(c.ord))
+	for i, j := int32(0), int32(0); int(i) < b.n || j < n; {
+		o := 1
+		if j == n {
+			o = -1
+		} else if int(i) < b.n {
+			o = compareKeys(b.key(int(i)), c.logKey(j, w))
+		}
+		st := mergeStep{-1, j, j}
+		if o <= 0 {
+			st.bi, i = i, i+1
+		}
+		if o >= 0 {
+			for j++; j < n && compareKeys(c.logKey(j, w), c.logKey(st.lo, w)) == 0; j++ {
+			}
+			st.hi = j
+		}
+		steps = append(steps, st)
+		if st.bi >= 0 {
+			keys = append(keys, b.key(int(st.bi))...)
+		} else {
+			keys = append(keys, c.logKey(st.lo, w)...)
+		}
+	}
+	return steps, keys
+}
+
+// logKey returns the key of sorted log position j.
+func (c *mergeCursor) logKey(j int32, w int) []uint64 { return c.lk[int(c.ord[j])*w:][:w] }
+
+// group writes into dst, a record over out's block, the part's group of
+// step st: its base group, with the deltas folded in as Cofactor.fold
+// folds them — a birth unchecked, a group pruned on reaching exact zero.
+// It reports whether the group is live.
+func (c *mergeCursor) group(out *Cofactor, dst []float64, st mergeStep, to []int) bool {
+	b, live := c.base, st.bi >= 0
+	if live && b.lo == out.lo && b.w == out.w {
+		copy(dst, b.rec(b.recOf(int(st.bi))))
+		if st.lo == st.hi {
+			return true
+		}
+	}
+	var g, d Covar
+	if live && (b.lo != out.lo || b.w != out.w) {
+		place(dst, out.lo, out.w, b.At(int(st.bi), &g))
+	}
+	r := CofactorRing{N: out.N, K: out.K}
+	for _, x := range c.ord[st.lo:st.hi] {
+		r.entry(c.chunks[x/logChunkLen], int(x)%logChunkLen, &d)
+		switch {
+		case live:
+			out.window(&g, dst).AddMapped(&d, to)
+			dst[0], live = g.Count, !g.IsZero()
+		case to != nil:
+			clear(dst)
+			out.window(&g, dst).AddMapped(&d, to)
+			dst[0], live = g.Count, true
+		default:
+			place(dst, out.lo, out.w, &d)
+			live = true
+		}
+	}
+	return live
+}
+
+// mergeScratch is the storage of a merge's temporaries, reused by a
+// root's folds: the keys copied out of the logs, sortLog's two orders,
+// the cursors, their steps and the steps' keys, and one record.
+type mergeScratch struct {
 	lk       []uint64
 	ord, tmp []int32
-	steps    []replayStep
+	cur      []mergeCursor
+	steps    []mergeStep
+	keys     []uint64
+	acc      []float64
+}
+
+// least returns the least key of the cursors' next steps, and the set
+// of cursors whose next step has it (bit p for cursor p).
+func (sc *mergeScratch) least(w int) (key []uint64, at uint64) {
+	for p := range sc.cur {
+		c := &sc.cur[p]
+		if c.next == len(c.steps) {
+			continue
+		}
+		head := c.keys[c.next*w:][:w]
+		if at == 0 {
+			key, at = head, 1<<p
+			continue
+		}
+		switch o := compareKeys(head, key); {
+		case o < 0:
+			key, at = head, 1<<p
+		case o == 0:
+			at |= 1 << p
+		}
+	}
+	return key, at
+}
+
+// mergeEpochs writes the merge of eps (see MergeEpochs) into out, reusing
+// out's arrays and sc. Each part's keys are planned first (their count
+// sizes out: exactly for one part, or parts holding disjoint keys), then
+// each surviving group is written once, in key order. out's block is the
+// full one under a renaming, and otherwise the hull of every part's base
+// and logged blocks.
+func mergeEpochs(eps []CofactorEpoch, out *Cofactor, sc *mergeScratch) {
+	n, k, to := eps[0].base.N, eps[0].base.K, eps[0].to
+	w, total, bases := keyWords(k), 0, 0
+	for _, ep := range eps {
+		total, bases = total+ep.n, bases+ep.base.n
+	}
+	sc.lk = grown(sc.lk, total*w)[:0]
+	sc.ord, sc.tmp = grown(sc.ord, total), grown(sc.tmp, total)
+	sc.cur, sc.steps = grown(sc.cur, len(eps)), grown(sc.steps, bases+total)[:0]
+	sc.keys = grown(sc.keys, (bases+total)*w)[:0]
+	lo, bw := 0, 0
+	if to != nil {
+		bw = n
+	}
+	at := 0
+	for p, ep := range eps {
+		start := len(sc.lk)
+		for x := 0; x < ep.n; x++ {
+			ch, i := ep.chunks[x/logChunkLen], x%logChunkLen
+			for _, v := range ch[i*w : (i+1)*w] {
+				sc.lk = append(sc.lk, math.Float64bits(v))
+			}
+			if to == nil {
+				b := math.Float64bits(ch[logChunkLen*w+i])
+				lo, bw = hull(lo, bw, int(b>>32), int(uint32(b)))
+			}
+		}
+		if to == nil {
+			lo, bw = hull(lo, bw, ep.base.lo, ep.base.w)
+		}
+		c := &sc.cur[p]
+		*c = mergeCursor{base: ep.base, chunks: ep.chunks, lk: sc.lk[start:]}
+		c.ord, at = sortLog(c.lk, w, sc.ord[at:at+ep.n], sc.tmp[at:at+ep.n]), at+ep.n
+		first := len(sc.steps)
+		sc.steps, sc.keys = c.plan(sc.steps, sc.keys, w)
+		c.steps, c.keys = sc.steps[first:], sc.keys[first*w:]
+	}
+	*out = Cofactor{N: n, K: k, lo: lo, w: bw, keys: out.keys[:0], data: out.data[:0]}
+	st := out.stride()
+	out.keys, out.data = grown(out.keys, len(sc.steps)*w)[:0], grown(out.data, len(sc.steps)*st)[:0]
+	sc.acc = grown(sc.acc, st)
+	for key, at := sc.least(w); at != 0; key, at = sc.least(w) {
+		rec := out.data[len(out.data):][:st:st]
+		// state: 0 no live group yet, 1 one part's verbatim, 2 a sum
+		// of several computed from zero, as CofactorRing.Add would.
+		state := 0
+		for p := range sc.cur {
+			if at>>p&1 == 0 {
+				continue
+			}
+			dst := rec
+			if state != 0 {
+				dst = sc.acc
+			}
+			c := &sc.cur[p]
+			c.next++
+			if !c.group(out, dst, c.steps[c.next-1], to) {
+				continue
+			}
+			switch state {
+			case 0:
+				state = 1
+				continue
+			case 1:
+				for i, v := range rec {
+					rec[i] = 0 + v
+				}
+			}
+			for i, v := range sc.acc {
+				rec[i] += v
+			}
+			if state = 2; zeroRec(rec) {
+				state = 0
+			}
+		}
+		if state != 0 {
+			nk := len(out.keys)
+			out.keys = out.keys[:nk+w]
+			copy(out.keys[nk:], key)
+			out.data, out.n = out.data[:len(out.data)+st], out.n+1
+		}
+	}
+	clear(sc.cur) // hold no part's window past the merge
 }
 
 // grown returns s resliced to length n. A nil s is allocated exactly; a
@@ -223,107 +475,6 @@ func grown[T any](s []T, n int) []T {
 		return make([]T, n, n+n/8)
 	}
 	return s[:n]
-}
-
-// replay orders the logged deltas by key, op order kept within a key,
-// and merges them into base: a key's deltas fold into its base group as
-// Cofactor.add folds them, a birth unchecked and a group pruned on
-// reaching exact zero. A fold passes into and sc: every group is copied
-// into the slab, the element is built in into's arrays, and the
-// temporaries live in sc. A reader passes neither: untouched groups are
-// shared with the base, and the replay allocates what it builds.
-func (ep CofactorEpoch) replay(into *logWindow, sc *replayScratch) *Cofactor {
-	b, n, all := ep.base, ep.n, into != nil
-	if n == 0 && !all {
-		return b
-	}
-	if !all {
-		into, sc = new(logWindow), new(replayScratch)
-	}
-	w, stride := keyWords(b.K), b.N+b.N*b.N
-	lk := grown(sc.lk, n*w)[:0]
-	for c := 0; c*logChunkLen < n; c++ {
-		lk = append(lk, ep.chunks[c].keys[:min(n-c*logChunkLen, logChunkLen)*w]...)
-	}
-	sc.lk = lk
-	sc.ord, sc.tmp = grown(sc.ord, n), grown(sc.tmp, n)
-	ord := sortLog(lk, w, sc.ord, sc.tmp)
-	sk := func(j int32) []uint64 { x := int(ord[j]); return lk[x*w : (x+1)*w] }
-	steps, groups := grown(sc.steps, len(b.vals)+n)[:0], 0
-	for i, j := int32(0), int32(0); int(i) < len(b.vals) || int(j) < n; {
-		c := 1
-		if int(j) == n {
-			c = -1
-		} else if int(i) < len(b.vals) {
-			c = slices.Compare(b.key(int(i)), sk(j))
-		}
-		st := replayStep{-1, j, j}
-		if c <= 0 {
-			st.bi, i = i, i+1
-		}
-		if c >= 0 {
-			for j++; int(j) < n && slices.Equal(sk(j), sk(st.lo)); j++ {
-			}
-			st.hi = j
-		}
-		if all || st.hi > st.lo {
-			groups++
-		}
-		steps = append(steps, st)
-	}
-	sc.steps = steps
-	if into.base == nil {
-		into.base = new(Cofactor)
-	}
-	out := into.base
-	*out = Cofactor{N: b.N, K: b.K, shared: true, keys: grown(out.keys, len(steps)*w)[:0], vals: grown(out.vals, len(steps))[:0]}
-	into.hdr, into.slab = grown(into.hdr, groups), grown(into.slab, groups*stride)
-	hdr, slab, used := into.hdr, into.slab, 0
-	for _, st := range steps {
-		var k []uint64
-		if st.bi < 0 {
-			k = sk(st.lo)
-		} else if k = b.key(int(st.bi)); !all && st.hi == st.lo {
-			out.keys, out.vals = append(out.keys, k...), append(out.vals, b.vals[st.bi])
-			continue
-		}
-		// g's floats are the next stride of the slab; take shapes them as
-		// a block of width k, which block and CopyInto then reuse.
-		g, fl := &hdr[used], slab[used*stride:]
-		take := func(k int) { g.Sum, g.Q = fl[:k:k], fl[k:k+k*k:k+k*k] }
-		live := st.bi >= 0
-		if live {
-			take(len(b.vals[st.bi].Sum))
-			b.vals[st.bi].CopyInto(g)
-		}
-		for _, x := range ord[st.lo:st.hi] {
-			ch, i := ep.chunks[x/logChunkLen], int(x)%logChunkLen
-			dk := int(ch.meta[i].k)
-			dfl := ch.floats[i*stride:]
-			d := &Covar{N: b.N, Lo: int(ch.meta[i].lo), Count: ch.counts[i], Sum: dfl[:dk:dk], Q: dfl[dk : dk+dk*dk : dk+dk*dk]}
-			switch {
-			case live:
-				g.AddMapped(d, ep.to)
-				live = !g.IsZero()
-			case ep.to != nil:
-				take(b.N)
-				clear(fl[:stride])
-				g.N, g.Lo, g.Count = b.N, 0, 0
-				g.AddMapped(d, ep.to)
-				live = true
-			default:
-				take(dk)
-				d.CopyInto(g)
-				live = true
-			}
-		}
-		if live {
-			out.keys, out.vals, used = append(out.keys, k...), append(out.vals, g), used+1
-		} else {
-			*g = Covar{}
-		}
-	}
-	return out
 }
 
 // sortLog orders the len(ord) keys of w words laid end to end in lk:

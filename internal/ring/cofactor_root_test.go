@@ -12,11 +12,18 @@ import (
 // raw float bits, in key order.
 func elemBits(e *Cofactor) []uint64 {
 	out := slices.Clone(e.keys)
-	for _, g := range e.vals {
-		out = append(out, uint64(g.Lo), uint64(len(g.Sum)), math.Float64bits(g.Count))
-		for _, v := range append(slices.Clone(g.Sum), g.Q...) {
-			out = append(out, math.Float64bits(v))
-		}
+	var g Covar
+	for i := 0; i < e.NumGroups(); i++ {
+		out = append(out, covarBits(e.At(i, &g))...)
+	}
+	return out
+}
+
+// covarBits flattens a triple into its block and raw float bits.
+func covarBits(g *Covar) []uint64 {
+	out := []uint64{uint64(g.Lo), uint64(len(g.Sum)), math.Float64bits(g.Count)}
+	for _, v := range append(slices.Clone(g.Sum), g.Q...) {
+		out = append(out, math.Float64bits(v))
 	}
 	return out
 }
@@ -60,7 +67,11 @@ func randRootDelta(r CofactorRing, src *xrand.Source, real bool) *Cofactor {
 // the end, after every later append, fold and recycle, and both must be
 // the accumulation at the time it was taken; so must epochs published
 // and read only at the end. On integer data the running marginal is
-// bitwise the key-order marginal of the accumulation.
+// bitwise the key-order marginal of the accumulation. A second root, fed
+// deltas of its own, publishes beside every publication, and the two
+// epochs merge as a two-shard tier's do (MergeEpochs, this root's part
+// first): bitwise CofactorRing.Add of the two accumulations, when
+// published and, for an epoch a reader held, again at the end.
 func FuzzCofactorRootReplay(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint8(0))
 	f.Add(uint64(2), uint16(900), uint8(1))
@@ -75,12 +86,18 @@ func FuzzCofactorRootReplay(f *testing.F) {
 		}
 		real := flags&2 != 0
 		root, acc := NewCofactorRoot(r, to), r.Zero()
+		src2, root2, acc2 := xrand.New(^seed), NewCofactorRoot(r, to), r.Zero()
 		var deltas []*Cofactor
 		type epoch struct {
 			ep   CofactorEpoch
 			want []uint64
 			elem *Cofactor // materialized when taken; nil: read only at the end
+			// ep2 is the second root's epoch published beside ep, never
+			// handed back; merged the two merged when taken.
+			ep2    CofactorEpoch
+			merged []uint64
 		}
+		merge := func(e epoch) []uint64 { return elemBits(MergeEpochs([]CofactorEpoch{e.ep, e.ep2})) }
 		var epochs []epoch
 		// cur is the current epoch, held once a reader took it; free is
 		// the superseded unread one, handed back at the next publication.
@@ -93,7 +110,11 @@ func FuzzCofactorRootReplay(f *testing.F) {
 			if !held {
 				free = cur
 			}
-			cur, held = epoch{ep: ep, want: elemBits(acc)}, false
+			cur, held = epoch{ep: ep, want: elemBits(acc), merged: elemBits(r.Add(acc, acc2))}, false
+			root2.Publish(&cur.ep2)
+			if got := merge(cur); !slices.Equal(got, cur.merged) {
+				t.Fatalf("to %v, real %v: merged epochs %v, want the sum %v", to, real, got, cur.merged)
+			}
 		}
 		for s := 0; s < int(steps%2048); s++ {
 			d := randRootDelta(r, src, real)
@@ -103,6 +124,14 @@ func FuzzCofactorRootReplay(f *testing.F) {
 			deltas = append(deltas, d)
 			root.Add(d)
 			acc.AddMapped(d, to)
+			if src2.Intn(2) == 0 {
+				d2 := randRootDelta(r, src2, real)
+				if src2.Intn(3) == 0 {
+					d2 = r.Neg(deltas[src2.Intn(len(deltas))])
+				}
+				root2.Add(d2)
+				acc2.AddMapped(d2, to)
+			}
 			switch src.Intn(12) {
 			case 0, 1, 2:
 				publish()
@@ -126,6 +155,9 @@ func FuzzCofactorRootReplay(f *testing.F) {
 				if got := elemBits(e.elem); !slices.Equal(got, e.want) {
 					t.Fatalf("epoch %d of %d (to %v, real %v): element materialized when held now reads %v, want %v", k, len(epochs), to, real, got, e.want)
 				}
+				if got := merge(e); !slices.Equal(got, e.merged) {
+					t.Fatalf("epoch %d of %d (to %v, real %v): held epoch merged with its second root's now reads %v, want %v", k, len(epochs), to, real, got, e.merged)
+				}
 			}
 			if got := elemBits(e.ep.Element()); !slices.Equal(got, e.want) {
 				t.Fatalf("epoch %d of %d (to %v, real %v): materialized %v, want %v", k, len(epochs), to, real, got, e.want)
@@ -134,7 +166,7 @@ func FuzzCofactorRootReplay(f *testing.F) {
 		if !real {
 			var want Covar
 			acc.MarginalInto(&want)
-			if !slices.Equal(elemBits(&Cofactor{vals: []*Covar{root.Marginal()}}), elemBits(&Cofactor{vals: []*Covar{&want}})) {
+			if !slices.Equal(covarBits(root.Marginal()), covarBits(&want)) {
 				t.Fatalf("running marginal %v, want the key-order marginal %v", root.Marginal(), &want)
 			}
 		}
@@ -180,5 +212,57 @@ func TestCofactorRootRecyclesUnreadWindows(t *testing.T) {
 	root.Publish(&free)
 	if got, want := elemBits(free.Element()), elemBits(acc); !slices.Equal(got, want) {
 		t.Fatalf("epoch after recycling materialized %v, want %v", got, want)
+	}
+}
+
+// TestCofactorRootHeldWindowAllocs pins what a root allocates when a
+// reader holds an epoch of every window, as a serving tier's zoo round
+// does, so that no window is ever recycled: exactly one object per fresh
+// log chunk, and a fixed number per fold whatever the group count — the
+// new window, its base's keys and slab, and its chunk list.
+func TestCofactorRootHeldWindowAllocs(t *testing.T) {
+	r := CofactorRing{N: 4, K: 2}
+	perFold := map[int]float64{}
+	for _, groups := range []int{1000, 4000} {
+		deltas := make([]*Cofactor, groups)
+		for i := range deltas {
+			deltas[i] = r.LiftCat([]int{0, 1}, []float64{2, float64(i % 7)}, []int{0, 1}, []int32{int32(i / 64), int32(i % 64)})
+		}
+		root := NewCofactorRoot(r, nil)
+		var held []CofactorEpoch
+		i, chunks, folds := 0, 0, 0
+		steps := func() {
+			chunks, folds = 0, 0
+			for k := 0; k < 4*groups; k++ {
+				w, before := root.win, len(root.win.chunks)
+				root.Add(deltas[i%groups])
+				i++
+				if root.win == w {
+					chunks += len(w.chunks) - before
+					continue
+				}
+				chunks += len(w.chunks) - before
+				folds++
+				var ep CofactorEpoch
+				root.Publish(&ep) // held: never handed back
+				held = append(held[:0], ep)
+			}
+		}
+		for k := 0; k < 3; k++ {
+			steps()
+		}
+		held = slices.Grow(held, 1)
+		a := testing.AllocsPerRun(1, steps)
+		if folds < 3 || chunks < folds {
+			t.Fatalf("%d groups: %d folds and %d chunks per run, want at least 3 and one a fold", groups, folds, chunks)
+		}
+		perFold[groups] = (a - float64(chunks)) / float64(folds)
+		t.Logf("%d groups: %.0f allocations for %d fresh chunks and %d folds: %.2f a fold besides its chunks", groups, a, chunks, folds, perFold[groups])
+		if a < float64(chunks) || perFold[groups] > 4 {
+			t.Errorf("%d groups: %.0f allocations for %d fresh chunks and %d folds, want one a chunk and at most 4 a fold", groups, a, chunks, folds)
+		}
+	}
+	if perFold[1000] != perFold[4000] {
+		t.Errorf("a fold allocates %.2f objects besides its chunks at 1000 groups, %.2f at 4000: want the same", perFold[1000], perFold[4000])
 	}
 }

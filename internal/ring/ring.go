@@ -47,9 +47,8 @@ type Inverter[T any] interface {
 // uses the returned element. CovarRing and Poly2Ring overwrite dst and
 // return it, allocating nothing — a Covar destination takes the shape of
 // the result's block of feature slots, on its own array when that has
-// the room (one from Zero always has); CofactorRing refills dst from the
-// groups dst is the sole holder of (none of them once a snapshot or a
-// sum was made of it).
+// the room (one from Zero always has); CofactorRing refills dst's own
+// key array and record slab.
 type Algebra[E any] interface {
 	Zero() E
 	// LiftInto maps one tuple's owned feature values (global indexes idx,

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -322,13 +323,13 @@ func TestShardedErrAndCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestCofactorMergeSharesShardGroups checks the cofactor half of the
-// merge algebra and its cost model: the merged element of a 3-shard
-// server equals what a single shard maintains over the same stream
-// (bitwise on integer data), and — store being both the partitioning
-// attribute and a categorical slot, so every group lives on one shard —
-// each of its groups IS that shard's published group, not a copy.
-func TestCofactorMergeSharesShardGroups(t *testing.T) {
+// TestCofactorMergeCopiesShardGroups checks the cofactor half of the
+// merge algebra: the merged element of a 3-shard server equals what a
+// single shard maintains over the same stream (bitwise on integer data),
+// and — store being both the partitioning attribute and a categorical
+// slot, so every group lives on one shard — each of its groups reads
+// bitwise as that shard's published group, block included.
+func TestCofactorMergeCopiesShardGroups(t *testing.T) {
 	j, stream, features := tenantSchema(23, 400, 6, 5)
 	features = append(features, "store", "item")
 	cfg := func(shards int) Config {
@@ -373,12 +374,15 @@ func TestCofactorMergeSharesShardGroups(t *testing.T) {
 	ms.Cofactor().Each(func(codes []int32, g *ring.Covar) {
 		holders := 0
 		for _, sh := range sharded.shards {
-			if sh.Snapshot().Cofactor().Group(codes) == g {
+			if sg := sh.Snapshot().Cofactor().Group(codes); sg != nil {
 				holders++
+				if !slices.Equal(covarBits(sg), covarBits(g)) || sg.Lo != g.Lo || len(sg.Sum) != len(g.Sum) {
+					t.Errorf("merged group %v reads %v, its shard's %v", codes, g, sg)
+				}
 			}
 		}
 		if holders != 1 {
-			t.Errorf("merged group %v is shared with %d shard snapshots, want 1", codes, holders)
+			t.Errorf("merged group %v lives on %d shards, want 1", codes, holders)
 		}
 	})
 }
