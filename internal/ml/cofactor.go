@@ -123,49 +123,24 @@ func NewCatLayout(cf *ring.Cofactor) *CatLayout {
 			L.pair[s*k+t], pairs = pairs[:m:m], pairs[m:]
 		}
 	}
-	// Each group is read once and added into the marginal and its codes'
-	// triples together; every triple still adds the groups in key order.
 	var g ring.Covar
-	var held [8]*ring.Covar
 	for gi := range ng {
 		cf.At(gi, &g)
-		cells := append(held[:0], &L.total)
+		L.total.AddInPlace(&g)
 		r := L.ranks[gi*k:][:k]
 		for s, a := range r {
 			if a < 0 {
 				continue // unbound: only in partial products
 			}
-			cells = append(cells, &L.slot[s][a])
+			L.slot[s][a].AddInPlace(&g)
 			for t := s + 1; t < k; t++ {
 				if b := r[t]; b >= 0 {
 					L.pair[s*k+t][int(a)*len(L.codes[t])+int(b)] += g.Count
 				}
 			}
 		}
-		addAll(cells, &g)
 	}
 	return L
-}
-
-// addAll adds g into every cell, full-support triples of the layout; g
-// over a narrower block goes through AddInPlace.
-func addAll(cells []*ring.Covar, g *ring.Covar) {
-	if g.Lo != 0 || len(g.Sum) != g.N {
-		for _, c := range cells {
-			c.AddInPlace(g)
-		}
-		return
-	}
-	for _, c := range cells {
-		c.Count += g.Count
-		sum, q := c.Sum[:len(g.Sum)], c.Q[:len(g.Q)]
-		for i, v := range g.Sum {
-			sum[i] += v
-		}
-		for i, v := range g.Q {
-			q[i] += v
-		}
-	}
 }
 
 // check is the bridges' shared precondition: the name lists match the

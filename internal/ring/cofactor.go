@@ -124,14 +124,25 @@ func (e *Cofactor) recOf(i int) int {
 // Count is a copy of rec[0]: a write through g stores it back.
 //
 //borg:noalloc
-func (e *Cofactor) window(g *Covar, rec []float64) *Covar {
-	w := e.w
-	*g = Covar{N: e.N, Lo: e.lo, Count: rec[0], Sum: rec[1 : 1+w : 1+w], Q: rec[1+w:]}
+func (e *Cofactor) window(g *Covar, rec []float64) *Covar { return recWindow(g, e.N, e.lo, e.w, rec) }
+
+// recWindow points g at rec, a record [count | sums | Q] over the block
+// [lo, lo+w) of n features and exactly as long, and returns it. It sets
+// g's fields one by one: storing a composite literal through g made a
+// root's Add and fold about a tenth slower (2-vCPU Xeon), and every
+// group read goes through here.
+//
+//borg:noalloc
+func recWindow(g *Covar, n, lo, w int, rec []float64) *Covar {
+	g.N, g.Lo, g.Count, g.Sum, g.Q = n, lo, rec[0], rec[1:1+w:1+w], rec[1+w:]
 	return g
 }
 
 // At points g at group i, in key order, and returns it: a window on the
 // group's record, valid until e is next written, whose Count is a copy.
+// It spells out recOf and rec rather than calling them so that it stays
+// within the inliner's budget: the trainers and MulInto's pair loop call
+// it once per group.
 //
 //borg:noalloc
 func (e *Cofactor) At(i int, g *Covar) *Covar {
@@ -140,9 +151,7 @@ func (e *Cofactor) At(i int, g *Covar) *Covar {
 	}
 	w := e.w
 	st := 1 + w + w*w
-	rec := e.data[i*st:][:st:st]
-	*g = Covar{N: e.N, Lo: e.lo, Count: rec[0], Sum: rec[1 : 1+w : 1+w], Q: rec[1+w:]}
-	return g
+	return recWindow(g, e.N, e.lo, w, e.data[i*st:][:st:st])
 }
 
 // Codes writes group i's per-slot codes, in key order, into codes
@@ -231,29 +240,13 @@ func (e *Cofactor) MarginalInto(dst *Covar) {
 	clear(dst.Sum)
 	clear(dst.Q)
 	dst.Count = e.Count()
-	w, lo := e.w, e.lo
-	if w == 0 {
-		return
-	}
-	sum := dst.Sum[lo:][:w]
+	sum := dst.Sum[e.lo:][:e.w]
+	var g Covar
 	for i := 0; i < e.n; i++ {
-		rec := e.rec(e.recOf(i))
-		for j, v := range rec[1 : 1+w] {
+		for j, v := range e.At(i, &g).Sum {
 			sum[j] += v
 		}
-		if q := rec[1+w:]; w == e.N { // full support: Q is one run
-			dq := dst.Q[:len(q)]
-			for j, v := range q {
-				dq[j] += v
-			}
-		} else {
-			for r := 0; r < w; r++ {
-				row := dst.Q[(lo+r)*e.N+lo:][:w]
-				for j, v := range q[r*w:][:w] {
-					row[j] += v
-				}
-			}
-		}
+		dst.addQ(&g)
 	}
 }
 
@@ -485,12 +478,15 @@ func (r CofactorRing) LiftCatInto(dst *Cofactor, idx []int, vals []float64, catI
 		lo, k = hull(lo, k, i, 1)
 	}
 	dst.reset(lo, k)
-	var buf [4]uint64
-	key := packCatKey(slices.Grow(buf[:0], keyWords(r.K))[:keyWords(r.K)], catIdx, cats)
+	w, st := keyWords(r.K), dst.stride()
+	dst.keys = packCatKey(slices.Grow(dst.keys, w)[:w], catIdx, cats)
+	dst.data = slices.Grow(dst.data, st)[:st]
+	if dst.n = 1; dst.at != nil {
+		dst.at = append(dst.at, 0)
+	}
 	var g Covar
-	rec := dst.rec(dst.birth(0, key))
-	r.covar().LiftInto(dst.window(&g, rec), idx, vals)
-	rec[0] = g.Count
+	r.covar().LiftInto(dst.window(&g, dst.data), idx, vals)
+	dst.data[0] = g.Count
 	return dst
 }
 

@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // CofactorRoot is the F-IVM root result over the cofactor ring: an
 // immutable base in key order (keys and one record slab, see Cofactor),
@@ -71,16 +68,14 @@ type logChunk []float64
 // chunkLen is the length of one log chunk.
 func (r CofactorRing) chunkLen() int { return logChunkLen * (keyWords(r.K) + 2 + r.N + r.N*r.N) }
 
-// entry points d at delta group i of ch and returns it.
+// entry points d at delta group i of ch, logged over n features, and
+// returns it.
 //
 //borg:noalloc
-func (r CofactorRing) entry(ch logChunk, i int, d *Covar) *Covar {
-	w := keyWords(r.K)
+func (ch logChunk) entry(n, w, i int, d *Covar) *Covar {
 	b := math.Float64bits(ch[logChunkLen*w+i])
 	lo, k := int(b>>32), int(uint32(b))
-	rec := ch[logChunkLen*(w+1)+i*(1+r.N+r.N*r.N):]
-	*d = Covar{N: r.N, Lo: lo, Count: rec[0], Sum: rec[1 : 1+k : 1+k], Q: rec[1+k : 1+k+k*k : 1+k+k*k]}
-	return d
+	return recWindow(d, n, lo, k, ch[logChunkLen*(w+1)+i*(1+n+n*n):][:1+k+k*k])
 }
 
 // NewCofactorRoot returns an empty root whose delta groups' slots are
@@ -240,15 +235,10 @@ func MergeEpochs(eps []CofactorEpoch) *Cofactor {
 	if len(live) == 0 {
 		return nil
 	}
-	out, sc := new(Cofactor), scratchPool.Get().(*mergeScratch)
-	mergeEpochs(live, out, sc)
-	scratchPool.Put(sc)
+	out := new(Cofactor)
+	mergeEpochs(live, out, new(mergeScratch))
 	return out
 }
-
-// scratchPool holds the merge scratch of materializations, which keep
-// none of it.
-var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // mergeCursor is one part of a merge: its base and log, the log's keys
 // copied out in log order and its positions in key order (ord), the
@@ -308,38 +298,40 @@ func (c *mergeCursor) logKey(j int32, w int) []uint64 { return c.lk[int(c.ord[j]
 // It reports whether the group is live.
 func (c *mergeCursor) group(out *Cofactor, dst []float64, st mergeStep, to []int) bool {
 	b, live := c.base, st.bi >= 0
-	if live && b.lo == out.lo && b.w == out.w {
-		copy(dst, b.rec(b.recOf(int(st.bi))))
-		if st.lo == st.hi {
-			return true
-		}
-	}
 	var g, d Covar
-	if live && (b.lo != out.lo || b.w != out.w) {
-		place(dst, out.lo, out.w, b.At(int(st.bi), &g))
+	if live {
+		if b.lo == out.lo && b.w == out.w {
+			copy(dst, b.rec(b.recOf(int(st.bi))))
+		} else {
+			place(dst, out.lo, out.w, b.At(int(st.bi), &g))
+		}
+		out.window(&g, dst)
 	}
-	r := CofactorRing{N: out.N, K: out.K}
+	n, w := out.N, keyWords(out.K)
 	for _, x := range c.ord[st.lo:st.hi] {
-		r.entry(c.chunks[x/logChunkLen], int(x)%logChunkLen, &d)
+		c.chunks[x/logChunkLen].entry(n, w, int(x)%logChunkLen, &d)
 		switch {
 		case live:
-			out.window(&g, dst).AddMapped(&d, to)
-			dst[0], live = g.Count, !g.IsZero()
+			g.AddMapped(&d, to)
+			live = !g.IsZero()
 		case to != nil:
 			clear(dst)
 			out.window(&g, dst).AddMapped(&d, to)
-			dst[0], live = g.Count, true
+			live = true
 		default:
 			place(dst, out.lo, out.w, &d)
+			out.window(&g, dst)
 			live = true
 		}
 	}
+	dst[0] = g.Count
 	return live
 }
 
 // mergeScratch is the storage of a merge's temporaries, reused by a
 // root's folds: the keys copied out of the logs, sortLog's two orders,
-// the cursors, their steps and the steps' keys, and one record.
+// the cursors, their steps and the steps' keys, one record, and the
+// cursors at the least key.
 type mergeScratch struct {
 	lk       []uint64
 	ord, tmp []int32
@@ -347,29 +339,32 @@ type mergeScratch struct {
 	steps    []mergeStep
 	keys     []uint64
 	acc      []float64
+	hit      []int32
 }
 
-// least returns the least key of the cursors' next steps, and the set
-// of cursors whose next step has it (bit p for cursor p).
-func (sc *mergeScratch) least(w int) (key []uint64, at uint64) {
+// least returns the least key of the cursors' next steps, and sets hit
+// to the cursors whose next step has it, ascending; none when every
+// cursor is done.
+func (sc *mergeScratch) least(w int) (key []uint64) {
+	sc.hit = sc.hit[:0]
 	for p := range sc.cur {
 		c := &sc.cur[p]
 		if c.next == len(c.steps) {
 			continue
 		}
 		head := c.keys[c.next*w:][:w]
-		if at == 0 {
-			key, at = head, 1<<p
-			continue
+		o := -1
+		if len(sc.hit) > 0 {
+			o = compareKeys(head, key)
 		}
-		switch o := compareKeys(head, key); {
+		switch {
 		case o < 0:
-			key, at = head, 1<<p
+			key, sc.hit = head, append(sc.hit[:0], int32(p))
 		case o == 0:
-			at |= 1 << p
+			sc.hit = append(sc.hit, int32(p))
 		}
 	}
-	return key, at
+	return key
 }
 
 // mergeEpochs writes the merge of eps (see MergeEpochs) into out, reusing
@@ -419,15 +414,12 @@ func mergeEpochs(eps []CofactorEpoch, out *Cofactor, sc *mergeScratch) {
 	st := out.stride()
 	out.keys, out.data = grown(out.keys, len(sc.steps)*w)[:0], grown(out.data, len(sc.steps)*st)[:0]
 	sc.acc = grown(sc.acc, st)
-	for key, at := sc.least(w); at != 0; key, at = sc.least(w) {
+	for key := sc.least(w); len(sc.hit) > 0; key = sc.least(w) {
 		rec := out.data[len(out.data):][:st:st]
 		// state: 0 no live group yet, 1 one part's verbatim, 2 a sum
 		// of several computed from zero, as CofactorRing.Add would.
 		state := 0
-		for p := range sc.cur {
-			if at>>p&1 == 0 {
-				continue
-			}
+		for _, p := range sc.hit {
 			dst := rec
 			if state != 0 {
 				dst = sc.acc

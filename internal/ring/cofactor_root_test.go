@@ -266,3 +266,41 @@ func TestCofactorRootHeldWindowAllocs(t *testing.T) {
 		t.Errorf("a fold allocates %.2f objects besides its chunks at 1000 groups, %.2f at 4000: want the same", perFold[1000], perFold[4000])
 	}
 }
+
+// TestMergeEpochsManyParts holds the merge of more parts than a machine
+// word has bits to the pairwise CofactorRing.Add of the parts' elements
+// in part order, as a tier of that many shards would sum them, bit for
+// bit: keys shared by many parts, exact cancellations, integer and real
+// values, a zero epoch among the parts, with and without a renaming.
+func TestMergeEpochsManyParts(t *testing.T) {
+	r := CofactorRing{N: 3, K: 2}
+	for _, to := range [][]int{nil, {2, 0, 1}} {
+		src := xrand.New(65)
+		eps := make([]CofactorEpoch, 66)
+		var want *Cofactor
+		for p := range eps {
+			if p == 1 {
+				continue // a zero epoch: an empty part
+			}
+			root := NewCofactorRoot(r, to)
+			var deltas []*Cofactor
+			for s := 1 + src.Intn(300); s > 0; s-- {
+				d := randRootDelta(r, src, p%3 == 0)
+				if len(deltas) > 0 && src.Intn(4) == 0 {
+					d = r.Neg(deltas[src.Intn(len(deltas))])
+				}
+				deltas = append(deltas, d)
+				root.Add(d)
+			}
+			root.Publish(&eps[p])
+			if e := eps[p].Element(); want == nil {
+				want = e
+			} else {
+				want = r.Add(want, e)
+			}
+		}
+		if got, want := elemBits(MergeEpochs(eps)), elemBits(want); !slices.Equal(got, want) {
+			t.Fatalf("to %v: %d parts merged read %d words, want the pairwise sum's %d: %v, want %v", to, len(eps), len(got), len(want), got, want)
+		}
+	}
+}
